@@ -37,6 +37,7 @@ from .scenarios import (
     serialize_scenario,
     timed_check,
 )
+from .tolerances import env_scale
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -279,10 +280,12 @@ def run_simulate(args):
                            dist=system.dist, kind=args.field,
                            project=not args.no_project)
     trajectory.write_csv(args.out)
+    reason = trajectory.abort_reason
     print(f"wrote {len(trajectory.times)} states to {args.out}; "
           f"|dH|={trajectory.energy_drift():.3e} "
           f"max_drift={float(np.max(trajectory.drifts)):.3e}"
-          + (" ABORTED" if trajectory.aborted else ""))
+          + (f" ABORTED at step {reason.step} (t={reason.t:g}): {reason.message}"
+             if reason else ""))
     return EXIT_FAIL if trajectory.aborted else EXIT_OK
 
 
@@ -302,6 +305,7 @@ def main(argv=None):
         # argparse exits 2 on usage errors, matching the input-error contract
         return int(exc.code or 0)
     try:
+        env_scale()  # a malformed MAGNOMECH_TOL_SCALE is an input error
         if args.command == "simulate":
             return run_simulate(args)
         if args.command == "check":

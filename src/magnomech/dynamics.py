@@ -12,6 +12,7 @@ convention and a unit test pins it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,24 +70,21 @@ class HamiltonianSpec:
     def is_quadratic(self):
         return self._general_fn is None
 
+    def at(self, q):
+        """The q-dependent terms of H at base point q (see BaseTerms)."""
+        return BaseTerms(self, np.asarray(q, dtype=float))
+
     def mass_matrix(self, q):
         if self._mass_fn is None:
             return np.eye(self.n)
         return np.asarray(self._mass_fn(np.asarray(q, dtype=float)), dtype=float)
 
     def mass_inverse(self, q):
-        mass = self.mass_matrix(q)
-        try:
-            np.linalg.cholesky(mass)
-        except np.linalg.LinAlgError:
-            raise NumericalDomainError("mass matrix is not positive definite") from None
-        return np.linalg.inv(mass)
+        return self.at(q).inverse
 
     def velocity(self, q, p):
         """Legendre velocity G(q)^{-1} p (quadratic Hamiltonians only)."""
-        if self._mass_fn is None:
-            return np.asarray(p, dtype=float)
-        return np.linalg.solve(self.mass_matrix(q), np.asarray(p, dtype=float))
+        return self.at(q).velocity(np.asarray(p, dtype=float))
 
     def potential(self, q):
         if self._potential_fn is None:
@@ -94,53 +92,110 @@ class HamiltonianSpec:
         return float(self._potential_fn(np.asarray(q, dtype=float)))
 
     def value(self, z):
-        if self._general_fn is not None:
-            return float(self._general_fn(z.q, z.p))
-        kinetic = 0.5 * float(z.p @ self.velocity(z.q, z.p))
-        value = kinetic + self.potential(z.q)
+        return self.at(z.q).value(z.p)
+
+    def gradient(self, z):
+        """Full phase-space gradient (dH/dq, dH/dp) as a 2n vector."""
+        return self.at(z.q).gradient(z.p)
+
+
+class BaseTerms:
+    """The parts of a Hamiltonian that depend on the base point q only.
+
+    The mass matrix, its inverse and gradient and the potential gradient
+    are each computed on first use and then kept, so every momentum over
+    the same q reuses them. The positive-definiteness check runs when the
+    inverse is first needed, the same place the per-point call raises it.
+    """
+
+    def __init__(self, ham, q):
+        self.ham = ham
+        self.q = q
+
+    @cached_property
+    def mass(self):
+        """G(q), or None for unit masses."""
+        fn = self.ham._mass_fn
+        return None if fn is None else np.asarray(fn(self.q), dtype=float)
+
+    @cached_property
+    def inverse(self):
+        if self.mass is None:
+            return np.eye(self.ham.n)
+        try:
+            np.linalg.cholesky(self.mass)
+        except np.linalg.LinAlgError:
+            raise NumericalDomainError("mass matrix is not positive definite") from None
+        return np.linalg.inv(self.mass)
+
+    @cached_property
+    def mass_gradient(self):
+        """Stacked partials dG/dq_c, shape (n, n, n); None when G is constant
+        or has no symbolic derivative."""
+        fn = self.ham._mass_grad_fn
+        if self.mass is None or fn is None:
+            return None
+        return np.asarray(fn(self.q), dtype=float)
+
+    @cached_property
+    def potential_gradient(self):
+        ham = self.ham
+        if ham._potential_grad_fn is not None:
+            return np.asarray(ham._potential_grad_fn(self.q), dtype=float)
+        if ham._potential_fn is not None:
+            return fd_gradient(ham._potential_fn, self.q, ham._step)
+        return np.zeros(ham.n)
+
+    def velocity(self, p):
+        if self.mass is None:
+            return p
+        return np.linalg.solve(self.mass, p)
+
+    def value(self, p):
+        ham = self.ham
+        if ham._general_fn is not None:
+            return float(ham._general_fn(self.q, p))
+        kinetic = 0.5 * float(p @ self.velocity(p))
+        value = kinetic + ham.potential(self.q)
         if not np.isfinite(value):
             raise NumericalDomainError("Hamiltonian is non-finite at the point")
         return value
 
-    def gradient(self, z):
-        """Full phase-space gradient (dH/dq, dH/dp) as a 2n vector."""
-        if self._general_fn is not None:
-            if self._general_grad_fn is not None:
-                grad = np.asarray(self._general_grad_fn(z.q, z.p), dtype=float)
+    def gradient(self, p):
+        """Full phase-space gradient (dH/dq, dH/dp) at (q, p) as a 2n vector."""
+        ham = self.ham
+        n = ham.n
+        if ham._general_fn is not None:
+            if ham._general_grad_fn is not None:
+                grad = np.asarray(ham._general_grad_fn(self.q, p), dtype=float)
             else:
-                fn = self._general_fn
-                grad = fd_gradient(
-                    lambda v: fn(v[: self.n], v[self.n:]), z.vec, self._step)
+                fn = ham._general_fn
+                grad = fd_gradient(lambda v: fn(v[:n], v[n:]),
+                                   np.concatenate([self.q, p]), ham._step)
         else:
-            grad = np.empty(2 * self.n)
-            grad[self.n:] = self.velocity(z.q, z.p)
-            grad[: self.n] = self._grad_q(z.q, z.p)
-        if not np.all(np.isfinite(grad)):
+            grad = np.empty(2 * n)
+            grad[n:] = self.velocity(p)
+            grad[:n] = self._grad_q(p)
+        if not np.isfinite(grad).all():
             raise NumericalDomainError("Hamiltonian gradient is non-finite")
         return grad
 
-    def _grad_q(self, q, p):
-        if self._potential_grad_fn is not None:
-            potential_part = np.asarray(self._potential_grad_fn(q), dtype=float)
-        elif self._potential_fn is not None:
-            potential_part = fd_gradient(self._potential_fn, q, self._step)
-        else:
-            potential_part = np.zeros(self.n)
-        if self._mass_fn is None:
+    def _grad_q(self, p):
+        potential_part = self.potential_gradient
+        if self.mass is None:
             return potential_part
-        inverse = self.mass_inverse(q)
-        velocity = inverse @ p
-        if self._mass_grad_fn is not None:
-            stacked = np.asarray(self._mass_grad_fn(q), dtype=float)
+        velocity = self.inverse @ p
+        stacked = self.mass_gradient
+        if stacked is not None:
             kinetic_part = np.array(
-                [-0.5 * velocity @ stacked[k] @ velocity for k in range(self.n)])
+                [-0.5 * velocity @ stacked[k] @ velocity for k in range(self.ham.n)])
         else:
-            mass_fn = self._mass_fn
+            mass_fn = self.ham._mass_fn
 
             def kinetic(qq):
                 return 0.5 * p @ np.linalg.solve(np.asarray(mass_fn(qq), float), p)
 
-            kinetic_part = fd_gradient(kinetic, q, self._step)
+            kinetic_part = fd_gradient(kinetic, self.q, self.ham._step)
         return kinetic_part + potential_part
 
 

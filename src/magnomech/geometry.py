@@ -157,27 +157,35 @@ class TwoFormField:
     antisymmetric by construction, whatever the supplied entries do.
     """
 
-    def __init__(self, upper_fn, n):
+    def __init__(self, upper_fn, n, constant=None):
         self._upper_fn = upper_fn
         self.n = n
+        self._constant = constant
 
     def matrix(self, q):
+        if self._constant is not None:
+            return self._constant
         upper = np.asarray(self._upper_fn(np.asarray(q, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(upper)):
+        if not np.isfinite(upper).all():
             raise NumericalDomainError("two-form evaluation is non-finite")
         return upper - upper.T
 
     @classmethod
     def zero(cls, n):
-        return cls(lambda q: np.zeros((n, n)), n)
+        return cls.constant(np.zeros((n, n)))
 
     @classmethod
     def constant(cls, matrix):
+        """A q-independent two-form; its (read-only) matrix is built once."""
         matrix = np.asarray(matrix, dtype=float)
         if max_abs(matrix + matrix.T) > 0:
             raise NumericalDomainError("constant two-form matrix is not antisymmetric")
         upper = np.triu(matrix, 1)
-        return cls(lambda q: upper, matrix.shape[0])
+        value = upper - upper.T
+        value.setflags(write=False)
+        # a non-finite matrix keeps the per-call path, which raises on use
+        return cls(lambda q: upper, matrix.shape[0],
+                   constant=value if np.isfinite(value).all() else None)
 
     @classmethod
     def from_matrix_fn(cls, fn, n, check=True):

@@ -7,21 +7,33 @@ error stays visible instead of hidden.
 """
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import magnetic_vector_field
-from .errors import NumericalDomainError, OffConstraintError
-from .geometry import PhasePoint
-from .linalg import max_abs
-from .nonholonomic import (
-    constrained_field_multiplier,
-    constraint_residual,
-    project_to_constraint,
+from .dynamics import SOLVER_TOL
+from .errors import (
+    CompatibilityError,
+    DegenerateFormError,
+    NumericalDomainError,
+    OffConstraintError,
 )
+from .geometry import PhasePoint
+from .linalg import max_abs, solve_small
+from .nonholonomic import SurfaceFrame, constraint_residual
 
 FIELD_KINDS = ("magnetic", "distributional")
+
+
+class AbortReason(NamedTuple):
+    """Why a run stopped early: the step that failed, its time and the error."""
+
+    step: int
+    t: float
+    message: str
 
 
 @dataclass
@@ -31,7 +43,11 @@ class Trajectory:
     energies: np.ndarray
     constraint_residuals: np.ndarray
     drifts: np.ndarray
-    aborted: bool = False
+    abort_reason: AbortReason = None
+
+    @property
+    def aborted(self):
+        return self.abort_reason is not None
 
     @property
     def n(self):
@@ -74,14 +90,110 @@ def _rk4_step(rhs, vec, dt):
     return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+class _BasePoint:
+    """Everything the field needs at one q, each part computed on first use."""
+
+    def __init__(self, ham, mag, dist, q):
+        self.q = q
+        self.terms = ham.at(q)
+        self.frame = None if dist is None else SurfaceFrame(dist, self.terms)
+        self._mag = mag
+
+    @cached_property
+    def b(self):
+        return self._mag.b_matrix(self.q)
+
+
+class FieldKernel:
+    """The integrated field and the end-of-step work on flat 2n vectors.
+
+    The field is the closed form X = (H_p, -H_q + B H_p), plus the Lagrange
+    multiplier correction sum_a lambda_a (0, -A_a) when a distribution is
+    given. All q-only data (A(q), dA/dq, G^{-1}(q), dG/dq, dV/dq, B(q)) is
+    kept for the latest base point: projection only moves p, so the drift
+    and post-projection residuals, the projection, the energy and the next
+    step's first stage share one evaluation. Each part is computed on first
+    use, so every guard fires at the same stage as in the per-point
+    functions it replaces (magnetic_vector_field, constrained_field_multiplier,
+    project_to_constraint, constraint_residual), which remain as oracles.
+    """
+
+    def __init__(self, ham, mag, dist=None):
+        self.ham = ham
+        self.mag = mag
+        self.dist = dist
+        self.n = ham.n
+        self._key = None
+        self._point = None
+
+    def _at(self, q):
+        key = q.tobytes()
+        if key != self._key:
+            self._key = key
+            self._point = _BasePoint(self.ham, self.mag, self.dist, q)
+        return self._point
+
+    def rhs(self, vec):
+        if not np.isfinite(vec).all():
+            raise NumericalDomainError("phase point has non-finite entries")
+        n = self.n
+        p = vec[n:]
+        point = self._at(vec[:n])
+        grad = point.terms.gradient(p)
+        hq, hp = grad[:n], grad[n:]
+        push = point.b @ hp
+        dp = -hq + push
+        # structure equation Omega^T X = dH in components:
+        # (B X_q - X_p, X_q) = (H_q, H_p), with X_q = H_p exactly
+        defect = push - dp - hq
+        residual = math.sqrt(defect @ defect)
+        if not residual <= SOLVER_TOL * (1.0 + math.sqrt(grad @ grad)):
+            raise DegenerateFormError(
+                f"structure solve residual {residual:.3e} exceeds tolerance")
+        x = np.concatenate([hp, dp])
+        frame = point.frame
+        if frame is None:
+            return x
+        jac = frame.jacobian(p)
+        try:
+            lam = solve_small(-frame.gram, -jac @ x)
+        except np.linalg.LinAlgError:
+            raise CompatibilityError("multiplier matrix is singular") from None
+        x[n:] -= frame.rows.T @ lam
+        return x
+
+    def finish_step(self, vec, project):
+        """(vec, drift, residual, energy) at the end of a step.
+
+        With a distribution, the drift is the residual before projection and
+        the residual the one after it; both are 0.0 without one.
+        """
+        if not np.isfinite(vec).all():
+            raise NumericalDomainError("state is non-finite")
+        n = self.n
+        q, p = vec[:n], vec[n:]
+        point = self._at(q)
+        drift = residual = 0.0
+        frame = point.frame
+        if frame is not None:
+            drift = max_abs(frame.residual(p))
+            if project:
+                p = frame.project(p)
+                if not np.isfinite(p).all():
+                    raise NumericalDomainError("phase point has non-finite entries")
+                vec = np.concatenate([q, p])
+            residual = max_abs(frame.residual(p))
+        return vec, drift, residual, point.terms.value(p)
+
+
 def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
               project=True, start_tol=1e-8):
     """Integrate the chosen field from z0 over [0, t_end] with step dt.
 
     Distributional mode requires the start point on the constraint surface
     and re-projects after every step unless ``project`` is False. A
-    non-finite state aborts the run and the partial trajectory is returned
-    with ``aborted`` set.
+    non-finite or out-of-domain state aborts the run: the partial trajectory
+    is returned with ``abort_reason`` naming the step, time and error.
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
@@ -89,44 +201,28 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
         raise ValueError("dt must be positive")
     constrained = kind == "distributional" and dist is not None and dist.k > 0
 
+    residual = 0.0
     if constrained:
-        start_res = max_abs(constraint_residual(dist, ham, z0))
-        if start_res > start_tol:
+        residual = max_abs(constraint_residual(dist, ham, z0))
+        if residual > start_tol:
             raise OffConstraintError(
-                f"initial state off the constraint surface ({start_res:.3e})")
-
-        def rhs(vec):
-            z = PhasePoint.from_vec(vec)
-            return constrained_field_multiplier(dist, ham, mag, z).vector.vec
-    else:
-        def rhs(vec):
-            return magnetic_vector_field(ham, mag, PhasePoint.from_vec(vec)).vec
+                f"initial state off the constraint surface ({residual:.3e})")
+    kernel = FieldKernel(ham, mag, dist if constrained else None)
 
     steps = int(round(t_end / dt))
     times = [0.0]
     states = [z0.vec]
     energies = [ham.value(z0)]
-    residuals = [max_abs(constraint_residual(dist, ham, z0)) if constrained else 0.0]
-    drifts = [residuals[0]]
+    residuals = [residual]
+    drifts = [residual]
     vec = z0.vec
-    aborted = False
+    abort_reason = None
     for step in range(1, steps + 1):
         try:
-            vec = _rk4_step(rhs, vec, dt)
-            if not np.all(np.isfinite(vec)):
-                raise NumericalDomainError("state is non-finite")
-            drift = 0.0
-            residual = 0.0
-            if constrained:
-                z = PhasePoint.from_vec(vec)
-                drift = max_abs(constraint_residual(dist, ham, z))
-                if project:
-                    z = project_to_constraint(dist, ham, z)
-                    vec = z.vec
-                residual = max_abs(constraint_residual(dist, ham, z))
-            energy = ham.value(PhasePoint.from_vec(vec))
-        except (NumericalDomainError, OverflowError):
-            aborted = True
+            vec, drift, residual, energy = kernel.finish_step(
+                _rk4_step(kernel.rhs, vec, dt), project)
+        except (NumericalDomainError, OverflowError) as err:
+            abort_reason = AbortReason(step, step * dt, f"{type(err).__name__}: {err}")
             break
         times.append(step * dt)
         states.append(vec)
@@ -135,7 +231,7 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
         drifts.append(drift)
     return Trajectory(np.asarray(times), np.asarray(states),
                       np.asarray(energies), np.asarray(residuals),
-                      np.asarray(drifts), aborted=aborted)
+                      np.asarray(drifts), abort_reason=abort_reason)
 
 
 def halving_errors(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",

@@ -42,4 +42,19 @@ def rank_of(matrix, rcond=RCOND):
 
 def max_abs(array):
     array = np.asarray(array)
-    return float(np.max(np.abs(array))) if array.size else 0.0
+    return float(np.abs(array).max()) if array.size else 0.0
+
+
+def solve_small(matrix, rhs):
+    """np.linalg.solve for the tiny k x k systems of the constraint code.
+
+    A 1 x 1 system is one division, which is what LAPACK computes for it,
+    without the generic solver's per-call overhead. An exactly singular
+    matrix raises np.linalg.LinAlgError, as np.linalg.solve does.
+    """
+    if matrix.shape == (1, 1):
+        pivot = matrix[0, 0]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return rhs / pivot
+    return np.linalg.solve(matrix, rhs)

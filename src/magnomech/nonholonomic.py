@@ -10,6 +10,7 @@ Lagrange multipliers) so each can serve as the other's oracle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
 from .dynamics import magnetic_vector_field
-from .linalg import max_abs, null_space, rank_of
+from .linalg import max_abs, null_space, rank_of, solve_small
 
 RANK_RCOND = 1e-10
 
@@ -58,7 +59,7 @@ class ConstraintDistribution:
     def matrix(self, q):
         rows = np.asarray(self._rows_fn(np.asarray(q, dtype=float)), dtype=float)
         rows = rows.reshape(self.k, self.n)
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise NumericalDomainError("constraint rows are non-finite")
         if self.k > 0:
             s = np.linalg.svd(rows, compute_uv=False)
@@ -82,6 +83,76 @@ class ConstraintDistribution:
         return null_space(self.matrix(q))
 
 
+class SurfaceFrame:
+    """Constraint data at one base point, each part computed on first use.
+
+    Holds A(q) (with its rank check), dA/dq and the Hamiltonian's base
+    terms at q; the residual c, its derivative Dc and the projection at any
+    momentum over q are assembled from them.
+    """
+
+    def __init__(self, dist, terms):
+        self.dist = dist
+        self.terms = terms
+
+    @cached_property
+    def rows(self):
+        return self.dist.matrix(self.terms.q)
+
+    @cached_property
+    def rows_gradient(self):
+        return self.dist.rows_gradient(self.terms.q)
+
+    @cached_property
+    def rows_inverse(self):
+        """A G^{-1}: the momentum block of Dc."""
+        return self.rows @ self.terms.inverse
+
+    @cached_property
+    def gram(self):
+        """A G^{-1} A^T: the projection Gram matrix, and minus the multiplier one."""
+        return self.rows_inverse @ self.rows.T
+
+    @cached_property
+    def rows_mass_gradient(self):
+        """A dG^{-1}/dq_c stacked by direction c, shape (n, k, n)."""
+        inverse = self.terms.inverse
+        return np.array([self.rows @ (-inverse @ grad @ inverse)
+                         for grad in self.terms.mass_gradient])
+
+    def residual(self, p):
+        """c(q, p) = A(q) G(q)^{-1} p."""
+        return self.rows @ self.terms.velocity(p)
+
+    def jacobian(self, p):
+        """Full derivative of c, shape (k, 2n): [dc/dq | A G^{-1}]."""
+        dist, terms = self.dist, self.terms
+        n = dist.n
+        jac = np.zeros((dist.k, 2 * n))
+        jac[:, n:] = self.rows_inverse
+        if terms.mass is not None and terms.mass_gradient is None:
+            ham = terms.ham
+
+            def c_of_q(qq):
+                return dist.matrix(qq) @ np.linalg.solve(ham.mass_matrix(qq), p)
+
+            jac[:, :n] = fd_jacobian(c_of_q, terms.q, dist._step)
+            return jac
+        jac[:, :n] = (self.rows_gradient @ (terms.inverse @ p)).T
+        if terms.mass is not None:
+            jac[:, :n] += (self.rows_mass_gradient @ p).T
+        return jac
+
+    def project(self, p):
+        """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
+        try:
+            shift = self.rows.T @ solve_small(self.gram, self.rows_inverse @ p)
+        except np.linalg.LinAlgError:
+            raise DegenerateConstraintError(
+                "projection Gram matrix is singular") from None
+        return p - shift
+
+
 def constraint_residual(dist, ham, z):
     """c(q, p) = A(q) G(q)^{-1} p; zero on the constraint surface."""
     if dist.k == 0:
@@ -89,45 +160,19 @@ def constraint_residual(dist, ham, z):
     if not ham.is_quadratic:
         raise NumericalDomainError(
             "constraint surface needs a kinetic-plus-potential Hamiltonian")
-    return dist.matrix(z.q) @ ham.velocity(z.q, z.p)
+    return SurfaceFrame(dist, ham.at(z.q)).residual(z.p)
 
 
 def constraint_jacobian(dist, ham, z):
     """Full derivative of c at z, shape (k, 2n): [dc/dq | A G^{-1}]."""
-    rows = dist.matrix(z.q)
-    inverse = ham.mass_inverse(z.q)
-    velocity = inverse @ z.p
-    jac = np.zeros((dist.k, 2 * dist.n))
-    jac[:, dist.n:] = rows @ inverse
-    grads = dist.rows_gradient(z.q)
-    for c in range(dist.n):
-        jac[:, c] = grads[c] @ velocity
-    if ham._mass_fn is not None:
-        if ham._mass_grad_fn is not None:
-            mass_grads = np.asarray(ham._mass_grad_fn(z.q), dtype=float)
-            for c in range(dist.n):
-                d_inverse = -inverse @ mass_grads[c] @ inverse
-                jac[:, c] += rows @ d_inverse @ z.p
-        else:
-            def c_of_q(qq):
-                return dist.matrix(qq) @ np.linalg.solve(ham.mass_matrix(qq), z.p)
-
-            jac[:, : dist.n] = fd_jacobian(c_of_q, z.q, dist._step)
-    return jac
+    return SurfaceFrame(dist, ham.at(z.q)).jacobian(z.p)
 
 
 def project_to_constraint(dist, ham, z):
     """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
     if dist.k == 0:
         return z
-    rows = dist.matrix(z.q)
-    inverse = ham.mass_inverse(z.q)
-    gram = rows @ inverse @ rows.T
-    try:
-        shift = rows.T @ np.linalg.solve(gram, rows @ inverse @ z.p)
-    except np.linalg.LinAlgError:
-        raise DegenerateConstraintError("projection Gram matrix is singular") from None
-    return PhasePoint(z.q, z.p - shift)
+    return PhasePoint(z.q, SurfaceFrame(dist, ham.at(z.q)).project(z.p))
 
 
 def require_on_constraint(dist, ham, z, tol):

@@ -292,10 +292,24 @@ def _compile_scalar(value, names):
     return ex.compile_node(node), node
 
 
+def _constant_matrix(nodes):
+    """A nested list of ASTs as one read-only array when every entry is a
+    number (so the matrix costs nothing per call), else None."""
+    leaves = np.asarray(nodes, dtype=object)
+    if not all(isinstance(node, ex.Num) for node in leaves.flat):
+        return None
+    matrix = np.array([float(node.value) for node in leaves.flat]).reshape(leaves.shape)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def _compile_matrix(rows, names):
     compiled = [[_compile_scalar(v, names) for v in row] for row in rows]
     fns = [[c[0] for c in row] for row in compiled]
     nodes = [[c[1] for c in row] for row in compiled]
+    constant = _constant_matrix(nodes)
+    if constant is not None:
+        return (lambda q: constant), nodes
 
     def evaluate(q):
         return np.array([[f(q) for f in row] for row in fns])
@@ -310,13 +324,16 @@ def _matrix_gradient(nodes, n):
     callers then fall back to finite differences.
     """
     try:
-        stacked = [
-            [[ex.compile_node(ex.derivative(node, f"q{c + 1}")) for node in row]
-             for row in nodes]
-            for c in range(n)
-        ]
+        derivatives = [[[ex.derivative(node, f"q{c + 1}") for node in row]
+                        for row in nodes]
+                       for c in range(n)]
     except ExpressionError:
         return None
+    constant = _constant_matrix(derivatives)
+    if constant is not None:
+        return lambda q: constant
+    stacked = [[[ex.compile_node(node) for node in row] for row in layer]
+               for layer in derivatives]
 
     def evaluate(q):
         return np.array([[[f(q) for f in row] for row in layer]

@@ -5,7 +5,10 @@ single environment variable can widen all thresholds on platforms with
 different float behaviour. Scenario files may override individual entries.
 """
 
+import math
 import os
+
+from .errors import ScenarioError
 
 DEFAULTS = {
     # hypothesis residual above which a theorem check is VACUOUS
@@ -37,14 +40,19 @@ STATUS_BAND_FACTOR = 10.0
 
 
 def env_scale():
+    """The MAGNOMECH_TOL_SCALE factor: 1.0 when unset, else a finite value > 0."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return 1.0
     try:
         value = float(raw)
     except ValueError:
-        return 1.0
-    return value if value > 0 else 1.0
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ScenarioError("tol_scale",
+                            f"{ENV_VAR}={raw!r} is not a finite positive number",
+                            field=ENV_VAR)
+    return value
 
 
 class Tolerances:

@@ -158,3 +158,52 @@ def test_tolerance_scale_env_widens_thresholds(scenario_dir, monkeypatch,
     assert code == 0
     # with thresholds scaled far up the hypothesis no longer fails
     assert "VACUOUS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1", "nan", "inf"])
+def test_malformed_tolerance_scale_is_input_error(scenario_dir, monkeypatch,
+                                                  capsys, raw):
+    monkeypatch.setenv("MAGNOMECH_TOL_SCALE", raw)
+    code = main(["check", "hj1", str(scenario_dir / "broken-gamma.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["code"] == "tol_scale"
+    assert err["field"] == "MAGNOMECH_TOL_SCALE"
+    assert captured.out == ""
+
+
+def _write_scenario(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_simulate_prints_abort_reason_outside_the_csv(tmp_path, capsys):
+    # G_22 = 1 - q1 stops being positive definite once q1 passes 1
+    scenario = _write_scenario(tmp_path / "softening.json", {
+        "name": "softening-mass", "n": 2,
+        "mass_matrix": [["1", "0"], ["0", "1 - q1"]],
+        "sample_box": [[-1.0, 0.5], [-1.0, 1.0]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    out = tmp_path / "traj.csv"
+    code = main(["simulate", scenario, "--t-end", "3", "--dt", "0.03",
+                 "--out", str(out)])
+    assert code == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("wrote 34 states")
+    assert line.endswith("ABORTED at step 34 (t=1.02): NumericalDomainError: "
+                         "mass matrix is not positive definite")
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "t,q1,q2,p1,p2,H,constraint_res,drift"
+    assert len(lines) == 35
+
+
+def test_simulate_rank_loss_is_input_error(tmp_path, capsys):
+    # the single row (0, 1 - q1) vanishes at the stage point q1 = 1
+    scenario = _write_scenario(tmp_path / "vanishing.json", {
+        "name": "vanishing-row", "n": 2, "constraints": [["0", "1 - q1"]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    code = main(["simulate", scenario, "--field", "distributional",
+                 "--t-end", "2", "--dt", "0.25", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "DegenerateConstraintError"

@@ -1,17 +1,33 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
 from magnomech import (
+    ConstraintDistribution,
+    DegenerateConstraintError,
     HamiltonianSpec,
     MagneticStructure,
+    NumericalDomainError,
     OffConstraintError,
     PhasePoint,
+    TwoFormField,
+    build_system,
+    constrained_field_multiplier,
+    constraint_residual,
     halving_ratio,
     integrate,
+    magnetic_vector_field,
+    parse_scenario,
+    project_to_constraint,
 )
-from conftest import constant_field_system, free_particle_constraint
+from magnomech.integrate import FieldKernel, _rk4_step
+from magnomech.linalg import max_abs
+from magnomech.sampling import phase_samples, surface_phase_samples
+from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
+
+SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
 
 def test_free_particle_straight_line():
@@ -106,6 +122,11 @@ def test_blowup_aborts_with_partial_trajectory():
     assert traj.aborted
     assert len(traj.times) < 101
     assert np.all(np.isfinite(traj.states))
+    # the failing step is the first one not recorded
+    reason = traj.abort_reason
+    assert reason.step == len(traj.times)
+    assert reason.t == pytest.approx(0.5 * reason.step)
+    assert reason.message.split(":")[0] in ("NumericalDomainError", "OverflowError")
 
 
 def test_csv_round_trip():
@@ -121,3 +142,219 @@ def test_csv_round_trip():
     assert parsed["t"][-1] == pytest.approx(0.1)
     assert parsed["H"][0] == pytest.approx(0.5)
     assert np.allclose(parsed["q1"], traj.states[:, 0])
+
+
+# -- the fused kernel against the per-point oracles ---------------------------
+
+
+def _system(doc):
+    return build_system(parse_scenario(json.dumps(doc)))
+
+
+def _oracle_rhs(ham, mag, dist):
+    """The per-point field the kernel replaced: dense solve or multipliers."""
+    if dist is None:
+        return lambda vec: magnetic_vector_field(
+            ham, mag, PhasePoint.from_vec(vec)).vec
+    return lambda vec: constrained_field_multiplier(
+        dist, ham, mag, PhasePoint.from_vec(vec)).vector.vec
+
+
+def _reference_run(ham, mag, z0, steps, dt, dist=None, project=True):
+    """RK4 over the oracle field with the per-point end-of-step sequence
+    (drift, projection, residual, energy), stopping where integrate aborts.
+
+    Returns the states, drifts, residuals and energies of the recorded steps.
+    """
+    rhs = _oracle_rhs(ham, mag, dist)
+    vec = z0.vec
+    rows = [(vec, 0.0, 0.0, ham.value(z0))]
+    for _ in range(steps):
+        try:
+            vec = _rk4_step(rhs, vec, dt)
+            if not np.all(np.isfinite(vec)):
+                raise NumericalDomainError("state is non-finite")
+            z = PhasePoint.from_vec(vec)
+            drift = residual = 0.0
+            if dist is not None:
+                drift = max_abs(constraint_residual(dist, ham, z))
+                if project:
+                    z = project_to_constraint(dist, ham, z)
+                    vec = z.vec
+                residual = max_abs(constraint_residual(dist, ham, z))
+            energy = ham.value(z)
+        except (NumericalDomainError, OverflowError):
+            break
+        rows.append((vec, drift, residual, energy))
+    states, drifts, residuals, energies = zip(*rows)
+    return np.array(states), np.array(drifts), np.array(residuals), np.array(energies)
+
+
+def _mass(q):
+    return np.array([[1.0 + 0.5 * q[1] ** 2, 0.1 * q[0], 0.0],
+                     [0.1 * q[0], 2.0, 0.0],
+                     [0.0, 0.0, 1.0 + 0.2 * q[0] ** 2]])
+
+
+def _mass_grad(q):
+    grads = np.zeros((3, 3, 3))
+    grads[0, 0, 1] = grads[0, 1, 0] = 0.1
+    grads[0, 2, 2] = 0.4 * q[0]
+    grads[1, 0, 0] = q[1]
+    return grads
+
+
+def _general_value(q, p):
+    return (0.5 * (p[0] ** 2 + p[1] ** 2) + 0.25 * q[0] ** 2 * q[1] ** 2
+            + 0.1 * q[0] * p[1])
+
+
+def _extra_systems():
+    """Paths no shipped scenario takes, as (ham, mag, dist or None, z0)."""
+    twisted = MagneticStructure(TwoFormField.from_matrix_fn(
+        lambda q: np.array([[0.0, 1.0 + 0.1 * q[0]], [-1.0 - 0.1 * q[0], 0.0]]), 2))
+    general = _system({
+        "name": "general", "n": 2,
+        "general_h": "0.5*(p1^2 + p2^2) + 0.25*q1^2*q2^2 + 0.1*q1*p2",
+        "b_field": [["0", "1 + 0.1*q1"], ["-(1 + 0.1*q1)", "0"]],
+        "initial_state": {"q": [0.3, -0.2], "p": [0.5, 0.1]}})
+    potential = lambda q: 0.5 * float(q @ q)  # noqa: E731
+    rows = free_particle_constraint()
+    rows_fd = ConstraintDistribution(3, 1, lambda q: np.array([[0.0, -q[0], 1.0]]))
+    z3 = PhasePoint([0.2, -0.1, 0.3], [0.6, 0.4, -0.2])
+
+    def on_surface(dist, ham):
+        return project_to_constraint(dist, ham, z3)
+
+    mass_symbolic = HamiltonianSpec.quadratic(3, mass_fn=_mass, mass_grad_fn=_mass_grad,
+                                              potential_fn=potential)
+    mass_fd = HamiltonianSpec.quadratic(3, mass_fn=_mass, potential_fn=potential)
+    unit = HamiltonianSpec.free(3)
+    canonical = MagneticStructure.canonical(3)
+    return {
+        "general-symbolic": (general.ham, general.mag, None, general.initial_state),
+        "general-fd": (HamiltonianSpec.general(2, _general_value), twisted, None,
+                       PhasePoint([0.3, -0.2], [0.5, 0.1])),
+        "mass-fd": (mass_fd, canonical, None, z3),
+        "constrained-mass-symbolic": (mass_symbolic, canonical, rows,
+                                      on_surface(rows, mass_symbolic)),
+        "constrained-mass-fd": (mass_fd, canonical, rows, on_surface(rows, mass_fd)),
+        "constrained-rows-fd": (unit, canonical, rows_fd, on_surface(rows_fd, unit)),
+    }
+
+
+EXTRA = _extra_systems()
+
+
+def _worst_rhs_gap(ham, mag, dist, points):
+    kernel = FieldKernel(ham, mag, dist)
+    oracle = _oracle_rhs(ham, mag, dist)
+    return max(float(np.max(np.abs(kernel.rhs(z.vec) - oracle(z.vec))))
+               for z in points)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_kernel_rhs_matches_oracles_on_scenarios(systems, name):
+    system = systems[name]
+    rng = np.random.default_rng(7)
+    free_points = phase_samples(system.sample_box, 20, rng)
+    assert _worst_rhs_gap(system.ham, system.mag, None, free_points) <= 1e-12
+    if system.constrained:
+        surface = surface_phase_samples(system.dist, system.ham,
+                                        system.sample_box, 20, rng)
+        assert _worst_rhs_gap(system.ham, system.mag, system.dist, surface) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA))
+def test_kernel_rhs_matches_oracles_off_the_corpus(name):
+    ham, mag, dist, z0 = EXTRA[name]
+    rng = np.random.default_rng(11)
+    box = np.array([[-0.5, 0.5]] * ham.n)
+    points = phase_samples(box, 20, rng)
+    if dist is not None:
+        points = [project_to_constraint(dist, ham, z) for z in points]
+    assert _worst_rhs_gap(ham, mag, dist, points) <= 1e-12
+
+
+def _assert_matches_reference(ham, mag, z0, dt, dist, project=True, tol=1e-12):
+    kind = "magnetic" if dist is None else "distributional"
+    traj = integrate(ham, mag, z0, 200 * dt, dt, dist=dist, kind=kind, project=project)
+    states, drifts, residuals, energies = _reference_run(
+        ham, mag, z0, 200, dt, dist=dist, project=project)
+    assert not traj.aborted and len(states) == 201
+    assert np.max(np.abs(traj.states - states)) <= tol
+    assert np.max(np.abs(traj.energies - energies)) <= tol
+    assert np.max(np.abs(traj.drifts[1:] - drifts[1:])) <= tol
+    assert np.max(np.abs(traj.constraint_residuals[1:] - residuals[1:])) <= tol
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_trajectory_matches_reference_on_scenarios(systems, name):
+    system = systems[name]
+    dist = system.dist if system.constrained else None
+    z0 = system.initial_state
+    if dist is not None:
+        z0 = project_to_constraint(dist, system.ham, z0)
+    _assert_matches_reference(system.ham, system.mag, z0, 1e-2, dist)
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA))
+def test_trajectory_matches_reference_off_the_corpus(name):
+    ham, mag, dist, z0 = EXTRA[name]
+    # A central-difference gradient in all 2n variables (step 1e-6) turns
+    # the ~1e-16 gap between the closed-form field and the dense solve into
+    # noise of order 1e-16 / 1e-6 per evaluation; over 200 steps that sits
+    # near 1e-12, so that path is held to the difference noise floor.
+    tol = 1e-10 if name == "general-fd" else 1e-12
+    _assert_matches_reference(ham, mag, z0, 1e-2, dist, tol=tol)
+
+
+def test_unprojected_trajectory_matches_reference(systems):
+    system = systems["nh-magnetic-particle"]
+    z0 = project_to_constraint(system.dist, system.ham, system.initial_state)
+    _assert_matches_reference(system.ham, system.mag, z0, 1e-2, system.dist,
+                              project=False)
+
+
+# -- error paths ---------------------------------------------------------------
+
+
+def _softening_mass_system(n):
+    """Unit masses except G_22 = 1 - q1, which stops being positive definite
+    once the particle, moving along q1 at unit speed, passes q1 = 1."""
+    mass = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    mass[1][1] = "1 - q1"
+    doc = {"name": "softening-mass", "n": n, "mass_matrix": mass,
+           "sample_box": [[-1.0, 0.5]] + [[-1.0, 1.0]] * (n - 1),
+           "initial_state": {"q": [0.0] * n, "p": [1.0] + [0.0] * (n - 1)}}
+    if n == 3:
+        doc["constraints"] = [["0", "-q1", "1"]]
+    return _system(doc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mass_losing_definiteness_aborts_at_the_reference_step(n):
+    system = _softening_mass_system(n)
+    dist = system.dist if system.constrained else None
+    kind = "magnetic" if dist is None else "distributional"
+    traj = integrate(system.ham, system.mag, system.initial_state, 3.0, 0.03,
+                     dist=dist, kind=kind)
+    states, _, _, _ = _reference_run(system.ham, system.mag, system.initial_state,
+                                     100, 0.03, dist=dist)
+    # 34 states, the length the per-point integrator produced as well
+    assert len(traj.times) == len(states) == 34
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert traj.abort_reason.step == 34
+    assert traj.abort_reason.message == (
+        "NumericalDomainError: mass matrix is not positive definite")
+
+
+def test_rank_loss_mid_run_raises():
+    # the single row (0, 1 - q1) vanishes when the particle, moving along q1
+    # at unit speed, reaches q1 = 1, a stage point at dt = 0.25
+    system = _system({"name": "vanishing-row", "n": 2,
+                      "constraints": [["0", "1 - q1"]],
+                      "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    with pytest.raises(DegenerateConstraintError):
+        integrate(system.ham, system.mag, system.initial_state, 2.0, 0.25,
+                  dist=system.dist, kind="distributional")
