@@ -119,7 +119,7 @@ def check_geometry(system, count, seed):
         closedness = max(two_form_closedness_residual(system.mag.b_field, q)
                          for q in qs)
         data["b_closedness_residual"] = closedness
-        if closedness > 1e-6:
+        if closedness > tol.get("closedness"):
             verdict = "FAIL"
         if system.constrained:
             zs = _phase_points(system, count, seed)

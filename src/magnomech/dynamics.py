@@ -149,7 +149,10 @@ class BaseTerms:
     def velocity(self, p):
         if self.mass is None:
             return p
-        return np.linalg.solve(self.mass, p)
+        try:
+            return np.linalg.solve(self.mass, p)
+        except np.linalg.LinAlgError:
+            raise NumericalDomainError("mass matrix is singular") from None
 
     def value(self, p):
         ham = self.ham

@@ -21,7 +21,7 @@ from .errors import ExpressionError, ScenarioError
 from .geometry import OneFormSection, PhasePoint, TwoFormField
 from .nonholonomic import ConstraintDistribution
 from .reduction import TranslationSymmetry, data_invariance_residual
-from .sampling import sobol_points
+from .sampling import MAX_DIMENSION, sobol_points
 from .tolerances import DEFAULTS as TOLERANCE_NAMES
 from .tolerances import Tolerances
 
@@ -120,6 +120,9 @@ def parse_scenario(text):
     n = raw["n"]
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "bad_dimension", "n must be an integer >= 1", "n")
+    _require(n <= MAX_DIMENSION, "bad_dimension",
+             f"n = {n} exceeds {MAX_DIMENSION}, the largest dimension of the "
+             "built-in Sobol direction numbers", "n")
 
     qn = ex.config_names(n)
     pn = ex.phase_names(n)

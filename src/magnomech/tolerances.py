@@ -33,6 +33,8 @@ DEFAULTS = {
     "related": 1e-8,
     # membership of vectors in computed subspaces
     "membership": 1e-10,
+    # closedness residual of the magnetic two-form for a geometry PASS
+    "closedness": 1e-6,
 }
 
 ENV_VAR = "MAGNOMECH_TOL_SCALE"

@@ -207,3 +207,54 @@ def test_simulate_rank_loss_is_input_error(tmp_path, capsys):
                  "--t-end", "2", "--dt", "0.25", "--out", str(tmp_path / "t.csv")])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["code"] == "DegenerateConstraintError"
+
+
+def test_simulate_singular_mass_aborts_without_traceback(tmp_path, capsys):
+    # G_22 = 1 - q1 is exactly singular at q1 = 1, a stage point at dt = 0.25
+    scenario = _write_scenario(tmp_path / "singular.json", {
+        "name": "singular-mass", "n": 2,
+        "mass_matrix": [["1", "0"], ["0", "1 - q1"]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    code = main(["simulate", scenario, "--t-end", "2", "--dt", "0.25",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.strip().endswith(
+        "ABORTED at step 4 (t=1): NumericalDomainError: mass matrix is singular")
+
+
+def test_check_singular_mass_is_input_error(tmp_path, capsys):
+    # the sixth Sobol sample of the box lands on q1 = -0.75 + 0.875 * 2 = 1,
+    # past the load-time probes, where G_22 = 1 - q1 is exactly singular
+    scenario = _write_scenario(tmp_path / "singular.json", {
+        "name": "singular-mass", "n": 2,
+        "mass_matrix": [["1", "0"], ["0", "1 - q1"]],
+        "gamma": ["1", "0"],
+        "sample_box": [[-0.75, 1.25], [-1.0, 1.0]]})
+    assert main(["check", "hj1", scenario]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"code": "NumericalDomainError",
+                   "message": "mass matrix is singular"}
+
+
+def _open_form_scenario(tmp_path, **extra):
+    # B_12 = q3 is not closed: dB = dq3 ^ dq1 ^ dq2, closedness residual 1
+    doc = {"name": "open-form", "n": 3,
+           "b_field": [[0, "q3", 0], ["-q3", 0, 0], [0, 0, 0]]}
+    doc.update(extra)
+    return _write_scenario(tmp_path / "open.json", doc)
+
+
+def test_closedness_tolerance_override_flips_geometry_verdict(tmp_path, capsys):
+    assert main(["check", "geometry", _open_form_scenario(tmp_path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    widened = _open_form_scenario(tmp_path, tolerances={"closedness": 2.0})
+    assert main(["check", "geometry", widened]) == 0
+    assert " PASS " in capsys.readouterr().out
+
+
+def test_closedness_tolerance_follows_scale_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "2e6")
+    assert main(["check", "geometry", _open_form_scenario(tmp_path)]) == 0
+    assert " PASS " in capsys.readouterr().out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from magnomech import (
     HamiltonianSpec,
     MagneticStructure,
+    NumericalDomainError,
     OneFormSection,
     PhaseMap,
     PhasePoint,
@@ -185,3 +186,12 @@ def test_non_spd_mass_rejected():
     mag = MagneticStructure.canonical(2)
     with pytest.raises(Exception):
         magnetic_vector_field(ham, mag, PhasePoint([0, 0], [1, 0]))
+
+
+def test_singular_mass_is_a_domain_error():
+    ham = HamiltonianSpec.quadratic(
+        2, mass_fn=lambda q: np.array([[1.0, 0.0], [0.0, 1.0 - q[0]]]))
+    z = PhasePoint([1.0, 0.0], [1.0, 0.0])
+    for evaluate in (ham.value, ham.gradient):
+        with pytest.raises(NumericalDomainError, match="mass matrix is singular"):
+            evaluate(z)

@@ -15,7 +15,8 @@ from magnomech import (
     type1_magnetic,
 )
 from magnomech.scenarios import reports_from_json, reports_to_json
-from magnomech.sampling import config_samples
+from magnomech.sampling import MAX_DIMENSION, config_samples
+from magnomech.tolerances import DEFAULTS as TOLERANCE_DEFAULTS
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -135,6 +136,21 @@ def test_shipped_scenarios_match_published_schema(scenario_dir):
     schema = json.loads((DOCS / "scenario.schema.json").read_text())
     for path in sorted(scenario_dir.glob("*.json")):
         jsonschema.validate(json.loads(path.read_text()), schema)
+
+
+def test_schema_names_every_tolerance_and_the_dimension_limit():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((DOCS / "scenario.schema.json").read_text())
+    names = schema["properties"]["tolerances"]["propertyNames"]["enum"]
+    assert sorted(names) == sorted(TOLERANCE_DEFAULTS)
+    assert schema["properties"]["n"]["maximum"] == MAX_DIMENSION
+    doc = json.loads(minimal(tolerances={"closedness": 2.0}))
+    jsonschema.validate(doc, schema)
+    assert parse_scenario(json.dumps(doc)).tolerances == {"closedness": 2.0}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(minimal(tolerances={"bogus": 1.0})), schema)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({"name": "too-wide", "n": 41}, schema)
 
 
 def test_construct_induced_scenario_end_to_end(scenario_dir):
