@@ -1,13 +1,15 @@
 """Batch command-line interface.
 
 Exit codes: 0 when every check is PASS or VACUOUS, 1 when any check FAILs,
-2 for input errors (reported as one JSON object on stderr). Output is
-deterministic for a fixed --seed.
+2 for input errors (reported as one JSON object on stderr), including
+malformed or out-of-range flags. Output is deterministic for a fixed --seed.
 """
 
 import argparse
 import json
+import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,6 @@ from .scenarios import (
     build_system,
     reports_to_json,
     serialize_scenario,
-    timed_check,
 )
 from .tolerances import env_scale
 
@@ -44,8 +45,35 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ScenarioError("usage") instead of printing usage
+    text, so they reach stderr as one JSON object like every input error."""
+
+    def error(self, message):
+        raise ScenarioError("usage", message)
+
+
+def _flag(convert, valid, requirement):
+    """An argparse type: ``convert`` the text, then require ``valid``."""
+
+    def parse(text):
+        value = convert(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_SAMPLES = _flag(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _flag(int, lambda v: v >= 0, "an integer >= 0")
+_STEP = _flag(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_END = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="magnomech",
         description="Magnetic and constrained Hamiltonian dynamics checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,8 +82,8 @@ def build_parser():
     sim.add_argument("scenario")
     sim.add_argument("--field", choices=["magnetic", "distributional"],
                      default="magnetic")
-    sim.add_argument("--t-end", type=float, required=True)
-    sim.add_argument("--dt", type=float, required=True)
+    sim.add_argument("--t-end", type=_END, required=True)
+    sim.add_argument("--dt", type=_STEP, required=True)
     sim.add_argument("--out", required=True)
     sim.add_argument("--no-project", action="store_true",
                      help="disable per-step constraint projection")
@@ -65,8 +93,8 @@ def build_parser():
     chk.add_argument("target", help="scenario file, or a directory for 'all'")
     chk.add_argument("--reduced", action="store_true",
                      help="run the symmetry-reduced variant")
-    chk.add_argument("--samples", type=int, default=50)
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument("--samples", type=_SAMPLES, default=50)
+    chk.add_argument("--seed", type=_SEED, default=0)
     chk.add_argument("--report", help="write a JSON report to this path")
 
     con = sub.add_parser("construct-b",
@@ -111,105 +139,107 @@ def _type2_samples(system, count, seed):
 
 def check_geometry(system, count, seed):
     """Closedness, compatibility, dimensions and map diagnostics."""
-    with timed_check() as clock:
-        data = {}
-        verdict = "PASS"
-        tol = system.tolerances
-        qs = _config_points(system, count)
-        closedness = max(two_form_closedness_residual(system.mag.b_field, q)
-                         for q in qs)
-        data["b_closedness_residual"] = closedness
-        if closedness > tol.get("closedness"):
+    start = time.perf_counter()
+    data = {}
+    verdict = "PASS"
+    tol = system.tolerances
+    qs = _config_points(system, count)
+    closedness = max(two_form_closedness_residual(system.mag.b_field, q)
+                     for q in qs)
+    data["b_closedness_residual"] = closedness
+    if closedness > tol.get("closedness"):
+        verdict = "FAIL"
+    if system.constrained:
+        zs = _phase_points(system, count, seed)
+        reports = [compatibility_report(system.dist, system.ham, system.mag,
+                                        z, sigma_tol=tol.get("compat_sigma"))
+                   for z in zs]
+        dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
+        data["dims"] = [list(d) for d in dims]
+        data["dims_constant"] = len(dims) == 1
+        data["sigma_min"] = min(r.sigma_min for r in reports)
+        data["compatibility_passed"] = all(r.passed for r in reports)
+        if not data["compatibility_passed"] or not data["dims_constant"]:
             verdict = "FAIL"
-        if system.constrained:
-            zs = _phase_points(system, count, seed)
-            reports = [compatibility_report(system.dist, system.ham, system.mag,
-                                            z, sigma_tol=tol.get("compat_sigma"))
-                       for z in zs]
-            dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
-            data["dims"] = [list(d) for d in dims]
-            data["dims_constant"] = len(dims) == 1
-            data["sigma_min"] = min(r.sigma_min for r in reports)
-            data["compatibility_passed"] = all(r.passed for r in reports)
-            if not data["compatibility_passed"] or not data["dims_constant"]:
-                verdict = "FAIL"
-        if system.gamma is not None:
-            residual = max(
-                magnetic_match_residual(system.gamma, system.mag.b_field, q,
-                                        basis=system.dist.basis(q))
-                for q in qs)
-            data["gamma_match_residual"] = residual
-        if system.epsilon is not None:
-            zs = _phase_points(system, min(count, 10), seed)
-            data["symplectic_residual"] = max(
-                symplectic_residual(system.epsilon, system.mag, z) for z in zs)
-        if system.symmetry is not None and system.constrained:
-            zs = _phase_points(system, min(count, 10), seed)
-            related_verdict, related_data = reduction.relatedness_check(
-                system.symmetry, system.dist, system.ham, system.mag, zs,
-                tolerances=tol)
-            data.update(related_data)
-            data["relatedness_verdict"] = related_verdict
-            if related_verdict == "FAIL":
-                verdict = "FAIL"
-    return CheckReport(system.name, "geometry", verdict, data, clock.elapsed)
+    if system.gamma is not None:
+        residual = max(
+            magnetic_match_residual(system.gamma, system.mag.b_field, q,
+                                    basis=system.dist.basis(q))
+            for q in qs)
+        data["gamma_match_residual"] = residual
+    if system.epsilon is not None:
+        zs = _phase_points(system, min(count, 10), seed)
+        data["symplectic_residual"] = max(
+            symplectic_residual(system.epsilon, system.mag, z) for z in zs)
+    if system.symmetry is not None and system.constrained:
+        zs = _phase_points(system, min(count, 10), seed)
+        related_verdict, related_data = reduction.relatedness_check(
+            system.symmetry, system.dist, system.ham, system.mag, zs,
+            tolerances=tol)
+        data.update(related_data)
+        data["relatedness_verdict"] = related_verdict
+        if related_verdict == "FAIL":
+            verdict = "FAIL"
+    return CheckReport(system.name, "geometry", verdict, data,
+                       time.perf_counter() - start)
 
 
-def _report_from_hj(system, check_name, hj_report, elapsed):
+def _report_from_hj(system, kind, reduced, hj_report, start):
+    """The CheckReport of an hj check, named after the level it ran at."""
+    elapsed = time.perf_counter() - start
+    level = ("reduced" if reduced else
+             "distributional" if system.constrained else "magnetic")
     data = hj_report.as_dict()
     data.pop("check", None)
-    return CheckReport(system.name, check_name, hj_report.verdict, data, elapsed)
+    return CheckReport(system.name, f"{kind}-{level}", hj_report.verdict, data,
+                       elapsed)
 
 
 def check_hj1(system, count, seed, reduced=False):
     if system.gamma is None:
         raise ScenarioError("missing_field", "check hj1 needs gamma", "gamma")
     qs = _config_points(system, count)
-    with timed_check() as clock:
-        if reduced:
-            if system.symmetry is None:
-                raise ScenarioError("missing_field",
-                                    "check hj1 --reduced needs symmetry",
-                                    "symmetry")
-            report = reduction.type1_reduced(
-                system.gamma, system.symmetry, system.dist, system.ham,
-                system.mag, qs, tolerances=system.tolerances)
-        elif system.constrained:
-            report = hj.type1_constrained(system.gamma, system.dist, system.ham,
-                                          system.mag, qs,
-                                          tolerances=system.tolerances)
-        else:
-            report = hj.type1_magnetic(system.gamma, system.ham, system.mag, qs,
-                                       tolerances=system.tolerances)
-    name = "hj1-reduced" if reduced else ("hj1-distributional" if system.constrained
-                                          else "hj1-magnetic")
-    return _report_from_hj(system, name, report, clock.elapsed)
+    start = time.perf_counter()
+    if reduced:
+        if system.symmetry is None:
+            raise ScenarioError("missing_field",
+                                "check hj1 --reduced needs symmetry",
+                                "symmetry")
+        report = reduction.type1_reduced(
+            system.gamma, system.symmetry, system.dist, system.ham,
+            system.mag, qs, tolerances=system.tolerances)
+    elif system.constrained:
+        report = hj.type1_constrained(system.gamma, system.dist, system.ham,
+                                      system.mag, qs,
+                                      tolerances=system.tolerances)
+    else:
+        report = hj.type1_magnetic(system.gamma, system.ham, system.mag, qs,
+                                   tolerances=system.tolerances)
+    return _report_from_hj(system, "hj1", reduced, report, start)
 
 
 def check_hj2(system, count, seed, reduced=False):
     if system.gamma is None or system.epsilon is None:
         raise ScenarioError("missing_field", "check hj2 needs gamma and epsilon")
     zs = _type2_samples(system, count, seed)
-    with timed_check() as clock:
-        if reduced:
-            if system.symmetry is None:
-                raise ScenarioError("missing_field",
-                                    "check hj2 --reduced needs symmetry",
-                                    "symmetry")
-            report = reduction.type2_reduced(
-                system.gamma, system.epsilon, system.symmetry, system.dist,
-                system.ham, system.mag, zs, tolerances=system.tolerances)
-        elif system.constrained:
-            report = hj.type2_constrained(system.gamma, system.epsilon,
-                                          system.dist, system.ham, system.mag,
-                                          zs, tolerances=system.tolerances)
-        else:
-            report = hj.type2_magnetic(system.gamma, system.epsilon, system.ham,
-                                       system.mag, zs,
-                                       tolerances=system.tolerances)
-    name = "hj2-reduced" if reduced else ("hj2-distributional" if system.constrained
-                                          else "hj2-magnetic")
-    return _report_from_hj(system, name, report, clock.elapsed)
+    start = time.perf_counter()
+    if reduced:
+        if system.symmetry is None:
+            raise ScenarioError("missing_field",
+                                "check hj2 --reduced needs symmetry",
+                                "symmetry")
+        report = reduction.type2_reduced(
+            system.gamma, system.epsilon, system.symmetry, system.dist,
+            system.ham, system.mag, zs, tolerances=system.tolerances)
+    elif system.constrained:
+        report = hj.type2_constrained(system.gamma, system.epsilon,
+                                      system.dist, system.ham, system.mag,
+                                      zs, tolerances=system.tolerances)
+    else:
+        report = hj.type2_magnetic(system.gamma, system.epsilon, system.ham,
+                                   system.mag, zs,
+                                   tolerances=system.tolerances)
+    return _report_from_hj(system, "hj2", reduced, report, start)
 
 
 def checks_for_system(system, count, seed):
@@ -298,19 +328,18 @@ def run_construct(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching the input-error contract
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
         env_scale()  # a malformed MAGNOMECH_TOL_SCALE is an input error
-        if args.command == "simulate":
-            return run_simulate(args)
-        if args.command == "check":
-            return run_check(args)
-        return run_construct(args)
+        run = {"simulate": run_simulate, "check": run_check,
+               "construct-b": run_construct}[args.command]
+        # every non-finite value that matters is checked explicitly, so
+        # numpy's floating-point warnings would only add non-JSON stderr
+        with np.errstate(all="ignore"):
+            return run(args)
     except ScenarioError as err:
         return _input_error(err.code, str(err), getattr(err, "field", None))
     except FileNotFoundError as err:

@@ -15,10 +15,12 @@ forms) and round-trippable printing.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import ExpressionError
+from .errors import ExpressionError, NumericalDomainError
 
 FUNCTIONS = ("sin", "cos", "exp")
 
@@ -109,20 +111,20 @@ class _Parser:
     def expr(self):
         node = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = _bin(value, node, self.term())
+                node = _bin(value, node, self.term(), pos)
             else:
                 return node
 
     def term(self):
         node = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = _bin(value, node, self.unary())
+                node = _bin(value, node, self.unary(), pos)
             else:
                 return node
 
@@ -135,16 +137,19 @@ class _Parser:
 
     def power(self):
         node = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            node = _bin("^", node, self.unary())
+            node = _bin("^", node, self.unary(), pos)
         return node
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return Num(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ExpressionError(f"number {value} is not finite", pos)
+            return Num(number)
         if kind == "name":
             next_kind, next_value, _ = self.peek()
             if next_kind == "op" and next_value == "(":
@@ -170,23 +175,30 @@ def parse(text):
 
 # -- smart constructors with light constant folding --------------------------
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": operator.pow}
+
+
 def _num_of(node):
     return node.value if isinstance(node, Num) else None
 
 
-def _bin(op, left, right):
+def _fold(op, lv, rv, position):
+    """The constant lv op rv, which must be a finite real number."""
+    try:
+        value = _OPS[op](lv, rv)
+    except ArithmeticError:  # division by zero, overflow
+        value = None
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ExpressionError(
+            f"constant {lv!r} {op} {rv!r} has no finite real value", position)
+    return Num(value)
+
+
+def _bin(op, left, right, position=None):
     lv, rv = _num_of(left), _num_of(right)
     if lv is not None and rv is not None:
-        if op == "+":
-            return Num(lv + rv)
-        if op == "-":
-            return Num(lv - rv)
-        if op == "*":
-            return Num(lv * rv)
-        if op == "/" and rv != 0:
-            return Num(lv / rv)
-        if op == "^":
-            return Num(lv ** rv)
+        return _fold(op, lv, rv, position)
     if op == "+":
         if lv == 0:
             return right
@@ -257,17 +269,9 @@ def evaluate(node, env):
         return getattr(math, node.fn)(evaluate(node.arg, env))
     left = evaluate(node.left, env)
     right = evaluate(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if right == 0:
-            raise ExpressionError("division by zero at point")
-        return left / right
-    return left ** right
+    if node.op == "/" and right == 0:
+        raise ExpressionError("division by zero at point")
+    return _OPS[node.op](left, right)
 
 
 def derivative(node, var):
@@ -351,24 +355,48 @@ def _py_source(node):
         return f"(-{_py_source(node.arg)})"
     if isinstance(node, Call):
         return f"_m.{node.fn}({_py_source(node.arg)})"
-    op = "**" if node.op == "^" else node.op
-    return f"({_py_source(node.left)} {op} {_py_source(node.right)})"
+    left, right = _py_source(node.left), _py_source(node.right)
+    if node.op != "^":
+        return f"({left} {node.op} {right})"
+    exponent = _num_of(node.right)
+    if exponent is not None and float(exponent).is_integer():
+        return f"({left} ** {right})"
+    return f"_real_pow({left}, {right})"
+
+
+def _real_pow(base, exponent):
+    """base ** exponent for a fractional or variable exponent, kept real."""
+    if base < 0 and exponent % 1 != 0:
+        raise ValueError("negative base raised to a fractional power")
+    return base ** exponent
 
 
 def compile_node(node):
     """Compile an AST to a fast ``f(q, p=None) -> float`` callable.
 
     Variable names must already be validated (q<i>/p<i> only); generated
-    source indexes into the argument arrays directly.
+    source indexes into the argument arrays directly. An arithmetic fault
+    while evaluating (overflow, division by zero, a math domain error or a
+    negative base to a fractional power) raises NumericalDomainError.
     """
-    source = f"lambda q, p=None: {_py_source(node)}"
-    return eval(compile(source, "<magnomech-expr>", "eval"), {"_m": math})
+    namespace = {"_m": math, "_real_pow": _real_pow, "_node": node,
+                 "_to_text": to_text, "_Error": NumericalDomainError}
+    exec(_code(_py_source(node)), namespace)
+    return namespace["_expr"]
 
 
-def compile_text(text, allowed):
-    node = parse(text)
-    check_variables(node, allowed)
-    return compile_node(node), node
+@lru_cache(maxsize=1024)
+def _code(body):
+    """The compiled ``_expr`` definition for one body. Most entries and
+    derivatives of a scenario share a few bodies (0, 1), so caching keeps
+    the set-up cost of the try block down."""
+    source = (f"def _expr(q, p=None):\n"
+              f"    try:\n"
+              f"        return {body}\n"
+              f"    except (ArithmeticError, ValueError) as err:\n"
+              f"        text = _to_text(_node)\n"
+              f"        raise _Error(f'evaluating {{text!r}}: {{err}}') from None\n")
+    return compile(source, "<magnomech-expr>", "exec")
 
 
 # public AST builders (constant folding included) for emitted scenarios

@@ -197,9 +197,6 @@ class TwoFormField:
 
         return cls(upper, n)
 
-    def is_zero(self, probes):
-        return all(max_abs(self.matrix(q)) == 0.0 for q in probes)
-
 
 def exterior_derivative(section, q):
     """Evaluation matrix of d(gamma) at q.

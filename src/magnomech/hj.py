@@ -18,7 +18,7 @@ from .dynamics import (
     pullback_hamiltonian,
     symplectic_residual,
 )
-from .errors import SectionImageError, SectionTangentError
+from .errors import SectionTangentError
 from .geometry import (
     PhasePoint,
     TwoFormField,
@@ -27,13 +27,8 @@ from .geometry import (
     magnetic_match_residual,
 )
 from .linalg import max_abs
-from .nonholonomic import (
-    admissible_basis,
-    constrained_field,
-    constraint_residual,
-    require_on_constraint,
-)
-from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
+from .nonholonomic import admissible_basis, constrained_field, section_point
+from .tolerances import DEFAULT_TOLERANCES, DEFAULTS, STATUS_BAND_FACTOR
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -65,10 +60,6 @@ class HJReport:
             out["residual_a"] = list(self.residual_a)
             out["residual_b"] = list(self.residual_b)
         return out
-
-
-def _tol(tolerances, name):
-    return (tolerances or DEFAULT_TOLERANCES).get(name)
 
 
 def status_of(value, tol):
@@ -103,7 +94,8 @@ def tangent_lift(section, q, base_vector):
     return np.concatenate([base_vector, jac @ base_vector])
 
 
-def section_tangent_residual(section, dist, ham, q, image_tol=1e-8):
+def section_tangent_residual(section, dist, ham, q,
+                             image_tol=DEFAULTS["constraint"]):
     """How far the section's tangent images of D stray from the admissible
     subspace at the section point."""
     q = ensure_config(q, dist.n)
@@ -117,176 +109,174 @@ def section_tangent_residual(section, dist, ham, q, image_tol=1e-8):
     return worst
 
 
-def type1_magnetic(section, ham, mag, samples, tolerances=None):
+def section_hypotheses(section, dist, ham, q, tolerances=DEFAULT_TOLERANCES):
+    """Image and tangent residuals of a section at one q.
+
+    Every statement is about sections with values on the constraint surface
+    whose tangent images of D are admissible. A section that breaks either
+    is a scenario defect at every level, constrained and reduced alike:
+    SectionImageError above the ``constraint`` tolerance, SectionTangentError
+    above ``membership``.
+    """
+    image_tol = tolerances.get("constraint")
+    q = ensure_config(q, dist.n)
+    _, image = section_point(section, dist, ham, q, image_tol)
+    tangent = section_tangent_residual(section, dist, ham, q, image_tol=image_tol)
+    if tangent > tolerances.get("membership"):
+        raise SectionTangentError(
+            f"section tangents leave the admissible subspace at q={q} "
+            f"(residual {tangent:.3e})")
+    return image, tangent
+
+
+def _type1_report(check_name, rows, tolerances, defect):
+    """VACUOUS with ``defect`` when the worst twist residual exceeds the
+    ``hypothesis`` tolerance, else PASS or FAIL on the worst equation one."""
+    hyp_worst = max([0.0] + [row["hypothesis"] for row in rows])
+    eq_worst = max([0.0] + [row["equation"] for row in rows])
+    if hyp_worst > tolerances.get("hypothesis"):
+        verdict, defects = VACUOUS, [defect]
+    else:
+        verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
+        defects = []
+    return HJReport(check_name, verdict, hyp_worst, equation_residual=eq_worst,
+                    per_sample=rows, defects=defects)
+
+
+def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     """Type I check for the unconstrained magnetic system.
 
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    hyp_tol = _tol(tolerances, "hypothesis")
-    eq_tol = _tol(tolerances, "equation")
     rows = []
-    hyp_worst = 0.0
-    eq_worst = 0.0
     for q in samples:
         q = ensure_config(q, ham.n)
         hyp = magnetic_match_residual(section, mag.b_field, q)
         flow, x = section_flow(section, ham, mag, q)
-        defect = max_abs(tangent_lift(section, q, flow) - x.vec)
-        rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": defect})
-        hyp_worst = max(hyp_worst, hyp)
-        eq_worst = max(eq_worst, defect)
-    if hyp_worst > hyp_tol:
-        verdict = VACUOUS
-        defects = ["hypothesis: d(gamma) + B does not vanish"]
-    else:
-        verdict = PASS if eq_worst < eq_tol else FAIL
-        defects = []
-    return HJReport("hj1-magnetic", verdict, hyp_worst, equation_residual=eq_worst,
-                    per_sample=rows, defects=defects)
+        rows.append({"q": q.tolist(), "hypothesis": hyp,
+                     "equation": max_abs(tangent_lift(section, q, flow) - x.vec)})
+    return _type1_report("hj1-magnetic", rows, tolerances,
+                         "hypothesis: d(gamma) + B does not vanish")
 
 
-def type1_constrained(section, dist, ham, mag, samples, tolerances=None):
+def type1_constrained(section, dist, ham, mag, samples,
+                      tolerances=DEFAULT_TOLERANCES):
     """Type I check for the constrained system.
 
-    Raises SectionImageError / SectionTangentError when the section leaves
-    the constraint surface or its tangent images leave the admissible
-    subspace; those are scenario defects, not theorem hypotheses.
+    The section hypotheses of :func:`section_hypotheses` raise; only the
+    twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-    hyp_tol = _tol(tolerances, "hypothesis")
-    eq_tol = _tol(tolerances, "equation")
-    image_tol = _tol(tolerances, "constraint")
-    membership_tol = 1e-8
     rows = []
-    hyp_worst = 0.0
-    eq_worst = 0.0
     for q in samples:
         q = ensure_config(q, dist.n)
-        z = PhasePoint(q, section.value(q))
-        image_residual = max_abs(constraint_residual(dist, ham, z))
-        if image_residual > image_tol:
-            raise SectionImageError(
-                f"section image off constraint surface at q={q} "
-                f"(residual {image_residual:.3e})")
-        tangent_residual = section_tangent_residual(
-            section, dist, ham, q, image_tol=image_tol)
-        if tangent_residual > membership_tol:
-            raise SectionTangentError(
-                f"section tangents leave the admissible subspace at q={q} "
-                f"(residual {tangent_residual:.3e})")
+        image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
         hyp = magnetic_match_residual(section, mag.b_field, q, basis=dist.basis(q))
-        flow, x_free = section_flow(section, ham, mag, q)
-        x_con = constrained_field(dist, ham, mag, z)
-        defect = max_abs(tangent_lift(section, q, flow) - x_con.vec)
-        rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": defect,
-                     "image": image_residual, "tangent": tangent_residual})
-        hyp_worst = max(hyp_worst, hyp)
-        eq_worst = max(eq_worst, defect)
-    if hyp_worst > hyp_tol:
-        verdict = VACUOUS
-        defects = ["hypothesis: d(gamma) + B does not vanish on the distribution"]
-    else:
-        verdict = PASS if eq_worst < eq_tol else FAIL
-        defects = []
-    return HJReport("hj1-constrained", verdict, hyp_worst, equation_residual=eq_worst,
-                    per_sample=rows, defects=defects)
+        flow, _ = section_flow(section, ham, mag, q)
+        x_con = constrained_field(dist, ham, mag, PhasePoint(q, section.value(q)))
+        rows.append({"q": q.tolist(), "hypothesis": hyp,
+                     "equation": max_abs(tangent_lift(section, q, flow) - x_con.vec),
+                     "image": image, "tangent": tangent})
+    return _type1_report("hj1-constrained", rows, tolerances,
+                         "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
-def _type2_residuals(section, phase_map, ham, mag, z, dist=None,
-                     constraint_tol=1e-8):
-    """The two Type II residual vectors at one sample point."""
+def _type2_residuals(section, phase_map, ham, mag, z, level):
+    """The two Type II residuals at one sample z.
+
+    ``level(image)`` gives, at the image point eps(z), the level's projector
+    P and selection S (None for the identity) and its target field (None
+    for the free field there). With lambda the section's tangent image of
+    the free flow at the image point, the residuals are
+    a = |P S J_eps X_pull - S lambda| and b = |S lambda - target|.
+    """
     pulled = pullback_hamiltonian(ham, phase_map)
     image = phase_map.value(z)
-    if dist is not None:
-        require_on_constraint(dist, ham, image, constraint_tol)
+    projector, selection, target = level(image)
     jac_eps = phase_map.jacobian(z)
     x_pull = magnetic_vector_field(pulled, mag, z)
     x_image = magnetic_vector_field(ham, mag, image)
     lam_push = tangent_lift(section, image.q, x_image.dq)
     pushed = jac_eps @ x_pull.vec
-    if dist is None:
-        res_a = max_abs(pushed - lam_push)
-        res_b = max_abs(lam_push - x_image.vec)
-    else:
-        basis = admissible_basis(dist, ham, image, tol=constraint_tol)
-        projector = basis @ basis.T
-        res_a = max_abs(projector @ pushed - lam_push)
-        x_con = constrained_field(dist, ham, mag, image)
-        res_b = max_abs(lam_push - x_con.vec)
-    return res_a, res_b
+    if selection is not None:
+        pushed = selection @ pushed
+        lam_push = selection @ lam_push
+    if projector is not None:
+        pushed = projector @ pushed
+    if target is None:
+        target = x_image.vec
+    return max_abs(pushed - lam_push), max_abs(lam_push - target)
 
 
-def _type2_report(check_name, section, phase_map, ham, mag, samples,
-                  tolerances, dist=None):
-    status_tol = _tol(tolerances, "status")
-    hyp_tol = _tol(tolerances, "hypothesis")
-    constraint_tol = _tol(tolerances, "constraint")
+def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
+                 level, hypothesis=None):
+    """Per-sample status agreement of the two Type II residuals at one level.
+
+    A residual inside the status band is recomputed once with 10x smaller
+    finite-difference steps before its status is read. The unreduced levels
+    record the map's symplectic residual per sample as their hypothesis
+    (VACUOUS above the ``hypothesis`` tolerance); the reduced level has run
+    its own battery and passes its worst twist residual as ``hypothesis``.
+    """
+    status_tol = tolerances.get("status")
     rows = []
-    res_a = []
-    res_b = []
     hyp_worst = 0.0
     agree = True
     for z in samples:
-        hyp = symplectic_residual(phase_map, mag, z)
-        hyp_worst = max(hyp_worst, hyp)
-        a, b = _type2_residuals(section, phase_map, ham, mag, z, dist=dist,
-                                constraint_tol=constraint_tol)
+        row = {"z": z.vec.tolist()}
+        if hypothesis is None:
+            row["symplectic"] = symplectic_residual(phase_map, mag, z)
+            hyp_worst = max(hyp_worst, row["symplectic"])
+        a, b = _type2_residuals(section, phase_map, ham, mag, z, level)
         if in_band(a, status_tol) or in_band(b, status_tol):
             a, b = _type2_residuals(_refined(section), _refined(phase_map),
-                                    ham, mag, z, dist=dist,
-                                    constraint_tol=constraint_tol)
-        status_a = status_of(a, status_tol)
-        status_b = status_of(b, status_tol)
-        agree = agree and (status_a == status_b)
-        res_a.append(a)
-        res_b.append(b)
-        rows.append({"z": z.vec.tolist(), "symplectic": hyp,
-                     "residual_a": a, "residual_b": b,
-                     "status_a": status_a, "status_b": status_b})
-    if hyp_worst > hyp_tol:
-        verdict = VACUOUS
-        defects = ["hypothesis: phase map is not structure preserving"]
-    else:
-        verdict = PASS if agree else FAIL
-        defects = [] if agree else ["statuses of the two residuals disagree"]
-    return HJReport(check_name, verdict, hyp_worst, residual_a=res_a,
-                    residual_b=res_b, per_sample=rows, defects=defects)
+                                    ham, mag, z, level)
+        row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
+                   status_b=status_of(b, status_tol))
+        agree = agree and (row["status_a"] == row["status_b"])
+        rows.append(row)
+    res_a = [row["residual_a"] for row in rows]
+    res_b = [row["residual_b"] for row in rows]
+    disagree = "statuses of the two residuals disagree"
+    if hypothesis is not None:
+        hyp_worst, disagree = hypothesis, "statuses disagree"
+    elif hyp_worst > tolerances.get("hypothesis"):
+        return HJReport(check_name, VACUOUS, hyp_worst, residual_a=res_a,
+                        residual_b=res_b, per_sample=rows,
+                        defects=["hypothesis: phase map is not structure preserving"])
+    return HJReport(check_name, PASS if agree else FAIL, hyp_worst,
+                    residual_a=res_a, residual_b=res_b, per_sample=rows,
+                    defects=[] if agree else [disagree])
 
 
-def type2_magnetic(section, phase_map, ham, mag, samples, tolerances=None):
+def type2_magnetic(section, phase_map, ham, mag, samples,
+                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the unconstrained magnetic system.
 
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    return _type2_report("hj2-magnetic", section, phase_map, ham, mag,
-                         samples, tolerances)
+    return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
+                        tolerances, lambda image: (None, None, None))
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
-                      tolerances=None):
+                      tolerances=DEFAULT_TOLERANCES):
     """Type II check for the constrained system.
 
     Samples must be chosen so the phase map lands on the constraint
-    surface; the image-side section hypotheses are checked like in Type I.
+    surface; the section hypotheses are checked at every image point first.
     """
-    image_tol = _tol(tolerances, "constraint")
     for z in samples:
-        image = phase_map.value(z)
-        on_surface = PhasePoint(image.q, section.value(image.q))
-        res = max_abs(constraint_residual(dist, ham, on_surface))
-        if res > image_tol:
-            raise SectionImageError(
-                f"section image off constraint surface at q={image.q} "
-                f"(residual {res:.3e})")
-        tangent_res = section_tangent_residual(section, dist, ham, image.q,
-                                               image_tol=image_tol)
-        if tangent_res > 1e-8:
-            raise SectionTangentError(
-                f"section tangents leave the admissible subspace at "
-                f"q={image.q} (residual {tangent_res:.3e})")
-    return _type2_report("hj2-constrained", section, phase_map, ham, mag,
-                         samples, tolerances, dist=dist)
+        section_hypotheses(section, dist, ham, phase_map.value(z).q, tolerances)
+    constraint_tol = tolerances.get("constraint")
+
+    def level(image):
+        basis = admissible_basis(dist, ham, image, tol=constraint_tol)
+        return basis @ basis.T, None, constrained_field(dist, ham, mag, image).vec
+
+    return type2_report("hj2-constrained", section, phase_map, ham, mag, samples,
+                        tolerances, level)
 
 
 def induced_magnetic_field(section, n):

@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import PhasePoint
 from .linalg import max_abs, solve_small
 from .nonholonomic import SurfaceFrame, constraint_residual
+from .tolerances import DEFAULTS
 
 FIELD_KINDS = ("magnetic", "distributional")
 
@@ -187,7 +188,7 @@ class FieldKernel:
 
 
 def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
-              project=True, start_tol=1e-8):
+              project=True, start_tol=DEFAULTS["constraint"]):
     """Integrate the chosen field from z0 over [0, t_end] with step dt.
 
     Distributional mode requires the start point on the constraint surface

@@ -25,6 +25,7 @@ from .errors import (
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
 from .dynamics import magnetic_vector_field
 from .linalg import max_abs, null_space, rank_of, solve_small
+from .tolerances import DEFAULTS
 
 RANK_RCOND = 1e-10
 
@@ -183,7 +184,7 @@ def require_on_constraint(dist, ham, z, tol):
     return residual
 
 
-def admissible_basis(dist, ham, z, tol=1e-8):
+def admissible_basis(dist, ham, z, tol=DEFAULTS["constraint"]):
     """Orthonormal basis of the admissible subspace at a surface point.
 
     Stacks the base condition A(q) dq = 0 with tangency Dc(z) (dq, dp) = 0
@@ -220,7 +221,7 @@ class CompatibilityReport:
         }
 
 
-def compatibility_report(dist, ham, mag, z, sigma_tol=1e-8):
+def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
     """Diagnose solvability of the constrained structure equation at z.
 
     Reports the dimensions of the velocity-admissible cone, the surface
@@ -312,7 +313,23 @@ def constrained_field(dist, ham, mag, z):
     return constrained_field_multiplier(dist, ham, mag, z).vector
 
 
-def field_tangency_residual(section, dist, ham, mag, qs, image_tol=1e-8):
+def section_point(section, dist, ham, q, tol):
+    """The section point (q, gamma(q)) and its constraint residual.
+
+    Raises SectionImageError when the residual exceeds ``tol``: every
+    statement about a section assumes its values lie on the surface.
+    """
+    z = PhasePoint(q, section.value(q))
+    residual = max_abs(constraint_residual(dist, ham, z))
+    if residual > tol:
+        raise SectionImageError(
+            f"section image off constraint surface at q={z.q} "
+            f"(residual {residual:.3e})")
+    return z, residual
+
+
+def field_tangency_residual(section, dist, ham, mag, qs,
+                            image_tol=DEFAULTS["constraint"]):
     """Velocities of the free field along a surface-valued section stay in D.
 
     Raises SectionImageError when the section leaves the constraint surface,
@@ -321,12 +338,7 @@ def field_tangency_residual(section, dist, ham, mag, qs, image_tol=1e-8):
     worst = 0.0
     for q in qs:
         q = ensure_config(q, dist.n)
-        z = PhasePoint(q, section.value(q))
-        residual = max_abs(constraint_residual(dist, ham, z))
-        if residual > image_tol:
-            raise SectionImageError(
-                f"section leaves the constraint surface at q={q} "
-                f"(residual {residual:.3e})")
+        z, _ = section_point(section, dist, ham, q, image_tol)
         x = magnetic_vector_field(ham, mag, z)
         worst = max(worst, max_abs(dist.matrix(q) @ x.dq))
     return worst

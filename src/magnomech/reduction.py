@@ -11,24 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import magnetic_vector_field, pullback_hamiltonian, symplectic_residual
+from .dynamics import magnetic_vector_field, symplectic_residual
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, ensure_config
+from .geometry import PhasePoint, ensure_config, magnetic_match_residual
 from .hj import (
     FAIL,
     PASS,
     VACUOUS,
     HJReport,
-    in_band,
-    section_tangent_residual,
-    status_of,
+    section_hypotheses,
     tangent_lift,
+    type2_report,
 )
 from .linalg import column_space, max_abs, null_space
 from .nonholonomic import (
     admissible_basis,
     constrained_field,
-    constraint_residual,
     require_on_constraint,
 )
 from .tolerances import DEFAULT_TOLERANCES
@@ -211,9 +209,9 @@ def reduced_energy(sym, ham, zbar, fill=None):
     return ham.value(sym.lift_point(zbar, fill=fill))
 
 
-def relatedness_residual(sym, dist, ham, mag, samples, tolerances=None):
+def relatedness_residual(sym, dist, ham, mag, samples,
+                         tolerances=DEFAULT_TOLERANCES):
     """Pushforward of the constrained field versus the reduced field."""
-    tolerances = tolerances or DEFAULT_TOLERANCES
     selection = sym.selection()
     worst = 0.0
     for z in samples:
@@ -224,13 +222,12 @@ def relatedness_residual(sym, dist, ham, mag, samples, tolerances=None):
     return worst
 
 
-def relatedness_check(sym, dist, ham, mag, samples, tolerances=None):
+def relatedness_check(sym, dist, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     """Verdict-style wrapper around the relatedness residual.
 
     Broken invariance makes the comparison meaningless, so it yields
     VACUOUS rather than FAIL.
     """
-    tolerances = tolerances or DEFAULT_TOLERANCES
     invariance = data_invariance_residual(sym, dist, ham, mag, samples)
     if invariance > tolerances.get("invariance"):
         return VACUOUS, {"invariance_residual": invariance,
@@ -242,53 +239,40 @@ def relatedness_check(sym, dist, ham, mag, samples, tolerances=None):
                      "relatedness_residual": residual}
 
 
-def _tol(tolerances, name):
-    return (tolerances or DEFAULT_TOLERANCES).get(name)
-
-
 def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
-    """Shared hypothesis battery for the reduced checks.
+    """Hypothesis battery for the reduced checks.
 
-    Returns (worst twist residual, defect strings); any defect makes the
-    verdict VACUOUS since the theorems assert nothing without it.
+    The section hypotheses raise as at the constrained level
+    (:func:`hj.section_hypotheses`). The reduced-only hypotheses, invariance
+    of the system data and of the section, and the twist d(gamma) + B = 0
+    on D give named defects instead. Returns (worst twist residual,
+    defects); any defect makes the verdict VACUOUS since the theorems
+    assert nothing without it.
     """
-    from .geometry import magnetic_match_residual
-
     defects = []
     probes = [PhasePoint(ensure_config(q, sym.n), section.value(q)) for q in qs]
     inv = data_invariance_residual(sym, dist, ham, mag, probes)
-    if inv > _tol(tolerances, "invariance"):
+    if inv > tolerances.get("invariance"):
         defects.append(f"system data varies along cyclic coordinates ({inv:.3e})")
     ginv = section_invariance_residual(sym, section, qs)
-    if ginv > _tol(tolerances, "invariance"):
+    if ginv > tolerances.get("invariance"):
         defects.append(f"section varies along cyclic coordinates ({ginv:.3e})")
-    image_tol = _tol(tolerances, "constraint")
     hyp_worst = 0.0
-    image_worst = 0.0
-    tangent_worst = 0.0
-    for q, z in zip(qs, probes):
-        image_worst = max(image_worst, max_abs(constraint_residual(dist, ham, z)))
+    for q in qs:
+        section_hypotheses(section, dist, ham, q, tolerances)
         hyp_worst = max(hyp_worst, magnetic_match_residual(
             section, mag.b_field, q, basis=dist.basis(q)))
-    if image_worst > image_tol:
-        defects.append(f"section image off constraint surface ({image_worst:.3e})")
-    else:
-        for q in qs:
-            tangent_worst = max(tangent_worst, section_tangent_residual(
-                section, dist, ham, q, image_tol=image_tol))
-        if tangent_worst > 1e-8:
-            defects.append(
-                f"section tangents leave admissible subspace ({tangent_worst:.3e})")
-    if hyp_worst > _tol(tolerances, "hypothesis"):
+    if hyp_worst > tolerances.get("hypothesis"):
         defects.append("d(gamma) + B does not vanish on the distribution")
     return hyp_worst, defects
 
 
-def type1_reduced(section, sym, dist, ham, mag, samples, tolerances=None):
+def type1_reduced(section, sym, dist, ham, mag, samples,
+                  tolerances=DEFAULT_TOLERANCES):
     """Type I check for the reduced system.
 
-    All hypothesis failures produce a VACUOUS verdict with a named defect,
-    so scenario authors can tell which assumption broke.
+    Every reduced-only hypothesis failure produces a VACUOUS verdict with a
+    named defect, so scenario authors can tell which assumption broke.
     """
     qs = [ensure_config(q, sym.n) for q in samples]
     hyp_worst, defects = _reduced_hypotheses(
@@ -296,7 +280,7 @@ def type1_reduced(section, sym, dist, ham, mag, samples, tolerances=None):
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
-    eq_tol = _tol(tolerances, "equation")
+    eq_tol = tolerances.get("equation")
     rows = []
     eq_worst = 0.0
     selection = sym.selection()
@@ -313,25 +297,8 @@ def type1_reduced(section, sym, dist, ham, mag, samples, tolerances=None):
                     per_sample=rows)
 
 
-def _type2_reduced_residuals(section, phase_map, sym, dist, ham, mag, z,
-                             constraint_tol):
-    pulled = pullback_hamiltonian(ham, phase_map)
-    image = phase_map.value(z)
-    require_on_constraint(dist, ham, image, constraint_tol)
-    selection = sym.selection()
-    frame = reduced_frame(sym, dist, ham, mag, image)
-    x_pull = magnetic_vector_field(pulled, mag, z)
-    x_image = magnetic_vector_field(ham, mag, image)
-    pushed = frame.projector() @ (selection @ (phase_map.jacobian(z) @ x_pull.vec))
-    lam_push = selection @ tangent_lift(section, image.q, x_image.dq)
-    res_a = max_abs(pushed - lam_push)
-    reduced, _ = reduced_field(sym, dist, ham, mag, image, frame=frame)
-    res_b = max_abs(lam_push - reduced)
-    return res_a, res_b
-
-
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
-                  tolerances=None):
+                  tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
     qs = [phase_map.value(z).q for z in samples]
     hyp_worst, defects = _reduced_hypotheses(
@@ -339,41 +306,28 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
     symp_worst = 0.0
     for z in samples:
         symp_worst = max(symp_worst, symplectic_residual(phase_map, mag, z))
-    if symp_worst > _tol(tolerances, "hypothesis"):
+    if symp_worst > tolerances.get("hypothesis"):
         defects.append(f"phase map is not structure preserving ({symp_worst:.3e})")
     equi = map_equivariance_residual(sym, phase_map, samples)
-    if equi > _tol(tolerances, "invariance"):
+    if equi > tolerances.get("invariance"):
         defects.append(f"phase map is not translation equivariant ({equi:.3e})")
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
-    status_tol = _tol(tolerances, "status")
-    constraint_tol = _tol(tolerances, "constraint")
-    rows = []
-    res_a = []
-    res_b = []
-    agree = True
-    for z in samples:
-        a, b = _type2_reduced_residuals(section, phase_map, sym, dist, ham,
-                                        mag, z, constraint_tol)
-        if in_band(a, status_tol) or in_band(b, status_tol):
-            a, b = _type2_reduced_residuals(section, phase_map, sym, dist,
-                                            ham, mag, z, constraint_tol)
-        status_a = status_of(a, status_tol)
-        status_b = status_of(b, status_tol)
-        agree = agree and (status_a == status_b)
-        res_a.append(a)
-        res_b.append(b)
-        rows.append({"z": z.vec.tolist(), "residual_a": a, "residual_b": b,
-                     "status_a": status_a, "status_b": status_b})
-    verdict = PASS if agree else FAIL
-    return HJReport("hj2-reduced", verdict, hyp_worst, residual_a=res_a,
-                    residual_b=res_b, per_sample=rows,
-                    defects=[] if agree else ["statuses disagree"])
+    constraint_tol = tolerances.get("constraint")
+
+    def level(image):
+        require_on_constraint(dist, ham, image, constraint_tol)
+        frame = reduced_frame(sym, dist, ham, mag, image)
+        reduced, _ = reduced_field(sym, dist, ham, mag, image, frame=frame)
+        return frame.projector(), frame.selection, reduced
+
+    return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,
+                        tolerances, level, hypothesis=hyp_worst)
 
 
 def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,
-                          tolerances=None):
+                          tolerances=DEFAULT_TOLERANCES):
     """Joint run of the constrained and reduced Type II checks.
 
     Returns (constrained report, reduced report, statuses agree sample-wise).

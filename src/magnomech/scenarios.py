@@ -10,7 +10,7 @@ matrices, declared invariance) run when the system is built.
 """
 
 import json
-import time
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -87,8 +87,10 @@ def _require(condition, code, message, field=None):
 
 
 def _parse_entry(value, names, field):
-    """Accept a number or an expression string; return the AST."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """Accept a finite number or an expression string; return the AST."""
+    if _entry_is_literal(value):
+        _require(math.isfinite(value), "expression",
+                 f"number {value!r} is not finite", field)
         return ex.Num(float(value))
     _require(isinstance(value, str), "expression",
              f"expected number or expression string, got {type(value).__name__}",
@@ -207,9 +209,10 @@ def parse_scenario(text):
              f"sample_box must have {n} coordinate ranges", "sample_box")
     for i, pair in enumerate(box):
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(_entry_is_literal(v) for v in pair)
+                 and all(_entry_is_literal(v) and math.isfinite(v) for v in pair)
                  and pair[0] < pair[1],
-                 "dimension_mismatch", "each range must be [lo, hi] with lo < hi",
+                 "dimension_mismatch",
+                 "each range must be finite [lo, hi] with lo < hi",
                  f"sample_box[{i}]")
     box = [[float(lo), float(hi)] for lo, hi in box]
 
@@ -392,6 +395,19 @@ def _probe_points(box, count=5):
     return points
 
 
+def _require_spd(matrix, q):
+    """ScenarioError unless the mass matrix at q is symmetric positive definite."""
+    if np.max(np.abs(matrix - matrix.T)) > 1e-12 * (1 + np.max(np.abs(matrix))):
+        raise ScenarioError("mass_not_spd", "mass matrix is not symmetric",
+                            field="mass_matrix")
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ScenarioError("mass_not_spd",
+                            f"mass matrix is not positive definite at q={q}",
+                            field="mass_matrix") from None
+
+
 def build_system(spec):
     """Compile a ScenarioSpec and run the load-time semantic probes."""
     n = spec.n
@@ -422,18 +438,7 @@ def build_system(spec):
             mass_fn, mass_nodes = _compile_matrix(spec.mass_matrix, qn)
             mass_grad = _matrix_gradient(mass_nodes, n)
             for q in probes:
-                matrix = mass_fn(q)
-                if np.max(np.abs(matrix - matrix.T)) > 1e-12 * (1 + np.max(np.abs(matrix))):
-                    raise ScenarioError("mass_not_spd",
-                                        "mass matrix is not symmetric",
-                                        field="mass_matrix")
-                try:
-                    np.linalg.cholesky(matrix)
-                except np.linalg.LinAlgError:
-                    raise ScenarioError(
-                        "mass_not_spd",
-                        f"mass matrix is not positive definite at q={q}",
-                        field="mass_matrix") from None
+                _require_spd(mass_fn(q), q)
         potential_fn, potential_node = _compile_scalar(spec.potential, qn)
         potential_grads = _vector_gradient([potential_node], qn)
         if potential_grads is not None:
@@ -517,12 +522,13 @@ def build_system(spec):
 
         epsilon = PhaseMap(eps_eval, eps_jac)
 
+    tolerances = Tolerances(spec.tolerances)
     symmetry = None
     if spec.symmetry is not None:
         symmetry = TranslationSymmetry([i - 1 for i in spec.symmetry], n)
         phase_probes = [PhasePoint(q, np.linspace(0.1, 0.7, n)) for q in probes]
         residual = data_invariance_residual(symmetry, dist, ham, mag, phase_probes)
-        if residual > Tolerances(spec.tolerances).get("invariance"):
+        if residual > tolerances.get("invariance"):
             raise ScenarioError(
                 "invariance",
                 f"declared cyclic coordinates are not cyclic (residual "
@@ -534,7 +540,7 @@ def build_system(spec):
 
     return System(spec=spec, ham=ham, mag=mag, dist=dist, gamma=gamma,
                   epsilon=epsilon, symmetry=symmetry,
-                  tolerances=Tolerances(spec.tolerances),
+                  tolerances=tolerances,
                   initial_state=initial_state)
 
 
@@ -568,7 +574,9 @@ def construct_induced_scenario(spec):
             raise ScenarioError(
                 "unsupported", "construct-b needs a constant mass matrix",
                 "mass_matrix")
-        inverse = np.linalg.inv(np.asarray(spec.mass_matrix, dtype=float))
+        mass = np.asarray(spec.mass_matrix, dtype=float)
+        _require_spd(mass, np.mean(spec.sample_box, axis=1))
+        inverse = np.linalg.inv(mass)
     nodes = [_parse_entry(v, qn, f"gamma[{i}]") for i, v in enumerate(spec.gamma)]
     partials = [[ex.derivative(nodes[i], f"q{j + 1}") for j in range(n)]
                 for i in range(n)]
@@ -656,22 +664,6 @@ def reports_to_json(reports):
 def reports_from_json(text):
     payload = json.loads(text)
     return [CheckReport.from_dict(raw) for raw in payload["reports"]]
-
-
-class timed_check:
-    """Context manager stamping wall time onto a freshly built report."""
-
-    def __init__(self):
-        self.start = None
-        self.elapsed = 0.0
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-        return False
 
 
 # public alias for the expression evaluator (part of the file-format surface)

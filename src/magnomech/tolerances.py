@@ -21,18 +21,12 @@ DEFAULTS = {
     "compat_sigma": 1e-8,
     # constraint residual treated as "on the surface"
     "constraint": 1e-8,
-    # post-projection constraint residual
-    "projection": 1e-12,
-    # linear solve residual guard
-    "solver": 1e-10,
     # invariance of declared cyclic data
     "invariance": 1e-9,
-    # lift independence of reduced quantities
-    "lift": 1e-10,
     # pushforward/reduced field agreement
     "related": 1e-8,
-    # membership of vectors in computed subspaces
-    "membership": 1e-10,
+    # distance of a section's tangent images of D from the admissible subspace
+    "membership": 1e-8,
     # closedness residual of the magnetic two-form for a geometry PASS
     "closedness": 1e-6,
 }
@@ -67,10 +61,6 @@ class Tolerances:
 
     def get(self, name):
         return self._values[name] * env_scale()
-
-    def as_dict(self):
-        scale = env_scale()
-        return {k: v * scale for k, v in self._values.items()}
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from magnomech import (
     ConstraintDistribution,
@@ -16,6 +17,11 @@ from magnomech import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+# Property tests draw the same examples on every run, so a verdict never
+# depends on the run or on a local example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magnomech.cli import main
+from magnomech.tolerances import DEFAULTS, Tolerances
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "check_all.json"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def normalize(payload):
@@ -258,3 +263,92 @@ def test_closedness_tolerance_follows_scale_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "2e6")
     assert main(["check", "geometry", _open_form_scenario(tmp_path)]) == 0
     assert " PASS " in capsys.readouterr().out
+
+
+def test_check_all_reads_every_declared_tolerance(scenario_dir, monkeypatch,
+                                                  tmp_path):
+    read = set()
+    original = Tolerances.get
+
+    def recording(self, name):
+        read.add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(Tolerances, "get", recording)
+    assert main(["check", "all", str(scenario_dir), "--samples", "4",
+                 "--report", str(tmp_path / "r.json")]) == 0
+    assert read == set(DEFAULTS)
+
+
+def _single_json_error(captured):
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return json.loads(captured.err)
+
+
+CHECK = ["check", "hj1", "magnetic-hj.json"]
+SIMULATE = ["simulate", "charged-particle.json", "--out", "t.csv"]
+
+
+@pytest.mark.parametrize("command,flag,value,other", [
+    (CHECK, "--samples", "0", []),
+    (CHECK, "--samples", "-3", []),
+    (CHECK, "--seed", "-1", []),
+    (SIMULATE, "--dt", "0", ["--t-end", "1"]),
+    (SIMULATE, "--dt", "-0.1", ["--t-end", "1"]),
+    (SIMULATE, "--t-end", "nan", ["--dt", "0.1"]),
+    (SIMULATE, "--t-end", "inf", ["--dt", "0.1"]),
+])
+def test_out_of_range_flag_is_input_error(scenario_dir, tmp_path, capsys,
+                                          command, flag, value, other):
+    argv = [str(scenario_dir / a) if a.endswith(".json")
+            else str(tmp_path / a) if a.endswith(".csv") else a
+            for a in command] + [flag, value] + other
+    assert main(argv) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert err["code"] == "usage"
+    assert f"argument {flag}: {value!r}" in err["message"]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_usage_error_is_one_json_object(capsys):
+    assert main(["check", "hj1"]) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert err["code"] == "usage"
+    assert "target" in err["message"]
+
+
+def test_constant_without_finite_value_is_expression_error(tmp_path, capsys):
+    scenario = _write_scenario(tmp_path / "pow.json", {
+        "name": "bad-constant", "n": 1, "potential": "0^-1"})
+    assert main(["check", "geometry", scenario]) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert err["code"] == "expression"
+    assert err["field"] == "potential"
+    assert "position 1" in err["message"]
+
+
+def test_overflow_while_checking_is_numerical_domain_error(tmp_path, capsys):
+    scenario = _write_scenario(tmp_path / "overflow.json", {
+        "name": "overflow", "n": 1, "potential": "exp(1000)*q1",
+        "gamma": ["0"]})
+    assert main(["check", "hj1", scenario]) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert err["code"] == "NumericalDomainError"
+    assert "exp(1000)" in err["message"]
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    # 1/q2 divides by zero at the sample q2 = 0; numpy would warn on stderr
+    # before the non-finite gradient becomes the one JSON error object
+    scenario = _write_scenario(tmp_path / "pole.json", {
+        "name": "pole", "n": 2, "potential": "1/q2", "gamma": ["0", "0"]})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-m", "magnomech", "check", "hj1",
+                             scenario], env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert json.loads(result.stderr) == {
+        "code": "NumericalDomainError",
+        "message": "Hamiltonian gradient is non-finite"}

@@ -1,8 +1,15 @@
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from magnomech import expression_eval
-from magnomech.errors import ExpressionError
+from magnomech import ScenarioError, expression_eval, parse_scenario
+from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech import expressions as ex
+from magnomech.sampling import sobol_points
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_phase_expression_value():
@@ -95,13 +102,94 @@ def test_evaluation_is_deterministic():
     assert expression_eval(*args) == expression_eval(*args)
 
 
+def _corpus_nodes():
+    """(n, node) for every expression of the shipped scenarios and every
+    symbolic first derivative of it that exists."""
+    out = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        raw = json.loads(path.read_text())
+        texts = []
+
+        def walk(value):
+            if isinstance(value, str) and value != "identity":
+                texts.append(value)
+            elif isinstance(value, list):
+                for item in value:
+                    walk(item)
+
+        for key in ("mass_matrix", "potential", "b_field", "constraints",
+                    "gamma", "epsilon", "general_h"):
+            walk(raw.get(key))
+        for text in texts:
+            node = ex.parse(text)
+            out.append((raw["n"], node))
+            for name in ex.phase_names(raw["n"]):
+                try:
+                    out.append((raw["n"], ex.derivative(node, name)))
+                except ExpressionError:
+                    pass
+    return out
+
+
 def test_compiled_matches_tree_walker():
     node = ex.parse("q1^3 - 2*p1*q2 + cos(q1)")
     fn = ex.compile_node(node)
     env = {"q1": 0.7, "q2": -0.3, "p1": 1.2}
     assert fn([0.7, -0.3], [1.2]) == pytest.approx(ex.evaluate(node, env))
+    # every corpus expression and derivative, bit for bit, at Sobol points
+    # taken as the checks take them (numpy arrays)
+    nodes = _corpus_nodes()
+    assert len(nodes) > 100
+    points = sobol_points(np.array([[-2.0, 2.0]] * 6), 32)
+    for n, node in nodes:
+        fn = ex.compile_node(node)
+        for point in points:
+            q, p = point[:n], point[n:2 * n]
+            env = {name: float(v) for name, v in
+                   zip(ex.phase_names(n), np.concatenate([q, p]))}
+            assert fn(q, p) == ex.evaluate(node, env), ex.to_text(node)
 
 
 def test_constant_folding_keeps_value():
     node = ex.parse("0*q1 + 1*(q2 - 0) + 2*3")
     assert ex.evaluate(node, {"q1": 9.0, "q2": 4.0}) == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(-8)^(1/3)", 4),      # complex value
+    ("10^400", 2),          # overflow
+    ("0^-1", 1),            # zero to a negative power
+    ("q1 + 1/0", 6),        # division by zero
+    ("2*1e400", 2),         # literal overflows to infinity
+])
+def test_constant_without_finite_value_is_positioned_error(text, position):
+    with pytest.raises(ExpressionError) as err:
+        ex.parse(text)
+    assert err.value.position == position
+
+
+def test_constant_rule_becomes_scenario_expression_error():
+    doc = {"name": "tiny", "n": 1, "potential": "(-8)^(1/3)"}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(json.dumps(doc))
+    assert err.value.code == "expression"
+    assert err.value.field == "potential"
+
+
+@pytest.mark.parametrize("text,q", [
+    ("exp(1000)*q1", 1.0),      # OverflowError from math.exp
+    ("1/sin(q1)", 0.0),         # ZeroDivisionError on a float
+    ("sin(q1)^0.5", -1.0),      # negative base, fractional power
+    ("q1^0.5", -1.0),
+    ("exp(q1)^400", 3.0),       # OverflowError from a float power
+])
+def test_compiled_evaluation_faults_are_domain_errors(text, q):
+    fn = ex.compile_node(ex.parse(text))
+    with pytest.raises(NumericalDomainError, match="evaluating"):
+        fn(np.array([q]))
+
+
+def test_fractional_powers_of_nonnegative_bases_still_evaluate():
+    fn = ex.compile_node(ex.parse("q1^0.5 + q1^q1"))
+    assert fn(np.array([4.0])) == 2.0 + 256.0
+    assert ex.compile_node(ex.parse("q1^q2"))(np.array([-2.0, 3.0])) == -8.0

@@ -9,6 +9,7 @@ from magnomech import (
     PhasePoint,
     SectionImageError,
     SectionTangentError,
+    Tolerances,
     TwoFormField,
     induced_magnetic_field,
     type1_constrained,
@@ -173,6 +174,13 @@ def test_type1_constrained_guards_image(nh_magnetic):
         type1_constrained(off, dist, ham, mag, [np.zeros(3)])
 
 
+def _wiggly_section(amp=5e-9, freq=100.0):
+    return OneFormSection(
+        lambda q: np.array([0.0, 0.0, amp * np.sin(freq * q[0])]),
+        lambda q: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                            [amp * freq * np.cos(freq * q[0]), 0.0, 0.0]]))
+
+
 def test_type1_constrained_guards_tangent(nh_magnetic):
     # on the surface to within tolerance, but wiggling fast enough that the
     # tangent images leave the admissible subspace
@@ -184,6 +192,32 @@ def test_type1_constrained_guards_tangent(nh_magnetic):
                             [amp * freq * np.cos(freq * q[0]), 0.0, 0.0]]))
     with pytest.raises(SectionTangentError):
         type1_constrained(wiggly, dist, ham, mag, [np.zeros(3)])
+
+
+def test_tangent_guard_reads_the_membership_tolerance(nh_magnetic):
+    # the wiggly section's tangent residual is amp * freq = 5e-7
+    _, dist, ham, mag = nh_magnetic
+    report = type1_constrained(_wiggly_section(), dist, ham, mag, [np.zeros(3)],
+                               tolerances=Tolerances({"membership": 1e-6}))
+    assert report.per_sample[0]["tangent"] == pytest.approx(5e-7)
+    with pytest.raises(SectionTangentError):
+        type1_constrained(_wiggly_section(), dist, ham, mag, [np.zeros(3)],
+                          tolerances=Tolerances({"membership": 1e-7}))
+
+
+def test_tangent_guard_follows_scale_env(nh_magnetic, monkeypatch):
+    _, dist, ham, mag = nh_magnetic
+    monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "100")
+    report = type1_constrained(_wiggly_section(), dist, ham, mag, [np.zeros(3)])
+    assert report.per_sample[0]["tangent"] == pytest.approx(5e-7)
+
+
+def test_type2_constrained_guards_the_section_at_image_points(nh_magnetic):
+    _, dist, ham, mag = nh_magnetic
+    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]))
+    samples = [PhasePoint(np.zeros(3), np.zeros(3))]
+    with pytest.raises(SectionImageError):
+        type2_constrained(off, PhaseMap.identity(3), dist, ham, mag, samples)
 
 
 def test_type2_constrained_statuses(nh_magnetic):

@@ -8,6 +8,9 @@ from magnomech import (
     OneFormSection,
     PhaseMap,
     PhasePoint,
+    SectionImageError,
+    SectionTangentError,
+    Tolerances,
     TranslationSymmetry,
     TwoFormField,
     descent_basis,
@@ -19,8 +22,10 @@ from magnomech import (
     relatedness_residual,
     type1_reduced,
     type2_level_agreement,
+    type2_reduced,
     vertical_basis,
 )
+from magnomech import geometry
 from magnomech.reduction import reduced_energy
 from magnomech.sampling import config_samples, newton_preimage
 from conftest import free_particle_constraint
@@ -262,3 +267,61 @@ def test_type2_level_agreement_both_scenarios():
     assert full.verdict == "PASS"
     assert reduced.verdict == "PASS"
     assert agree
+
+
+def _type2_samples(section, dist, ham, eps):
+    qs = config_samples(BOX3, 6)
+    targets = [PhasePoint(q, section.value(q)) for q in qs[:3]]
+    targets += surface_points(dist, ham, 3, seed=19)
+    return [newton_preimage(eps, w) for w in targets]
+
+
+def test_reduced_checks_raise_on_an_off_surface_section():
+    # the same scenario defect as at the constrained level: p3 = 1 leaves
+    # the surface p3 = q1 p2, so the reduced checks raise, not VACUOUS
+    _, sym, dist, ham, mag = reduced_test_system()
+    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]),
+                         lambda q: np.zeros((3, 3)))
+    with pytest.raises(SectionImageError):
+        type1_reduced(off, sym, dist, ham, mag, config_samples(BOX3, 5))
+    eps = PhaseMap.translation([0.3, 0.0, 0.0])
+    samples = [PhasePoint([0.1, 0.2, 0.3], [0.0, 0.0, 0.0])]
+    with pytest.raises(SectionImageError):
+        type2_reduced(off, eps, sym, dist, ham, mag, samples)
+
+
+def test_reduced_checks_raise_on_non_admissible_tangents():
+    # on the surface at q1 = 0, but its q1-derivative leaves the admissible
+    # subspace (the wiggle of the constrained-level guard test)
+    _, sym, dist, ham, mag = reduced_test_system()
+    amp, freq = 5e-9, 100.0
+    wiggly = OneFormSection(
+        lambda q: np.array([0.0, 0.0, amp * np.sin(freq * q[0])]),
+        lambda q: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                            [amp * freq * np.cos(freq * q[0]), 0.0, 0.0]]))
+    with pytest.raises(SectionTangentError):
+        type1_reduced(wiggly, sym, dist, ham, mag, [np.zeros(3)])
+
+
+def test_type2_reduced_refines_in_band_residuals(monkeypatch):
+    # a finite-difference section (step 1e-5): with the status tolerance set
+    # so one residual falls inside the band [tol, 10 tol), that sample is
+    # recomputed with the 10x smaller step
+    section, sym, dist, ham, mag = reduced_test_system()
+    fd_section = OneFormSection(section.eval_fn)
+    eps = PhaseMap.translation([0.3, 0.0, 0.0])
+    samples = _type2_samples(section, dist, ham, eps)
+    first = type2_reduced(fd_section, eps, sym, dist, ham, mag, samples)
+    assert first.verdict == "PASS"
+    in_band = min(a for a in first.residual_a if a > 0)
+    steps = []
+    original = geometry.fd_jacobian
+
+    def recording(fn, x, step=geometry.DEFAULT_FD_STEP):
+        steps.append(step)
+        return original(fn, x, step)
+
+    monkeypatch.setattr(geometry, "fd_jacobian", recording)
+    type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
+                  tolerances=Tolerances({"status": in_band / 2}))
+    assert fd_section.step / 10 in steps
