@@ -23,7 +23,11 @@ from .geometry import (
     two_form_closedness_residual,
 )
 from .integrate import integrate
-from .nonholonomic import compatibility_report, project_to_constraint
+from .nonholonomic import (
+    compatibility_report,
+    project_to_constraint,
+    surface_frame,
+)
 from .sampling import (
     config_samples,
     newton_preimage,
@@ -163,8 +167,9 @@ def check_geometry(system, count, seed):
             verdict = "FAIL"
     if system.gamma is not None:
         residual = max(
-            magnetic_match_residual(system.gamma, system.mag.b_field, q,
-                                    basis=system.dist.basis(q))
+            magnetic_match_residual(
+                system.gamma, system.mag.b_field, q,
+                basis=surface_frame(system.dist, system.ham, q).basis)
             for q in qs)
         data["gamma_match_residual"] = residual
     if system.epsilon is not None:
@@ -344,6 +349,8 @@ def main(argv=None):
         return _input_error(err.code, str(err), getattr(err, "field", None))
     except FileNotFoundError as err:
         return _input_error("missing_file", str(err))
+    except OSError as err:  # a directory, a bad path, no permission
+        return _input_error("file_error", str(err))
     except MagnomechError as err:
         return _input_error(type(err).__name__, str(err))
 

@@ -27,6 +27,51 @@ from .geometry import (
 )
 
 SOLVER_TOL = 1e-10
+MEMO_ENTRIES = 256
+
+
+def read_only(array):
+    """A read-only view of ``array``; the array and its other views keep
+    their flags, so a caller's own array stays writable."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+def _as_is(array):
+    return array
+
+
+class PointTable:
+    """Values built once per distinct point, keyed by the point's bytes.
+
+    ``get(point, build)`` returns the stored value or ``build(copy)``, where
+    ``copy`` is a read-only copy of the point, so a caller that mutates its
+    array afterwards cannot reach a stored value. The table holds at most
+    ``size`` values and is cleared when full. A build that raises stores
+    nothing, so its guard raises again on the next call. A point that is not
+    a 1-D array is built afresh every time, since its bytes omit its shape.
+    """
+
+    def __init__(self, size=MEMO_ENTRIES):
+        self._size = size
+        self._values = {}
+
+    def __len__(self):
+        return len(self._values)
+
+    def get(self, point, build):
+        if point.ndim != 1:
+            return build(point)
+        key = point.tobytes()
+        value = self._values.get(key)
+        if value is None:
+            if len(self._values) >= self._size:
+                self._values.clear()
+            point = point.copy()
+            point.setflags(write=False)
+            value = self._values[key] = build(point)
+        return value
 
 
 class HamiltonianSpec:
@@ -49,6 +94,7 @@ class HamiltonianSpec:
         self._general_fn = general_fn
         self._general_grad_fn = general_grad_fn
         self._step = step
+        self._terms = PointTable()
 
     @classmethod
     def quadratic(cls, n, mass_fn=None, potential_fn=None, mass_grad_fn=None,
@@ -71,8 +117,12 @@ class HamiltonianSpec:
         return self._general_fn is None
 
     def at(self, q):
-        """The q-dependent terms of H at base point q (see BaseTerms)."""
-        return BaseTerms(self, np.asarray(q, dtype=float))
+        """The q-dependent terms of H at base point q (see BaseTerms),
+        memoised per distinct q in a PointTable."""
+        return self._terms.get(np.asarray(q, dtype=float), self._new_terms)
+
+    def _new_terms(self, q):
+        return BaseTerms(self, q)
 
     def mass_matrix(self, q):
         if self._mass_fn is None:
@@ -104,29 +154,42 @@ class BaseTerms:
 
     The mass matrix, its inverse and gradient and the potential gradient
     are each computed on first use and then kept, so every momentum over
-    the same q reuses them. The positive-definiteness check runs when the
-    inverse is first needed, the same place the per-point call raises it.
+    the same q reuses them. The positive-definiteness
+    check runs when the inverse is first needed, the same place the
+    per-point call raises it; a guard that raises caches nothing and raises
+    again on the next access. ``frames`` holds the constraint frames over q,
+    one per distribution (see nonholonomic.surface_frame).
+
+    ``keep`` is applied to every kept array, here and in the frames over q:
+    read_only for the shared terms of ``HamiltonianSpec.at``, and the
+    identity with ``frozen=False``, for the integrator's base points, which
+    no other caller sees.
     """
 
-    def __init__(self, ham, q):
+    def __init__(self, ham, q, frozen=True):
         self.ham = ham
         self.q = q
+        self.keep = read_only if frozen else _as_is
+
+    @cached_property
+    def frames(self):
+        return {}
 
     @cached_property
     def mass(self):
         """G(q), or None for unit masses."""
         fn = self.ham._mass_fn
-        return None if fn is None else np.asarray(fn(self.q), dtype=float)
+        return None if fn is None else self.keep(np.asarray(fn(self.q), dtype=float))
 
     @cached_property
     def inverse(self):
         if self.mass is None:
-            return np.eye(self.ham.n)
+            return self.keep(np.eye(self.ham.n))
         try:
             np.linalg.cholesky(self.mass)
         except np.linalg.LinAlgError:
             raise NumericalDomainError("mass matrix is not positive definite") from None
-        return np.linalg.inv(self.mass)
+        return self.keep(np.linalg.inv(self.mass))
 
     @cached_property
     def mass_gradient(self):
@@ -135,16 +198,18 @@ class BaseTerms:
         fn = self.ham._mass_grad_fn
         if self.mass is None or fn is None:
             return None
-        return np.asarray(fn(self.q), dtype=float)
+        return self.keep(np.asarray(fn(self.q), dtype=float))
 
     @cached_property
     def potential_gradient(self):
         ham = self.ham
         if ham._potential_grad_fn is not None:
-            return np.asarray(ham._potential_grad_fn(self.q), dtype=float)
-        if ham._potential_fn is not None:
-            return fd_gradient(ham._potential_fn, self.q, ham._step)
-        return np.zeros(ham.n)
+            grad = np.asarray(ham._potential_grad_fn(self.q), dtype=float)
+        elif ham._potential_fn is not None:
+            grad = fd_gradient(ham._potential_fn, self.q, ham._step)
+        else:
+            grad = np.zeros(ham.n)
+        return self.keep(grad)
 
     def velocity(self, p):
         if self.mass is None:
@@ -208,6 +273,7 @@ class MagneticStructure:
     def __init__(self, b_field):
         self.b_field = b_field
         self.n = b_field.n
+        self._forms = PointTable()
 
     @classmethod
     def canonical(cls, n):
@@ -217,11 +283,16 @@ class MagneticStructure:
         return self.b_field.matrix(q)
 
     def form_matrix(self, q):
+        """Omega(q) as a read-only array, memoised per distinct q."""
+        return self._forms.get(np.asarray(q, dtype=float), self._new_form)
+
+    def _new_form(self, q):
         n = self.n
         omega = np.zeros((2 * n, 2 * n))
         omega[:n, :n] = -self.b_matrix(q)
         omega[:n, n:] = np.eye(n)
         omega[n:, :n] = -np.eye(n)
+        omega.setflags(write=False)
         return omega
 
     def pairing(self, q, u, v):
@@ -266,7 +337,7 @@ class PhaseMap:
 
     def value(self, z):
         image = np.asarray(self.eval_fn(z.vec), dtype=float)
-        if not np.all(np.isfinite(image)):
+        if not np.isfinite(image).all():
             raise NumericalDomainError("phase map evaluation is non-finite")
         return PhasePoint.from_vec(image)
 

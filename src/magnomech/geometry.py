@@ -22,7 +22,7 @@ def ensure_config(q, n=None):
         raise NumericalDomainError("configuration point must have dimension >= 1")
     if n is not None and q.size != n:
         raise NumericalDomainError(f"expected dimension {n}, got {q.size}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise NumericalDomainError("configuration point has non-finite entries")
     return q
 
@@ -39,7 +39,7 @@ class PhasePoint:
         self.p = np.asarray(self.p, dtype=float).reshape(-1)
         if self.q.size != self.p.size:
             raise NumericalDomainError("q and p must have equal dimension")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
             raise NumericalDomainError("phase point has non-finite entries")
 
     @property
@@ -125,7 +125,7 @@ class OneFormSection:
 
     def value(self, q):
         value = np.asarray(self.eval_fn(np.asarray(q, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NumericalDomainError("one-form evaluation is non-finite")
         return value
 
@@ -135,7 +135,7 @@ class OneFormSection:
             jac = np.asarray(self.jacobian_fn(q), dtype=float)
         else:
             jac = fd_jacobian(self.eval_fn, q, self.step)
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise NumericalDomainError("one-form Jacobian is non-finite")
         return jac
 

@@ -27,7 +27,12 @@ from .geometry import (
     magnetic_match_residual,
 )
 from .linalg import max_abs
-from .nonholonomic import admissible_basis, constrained_field, section_point
+from .nonholonomic import (
+    admissible_basis,
+    constrained_field,
+    section_point,
+    surface_frame,
+)
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS, STATUS_BAND_FACTOR
 
 PASS = "PASS"
@@ -103,7 +108,7 @@ def section_tangent_residual(section, dist, ham, q,
     basis = admissible_basis(dist, ham, z, tol=image_tol)
     projector = basis @ basis.T
     worst = 0.0
-    for column in dist.basis(q).T:
+    for column in surface_frame(dist, ham, q).basis.T:
         lifted = tangent_lift(section, q, column)
         worst = max(worst, max_abs(lifted - projector @ lifted))
     return worst
@@ -171,7 +176,8 @@ def type1_constrained(section, dist, ham, mag, samples,
     for q in samples:
         q = ensure_config(q, dist.n)
         image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
-        hyp = magnetic_match_residual(section, mag.b_field, q, basis=dist.basis(q))
+        hyp = magnetic_match_residual(section, mag.b_field, q,
+                                      basis=surface_frame(dist, ham, q).basis)
         flow, _ = section_flow(section, ham, mag, q)
         x_con = constrained_field(dist, ham, mag, PhasePoint(q, section.value(q)))
         rows.append({"q": q.tolist(), "hypothesis": hyp,

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import SOLVER_TOL
+from .dynamics import SOLVER_TOL, BaseTerms
 from .errors import (
     CompatibilityError,
     DegenerateFormError,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import PhasePoint
 from .linalg import max_abs, solve_small
-from .nonholonomic import SurfaceFrame, constraint_residual
+from .nonholonomic import SurfaceFrame, require_quadratic
 from .tolerances import DEFAULTS
 
 FIELD_KINDS = ("magnetic", "distributional")
@@ -92,11 +92,17 @@ def _rk4_step(rhs, vec, dt):
 
 
 class _BasePoint:
-    """Everything the field needs at one q, each part computed on first use."""
+    """Everything the field needs at one q, each part computed on first use.
+
+    Built directly, not through the memo tables of ``ham.at`` and
+    ``mag.form_matrix``: a trajectory rarely revisits a q, and the kernel
+    keeps its own one-point cache. Its arrays stay private to the kernel,
+    so they are not made read-only.
+    """
 
     def __init__(self, ham, mag, dist, q):
         self.q = q
-        self.terms = ham.at(q)
+        self.terms = BaseTerms(ham, q, frozen=False)
         self.frame = None if dist is None else SurfaceFrame(dist, self.terms)
         self._mag = mag
 
@@ -120,6 +126,8 @@ class FieldKernel:
     """
 
     def __init__(self, ham, mag, dist=None):
+        if dist is not None:
+            require_quadratic(ham)
         self.ham = ham
         self.mag = mag
         self.dist = dist
@@ -202,18 +210,19 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
         raise ValueError("dt must be positive")
     constrained = kind == "distributional" and dist is not None and dist.k > 0
 
+    kernel = FieldKernel(ham, mag, dist if constrained else None)
+    start = kernel._at(z0.q)
     residual = 0.0
     if constrained:
-        residual = max_abs(constraint_residual(dist, ham, z0))
+        residual = max_abs(start.frame.residual(z0.p))
         if residual > start_tol:
             raise OffConstraintError(
                 f"initial state off the constraint surface ({residual:.3e})")
-    kernel = FieldKernel(ham, mag, dist if constrained else None)
 
     steps = int(round(t_end / dt))
     times = [0.0]
     states = [z0.vec]
-    energies = [ham.value(z0)]
+    energies = [start.terms.value(z0.p)]
     residuals = [residual]
     drifts = [residual]
     vec = z0.vec

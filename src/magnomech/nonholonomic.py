@@ -23,11 +23,15 @@ from .errors import (
     SectionImageError,
 )
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
-from .dynamics import magnetic_vector_field
+from .dynamics import PointTable, magnetic_vector_field
 from .linalg import max_abs, null_space, rank_of, solve_small
 from .tolerances import DEFAULTS
 
 RANK_RCOND = 1e-10
+# admissible bases kept per frame: the checks visit a handful of momenta
+# over each base point, and this caps a Hamiltonian's tables at
+# MEMO_ENTRIES frames times this many bases however many passes run
+FRAME_MOMENTA = 8
 
 
 class ConstraintDistribution:
@@ -87,9 +91,12 @@ class ConstraintDistribution:
 class SurfaceFrame:
     """Constraint data at one base point, each part computed on first use.
 
-    Holds A(q) (with its rank check), dA/dq and the Hamiltonian's base
-    terms at q; the residual c, its derivative Dc and the projection at any
-    momentum over q are assembled from them.
+    Holds A(q) (with its rank check), dA/dq, the basis of D_q and the
+    Hamiltonian's base terms at q; the residual c, its derivative Dc and
+    the projection at any momentum over q are assembled from them, and the
+    admissible basis is kept per momentum. Kept arrays pass through
+    ``terms.keep`` (read-only unless the terms are the integrator's), and a
+    guard that raises caches nothing.
     """
 
     def __init__(self, dist, terms):
@@ -98,28 +105,51 @@ class SurfaceFrame:
 
     @cached_property
     def rows(self):
-        return self.dist.matrix(self.terms.q)
+        return self.terms.keep(self.dist.matrix(self.terms.q))
 
     @cached_property
     def rows_gradient(self):
-        return self.dist.rows_gradient(self.terms.q)
+        return self.terms.keep(self.dist.rows_gradient(self.terms.q))
 
     @cached_property
     def rows_inverse(self):
         """A G^{-1}: the momentum block of Dc."""
-        return self.rows @ self.terms.inverse
+        return self.terms.keep(self.rows @ self.terms.inverse)
 
     @cached_property
     def gram(self):
         """A G^{-1} A^T: the projection Gram matrix, and minus the multiplier one."""
-        return self.rows_inverse @ self.rows.T
+        return self.terms.keep(self.rows_inverse @ self.rows.T)
 
     @cached_property
     def rows_mass_gradient(self):
         """A dG^{-1}/dq_c stacked by direction c, shape (n, k, n)."""
         inverse = self.terms.inverse
-        return np.array([self.rows @ (-inverse @ grad @ inverse)
-                         for grad in self.terms.mass_gradient])
+        return self.terms.keep(np.array([self.rows @ (-inverse @ grad @ inverse)
+                                         for grad in self.terms.mass_gradient]))
+
+    @cached_property
+    def basis(self):
+        """Orthonormal columns spanning D_q = ker A(q)."""
+        if self.dist.k == 0:
+            return self.terms.keep(np.eye(self.dist.n))
+        return self.terms.keep(null_space(self.rows))
+
+    @cached_property
+    def _admissible(self):
+        return PointTable(FRAME_MOMENTA)
+
+    def admissible(self, p):
+        """Orthonormal basis of the admissible subspace at (q, p), built once
+        per distinct p (see admissible_basis)."""
+        return self._admissible.get(p, self._new_admissible)
+
+    def _new_admissible(self, p):
+        dist = self.dist
+        stacked = np.zeros((2 * dist.k, 2 * dist.n))
+        stacked[: dist.k, : dist.n] = self.rows
+        stacked[dist.k:] = self.jacobian(p)
+        return self.terms.keep(null_space(stacked))
 
     def residual(self, p):
         """c(q, p) = A(q) G(q)^{-1} p."""
@@ -154,26 +184,40 @@ class SurfaceFrame:
         return p - shift
 
 
+def surface_frame(dist, ham, q):
+    """The SurfaceFrame of ``dist`` over q, kept on the memoised base terms
+    ``ham.at(q)``, so every check at the same q shares one A(q) and D_q."""
+    terms = ham.at(q)
+    frame = terms.frames.get(dist)
+    if frame is None:
+        frame = terms.frames[dist] = SurfaceFrame(dist, terms)
+    return frame
+
+
+def require_quadratic(ham):
+    if not ham.is_quadratic:
+        raise NumericalDomainError(
+            "constraint surface needs a kinetic-plus-potential Hamiltonian")
+
+
 def constraint_residual(dist, ham, z):
     """c(q, p) = A(q) G(q)^{-1} p; zero on the constraint surface."""
     if dist.k == 0:
         return np.zeros(0)
-    if not ham.is_quadratic:
-        raise NumericalDomainError(
-            "constraint surface needs a kinetic-plus-potential Hamiltonian")
-    return SurfaceFrame(dist, ham.at(z.q)).residual(z.p)
+    require_quadratic(ham)
+    return surface_frame(dist, ham, z.q).residual(z.p)
 
 
 def constraint_jacobian(dist, ham, z):
     """Full derivative of c at z, shape (k, 2n): [dc/dq | A G^{-1}]."""
-    return SurfaceFrame(dist, ham.at(z.q)).jacobian(z.p)
+    return surface_frame(dist, ham, z.q).jacobian(z.p)
 
 
 def project_to_constraint(dist, ham, z):
     """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
     if dist.k == 0:
         return z
-    return PhasePoint(z.q, SurfaceFrame(dist, ham.at(z.q)).project(z.p))
+    return PhasePoint(z.q, surface_frame(dist, ham, z.q).project(z.p))
 
 
 def require_on_constraint(dist, ham, z, tol):
@@ -188,17 +232,14 @@ def admissible_basis(dist, ham, z, tol=DEFAULTS["constraint"]):
     """Orthonormal basis of the admissible subspace at a surface point.
 
     Stacks the base condition A(q) dq = 0 with tangency Dc(z) (dq, dp) = 0
-    and takes the null space. With no constraints this is the identity on
-    the full 2n-dimensional tangent space.
+    and takes the null space, once per distinct z (read-only); the surface
+    check against ``tol`` runs on every call. With no constraints this is
+    the identity on the full 2n-dimensional tangent space.
     """
     if dist.k == 0:
         return np.eye(2 * dist.n)
     require_on_constraint(dist, ham, z, tol)
-    rows = dist.matrix(z.q)
-    stacked = np.zeros((2 * dist.k, 2 * dist.n))
-    stacked[: dist.k, : dist.n] = rows
-    stacked[dist.k:] = constraint_jacobian(dist, ham, z)
-    return null_space(stacked)
+    return surface_frame(dist, ham, z.q).admissible(z.p)
 
 
 @dataclass
@@ -235,14 +276,15 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
         sigma = float(np.linalg.svd(omega, compute_uv=False)[-1])
         return CompatibilityReport(2 * n, 2 * n, 2 * n, sigma, 0,
                                    bool(sigma > sigma_tol))
+    frame = surface_frame(dist, ham, z.q)
     try:
-        rows = dist.matrix(z.q)
+        rows = frame.rows
     except DegenerateConstraintError:
         return CompatibilityReport(-1, -1, -1, 0.0, -1, False)
     base_condition = np.zeros((dist.k, 2 * n))
     base_condition[:, :n] = rows
     f_basis = null_space(base_condition)
-    tm_basis = null_space(constraint_jacobian(dist, ham, z))
+    tm_basis = null_space(frame.jacobian(z.p))
     f_perp = null_space(f_basis.T @ omega)
     intersection = tm_basis.shape[1] + f_perp.shape[1] - rank_of(
         np.hstack([tm_basis, f_perp]))
@@ -295,8 +337,9 @@ def constrained_field_multiplier(dist, ham, mag, z):
     free = magnetic_vector_field(ham, mag, z)
     if dist.k == 0:
         return ConstrainedField(free, multipliers=np.zeros(0))
-    jac_c = constraint_jacobian(dist, ham, z)
-    rows = dist.matrix(z.q)
+    frame = surface_frame(dist, ham, z.q)
+    jac_c = frame.jacobian(z.p)
+    rows = frame.rows
     lifts = np.zeros((2 * dist.n, dist.k))
     lifts[dist.n:, :] = -rows.T
     gram = jac_c @ lifts
@@ -340,5 +383,5 @@ def field_tangency_residual(section, dist, ham, mag, qs,
         q = ensure_config(q, dist.n)
         z, _ = section_point(section, dist, ham, q, image_tol)
         x = magnetic_vector_field(ham, mag, z)
-        worst = max(worst, max_abs(dist.matrix(q) @ x.dq))
+        worst = max(worst, max_abs(surface_frame(dist, ham, q).rows @ x.dq))
     return worst

@@ -28,6 +28,7 @@ from .nonholonomic import (
     admissible_basis,
     constrained_field,
     require_on_constraint,
+    surface_frame,
 )
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -100,7 +101,8 @@ def data_invariance_residual(sym, dist, ham, mag, probes, shift=0.37):
             worst = max(worst, max_abs(ham.mass_matrix(moved) - ham.mass_matrix(z.q)))
             worst = max(worst, abs(ham.value(PhasePoint(moved, z.p)) - ham.value(z)))
             if dist is not None and dist.k > 0:
-                worst = max(worst, max_abs(dist.matrix(moved) - dist.matrix(z.q)))
+                worst = max(worst, max_abs(surface_frame(dist, ham, moved).rows
+                                           - surface_frame(dist, ham, z.q).rows))
     return worst
 
 
@@ -133,7 +135,7 @@ def vertical_basis(sym, dist, ham, z):
     generators = sym.generators()
     if dist is None or dist.k == 0:
         return generators
-    rows = dist.matrix(z.q)
+    rows = surface_frame(dist, ham, z.q).rows
     base_parts = generators[: sym.n]
     conditions = rows @ base_parts
     coeffs = null_space(conditions)
@@ -261,7 +263,7 @@ def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
     for q in qs:
         section_hypotheses(section, dist, ham, q, tolerances)
         hyp_worst = max(hyp_worst, magnetic_match_residual(
-            section, mag.b_field, q, basis=dist.basis(q)))
+            section, mag.b_field, q, basis=surface_frame(dist, ham, q).basis))
     if hyp_worst > tolerances.get("hypothesis"):
         defects.append("d(gamma) + B does not vanish on the distribution")
     return hyp_worst, defects

@@ -286,8 +286,12 @@ def serialize_scenario(spec):
 
 
 def load_scenario(path):
-    with open(path) as fh:
-        return parse_scenario(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ScenarioError("parse", f"{path} is not UTF-8 text: {err}") from None
+    return parse_scenario(text)
 
 
 # -- compilation to a runnable system ----------------------------------------

@@ -1,8 +1,9 @@
 """The command line's input contract, as a property.
 
-Whatever scenario document, flags and MAGNOMECH_TOL_SCALE it is given,
-`magnomech` returns 0, 1 or 2 without raising; exit 2 writes exactly one
-JSON object to stderr, and exits 0 and 1 write nothing there.
+Whatever scenario file (any document, or bytes that are not UTF-8), flags
+and MAGNOMECH_TOL_SCALE it is given, `magnomech` returns 0, 1 or 2 without
+raising; exit 2 writes exactly one JSON object to stderr, and exits 0 and 1
+write nothing there.
 """
 
 import contextlib
@@ -120,6 +121,14 @@ def scenarios(draw):
     return doc
 
 
+# bytes put in front of the document: none, or raw bytes that are not UTF-8
+# (a UTF-16 byte-order mark, a lone continuation byte, Latin-1 text) or that
+# make the JSON invalid
+PREFIXES = mostly(st.just(b""),
+                  st.one_of(st.sampled_from([b"\xff\xfe", b"\x80",
+                                             "caf\xe9 ".encode("latin-1"),
+                                             b"\xef\xbb\xbf"]),
+                            st.binary(min_size=1, max_size=4)), odds=8)
 COUNTS = mostly(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0"]))
 SEEDS = mostly(st.sampled_from(["0", "5"]), st.just("-1"))
 ENDS = mostly(st.sampled_from(["0", "0.05"]),
@@ -133,7 +142,10 @@ def invocations(draw, scenario, directory, out):
     command = draw(st.sampled_from(["check", "simulate", "construct-b"]))
     if command == "check":
         kind = draw(st.sampled_from(["hj1", "hj2", "geometry", "all"]))
-        argv = ["check", kind, directory if kind == "all" else scenario,
+        # now and then a directory where a scenario file is expected
+        target = (directory if kind == "all" else
+                  draw(mostly(st.just(scenario), st.just(directory))))
+        argv = ["check", kind, target,
                 "--samples", draw(COUNTS), "--seed", draw(SEEDS)]
         if draw(mostly(st.just(False), st.just(True), odds=3)):
             argv.append("--reduced")
@@ -152,13 +164,14 @@ def invocations(draw, scenario, directory, out):
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=scenarios(), data=st.data(),
        scale=mostly(st.sampled_from([None, "1", "1e6"]),
-                    st.sampled_from(["abc", "0"])))
-def test_cli_input_contract(doc, data, scale):
+                    st.sampled_from(["abc", "0"])),
+       prefix=PREFIXES)
+def test_cli_input_contract(doc, data, scale, prefix):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "corpus"
         directory.mkdir()
         scenario = directory / "fuzz.json"
-        scenario.write_text(json.dumps(doc))
+        scenario.write_bytes(prefix + json.dumps(doc).encode())
         argv = data.draw(invocations(str(scenario), str(directory),
                                      str(Path(tmp) / "out")))
         previous = os.environ.pop(ENV_VAR, None)

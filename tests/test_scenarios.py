@@ -73,6 +73,14 @@ def test_validation_errors(doc, code, field):
         assert err.value.field == field
 
 
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.code == "parse"
+
+
 def test_violation_listing_collects_independent_problems():
     from magnomech.scenarios import scenario_violations
 
