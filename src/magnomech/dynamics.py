@@ -28,6 +28,9 @@ from .geometry import (
 
 SOLVER_TOL = 1e-10
 MEMO_ENTRIES = 256
+# central-difference step for a Hamiltonian or constraint rows that have no
+# symbolic derivative (sections and phase maps use geometry.DEFAULT_FD_STEP)
+FD_STEP = 1e-6
 
 
 def read_only(array):
@@ -84,8 +87,7 @@ class HamiltonianSpec:
     """
 
     def __init__(self, n, mass_fn=None, potential_fn=None, mass_grad_fn=None,
-                 potential_grad_fn=None, general_fn=None, general_grad_fn=None,
-                 step=1e-6):
+                 potential_grad_fn=None, general_fn=None, general_grad_fn=None):
         self.n = n
         self._mass_fn = mass_fn
         self._potential_fn = potential_fn
@@ -93,15 +95,13 @@ class HamiltonianSpec:
         self._potential_grad_fn = potential_grad_fn
         self._general_fn = general_fn
         self._general_grad_fn = general_grad_fn
-        self._step = step
         self._terms = PointTable()
 
     @classmethod
     def quadratic(cls, n, mass_fn=None, potential_fn=None, mass_grad_fn=None,
-                  potential_grad_fn=None, step=1e-6):
+                  potential_grad_fn=None):
         return cls(n, mass_fn=mass_fn, potential_fn=potential_fn,
-                   mass_grad_fn=mass_grad_fn, potential_grad_fn=potential_grad_fn,
-                   step=step)
+                   mass_grad_fn=mass_grad_fn, potential_grad_fn=potential_grad_fn)
 
     @classmethod
     def free(cls, n):
@@ -109,8 +109,8 @@ class HamiltonianSpec:
         return cls(n)
 
     @classmethod
-    def general(cls, n, value_fn, grad_fn=None, step=1e-6):
-        return cls(n, general_fn=value_fn, general_grad_fn=grad_fn, step=step)
+    def general(cls, n, value_fn, grad_fn=None):
+        return cls(n, general_fn=value_fn, general_grad_fn=grad_fn)
 
     @property
     def is_quadratic(self):
@@ -206,7 +206,7 @@ class BaseTerms:
         if ham._potential_grad_fn is not None:
             grad = np.asarray(ham._potential_grad_fn(self.q), dtype=float)
         elif ham._potential_fn is not None:
-            grad = fd_gradient(ham._potential_fn, self.q, ham._step)
+            grad = fd_gradient(ham._potential_fn, self.q, FD_STEP)
         else:
             grad = np.zeros(ham.n)
         return self.keep(grad)
@@ -239,7 +239,7 @@ class BaseTerms:
             else:
                 fn = ham._general_fn
                 grad = fd_gradient(lambda v: fn(v[:n], v[n:]),
-                                   np.concatenate([self.q, p]), ham._step)
+                                   np.concatenate([self.q, p]), FD_STEP)
         else:
             grad = np.empty(2 * n)
             grad[n:] = self.velocity(p)
@@ -263,7 +263,7 @@ class BaseTerms:
             def kinetic(qq):
                 return 0.5 * p @ np.linalg.solve(np.asarray(mass_fn(qq), float), p)
 
-            kinetic_part = fd_gradient(kinetic, self.q, self.ham._step)
+            kinetic_part = fd_gradient(kinetic, self.q, FD_STEP)
         return kinetic_part + potential_part
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SectionImageError,
 )
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
-from .dynamics import PointTable, magnetic_vector_field
+from .dynamics import FD_STEP, PointTable, magnetic_vector_field
 from .linalg import max_abs, null_space, rank_of, solve_small
 from .tolerances import DEFAULTS
 
@@ -42,12 +42,11 @@ class ConstraintDistribution:
     the differentiation direction first.
     """
 
-    def __init__(self, n, k, rows_fn, rows_grad_fn=None, step=1e-6):
+    def __init__(self, n, k, rows_fn, rows_grad_fn=None):
         self.n = n
         self.k = k
         self._rows_fn = rows_fn
         self._rows_grad_fn = rows_grad_fn
-        self._step = step
         if k >= n and k > 0:
             raise DegenerateConstraintError("need k < n independent constraints")
 
@@ -78,7 +77,7 @@ class ConstraintDistribution:
         q = np.asarray(q, dtype=float)
         if self._rows_grad_fn is not None:
             return np.asarray(self._rows_grad_fn(q), dtype=float)
-        flat = fd_jacobian(lambda x: self._rows_fn(x).reshape(-1), q, self._step)
+        flat = fd_jacobian(lambda x: self._rows_fn(x).reshape(-1), q, FD_STEP)
         return flat.T.reshape(self.n, self.k, self.n)
 
     def basis(self, q):
@@ -167,7 +166,7 @@ class SurfaceFrame:
             def c_of_q(qq):
                 return dist.matrix(qq) @ np.linalg.solve(ham.mass_matrix(qq), p)
 
-            jac[:, :n] = fd_jacobian(c_of_q, terms.q, dist._step)
+            jac[:, :n] = fd_jacobian(c_of_q, terms.q, FD_STEP)
             return jac
         jac[:, :n] = (self.rows_gradient @ (terms.inverse @ p)).T
         if terms.mass is not None:

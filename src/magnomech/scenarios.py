@@ -5,8 +5,10 @@ matrix, potential, magnetic two-form, constraint rows, optional covector
 section, phase map and cyclic coordinates. Entries may be numbers or
 expression strings in the small language of :mod:`magnomech.expressions`.
 Structural problems raise ScenarioError with a stable code and the field
-path; semantic probes (positive definiteness, antisymmetry of expression
-matrices, declared invariance) run when the system is built.
+path. Parsing keeps each expression's AST in the spec's ``model``, so every
+string is parsed once; building compiles the model, with symbolic partials
+where they exist, and runs the semantic probes (positive definiteness,
+antisymmetry of expression matrices, declared invariance).
 """
 
 import json
@@ -36,7 +38,13 @@ _KNOWN_FIELDS = {
 
 @dataclass
 class ScenarioSpec:
-    """Validated, normalized scenario data (still declarative)."""
+    """Validated, normalized scenario data (still declarative).
+
+    ``model`` maps each declared expression field (mass_matrix, potential,
+    b_field, constraints, gamma, epsilon, general_h) to its ASTs, nested in
+    the field's shape. It is derived from the fields above, so it takes no
+    part in equality or in ``to_dict``.
+    """
 
     name: str
     n: int
@@ -52,6 +60,7 @@ class ScenarioSpec:
     initial_state: dict = None
     general_h: str = None
     description: str = None
+    model: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def to_dict(self):
         out = {"name": self.name, "n": self.n}
@@ -86,6 +95,22 @@ def _require(condition, code, message, field=None):
         raise ScenarioError(code, message, field=field)
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _entry_is_literal(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value):
+    return _entry_is_literal(value) and math.isfinite(value)
+
+
+def _all_literal(rows):
+    return all(_entry_is_literal(v) for row in rows for v in row)
+
+
 def _parse_entry(value, names, field):
     """Accept a finite number or an expression string; return the AST."""
     if _entry_is_literal(value):
@@ -103,8 +128,27 @@ def _parse_entry(value, names, field):
     return node
 
 
-def _entry_is_literal(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _parse_array(value, shape, names, field):
+    """The ASTs of nested lists of entries in ``shape`` (one entry for ());
+    a list of the wrong length is a dimension_mismatch at its own path."""
+    if not shape:
+        return _parse_entry(value, names, field)
+    _require(isinstance(value, list) and len(value) == shape[0],
+             "dimension_mismatch", f"{field} must have {shape[0]} entries", field)
+    return [_parse_array(v, shape[1:], names, f"{field}[{i}]")
+            for i, v in enumerate(value)]
+
+
+def _require_antisymmetric(matrix, rtol, where=""):
+    """ScenarioError unless the b_field matrix is antisymmetric to ``rtol``
+    relative to its largest entry. The message names up to four entries off
+    by more than 1e-12, or by any amount for the exact check (``rtol`` 0)."""
+    defect = np.abs(matrix + matrix.T)
+    if np.max(defect) > rtol * (1 + np.max(np.abs(matrix))):
+        bad = np.argwhere(defect > min(rtol, 1e-12))
+        raise ScenarioError(
+            "antisymmetry", f"b_field is not antisymmetric{where}; entries "
+            + ", ".join(f"[{i}][{j}]" for i, j in bad[:4]), field="b_field")
 
 
 def parse_scenario(text):
@@ -120,7 +164,7 @@ def parse_scenario(text):
              "missing_field", "scenario needs a non-empty name", "name")
     _require("n" in raw, "missing_field", "scenario needs a dimension n", "n")
     n = raw["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+    _require(_is_integer(n) and n >= 1,
              "bad_dimension", "n must be an integer >= 1", "n")
     _require(n <= MAX_DIMENSION, "bad_dimension",
              f"n = {n} exceeds {MAX_DIMENSION}, the largest dimension of the "
@@ -128,67 +172,36 @@ def parse_scenario(text):
 
     qn = ex.config_names(n)
     pn = ex.phase_names(n)
+    model = {}
 
     mass = raw.get("mass_matrix", "identity")
     if mass != "identity":
-        _require(isinstance(mass, list) and len(mass) == n,
-                 "dimension_mismatch", f"mass_matrix must have {n} rows",
-                 "mass_matrix")
-        for i, row in enumerate(mass):
-            _require(isinstance(row, list) and len(row) == n,
-                     "dimension_mismatch", f"row {i} must have {n} entries",
-                     f"mass_matrix[{i}]")
-            for j, entry in enumerate(row):
-                _parse_entry(entry, qn, f"mass_matrix[{i}][{j}]")
+        model["mass_matrix"] = _parse_array(mass, (n, n), qn, "mass_matrix")
 
     potential = raw.get("potential", 0.0)
-    _parse_entry(potential, qn, "potential")
+    model["potential"] = _parse_entry(potential, qn, "potential")
 
     b_field = raw.get("b_field")
     if b_field is not None:
-        _require(isinstance(b_field, list) and len(b_field) == n,
-                 "dimension_mismatch", f"b_field must have {n} rows", "b_field")
-        for i, row in enumerate(b_field):
-            _require(isinstance(row, list) and len(row) == n,
-                     "dimension_mismatch", f"row {i} must have {n} entries",
-                     f"b_field[{i}]")
-            for j, entry in enumerate(row):
-                _parse_entry(entry, qn, f"b_field[{i}][{j}]")
-        all_literal = all(_entry_is_literal(v) for row in b_field for v in row)
-        if all_literal:
-            matrix = np.asarray(b_field, dtype=float)
-            bad = np.argwhere(np.abs(matrix + matrix.T) > 0)
-            _require(bad.size == 0, "antisymmetry",
-                     "b_field is not antisymmetric; offending entries "
-                     + ", ".join(f"[{i}][{j}]" for i, j in bad[:4]),
-                     "b_field")
+        model["b_field"] = _parse_array(b_field, (n, n), qn, "b_field")
+        if _all_literal(b_field):
+            _require_antisymmetric(np.asarray(b_field, dtype=float), 0.0)
 
     constraints = raw.get("constraints", [])
     _require(isinstance(constraints, list), "dimension_mismatch",
              "constraints must be a list of rows", "constraints")
     _require(len(constraints) < n or not constraints, "constraint_count",
              f"need fewer than n={n} constraint rows", "constraints")
-    for a, row in enumerate(constraints):
-        _require(isinstance(row, list) and len(row) == n,
-                 "dimension_mismatch", f"constraint row {a} must have {n} entries",
-                 f"constraints[{a}]")
-        for j, entry in enumerate(row):
-            _parse_entry(entry, qn, f"constraints[{a}][{j}]")
+    model["constraints"] = _parse_array(constraints, (len(constraints), n), qn,
+                                        "constraints")
 
     gamma = raw.get("gamma")
     if gamma is not None:
-        _require(isinstance(gamma, list) and len(gamma) == n,
-                 "dimension_mismatch", f"gamma must have {n} components", "gamma")
-        for i, entry in enumerate(gamma):
-            _parse_entry(entry, qn, f"gamma[{i}]")
+        model["gamma"] = _parse_array(gamma, (n,), qn, "gamma")
 
     epsilon = raw.get("epsilon")
     if epsilon is not None:
-        _require(isinstance(epsilon, list) and len(epsilon) == 2 * n,
-                 "dimension_mismatch", f"epsilon must have {2 * n} components",
-                 "epsilon")
-        for i, entry in enumerate(epsilon):
-            _parse_entry(entry, pn, f"epsilon[{i}]")
+        model["epsilon"] = _parse_array(epsilon, (2 * n,), pn, "epsilon")
 
     symmetry = raw.get("symmetry")
     if symmetry is not None:
@@ -196,7 +209,7 @@ def parse_scenario(text):
                  "symmetry must be a non-empty list of 1-based indices",
                  "symmetry")
         for idx in symmetry:
-            _require(isinstance(idx, int) and 1 <= idx <= n, "symmetry_index",
+            _require(_is_integer(idx) and 1 <= idx <= n, "symmetry_index",
                      f"cyclic index {idx!r} outside 1..{n}", "symmetry")
         _require(len(set(symmetry)) == len(symmetry), "symmetry_index",
                  "cyclic indices must be distinct", "symmetry")
@@ -209,7 +222,7 @@ def parse_scenario(text):
              f"sample_box must have {n} coordinate ranges", "sample_box")
     for i, pair in enumerate(box):
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(_entry_is_literal(v) and math.isfinite(v) for v in pair)
+                 and all(_is_finite_number(v) for v in pair)
                  and pair[0] < pair[1],
                  "dimension_mismatch",
                  "each range must be finite [lo, hi] with lo < hi",
@@ -222,8 +235,9 @@ def parse_scenario(text):
     for key, value in overrides.items():
         _require(key in TOLERANCE_NAMES, "tolerance",
                  f"unknown tolerance {key!r}", "tolerances")
-        _require(_entry_is_literal(value) and value > 0, "tolerance",
-                 f"tolerance {key!r} must be a positive number", "tolerances")
+        _require(_is_finite_number(value) and value > 0, "tolerance",
+                 f"tolerance {key!r} must be a finite positive number",
+                 "tolerances")
 
     state = raw.get("initial_state")
     if state is not None:
@@ -233,8 +247,8 @@ def parse_scenario(text):
         for part in ("q", "p"):
             values = state[part]
             _require(isinstance(values, list) and len(values) == n
-                     and all(_entry_is_literal(v) for v in values),
-                     "initial_state", f"{part} must be {n} numbers",
+                     and all(_is_finite_number(v) for v in values),
+                     "initial_state", f"{part} must be {n} finite numbers",
                      f"initial_state.{part}")
         state = {"q": [float(v) for v in state["q"]],
                  "p": [float(v) for v in state["p"]]}
@@ -243,18 +257,22 @@ def parse_scenario(text):
     if general_h is not None:
         _require(isinstance(general_h, str), "expression",
                  "general_h must be an expression string", "general_h")
-        _parse_entry(general_h, pn, "general_h")
+        model["general_h"] = _parse_entry(general_h, pn, "general_h")
         _require(not constraints, "general_h_with_constraints",
                  "general Hamiltonians cannot be combined with constraints: "
                  "the constraint surface needs the kinetic-energy form",
                  "general_h")
 
+    description = raw.get("description")
+    _require(description is None or isinstance(description, str),
+             "description", "description must be a string", "description")
+
     return ScenarioSpec(
         name=raw["name"], n=n, mass_matrix=mass, potential=potential,
         b_field=b_field, constraints=constraints, gamma=gamma, epsilon=epsilon,
         symmetry=symmetry, sample_box=box, tolerances=dict(overrides),
-        initial_state=state, general_h=general_h,
-        description=raw.get("description"))
+        initial_state=state, general_h=general_h, description=description,
+        model=model)
 
 
 def scenario_violations(text):
@@ -297,68 +315,56 @@ def load_scenario(path):
 # -- compilation to a runnable system ----------------------------------------
 
 
-def _compile_scalar(value, names):
-    node = _parse_entry(value, names, "<scalar>")
-    return ex.compile_node(node), node
+def _map(fn, nodes):
+    """``fn`` applied to each AST of nested lists (or to one bare AST)."""
+    if isinstance(nodes, list):
+        return [_map(fn, node) for node in nodes]
+    return fn(nodes)
 
 
-def _constant_matrix(nodes):
-    """A nested list of ASTs as one read-only array when every entry is a
-    number (so the matrix costs nothing per call), else None."""
-    leaves = np.asarray(nodes, dtype=object)
-    if not all(isinstance(node, ex.Num) for node in leaves.flat):
-        return None
-    matrix = np.array([float(node.value) for node in leaves.flat]).reshape(leaves.shape)
-    matrix.setflags(write=False)
-    return matrix
+def _compile(nodes):
+    """``f(q, p=None)`` evaluating an array of ASTs entry by entry.
 
-
-def _compile_matrix(rows, names):
-    compiled = [[_compile_scalar(v, names) for v in row] for row in rows]
-    fns = [[c[0] for c in row] for row in compiled]
-    nodes = [[c[1] for c in row] for row in compiled]
-    constant = _constant_matrix(nodes)
-    if constant is not None:
-        return (lambda q: constant), nodes
-
-    def evaluate(q):
-        return np.array([[f(q) for f in row] for row in fns])
-
-    return evaluate, nodes
-
-
-def _matrix_gradient(nodes, n):
-    """Compiled stacked derivative (by direction) of a matrix of ASTs.
-
-    Returns None when any entry cannot be differentiated symbolically;
-    callers then fall back to finite differences.
+    A bare AST gives its float-valued function. Nested lists give a
+    C-contiguous array of their shape, filled in row-major order, so the
+    first faulting entry is the one reported. An array whose entries are
+    all numbers is built once and returned read-only on every call.
     """
-    try:
-        derivatives = [[[ex.derivative(node, f"q{c + 1}") for node in row]
-                        for row in nodes]
-                       for c in range(n)]
-    except ExpressionError:
-        return None
-    constant = _constant_matrix(derivatives)
-    if constant is not None:
-        return lambda q: constant
-    stacked = [[[ex.compile_node(node) for node in row] for row in layer]
-               for layer in derivatives]
+    if not isinstance(nodes, list):
+        return ex.compile_node(nodes)
+    leaves = np.asarray(nodes, dtype=object)
+    shape = leaves.shape
+    if all(isinstance(node, ex.Num) for node in leaves.flat):
+        constant = np.array([node.value for node in leaves.flat], dtype=float)
+        constant = constant.reshape(shape)
+        constant.setflags(write=False)
+        return lambda q, p=None: constant
+    fns = [ex.compile_node(node) for node in leaves.flat]
 
-    def evaluate(q):
-        return np.array([[[f(q) for f in row] for row in layer]
-                         for layer in stacked])
+    def evaluate(q, p=None):
+        return np.array([f(q, p) for f in fns]).reshape(shape)
 
     return evaluate
 
 
-def _vector_gradient(nodes, names):
+def _compile_partials(nodes, names, direction_first=False):
+    """Compiled symbolic partials of an array of ASTs by each of ``names``,
+    or None when an entry has none (callers then take finite differences).
+
+    The layout is the one the caller uses: (names, *shape) direction first,
+    as for the stacked dG/dq and dA/dq; (*shape, names) otherwise, as for
+    gradients and Jacobians.
+    """
     try:
-        stacked = [[ex.compile_node(ex.derivative(node, name)) for name in names]
-                   for node in nodes]
+        if direction_first:
+            partials = [_map(lambda node: ex.derivative(node, name), nodes)
+                        for name in names]
+        else:
+            partials = _map(lambda node: [ex.derivative(node, name)
+                                          for name in names], nodes)
     except ExpressionError:
         return None
-    return stacked
+    return _compile(partials)
 
 
 @dataclass
@@ -413,118 +419,58 @@ def _require_spd(matrix, q):
 
 
 def build_system(spec):
-    """Compile a ScenarioSpec and run the load-time semantic probes."""
-    n = spec.n
+    """Compile a ScenarioSpec's model and run the load-time semantic probes."""
+    n, model = spec.n, spec.model
     qn = ex.config_names(n)
     pn = ex.phase_names(n)
     probes = _probe_points(spec.sample_box)
 
-    # Hamiltonian
+    def split(fn):
+        """``fn(q, p)`` as a function of the stacked vector (q, p)."""
+        return None if fn is None else (lambda vec: fn(vec[:n], vec[n:]))
+
     if spec.general_h is not None:
-        fn, node = _compile_scalar(spec.general_h, pn)
-        grads = _vector_gradient([node], pn)
-
-        def value(q, p):
-            return fn(q, p)
-
-        if grads is not None:
-            row = grads[0]
-
-            def grad(q, p):
-                return np.array([g(q, p) for g in row])
-        else:
-            grad = None
-        ham = HamiltonianSpec.general(n, value, grad)
+        node = model["general_h"]
+        ham = HamiltonianSpec.general(n, _compile(node), _compile_partials(node, pn))
     else:
-        mass_fn = None
-        mass_grad = None
-        if spec.mass_matrix != "identity":
-            mass_fn, mass_nodes = _compile_matrix(spec.mass_matrix, qn)
-            mass_grad = _matrix_gradient(mass_nodes, n)
+        mass_fn = mass_grad = None
+        if "mass_matrix" in model:
+            mass_fn = _compile(model["mass_matrix"])
+            mass_grad = _compile_partials(model["mass_matrix"], qn,
+                                          direction_first=True)
             for q in probes:
                 _require_spd(mass_fn(q), q)
-        potential_fn, potential_node = _compile_scalar(spec.potential, qn)
-        potential_grads = _vector_gradient([potential_node], qn)
-        if potential_grads is not None:
-            grad_row = potential_grads[0]
-
-            def potential_grad(q):
-                return np.array([g(q) for g in grad_row])
-        else:
-            potential_grad = None
         ham = HamiltonianSpec.quadratic(
-            n, mass_fn=mass_fn, potential_fn=potential_fn,
-            mass_grad_fn=mass_grad, potential_grad_fn=potential_grad)
+            n, mass_fn=mass_fn, potential_fn=_compile(model["potential"]),
+            mass_grad_fn=mass_grad,
+            potential_grad_fn=_compile_partials(model["potential"], qn))
 
-    # Magnetic two-form
     if spec.b_field is None:
         b_field = TwoFormField.zero(n)
+    elif _all_literal(spec.b_field):
+        b_field = TwoFormField.constant(np.asarray(spec.b_field, dtype=float))
     else:
-        all_literal = all(_entry_is_literal(v) for row in spec.b_field for v in row)
-        if all_literal:
-            b_field = TwoFormField.constant(np.asarray(spec.b_field, dtype=float))
-        else:
-            matrix_fn, _ = _compile_matrix(spec.b_field, qn)
-            for q in probes:
-                matrix = matrix_fn(q)
-                defect = np.max(np.abs(matrix + matrix.T))
-                if defect > 1e-9 * (1 + np.max(np.abs(matrix))):
-                    bad = np.argwhere(np.abs(matrix + matrix.T) > 1e-12)
-                    names = ", ".join(f"[{i}][{j}]" for i, j in bad[:4])
-                    raise ScenarioError(
-                        "antisymmetry",
-                        f"b_field is not antisymmetric at q={q}; entries {names}",
-                        field="b_field")
-
-            def upper(q, _fn=matrix_fn):
-                return np.triu(_fn(q), 1)
-
-            b_field = TwoFormField(upper, n)
+        matrix_fn = _compile(model["b_field"])
+        for q in probes:
+            _require_antisymmetric(matrix_fn(q), 1e-9, f" at q={q}")
+        b_field = TwoFormField(lambda q: np.triu(matrix_fn(q), 1), n)
     mag = MagneticStructure(b_field)
 
-    # Constraints
-    if spec.constraints:
-        rows_fn, rows_nodes = _compile_matrix(spec.constraints, qn)
-        rows_grad = _matrix_gradient(rows_nodes, n)
-        dist = ConstraintDistribution(n, len(spec.constraints), rows_fn,
-                                      rows_grad_fn=rows_grad)
+    rows = model["constraints"]
+    if rows:
+        dist = ConstraintDistribution(
+            n, len(rows), _compile(rows),
+            rows_grad_fn=_compile_partials(rows, qn, direction_first=True))
     else:
         dist = ConstraintDistribution.unconstrained(n)
 
-    # Optional section and phase map
-    gamma = None
-    if spec.gamma is not None:
-        compiled = [_compile_scalar(v, qn) for v in spec.gamma]
-        fns = [c[0] for c in compiled]
-        grads = _vector_gradient([c[1] for c in compiled], qn)
-
-        def gamma_eval(q, _fns=fns):
-            return np.array([f(q) for f in _fns])
-
-        jac_fn = None
-        if grads is not None:
-            def jac_fn(q, _grads=grads):
-                return np.array([[g(q) for g in row] for row in _grads])
-
-        gamma = OneFormSection(gamma_eval, jac_fn)
-
-    epsilon = None
-    if spec.epsilon is not None:
-        compiled = [_compile_scalar(v, pn) for v in spec.epsilon]
-        fns = [c[0] for c in compiled]
-        grads = _vector_gradient([c[1] for c in compiled], pn)
-
-        def eps_eval(vec, _fns=fns):
-            q, p = vec[:n], vec[n:]
-            return np.array([f(q, p) for f in _fns])
-
-        eps_jac = None
-        if grads is not None:
-            def eps_jac(vec, _grads=grads):
-                q, p = vec[:n], vec[n:]
-                return np.array([[g(q, p) for g in row] for row in _grads])
-
-        epsilon = PhaseMap(eps_eval, eps_jac)
+    gamma = epsilon = None
+    if "gamma" in model:
+        gamma = OneFormSection(_compile(model["gamma"]),
+                               _compile_partials(model["gamma"], qn))
+    if "epsilon" in model:
+        epsilon = PhaseMap(split(_compile(model["epsilon"])),
+                           split(_compile_partials(model["epsilon"], pn)))
 
     tolerances = Tolerances(spec.tolerances)
     symmetry = None
@@ -568,34 +514,23 @@ def construct_induced_scenario(spec):
         raise ScenarioError("missing_field",
                             "construct-b needs a scenario with gamma", "gamma")
     n = spec.n
-    qn = ex.config_names(n)
     if spec.mass_matrix == "identity":
         inverse = np.eye(n)
     else:
-        all_literal = all(_entry_is_literal(v) for row in spec.mass_matrix
-                          for v in row)
-        if not all_literal:
+        if not _all_literal(spec.mass_matrix):
             raise ScenarioError(
                 "unsupported", "construct-b needs a constant mass matrix",
                 "mass_matrix")
         mass = np.asarray(spec.mass_matrix, dtype=float)
         _require_spd(mass, np.mean(spec.sample_box, axis=1))
         inverse = np.linalg.inv(mass)
-    nodes = [_parse_entry(v, qn, f"gamma[{i}]") for i, v in enumerate(spec.gamma)]
-    partials = [[ex.derivative(nodes[i], f"q{j + 1}") for j in range(n)]
-                for i in range(n)]
-
-    b_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append("0")
-            else:
-                # induced two-form entry: d(gamma_i)/dq_j - d(gamma_j)/dq_i
-                node = ex.subtract(partials[i][j], partials[j][i])
-                row.append(ex.to_text(node))
-        b_rows.append(row)
+    nodes = spec.model["gamma"]
+    partials = [[ex.derivative(node, name) for name in ex.config_names(n)]
+                for node in nodes]
+    # induced two-form entry: d(gamma_i)/dq_j - d(gamma_j)/dq_i
+    b_rows = [["0" if i == j else
+               ex.to_text(ex.subtract(partials[i][j], partials[j][i]))
+               for j in range(n)] for i in range(n)]
 
     matched = ex.Num(0.0)
     for i in range(n):

@@ -3,7 +3,8 @@
 Whatever scenario file (any document, or bytes that are not UTF-8), flags
 and MAGNOMECH_TOL_SCALE it is given, `magnomech` returns 0, 1 or 2 without
 raising; exit 2 writes exactly one JSON object to stderr, and exits 0 and 1
-write nothing there.
+write nothing there. Every document the parser accepts also passes the
+published JSON schema.
 """
 
 import contextlib
@@ -13,12 +14,17 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from magnomech.cli import main
+from magnomech.errors import ScenarioError
 from magnomech.expressions import config_names, phase_names
+from magnomech.scenarios import parse_scenario
 from magnomech.tolerances import DEFAULTS, ENV_VAR
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "scenario.schema.json"
 
 # constants without a finite real value, and expressions that fault only
 # when evaluated (overflow, division by zero, negative fractional powers)
@@ -192,3 +198,22 @@ def test_cli_input_contract(doc, data, scale, prefix):
         assert isinstance(json.loads(lines[0]), dict)
     else:
         assert err.getvalue() == ""
+
+
+def test_accepted_documents_match_the_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA.read_text())
+    validator = jsonschema.validators.validator_for(schema)(schema)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=scenarios())
+    def accepted_documents_validate(doc):
+        text = json.dumps(doc)
+        try:
+            parse_scenario(text)
+        except ScenarioError:
+            return
+        validator.validate(json.loads(text))
+
+    accepted_documents_validate()

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from magnomech import (
     serialize_scenario,
     type1_magnetic,
 )
+from magnomech import expressions
 from magnomech.scenarios import reports_from_json, reports_to_json
 from magnomech.sampling import MAX_DIMENSION, config_samples
 from magnomech.tolerances import DEFAULTS as TOLERANCE_DEFAULTS
@@ -64,6 +66,14 @@ def test_round_trip_all_shipped(scenario_dir):
     (minimal(surprise=1), "unknown_field", None),
     (json.dumps({"n": 2}), "missing_field", "name"),
     (json.dumps({"name": "x", "n": 0}), "bad_dimension", "n"),
+    (minimal(tolerances={"hypothesis": math.inf, "equation": math.inf}),
+     "tolerance", "tolerances"),
+    (minimal(symmetry=[True]), "symmetry_index", "symmetry"),
+    (minimal(description=5), "description", "description"),
+    (minimal(initial_state={"q": [math.inf, 0], "p": [0, 0]}),
+     "initial_state", "initial_state.q"),
+    (minimal(initial_state={"q": [0, 0], "p": [0, -math.inf]}),
+     "initial_state", "initial_state.p"),
 ])
 def test_validation_errors(doc, code, field):
     with pytest.raises(ScenarioError) as err:
@@ -159,6 +169,35 @@ def test_schema_names_every_tolerance_and_the_dimension_limit():
         jsonschema.validate(json.loads(minimal(tolerances={"bogus": 1.0})), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"name": "too-wide", "n": 41}, schema)
+
+
+def expression_strings(spec):
+    """How many expression strings the declared fields of a spec hold."""
+    def count(value):
+        if isinstance(value, list):
+            return sum(count(item) for item in value)
+        return int(isinstance(value, str))
+
+    return sum(count(value) for value in (
+        spec.mass_matrix, spec.potential, spec.b_field, spec.constraints,
+        spec.gamma, spec.epsilon, spec.general_h) if value != "identity")
+
+
+def test_each_expression_is_parsed_once(scenario_dir, monkeypatch):
+    parsed_texts = []
+    parse = expressions.parse
+    monkeypatch.setattr(expressions, "parse",
+                        lambda text: parsed_texts.append(text) or parse(text))
+    strings = 0
+    for path in sorted(scenario_dir.glob("*.json")):
+        strings += expression_strings(build_system(load_scenario(path)).spec)
+    assert strings > 0
+    assert len(parsed_texts) == strings
+    # construct-b reads the section's ASTs: only the new document is parsed
+    spec = load_scenario(scenario_dir / "broken-gamma.json")
+    parsed_texts.clear()
+    new_spec, _ = construct_induced_scenario(spec)
+    assert len(parsed_texts) == expression_strings(new_spec)
 
 
 def test_construct_induced_scenario_end_to_end(scenario_dir):
