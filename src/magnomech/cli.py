@@ -116,10 +116,6 @@ def _input_error(code, message, field=None):
     return EXIT_INPUT
 
 
-def _config_points(system, count):
-    return config_samples(system.sample_box, count)
-
-
 def _phase_points(system, count, seed):
     rng = np.random.default_rng(seed)
     if system.constrained:
@@ -136,7 +132,7 @@ def _type2_samples(system, count, seed):
     """
     targets = _phase_points(system, count - count // 2, seed)
     if system.gamma is not None:
-        for q in _config_points(system, count // 2):
+        for q in config_samples(system.sample_box, count // 2):
             targets.append(PhasePoint(q, system.gamma.value(q)))
     return [newton_preimage(system.epsilon, w) for w in targets]
 
@@ -147,14 +143,17 @@ def check_geometry(system, count, seed):
     data = {}
     verdict = "PASS"
     tol = system.tolerances
-    qs = _config_points(system, count)
+    qs = config_samples(system.sample_box, count)
     closedness = max(two_form_closedness_residual(system.mag.b_field, q)
                      for q in qs)
     data["b_closedness_residual"] = closedness
     if closedness > tol.get("closedness"):
         verdict = "FAIL"
-    if system.constrained:
+    if system.constrained or system.epsilon is not None:
+        # one draw serves every branch: Sobol points come in prefix order and
+        # momenta fill row by row, so zs[:10] is the draw of min(count, 10)
         zs = _phase_points(system, count, seed)
+    if system.constrained:
         reports = [compatibility_report(system.dist, system.ham, system.mag,
                                         z, sigma_tol=tol.get("compat_sigma"))
                    for z in zs]
@@ -173,13 +172,11 @@ def check_geometry(system, count, seed):
             for q in qs)
         data["gamma_match_residual"] = residual
     if system.epsilon is not None:
-        zs = _phase_points(system, min(count, 10), seed)
         data["symplectic_residual"] = max(
-            symplectic_residual(system.epsilon, system.mag, z) for z in zs)
+            symplectic_residual(system.epsilon, system.mag, z) for z in zs[:10])
     if system.symmetry is not None and system.constrained:
-        zs = _phase_points(system, min(count, 10), seed)
         related_verdict, related_data = reduction.relatedness_check(
-            system.symmetry, system.dist, system.ham, system.mag, zs,
+            system.symmetry, system.dist, system.ham, system.mag, zs[:10],
             tolerances=tol)
         data.update(related_data)
         data["relatedness_verdict"] = related_verdict
@@ -189,21 +186,16 @@ def check_geometry(system, count, seed):
                        time.perf_counter() - start)
 
 
-def _report_from_hj(system, kind, reduced, hj_report, start):
-    """The CheckReport of an hj check, named after the level it ran at."""
+def _report_from_hj(system, hj_report, start):
     elapsed = time.perf_counter() - start
-    level = ("reduced" if reduced else
-             "distributional" if system.constrained else "magnetic")
-    data = hj_report.as_dict()
-    data.pop("check", None)
-    return CheckReport(system.name, f"{kind}-{level}", hj_report.verdict, data,
-                       elapsed)
+    return CheckReport(system.name, hj_report.check, hj_report.verdict,
+                       hj_report.as_dict(), elapsed)
 
 
 def check_hj1(system, count, seed, reduced=False):
     if system.gamma is None:
         raise ScenarioError("missing_field", "check hj1 needs gamma", "gamma")
-    qs = _config_points(system, count)
+    qs = config_samples(system.sample_box, count)
     start = time.perf_counter()
     if reduced:
         if system.symmetry is None:
@@ -220,7 +212,7 @@ def check_hj1(system, count, seed, reduced=False):
     else:
         report = hj.type1_magnetic(system.gamma, system.ham, system.mag, qs,
                                    tolerances=system.tolerances)
-    return _report_from_hj(system, "hj1", reduced, report, start)
+    return _report_from_hj(system, report, start)
 
 
 def check_hj2(system, count, seed, reduced=False):
@@ -244,7 +236,7 @@ def check_hj2(system, count, seed, reduced=False):
         report = hj.type2_magnetic(system.gamma, system.epsilon, system.ham,
                                    system.mag, zs,
                                    tolerances=system.tolerances)
-    return _report_from_hj(system, "hj2", reduced, report, start)
+    return _report_from_hj(system, report, start)
 
 
 def checks_for_system(system, count, seed):

@@ -349,8 +349,7 @@ def _py_source(node):
     if isinstance(node, Num):
         return repr(float(node.value))
     if isinstance(node, Var):
-        kind, index = node.name[0], int(node.name[1:]) - 1
-        return f"{kind}[{index}]"
+        return node.name
     if isinstance(node, Neg):
         return f"(-{_py_source(node.arg)})"
     if isinstance(node, Call):
@@ -374,28 +373,35 @@ def _real_pow(base, exponent):
 def compile_node(node):
     """Compile an AST to a fast ``f(q, p=None) -> float`` callable.
 
-    Variable names must already be validated (q<i>/p<i> only); generated
-    source indexes into the argument arrays directly. An arithmetic fault
-    while evaluating (overflow, division by zero, a math domain error or a
-    negative base to a fractional power) raises NumericalDomainError.
+    Variable names must already be validated (q<i>/p<i> only). The generated
+    source reads each variable it uses from the argument sequences as a
+    Python float, so numpy arrays and lists evaluate alike. An arithmetic
+    fault while evaluating (overflow, division by zero, a math domain error
+    or a negative base to a fractional power) and a non-finite result both
+    raise NumericalDomainError naming the expression.
     """
-    namespace = {"_m": math, "_real_pow": _real_pow, "_node": node,
-                 "_to_text": to_text, "_Error": NumericalDomainError}
-    exec(_code(_py_source(node)), namespace)
+    namespace = {"_m": math, "_real_pow": _real_pow,
+                 "_fault": lambda why: NumericalDomainError(
+                     f"evaluating {to_text(node)!r}: {why}")}
+    reads = "".join(f"        {name} = float({name[0]}[{int(name[1:]) - 1}])\n"
+                    for name in sorted(variables(node)))
+    exec(_code(reads, _py_source(node)), namespace)
     return namespace["_expr"]
 
 
 @lru_cache(maxsize=1024)
-def _code(body):
-    """The compiled ``_expr`` definition for one body. Most entries and
-    derivatives of a scenario share a few bodies (0, 1), so caching keeps
-    the set-up cost of the try block down."""
+def _code(reads, body):
+    """The compiled ``_expr`` definition for one body and its reads. Most
+    entries and derivatives of a scenario share a few bodies (0, 1), so
+    caching keeps the set-up cost of the try block down."""
     source = (f"def _expr(q, p=None):\n"
-              f"    try:\n"
-              f"        return {body}\n"
+              f"    try:\n{reads}"
+              f"        value = {body}\n"
               f"    except (ArithmeticError, ValueError) as err:\n"
-              f"        text = _to_text(_node)\n"
-              f"        raise _Error(f'evaluating {{text!r}}: {{err}}') from None\n")
+              f"        raise _fault(err) from None\n"
+              f"    if _m.isfinite(value):\n"
+              f"        return value\n"
+              f"    raise _fault(f'non-finite value {{value}}')\n")
     return compile(source, "<magnomech-expr>", "exec")
 
 

@@ -33,7 +33,7 @@ from .nonholonomic import (
     section_point,
     surface_frame,
 )
-from .tolerances import DEFAULT_TOLERANCES, DEFAULTS, STATUS_BAND_FACTOR
+from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -52,8 +52,8 @@ class HJReport:
     defects: list = field(default_factory=list)
 
     def as_dict(self):
+        """Everything but ``check``, which names the CLI's CheckReport."""
         out = {
-            "check": self.check,
             "verdict": self.verdict,
             "hypothesis_residual": self.hypothesis_residual,
             "defects": list(self.defects),
@@ -99,10 +99,10 @@ def tangent_lift(section, q, base_vector):
     return np.concatenate([base_vector, jac @ base_vector])
 
 
-def section_tangent_residual(section, dist, ham, q,
-                             image_tol=DEFAULTS["constraint"]):
+def section_tangent_residual(section, dist, ham, q, image_tol):
     """How far the section's tangent images of D stray from the admissible
-    subspace at the section point."""
+    subspace at the section point, which must lie within ``image_tol`` of
+    the constraint surface."""
     q = ensure_config(q, dist.n)
     z = PhasePoint(q, section.value(q))
     basis = admissible_basis(dist, ham, z, tol=image_tol)
@@ -126,7 +126,7 @@ def section_hypotheses(section, dist, ham, q, tolerances=DEFAULT_TOLERANCES):
     image_tol = tolerances.get("constraint")
     q = ensure_config(q, dist.n)
     _, image = section_point(section, dist, ham, q, image_tol)
-    tangent = section_tangent_residual(section, dist, ham, q, image_tol=image_tol)
+    tangent = section_tangent_residual(section, dist, ham, q, image_tol)
     if tangent > tolerances.get("membership"):
         raise SectionTangentError(
             f"section tangents leave the admissible subspace at q={q} "
@@ -183,7 +183,7 @@ def type1_constrained(section, dist, ham, mag, samples,
         rows.append({"q": q.tolist(), "hypothesis": hyp,
                      "equation": max_abs(tangent_lift(section, q, flow) - x_con.vec),
                      "image": image, "tangent": tangent})
-    return _type1_report("hj1-constrained", rows, tolerances,
+    return _type1_report("hj1-distributional", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
@@ -281,7 +281,7 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
         basis = admissible_basis(dist, ham, image, tol=constraint_tol)
         return basis @ basis.T, None, constrained_field(dist, ham, mag, image).vec
 
-    return type2_report("hj2-constrained", section, phase_map, ham, mag, samples,
+    return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
                         tolerances, level)
 
 

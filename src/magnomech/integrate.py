@@ -24,7 +24,7 @@ from .errors import (
 from .geometry import PhasePoint
 from .linalg import max_abs, solve_small
 from .nonholonomic import SurfaceFrame, require_quadratic
-from .tolerances import DEFAULTS
+from .tolerances import DEFAULT_TOLERANCES
 
 FIELD_KINDS = ("magnetic", "distributional")
 
@@ -196,13 +196,14 @@ class FieldKernel:
 
 
 def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
-              project=True, start_tol=DEFAULTS["constraint"]):
+              project=True):
     """Integrate the chosen field from z0 over [0, t_end] with step dt.
 
     Distributional mode requires the start point on the constraint surface
-    and re-projects after every step unless ``project`` is False. A
-    non-finite or out-of-domain state aborts the run: the partial trajectory
-    is returned with ``abort_reason`` naming the step, time and error.
+    (within the scaled ``constraint`` tolerance) and re-projects after every
+    step unless ``project`` is False. A non-finite or out-of-domain state
+    aborts the run: the partial trajectory is returned with ``abort_reason``
+    naming the step, time and error.
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
@@ -215,7 +216,7 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
     residual = 0.0
     if constrained:
         residual = max_abs(start.frame.residual(z0.p))
-        if residual > start_tol:
+        if residual > DEFAULT_TOLERANCES.get("constraint"):
             raise OffConstraintError(
                 f"initial state off the constraint surface ({residual:.3e})")
 

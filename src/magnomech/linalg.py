@@ -5,7 +5,7 @@ import numpy as np
 RCOND = 1e-10
 
 
-def null_space(matrix, rcond=RCOND):
+def null_space(matrix):
     """Orthonormal basis of ker(matrix) as columns, via SVD.
 
     A matrix with zero rows has the full space as kernel; the identity is
@@ -16,28 +16,28 @@ def null_space(matrix, rcond=RCOND):
     if rows == 0:
         return np.eye(cols)
     _, s, vh = np.linalg.svd(matrix)
-    cutoff = rcond * (s[0] if s.size else 0.0)
+    cutoff = RCOND * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].T.copy()
 
 
-def column_space(matrix, rcond=RCOND):
+def column_space(matrix):
     """Orthonormal basis of the column space, as columns."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return np.zeros((matrix.shape[0], 0))
     u, s, _ = np.linalg.svd(matrix)
-    cutoff = rcond * (s[0] if s.size else 0.0)
+    cutoff = RCOND * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return u[:, :rank].copy()
 
 
-def rank_of(matrix, rcond=RCOND):
+def rank_of(matrix):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(s > rcond * s[0]))
+    return int(np.sum(s > RCOND * s[0]))
 
 
 def max_abs(array):

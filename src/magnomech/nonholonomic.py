@@ -25,7 +25,7 @@ from .errors import (
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
 from .dynamics import FD_STEP, PointTable, magnetic_vector_field
 from .linalg import max_abs, null_space, rank_of, solve_small
-from .tolerances import DEFAULTS
+from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
 RANK_RCOND = 1e-10
 # admissible bases kept per frame: the checks visit a handful of momenta
@@ -227,16 +227,19 @@ def require_on_constraint(dist, ham, z, tol):
     return residual
 
 
-def admissible_basis(dist, ham, z, tol=DEFAULTS["constraint"]):
+def admissible_basis(dist, ham, z, tol=None):
     """Orthonormal basis of the admissible subspace at a surface point.
 
     Stacks the base condition A(q) dq = 0 with tangency Dc(z) (dq, dp) = 0
     and takes the null space, once per distinct z (read-only); the surface
-    check against ``tol`` runs on every call. With no constraints this is
-    the identity on the full 2n-dimensional tangent space.
+    check against ``tol`` (the scaled ``constraint`` tolerance by default)
+    runs on every call. With no constraints this is the identity on the
+    full 2n-dimensional tangent space.
     """
     if dist.k == 0:
         return np.eye(2 * dist.n)
+    if tol is None:
+        tol = DEFAULT_TOLERANCES.get("constraint")
     require_on_constraint(dist, ham, z, tol)
     return surface_frame(dist, ham, z.q).admissible(z.p)
 
@@ -249,16 +252,6 @@ class CompatibilityReport:
     sigma_min: float
     intersection_dim: int
     passed: bool
-
-    def as_dict(self):
-        return {
-            "dim_f": self.dim_f,
-            "dim_tm": self.dim_tm,
-            "dim_k": self.dim_k,
-            "sigma_min": self.sigma_min,
-            "intersection_dim": self.intersection_dim,
-            "passed": self.passed,
-        }
 
 
 def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
@@ -304,7 +297,6 @@ class ConstrainedField:
 
     vector: TangentPhaseVector
     multipliers: np.ndarray = None
-    basis: np.ndarray = None
 
 
 def constrained_field_restricted(dist, ham, mag, z, basis=None):
@@ -324,7 +316,7 @@ def constrained_field_restricted(dist, ham, mag, z, basis=None):
     except np.linalg.LinAlgError:
         raise DegenerateFormError("restricted structure matrix is singular") from None
     x = basis @ xi
-    return ConstrainedField(TangentPhaseVector.from_vec(x), basis=basis)
+    return ConstrainedField(TangentPhaseVector.from_vec(x))
 
 
 def constrained_field_multiplier(dist, ham, mag, z):
@@ -370,13 +362,14 @@ def section_point(section, dist, ham, q, tol):
     return z, residual
 
 
-def field_tangency_residual(section, dist, ham, mag, qs,
-                            image_tol=DEFAULTS["constraint"]):
+def field_tangency_residual(section, dist, ham, mag, qs):
     """Velocities of the free field along a surface-valued section stay in D.
 
-    Raises SectionImageError when the section leaves the constraint surface,
-    since the statement asserts nothing there.
+    Raises SectionImageError when the section leaves the constraint surface
+    (the scaled ``constraint`` tolerance), since the statement asserts
+    nothing there.
     """
+    image_tol = DEFAULT_TOLERANCES.get("constraint")
     worst = 0.0
     for q in qs:
         q = ensure_config(q, dist.n)

@@ -32,6 +32,10 @@ from .nonholonomic import (
 )
 from .tolerances import DEFAULT_TOLERANCES
 
+# finite cyclic translation of the invariance checks: exact invariance gives
+# exactly zero, so a generous shift is fine and avoids differencing noise
+SHIFT = 0.37
+
 
 class TranslationSymmetry:
     """Translations along a set of cyclic coordinates.
@@ -49,10 +53,6 @@ class TranslationSymmetry:
         self.n = n
         self.m = len(cyclic)
         self.kept = [i for i in range(n) if i not in cyclic]
-
-    @property
-    def reduced_dim(self):
-        return 2 * self.n - self.m
 
     def selection(self):
         """Matrix of the quotient's tangent map: drops cyclic dq rows."""
@@ -86,17 +86,13 @@ class TranslationSymmetry:
         return gen
 
 
-def data_invariance_residual(sym, dist, ham, mag, probes, shift=0.37):
-    """Largest change of system data under finite cyclic translations.
-
-    Exact invariance gives exactly zero, so a generous shift is fine and
-    avoids differencing noise.
-    """
+def data_invariance_residual(sym, dist, ham, mag, probes):
+    """Largest change of system data under finite cyclic translations."""
     worst = 0.0
     for z in probes:
         for c in sym.cyclic:
             moved = z.q.copy()
-            moved[c] += shift
+            moved[c] += SHIFT
             worst = max(worst, max_abs(mag.b_matrix(moved) - mag.b_matrix(z.q)))
             worst = max(worst, max_abs(ham.mass_matrix(moved) - ham.mass_matrix(z.q)))
             worst = max(worst, abs(ham.value(PhasePoint(moved, z.p)) - ham.value(z)))
@@ -106,24 +102,24 @@ def data_invariance_residual(sym, dist, ham, mag, probes, shift=0.37):
     return worst
 
 
-def section_invariance_residual(sym, section, probes, shift=0.37):
+def section_invariance_residual(sym, section, probes):
     worst = 0.0
     for q in probes:
         for c in sym.cyclic:
             moved = np.asarray(q, dtype=float).copy()
-            moved[c] += shift
+            moved[c] += SHIFT
             worst = max(worst, max_abs(section.value(moved) - section.value(q)))
     return worst
 
 
-def map_equivariance_residual(sym, phase_map, probes, shift=0.37):
+def map_equivariance_residual(sym, phase_map, probes):
     """Deviation of a phase map from commuting with the group translations."""
     worst = 0.0
     for z in probes:
         base = phase_map.value(z).vec
         for c in sym.cyclic:
             offset = np.zeros(2 * sym.n)
-            offset[c] = shift
+            offset[c] = SHIFT
             moved = phase_map.value(PhasePoint.from_vec(z.vec + offset)).vec
             worst = max(worst, max_abs(moved - base - offset))
     return worst
@@ -142,13 +138,14 @@ def vertical_basis(sym, dist, ham, z):
     return generators @ coeffs
 
 
-def descent_basis(sym, dist, ham, mag, z):
+def descent_basis(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
     """Basis of the subspace of admissible vectors that push down.
 
     These are admissible vectors whose twisted pairing with every vertical
-    admissible direction vanishes.
+    admissible direction vanishes. z must lie on the constraint surface
+    within the ``constraint`` tolerance.
     """
-    basis = admissible_basis(dist, ham, z)
+    basis = admissible_basis(dist, ham, z, tol=tolerances.get("constraint"))
     vertical = vertical_basis(sym, dist, ham, z)
     if vertical.shape[1] == 0:
         return basis
@@ -160,13 +157,10 @@ def descent_basis(sym, dist, ham, mag, z):
 
 @dataclass
 class ReducedFrame:
-    """Reduced basis, lifts and the reduced structure matrix at one point."""
+    """Reduced basis and the reduced structure matrix at one point."""
 
-    sym: TranslationSymmetry
-    point: PhasePoint
     selection: np.ndarray
     basis: np.ndarray
-    lifts: np.ndarray
     omega: np.ndarray
 
     @property
@@ -182,15 +176,15 @@ class ReducedFrame:
         return float(np.linalg.svd(self.omega, compute_uv=False)[-1])
 
 
-def reduced_frame(sym, dist, ham, mag, z):
-    descent = descent_basis(sym, dist, ham, mag, z)
+def reduced_frame(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
+    descent = descent_basis(sym, dist, ham, mag, z, tolerances)
     selection = sym.selection()
     pushed = selection @ descent
     basis = column_space(pushed)
     coeffs, *_ = np.linalg.lstsq(pushed, basis, rcond=None)
     lifts = descent @ coeffs
     omega = lifts.T @ mag.form_matrix(z.q) @ lifts
-    return ReducedFrame(sym, z, selection, basis, lifts, omega)
+    return ReducedFrame(selection, basis, omega)
 
 
 def reduced_field(sym, dist, ham, mag, z, frame=None):
@@ -219,7 +213,8 @@ def relatedness_residual(sym, dist, ham, mag, samples,
     for z in samples:
         require_on_constraint(dist, ham, z, tolerances.get("constraint"))
         full = constrained_field(dist, ham, mag, z)
-        reduced, _ = reduced_field(sym, dist, ham, mag, z)
+        frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
+        reduced, _ = reduced_field(sym, dist, ham, mag, z, frame=frame)
         worst = max(worst, max_abs(selection @ full.vec - reduced))
     return worst
 
@@ -290,7 +285,8 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
         z = PhasePoint(q, section.value(q))
         free = magnetic_vector_field(ham, mag, z)
         lhs = selection @ tangent_lift(section, q, free.dq)
-        rhs, _ = reduced_field(sym, dist, ham, mag, z)
+        frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
+        rhs, _ = reduced_field(sym, dist, ham, mag, z, frame=frame)
         defect = max_abs(lhs - rhs)
         rows.append({"q": q.tolist(), "equation": defect})
         eq_worst = max(eq_worst, defect)
@@ -320,7 +316,7 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
 
     def level(image):
         require_on_constraint(dist, ham, image, constraint_tol)
-        frame = reduced_frame(sym, dist, ham, mag, image)
+        frame = reduced_frame(sym, dist, ham, mag, image, tolerances)
         reduced, _ = reduced_field(sym, dist, ham, mag, image, frame=frame)
         return frame.projector(), frame.selection, reduced
 

@@ -2,7 +2,7 @@
 
 Configuration points come from an unscrambled Sobol sequence over the
 scenario's box (seed independent); momentum components come from a seeded
-generator so --seed pins the whole sample set.
+generator, uniform on [-1, 1], so --seed pins the whole sample set.
 """
 
 from functools import lru_cache
@@ -41,6 +41,8 @@ _JOE_KUO = (
 )
 MAX_DIMENSION = len(_JOE_KUO) + 1
 BITS = 30
+NEWTON_TOL = 1e-12
+NEWTON_ITERATIONS = 25
 
 
 def _direction_integers(poly, initial):
@@ -91,29 +93,29 @@ def config_samples(box, count):
     return [q for q in sobol_points(box, count)]
 
 
-def phase_samples(box, count, rng, p_scale=1.0):
+def phase_samples(box, count, rng):
     qs = sobol_points(box, count)
-    ps = rng.uniform(-p_scale, p_scale, size=qs.shape)
+    ps = rng.uniform(-1.0, 1.0, size=qs.shape)
     return [PhasePoint(q, p) for q, p in zip(qs, ps)]
 
 
-def surface_phase_samples(dist, ham, box, count, rng, p_scale=1.0):
+def surface_phase_samples(dist, ham, box, count, rng):
     """Phase samples projected onto the constraint surface."""
     return [project_to_constraint(dist, ham, z)
-            for z in phase_samples(box, count, rng, p_scale)]
+            for z in phase_samples(box, count, rng)]
 
 
-def newton_preimage(phase_map, target, start=None, tol=1e-12, max_iter=25):
-    """Solve phase_map(z) = target with Newton iteration.
+def newton_preimage(phase_map, target):
+    """Solve phase_map(z) = target with Newton iteration from z = target.
 
     Shipped phase maps are translations, for which one step is exact, but
-    the iteration handles any smooth invertible map with a decent start.
+    the iteration handles any smooth invertible map that moves points little.
     """
-    vec = (target.vec if start is None else start.vec).copy()
-    for _ in range(max_iter):
+    vec = target.vec.copy()
+    for _ in range(NEWTON_ITERATIONS):
         z = PhasePoint.from_vec(vec)
         defect = phase_map.value(z).vec - target.vec
-        if np.max(np.abs(defect)) < tol:
+        if np.max(np.abs(defect)) < NEWTON_TOL:
             return z
         jac = phase_map.jacobian(z)
         try:

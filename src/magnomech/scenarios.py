@@ -398,11 +398,10 @@ class System:
         return self.dist.k > 0
 
 
-def _probe_points(box, count=5):
+def _probe_points(box):
+    """The load-time probes: four Sobol points and the box centre."""
     box = np.asarray(box, dtype=float)
-    points = list(sobol_points(box, count - 1))
-    points.append(box.mean(axis=1))
-    return points
+    return list(sobol_points(box, 4)) + [box.mean(axis=1)]
 
 
 def _require_spd(matrix, q):

@@ -62,6 +62,19 @@ def test_check_all_matches_golden_at_other_seeds(scenario_dir, tmp_path, seed):
     assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
+def test_check_all_matches_golden_at_seven_samples(scenario_dir, tmp_path):
+    """Below ten samples the geometry check's short draws are the whole
+    draw; the seed-3, 7-sample report equals its golden file exactly."""
+    out = tmp_path / "report.json"
+    code = main(["check", "all", str(scenario_dir), "--report", str(out),
+                 "--seed", "3", "--samples", "7"])
+    assert code == 0
+    produced = normalize(json.loads(out.read_text()))
+    golden = normalize(json.loads(
+        (GOLDEN.parent / "check_all_samples7.json").read_text()))
+    assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
 def test_check_all_is_deterministic(scenario_dir, tmp_path):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
@@ -375,8 +388,8 @@ def test_overflow_while_checking_is_numerical_domain_error(tmp_path, capsys):
 
 
 def test_numpy_warnings_stay_off_stderr(tmp_path):
-    # 1/q2 divides by zero at the sample q2 = 0; numpy would warn on stderr
-    # before the non-finite gradient becomes the one JSON error object
+    # 1/q2 divides by zero at the sample q2 = 0: the first gradient entry
+    # evaluated there raises, naming itself, with no numpy warning on stderr
     scenario = _write_scenario(tmp_path / "pole.json", {
         "name": "pole", "n": 2, "potential": "1/q2", "gamma": ["0", "0"]})
     env = dict(os.environ)
@@ -387,4 +400,60 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert result.returncode == 2
     assert json.loads(result.stderr) == {
         "code": "NumericalDomainError",
-        "message": "Hamiltonian gradient is non-finite"}
+        "message": "evaluating '0 / (q2 ^ 2)': float division by zero"}
+
+
+def _near_surface_gamma(scenario_dir, tmp_path, tolerances=None):
+    """nh-free-particle with a section 1e-6 off the constraint surface."""
+    doc = json.loads((scenario_dir / "nh-free-particle.json").read_text())
+    doc["gamma"] = ["0", "0", "1e-6"]
+    del doc["epsilon"]
+    if tolerances is not None:
+        doc["tolerances"] = tolerances
+    return _write_scenario(tmp_path / "near-surface.json", doc)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("widen", ["override", "scale"])
+def test_every_level_reads_the_scaled_constraint_tolerance(
+        scenario_dir, tmp_path, monkeypatch, capsys, widen, reduced):
+    """A widened ``constraint`` tolerance admits the same section at the
+    distributional and the reduced level."""
+    if widen == "override":
+        scenario = _near_surface_gamma(scenario_dir, tmp_path,
+                                       {"constraint": 1e-4})
+    else:
+        scenario = _near_surface_gamma(scenario_dir, tmp_path)
+        monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "1000")
+    argv = ["check", "hj1", scenario] + (["--reduced"] if reduced else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "PASS" in captured.out
+
+
+def test_non_finite_b_field_entry_is_one_named_error(tmp_path, capsys):
+    # 1/(q1 - q1) is inf or nan with numpy arguments; the compiled entry
+    # raises instead of handing the antisymmetry probe a NaN it passes
+    scenario = _write_scenario(tmp_path / "nan-b.json", {
+        "name": "nan-b", "n": 2,
+        "b_field": [["0", "1/(q1-q1)"], ["-1/(q1-q1)", "0"]]})
+    assert main(["check", "geometry", scenario]) == 2
+    captured = capsys.readouterr()
+    err = _single_json_error(captured)
+    assert err["code"] == "NumericalDomainError"
+    assert "1 / (q1 - q1)" in err["message"]
+
+
+def test_check_geometry_draws_phase_samples_once(systems, monkeypatch):
+    """One draw serves the compatibility, symplectic and relatedness data."""
+    from magnomech import cli
+
+    calls = []
+    draw = cli._phase_points
+    monkeypatch.setattr(cli, "_phase_points",
+                        lambda *args: calls.append(args) or draw(*args))
+    for system in systems.values():
+        calls.clear()
+        cli.check_geometry(system, 12, 0)
+        assert len(calls) <= 1, system.name

@@ -182,11 +182,16 @@ def test_constant_rule_becomes_scenario_expression_error():
     ("sin(q1)^0.5", -1.0),      # negative base, fractional power
     ("q1^0.5", -1.0),
     ("exp(q1)^400", 3.0),       # OverflowError from a float power
+    ("1/q1", 0.0),              # inf with a numpy warning on an array entry
+    ("q1^800", 3.0),
+    ("exp(400)*exp(400)*q1", 1.0),  # float overflow in * gives inf
+    ("1/(q1-q1)", 0.5),
 ])
 def test_compiled_evaluation_faults_are_domain_errors(text, q):
     fn = ex.compile_node(ex.parse(text))
-    with pytest.raises(NumericalDomainError, match="evaluating"):
-        fn(np.array([q]))
+    for args in (np.array([q]), [q]):  # the rule holds for any argument type
+        with pytest.raises(NumericalDomainError, match="evaluating"):
+            fn(args)
 
 
 def test_fractional_powers_of_nonnegative_bases_still_evaluate():
