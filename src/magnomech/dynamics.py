@@ -307,7 +307,12 @@ def magnetic_vector_field(ham, mag, z):
     omega(X, .) = dH(.) at z up to solver tolerance.
     """
     grad = ham.gradient(z)
-    omega = mag.form_matrix(z.q)
+    return TangentPhaseVector.from_vec(structure_solve(mag.form_matrix(z.q), grad))
+
+
+def structure_solve(omega, grad):
+    """The x with Omega^T x = grad, by dense solve, with the residual guard
+    |Omega^T x - grad| <= SOLVER_TOL (1 + |grad|)."""
     try:
         x = np.linalg.solve(omega.T, grad)
     except np.linalg.LinAlgError:
@@ -316,7 +321,7 @@ def magnetic_vector_field(ham, mag, z):
     if not residual <= SOLVER_TOL * (1.0 + np.linalg.norm(grad)):
         raise DegenerateFormError(
             f"structure solve residual {residual:.3e} exceeds tolerance")
-    return TangentPhaseVector.from_vec(x)
+    return x
 
 
 def coordinate_formula_field(ham, mag, z):
@@ -374,7 +379,8 @@ def energy_rate(ham, mag, z):
 
 
 def pullback_hamiltonian(ham, phase_map):
-    """The composed Hamiltonian H(eps(z)) with chain-rule gradient."""
+    """The composed Hamiltonian H(eps(z)) with chain-rule gradient; the
+    oracle of the direct solve for its field in hj._type2_residuals."""
 
     def value(q, p):
         return ham.value(phase_map.value(PhasePoint(q, p)))

@@ -306,6 +306,9 @@ def derivative(node, var):
         return _bin("+", _bin("*", dl, node.right), _bin("*", node.left, dr))
     if node.op == "/":
         top = _bin("-", _bin("*", dl, node.right), _bin("*", node.left, dr))
+        if _num_of(top) == 0:
+            # an identically zero partial, not 0 / right^2 with its poles
+            return Num(0.0)
         return _bin("/", top, _bin("^", node.right, Num(2.0)))
     exponent = _num_of(node.right)
     if exponent is None:

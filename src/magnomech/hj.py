@@ -6,6 +6,9 @@ relations attached to a structure-preserving phase map. Each check reports
 a hypothesis residual and equation residual(s) per sample: when the
 hypothesis fails the verdict is VACUOUS and the equation numbers are
 informational only.
+Each equation type has one residual kernel (type1_residual,
+_type2_residuals) shared by the magnetic, distributional and reduced
+levels, which differ only in their ``level`` callback.
 """
 
 import dataclasses
@@ -13,12 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    magnetic_vector_field,
-    pullback_hamiltonian,
-    symplectic_residual,
-)
-from .errors import SectionTangentError
+from .dynamics import magnetic_vector_field, structure_solve, symplectic_residual
+from .errors import NumericalDomainError, SectionTangentError
 from .geometry import (
     PhasePoint,
     TwoFormField,
@@ -82,40 +81,29 @@ def _refined(obj):
     return obj
 
 
-def section_flow(section, ham, mag, q):
-    """The base flow of the free field seen through the section.
-
-    Returns (X^gamma, full field at the section point).
-    """
-    z = PhasePoint(q, section.value(q))
-    x = magnetic_vector_field(ham, mag, z)
-    return x.dq, x
-
-
-def tangent_lift(section, q, base_vector):
-    """Tangent image (x, J(q) x) of a base vector under the section."""
-    jac = section.jacobian(q)
+def tangent_lift(jac, base_vector):
+    """Tangent image (x, J x) of a base vector under a section whose
+    Jacobian at the base point is J."""
     base_vector = np.asarray(base_vector, dtype=float)
     return np.concatenate([base_vector, jac @ base_vector])
 
 
-def section_tangent_residual(section, dist, ham, q, image_tol):
+def section_tangent_residual(section, dist, ham, z, image_tol):
     """How far the section's tangent images of D stray from the admissible
-    subspace at the section point, which must lie within ``image_tol`` of
+    subspace at the section point z, which must lie within ``image_tol`` of
     the constraint surface."""
-    q = ensure_config(q, dist.n)
-    z = PhasePoint(q, section.value(q))
     basis = admissible_basis(dist, ham, z, tol=image_tol)
     projector = basis @ basis.T
+    jac = section.jacobian(z.q)
     worst = 0.0
-    for column in surface_frame(dist, ham, q).basis.T:
-        lifted = tangent_lift(section, q, column)
+    for column in surface_frame(dist, ham, z.q).basis.T:
+        lifted = tangent_lift(jac, column)
         worst = max(worst, max_abs(lifted - projector @ lifted))
     return worst
 
 
 def section_hypotheses(section, dist, ham, q, tolerances=DEFAULT_TOLERANCES):
-    """Image and tangent residuals of a section at one q.
+    """The section point z = (q, gamma(q)) and its image and tangent residuals.
 
     Every statement is about sections with values on the constraint surface
     whose tangent images of D are admissible. A section that breaks either
@@ -125,13 +113,28 @@ def section_hypotheses(section, dist, ham, q, tolerances=DEFAULT_TOLERANCES):
     """
     image_tol = tolerances.get("constraint")
     q = ensure_config(q, dist.n)
-    _, image = section_point(section, dist, ham, q, image_tol)
-    tangent = section_tangent_residual(section, dist, ham, q, image_tol)
+    z, image = section_point(section, dist, ham, q, image_tol)
+    tangent = section_tangent_residual(section, dist, ham, z, image_tol)
     if tangent > tolerances.get("membership"):
         raise SectionTangentError(
             f"section tangents leave the admissible subspace at q={q} "
             f"(residual {tangent:.3e})")
-    return image, tangent
+    return z, image, tangent
+
+
+def type1_residual(section, ham, mag, z, level):
+    """The Type I residual |S T gamma . X^gamma - target| at a section point z.
+
+    X, the free field at z, and the tangent lift of its base flow X^gamma
+    are computed once; ``level(z, X)`` gives the level's selection S (None
+    for the identity) and its target field.
+    """
+    free = magnetic_vector_field(ham, mag, z)
+    lifted = tangent_lift(section.jacobian(z.q), free.dq)
+    selection, target = level(z, free)
+    if selection is not None:
+        lifted = selection @ lifted
+    return max_abs(lifted - target)
 
 
 def _type1_report(check_name, rows, tolerances, defect):
@@ -158,9 +161,9 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     for q in samples:
         q = ensure_config(q, ham.n)
         hyp = magnetic_match_residual(section, mag.b_field, q)
-        flow, x = section_flow(section, ham, mag, q)
-        rows.append({"q": q.tolist(), "hypothesis": hyp,
-                     "equation": max_abs(tangent_lift(section, q, flow) - x.vec)})
+        equation = type1_residual(section, ham, mag, PhasePoint(q, section.value(q)),
+                                  lambda z, free: (None, free.vec))
+        rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": equation})
     return _type1_report("hj1-magnetic", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish")
 
@@ -172,16 +175,17 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
+
+    def level(z, free):
+        return None, constrained_field(dist, ham, mag, z).vec
+
     rows = []
     for q in samples:
-        q = ensure_config(q, dist.n)
-        image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
-        hyp = magnetic_match_residual(section, mag.b_field, q,
-                                      basis=surface_frame(dist, ham, q).basis)
-        flow, _ = section_flow(section, ham, mag, q)
-        x_con = constrained_field(dist, ham, mag, PhasePoint(q, section.value(q)))
-        rows.append({"q": q.tolist(), "hypothesis": hyp,
-                     "equation": max_abs(tangent_lift(section, q, flow) - x_con.vec),
+        z, image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
+        hyp = magnetic_match_residual(section, mag.b_field, z.q,
+                                      basis=surface_frame(dist, ham, z.q).basis)
+        rows.append({"q": z.q.tolist(), "hypothesis": hyp,
+                     "equation": type1_residual(section, ham, mag, z, level),
                      "image": image, "tangent": tangent})
     return _type1_report("hj1-distributional", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
@@ -192,18 +196,22 @@ def _type2_residuals(section, phase_map, ham, mag, z, level):
 
     ``level(image)`` gives, at the image point eps(z), the level's projector
     P and selection S (None for the identity) and its target field (None
-    for the free field there). With lambda the section's tangent image of
-    the free flow at the image point, the residuals are
-    a = |P S J_eps X_pull - S lambda| and b = |S lambda - target|.
+    for the free field there). X_pull, the field of H o eps, solves
+    Omega(z)^T X_pull = J_eps^T dH(eps(z)) (pullback_hamiltonian is its
+    oracle). With lambda the section's tangent image of the free flow at
+    the image point, the residuals are a = |P S J_eps X_pull - S lambda|
+    and b = |S lambda - target|.
     """
-    pulled = pullback_hamiltonian(ham, phase_map)
     image = phase_map.value(z)
     projector, selection, target = level(image)
     jac_eps = phase_map.jacobian(z)
-    x_pull = magnetic_vector_field(pulled, mag, z)
+    grad_pull = jac_eps.T @ ham.gradient(image)
+    if not np.isfinite(grad_pull).all():
+        raise NumericalDomainError("Hamiltonian gradient is non-finite")
+    x_pull = structure_solve(mag.form_matrix(z.q), grad_pull)
     x_image = magnetic_vector_field(ham, mag, image)
-    lam_push = tangent_lift(section, image.q, x_image.dq)
-    pushed = jac_eps @ x_pull.vec
+    lam_push = tangent_lift(section.jacobian(image.q), x_image.dq)
+    pushed = jac_eps @ x_pull
     if selection is not None:
         pushed = selection @ pushed
         lam_push = selection @ lam_push

@@ -9,7 +9,6 @@ error stays visible instead of hidden.
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -91,36 +90,17 @@ def _rk4_step(rhs, vec, dt):
     return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _BasePoint:
-    """Everything the field needs at one q, each part computed on first use.
-
-    Built directly, not through the memo tables of ``ham.at`` and
-    ``mag.form_matrix``: a trajectory rarely revisits a q, and the kernel
-    keeps its own one-point cache. Its arrays stay private to the kernel,
-    so they are not made read-only.
-    """
-
-    def __init__(self, ham, mag, dist, q):
-        self.q = q
-        self.terms = BaseTerms(ham, q, frozen=False)
-        self.frame = None if dist is None else SurfaceFrame(dist, self.terms)
-        self._mag = mag
-
-    @cached_property
-    def b(self):
-        return self._mag.b_matrix(self.q)
-
-
 class FieldKernel:
     """The integrated field and the end-of-step work on flat 2n vectors.
 
     The field is the closed form X = (H_p, -H_q + B H_p), plus the Lagrange
     multiplier correction sum_a lambda_a (0, -A_a) when a distribution is
-    given. All q-only data (A(q), dA/dq, G^{-1}(q), dG/dq, dV/dq, B(q)) is
-    kept for the latest base point: projection only moves p, so the drift
-    and post-projection residuals, the projection, the energy and the next
-    step's first stage share one evaluation. Each part is computed on first
-    use, so every guard fires at the same stage as in the per-point
+    given. The q-only data (A(q), dA/dq, G^{-1}(q), dG/dq, dV/dq) is kept
+    for the latest base point: projection only moves p, so the drift and
+    post-projection residuals, the projection, the energy and the next
+    step's first stage share one evaluation. Only the field reads B(q), once
+    per RK stage, at four distinct base points. Each part is computed on
+    first use, so every guard fires at the same stage as in the per-point
     functions it replaces (magnetic_vector_field, constrained_field_multiplier,
     project_to_constraint, constraint_residual), which remain as oracles.
     """
@@ -136,21 +116,26 @@ class FieldKernel:
         self._point = None
 
     def _at(self, q):
+        """(BaseTerms, SurfaceFrame or None) of the latest q, built directly
+        and writable: a trajectory rarely revisits a q, so the memo tables of
+        ``ham.at`` would only grow, and no other caller sees these arrays."""
         key = q.tobytes()
         if key != self._key:
             self._key = key
-            self._point = _BasePoint(self.ham, self.mag, self.dist, q)
+            terms = BaseTerms(self.ham, q, frozen=False)
+            frame = None if self.dist is None else SurfaceFrame(self.dist, terms)
+            self._point = terms, frame
         return self._point
 
     def rhs(self, vec):
         if not np.isfinite(vec).all():
             raise NumericalDomainError("phase point has non-finite entries")
         n = self.n
-        p = vec[n:]
-        point = self._at(vec[:n])
-        grad = point.terms.gradient(p)
+        q, p = vec[:n], vec[n:]
+        terms, frame = self._at(q)
+        grad = terms.gradient(p)
         hq, hp = grad[:n], grad[n:]
-        push = point.b @ hp
+        push = self.mag.b_matrix(q) @ hp
         dp = -hq + push
         # structure equation Omega^T X = dH in components:
         # (B X_q - X_p, X_q) = (H_q, H_p), with X_q = H_p exactly
@@ -160,7 +145,6 @@ class FieldKernel:
             raise DegenerateFormError(
                 f"structure solve residual {residual:.3e} exceeds tolerance")
         x = np.concatenate([hp, dp])
-        frame = point.frame
         if frame is None:
             return x
         jac = frame.jacobian(p)
@@ -181,9 +165,8 @@ class FieldKernel:
             raise NumericalDomainError("state is non-finite")
         n = self.n
         q, p = vec[:n], vec[n:]
-        point = self._at(q)
+        terms, frame = self._at(q)
         drift = residual = 0.0
-        frame = point.frame
         if frame is not None:
             drift = max_abs(frame.residual(p))
             if project:
@@ -192,7 +175,7 @@ class FieldKernel:
                     raise NumericalDomainError("phase point has non-finite entries")
                 vec = np.concatenate([q, p])
             residual = max_abs(frame.residual(p))
-        return vec, drift, residual, point.terms.value(p)
+        return vec, drift, residual, terms.value(p)
 
 
 def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
@@ -212,10 +195,10 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
     constrained = kind == "distributional" and dist is not None and dist.k > 0
 
     kernel = FieldKernel(ham, mag, dist if constrained else None)
-    start = kernel._at(z0.q)
+    terms, frame = kernel._at(z0.q)
     residual = 0.0
     if constrained:
-        residual = max_abs(start.frame.residual(z0.p))
+        residual = max_abs(frame.residual(z0.p))
         if residual > DEFAULT_TOLERANCES.get("constraint"):
             raise OffConstraintError(
                 f"initial state off the constraint surface ({residual:.3e})")
@@ -223,7 +206,7 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
     steps = int(round(t_end / dt))
     times = [0.0]
     states = [z0.vec]
-    energies = [start.terms.value(z0.p)]
+    energies = [terms.value(z0.p)]
     residuals = [residual]
     drifts = [residual]
     vec = z0.vec

@@ -37,7 +37,7 @@ def rank_of(matrix):
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(s > RCOND * s[0]))
+    return int(np.count_nonzero(s > RCOND * s[0]))
 
 
 def max_abs(array):

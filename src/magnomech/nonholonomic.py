@@ -27,7 +27,6 @@ from .dynamics import FD_STEP, PointTable, magnetic_vector_field
 from .linalg import max_abs, null_space, rank_of, solve_small
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
-RANK_RCOND = 1e-10
 # admissible bases kept per frame: the checks visit a handful of momenta
 # over each base point, and this caps a Hamiltonian's tables at
 # MEMO_ENTRIES frames times this many bases however many passes run
@@ -65,11 +64,9 @@ class ConstraintDistribution:
         rows = rows.reshape(self.k, self.n)
         if not np.isfinite(rows).all():
             raise NumericalDomainError("constraint rows are non-finite")
-        if self.k > 0:
-            s = np.linalg.svd(rows, compute_uv=False)
-            if s[-1] <= RANK_RCOND * s[0]:
-                raise DegenerateConstraintError(
-                    f"constraint rows rank deficient at q={np.asarray(q)}")
+        if self.k > 0 and rank_of(rows) < self.k:
+            raise DegenerateConstraintError(
+                f"constraint rows rank deficient at q={np.asarray(q)}")
         return rows
 
     def rows_gradient(self, q):

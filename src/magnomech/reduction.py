@@ -5,13 +5,17 @@ momentum, so reduced points are (q_bar, p) stacked into one vector. The
 subspace that descends is found inside the admissible subspace by pairing
 against the vertical directions with the twisted structure; the reduced
 field solves the structure equation in a basis of the pushed-down subspace.
+:func:`reduced_field` builds that basis (a :class:`ReducedFrame`) itself,
+with the on-surface check of :func:`descent_basis`, and returns it with
+the field. The reduced checks call the Type I and Type II kernels of
+:mod:`hj` with a reduced ``level``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import magnetic_vector_field, symplectic_residual
+from .dynamics import symplectic_residual
 from .errors import DegenerateFormError, NumericalDomainError
 from .geometry import PhasePoint, ensure_config, magnetic_match_residual
 from .hj import (
@@ -20,16 +24,11 @@ from .hj import (
     VACUOUS,
     HJReport,
     section_hypotheses,
-    tangent_lift,
+    type1_residual,
     type2_report,
 )
 from .linalg import column_space, max_abs, null_space
-from .nonholonomic import (
-    admissible_basis,
-    constrained_field,
-    require_on_constraint,
-    surface_frame,
-)
+from .nonholonomic import admissible_basis, constrained_field, surface_frame
 from .tolerances import DEFAULT_TOLERANCES
 
 # finite cyclic translation of the invariance checks: exact invariance gives
@@ -187,10 +186,11 @@ def reduced_frame(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
     return ReducedFrame(selection, basis, omega)
 
 
-def reduced_field(sym, dist, ham, mag, z, frame=None):
-    """The reduced dynamical vector at the class of z, as a reduced vector."""
-    if frame is None:
-        frame = reduced_frame(sym, dist, ham, mag, z)
+def reduced_field(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
+    """The reduced dynamical vector at the class of z, as a reduced vector,
+    and the ReducedFrame it was solved in. z must lie on the constraint
+    surface within the ``constraint`` tolerance (see descent_basis)."""
+    frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
     grad_bar = frame.selection @ ham.gradient(z)
     rhs = frame.basis.T @ grad_bar
     try:
@@ -211,10 +211,8 @@ def relatedness_residual(sym, dist, ham, mag, samples,
     selection = sym.selection()
     worst = 0.0
     for z in samples:
-        require_on_constraint(dist, ham, z, tolerances.get("constraint"))
+        reduced, _ = reduced_field(sym, dist, ham, mag, z, tolerances)
         full = constrained_field(dist, ham, mag, z)
-        frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
-        reduced, _ = reduced_field(sym, dist, ham, mag, z, frame=frame)
         worst = max(worst, max_abs(selection @ full.vec - reduced))
     return worst
 
@@ -243,8 +241,8 @@ def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
     (:func:`hj.section_hypotheses`). The reduced-only hypotheses, invariance
     of the system data and of the section, and the twist d(gamma) + B = 0
     on D give named defects instead. Returns (worst twist residual,
-    defects); any defect makes the verdict VACUOUS since the theorems
-    assert nothing without it.
+    defects, the section points (q, gamma(q))); any defect makes the
+    verdict VACUOUS since the theorems assert nothing without it.
     """
     defects = []
     probes = [PhasePoint(ensure_config(q, sym.n), section.value(q)) for q in qs]
@@ -261,7 +259,7 @@ def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
             section, mag.b_field, q, basis=surface_frame(dist, ham, q).basis))
     if hyp_worst > tolerances.get("hypothesis"):
         defects.append("d(gamma) + B does not vanish on the distribution")
-    return hyp_worst, defects
+    return hyp_worst, defects, probes
 
 
 def type1_reduced(section, sym, dist, ham, mag, samples,
@@ -272,25 +270,20 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     named defect, so scenario authors can tell which assumption broke.
     """
     qs = [ensure_config(q, sym.n) for q in samples]
-    hyp_worst, defects = _reduced_hypotheses(
+    hyp_worst, defects, zs = _reduced_hypotheses(
         section, sym, dist, ham, mag, qs, tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
-    eq_tol = tolerances.get("equation")
-    rows = []
-    eq_worst = 0.0
     selection = sym.selection()
-    for q in qs:
-        z = PhasePoint(q, section.value(q))
-        free = magnetic_vector_field(ham, mag, z)
-        lhs = selection @ tangent_lift(section, q, free.dq)
-        frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
-        rhs, _ = reduced_field(sym, dist, ham, mag, z, frame=frame)
-        defect = max_abs(lhs - rhs)
-        rows.append({"q": q.tolist(), "equation": defect})
-        eq_worst = max(eq_worst, defect)
-    verdict = PASS if eq_worst < eq_tol else FAIL
+
+    def level(z, free):
+        return selection, reduced_field(sym, dist, ham, mag, z, tolerances)[0]
+
+    rows = [{"q": z.q.tolist(), "equation": type1_residual(section, ham, mag, z, level)}
+            for z in zs]
+    eq_worst = max([0.0] + [row["equation"] for row in rows])
+    verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
     return HJReport("hj1-reduced", verdict, hyp_worst, equation_residual=eq_worst,
                     per_sample=rows)
 
@@ -299,7 +292,7 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
     qs = [phase_map.value(z).q for z in samples]
-    hyp_worst, defects = _reduced_hypotheses(
+    hyp_worst, defects, _ = _reduced_hypotheses(
         section, sym, dist, ham, mag, qs, tolerances)
     symp_worst = 0.0
     for z in samples:
@@ -312,12 +305,9 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
-    constraint_tol = tolerances.get("constraint")
 
     def level(image):
-        require_on_constraint(dist, ham, image, constraint_tol)
-        frame = reduced_frame(sym, dist, ham, mag, image, tolerances)
-        reduced, _ = reduced_field(sym, dist, ham, mag, image, frame=frame)
+        reduced, frame = reduced_field(sym, dist, ham, mag, image, tolerances)
         return frame.projector(), frame.selection, reduced
 
     return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,

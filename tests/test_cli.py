@@ -388,8 +388,8 @@ def test_overflow_while_checking_is_numerical_domain_error(tmp_path, capsys):
 
 
 def test_numpy_warnings_stay_off_stderr(tmp_path):
-    # 1/q2 divides by zero at the sample q2 = 0: the first gradient entry
-    # evaluated there raises, naming itself, with no numpy warning on stderr
+    # 1/q2 divides by zero at the sample q2 = 0: the q2 partial (the q1 one
+    # is the number 0) raises, naming itself, with no numpy warning on stderr
     scenario = _write_scenario(tmp_path / "pole.json", {
         "name": "pole", "n": 2, "potential": "1/q2", "gamma": ["0", "0"]})
     env = dict(os.environ)
@@ -400,7 +400,7 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert result.returncode == 2
     assert json.loads(result.stderr) == {
         "code": "NumericalDomainError",
-        "message": "evaluating '0 / (q2 ^ 2)': float division by zero"}
+        "message": "evaluating '(-1.0) / (q2 ^ 2)': float division by zero"}
 
 
 def _near_surface_gamma(scenario_dir, tmp_path, tolerances=None):

@@ -81,6 +81,18 @@ def test_symbolic_derivative_matches_finite_differences(text):
         assert d1(q) == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
 
+def test_identically_zero_quotient_partial_folds_to_zero():
+    # d(1/q2)/dq1 vanishes wherever 1/q2 is defined: it is the number 0, not
+    # 0 / (q2 ^ 2), which would divide by zero at q2 = 0
+    partial = ex.derivative(ex.parse("1/q2"), "q1")
+    assert partial == ex.Num(0.0)
+    assert ex.compile_node(partial)([0.5, 0.0]) == 0.0
+    assert ex.to_text(ex.derivative(ex.parse("1/q2"), "q2")) == "(-1.0) / (q2 ^ 2)"
+    # only the derivative folds: a written 0/q1 still faults at q1 = 0
+    with pytest.raises(NumericalDomainError, match="evaluating"):
+        ex.compile_node(ex.parse("0/q1"))([0.0])
+
+
 def test_nonconstant_exponent_has_no_symbolic_derivative():
     with pytest.raises(ExpressionError, match="exponent"):
         ex.derivative(ex.parse("q1^q2"), "q1")

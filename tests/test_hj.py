@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,16 @@ from magnomech import (
     Tolerances,
     TwoFormField,
     induced_magnetic_field,
+    load_system,
+    magnetic_vector_field,
+    pullback_hamiltonian,
     type1_constrained,
     type1_magnetic,
     type2_constrained,
     type2_magnetic,
 )
+from magnomech.cli import _type2_samples, check_hj1, check_hj2
+from magnomech.dynamics import structure_solve
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
 from magnomech.sampling import config_samples, newton_preimage
 from conftest import free_particle_constraint, matched_linear_section
@@ -296,3 +303,49 @@ def test_induced_field_makes_type1_pass_with_matched_potential():
         report = type1_magnetic(section, ham, mag, config_samples(BOX2, 20))
         assert report.verdict == "PASS"
         assert report.hypothesis_residual < 1e-12
+
+
+def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
+    """Every Type I level goes through one kernel at the one section point
+    that the section hypotheses build, and the Type II kernel solves for
+    the field of H o eps from the J_eps and eps(z) it holds, building no
+    Hamiltonian per sample."""
+    system = load_system(scenario_dir / "nh-magnetic-particle.json")
+    calls = Counter()
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(OneFormSection, "value")
+    counting(HamiltonianSpec, "__init__")
+    counting(PhaseMap, "jacobian")
+    report = check_hj1(system, 50, 0)
+    assert report.check == "hj1-distributional" and report.verdict == "PASS"
+    assert calls["value"] == 50
+    calls.clear()
+    report = check_hj2(system, 50, 0)
+    assert report.check == "hj2-distributional" and report.verdict == "PASS"
+    assert calls["__init__"] == 0
+    # one Newton step, the symplectic residual and the Type II kernel
+    assert calls["jacobian"] == 3 * 50
+
+
+def test_pulled_back_field_matches_its_oracle(systems):
+    """The Type II kernel's solve of Omega(z)^T x = J_eps^T dH(eps(z))
+    equals the dense solve for the Hamiltonian H o eps, bit for bit."""
+    with_map = [s for s in systems.values() if s.epsilon is not None]
+    assert with_map
+    for system in with_map:
+        ham, mag, eps = system.ham, system.mag, system.epsilon
+        pulled = pullback_hamiltonian(ham, eps)
+        for z in _type2_samples(system, 50, 0):
+            grad = eps.jacobian(z).T @ ham.gradient(eps.value(z))
+            direct = structure_solve(mag.form_matrix(z.q), grad)
+            oracle = magnetic_vector_field(pulled, mag, z).vec
+            assert direct.tobytes() == oracle.tobytes(), system.name
