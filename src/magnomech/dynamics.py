@@ -8,7 +8,10 @@ z = (q, p), acting on stacked (dq, dp) vectors, is
 so that omega(u, v) = u^T Omega v = u_q . v_p - u_p . v_q - u_q^T B(q) v_q.
 The dynamical field solves Omega^T X = grad H, which in components is
 X = (H_p, -H_q + B H_p); the closed-form path below carries exactly that
-convention and a unit test pins it.
+convention and a unit test pins it. The integrator's generated step
+(kernel.py) writes the same closed form out per system, and the per-point
+functions here (BaseTerms, magnetic_vector_field) stay its oracles and the
+path it calls for Hamiltonians differentiated by central differences.
 """
 
 from dataclasses import dataclass
@@ -39,10 +42,6 @@ def read_only(array):
     view = array.view()
     view.setflags(write=False)
     return view
-
-
-def _as_is(array):
-    return array
 
 
 class PointTable:
@@ -158,18 +157,14 @@ class BaseTerms:
     check runs when the inverse is first needed, the same place the
     per-point call raises it; a guard that raises caches nothing and raises
     again on the next access. ``frames`` holds the constraint frames over q,
-    one per distribution (see nonholonomic.surface_frame).
-
-    ``keep`` is applied to every kept array, here and in the frames over q:
-    read_only for the shared terms of ``HamiltonianSpec.at``, and the
-    identity with ``frozen=False``, for the integrator's base points, which
-    no other caller sees.
+    one per distribution (see nonholonomic.surface_frame). Every kept array,
+    here and in the frames over q, is read-only, since the terms of
+    ``HamiltonianSpec.at`` are shared by every caller at q.
     """
 
-    def __init__(self, ham, q, frozen=True):
+    def __init__(self, ham, q):
         self.ham = ham
         self.q = q
-        self.keep = read_only if frozen else _as_is
 
     @cached_property
     def frames(self):
@@ -179,17 +174,17 @@ class BaseTerms:
     def mass(self):
         """G(q), or None for unit masses."""
         fn = self.ham._mass_fn
-        return None if fn is None else self.keep(np.asarray(fn(self.q), dtype=float))
+        return None if fn is None else read_only(np.asarray(fn(self.q), dtype=float))
 
     @cached_property
     def inverse(self):
         if self.mass is None:
-            return self.keep(np.eye(self.ham.n))
+            return read_only(np.eye(self.ham.n))
         try:
             np.linalg.cholesky(self.mass)
         except np.linalg.LinAlgError:
             raise NumericalDomainError("mass matrix is not positive definite") from None
-        return self.keep(np.linalg.inv(self.mass))
+        return read_only(np.linalg.inv(self.mass))
 
     @cached_property
     def mass_gradient(self):
@@ -198,7 +193,7 @@ class BaseTerms:
         fn = self.ham._mass_grad_fn
         if self.mass is None or fn is None:
             return None
-        return self.keep(np.asarray(fn(self.q), dtype=float))
+        return read_only(np.asarray(fn(self.q), dtype=float))
 
     @cached_property
     def potential_gradient(self):
@@ -209,7 +204,7 @@ class BaseTerms:
             grad = fd_gradient(ham._potential_fn, self.q, FD_STEP)
         else:
             grad = np.zeros(ham.n)
-        return self.keep(grad)
+        return read_only(grad)
 
     def velocity(self, p):
         if self.mass is None:
@@ -367,7 +362,12 @@ class PhaseMap:
 def symplectic_residual(phase_map, mag, z):
     """Pullback defect |J^T Omega(eps(z)) J - Omega(z)| of a phase map."""
     jac = phase_map.jacobian(z)
-    image = phase_map.value(z)
+    return pullback_defect(mag, z, phase_map.value(z), jac)
+
+
+def pullback_defect(mag, z, image, jac):
+    """|J^T Omega(image) J - Omega(z)| for a map's image eps(z) and Jacobian
+    J at z."""
     defect = jac.T @ mag.form_matrix(image.q) @ jac - mag.form_matrix(z.q)
     return float(np.max(np.abs(defect)))
 

@@ -348,16 +348,17 @@ def to_text(node, parent_level=0):
 
 # -- compilation ---------------------------------------------------------------
 
-def _py_source(node):
+def py_source(node):
+    """Python source of an AST over the names q<i>, p<i> and SOURCE_NAMES."""
     if isinstance(node, Num):
         return repr(float(node.value))
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return f"(-{_py_source(node.arg)})"
+        return f"(-{py_source(node.arg)})"
     if isinstance(node, Call):
-        return f"_m.{node.fn}({_py_source(node.arg)})"
-    left, right = _py_source(node.left), _py_source(node.right)
+        return f"_m.{node.fn}({py_source(node.arg)})"
+    left, right = py_source(node.left), py_source(node.right)
     if node.op != "^":
         return f"({left} {node.op} {right})"
     exponent = _num_of(node.right)
@@ -373,6 +374,10 @@ def _real_pow(base, exponent):
     return base ** exponent
 
 
+# the names py_source's output reads besides the variables
+SOURCE_NAMES = {"_m": math, "_real_pow": _real_pow}
+
+
 def compile_node(node):
     """Compile an AST to a fast ``f(q, p=None) -> float`` callable.
 
@@ -383,12 +388,11 @@ def compile_node(node):
     or a negative base to a fractional power) and a non-finite result both
     raise NumericalDomainError naming the expression.
     """
-    namespace = {"_m": math, "_real_pow": _real_pow,
-                 "_fault": lambda why: NumericalDomainError(
-                     f"evaluating {to_text(node)!r}: {why}")}
+    namespace = dict(SOURCE_NAMES, _fault=lambda why: NumericalDomainError(
+        f"evaluating {to_text(node)!r}: {why}"))
     reads = "".join(f"        {name} = float({name[0]}[{int(name[1:]) - 1}])\n"
                     for name in sorted(variables(node)))
-    exec(_code(reads, _py_source(node)), namespace)
+    exec(_code(reads, py_source(node)), namespace)
     return namespace["_expr"]
 
 

@@ -153,8 +153,10 @@ class OneFormSection:
 class TwoFormField:
     """A two-form on Q stored through its strictly upper triangle.
 
-    The evaluation matrix M(q) = upper(q) - upper(q)^T is exactly
-    antisymmetric by construction, whatever the supplied entries do.
+    With U(q) the strict upper triangle of ``upper_fn(q)``, the evaluation
+    matrix M(q) = U(q) - U(q)^T is exactly antisymmetric by construction,
+    whatever the supplied entries do; the entries on and below the diagonal
+    are evaluated and ignored.
     """
 
     def __init__(self, upper_fn, n, constant=None):
@@ -165,7 +167,8 @@ class TwoFormField:
     def matrix(self, q):
         if self._constant is not None:
             return self._constant
-        upper = np.asarray(self._upper_fn(np.asarray(q, dtype=float)), dtype=float)
+        upper = np.triu(np.asarray(self._upper_fn(np.asarray(q, dtype=float)),
+                                   dtype=float), 1)
         if not np.isfinite(upper).all():
             raise NumericalDomainError("two-form evaluation is non-finite")
         return upper - upper.T
@@ -184,7 +187,7 @@ class TwoFormField:
         value = upper - upper.T
         value.setflags(write=False)
         # a non-finite matrix keeps the per-call path, which raises on use
-        return cls(lambda q: upper, matrix.shape[0],
+        return cls(lambda q: matrix, matrix.shape[0],
                    constant=value if np.isfinite(value).all() else None)
 
     @classmethod
@@ -193,7 +196,7 @@ class TwoFormField:
             matrix = np.asarray(fn(q), dtype=float)
             if check and max_abs(matrix + matrix.T) > 1e-9 * (1.0 + max_abs(matrix)):
                 raise NumericalDomainError("two-form evaluation is not antisymmetric")
-            return np.triu(matrix, 1)
+            return matrix
 
         return cls(upper, n)
 

@@ -13,10 +13,11 @@ levels, which differ only in their ``level`` callback.
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .dynamics import magnetic_vector_field, structure_solve, symplectic_residual
+from .dynamics import magnetic_vector_field, pullback_defect, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
 from .geometry import (
     PhasePoint,
@@ -28,7 +29,7 @@ from .geometry import (
 from .linalg import max_abs
 from .nonholonomic import (
     admissible_basis,
-    constrained_field,
+    multiplier_field,
     section_point,
     surface_frame,
 )
@@ -177,7 +178,7 @@ def type1_constrained(section, dist, ham, mag, samples,
     """
 
     def level(z, free):
-        return None, constrained_field(dist, ham, mag, z).vec
+        return None, multiplier_field(dist, ham, z, free).vector.vec
 
     rows = []
     for q in samples:
@@ -191,25 +192,30 @@ def type1_constrained(section, dist, ham, mag, samples,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
-def _type2_residuals(section, phase_map, ham, mag, z, level):
+def _type2_residuals(section, phase_map, ham, mag, z, image, jac_eps, level):
     """The two Type II residuals at one sample z.
 
-    ``level(image)`` gives, at the image point eps(z), the level's projector
-    P and selection S (None for the identity) and its target field (None
-    for the free field there). X_pull, the field of H o eps, solves
+    ``image`` and ``jac_eps`` are eps(z) and J_eps(z) when the caller holds
+    them, else None. ``level(image, free)`` gives, at the image point, the
+    level's projector P and selection S (None for the identity) and its
+    target field (None for the free field there); ``free()`` solves for the
+    free field at the image once. X_pull, the field of H o eps, solves
     Omega(z)^T X_pull = J_eps^T dH(eps(z)) (pullback_hamiltonian is its
     oracle). With lambda the section's tangent image of the free flow at
     the image point, the residuals are a = |P S J_eps X_pull - S lambda|
     and b = |S lambda - target|.
     """
-    image = phase_map.value(z)
-    projector, selection, target = level(image)
-    jac_eps = phase_map.jacobian(z)
+    if image is None:
+        image = phase_map.value(z)
+    free = cache(lambda: magnetic_vector_field(ham, mag, image))
+    projector, selection, target = level(image, free)
+    if jac_eps is None:
+        jac_eps = phase_map.jacobian(z)
     grad_pull = jac_eps.T @ ham.gradient(image)
     if not np.isfinite(grad_pull).all():
         raise NumericalDomainError("Hamiltonian gradient is non-finite")
     x_pull = structure_solve(mag.form_matrix(z.q), grad_pull)
-    x_image = magnetic_vector_field(ham, mag, image)
+    x_image = free()
     lam_push = tangent_lift(section.jacobian(image.q), x_image.dq)
     pushed = jac_eps @ x_pull
     if selection is not None:
@@ -223,28 +229,37 @@ def _type2_residuals(section, phase_map, ham, mag, z, level):
 
 
 def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
-                 level, hypothesis=None):
+                 level, hypothesis=None, images=None):
     """Per-sample status agreement of the two Type II residuals at one level.
 
-    A residual inside the status band is recomputed once with 10x smaller
-    finite-difference steps before its status is read. The unreduced levels
-    record the map's symplectic residual per sample as their hypothesis
-    (VACUOUS above the ``hypothesis`` tolerance); the reduced level has run
-    its own battery and passes its worst twist residual as ``hypothesis``.
+    A residual inside the status band is recomputed once, with a refined
+    section and map, at 10x smaller finite-difference steps before its
+    status is read. The unreduced levels record the map's symplectic
+    residual per sample as their hypothesis (VACUOUS above the
+    ``hypothesis`` tolerance); the reduced level has run its own battery and
+    passes its worst twist residual as ``hypothesis``. ``images`` holds
+    eps(z) per sample when a caller's pre-pass already evaluated them; each
+    sample's eps(z) and J_eps(z) are otherwise evaluated once here.
     """
     status_tol = tolerances.get("status")
     rows = []
     hyp_worst = 0.0
     agree = True
-    for z in samples:
+    for index, z in enumerate(samples):
         row = {"z": z.vec.tolist()}
+        image = None if images is None else images[index]
+        jac = None
         if hypothesis is None:
-            row["symplectic"] = symplectic_residual(phase_map, mag, z)
+            # in symplectic_residual's order: J_eps(z), then eps(z)
+            jac = phase_map.jacobian(z)
+            if image is None:
+                image = phase_map.value(z)
+            row["symplectic"] = pullback_defect(mag, z, image, jac)
             hyp_worst = max(hyp_worst, row["symplectic"])
-        a, b = _type2_residuals(section, phase_map, ham, mag, z, level)
+        a, b = _type2_residuals(section, phase_map, ham, mag, z, image, jac, level)
         if in_band(a, status_tol) or in_band(b, status_tol):
             a, b = _type2_residuals(_refined(section), _refined(phase_map),
-                                    ham, mag, z, level)
+                                    ham, mag, z, None, None, level)
         row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
                    status_b=status_of(b, status_tol))
         agree = agree and (row["status_a"] == row["status_b"])
@@ -271,7 +286,7 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     status of the two residuals at every sample instead of their values.
     """
     return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
-                        tolerances, lambda image: (None, None, None))
+                        tolerances, lambda image, free: (None, None, None))
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -281,16 +296,18 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
+    images = []
     for z in samples:
-        section_hypotheses(section, dist, ham, phase_map.value(z).q, tolerances)
+        images.append(phase_map.value(z))
+        section_hypotheses(section, dist, ham, images[-1].q, tolerances)
     constraint_tol = tolerances.get("constraint")
 
-    def level(image):
+    def level(image, free):
         basis = admissible_basis(dist, ham, image, tol=constraint_tol)
-        return basis @ basis.T, None, constrained_field(dist, ham, mag, image).vec
+        return basis @ basis.T, None, multiplier_field(dist, ham, image, free()).vector.vec
 
     return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
-                        tolerances, level)
+                        tolerances, level, images=images)
 
 
 def induced_magnetic_field(section, n):

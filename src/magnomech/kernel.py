@@ -1,0 +1,576 @@
+"""Generated RK4 steps: one straight-line function of Python floats per system.
+
+``step_kernel(ham, mag, dist)`` writes, compiles and keeps the source of one
+classical RK4 step of the closed-form field X = (H_p, -H_q + B H_p), plus
+the Lagrange-multiplier correction sum_a lambda_a (0, -A_a) when a
+distribution is given, followed by the end-of-step work: the drift
+residual, the momentum projection (Hairer, Lubich and Wanner, *Geometric
+Numerical Integration*, section IV.4), the post-projection residual and the
+energy. The source is written once per (ham, mag, dist) on the first
+``integrate`` call that needs it; building a system writes nothing.
+
+Each ingredient is inlined or called: G, dG/dq, V, dV/dq (or a general H
+and its gradient), B, A and dA/dq. A callable compiled by ``scenarios``
+carries the ASTs it evaluates as ``nodes``, and ``expressions.py_source``
+inlines them, so each entry runs the same ``math`` calls and gives the same
+value; any other callable is called and its array unpacked into floats. G
+is solved by an unrolled square-root-free Cholesky factorisation
+G = L D L^T, and B is a literal when constant. An ingredient without
+partials takes them by central differences, which magnify any rounding
+difference by 1 / FD_STEP; the step then calls the per-point functions for
+the whole Hamiltonian (``BaseTerms.gradient`` and ``value``) or constraint
+data (``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
+their arrays, so such systems stay bitwise equal to the per-point oracles.
+
+Every guard of the per-point functions runs at the same RK stage with the
+same exception and message, and every entry they evaluate is evaluated in
+their order, so the first fault is the same one. An inlined entry fails as
+``expressions.compile_node`` does, naming its expression. Decisions that
+rest on LAPACK stay with LAPACK: a mass matrix whose factorisation breaks
+down goes to the LU solve that tells a singular matrix from an indefinite
+one, and with k >= 2 constraint rows the rank test and the k x k solves call
+``linalg``. A finite check reads ``x * 0.0 == 0.0``, false exactly for inf
+and nan.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from . import expressions as ex
+from .dynamics import SOLVER_TOL, BaseTerms
+from .errors import (
+    CompatibilityError,
+    DegenerateConstraintError,
+    DegenerateFormError,
+    NumericalDomainError,
+)
+from .linalg import max_abs, rank_of, solve_small
+from .nonholonomic import SurfaceFrame, multiplier_correction
+
+# generated steps kept, the least recently used dropped first
+KERNELS = 32
+
+
+@lru_cache(maxsize=KERNELS)
+def step_kernel(ham, mag, dist):
+    """``step(row, dt, project)`` for the field of (ham, mag, dist or None).
+
+    ``row`` is (q, p, energy, residual, drift) as 2n + 3 floats; the step
+    returns the next row, or raises the per-point functions' error.
+    ``step.field(q1, ..., pn)`` is the generated field at one point.
+    """
+    return _Generator(ham, mag, dist).compile()
+
+
+def _flat(array):
+    return np.asarray(array, dtype=float).ravel().tolist()
+
+
+def _gradient(ham, q, p):
+    """(H_q, H_p) by BaseTerms, with its guards."""
+    return BaseTerms(ham, np.array(q)).gradient(np.array(p)).tolist()
+
+
+def _corrected(dist, ham, q, p, free):
+    """The constrained field from the free one, as constrained_field_multiplier
+    computes it."""
+    frame = SurfaceFrame(dist, BaseTerms(ham, np.array(q)))
+    return multiplier_correction(frame, np.array(p), np.array(free))[0].tolist()
+
+
+def _finished(ham, dist, q, p, project):
+    """(p, energy, residual, drift) at the end of a step, as the per-point
+    constraint_residual, project_to_constraint and value compute them."""
+    terms = BaseTerms(ham, np.array(q))
+    p = np.array(p)
+    drift = residual = 0.0
+    if dist is not None:
+        frame = SurfaceFrame(dist, terms)
+        drift = residual = max_abs(frame.residual(p))
+        if project:
+            p = frame.project(p)
+            if not np.isfinite(p).all():
+                raise NumericalDomainError("phase point has non-finite entries")
+            residual = max_abs(frame.residual(p))
+    return (*p.tolist(), terms.value(p), residual, drift)
+
+
+def _lu_velocity(mass, p):
+    """G^{-1} p by LU, as BaseTerms.velocity computes it; the path for a mass
+    matrix whose factorisation broke down."""
+    try:
+        return np.linalg.solve(np.array(mass), np.array(p)).tolist()
+    except np.linalg.LinAlgError:
+        raise NumericalDomainError("mass matrix is singular") from None
+
+
+def _solve(matrix, rhs, error, message):
+    """``linalg.solve_small`` on nested floats, raising ``error(message)``
+    for a singular matrix."""
+    try:
+        return solve_small(np.array(matrix), np.array(rhs)).tolist()
+    except np.linalg.LinAlgError:
+        raise error(message) from None
+
+
+def _leaves(nodes):
+    """The ASTs of nested lists in row-major order (one bare AST alone)."""
+    if isinstance(nodes, list):
+        return [leaf for node in nodes for leaf in _leaves(node)]
+    return [nodes]
+
+
+def _lit(value):
+    value = float(value)
+    if value == 0.0:
+        return "0.0"
+    return f"({value!r})" if value < 0 else repr(value)
+
+
+def _is_lit(source):
+    try:
+        float(source.strip("()"))
+    except ValueError:
+        return False
+    return True
+
+
+def _neg(source):
+    if _is_lit(source):
+        return _lit(-float(source.strip("()")))
+    return f"-{source}"
+
+
+def _mul(*factors):
+    """Source of a product of atoms, folding literal factors 0 and 1."""
+    if "0.0" in factors:
+        return "0.0"
+    kept = [factor for factor in factors if factor != "1.0"]
+    return " * ".join(kept) if kept else "1.0"
+
+
+def _sum(terms):
+    """Source of a left-to-right sum, dropping literal zeros."""
+    kept = [term for term in terms if term != "0.0"]
+    return " + ".join(kept) if kept else "0.0"
+
+
+def _dot(left, right):
+    return _sum(_mul(a, b) for a, b in zip(left, right))
+
+
+def _tuple(atoms):
+    return f"({', '.join(atoms)},)"
+
+
+class _Generator:
+    """Writes the step's source. Each ingredient method emits its code into
+    the function being written and returns the atoms (local names or
+    literals) holding its entries."""
+
+    def __init__(self, ham, mag, dist):
+        self.ham, self.mag, self.dist = ham, mag, dist
+        self.n = ham.n
+        self.k = 0 if dist is None else dist.k
+        # finite differences anywhere send that part to the per-point functions
+        self.written_ham = (
+            (ham._mass_fn is None or ham._mass_grad_fn is not None)
+            and (ham._potential_fn is None or ham._potential_grad_fn is not None)
+            if ham.is_quadratic else ham._general_grad_fn is not None)
+        self.written_dist = dist is None or (
+            self.written_ham and dist._rows_grad_fn is not None)
+        self.qs = [f"q{i + 1}" for i in range(self.n)]
+        self.ps = [f"p{i + 1}" for i in range(self.n)]
+        self.namespace = dict(
+            ex.SOURCE_NAMES, _sqrt=math.sqrt, _nan=math.nan, _array=np.array,
+            _flat=_flat, _lu_velocity=_lu_velocity, _solve=_solve,
+            _rank_of=rank_of, _Domain=NumericalDomainError,
+            _Form=DegenerateFormError, _Constraint=DegenerateConstraintError,
+            _Compat=CompatibilityError, _ham=ham, _dist=dist, _gradient=_gradient,
+            _corrected=_corrected, _finished=_finished)
+        self.lines = []
+
+    # -- writing -------------------------------------------------------------
+
+    def begin(self, signature, finite):
+        self.lines.append(f"def {signature}:")
+        self.indent = "    "
+        self.finite = set(finite)
+        self.names = 0
+        self.q_array = False
+
+    def emit(self, line):
+        self.lines.append(self.indent + line)
+
+    def fresh(self, tag, source):
+        """A new local holding ``source``."""
+        self.names += 1
+        name = f"{tag}_{self.names}"
+        self.emit(f"{name} = {source}")
+        return name
+
+    def assign(self, tag, source):
+        """An atom holding ``source``: itself when it is one, else a new local."""
+        if source.isidentifier() or _is_lit(source):
+            return source
+        return self.fresh(tag, source)
+
+    def divide(self, tag, top, bottom):
+        if top == "0.0" or bottom == "1.0":
+            return top
+        return self.assign(tag, f"{top} / {bottom}")
+
+    def check_finite(self, atoms, message):
+        """Raise NumericalDomainError(message) unless every atom is finite;
+        atoms known to be finite are skipped."""
+        unknown = [a for a in atoms if a not in self.finite and not _is_lit(a)]
+        if unknown:
+            test = " + ".join(f"{a} * 0.0" for a in unknown)
+            self.emit(f"if not {test} == 0.0:")
+            self.emit(f"    raise _Domain({message!r})")
+            self.finite.update(unknown)
+
+    def entries(self, tag, fn, size, with_p=False):
+        """The entries of ``fn``'s array at the point in row-major order:
+        inlined from ``fn.nodes``, else unpacked from a call of ``fn`` on the
+        numpy q (and p when ``with_p``)."""
+        nodes = getattr(fn, "nodes", None)
+        if nodes is not None:
+            return [self.inline(f"{tag}{i}", node)
+                    for i, node in enumerate(_leaves(nodes))]
+        self.namespace[f"_{tag}"] = fn
+        names = [f"{tag}{i}" for i in range(size)]
+        self.emit(f"{_tuple(names)} = _flat(_{tag}({self.arrays(with_p)}))")
+        return names
+
+    def value(self, tag, fn, with_p=False):
+        """The float ``fn`` returns at the point, inlined or called."""
+        if hasattr(fn, "nodes"):
+            return self.inline(tag, fn.nodes)
+        self.namespace[f"_{tag}"] = fn
+        self.emit(f"{tag} = float(_{tag}({self.arrays(with_p)}))")
+        return tag
+
+    def arrays(self, with_p):
+        """q (and p) as numpy arrays, for a called ingredient; q is built once
+        per function."""
+        if not self.q_array:
+            self.q_array = True
+            self.emit(f"_q = _array({_tuple(self.qs)})")
+        return f"_q, _array({_tuple(self.ps)})" if with_p else "_q"
+
+    def inline(self, name, node):
+        """One entry, faulting as the callable compile_node makes for it."""
+        if isinstance(node, ex.Num):
+            return _lit(node.value)
+        head = f"evaluating {ex.to_text(node)!r}: "
+        self.emit("try:")
+        self.emit(f"    {name} = {ex.py_source(node)}")
+        self.emit("except (ArithmeticError, ValueError) as err:")
+        self.emit(f"    raise _Domain({head!r} + str(err)) from None")
+        self.emit(f"if not {name} * 0.0 == 0.0:")
+        self.emit(f"    raise _Domain({head!r} + 'non-finite value ' + str({name}))")
+        self.finite.add(name)
+        return name
+
+    # -- the Hamiltonian -----------------------------------------------------
+
+    def mass(self):
+        """G(q) and its factors L D L^T, or None for unit masses. Sets
+        ``self.pd`` to the source of the test that every pivot is positive;
+        a failed pivot is nan, so nothing divides by zero."""
+        fn = self.ham._mass_fn
+        if fn is None:
+            return None
+        n = self.n
+        flat = self.entries("G", fn, n * n)
+        mass = [flat[i * n:(i + 1) * n] for i in range(n)]
+        lower = [[None] * n for _ in range(n)]
+        pivots, tests = [], []
+        for j in range(n):
+            # the lower triangle, as LAPACK's Cholesky reads it
+            pivot = _sum([mass[j][j]] + [_neg(_mul(lower[j][m], lower[j][m], pivots[m]))
+                                         for m in range(j)])
+            if not _is_lit(pivot):
+                pivot = self.fresh("d", pivot)
+                self.emit(f"if not {pivot} > 0.0:")
+                self.emit(f"    {pivot} = _nan")
+                tests.append(f"{pivot} > 0.0")
+            elif not float(pivot.strip("()")) > 0.0:
+                pivot, tests = "_nan", ["False"] + tests
+            pivots.append(pivot)
+            for i in range(j + 1, n):
+                top = _sum([mass[i][j]] + [_neg(_mul(lower[i][m], lower[j][m], pivots[m]))
+                                           for m in range(j)])
+                lower[i][j] = self.divide("l", self.assign("l", top), pivot)
+        self.pd = " and ".join(tests) or "True"
+        return mass, lower, pivots
+
+    def solve_mass(self, factors, rhs):
+        """G^{-1} rhs by forward substitution, the pivots and back substitution."""
+        if factors is None:
+            return list(rhs)
+        _, lower, pivots = factors
+        n = self.n
+        y = []
+        for i in range(n):
+            y.append(self.assign("y", _sum(
+                [rhs[i]] + [_neg(_mul(lower[i][m], y[m])) for m in range(i)])))
+        y = [self.divide("z", y[i], pivots[i]) for i in range(n)]
+        x = [None] * n
+        for i in reversed(range(n)):
+            x[i] = self.assign("x", _sum(
+                [y[i]] + [_neg(_mul(lower[m][i], x[m])) for m in range(i + 1, n)]))
+        return x
+
+    def lu_fallback(self, factors, p, target=None):
+        """With a broken-down factorisation, the LU velocity and its
+        singular-matrix guard (bound to ``target``, or only checked)."""
+        if factors is None or self.pd == "True":
+            return
+        call = f"_lu_velocity({_tuple(_tuple(row) for row in factors[0])}, {_tuple(p)})"
+        self.emit(f"if not ({self.pd}):")
+        self.emit(f"    {call}" if target is None else f"    {_tuple(target)} = {call}")
+
+    def require_pd(self, factors):
+        if factors is not None and self.pd != "True":
+            self.emit(f"if not ({self.pd}):")
+            self.emit("    raise _Domain('mass matrix is not positive definite')")
+
+    def quadratic_gradient(self):
+        """(H_q, H_p, factors of G, dG/dq) in BaseTerms.gradient's order: G
+        and its solve for H_p, dV/dq, the positive-definiteness guard, dG/dq."""
+        ham, n, p = self.ham, self.n, self.ps
+        factors = self.mass()
+        v = self.solve_mass(factors, p)
+        self.lu_fallback(factors, p)
+        fn = ham._potential_grad_fn
+        potential = ["0.0"] * n if fn is None else self.entries("dV", fn, n)
+        self.require_pd(factors)
+        if factors is None:
+            return potential, v, None, None
+        flat = self.entries("dG", ham._mass_grad_fn, n ** 3)
+        gradient = [[flat[(c * n + i) * n:(c * n + i + 1) * n] for i in range(n)]
+                    for c in range(n)]
+        # -0.5 v^T dG_c v, grouped as ((-0.5 v) @ dG_c) @ v
+        half = [_mul("(-0.5)", a) for a in v]
+        hq = []
+        for c in range(n):
+            row = [self.assign("u", _dot(half, [gradient[c][i][j] for i in range(n)]))
+                   for j in range(n)]
+            kinetic = self.assign("kin", _dot(row, v))
+            hq.append(self.assign("hq", _sum([kinetic, potential[c]])))
+        return hq, v, factors, gradient
+
+    def gradient(self):
+        """(H_q, H_p, factors of G, dG/dq), inlined or by BaseTerms."""
+        n = self.n
+        if not self.written_ham:
+            names = [f"g{i}" for i in range(2 * n)]
+            self.emit(f"{_tuple(names)} = _gradient(_ham, {_tuple(self.qs)}, "
+                      f"{_tuple(self.ps)})")
+            self.finite.update(names)  # BaseTerms.gradient checked them
+            return names[:n], names[n:], None, None
+        if self.ham.is_quadratic:
+            return self.quadratic_gradient()
+        grad = self.entries("g", self.ham._general_grad_fn, 2 * n, with_p=True)
+        return grad[:n], grad[n:], None, None
+
+    # -- the two-form and the constraints ------------------------------------
+
+    def two_form(self):
+        """B(q) as an n x n grid of atoms, evaluating every entry
+        TwoFormField.matrix evaluates."""
+        n = self.n
+        field = self.mag.b_field
+        if field._constant is not None:
+            flat = [_lit(value) for value in field._constant.ravel()]
+        elif hasattr(field._upper_fn, "nodes"):
+            flat = self.entries("B", field._upper_fn, n * n)
+        else:
+            # the called matrix is B itself, with its guard and lower triangle
+            flat = self.entries("B", self.mag.b_matrix, n * n)
+            return [flat[i * n:(i + 1) * n] for i in range(n)]
+        # M = U - U^T from the strict upper triangle U
+        return [[flat[i * n + j] if i < j else "0.0" if i == j else _neg(flat[j * n + i])
+                 for j in range(n)] for i in range(n)]
+
+    def rows(self):
+        """A(q) as k rows of atoms, with the rank guard of
+        ConstraintDistribution.matrix."""
+        n, k = self.n, self.k
+        flat = self.entries("A", self.dist._rows_fn, k * n)
+        self.check_finite(flat, "constraint rows are non-finite")
+        failure = ("raise _Constraint('constraint rows rank deficient at q=' + "
+                   f"str(_array({_tuple(self.qs)})))")
+        if k == 1:
+            # one row has rank 0 exactly when every entry is 0
+            if not any(_is_lit(a) and a != "0.0" for a in flat):
+                test = " and ".join(f"{a} == 0.0" for a in flat if not _is_lit(a))
+                self.emit(f"if {test or 'True'}:")
+                self.emit(f"    {failure}")
+        else:
+            grid = _tuple(_tuple(flat[a * n:(a + 1) * n]) for a in range(k))
+            self.emit(f"if _rank_of(_array({grid})) < {k}:")
+            self.emit(f"    {failure}")
+        return [flat[a * n:(a + 1) * n] for a in range(k)]
+
+    def rows_jacobian(self, weighted, gradient, v):
+        """The q block of Dc, shape (k, n), as SurfaceFrame.jacobian builds it:
+        (dA/dq_c) G^{-1} p, minus (A G^{-1}) (dG/dq_c) G^{-1} p."""
+        n, k = self.n, self.k
+        flat = self.entries("dA", self.dist._rows_grad_fn, n * k * n)
+        jac = [[self.assign("J", _dot(flat[(c * k + a) * n:(c * k + a + 1) * n], v))
+                for c in range(n)] for a in range(k)]
+        if gradient is not None:
+            for c in range(n):
+                moved = [self.assign("Gv", _dot(gradient[c][i], v)) for i in range(n)]
+                for a in range(k):
+                    jac[a][c] = self.assign("J", _sum(
+                        [jac[a][c], _neg(self.assign("u", _dot(weighted[a], moved)))]))
+        return jac
+
+    def gram(self, weighted, rows):
+        return [[self.assign("gram", _dot(weighted[a], rows[b])) for b in range(self.k)]
+                for a in range(self.k)]
+
+    def small_solve(self, gram, rhs, negate, error, message):
+        """The k x k solve of solve_small, on -gram and -rhs when ``negate``:
+        one division for k = 1, where the signs cancel exactly."""
+        if self.k == 1:
+            self.emit(f"if {gram[0][0]} == 0.0:")
+            self.emit(f"    raise {error}({message!r})")
+            return [self.divide("lam", rhs[0], gram[0][0])]
+        sign = _neg if negate else str
+        names = [f"lam{a}" for a in range(self.k)]
+        matrix = _tuple(_tuple(sign(a) for a in row) for row in gram)
+        self.emit(f"{_tuple(names)} = _solve({matrix}, {_tuple(sign(a) for a in rhs)}, "
+                  f"{error}, {message!r})")
+        return names
+
+    # -- the generated functions ---------------------------------------------
+
+    def field(self):
+        """``_field(q, p)``: X at one stage point."""
+        n, ps = self.n, self.ps
+        self.begin(f"_field({', '.join(self.qs + ps)})", self.qs + ps)
+        hq, hp, factors, gradient = self.gradient()
+        self.check_finite(hq + hp, "Hamiltonian gradient is non-finite")
+        b = self.two_form()
+        push = [self.assign("push", _dot(b[i], hp)) for i in range(n)]
+        dp = [self.assign("dp", _sum([_neg(hq[i]), push[i]])) for i in range(n)]
+        if any(entry != "0.0" for row in b for entry in row):
+            # structure equation Omega^T X = dH in components:
+            # (B X_q - X_p, X_q) = (H_q, H_p), with X_q = H_p exactly
+            defect = [self.assign("e", _sum([push[i], _neg(dp[i]), _neg(hq[i])]))
+                      for i in range(n)]
+            self.emit(f"res = _sqrt({_dot(defect, defect)})")
+            self.emit(f"if not res <= {SOLVER_TOL!r} * (1.0 + _sqrt({_dot(hq + hp, hq + hp)})):")
+            self.emit("    raise _Form('structure solve residual ' + format(res, '.3e') "
+                      "+ ' exceeds tolerance')")
+        if not self.written_dist:
+            self.emit(f"return _corrected(_dist, _ham, {_tuple(self.qs)}, {_tuple(ps)}, "
+                      f"{_tuple(hp + dp)})")
+            return
+        if self.dist is not None:
+            rows = self.rows()
+            weighted = [self.solve_mass(factors, row) for row in rows]
+            jac = self.rows_jacobian(weighted, gradient, hp)
+            rate = [self.assign("jx", _sum([_dot(jac[a], hp), _dot(weighted[a], dp)]))
+                    for a in range(self.k)]
+            lam = self.small_solve(self.gram(weighted, rows), rate, True, "_Compat",
+                                   "multiplier matrix is singular")
+            dp = [self.assign("dp", _sum(
+                [dp[j]] + [_neg(_mul(rows[a][j], lam[a])) for a in range(self.k)]))
+                for j in range(n)]
+        self.emit(f"return {', '.join(hp + dp)}")
+
+    def finish(self):
+        """``_finish(q, p, project)``: the row at the end of a step."""
+        qs, ps = self.qs, self.ps
+        self.begin(f"_finish({', '.join(qs + ps)}, project)", [])
+        self.check_finite(qs + ps, "state is non-finite")
+        if not (self.written_ham and self.written_dist):
+            self.emit(f"return {', '.join(qs)}, *_finished(_ham, _dist, {_tuple(qs)}, "
+                      f"{_tuple(ps)}, project)")
+            return
+        if not self.ham.is_quadratic:
+            energy = self.value("H", self.ham._general_fn, with_p=True)
+            self.emit(f"return {', '.join(qs + ps)}, {energy}, 0.0, 0.0")
+            return
+        drift = residual = "0.0"
+        rows = self.rows() if self.dist is not None else None
+        factors = self.mass()
+        v = self.solve_mass(factors, ps)
+        if factors is not None:
+            # own names, rebound by the LU fallback and by the projection
+            v = [self.fresh("v", a) for a in v]
+        self.lu_fallback(factors, ps, target=v)
+        if rows is not None:
+            drift = residual = self.max_abs(rows, v, "drift")
+            self.emit("if project:")
+            self.indent = "        "
+            self.require_pd(factors)
+            weighted = [self.solve_mass(factors, row) for row in rows]
+            shift = self.small_solve(
+                self.gram(weighted, rows), [self.assign("wp", _dot(w, ps)) for w in weighted],
+                False, "_Constraint", "projection Gram matrix is singular")
+            for j, name in enumerate(ps):
+                moved = _sum([name] + [_neg(_mul(rows[a][j], shift[a]))
+                                       for a in range(self.k)])
+                if moved != name:
+                    self.emit(f"{name} = {moved}")
+            self.finite.difference_update(ps)
+            self.check_finite(ps, "phase point has non-finite entries")
+            for old, new in zip(v, self.solve_mass(factors, ps)):
+                if old != new:
+                    self.emit(f"{old} = {new}")
+            self.max_abs(rows, v, "residual")
+            self.indent = "    "
+            self.emit("else:")
+            self.emit("    residual = drift")
+            residual = "residual"
+        fn = self.ham._potential_fn
+        potential = "0.0" if fn is None else self.value("V", fn)
+        self.emit(f"H = 0.5 * ({_dot(ps, v)}) + {potential}")
+        self.check_finite(["H"], "Hamiltonian is non-finite at the point")
+        self.emit(f"return {', '.join(qs + ps)}, H, {residual}, {drift}")
+
+    def max_abs(self, rows, v, name):
+        values = [f"abs({_dot(row, v)})" for row in rows]
+        self.emit(f"{name} = " + (values[0] if len(values) == 1 else
+                                  f"max({', '.join(values)})"))
+        return name
+
+    def step(self):
+        """``step(row, dt, project)``: the four stages and ``_finish``."""
+        x = self.qs + self.ps
+        size = len(x)
+        self.begin("step(row, dt, project)", [])
+        self.emit(f"{', '.join(x)}, _h, _r, _d = row")
+        self.emit("h = 0.5 * dt")
+        stages, point = [], x
+        for s, scale in enumerate(("h", "h", "dt", None)):
+            stage = [f"k{s}_{i}" for i in range(size)]
+            self.emit(f"{', '.join(stage)} = _field({', '.join(point)})")
+            stages.append(stage)
+            if scale is None:
+                break
+            point = [self.fresh("y", f"{x[i]} + {scale} * {stage[i]}") for i in range(size)]
+            self.check_finite(point, "phase point has non-finite entries")
+        self.emit("w = dt / 6.0")
+        ends = [f"{x[i]} + w * ({stages[0][i]} + 2.0 * {stages[1][i]} + 2.0 * "
+                f"{stages[2][i]} + {stages[3][i]})" for i in range(size)]
+        self.emit(f"return _finish({', '.join(ends)}, project)")
+
+    def compile(self):
+        self.field()
+        self.finish()
+        self.step()
+        source = "\n".join(self.lines) + "\n"
+        exec(compile(source, "<magnomech-step>", "exec"), self.namespace)
+        step = self.namespace["step"]
+        step.field = self.namespace["_field"]
+        return step

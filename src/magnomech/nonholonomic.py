@@ -23,7 +23,7 @@ from .errors import (
     SectionImageError,
 )
 from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
-from .dynamics import FD_STEP, PointTable, magnetic_vector_field
+from .dynamics import FD_STEP, PointTable, magnetic_vector_field, read_only
 from .linalg import max_abs, null_space, rank_of, solve_small
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
@@ -90,8 +90,7 @@ class SurfaceFrame:
     Holds A(q) (with its rank check), dA/dq, the basis of D_q and the
     Hamiltonian's base terms at q; the residual c, its derivative Dc and
     the projection at any momentum over q are assembled from them, and the
-    admissible basis is kept per momentum. Kept arrays pass through
-    ``terms.keep`` (read-only unless the terms are the integrator's), and a
+    admissible basis is kept per momentum. Kept arrays are read-only, and a
     guard that raises caches nothing.
     """
 
@@ -101,35 +100,35 @@ class SurfaceFrame:
 
     @cached_property
     def rows(self):
-        return self.terms.keep(self.dist.matrix(self.terms.q))
+        return read_only(self.dist.matrix(self.terms.q))
 
     @cached_property
     def rows_gradient(self):
-        return self.terms.keep(self.dist.rows_gradient(self.terms.q))
+        return read_only(self.dist.rows_gradient(self.terms.q))
 
     @cached_property
     def rows_inverse(self):
         """A G^{-1}: the momentum block of Dc."""
-        return self.terms.keep(self.rows @ self.terms.inverse)
+        return read_only(self.rows @ self.terms.inverse)
 
     @cached_property
     def gram(self):
         """A G^{-1} A^T: the projection Gram matrix, and minus the multiplier one."""
-        return self.terms.keep(self.rows_inverse @ self.rows.T)
+        return read_only(self.rows_inverse @ self.rows.T)
 
     @cached_property
     def rows_mass_gradient(self):
         """A dG^{-1}/dq_c stacked by direction c, shape (n, k, n)."""
         inverse = self.terms.inverse
-        return self.terms.keep(np.array([self.rows @ (-inverse @ grad @ inverse)
-                                         for grad in self.terms.mass_gradient]))
+        return read_only(np.array([self.rows @ (-inverse @ grad @ inverse)
+                                   for grad in self.terms.mass_gradient]))
 
     @cached_property
     def basis(self):
         """Orthonormal columns spanning D_q = ker A(q)."""
         if self.dist.k == 0:
-            return self.terms.keep(np.eye(self.dist.n))
-        return self.terms.keep(null_space(self.rows))
+            return read_only(np.eye(self.dist.n))
+        return read_only(null_space(self.rows))
 
     @cached_property
     def _admissible(self):
@@ -145,7 +144,7 @@ class SurfaceFrame:
         stacked = np.zeros((2 * dist.k, 2 * dist.n))
         stacked[: dist.k, : dist.n] = self.rows
         stacked[dist.k:] = self.jacobian(p)
-        return self.terms.keep(null_space(stacked))
+        return read_only(null_space(stacked))
 
     def residual(self, p):
         """c(q, p) = A(q) G(q)^{-1} p."""
@@ -322,21 +321,31 @@ def constrained_field_multiplier(dist, ham, mag, z):
     The correction directions Z_a are the vertical lifts (0, -A_a); the
     multipliers make X tangent to the constraint surface.
     """
-    free = magnetic_vector_field(ham, mag, z)
+    return multiplier_field(dist, ham, z, magnetic_vector_field(ham, mag, z))
+
+
+def multiplier_field(dist, ham, z, free):
+    """The multiplier route at z from the free field ``free`` at z, for
+    callers that already hold it."""
     if dist.k == 0:
         return ConstrainedField(free, multipliers=np.zeros(0))
-    frame = surface_frame(dist, ham, z.q)
-    jac_c = frame.jacobian(z.p)
-    rows = frame.rows
+    x, lam = multiplier_correction(surface_frame(dist, ham, z.q), z.p, free.vec)
+    return ConstrainedField(TangentPhaseVector.from_vec(x), multipliers=lam)
+
+
+def multiplier_correction(frame, p, free):
+    """(X, lambda) on flat arrays: the free field ``free`` at (q, p), q the
+    frame's base point, plus sum_a lambda_a Z_a."""
+    dist = frame.dist
+    jac_c = frame.jacobian(p)
     lifts = np.zeros((2 * dist.n, dist.k))
-    lifts[dist.n:, :] = -rows.T
+    lifts[dist.n:, :] = -frame.rows.T
     gram = jac_c @ lifts
     try:
-        lam = np.linalg.solve(gram, -jac_c @ free.vec)
+        lam = np.linalg.solve(gram, -jac_c @ free)
     except np.linalg.LinAlgError:
         raise CompatibilityError("multiplier matrix is singular") from None
-    x = free.vec + lifts @ lam
-    return ConstrainedField(TangentPhaseVector.from_vec(x), multipliers=lam)
+    return free + lifts @ lam, lam
 
 
 def constrained_field(dist, ham, mag, z):

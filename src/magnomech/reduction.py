@@ -291,9 +291,9 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
-    qs = [phase_map.value(z).q for z in samples]
+    images = [phase_map.value(z) for z in samples]
     hyp_worst, defects, _ = _reduced_hypotheses(
-        section, sym, dist, ham, mag, qs, tolerances)
+        section, sym, dist, ham, mag, [image.q for image in images], tolerances)
     symp_worst = 0.0
     for z in samples:
         symp_worst = max(symp_worst, symplectic_residual(phase_map, mag, z))
@@ -306,12 +306,12 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
 
-    def level(image):
+    def level(image, free):
         reduced, frame = reduced_field(sym, dist, ham, mag, image, tolerances)
         return frame.projector(), frame.selection, reduced
 
     return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,
-                        tolerances, level, hypothesis=hyp_worst)
+                        tolerances, level, hypothesis=hyp_worst, images=images)
 
 
 def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,

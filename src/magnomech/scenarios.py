@@ -328,22 +328,29 @@ def _compile(nodes):
     A bare AST gives its float-valued function. Nested lists give a
     C-contiguous array of their shape, filled in row-major order, so the
     first faulting entry is the one reported. An array whose entries are
-    all numbers is built once and returned read-only on every call.
+    all numbers is built once and returned read-only on every call. The
+    function keeps ``nodes`` as its ``nodes`` attribute, which the
+    integrator's generated step inlines (see kernel.py).
     """
     if not isinstance(nodes, list):
-        return ex.compile_node(nodes)
-    leaves = np.asarray(nodes, dtype=object)
-    shape = leaves.shape
-    if all(isinstance(node, ex.Num) for node in leaves.flat):
-        constant = np.array([node.value for node in leaves.flat], dtype=float)
-        constant = constant.reshape(shape)
-        constant.setflags(write=False)
-        return lambda q, p=None: constant
-    fns = [ex.compile_node(node) for node in leaves.flat]
+        evaluate = ex.compile_node(nodes)
+    else:
+        leaves = np.asarray(nodes, dtype=object)
+        shape = leaves.shape
+        if all(isinstance(node, ex.Num) for node in leaves.flat):
+            constant = np.array([node.value for node in leaves.flat], dtype=float)
+            constant = constant.reshape(shape)
+            constant.setflags(write=False)
 
-    def evaluate(q, p=None):
-        return np.array([f(q, p) for f in fns]).reshape(shape)
+            def evaluate(q, p=None):
+                return constant
+        else:
+            fns = [ex.compile_node(node) for node in leaves.flat]
 
+            def evaluate(q, p=None):
+                return np.array([f(q, p) for f in fns]).reshape(shape)
+
+    evaluate.nodes = nodes
     return evaluate
 
 
@@ -452,7 +459,7 @@ def build_system(spec):
         matrix_fn = _compile(model["b_field"])
         for q in probes:
             _require_antisymmetric(matrix_fn(q), 1e-9, f" at q={q}")
-        b_field = TwoFormField(lambda q: np.triu(matrix_fn(q), 1), n)
+        b_field = TwoFormField(matrix_fn, n)
     mag = MagneticStructure(b_field)
 
     rows = model["constraints"]

@@ -22,6 +22,7 @@ from magnomech import (
     type2_constrained,
     type2_magnetic,
 )
+from magnomech import dynamics, hj, nonholonomic
 from magnomech.cli import _type2_samples, check_hj1, check_hj2
 from magnomech.dynamics import structure_solve
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
@@ -307,33 +308,42 @@ def test_induced_field_makes_type1_pass_with_matched_potential():
 
 def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     """Every Type I level goes through one kernel at the one section point
-    that the section hypotheses build, and the Type II kernel solves for
-    the field of H o eps from the J_eps and eps(z) it holds, building no
-    Hamiltonian per sample."""
+    that the section hypotheses build, the constrained levels correct the
+    free field their kernel already solved, and the Type II kernel solves
+    for the field of H o eps from the eps(z) and J_eps(z) evaluated once
+    per sample, building no Hamiltonian per sample."""
     system = load_system(scenario_dir / "nh-magnetic-particle.json")
     calls = Counter()
 
-    def counting(cls, name):
-        original = getattr(cls, name)
+    def counting(owner, name, key=None):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counting(OneFormSection, "value")
     counting(HamiltonianSpec, "__init__")
+    counting(PhaseMap, "value", "map_value")
     counting(PhaseMap, "jacobian")
+    for module in (dynamics, hj, nonholonomic):
+        counting(module, "magnetic_vector_field")
     report = check_hj1(system, 50, 0)
     assert report.check == "hj1-distributional" and report.verdict == "PASS"
     assert calls["value"] == 50
+    assert calls["magnetic_vector_field"] == 50
     calls.clear()
     report = check_hj2(system, 50, 0)
     assert report.check == "hj2-distributional" and report.verdict == "PASS"
     assert calls["__init__"] == 0
-    # one Newton step, the symplectic residual and the Type II kernel
-    assert calls["jacobian"] == 3 * 50
+    assert calls["magnetic_vector_field"] == 50
+    # Newton takes 2 values and 1 Jacobian per sample; the section
+    # pre-pass, the symplectic residual and the Type II kernel share one
+    # value and one Jacobian
+    assert calls["map_value"] == 3 * 50
+    assert calls["jacobian"] == 2 * 50
 
 
 def test_pulled_back_field_matches_its_oracle(systems):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -9,6 +10,7 @@ from magnomech import (
     DegenerateConstraintError,
     HamiltonianSpec,
     MagneticStructure,
+    MagnomechError,
     NumericalDomainError,
     OffConstraintError,
     PhasePoint,
@@ -18,11 +20,13 @@ from magnomech import (
     constraint_residual,
     halving_ratio,
     integrate,
+    load_system,
     magnetic_vector_field,
     parse_scenario,
     project_to_constraint,
 )
-from magnomech.integrate import FieldKernel, _rk4_step
+from magnomech import kernel
+from magnomech.kernel import step_kernel
 from magnomech.linalg import max_abs
 from magnomech.sampling import phase_samples, surface_phase_samples
 from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
@@ -144,7 +148,75 @@ def test_csv_round_trip():
     assert np.allclose(parsed["q1"], traj.states[:, 0])
 
 
-# -- the fused kernel against the per-point oracles ---------------------------
+def _csv_writer_rendering(traj):
+    """The CSV text csv.writer gives for a trajectory, row by row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    n = traj.n
+    writer.writerow(["t"] + [f"q{i + 1}" for i in range(n)]
+                    + [f"p{i + 1}" for i in range(n)]
+                    + ["H", "constraint_res", "drift"])
+    for i, t in enumerate(traj.times):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in traj.states[i]]
+                        + [repr(float(traj.energies[i])),
+                           repr(float(traj.constraint_residuals[i])),
+                           repr(float(traj.drifts[i]))])
+    return buffer.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_csv_bytes_match_csv_writer(systems, tmp_path):
+    ham, mag = constant_field_system([[0, 1], [-1, 0]])
+    planar = integrate(ham, mag, PhasePoint([0.0, 0.0], [1.0, 0.0]), 3.0, 0.002)
+    system = systems["nh-magnetic-particle"]
+    z0 = project_to_constraint(system.dist, system.ham, system.initial_state)
+    constrained = integrate(system.ham, system.mag, z0, 0.5, 0.01, dist=system.dist,
+                            kind="distributional")
+    blowup = HamiltonianSpec.quadratic(
+        1, potential_fn=lambda q: -q[0] ** 4,
+        potential_grad_fn=lambda q: np.array([-4 * q[0] ** 3]))
+    aborted = integrate(blowup, MagneticStructure.canonical(1),
+                        PhasePoint([2.0], [5.0]), 50.0, 0.5)
+    # more rows than one chunk, n = 3 with residuals, and a partial run
+    assert len(planar.times) > 1024 and constrained.n == 3 and aborted.aborted
+    for traj in (planar, constrained, aborted):
+        expected = _csv_writer_rendering(traj)
+        buffer = io.StringIO()
+        traj.to_csv(buffer)
+        assert buffer.getvalue() == expected
+        path = tmp_path / "run.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == expected.encode()
+
+
+# -- the generated kernel against the per-point oracles -----------------------
+
+
+def test_kernel_is_generated_on_the_first_integrate_and_reused(scenario_dir,
+                                                               monkeypatch):
+    generated = []
+    compile_step = kernel._Generator.compile
+
+    def counting(self):
+        generated.append(self)
+        return compile_step(self)
+
+    monkeypatch.setattr(kernel._Generator, "compile", counting)
+    step_kernel.cache_clear()
+    system = load_system(scenario_dir / "magnetic-trap.json")
+    assert not generated
+    for dt in (0.01, 0.005):
+        integrate(system.ham, system.mag, system.initial_state, 0.1, dt)
+    assert len(generated) == 1
+
+
+def _rk4_step(rhs, vec, dt):
+    """The reference RK4 step on flat numpy vectors."""
+    k1 = rhs(vec)
+    k2 = rhs(vec + 0.5 * dt * k1)
+    k3 = rhs(vec + 0.5 * dt * k2)
+    k4 = rhs(vec + dt * k3)
+    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _system(doc):
@@ -164,11 +236,13 @@ def _reference_run(ham, mag, z0, steps, dt, dist=None, project=True):
     """RK4 over the oracle field with the per-point end-of-step sequence
     (drift, projection, residual, energy), stopping where integrate aborts.
 
-    Returns the states, drifts, residuals and energies of the recorded steps.
+    Returns the states, drifts, residuals and energies of the recorded steps
+    and the abort message as integrate words it (None without an abort).
     """
     rhs = _oracle_rhs(ham, mag, dist)
     vec = z0.vec
     rows = [(vec, 0.0, 0.0, ham.value(z0))]
+    message = None
     for _ in range(steps):
         try:
             vec = _rk4_step(rhs, vec, dt)
@@ -183,11 +257,13 @@ def _reference_run(ham, mag, z0, steps, dt, dist=None, project=True):
                     vec = z.vec
                 residual = max_abs(constraint_residual(dist, ham, z))
             energy = ham.value(z)
-        except (NumericalDomainError, OverflowError):
+        except (NumericalDomainError, OverflowError) as err:
+            message = f"{type(err).__name__}: {err}"
             break
         rows.append((vec, drift, residual, energy))
     states, drifts, residuals, energies = zip(*rows)
-    return np.array(states), np.array(drifts), np.array(residuals), np.array(energies)
+    return (np.array(states), np.array(drifts), np.array(residuals),
+            np.array(energies), message)
 
 
 def _mass(q):
@@ -226,6 +302,14 @@ def _extra_systems():
     def on_surface(dist, ham):
         return project_to_constraint(dist, ham, z3)
 
+    inlined = {
+        "n": 3, "potential": "0.5*(q1^2 + q2^2 + q3^2)",
+        "mass_matrix": [["1 + 0.5*q2^2", "0.1*q1", "0"], ["0.1*q1", "2", "0"],
+                        ["0", "0", "1 + 0.2*q1^2"]],
+        "b_field": [["0", "0.5*q3", "0"], ["-0.5*q3", "0", "0"], ["0", "0", "0"]]}
+    one_row = _system(dict(inlined, name="one-row", constraints=[["0", "-q1", "1"]]))
+    two_rows = _system(dict(inlined, name="two-rows",
+                            constraints=[["0", "-q1", "1"], ["1", "0", "0.5*q2"]]))
     mass_symbolic = HamiltonianSpec.quadratic(3, mass_fn=_mass, mass_grad_fn=_mass_grad,
                                               potential_fn=potential)
     mass_fd = HamiltonianSpec.quadratic(3, mass_fn=_mass, potential_fn=potential)
@@ -240,6 +324,10 @@ def _extra_systems():
                                       on_surface(rows, mass_symbolic)),
         "constrained-mass-fd": (mass_fd, canonical, rows, on_surface(rows, mass_fd)),
         "constrained-rows-fd": (unit, canonical, rows_fd, on_surface(rows_fd, unit)),
+        "inlined-mass-one-row": (one_row.ham, one_row.mag, one_row.dist,
+                                 on_surface(one_row.dist, one_row.ham)),
+        "inlined-mass-two-rows": (two_rows.ham, two_rows.mag, two_rows.dist,
+                                  on_surface(two_rows.dist, two_rows.ham)),
     }
 
 
@@ -247,9 +335,9 @@ EXTRA = _extra_systems()
 
 
 def _worst_rhs_gap(ham, mag, dist, points):
-    kernel = FieldKernel(ham, mag, dist)
+    field = step_kernel(ham, mag, dist).field
     oracle = _oracle_rhs(ham, mag, dist)
-    return max(float(np.max(np.abs(kernel.rhs(z.vec) - oracle(z.vec))))
+    return max(float(np.max(np.abs(np.array(field(*z.vec.tolist())) - oracle(z.vec))))
                for z in points)
 
 
@@ -279,7 +367,7 @@ def test_kernel_rhs_matches_oracles_off_the_corpus(name):
 def _assert_matches_reference(ham, mag, z0, dt, dist, project=True, tol=1e-12):
     kind = "magnetic" if dist is None else "distributional"
     traj = integrate(ham, mag, z0, 200 * dt, dt, dist=dist, kind=kind, project=project)
-    states, drifts, residuals, energies = _reference_run(
+    states, drifts, residuals, energies, _ = _reference_run(
         ham, mag, z0, 200, dt, dist=dist, project=project)
     assert not traj.aborted and len(states) == 201
     assert np.max(np.abs(traj.states - states)) <= tol
@@ -339,7 +427,7 @@ def test_mass_losing_definiteness_aborts_at_the_reference_step(n):
     kind = "magnetic" if dist is None else "distributional"
     traj = integrate(system.ham, system.mag, system.initial_state, 3.0, 0.03,
                      dist=dist, kind=kind)
-    states, _, _, _ = _reference_run(system.ham, system.mag, system.initial_state,
+    states, _, _, _, _ = _reference_run(system.ham, system.mag, system.initial_state,
                                      100, 0.03, dist=dist)
     # 34 states, the length the per-point integrator produced as well
     assert len(traj.times) == len(states) == 34
@@ -358,3 +446,105 @@ def test_rank_loss_mid_run_raises():
     with pytest.raises(DegenerateConstraintError):
         integrate(system.ham, system.mag, system.initial_state, 2.0, 0.25,
                   dist=system.dist, kind="distributional")
+
+
+def _fault_systems():
+    """Systems that meet a fault mid-run, each as (system, kind, t_end, dt)."""
+    moving = {"q": [0.0, 0.0, 0.0], "p": [1.0, 0.0, 0.0]}
+
+    def field_entry(entry):
+        # B_23 varies along q1 and pushes nothing while p2 = p3 = 0
+        return {"n": 3, "b_field": [[0, 0, 0], ["0", "0", entry],
+                                    ["0", f"-({entry})", "0"]],
+                "sample_box": [[-1.0, 0.5]] * 3, "initial_state": moving}
+
+    softening = _softening_mass_system(2)
+    singular = _softening_mass_system(2)
+    # stage points at q1 = -1.5 + 0.5 j hit G_22 = 1 - q1 = 0 exactly
+    singular.initial_state = PhasePoint([-1.5, 0.0], [1.0, 0.0])
+    return {
+        # too weak to move p1 off 1, so a stage point lands on q1 = 0
+        "potential-pole": (_system({
+            "name": "pole", "n": 2, "potential": "1e-30/q1",
+            "initial_state": {"q": [-1.0, 0.0], "p": [1.0, 0.0]}}),
+            "magnetic", 2.0, 0.25),
+        "softening-mass": (softening, "magnetic", 3.0, 0.03),
+        "softening-mass-constrained": (_softening_mass_system(3), "distributional",
+                                       3.0, 0.03),
+        "singular-mass": (singular, "magnetic", 4.0, 1.0),
+        "non-finite-b-field": (_system(dict(field_entry("exp(400*q1)*exp(400*q1)"),
+                                            name="overflowing-product")),
+                               "magnetic", 2.0, 0.01),
+        "exp-overflow": (_system(dict(field_entry("exp(1000*q1)"), name="exp")),
+                         "magnetic", 2.0, 0.01),
+        # B H_p at 1e8 leaves a rounding defect above the structure guard
+        "structure-residual": (_system({
+            "name": "stiff", "n": 2, "potential": "0.5*(q1^2 + q2^2)",
+            "b_field": [[0, 1e8], [-1e8, 0]],
+            "initial_state": {"q": [0.3, 0.7], "p": [0.2, 0.1]}}), "magnetic", 1.0, 0.01),
+        # A G^{-1} A^T underflows to 0 although the row is not zero
+        "singular-multiplier": (_system({
+            "name": "tiny-row", "n": 2, "constraints": [["1e-200", "1e-200*q1"]],
+            "initial_state": {"q": [0.3, 0.7], "p": [0.0, 0.1]}}),
+            "distributional", 1.0, 0.01),
+        "rank-loss": (_system({"name": "vanishing-row", "n": 2,
+                               "constraints": [["0", "1 - q1"]],
+                               "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}}),
+                      "distributional", 2.0, 0.25),
+    }
+
+
+FAULTS = _fault_systems()
+
+
+def _outcome(run):
+    """The value of ``run()``, or the error it raised as (class, message)."""
+    try:
+        return run()
+    except MagnomechError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_fault_stops_the_run_where_the_per_point_run_stops(name):
+    system, kind, t_end, dt = FAULTS[name]
+    dist = system.dist if kind == "distributional" else None
+    steps = int(round(t_end / dt))
+    traj = _outcome(lambda: integrate(system.ham, system.mag, system.initial_state,
+                                      t_end, dt, dist=dist, kind=kind))
+    reference = _outcome(lambda: _reference_run(
+        system.ham, system.mag, system.initial_state, steps, dt, dist=dist))
+    if isinstance(reference[0], type):
+        assert traj == reference
+        return
+    states, _, _, _, message = reference
+    assert message is not None and len(states) <= steps
+    assert traj.abort_reason.step == len(traj.times) == len(states)
+    assert traj.abort_reason.message == message
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+
+
+def _raised(run):
+    with pytest.raises(MagnomechError) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_state_guards_raise_as_the_per_point_functions_do(systems):
+    """The guards no scenario reaches before an expression fault, met from
+    states near the float range: a non-finite gradient, stage point, end
+    state and energy."""
+    trap = systems["magnetic-trap"]
+    step = step_kernel(trap.ham, trap.mag, None)
+    rhs = _oracle_rhs(trap.ham, trap.mag, None)
+    assert _raised(lambda: step.field(0.0, 0.5, 1e200, 0.0)) == _raised(
+        lambda: rhs(np.array([0.0, 0.5, 1e200, 0.0])))
+    assert _raised(lambda: step((0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 10.0, True)) == _raised(
+        lambda: _rk4_step(rhs, np.array([0.0, 0.0, 1e308, 0.0]), 10.0))
+    assert _raised(lambda: step((0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0), 1e-300, True)) == _raised(
+        lambda: trap.ham.value(PhasePoint([0.0, 0.0], [1e200, 0.0])))
+    planar = systems["charged-particle"]
+    step = step_kernel(planar.ham, planar.mag, None)
+    assert _raised(lambda: step((0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 1.0, True)) == (
+        NumericalDomainError, "state is non-finite")
