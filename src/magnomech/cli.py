@@ -10,27 +10,19 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import hj, reduction
-from .dynamics import symplectic_residual
 from .errors import MagnomechError, ScenarioError
-from .geometry import (
-    PhasePoint,
-    magnetic_match_residual,
-    two_form_closedness_residual,
-)
+from .geometry import PhasePoint
 from .integrate import integrate
-from .nonholonomic import (
-    compatibility_report,
-    project_to_constraint,
-    surface_frame,
-)
+from .nonholonomic import geometry_check, project_to_constraint
 from .sampling import (
     config_samples,
-    newton_preimage,
+    newton_preimages,
     phase_samples,
     surface_phase_samples,
 )
@@ -134,54 +126,21 @@ def _type2_samples(system, count, seed):
     if system.gamma is not None:
         for q in config_samples(system.sample_box, count // 2):
             targets.append(PhasePoint(q, system.gamma.value(q)))
-    return [newton_preimage(system.epsilon, w) for w in targets]
+    return newton_preimages(system.epsilon, targets)
 
 
 def check_geometry(system, count, seed):
     """Closedness, compatibility, dimensions and map diagnostics."""
     start = time.perf_counter()
-    data = {}
-    verdict = "PASS"
-    tol = system.tolerances
-    qs = config_samples(system.sample_box, count)
-    closedness = max(two_form_closedness_residual(system.mag.b_field, q)
-                     for q in qs)
-    data["b_closedness_residual"] = closedness
-    if closedness > tol.get("closedness"):
-        verdict = "FAIL"
+    draw = None
     if system.constrained or system.epsilon is not None:
         # one draw serves every branch: Sobol points come in prefix order and
         # momenta fill row by row, so zs[:10] is the draw of min(count, 10)
-        zs = _phase_points(system, count, seed)
-    if system.constrained:
-        reports = [compatibility_report(system.dist, system.ham, system.mag,
-                                        z, sigma_tol=tol.get("compat_sigma"))
-                   for z in zs]
-        dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
-        data["dims"] = [list(d) for d in dims]
-        data["dims_constant"] = len(dims) == 1
-        data["sigma_min"] = min(r.sigma_min for r in reports)
-        data["compatibility_passed"] = all(r.passed for r in reports)
-        if not data["compatibility_passed"] or not data["dims_constant"]:
-            verdict = "FAIL"
-    if system.gamma is not None:
-        residual = max(
-            magnetic_match_residual(
-                system.gamma, system.mag.b_field, q,
-                basis=surface_frame(system.dist, system.ham, q).basis)
-            for q in qs)
-        data["gamma_match_residual"] = residual
-    if system.epsilon is not None:
-        data["symplectic_residual"] = max(
-            symplectic_residual(system.epsilon, system.mag, z) for z in zs[:10])
-    if system.symmetry is not None and system.constrained:
-        related_verdict, related_data = reduction.relatedness_check(
-            system.symmetry, system.dist, system.ham, system.mag, zs[:10],
-            tolerances=tol)
-        data.update(related_data)
-        data["relatedness_verdict"] = related_verdict
-        if related_verdict == "FAIL":
-            verdict = "FAIL"
+        draw = cache(lambda: _phase_points(system, count, seed))
+    verdict, data = geometry_check(
+        system.dist, system.ham, system.mag, system.gamma, system.epsilon,
+        system.symmetry, config_samples(system.sample_box, count), draw,
+        system.tolerances)
     return CheckReport(system.name, "geometry", verdict, data,
                        time.perf_counter() - start)
 
@@ -195,8 +154,8 @@ def _report_from_hj(system, hj_report, start):
 def check_hj1(system, count, seed, reduced=False):
     if system.gamma is None:
         raise ScenarioError("missing_field", "check hj1 needs gamma", "gamma")
-    qs = config_samples(system.sample_box, count)
     start = time.perf_counter()
+    qs = config_samples(system.sample_box, count)
     if reduced:
         if system.symmetry is None:
             raise ScenarioError("missing_field",
@@ -218,8 +177,8 @@ def check_hj1(system, count, seed, reduced=False):
 def check_hj2(system, count, seed, reduced=False):
     if system.gamma is None or system.epsilon is None:
         raise ScenarioError("missing_field", "check hj2 needs gamma and epsilon")
-    zs = _type2_samples(system, count, seed)
     start = time.perf_counter()
+    zs = _type2_samples(system, count, seed)
     if reduced:
         if system.symmetry is None:
             raise ScenarioError("missing_field",

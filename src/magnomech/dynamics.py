@@ -30,7 +30,6 @@ from .geometry import (
 )
 
 SOLVER_TOL = 1e-10
-MEMO_ENTRIES = 256
 # central-difference step for a Hamiltonian or constraint rows that have no
 # symbolic derivative (sections and phase maps use geometry.DEFAULT_FD_STEP)
 FD_STEP = 1e-6
@@ -42,38 +41,6 @@ def read_only(array):
     view = array.view()
     view.setflags(write=False)
     return view
-
-
-class PointTable:
-    """Values built once per distinct point, keyed by the point's bytes.
-
-    ``get(point, build)`` returns the stored value or ``build(copy)``, where
-    ``copy`` is a read-only copy of the point, so a caller that mutates its
-    array afterwards cannot reach a stored value. The table holds at most
-    ``size`` values and is cleared when full. A build that raises stores
-    nothing, so its guard raises again on the next call. A point that is not
-    a 1-D array is built afresh every time, since its bytes omit its shape.
-    """
-
-    def __init__(self, size=MEMO_ENTRIES):
-        self._size = size
-        self._values = {}
-
-    def __len__(self):
-        return len(self._values)
-
-    def get(self, point, build):
-        if point.ndim != 1:
-            return build(point)
-        key = point.tobytes()
-        value = self._values.get(key)
-        if value is None:
-            if len(self._values) >= self._size:
-                self._values.clear()
-            point = point.copy()
-            point.setflags(write=False)
-            value = self._values[key] = build(point)
-        return value
 
 
 class HamiltonianSpec:
@@ -94,7 +61,6 @@ class HamiltonianSpec:
         self._potential_grad_fn = potential_grad_fn
         self._general_fn = general_fn
         self._general_grad_fn = general_grad_fn
-        self._terms = PointTable()
 
     @classmethod
     def quadratic(cls, n, mass_fn=None, potential_fn=None, mass_grad_fn=None,
@@ -116,11 +82,9 @@ class HamiltonianSpec:
         return self._general_fn is None
 
     def at(self, q):
-        """The q-dependent terms of H at base point q (see BaseTerms),
-        memoised per distinct q in a PointTable."""
-        return self._terms.get(np.asarray(q, dtype=float), self._new_terms)
-
-    def _new_terms(self, q):
+        """The q-dependent terms of H at base point q (see BaseTerms)."""
+        q = np.array(q, dtype=float)
+        q.setflags(write=False)
         return BaseTerms(self, q)
 
     def mass_matrix(self, q):
@@ -156,19 +120,12 @@ class BaseTerms:
     the same q reuses them. The positive-definiteness
     check runs when the inverse is first needed, the same place the
     per-point call raises it; a guard that raises caches nothing and raises
-    again on the next access. ``frames`` holds the constraint frames over q,
-    one per distribution (see nonholonomic.surface_frame). Every kept array,
-    here and in the frames over q, is read-only, since the terms of
-    ``HamiltonianSpec.at`` are shared by every caller at q.
+    again on the next access. Every kept array is read-only.
     """
 
     def __init__(self, ham, q):
         self.ham = ham
         self.q = q
-
-    @cached_property
-    def frames(self):
-        return {}
 
     @cached_property
     def mass(self):
@@ -268,7 +225,6 @@ class MagneticStructure:
     def __init__(self, b_field):
         self.b_field = b_field
         self.n = b_field.n
-        self._forms = PointTable()
 
     @classmethod
     def canonical(cls, n):
@@ -278,10 +234,7 @@ class MagneticStructure:
         return self.b_field.matrix(q)
 
     def form_matrix(self, q):
-        """Omega(q) as a read-only array, memoised per distinct q."""
-        return self._forms.get(np.asarray(q, dtype=float), self._new_form)
-
-    def _new_form(self, q):
+        """Omega(q) as a read-only array."""
         n = self.n
         omega = np.zeros((2 * n, 2 * n))
         omega[:n, :n] = -self.b_matrix(q)

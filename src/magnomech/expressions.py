@@ -10,8 +10,9 @@ Grammar (EBNF):
 
 Names are variables ``q1..qn`` / ``p1..pn`` or one of the functions
 ``sin``, ``cos``, ``exp``. Parsing produces a small AST that supports
-evaluation, symbolic differentiation (enough for polynomial/trig closed
-forms) and round-trippable printing.
+compilation to a Python function (the one evaluator), symbolic
+differentiation (enough for polynomial/trig closed forms) and
+round-trippable printing.
 """
 
 import math
@@ -254,26 +255,6 @@ def check_variables(node, allowed):
         raise ExpressionError(f"unknown identifier {unknown[0]!r}")
 
 
-def evaluate(node, env):
-    """Tree-walking evaluation against a name -> float mapping."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise ExpressionError(f"unknown identifier {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
-    if isinstance(node, Call):
-        return getattr(math, node.fn)(evaluate(node.arg, env))
-    left = evaluate(node.left, env)
-    right = evaluate(node.right, env)
-    if node.op == "/" and right == 0:
-        raise ExpressionError("division by zero at point")
-    return _OPS[node.op](left, right)
-
-
 def derivative(node, var):
     """Symbolic partial derivative with respect to variable name ``var``.
 
@@ -434,12 +415,17 @@ def phase_names(n):
 
 
 def evaluate_text(text, q, p=None):
-    """One-shot parse and evaluate; the public scenario-facing helper."""
+    """One-shot parse and evaluate; the public scenario-facing helper.
+
+    Evaluates through compile_node, as every scenario expression is
+    evaluated. A fault while evaluating raises ExpressionError with
+    compile_node's message, which names the expression.
+    """
     node = parse(text)
-    env = {}
-    for i, value in enumerate(q):
-        env[f"q{i + 1}"] = float(value)
-    for i, value in enumerate(p if p is not None else ()):
-        env[f"p{i + 1}"] = float(value)
-    check_variables(node, env.keys())
-    return evaluate(node, env)
+    q = [float(value) for value in q]
+    p = [float(value) for value in p or ()]
+    check_variables(node, config_names(len(q)) + [f"p{i + 1}" for i in range(len(p))])
+    try:
+        return compile_node(node)(q, p)
+    except NumericalDomainError as err:
+        raise ExpressionError(str(err)) from None

@@ -9,6 +9,11 @@ informational only.
 Each equation type has one residual kernel (type1_residual,
 _type2_residuals) shared by the magnetic, distributional and reduced
 levels, which differ only in their ``level`` callback.
+Each check first runs on all its samples at once (:mod:`stacked`, through
+linalg.run_stacked). The per-sample kernels, levels and loops here are the
+reference it equals bit for bit, and the path a check reruns when a
+stacked guard trips, so that a fault raises the first failing sample's
+error; the in-band Type II refinement always runs here, per sample.
 """
 
 import dataclasses
@@ -26,7 +31,7 @@ from .geometry import (
     exterior_derivative,
     magnetic_match_residual,
 )
-from .linalg import max_abs
+from .linalg import max_abs, run_stacked
 from .nonholonomic import (
     admissible_basis,
     multiplier_field,
@@ -158,13 +163,15 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    rows = []
-    for q in samples:
-        q = ensure_config(q, ham.n)
-        hyp = magnetic_match_residual(section, mag.b_field, q)
-        equation = type1_residual(section, ham, mag, PhasePoint(q, section.value(q)),
-                                  lambda z, free: (None, free.vec))
-        rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": equation})
+    rows = run_stacked("type1_magnetic", section, ham, mag, samples)
+    if rows is None:
+        rows = []
+        for q in samples:
+            q = ensure_config(q, ham.n)
+            hyp = magnetic_match_residual(section, mag.b_field, q)
+            equation = type1_residual(section, ham, mag, PhasePoint(q, section.value(q)),
+                                      lambda z, free: (None, free.vec))
+            rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": equation})
     return _type1_report("hj1-magnetic", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish")
 
@@ -180,14 +187,17 @@ def type1_constrained(section, dist, ham, mag, samples,
     def level(z, free):
         return None, multiplier_field(dist, ham, z, free).vector.vec
 
-    rows = []
-    for q in samples:
-        z, image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
-        hyp = magnetic_match_residual(section, mag.b_field, z.q,
-                                      basis=surface_frame(dist, ham, z.q).basis)
-        rows.append({"q": z.q.tolist(), "hypothesis": hyp,
-                     "equation": type1_residual(section, ham, mag, z, level),
-                     "image": image, "tangent": tangent})
+    rows = run_stacked("type1_constrained", section, dist, ham, mag, samples,
+                       tolerances)
+    if rows is None:
+        rows = []
+        for q in samples:
+            z, image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
+            hyp = magnetic_match_residual(section, mag.b_field, z.q,
+                                          basis=surface_frame(dist, ham, z.q).basis)
+            rows.append({"q": z.q.tolist(), "hypothesis": hyp,
+                         "equation": type1_residual(section, ham, mag, z, level),
+                         "image": image, "tangent": tangent})
     return _type1_report("hj1-distributional", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
@@ -229,7 +239,7 @@ def _type2_residuals(section, phase_map, ham, mag, z, image, jac_eps, level):
 
 
 def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
-                 level, hypothesis=None, images=None):
+                 level, hypothesis=None, images=None, first=None):
     """Per-sample status agreement of the two Type II residuals at one level.
 
     A residual inside the status band is recomputed once, with a refined
@@ -237,9 +247,12 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
     status is read. The unreduced levels record the map's symplectic
     residual per sample as their hypothesis (VACUOUS above the
     ``hypothesis`` tolerance); the reduced level has run its own battery and
-    passes its worst twist residual as ``hypothesis``. ``images`` holds
-    eps(z) per sample when a caller's pre-pass already evaluated them; each
-    sample's eps(z) and J_eps(z) are otherwise evaluated once here.
+    passes its worst twist residual as ``hypothesis``. ``first`` holds, per
+    sample, the symplectic residual (None on the reduced level) and the two
+    residuals before refinement when a stacked run computed them; each
+    sample's are otherwise computed here, from eps(z) in ``images`` when a
+    caller's pre-pass already evaluated it, and eps(z) and J_eps(z) are
+    then evaluated once per sample.
     """
     status_tol = tolerances.get("status")
     rows = []
@@ -247,16 +260,21 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
     agree = True
     for index, z in enumerate(samples):
         row = {"z": z.vec.tolist()}
-        image = None if images is None else images[index]
-        jac = None
-        if hypothesis is None:
-            # in symplectic_residual's order: J_eps(z), then eps(z)
-            jac = phase_map.jacobian(z)
-            if image is None:
-                image = phase_map.value(z)
-            row["symplectic"] = pullback_defect(mag, z, image, jac)
-            hyp_worst = max(hyp_worst, row["symplectic"])
-        a, b = _type2_residuals(section, phase_map, ham, mag, z, image, jac, level)
+        if first is not None:
+            symplectic, a, b = first[index]
+        else:
+            image = None if images is None else images[index]
+            jac = symplectic = None
+            if hypothesis is None:
+                # in symplectic_residual's order: J_eps(z), then eps(z)
+                jac = phase_map.jacobian(z)
+                if image is None:
+                    image = phase_map.value(z)
+                symplectic = pullback_defect(mag, z, image, jac)
+            a, b = _type2_residuals(section, phase_map, ham, mag, z, image, jac, level)
+        if symplectic is not None:
+            row["symplectic"] = symplectic
+            hyp_worst = max(hyp_worst, symplectic)
         if in_band(a, status_tol) or in_band(b, status_tol):
             a, b = _type2_residuals(_refined(section), _refined(phase_map),
                                     ham, mag, z, None, None, level)
@@ -286,7 +304,9 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     status of the two residuals at every sample instead of their values.
     """
     return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
-                        tolerances, lambda image, free: (None, None, None))
+                        tolerances, lambda image, free: (None, None, None),
+                        first=run_stacked("type2_magnetic", section, phase_map, ham,
+                                          mag, samples))
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -296,10 +316,14 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
-    images = []
-    for z in samples:
-        images.append(phase_map.value(z))
-        section_hypotheses(section, dist, ham, images[-1].q, tolerances)
+    first = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
+                        samples, tolerances)
+    images = None
+    if first is None:
+        images = []
+        for z in samples:
+            images.append(phase_map.value(z))
+            section_hypotheses(section, dist, ham, images[-1].q, tolerances)
     constraint_tol = tolerances.get("constraint")
 
     def level(image, free):
@@ -307,7 +331,7 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
         return basis @ basis.T, None, multiplier_field(dist, ham, image, free()).vector.vec
 
     return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
-                        tolerances, level, images=images)
+                        tolerances, level, images=images, first=first)
 
 
 def induced_magnetic_field(section, n):

@@ -1,4 +1,5 @@
-"""Dense linear-algebra helpers for small matrices."""
+"""Dense linear-algebra helpers for small matrices, and the entry to their
+stacked counterparts (see stacked.py)."""
 
 import numpy as np
 
@@ -58,3 +59,18 @@ def solve_small(matrix, rhs):
             raise np.linalg.LinAlgError("Singular matrix")
         return rhs / pivot
     return np.linalg.solve(matrix, rhs)
+
+
+def run_stacked(name, *args):
+    """``stacked.<name>(*args)``, one check's work on all its samples at once,
+    or None when a guard of that stacked run trips or one of its solves
+    fails: the caller then runs its per-sample loop, which raises the first
+    failing sample's error. The stacked module is imported on first use."""
+    from . import stacked
+    from .errors import MagnomechError
+
+    try:
+        with np.errstate(all="ignore"):
+            return getattr(stacked, name)(*args)
+    except (MagnomechError, np.linalg.LinAlgError):
+        return None

@@ -7,6 +7,11 @@ admissible subspace at a point of that surface collects tangent vectors
 whose base part stays in D and which are tangent to the surface. The
 constrained field is computed two independent ways (restricted solve and
 Lagrange multipliers) so each can serve as the other's oracle.
+:func:`geometry_check` is the geometry battery of a system (closedness,
+compatibility and dimensions, map diagnostics, relatedness). It and the
+checks built on these per-point functions first run on all their samples
+at once (:mod:`stacked`); the functions here are the reference and the
+fallback when a stacked guard trips.
 """
 
 from dataclasses import dataclass
@@ -22,15 +27,17 @@ from .errors import (
     OffConstraintError,
     SectionImageError,
 )
-from .geometry import PhasePoint, TangentPhaseVector, ensure_config, fd_jacobian
-from .dynamics import FD_STEP, PointTable, magnetic_vector_field, read_only
-from .linalg import max_abs, null_space, rank_of, solve_small
+from .geometry import (
+    PhasePoint,
+    TangentPhaseVector,
+    ensure_config,
+    fd_jacobian,
+    magnetic_match_residual,
+    two_form_closedness_residual,
+)
+from .dynamics import FD_STEP, magnetic_vector_field, read_only, symplectic_residual
+from .linalg import max_abs, null_space, rank_of, run_stacked, solve_small
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
-
-# admissible bases kept per frame: the checks visit a handful of momenta
-# over each base point, and this caps a Hamiltonian's tables at
-# MEMO_ENTRIES frames times this many bases however many passes run
-FRAME_MOMENTA = 8
 
 
 class ConstraintDistribution:
@@ -88,10 +95,10 @@ class SurfaceFrame:
     """Constraint data at one base point, each part computed on first use.
 
     Holds A(q) (with its rank check), dA/dq, the basis of D_q and the
-    Hamiltonian's base terms at q; the residual c, its derivative Dc and
-    the projection at any momentum over q are assembled from them, and the
-    admissible basis is kept per momentum. Kept arrays are read-only, and a
-    guard that raises caches nothing.
+    Hamiltonian's base terms at q; the residual c, its derivative Dc, the
+    admissible basis and the projection at any momentum over q are
+    assembled from them. Kept arrays are read-only, and a guard that raises
+    caches nothing.
     """
 
     def __init__(self, dist, terms):
@@ -130,16 +137,9 @@ class SurfaceFrame:
             return read_only(np.eye(self.dist.n))
         return read_only(null_space(self.rows))
 
-    @cached_property
-    def _admissible(self):
-        return PointTable(FRAME_MOMENTA)
-
     def admissible(self, p):
-        """Orthonormal basis of the admissible subspace at (q, p), built once
-        per distinct p (see admissible_basis)."""
-        return self._admissible.get(p, self._new_admissible)
-
-    def _new_admissible(self, p):
+        """Orthonormal basis of the admissible subspace at (q, p) (see
+        admissible_basis)."""
         dist = self.dist
         stacked = np.zeros((2 * dist.k, 2 * dist.n))
         stacked[: dist.k, : dist.n] = self.rows
@@ -180,13 +180,8 @@ class SurfaceFrame:
 
 
 def surface_frame(dist, ham, q):
-    """The SurfaceFrame of ``dist`` over q, kept on the memoised base terms
-    ``ham.at(q)``, so every check at the same q shares one A(q) and D_q."""
-    terms = ham.at(q)
-    frame = terms.frames.get(dist)
-    if frame is None:
-        frame = terms.frames[dist] = SurfaceFrame(dist, terms)
-    return frame
+    """The SurfaceFrame of ``dist`` over q, on the base terms ``ham.at(q)``."""
+    return SurfaceFrame(dist, ham.at(q))
 
 
 def require_quadratic(ham):
@@ -227,10 +222,10 @@ def admissible_basis(dist, ham, z, tol=None):
     """Orthonormal basis of the admissible subspace at a surface point.
 
     Stacks the base condition A(q) dq = 0 with tangency Dc(z) (dq, dp) = 0
-    and takes the null space, once per distinct z (read-only); the surface
-    check against ``tol`` (the scaled ``constraint`` tolerance by default)
-    runs on every call. With no constraints this is the identity on the
-    full 2n-dimensional tangent space.
+    and takes the null space (read-only), after the surface check against
+    ``tol`` (the scaled ``constraint`` tolerance by default). With no
+    constraints this is the identity on the full 2n-dimensional tangent
+    space.
     """
     if dist.k == 0:
         return np.eye(2 * dist.n)
@@ -285,6 +280,58 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
     passed = bool(sigma > sigma_tol and intersection == 0)
     return CompatibilityReport(f_basis.shape[1], tm_basis.shape[1],
                                k_basis.shape[1], sigma, int(intersection), passed)
+
+
+def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
+    """The geometry battery of one system: (verdict, data).
+
+    Closedness of B at the configuration samples ``qs``; compatibility and
+    dimensions (constrained systems), the symplectic residual of eps and
+    quotient relatedness at the phase samples that ``draw()`` returns
+    (None when the system is unconstrained and has no phase map). ``draw``
+    is called once, after the closedness check.
+    """
+    stacked = run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry, qs,
+                          draw, tolerances)
+    if stacked is not None:
+        return stacked
+    from .reduction import relatedness_check
+
+    data = {}
+    verdict = "PASS"
+    closedness = max(two_form_closedness_residual(mag.b_field, q) for q in qs)
+    data["b_closedness_residual"] = closedness
+    if closedness > tolerances.get("closedness"):
+        verdict = "FAIL"
+    if draw is not None:
+        zs = draw()
+    if dist.k > 0:
+        reports = [compatibility_report(dist, ham, mag, z,
+                                        sigma_tol=tolerances.get("compat_sigma"))
+                   for z in zs]
+        dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
+        data["dims"] = [list(d) for d in dims]
+        data["dims_constant"] = len(dims) == 1
+        data["sigma_min"] = min(r.sigma_min for r in reports)
+        data["compatibility_passed"] = all(r.passed for r in reports)
+        if not data["compatibility_passed"] or not data["dims_constant"]:
+            verdict = "FAIL"
+    if gamma is not None:
+        data["gamma_match_residual"] = max(
+            magnetic_match_residual(gamma, mag.b_field, q,
+                                    basis=surface_frame(dist, ham, q).basis)
+            for q in qs)
+    if epsilon is not None:
+        data["symplectic_residual"] = max(
+            symplectic_residual(epsilon, mag, z) for z in zs[:10])
+    if symmetry is not None and dist.k > 0:
+        related_verdict, related_data = relatedness_check(
+            symmetry, dist, ham, mag, zs[:10], tolerances=tolerances)
+        data.update(related_data)
+        data["relatedness_verdict"] = related_verdict
+        if related_verdict == "FAIL":
+            verdict = "FAIL"
+    return verdict, data
 
 
 @dataclass

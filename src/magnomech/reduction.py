@@ -8,7 +8,10 @@ field solves the structure equation in a basis of the pushed-down subspace.
 :func:`reduced_field` builds that basis (a :class:`ReducedFrame`) itself,
 with the on-surface check of :func:`descent_basis`, and returns it with
 the field. The reduced checks call the Type I and Type II kernels of
-:mod:`hj` with a reduced ``level``.
+:mod:`hj` with a reduced ``level``. As there, each reduced check, its
+hypothesis battery included, first runs on all its samples at once
+(:mod:`stacked`), with these per-sample functions as the reference and
+the fallback when a stacked guard trips.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,7 @@ from .hj import (
     type1_residual,
     type2_report,
 )
-from .linalg import column_space, max_abs, null_space
+from .linalg import column_space, max_abs, null_space, run_stacked
 from .nonholonomic import admissible_basis, constrained_field, surface_frame
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -269,19 +272,25 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
-    qs = [ensure_config(q, sym.n) for q in samples]
-    hyp_worst, defects, zs = _reduced_hypotheses(
-        section, sym, dist, ham, mag, qs, tolerances)
+    stacked = run_stacked("type1_reduced", section, sym, dist, ham, mag, samples,
+                          tolerances)
+    if stacked is not None:
+        hyp_worst, defects, rows = stacked
+    else:
+        qs = [ensure_config(q, sym.n) for q in samples]
+        hyp_worst, defects, zs = _reduced_hypotheses(
+            section, sym, dist, ham, mag, qs, tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
-    selection = sym.selection()
+    if stacked is None:
+        selection = sym.selection()
 
-    def level(z, free):
-        return selection, reduced_field(sym, dist, ham, mag, z, tolerances)[0]
+        def level(z, free):
+            return selection, reduced_field(sym, dist, ham, mag, z, tolerances)[0]
 
-    rows = [{"q": z.q.tolist(), "equation": type1_residual(section, ham, mag, z, level)}
-            for z in zs]
+        rows = [{"q": z.q.tolist(),
+                 "equation": type1_residual(section, ham, mag, z, level)} for z in zs]
     eq_worst = max([0.0] + [row["equation"] for row in rows])
     verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
     return HJReport("hj1-reduced", verdict, hyp_worst, equation_residual=eq_worst,
@@ -291,17 +300,23 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
-    images = [phase_map.value(z) for z in samples]
-    hyp_worst, defects, _ = _reduced_hypotheses(
-        section, sym, dist, ham, mag, [image.q for image in images], tolerances)
-    symp_worst = 0.0
-    for z in samples:
-        symp_worst = max(symp_worst, symplectic_residual(phase_map, mag, z))
-    if symp_worst > tolerances.get("hypothesis"):
-        defects.append(f"phase map is not structure preserving ({symp_worst:.3e})")
-    equi = map_equivariance_residual(sym, phase_map, samples)
-    if equi > tolerances.get("invariance"):
-        defects.append(f"phase map is not translation equivariant ({equi:.3e})")
+    stacked = run_stacked("type2_reduced", section, phase_map, sym, dist, ham, mag,
+                          samples, tolerances)
+    images = first = None
+    if stacked is not None:
+        hyp_worst, symp_worst, defects, first = stacked
+    else:
+        images = [phase_map.value(z) for z in samples]
+        hyp_worst, defects, _ = _reduced_hypotheses(
+            section, sym, dist, ham, mag, [image.q for image in images], tolerances)
+        symp_worst = 0.0
+        for z in samples:
+            symp_worst = max(symp_worst, symplectic_residual(phase_map, mag, z))
+        if symp_worst > tolerances.get("hypothesis"):
+            defects.append(f"phase map is not structure preserving ({symp_worst:.3e})")
+        equi = map_equivariance_residual(sym, phase_map, samples)
+        if equi > tolerances.get("invariance"):
+            defects.append(f"phase map is not translation equivariant ({equi:.3e})")
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
@@ -311,7 +326,8 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
         return frame.projector(), frame.selection, reduced
 
     return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,
-                        tolerances, level, hypothesis=hyp_worst, images=images)
+                        tolerances, level, hypothesis=hyp_worst, images=images,
+                        first=first)
 
 
 def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .geometry import PhasePoint
+from .linalg import run_stacked
 from .nonholonomic import project_to_constraint
 
 # Primitive polynomials and initial direction numbers m_1..m_s of Joe & Kuo,
@@ -101,8 +102,11 @@ def phase_samples(box, count, rng):
 
 def surface_phase_samples(dist, ham, box, count, rng):
     """Phase samples projected onto the constraint surface."""
-    return [project_to_constraint(dist, ham, z)
-            for z in phase_samples(box, count, rng)]
+    zs = phase_samples(box, count, rng)
+    projected = run_stacked("projections", dist, ham, zs)
+    if projected is None:
+        projected = [project_to_constraint(dist, ham, z) for z in zs]
+    return projected
 
 
 def newton_preimage(phase_map, target):
@@ -123,3 +127,11 @@ def newton_preimage(phase_map, target):
         except np.linalg.LinAlgError:
             raise NumericalDomainError("phase map Jacobian is singular") from None
     raise NumericalDomainError("preimage iteration did not converge")
+
+
+def newton_preimages(phase_map, targets):
+    """newton_preimage of each target, in order."""
+    found = run_stacked("preimages", phase_map, targets)
+    if found is None:
+        found = [newton_preimage(phase_map, target) for target in targets]
+    return found

@@ -1,4 +1,6 @@
 import json
+import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,19 @@ def test_unknown_function_rejected():
 def test_division_by_zero_reported():
     with pytest.raises(ExpressionError, match="division by zero"):
         expression_eval("1/q1", [0.0])
+
+
+@pytest.mark.parametrize("text", [
+    "q1^0.5",          # a negative base to a fractional power, not complex
+    "exp(1000)*q1",    # OverflowError from math.exp
+    "1e308*q1*10",     # overflow to inf in a product
+])
+def test_expression_eval_faults_as_the_compiled_expressions_do(text):
+    """The public helper evaluates as every scenario expression does: a
+    fault names the expression, and no complex or infinite value escapes."""
+    q = [-1.0] if text == "q1^0.5" else [1.0]
+    with pytest.raises(ExpressionError, match="evaluating"):
+        expression_eval(text, q)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -143,11 +158,26 @@ def _corpus_nodes():
     return out
 
 
+def _walk(node, env):
+    """A tree-walking evaluation of an AST: the oracle of compile_node."""
+    if isinstance(node, ex.Num):
+        return node.value
+    if isinstance(node, ex.Var):
+        return env[node.name]
+    if isinstance(node, ex.Neg):
+        return -_walk(node.arg, env)
+    if isinstance(node, ex.Call):
+        return getattr(math, node.fn)(_walk(node.arg, env))
+    left, right = _walk(node.left, env), _walk(node.right, env)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv, "^": operator.pow}[node.op](left, right)
+
+
 def test_compiled_matches_tree_walker():
     node = ex.parse("q1^3 - 2*p1*q2 + cos(q1)")
     fn = ex.compile_node(node)
     env = {"q1": 0.7, "q2": -0.3, "p1": 1.2}
-    assert fn([0.7, -0.3], [1.2]) == pytest.approx(ex.evaluate(node, env))
+    assert fn([0.7, -0.3], [1.2]) == pytest.approx(_walk(node, env))
     # every corpus expression and derivative, bit for bit, at Sobol points
     # taken as the checks take them (numpy arrays)
     nodes = _corpus_nodes()
@@ -159,12 +189,12 @@ def test_compiled_matches_tree_walker():
             q, p = point[:n], point[n:2 * n]
             env = {name: float(v) for name, v in
                    zip(ex.phase_names(n), np.concatenate([q, p]))}
-            assert fn(q, p) == ex.evaluate(node, env), ex.to_text(node)
+            assert fn(q, p) == _walk(node, env), ex.to_text(node)
 
 
 def test_constant_folding_keeps_value():
     node = ex.parse("0*q1 + 1*(q2 - 0) + 2*3")
-    assert ex.evaluate(node, {"q1": 9.0, "q2": 4.0}) == pytest.approx(10.0)
+    assert ex.compile_node(node)([9.0, 4.0]) == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("text,position", [

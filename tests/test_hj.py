@@ -22,7 +22,7 @@ from magnomech import (
     type2_constrained,
     type2_magnetic,
 )
-from magnomech import dynamics, hj, nonholonomic
+from magnomech import dynamics, hj, stacked
 from magnomech.cli import _type2_samples, check_hj1, check_hj2
 from magnomech.dynamics import structure_solve
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
@@ -311,34 +311,40 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     that the section hypotheses build, the constrained levels correct the
     free field their kernel already solved, and the Type II kernel solves
     for the field of H o eps from the eps(z) and J_eps(z) evaluated once
-    per sample, building no Hamiltonian per sample."""
+    per sample, building no Hamiltonian per sample. The stacked run
+    evaluates eps and J_eps through the map's functions and solves the
+    structure equation for a stack of right-hand sides, so those are what
+    is counted."""
     system = load_system(scenario_dir / "nh-magnetic-particle.json")
     calls = Counter()
 
-    def counting(owner, name, key=None):
+    def counting(owner, name, key=None, weight=lambda *args: 1):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[key or name] += 1
+            calls[key or name] += weight(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(OneFormSection, "value")
     counting(HamiltonianSpec, "__init__")
-    counting(PhaseMap, "value", "map_value")
-    counting(PhaseMap, "jacobian")
-    for module in (dynamics, hj, nonholonomic):
-        counting(module, "magnetic_vector_field")
+    counting(system.epsilon, "eval_fn", "map_value")
+    counting(system.epsilon, "jacobian_fn", "jacobian")
+    # right-hand sides of Omega^T x = dH solved, per sample or stacked
+    for module in (dynamics, hj):
+        counting(module, "structure_solve", "solves")
+    counting(stacked, "structure_solves", "solves", lambda omega, grads: len(grads))
     report = check_hj1(system, 50, 0)
     assert report.check == "hj1-distributional" and report.verdict == "PASS"
     assert calls["value"] == 50
-    assert calls["magnetic_vector_field"] == 50
+    assert calls["solves"] == 50
     calls.clear()
     report = check_hj2(system, 50, 0)
     assert report.check == "hj2-distributional" and report.verdict == "PASS"
     assert calls["__init__"] == 0
-    assert calls["magnetic_vector_field"] == 50
+    # the free field at eps(z) and the field of H o eps at z
+    assert calls["solves"] == 2 * 50
     # Newton takes 2 values and 1 Jacobian per sample; the section
     # pre-pass, the symplectic residual and the Type II kernel share one
     # value and one Jacobian

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +492,22 @@ def _fault_systems():
                                "constraints": [["0", "1 - q1"]],
                                "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}}),
                       "distributional", 2.0, 0.25),
+        # A G^{-1} A^T underflows to 0 at the end point of the first step,
+        # q1 = 5/6, but at none of its stage points (q1 = 0, 0.5, 0.5, 0.75)
+        "singular-projection": (_system({
+            "name": "tiny-row-at-end", "n": 2, "potential": "0.5*q1^2",
+            "constraints": [["0", "1e-170 + 1e-100*(q1 - 0.8333333333333334)^6"]],
+            "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}}),
+            "distributional", 2.0, 1.0),
+        # rows from a plain callable, which the step calls instead of
+        # inlining, turn infinite once q1 reaches 0.5
+        "non-finite-called-rows": (SimpleNamespace(
+            ham=HamiltonianSpec.free(2), mag=MagneticStructure.canonical(2),
+            dist=ConstraintDistribution(
+                2, 1, lambda q: np.array([[0.0, 1.0 if q[0] < 0.5 else np.inf]]),
+                lambda q: np.zeros((2, 1, 2))),
+            initial_state=PhasePoint([0.0, 0.0], [1.0, 0.0])),
+            "distributional", 1.0, 0.1),
     }
 
 

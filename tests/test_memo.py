@@ -1,11 +1,9 @@
-"""The per-base-point memo of the check path.
+"""The base-point data of the per-sample functions and of the check path.
 
-``HamiltonianSpec.at(q)`` and ``MagneticStructure.form_matrix(q)`` keep one
-value per distinct q, each ``BaseTerms`` keeps one ``SurfaceFrame`` per
-distribution, and a frame keeps its D_q basis and its admissible bases.
-The memo must be invisible: read-only values, immune to later mutation of
-the caller's q, guards that raise on every call, a fixed bound, and an
-integrator that never touches the tables.
+``HamiltonianSpec.at(q)`` builds the q-dependent terms of H and
+``surface_frame`` a SurfaceFrame on them; each keeps its arrays for the
+callers at that one point. Their arrays are read-only, their guards raise
+on every call, and a check reads each sample's base point once per stage.
 """
 
 from collections import Counter
@@ -16,13 +14,11 @@ import pytest
 from conftest import SCENARIO_DIR, free_particle_constraint
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
 from magnomech.cli import check_hj2
-from magnomech.dynamics import MEMO_ENTRIES
 from magnomech.errors import (
     DegenerateConstraintError,
     NumericalDomainError,
     OffConstraintError,
 )
-from magnomech.integrate import integrate
 from magnomech.nonholonomic import (
     admissible_basis,
     constraint_residual,
@@ -52,17 +48,6 @@ def _on_surface(dist, ham, q):
     return project_to_constraint(dist, ham, PhasePoint(q, [0.3, -0.2, 0.5]))
 
 
-def test_equal_points_share_one_entry():
-    ham = _ham()
-    q = np.array([0.1, 0.2, 0.3])
-    assert ham.at(q) is ham.at(q.copy())
-    assert ham.at(q) is ham.at([0.1, 0.2, 0.3])
-    assert ham.at(q) is not ham.at(q + 1e-9)
-    dist = free_particle_constraint()
-    assert surface_frame(dist, ham, q) is surface_frame(dist, ham, q.copy())
-    assert surface_frame(dist, ham, q).terms is ham.at(q)
-
-
 def test_cached_arrays_are_read_only(systems):
     ham = _ham()
     dist = free_particle_constraint()
@@ -87,23 +72,6 @@ def test_read_only_values_leave_the_callers_arrays_writable():
     dist = ConstraintDistribution.constant(rows)
     surface_frame(dist, _ham(), np.zeros(3)).rows
     assert rows.flags.writeable
-
-
-def test_mutating_the_callers_q_leaves_the_memo_intact():
-    ham = _ham()
-    dist = free_particle_constraint()
-    q = np.array([0.1, 0.2, 0.3])
-    terms = ham.at(q)
-    inverse = terms.inverse.copy()
-    rows = surface_frame(dist, ham, q).rows.copy()
-    q[:] = [5.0, -4.0, 3.0]
-    original = np.array([0.1, 0.2, 0.3])
-    assert np.array_equal(terms.q, original)
-    assert ham.at(original) is terms
-    assert np.array_equal(ham.at(original).inverse, inverse)
-    assert np.array_equal(surface_frame(dist, ham, original).rows, rows)
-    assert ham.at(q) is not terms
-    assert np.array_equal(ham.at(q).inverse, np.linalg.inv(_mass(q)))
 
 
 def test_rank_deficient_point_raises_on_every_call():
@@ -143,15 +111,12 @@ def test_off_surface_point_raises_on_every_call():
         admissible_basis(dist, ham, off)
 
 
-def test_tables_stay_within_their_bound():
-    ham = _ham()
-    for i in range(MEMO_ENTRIES + 10):
-        ham.at(np.array([i * 1e-3, 0.0, 0.0]))
-        assert len(ham._terms) <= MEMO_ENTRIES
-    assert len(ham._terms) == 10
-
-
 def test_check_hj2_reads_each_base_point_once():
+    """A(q) is read once per sample and stage: at the 25 surface samples'
+    base points to project them, and at the 50 image points, where the
+    section hypotheses and the constrained level share it. The surface and
+    section samples share their Sobol base points, so each of the 25 base
+    points is read three times."""
     system = load_system(SCENARIO_DIR / "nh-magnetic-particle.json")
     dist = system.dist
     seen = Counter()
@@ -164,20 +129,4 @@ def test_check_hj2_reads_each_base_point_once():
     dist._rows_fn = counted
     report = check_hj2(system, 50, 0)
     assert report.verdict == "PASS"
-    assert seen and max(seen.values()) == 1
-
-
-def _entries(table):
-    return {key: id(value) for key, value in table._values.items()}
-
-
-def test_integrator_builds_no_table_entries():
-    system = load_system(SCENARIO_DIR / "nh-magnetic-particle.json")
-    ham, mag, dist = system.ham, system.mag, system.dist
-    z0 = project_to_constraint(dist, ham, system.initial_state)
-    terms, forms = _entries(ham._terms), _entries(mag._forms)
-    trajectory = integrate(ham, mag, z0, 0.1, 1e-3, dist=dist,
-                           kind="distributional")
-    assert len(trajectory.times) == 101 and not trajectory.aborted
-    assert _entries(ham._terms) == terms
-    assert _entries(mag._forms) == forms
+    assert len(seen) == 25 and set(seen.values()) == {3}

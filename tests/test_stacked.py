@@ -1,0 +1,308 @@
+"""The stacked check path against its per-sample reference.
+
+Every check first runs on all its samples at once (magnomech.stacked) and
+falls back to its per-sample loop when a stacked guard trips. The two
+paths must give the same report bytes, and on a fault the same error as
+the per-sample run, raised at the first failing sample.
+"""
+
+import json
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import SCENARIO_DIR
+from test_contract import scenarios
+from magnomech import (
+    OneFormSection,
+    PhaseMap,
+    PhasePoint,
+    TwoFormField,
+    type1_constrained,
+    type1_magnetic,
+    type2_constrained,
+)
+from magnomech import stacked
+from magnomech.cli import (
+    _type2_samples,
+    check_geometry,
+    check_hj1,
+    check_hj2,
+    checks_for_system,
+)
+from magnomech.dynamics import HamiltonianSpec, MagneticStructure
+from magnomech.errors import (
+    DegenerateFormError,
+    MagnomechError,
+    OffConstraintError,
+    SectionImageError,
+    SectionTangentError,
+)
+from magnomech.sampling import config_samples
+from magnomech.scenarios import build_system, parse_scenario, reports_to_json
+
+BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+
+
+@contextmanager
+def per_sample_only():
+    """Every stacked entry point trips, so each check runs its per-sample
+    loop: the reference."""
+    saved = {name: getattr(stacked, name) for name in stacked.CHECKS}
+
+    def trip(*args):
+        raise stacked.Tripped()
+
+    try:
+        for name in saved:
+            setattr(stacked, name, trip)
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(stacked, name, fn)
+
+
+@contextmanager
+def recording_trips():
+    """The names of the stacked entry points that tripped meanwhile."""
+    saved = {name: getattr(stacked, name) for name in stacked.CHECKS}
+    trips = []
+
+    def watched(name, fn):
+        def run(*args):
+            try:
+                return fn(*args)
+            except (MagnomechError, np.linalg.LinAlgError):
+                trips.append(name)
+                raise
+
+        return run
+
+    try:
+        for name, fn in saved.items():
+            setattr(stacked, name, watched(name, fn))
+        yield trips
+    finally:
+        for name, fn in saved.items():
+            setattr(stacked, name, fn)
+
+
+def _report_bytes(reports):
+    for report in reports:
+        report.wall_time_s = 0.0
+    return reports_to_json(reports)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except MagnomechError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(SCENARIOS), seed=st.integers(0, 2**16),
+       count=st.integers(1, 60))
+def test_stacked_checks_equal_the_per_sample_reference(systems, name, seed, count):
+    """Geometry, the three Type I and the three Type II levels give the
+    per-sample reports byte for byte, and no stacked guard trips on the
+    shipped scenarios."""
+    system = systems[name]
+    with recording_trips() as trips:
+        produced = _report_bytes(checks_for_system(system, count, seed))
+    assert trips == []
+    with per_sample_only():
+        reference = _report_bytes(checks_for_system(system, count, seed))
+    assert produced == reference
+
+
+def _check_outcome(run):
+    """A check's report as (check, verdict, data bytes), or its error."""
+    try:
+        with np.errstate(all="ignore"):
+            report = run()
+    except MagnomechError as err:
+        return type(err), str(err)
+    return report.check, report.verdict, json.dumps(report.data, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=scenarios(), count=st.integers(1, 9), seed=st.integers(0, 3))
+def test_stacked_checks_equal_the_reference_on_any_document(doc, count, seed):
+    """Beyond the corpus: masses, general Hamiltonians, partials by central
+    differences and faulting expressions. Every check of every document
+    that builds gives the per-sample report or error."""
+    try:
+        with np.errstate(all="ignore"):
+            system = build_system(parse_scenario(json.dumps(doc)))
+    except MagnomechError:
+        return
+    runs = [lambda: check_geometry(system, count, seed)]
+    if system.gamma is not None:
+        runs += [lambda: check_hj1(system, count, seed),
+                 lambda: check_hj1(system, count, seed, reduced=True)]
+        if system.epsilon is not None:
+            runs += [lambda: check_hj2(system, count, seed),
+                     lambda: check_hj2(system, count, seed, reduced=True)]
+    for run in runs:
+        produced = _check_outcome(run)
+        with per_sample_only():
+            assert _check_outcome(run) == produced
+
+
+def test_the_seven_checks_are_covered(systems):
+    checks = {report.check for system in systems.values()
+              for report in checks_for_system(system, 3, 0)}
+    assert checks == {"geometry", "hj1-magnetic", "hj1-distributional", "hj1-reduced",
+                      "hj2-magnetic", "hj2-distributional", "hj2-reduced"}
+
+
+def _bad_points(qs, *indices):
+    return {qs[i].tobytes() for i in indices}
+
+
+def _section_fault(kind, bad):
+    """The nh-magnetic-particle section (0.5 q2, 0, 0), broken at the base
+    points in ``bad``: off the surface, or with tangents that leave the
+    admissible subspace."""
+
+    def value(q):
+        out = np.array([0.5 * q[1], 0.0, 0.0])
+        if kind == "image" and q.tobytes() in bad:
+            out[2] = 1.0
+        return out
+
+    def jacobian(q):
+        jac = np.zeros((3, 3))
+        jac[0, 1] = 0.5
+        if kind == "tangent" and q.tobytes() in bad:
+            jac[2, 0] = 1.0
+        return jac
+
+    return OneFormSection(value, jacobian)
+
+
+def _type1_fault(systems, kind):
+    system = systems["nh-magnetic-particle"]
+    qs = config_samples(BOX3, 8)
+    section = _section_fault(kind, _bad_points(qs, 3, 6))
+    return lambda: type1_constrained(section, system.dist, system.ham, system.mag, qs,
+                                     tolerances=system.tolerances)
+
+
+def _off_surface_fault(systems):
+    system = systems["nh-magnetic-particle"]
+    zs = _type2_samples(system, 8, 0)
+    for i in (2, 5):
+        zs[i] = PhasePoint(zs[i].q, zs[i].p + [0.0, 0.0, 1.0])
+    return lambda: type2_constrained(system.gamma, system.epsilon, system.dist,
+                                     system.ham, system.mag, zs,
+                                     tolerances=system.tolerances)
+
+
+def _structure_fault(systems):
+    # with p = (0.5, 2, 1), this two-form leaves a dense-solve residual of
+    # about 0.84, far above the structure guard
+    qs = config_samples(BOX3, 8)
+    bad = _bad_points(qs, 4, 7)
+    huge = np.array([[0.0, -0.5, 1.0], [0.5, 0.0, 3.449e16], [-1.0, -3.449e16, 0.0]])
+
+    def b_matrix(q):
+        return huge if q.tobytes() in bad else np.zeros((3, 3))
+
+    mag = MagneticStructure(TwoFormField.from_matrix_fn(b_matrix, 3))
+    section = OneFormSection(lambda q: np.array([0.5, 2.0, 1.0]),
+                             lambda q: np.zeros((3, 3)))
+    return lambda: type1_magnetic(section, HamiltonianSpec.free(3), mag, qs)
+
+
+FAULTS = {
+    "section-image": (SectionImageError, lambda s: _type1_fault(s, "image")),
+    "section-tangent": (SectionTangentError, lambda s: _type1_fault(s, "tangent")),
+    "off-constraint": (OffConstraintError, _off_surface_fault),
+    "structure-solve": (DegenerateFormError, _structure_fault),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_fault_raises_what_the_per_sample_run_raises(systems, fault):
+    """The k-th of 8 samples (and a later one) trips a guard: the stacked
+    check trips, and the rerun raises the per-sample run's class and
+    message, for the first failing sample."""
+    error, make = FAULTS[fault]
+    run = make(systems)
+    with recording_trips() as trips:
+        produced = _outcome(run)
+    assert trips
+    with per_sample_only():
+        reference = _outcome(run)
+    assert produced == reference
+    assert produced[0] is error
+
+
+def test_first_failing_sample_is_named(systems):
+    qs = config_samples(BOX3, 8)
+    _, message = _outcome(_type1_fault(systems, "image"))
+    assert f"q={qs[3]}" in message
+
+
+RANK_MIX = {
+    "name": "rank-mix",
+    "description": "The row (1, -q1, q1) meets the cyclic directions q2, q3 "
+                   "in a line except at q1 = 0, so the vertical subspace "
+                   "there has one more dimension.",
+    "n": 3,
+    "potential": "-0.1*q1^2",
+    "constraints": [["1", "-q1", "q1"]],
+    "gamma": ["0", "0", "0"],
+    "epsilon": ["q1", "q2 + 0.3", "q3", "p1", "p2", "p3"],
+    "symmetry": [2, 3],
+    "sample_box": [[-1, 1], [-1, 1], [-1, 1]],
+}
+
+
+def test_samples_of_one_check_split_by_rank(monkeypatch):
+    """The second Sobol point has q1 = 0, where the vertical and descent
+    subspaces are one dimension larger than at the other samples; the
+    stacked reduced checks run the two groups apart and give the
+    per-sample reports byte for byte."""
+    system = build_system(parse_scenario(json.dumps(RANK_MIX)))
+    groups = []
+    by_rank = stacked.by_rank
+
+    def spy(count, pipeline):
+        sizes = []
+        result = by_rank(count, lambda idx: (pipeline(idx), sizes.append(len(idx)))[0])
+        groups.append(sorted(sizes))
+        return result
+
+    monkeypatch.setattr(stacked, "by_rank", spy)
+    with recording_trips() as trips:
+        produced = _report_bytes(checks_for_system(system, 8, 0))
+    assert trips == []
+    assert [7, 1] in [sorted(sizes, reverse=True) for sizes in groups]
+    with per_sample_only():
+        reference = _report_bytes(checks_for_system(system, 8, 0))
+    assert produced == reference
+
+
+def test_phase_map_without_jacobian_stacks_its_differences(systems):
+    """A phase map given without its Jacobian is differentiated per sample
+    by central differences in both paths."""
+    system = systems["nh-magnetic-particle"]
+    eps = PhaseMap(system.epsilon.eval_fn)
+    zs = _type2_samples(system, 6, 1)
+
+    def run():
+        return type2_constrained(system.gamma, eps, system.dist, system.ham,
+                                 system.mag, zs, tolerances=system.tolerances).as_dict()
+
+    with recording_trips() as trips:
+        produced = json.dumps(run(), sort_keys=True)
+    assert trips == []
+    with per_sample_only():
+        assert json.dumps(run(), sort_keys=True) == produced
