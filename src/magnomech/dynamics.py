@@ -12,6 +12,10 @@ convention and a unit test pins it. The integrator's generated step
 (kernel.py) writes the same closed form out per system, and the per-point
 functions here (BaseTerms, magnetic_vector_field) stay its oracles and the
 path it calls for Hamiltonians differentiated by central differences.
+BaseTerms, MagneticStructure.form_matrix, structure_solve and
+pullback_defect take one point or a stack of points along leading axes,
+in the layout rule of :mod:`linalg`; the checks of :mod:`stacked` call them
+on all their samples at once.
 """
 
 from dataclasses import dataclass
@@ -25,9 +29,11 @@ from .geometry import (
     PhasePoint,
     TangentPhaseVector,
     TwoFormField,
+    each,
     fd_gradient,
     fd_jacobian,
 )
+from .linalg import dots, mv, norms, tr
 
 SOLVER_TOL = 1e-10
 # central-difference step for a Hamiltonian or constraint rows that have no
@@ -90,7 +96,7 @@ class HamiltonianSpec:
     def mass_matrix(self, q):
         if self._mass_fn is None:
             return np.eye(self.n)
-        return np.asarray(self._mass_fn(np.asarray(q, dtype=float)), dtype=float)
+        return each(self._mass_fn, q)
 
     def mass_inverse(self, q):
         return self.at(q).inverse
@@ -102,10 +108,10 @@ class HamiltonianSpec:
     def potential(self, q):
         if self._potential_fn is None:
             return 0.0
-        return float(self._potential_fn(np.asarray(q, dtype=float)))
+        return each(self._potential_fn, q)
 
     def value(self, z):
-        return self.at(z.q).value(z.p)
+        return float(self.at(z.q).value(z.p))
 
     def gradient(self, z):
         """Full phase-space gradient (dH/dq, dH/dp) as a 2n vector."""
@@ -115,12 +121,14 @@ class HamiltonianSpec:
 class BaseTerms:
     """The parts of a Hamiltonian that depend on the base point q only.
 
-    The mass matrix, its inverse and gradient and the potential gradient
-    are each computed on first use and then kept, so every momentum over
-    the same q reuses them. The positive-definiteness
-    check runs when the inverse is first needed, the same place the
-    per-point call raises it; a guard that raises caches nothing and raises
-    again on the next access. Every kept array is read-only.
+    q is one point or a stack of points along leading axes, and every
+    momentum passed in has the same leading axes. The mass matrix, its
+    inverse and gradient and the potential gradient are each computed on
+    first use and then kept, so every momentum over the same q reuses them.
+    The positive-definiteness check runs when the inverse is first needed,
+    the same place the per-point call raises it; a guard that raises caches
+    nothing and raises again on the next access. Every kept array is
+    read-only.
     """
 
     def __init__(self, ham, q):
@@ -131,7 +139,7 @@ class BaseTerms:
     def mass(self):
         """G(q), or None for unit masses."""
         fn = self.ham._mass_fn
-        return None if fn is None else read_only(np.asarray(fn(self.q), dtype=float))
+        return None if fn is None else read_only(each(fn, self.q))
 
     @cached_property
     def inverse(self):
@@ -145,57 +153,63 @@ class BaseTerms:
 
     @cached_property
     def mass_gradient(self):
-        """Stacked partials dG/dq_c, shape (n, n, n); None when G is constant
-        or has no symbolic derivative."""
+        """Stacked partials dG/dq_c, shape (..., n, n, n); None when G is
+        constant or has no symbolic derivative."""
         fn = self.ham._mass_grad_fn
         if self.mass is None or fn is None:
             return None
-        return read_only(np.asarray(fn(self.q), dtype=float))
+        return read_only(each(fn, self.q))
 
     @cached_property
     def potential_gradient(self):
         ham = self.ham
         if ham._potential_grad_fn is not None:
-            grad = np.asarray(ham._potential_grad_fn(self.q), dtype=float)
+            grad = each(ham._potential_grad_fn, self.q)
         elif ham._potential_fn is not None:
-            grad = fd_gradient(ham._potential_fn, self.q, FD_STEP)
+            grad = each(lambda q: fd_gradient(ham._potential_fn, q, FD_STEP), self.q)
         else:
-            grad = np.zeros(ham.n)
+            grad = np.zeros(np.shape(self.q))
         return read_only(grad)
 
     def velocity(self, p):
         if self.mass is None:
             return p
         try:
-            return np.linalg.solve(self.mass, p)
+            return np.linalg.solve(self.mass, p[..., None])[..., 0]
         except np.linalg.LinAlgError:
             raise NumericalDomainError("mass matrix is singular") from None
 
+    def phase_points(self, p):
+        """The phase points (q, p), for the callables of (q, p)."""
+        return np.concatenate([np.broadcast_to(self.q, np.shape(p)), p], axis=-1)
+
     def value(self, p):
         ham = self.ham
+        n = ham.n
         if ham._general_fn is not None:
-            return float(ham._general_fn(self.q, p))
-        kinetic = 0.5 * float(p @ self.velocity(p))
-        value = kinetic + ham.potential(self.q)
-        if not np.isfinite(value):
+            fn = ham._general_fn
+            return each(lambda z: fn(z[:n], z[n:]), self.phase_points(p))
+        value = 0.5 * dots(p, self.velocity(p)) + ham.potential(self.q)
+        if not np.isfinite(value).all():
             raise NumericalDomainError("Hamiltonian is non-finite at the point")
         return value
 
     def gradient(self, p):
-        """Full phase-space gradient (dH/dq, dH/dp) at (q, p) as a 2n vector."""
+        """Full phase-space gradient (dH/dq, dH/dp) at (q, p) as 2n vectors."""
         ham = self.ham
         n = ham.n
         if ham._general_fn is not None:
             if ham._general_grad_fn is not None:
-                grad = np.asarray(ham._general_grad_fn(self.q, p), dtype=float)
+                fn = ham._general_grad_fn
+                grad = each(lambda z: fn(z[:n], z[n:]), self.phase_points(p))
             else:
                 fn = ham._general_fn
-                grad = fd_gradient(lambda v: fn(v[:n], v[n:]),
-                                   np.concatenate([self.q, p]), FD_STEP)
+                grad = each(lambda z: fd_gradient(lambda v: fn(v[:n], v[n:]), z,
+                                                  FD_STEP), self.phase_points(p))
         else:
-            grad = np.empty(2 * n)
-            grad[n:] = self.velocity(p)
-            grad[:n] = self._grad_q(p)
+            grad = np.empty(p.shape[:-1] + (2 * n,))
+            grad[..., n:] = self.velocity(p)
+            grad[..., :n] = self._grad_q(p)
         if not np.isfinite(grad).all():
             raise NumericalDomainError("Hamiltonian gradient is non-finite")
         return grad
@@ -204,18 +218,22 @@ class BaseTerms:
         potential_part = self.potential_gradient
         if self.mass is None:
             return potential_part
-        velocity = self.inverse @ p
+        velocity = mv(self.inverse, p)
         stacked = self.mass_gradient
         if stacked is not None:
-            kinetic_part = np.array(
-                [-0.5 * velocity @ stacked[k] @ velocity for k in range(self.ham.n)])
+            # -v^T (dG/dq_c) v / 2 for each direction c
+            scaled = (-0.5 * velocity)[..., None, None, :]
+            kinetic_part = (scaled @ stacked @ velocity[..., None, :, None])[..., 0, 0]
         else:
             mass_fn = self.ham._mass_fn
+            n = self.ham.n
 
-            def kinetic(qq):
-                return 0.5 * p @ np.linalg.solve(np.asarray(mass_fn(qq), float), p)
+            def kinetic(z):
+                q, p = z[:n], z[n:]
+                return fd_gradient(lambda qq: 0.5 * p @ np.linalg.solve(
+                    np.asarray(mass_fn(qq), float), p), q, FD_STEP)
 
-            kinetic_part = fd_gradient(kinetic, self.q, FD_STEP)
+            kinetic_part = each(kinetic, self.phase_points(p))
         return kinetic_part + potential_part
 
 
@@ -234,12 +252,12 @@ class MagneticStructure:
         return self.b_field.matrix(q)
 
     def form_matrix(self, q):
-        """Omega(q) as a read-only array."""
+        """Omega(q) at a point or a stack of points, as a read-only array."""
         n = self.n
-        omega = np.zeros((2 * n, 2 * n))
-        omega[:n, :n] = -self.b_matrix(q)
-        omega[:n, n:] = np.eye(n)
-        omega[n:, :n] = -np.eye(n)
+        omega = np.zeros(np.shape(q)[:-1] + (2 * n, 2 * n))
+        omega[..., :n, :n] = -self.b_matrix(q)
+        omega[..., :n, n:] = np.eye(n)
+        omega[..., n:, :n] = -np.eye(n)
         omega.setflags(write=False)
         return omega
 
@@ -260,15 +278,18 @@ def magnetic_vector_field(ham, mag, z):
 
 def structure_solve(omega, grad):
     """The x with Omega^T x = grad, by dense solve, with the residual guard
-    |Omega^T x - grad| <= SOLVER_TOL (1 + |grad|)."""
+    |Omega^T x - grad| <= SOLVER_TOL (1 + |grad|); for a stack, one solve
+    per right-hand side, and the message names the first that fails."""
     try:
-        x = np.linalg.solve(omega.T, grad)
+        x = np.linalg.solve(tr(omega), grad[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise DegenerateFormError("magnetic structure matrix is singular") from None
-    residual = np.linalg.norm(omega.T @ x - grad)
-    if not residual <= SOLVER_TOL * (1.0 + np.linalg.norm(grad)):
+    residual = norms(mv(tr(omega), x) - grad)
+    failed = ~(residual <= SOLVER_TOL * (1.0 + norms(grad)))
+    if failed.any():
         raise DegenerateFormError(
-            f"structure solve residual {residual:.3e} exceeds tolerance")
+            f"structure solve residual {np.extract(failed, residual)[0]:.3e} "
+            "exceeds tolerance")
     return x
 
 
@@ -315,14 +336,14 @@ class PhaseMap:
 def symplectic_residual(phase_map, mag, z):
     """Pullback defect |J^T Omega(eps(z)) J - Omega(z)| of a phase map."""
     jac = phase_map.jacobian(z)
-    return pullback_defect(mag, z, phase_map.value(z), jac)
+    return float(pullback_defect(mag, z.q, phase_map.value(z).q, jac))
 
 
-def pullback_defect(mag, z, image, jac):
-    """|J^T Omega(image) J - Omega(z)| for a map's image eps(z) and Jacobian
-    J at z."""
-    defect = jac.T @ mag.form_matrix(image.q) @ jac - mag.form_matrix(z.q)
-    return float(np.max(np.abs(defect)))
+def pullback_defect(mag, q, image_q, jac):
+    """|J^T Omega(image_q) J - Omega(q)| for a map's Jacobian J at a phase
+    point over q whose image lies over image_q, at a point or a stack."""
+    defect = tr(jac) @ mag.form_matrix(image_q) @ jac - mag.form_matrix(q)
+    return np.abs(defect).max(axis=(-2, -1))
 
 
 def energy_rate(ham, mag, z):

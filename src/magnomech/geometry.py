@@ -3,6 +3,10 @@
 The configuration space is R^n with one global chart, so points are plain
 arrays, covector sections are callables with Jacobian access, and two-forms
 are antisymmetric evaluation matrices: value(x, y) = x^T M(q) y.
+``TwoFormField.matrix`` and the residual kernels (restricted_form_residual,
+twist_residual, closedness_residual) take one point or a stack of points
+along leading axes, in the layout rule of :mod:`linalg`; :func:`each`
+evaluates a one-point callable at every point of a stack.
 """
 
 from dataclasses import dataclass, field
@@ -10,9 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalDomainError
-from .linalg import max_abs
+from .linalg import max_abs, tr
 
 DEFAULT_FD_STEP = 1e-5
+# central-difference step of the closedness residual
+CLOSEDNESS_STEP = 1e-4
+
+
+def each(fn, points):
+    """``fn`` at each point of a stack whose last axis holds one point's
+    coordinates, as one float array with the stack's leading axes; one point
+    gives fn(point) as an array."""
+    points = np.asarray(points, dtype=float)
+    values = np.array([fn(point) for point in points.reshape(-1, points.shape[-1])],
+                      dtype=float)
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 def ensure_config(q, n=None):
@@ -165,13 +181,14 @@ class TwoFormField:
         self._constant = constant
 
     def matrix(self, q):
+        """M(q) at a point or a stack of points; a constant two-form returns
+        its one read-only matrix, which broadcasts over any stack."""
         if self._constant is not None:
             return self._constant
-        upper = np.triu(np.asarray(self._upper_fn(np.asarray(q, dtype=float)),
-                                   dtype=float), 1)
+        upper = np.triu(each(self._upper_fn, q), 1)
         if not np.isfinite(upper).all():
             raise NumericalDomainError("two-form evaluation is non-finite")
-        return upper - upper.T
+        return upper - tr(upper)
 
     @classmethod
     def zero(cls, n):
@@ -212,36 +229,41 @@ def exterior_derivative(section, q):
     return jac.T - jac
 
 
-def two_form_closedness_residual(field, q, step=1e-4):
+def two_form_closedness_residual(field, q, step=CLOSEDNESS_STEP):
     """Max cyclic-sum residual of the exterior derivative of a two-form.
 
     Checks d_i M_jk + d_j M_ki + d_k M_ij over all index triples with
     central differences; exactly zero input derivatives give zero.
     """
-    q = ensure_config(q)
-    n = q.size
+    return float(closedness_residual(field, ensure_config(q), step))
+
+
+def closedness_residual(field, q, step):
+    """two_form_closedness_residual at a point or at each point of a stack."""
+    n = q.shape[-1]
+    lead = q.shape[:-1]
     if n < 3:
-        return 0.0
-    partials = np.empty((n, n, n))
+        return np.zeros(lead)
+    partials = np.empty(lead + (n, n, n))
     for k in range(n):
         shift = np.zeros(n)
         shift[k] = step
-        partials[k] = (field.matrix(q + shift) - field.matrix(q - shift)) / (2 * step)
-    worst = 0.0
+        partials[..., k, :, :] = (field.matrix(q + shift)
+                                  - field.matrix(q - shift)) / (2 * step)
+    worst = np.zeros(lead)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                cyclic = partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
-                worst = max(worst, abs(cyclic))
+                cyclic = (partials[..., i, j, k] + partials[..., j, k, i]
+                          + partials[..., k, i, j])
+                worst = np.fmax(worst, np.abs(cyclic))
     return worst
 
 
 def restricted_form_residual(matrix, basis):
     """Largest absolute value of a bilinear form restricted to a subspace."""
     basis = np.asarray(basis, dtype=float)
-    if basis.shape[1] == 0:
-        return 0.0
-    return max_abs(basis.T @ matrix @ basis)
+    return np.abs(tr(basis) @ matrix @ basis).max(axis=(-2, -1), initial=0.0)
 
 
 def magnetic_match_residual(section, b_field, q, basis=None):
@@ -252,7 +274,12 @@ def magnetic_match_residual(section, b_field, q, basis=None):
     Type I checks at q.
     """
     q = ensure_config(q)
-    total = exterior_derivative(section, q) + b_field.matrix(q)
     if basis is None:
         basis = np.eye(q.size)
-    return restricted_form_residual(total, basis)
+    return float(twist_residual(section.jacobian(q), b_field.matrix(q), basis))
+
+
+def twist_residual(jac, b, basis):
+    """|d(gamma) + B| on the columns of ``basis``, from the section's Jacobian
+    J = d(gamma_i)/d(q_j) and B at a point or a stack of points."""
+    return restricted_form_residual((tr(jac) - jac) + b, basis)

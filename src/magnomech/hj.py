@@ -13,7 +13,8 @@ Each check first runs on all its samples at once (:mod:`stacked`, through
 linalg.run_stacked). The per-sample kernels, levels and loops here are the
 reference it equals bit for bit, and the path a check reruns when a
 stacked guard trips, so that a fault raises the first failing sample's
-error; the in-band Type II refinement always runs here, per sample.
+error; the in-band Type II refinement always runs here, per sample, when
+the section or the map is differentiated by finite differences.
 """
 
 import dataclasses
@@ -31,7 +32,7 @@ from .geometry import (
     exterior_derivative,
     magnetic_match_residual,
 )
-from .linalg import max_abs, run_stacked
+from .linalg import max_abs, mv, run_stacked
 from .nonholonomic import (
     admissible_basis,
     multiplier_field,
@@ -89,9 +90,9 @@ def _refined(obj):
 
 def tangent_lift(jac, base_vector):
     """Tangent image (x, J x) of a base vector under a section whose
-    Jacobian at the base point is J."""
+    Jacobian at the base point is J; at a point or a stack."""
     base_vector = np.asarray(base_vector, dtype=float)
-    return np.concatenate([base_vector, jac @ base_vector])
+    return np.concatenate([base_vector, mv(jac, base_vector)], axis=-1)
 
 
 def section_tangent_residual(section, dist, ham, z, image_tol):
@@ -244,7 +245,8 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
 
     A residual inside the status band is recomputed once, with a refined
     section and map, at 10x smaller finite-difference steps before its
-    status is read. The unreduced levels record the map's symplectic
+    status is read; when both have analytic Jacobians there is nothing to
+    refine and no recompute. The unreduced levels record the map's symplectic
     residual per sample as their hypothesis (VACUOUS above the
     ``hypothesis`` tolerance); the reduced level has run its own battery and
     passes its worst twist residual as ``hypothesis``. ``first`` holds, per
@@ -255,6 +257,10 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
     then evaluated once per sample.
     """
     status_tol = tolerances.get("status")
+    refined = _refined(section), _refined(phase_map)
+    # with analytic Jacobians there is no step to refine: a recompute would
+    # give the same two numbers
+    refines = refined[0] is not section or refined[1] is not phase_map
     rows = []
     hyp_worst = 0.0
     agree = True
@@ -270,14 +276,13 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
                 jac = phase_map.jacobian(z)
                 if image is None:
                     image = phase_map.value(z)
-                symplectic = pullback_defect(mag, z, image, jac)
+                symplectic = float(pullback_defect(mag, z.q, image.q, jac))
             a, b = _type2_residuals(section, phase_map, ham, mag, z, image, jac, level)
         if symplectic is not None:
             row["symplectic"] = symplectic
             hyp_worst = max(hyp_worst, symplectic)
-        if in_band(a, status_tol) or in_band(b, status_tol):
-            a, b = _type2_residuals(_refined(section), _refined(phase_map),
-                                    ham, mag, z, None, None, level)
+        if refines and (in_band(a, status_tol) or in_band(b, status_tol)):
+            a, b = _type2_residuals(*refined, ham, mag, z, None, None, level)
         row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
                    status_b=status_of(b, status_tol))
         agree = agree and (row["status_a"] == row["status_b"])

@@ -1,9 +1,63 @@
-"""Dense linear-algebra helpers for small matrices, and the entry to their
-stacked counterparts (see stacked.py)."""
+"""Dense linear-algebra helpers for small matrices, and the entry to the
+stacked checks (see stacked.py).
+
+Every helper here takes one matrix (or vector) or a stack of them along
+leading sample axes, and gives each stacked matrix the bits it gives that
+matrix alone. That holds because numpy's ``svd``, ``solve``, ``inv``,
+``cholesky`` and ``@`` run the same routine on every matrix of a stack,
+provided each stacked operand has the single operand's layout: a
+C-contiguous matrix or the transposed view of one (``tr``). So a
+matrix-vector product is written ``mv(a, v)``, that is ``a @ v[..., None]``;
+a norm is the square root of ``dots``, as ``np.linalg.norm`` of a vector is;
+a slice that is copied for one point is copied for a stack too; and
+``np.einsum`` is never used, since it is not bitwise equal to any of them.
+The numerical functions of :mod:`dynamics`, :mod:`geometry` and
+:mod:`nonholonomic` follow the same rule.
+"""
 
 import numpy as np
 
 RCOND = 1e-10
+
+
+class RankSplit(Exception):
+    """The stacked matrices of one step differ in rank; ``ranks`` holds each
+    matrix's rank (see stacked.by_rank)."""
+
+    def __init__(self, ranks):
+        super().__init__()
+        self.ranks = ranks
+
+
+def tr(a):
+    return a.swapaxes(-1, -2)
+
+
+def mv(a, v):
+    """``a @ v`` for stacked matrices a and vectors v."""
+    return (a @ v[..., None])[..., 0]
+
+
+def dots(u, v):
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def norms(v):
+    return np.sqrt(dots(v, v))
+
+
+def _ranks(s):
+    """The rank of each matrix from its singular values s: the count above
+    RCOND times the largest."""
+    return np.count_nonzero(s > RCOND * s[..., :1], axis=-1)
+
+
+def _common_rank(s):
+    """The one rank of all stacked matrices; RankSplit when they differ."""
+    ranks = np.asarray(_ranks(s))
+    if (ranks != ranks.flat[0]).any():
+        raise RankSplit(ranks)
+    return int(ranks.flat[0])
 
 
 def null_space(matrix):
@@ -12,33 +66,25 @@ def null_space(matrix):
     A matrix with zero rows has the full space as kernel; the identity is
     returned so downstream code sees an explicit basis.
     """
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    rows, cols = matrix.shape
+    matrix = np.asarray(matrix, dtype=float)
+    *lead, rows, cols = matrix.shape
     if rows == 0:
-        return np.eye(cols)
+        return np.zeros((*lead, cols, cols)) + np.eye(cols)
     _, s, vh = np.linalg.svd(matrix)
-    cutoff = RCOND * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T.copy()
+    return tr(vh[..., _common_rank(s):, :]).copy()
 
 
 def column_space(matrix):
     """Orthonormal basis of the column space, as columns."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return np.zeros((matrix.shape[0], 0))
+    if 0 in matrix.shape[-2:]:
+        return np.zeros((*matrix.shape[:-1], 0))
     u, s, _ = np.linalg.svd(matrix)
-    cutoff = RCOND * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank].copy()
+    return u[..., :_common_rank(s)].copy()
 
 
 def rank_of(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.count_nonzero(s > RCOND * s[0]))
+    return _ranks(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False))
 
 
 def max_abs(array):
@@ -53,12 +99,12 @@ def solve_small(matrix, rhs):
     without the generic solver's per-call overhead. An exactly singular
     matrix raises np.linalg.LinAlgError, as np.linalg.solve does.
     """
-    if matrix.shape == (1, 1):
-        pivot = matrix[0, 0]
-        if pivot == 0.0:
+    if matrix.shape[-2:] == (1, 1):
+        pivot = matrix[..., 0]
+        if (pivot == 0.0).any():
             raise np.linalg.LinAlgError("Singular matrix")
         return rhs / pivot
-    return np.linalg.solve(matrix, rhs)
+    return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
 def run_stacked(name, *args):

@@ -11,7 +11,10 @@ Lagrange multipliers) so each can serve as the other's oracle.
 compatibility and dimensions, map diagnostics, relatedness). It and the
 checks built on these per-point functions first run on all their samples
 at once (:mod:`stacked`); the functions here are the reference and the
-fallback when a stacked guard trips.
+fallback when a stacked guard trips. ConstraintDistribution's rows and
+their gradient, SurfaceFrame and multiplier_correction take one point or
+a stack of points along leading axes, in the layout rule of :mod:`linalg`,
+and the stacked checks call them on all their samples at once.
 """
 
 from dataclasses import dataclass
@@ -30,13 +33,14 @@ from .errors import (
 from .geometry import (
     PhasePoint,
     TangentPhaseVector,
+    each,
     ensure_config,
     fd_jacobian,
     magnetic_match_residual,
     two_form_closedness_residual,
 )
 from .dynamics import FD_STEP, magnetic_vector_field, read_only, symplectic_residual
-from .linalg import max_abs, null_space, rank_of, run_stacked, solve_small
+from .linalg import max_abs, mv, null_space, rank_of, run_stacked, solve_small, tr
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
 
@@ -67,34 +71,33 @@ class ConstraintDistribution:
         return cls(n, k, lambda q: rows, lambda q: np.zeros((n, k, n)))
 
     def matrix(self, q):
-        rows = np.asarray(self._rows_fn(np.asarray(q, dtype=float)), dtype=float)
-        rows = rows.reshape(self.k, self.n)
+        """A(q), shape (..., k, n), at a point or a stack of points."""
+        q = np.asarray(q, dtype=float)
+        rows = each(self._rows_fn, q).reshape(q.shape[:-1] + (self.k, self.n))
         if not np.isfinite(rows).all():
             raise NumericalDomainError("constraint rows are non-finite")
-        if self.k > 0 and rank_of(rows) < self.k:
-            raise DegenerateConstraintError(
-                f"constraint rows rank deficient at q={np.asarray(q)}")
+        if self.k > 0 and (rank_of(rows) < self.k).any():
+            raise DegenerateConstraintError(f"constraint rows rank deficient at q={q}")
         return rows
 
     def rows_gradient(self, q):
-        """Stacked partials dA/dq_c with shape (n, k, n)."""
-        q = np.asarray(q, dtype=float)
+        """Stacked partials dA/dq_c with shape (..., n, k, n)."""
         if self._rows_grad_fn is not None:
-            return np.asarray(self._rows_grad_fn(q), dtype=float)
-        flat = fd_jacobian(lambda x: self._rows_fn(x).reshape(-1), q, FD_STEP)
-        return flat.T.reshape(self.n, self.k, self.n)
+            return each(self._rows_grad_fn, q)
+        n, k = self.n, self.k
+        return each(lambda x: fd_jacobian(lambda y: self._rows_fn(y).reshape(-1), x,
+                                          FD_STEP).T.reshape(n, k, n), q)
 
     def basis(self, q):
         """Orthonormal columns spanning D_q = ker A(q)."""
-        if self.k == 0:
-            return np.eye(self.n)
         return null_space(self.matrix(q))
 
 
 class SurfaceFrame:
-    """Constraint data at one base point, each part computed on first use.
+    """Constraint data over base points, each part computed on first use.
 
-    Holds A(q) (with its rank check), dA/dq, the basis of D_q and the
+    The base points are those of ``terms``: one point or a stack. Holds
+    A(q) (with its rank check), dA/dq, the basis of D_q and the
     Hamiltonian's base terms at q; the residual c, its derivative Dc, the
     admissible basis and the projection at any momentum over q are
     assembled from them. Kept arrays are read-only, and a guard that raises
@@ -121,58 +124,58 @@ class SurfaceFrame:
     @cached_property
     def gram(self):
         """A G^{-1} A^T: the projection Gram matrix, and minus the multiplier one."""
-        return read_only(self.rows_inverse @ self.rows.T)
+        return read_only(self.rows_inverse @ tr(self.rows))
 
     @cached_property
     def rows_mass_gradient(self):
-        """A dG^{-1}/dq_c stacked by direction c, shape (n, k, n)."""
-        inverse = self.terms.inverse
-        return read_only(np.array([self.rows @ (-inverse @ grad @ inverse)
-                                   for grad in self.terms.mass_gradient]))
+        """A dG^{-1}/dq_c stacked by direction c, shape (..., n, k, n)."""
+        inverse = self.terms.inverse[..., None, :, :]
+        return read_only(self.rows[..., None, :, :]
+                         @ (-inverse @ self.terms.mass_gradient @ inverse))
 
     @cached_property
     def basis(self):
         """Orthonormal columns spanning D_q = ker A(q)."""
-        if self.dist.k == 0:
-            return read_only(np.eye(self.dist.n))
         return read_only(null_space(self.rows))
 
     def admissible(self, p):
         """Orthonormal basis of the admissible subspace at (q, p) (see
         admissible_basis)."""
         dist = self.dist
-        stacked = np.zeros((2 * dist.k, 2 * dist.n))
-        stacked[: dist.k, : dist.n] = self.rows
-        stacked[dist.k:] = self.jacobian(p)
+        stacked = np.zeros(self.rows.shape[:-2] + (2 * dist.k, 2 * dist.n))
+        stacked[..., : dist.k, : dist.n] = self.rows
+        stacked[..., dist.k:, :] = self.jacobian(p)
         return read_only(null_space(stacked))
 
     def residual(self, p):
         """c(q, p) = A(q) G(q)^{-1} p."""
-        return self.rows @ self.terms.velocity(p)
+        return mv(self.rows, self.terms.velocity(p))
 
     def jacobian(self, p):
-        """Full derivative of c, shape (k, 2n): [dc/dq | A G^{-1}]."""
+        """Full derivative of c, shape (..., k, 2n): [dc/dq | A G^{-1}]."""
         dist, terms = self.dist, self.terms
         n = dist.n
-        jac = np.zeros((dist.k, 2 * n))
-        jac[:, n:] = self.rows_inverse
+        jac = np.zeros(self.rows.shape[:-2] + (dist.k, 2 * n))
+        jac[..., n:] = self.rows_inverse
         if terms.mass is not None and terms.mass_gradient is None:
             ham = terms.ham
 
-            def c_of_q(qq):
-                return dist.matrix(qq) @ np.linalg.solve(ham.mass_matrix(qq), p)
+            def c_of_q(z):
+                q, p = z[:n], z[n:]
+                return fd_jacobian(lambda qq: dist.matrix(qq) @ np.linalg.solve(
+                    ham.mass_matrix(qq), p), q, FD_STEP)
 
-            jac[:, :n] = fd_jacobian(c_of_q, terms.q, FD_STEP)
+            jac[..., :n] = each(c_of_q, terms.phase_points(p))
             return jac
-        jac[:, :n] = (self.rows_gradient @ (terms.inverse @ p)).T
+        jac[..., :n] = tr(mv(self.rows_gradient, mv(terms.inverse, p)[..., None, :]))
         if terms.mass is not None:
-            jac[:, :n] += (self.rows_mass_gradient @ p).T
+            jac[..., :n] += tr(mv(self.rows_mass_gradient, p[..., None, :]))
         return jac
 
     def project(self, p):
         """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
         try:
-            shift = self.rows.T @ solve_small(self.gram, self.rows_inverse @ p)
+            shift = mv(tr(self.rows), solve_small(self.gram, mv(self.rows_inverse, p)))
         except np.linalg.LinAlgError:
             raise DegenerateConstraintError(
                 "projection Gram matrix is singular") from None
@@ -382,17 +385,17 @@ def multiplier_field(dist, ham, z, free):
 
 def multiplier_correction(frame, p, free):
     """(X, lambda) on flat arrays: the free field ``free`` at (q, p), q the
-    frame's base point, plus sum_a lambda_a Z_a."""
+    frame's base point, plus sum_a lambda_a Z_a; at a point or a stack."""
     dist = frame.dist
     jac_c = frame.jacobian(p)
-    lifts = np.zeros((2 * dist.n, dist.k))
-    lifts[dist.n:, :] = -frame.rows.T
+    lifts = np.zeros(frame.rows.shape[:-2] + (2 * dist.n, dist.k))
+    lifts[..., dist.n:, :] = -tr(frame.rows)
     gram = jac_c @ lifts
     try:
-        lam = np.linalg.solve(gram, -jac_c @ free)
+        lam = np.linalg.solve(gram, mv(-jac_c, free)[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise CompatibilityError("multiplier matrix is singular") from None
-    return free + lifts @ lam, lam
+    return free + mv(lifts, lam), lam
 
 
 def constrained_field(dist, ham, mag, z):

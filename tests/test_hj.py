@@ -313,8 +313,8 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     for the field of H o eps from the eps(z) and J_eps(z) evaluated once
     per sample, building no Hamiltonian per sample. The stacked run
     evaluates eps and J_eps through the map's functions and solves the
-    structure equation for a stack of right-hand sides, so those are what
-    is counted."""
+    structure equation for a stack of right-hand sides through the one
+    structure_solve, so each call counts its right-hand sides."""
     system = load_system(scenario_dir / "nh-magnetic-particle.json")
     calls = Counter()
 
@@ -332,9 +332,9 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     counting(system.epsilon, "eval_fn", "map_value")
     counting(system.epsilon, "jacobian_fn", "jacobian")
     # right-hand sides of Omega^T x = dH solved, per sample or stacked
-    for module in (dynamics, hj):
-        counting(module, "structure_solve", "solves")
-    counting(stacked, "structure_solves", "solves", lambda omega, grads: len(grads))
+    for module in (dynamics, hj, stacked):
+        counting(module, "structure_solve", "solves",
+                 lambda omega, grad: grad.size // grad.shape[-1])
     report = check_hj1(system, 50, 0)
     assert report.check == "hj1-distributional" and report.verdict == "PASS"
     assert calls["value"] == 50

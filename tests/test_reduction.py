@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -21,11 +24,12 @@ from magnomech import (
     relatedness_check,
     relatedness_residual,
     type1_reduced,
+    type2_constrained,
     type2_level_agreement,
     type2_reduced,
     vertical_basis,
 )
-from magnomech import geometry
+from magnomech import geometry, hj
 from magnomech.reduction import reduced_energy
 from magnomech.sampling import config_samples, newton_preimage
 from conftest import free_particle_constraint
@@ -325,3 +329,36 @@ def test_type2_reduced_refines_in_band_residuals(monkeypatch):
     type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
                   tolerances=Tolerances({"status": in_band / 2}))
     assert fd_section.step / 10 in steps
+
+
+def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
+    # the analytic section and the translation have no step to refine, so a
+    # residual inside the band is read as first computed: the report is the
+    # one a recompute gives, without the recompute
+    section, sym, dist, ham, mag = reduced_test_system()
+    eps = PhaseMap.translation([0.3, 0.0, 0.0])
+    samples = _type2_samples(section, dist, ham, eps)
+    first = type2_reduced(section, eps, sym, dist, ham, mag, samples)
+    tolerances = Tolerances({"status": min(a for a in first.residual_a if a > 1e-3) / 2})
+    runs = []
+    residuals = hj._type2_residuals
+
+    def counted(*args):
+        runs.append(args)
+        return residuals(*args)
+
+    def report_bytes():
+        return [json.dumps(check.as_dict(), sort_keys=True) for check in (
+            type2_constrained(section, eps, dist, ham, mag, samples,
+                              tolerances=tolerances),
+            type2_reduced(section, eps, sym, dist, ham, mag, samples,
+                          tolerances=tolerances))]
+
+    monkeypatch.setattr(hj, "_type2_residuals", counted)
+    skipped = report_bytes()
+    assert runs == []
+    # a copy is not the object itself, so the in-band sample is recomputed
+    monkeypatch.setattr(hj, "_refined", dataclasses.replace)
+    assert report_bytes() == skipped
+    # one sample in band at each level
+    assert len(runs) == 2

@@ -1,0 +1,241 @@
+"""One numerical layer for a point or a stack.
+
+The linear algebra, Omega, the structure solve, the residual kernels, the
+base terms of H and the surface frame take one point or a stack of points
+along a leading sample axis. For every sample of a random stack each of
+them must give the bits it gives for that sample alone: the stacked checks
+and their per-sample reference call the same functions, and the goldens
+hold only while the two agree.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_spd
+from magnomech import ConstraintDistribution, HamiltonianSpec, MagneticStructure
+from magnomech.cli import checks_for_system
+from magnomech.dynamics import pullback_defect, structure_solve
+from magnomech.geometry import (
+    CLOSEDNESS_STEP,
+    TwoFormField,
+    closedness_residual,
+    restricted_form_residual,
+    two_form_closedness_residual,
+)
+from magnomech.hj import tangent_lift
+from magnomech.linalg import (
+    RankSplit,
+    column_space,
+    null_space,
+    rank_of,
+    solve_small,
+)
+from magnomech.nonholonomic import multiplier_correction, surface_frame
+
+seeds = st.integers(0, 2**32 - 1)
+counts = st.integers(1, 5)
+
+
+def same_bits(stacked, alone):
+    stacked, alone = np.asarray(stacked), np.asarray(alone)
+    assert stacked.shape == alone.shape
+    assert stacked.tobytes() == alone.tobytes()
+
+
+def each_sample(fn, *stacks):
+    """fn on the whole stacks against fn on each sample's slices."""
+    out = fn(*stacks)
+    for i in range(len(stacks[0])):
+        same_bits(out[i], fn(*(stack[i] for stack in stacks)))
+
+
+def _deficient(rng, count, rows, cols, ranks):
+    """``count`` random rows x cols matrices of the given ranks."""
+    return np.array([rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+                     for r in ranks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, count=counts, rows=st.integers(0, 4), cols=st.integers(1, 5),
+       mixed=st.booleans())
+def test_subspaces_and_ranks(seed, count, rows, cols, mixed):
+    """null_space, column_space and rank_of on zero-row stacks and on stacks
+    whose ranks differ: a split names each sample's rank, and each group of
+    one rank gives every sample's bits."""
+    rng = np.random.default_rng(seed)
+    full = min(rows, cols)
+    ranks = rng.integers(0, full + 1, size=count) if mixed else np.full(count, full)
+    stack = _deficient(rng, count, rows, cols, ranks)
+    found = rank_of(stack)
+    assert found.tolist() == [int(rank_of(matrix)) for matrix in stack]
+    for fn in (null_space, column_space):
+        if len(set(found.tolist())) > 1:
+            with pytest.raises(RankSplit) as split:
+                fn(stack)
+            assert split.value.ranks.tolist() == found.tolist()
+        for rank in set(found.tolist()):
+            each_sample(fn, stack[found == rank])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, count=counts, k=st.integers(1, 3))
+def test_small_solves(seed, count, k):
+    rng = np.random.default_rng(seed)
+    each_sample(solve_small, np.array([random_spd(rng, k) for _ in range(count)]),
+                rng.normal(size=(count, k)))
+
+
+def _two_form(rng, n, constant):
+    """A two-form that varies with q, or a constant one."""
+    if constant:
+        raw = rng.normal(size=(n, n))
+        return TwoFormField.constant(raw - raw.T)
+    coeff = rng.normal(size=(n, n))
+    return TwoFormField(lambda q: coeff * np.sin(np.add.outer(q, 2.0 * q)), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, count=counts, n=st.integers(1, 4), constant=st.booleans(),
+       width=st.integers(0, 4))
+def test_structure_and_residual_kernels(seed, count, n, constant, width):
+    """form_matrix, structure_solve, the pullback defect, tangent_lift,
+    restricted_form_residual and the closedness residual."""
+    rng = np.random.default_rng(seed)
+    field = _two_form(rng, n, constant)
+    mag = MagneticStructure(field)
+    qs, images = rng.normal(size=(2, count, n))
+    jacs = rng.normal(size=(count, 2 * n, 2 * n))
+    each_sample(mag.form_matrix, qs)
+    if not constant:
+        each_sample(field.matrix, qs)
+    each_sample(lambda q, g: structure_solve(mag.form_matrix(q), g),
+                qs, rng.normal(size=(count, 2 * n)))
+    each_sample(lambda q, w, j: pullback_defect(mag, q, w, j), qs, images, jacs)
+    each_sample(tangent_lift, rng.normal(size=(count, n, n)), rng.normal(size=(count, n)))
+    bases = rng.normal(size=(count, n, min(width, n)))
+    each_sample(restricted_form_residual, field.matrix(qs) + np.zeros((count, n, n)),
+                bases)
+    each_sample(lambda q: closedness_residual(field, q, CLOSEDNESS_STEP), qs)
+    for q, value in zip(qs, closedness_residual(field, qs, CLOSEDNESS_STEP).tolist()):
+        assert two_form_closedness_residual(field, q) == value
+
+
+def _mass(rng, n):
+    """G(q) = G0 + diag(sin(q)^2) and its partials, direction first."""
+    base = random_spd(rng, n)
+
+    def mass(q):
+        return base + np.diag(np.sin(q) ** 2)
+
+    def mass_grad(q):
+        grads = np.zeros((n, n, n))
+        for c in range(n):
+            grads[c, c, c] = 2.0 * np.sin(q[c]) * np.cos(q[c])
+        return grads
+
+    return mass, mass_grad
+
+
+def _hamiltonian(rng, n, kind):
+    weights = rng.normal(size=n)
+
+    def potential(q):
+        return float(weights @ np.cos(q))
+
+    def potential_grad(q):
+        return -weights * np.sin(q)
+
+    if kind == "general":
+        return HamiltonianSpec.general(
+            n, lambda q, p: potential(q) + float(p @ p) * (1.0 + float(q @ q)),
+            lambda q, p: np.concatenate([potential_grad(q) + 2.0 * float(p @ p) * q,
+                                         2.0 * p * (1.0 + float(q @ q))]))
+    if kind == "general-fd":
+        return HamiltonianSpec.general(
+            n, lambda q, p: potential(q) + float(p @ p) * (1.0 + float(q @ q)))
+    if kind == "unit":
+        return HamiltonianSpec.quadratic(n, potential_fn=potential,
+                                         potential_grad_fn=potential_grad)
+    if kind == "unit-fd":
+        return HamiltonianSpec.quadratic(n, potential_fn=potential)
+    mass, mass_grad = _mass(rng, n)
+    if kind == "mass":
+        return HamiltonianSpec.quadratic(n, mass_fn=mass, mass_grad_fn=mass_grad,
+                                         potential_fn=potential,
+                                         potential_grad_fn=potential_grad)
+    return HamiltonianSpec.quadratic(n, mass_fn=mass, potential_fn=potential)
+
+
+KINDS = ("unit", "unit-fd", "mass", "mass-fd", "general", "general-fd")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, count=counts, n=st.integers(1, 4), kind=st.sampled_from(KINDS))
+def test_base_terms(seed, count, n, kind):
+    """BaseTerms.value and gradient at unit mass, a symbolic mass, a mass
+    differentiated by central differences, and a general H."""
+    rng = np.random.default_rng(seed)
+    ham = _hamiltonian(rng, n, kind)
+    qs, ps = rng.normal(size=(2, count, n))
+    each_sample(lambda q, p: ham.at(q).value(p), qs, ps)
+    each_sample(lambda q, p: ham.at(q).gradient(p), qs, ps)
+
+
+def _distribution(rng, n, k, symbolic):
+    """A(q) = [I_k | C(q)]: rank k at every q."""
+    coeff = rng.normal(size=(k, n - k))
+
+    def rows(q):
+        return np.hstack([np.eye(k), coeff * np.cos(q[k:])])
+
+    def rows_grad(q):
+        grads = np.zeros((n, k, n))
+        for c in range(k, n):
+            grads[c, :, c] = -coeff[:, c - k] * np.sin(q[c])
+        return grads
+
+    return ConstraintDistribution(n, k, rows, rows_grad if symbolic else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, count=counts, n=st.integers(2, 4), data=st.data(),
+       kind=st.sampled_from(("unit", "mass", "mass-fd")), symbolic=st.booleans())
+def test_surface_frame(seed, count, n, data, kind, symbolic):
+    """SurfaceFrame.residual, jacobian, admissible and project, and
+    multiplier_correction."""
+    rng = np.random.default_rng(seed)
+    dist = _distribution(rng, n, data.draw(st.integers(1, n - 1)), symbolic)
+    ham = _hamiltonian(rng, n, kind)
+    qs, ps = rng.normal(size=(2, count, n))
+    free = rng.normal(size=(count, 2 * n))
+
+    def frame(q):
+        return surface_frame(dist, ham, q)
+
+    each_sample(lambda q: frame(q).rows, qs)
+    each_sample(lambda q: frame(q).basis, qs)
+    for method in ("residual", "jacobian", "admissible", "project"):
+        each_sample(lambda q, p: getattr(frame(q), method)(p), qs, ps)
+    each_sample(lambda q, p, x: multiplier_correction(frame(q), p, x)[0], qs, ps, free)
+    each_sample(lambda q, p, x: multiplier_correction(frame(q), p, x)[1], qs, ps, free)
+
+
+def test_constant_two_form_is_read_once_per_stack(systems, monkeypatch):
+    """A constant B is one matrix for the whole stack: no check of a pass
+    over nh-magnetic-particle evaluates B at a single sample."""
+    shapes = Counter()
+    matrix = TwoFormField.matrix
+
+    def recording(self, q):
+        shapes[np.ndim(q)] += 1
+        return matrix(self, q)
+
+    monkeypatch.setattr(TwoFormField, "matrix", recording)
+    reports = checks_for_system(systems["nh-magnetic-particle"], 50, 0)
+    assert {report.verdict for report in reports} == {"PASS"}
+    assert shapes[2] > 0
+    assert set(shapes) == {2}
