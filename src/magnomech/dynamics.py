@@ -12,10 +12,10 @@ convention and a unit test pins it. The integrator's generated step
 (kernel.py) writes the same closed form out per system, and the per-point
 functions here (BaseTerms, magnetic_vector_field) stay its oracles and the
 path it calls for Hamiltonians differentiated by central differences.
-BaseTerms, MagneticStructure.form_matrix, structure_solve and
-pullback_defect take one point or a stack of points along leading axes,
-in the layout rule of :mod:`linalg`; the checks of :mod:`stacked` call them
-on all their samples at once.
+BaseTerms, MagneticStructure.form_matrix, free_field, structure_solve,
+pullback_defect and PhaseMap.image and jacobians take one point or a stack
+of points along leading axes, in the layout rule of :mod:`linalg`; the
+checks call them on one sample or on all their samples at once.
 """
 
 from dataclasses import dataclass
@@ -272,8 +272,14 @@ def magnetic_vector_field(ham, mag, z):
     This is the convention-free ground truth: the returned X satisfies
     omega(X, .) = dH(.) at z up to solver tolerance.
     """
-    grad = ham.gradient(z)
-    return TangentPhaseVector.from_vec(structure_solve(mag.form_matrix(z.q), grad))
+    return TangentPhaseVector.from_vec(free_field(ham, mag, z.q, z.p))
+
+
+def free_field(ham, mag, q, p):
+    """magnetic_vector_field's X as a flat array, at (q, p) or at each
+    point of a stack."""
+    grad = ham.at(q).gradient(p)
+    return structure_solve(mag.form_matrix(q), grad)
 
 
 def structure_solve(omega, grad):
@@ -310,15 +316,23 @@ class PhaseMap:
     step: float = DEFAULT_FD_STEP
 
     def value(self, z):
-        image = np.asarray(self.eval_fn(z.vec), dtype=float)
-        if not np.isfinite(image).all():
-            raise NumericalDomainError("phase map evaluation is non-finite")
-        return PhasePoint.from_vec(image)
+        return PhasePoint.from_vec(self.image(z.vec))
 
     def jacobian(self, z):
+        return self.jacobians(z.vec)
+
+    def image(self, vec):
+        """eps at a phase vector, or at each of a stack, as an array."""
+        image = each(self.eval_fn, vec)
+        if not np.isfinite(image).all():
+            raise NumericalDomainError("phase map evaluation is non-finite")
+        return image
+
+    def jacobians(self, vec):
+        """J_eps at a phase vector, or at each of a stack."""
         if self.jacobian_fn is not None:
-            return np.asarray(self.jacobian_fn(z.vec), dtype=float)
-        return fd_jacobian(self.eval_fn, z.vec, self.step)
+            return each(self.jacobian_fn, vec)
+        return each(lambda v: fd_jacobian(self.eval_fn, v, self.step), vec)
 
     @classmethod
     def identity(cls, n):

@@ -8,13 +8,16 @@ hypothesis fails the verdict is VACUOUS and the equation numbers are
 informational only.
 Each equation type has one residual kernel (type1_residual,
 _type2_residuals) shared by the magnetic, distributional and reduced
-levels, which differ only in their ``level`` callback.
-Each check first runs on all its samples at once (:mod:`stacked`, through
-linalg.run_stacked). The per-sample kernels, levels and loops here are the
-reference it equals bit for bit, and the path a check reruns when a
-stacked guard trips, so that a fault raises the first failing sample's
-error; the in-band Type II refinement always runs here, per sample, when
-the section or the map is differentiated by finite differences.
+levels, which differ only in their ``level`` callback. The kernels, the
+section hypotheses and the per-level row functions are each defined once,
+for one point or a stack of points in the layout rule of :mod:`linalg`.
+Two orchestrations call them: each check first runs its stacked entry
+point (:mod:`stacked`, through linalg.run_stacked) on all its samples at
+once, and the per-sample loops here are the reference, which a check
+reruns when the stacked run raises, so that a fault raises the first
+failing sample's error. The in-band Type II refinement always runs per
+sample, when the section or the map is differentiated by finite
+differences.
 """
 
 import dataclasses
@@ -23,27 +26,24 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import magnetic_vector_field, pullback_defect, structure_solve
+from .dynamics import free_field, pullback_defect, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
 from .geometry import (
-    PhasePoint,
     TwoFormField,
+    each,
     ensure_config,
     exterior_derivative,
-    magnetic_match_residual,
+    twist_residual,
 )
-from .linalg import max_abs, mv, run_stacked
-from .nonholonomic import (
-    admissible_basis,
-    multiplier_field,
-    section_point,
-    surface_frame,
-)
+from .linalg import first_failing, max_abs_each, mv, run_stacked, tr
+from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
 from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
 
 PASS = "PASS"
 FAIL = "FAIL"
 VACUOUS = "VACUOUS"
+MAGNETIC_ROW = ("q", "hypothesis", "equation")
+DISTRIBUTIONAL_ROW = ("q", "hypothesis", "equation", "image", "tangent")
 
 
 @dataclass
@@ -88,6 +88,14 @@ def _refined(obj):
     return obj
 
 
+def rows_of(keys, q, *columns):
+    """Report rows {key: value} at the base point q, or one per point of a
+    stack q; the columns hold the values after "q"."""
+    columns = [np.atleast_1d(column).tolist() for column in columns]
+    return [dict(zip(keys, values))
+            for values in zip(np.atleast_2d(q).tolist(), *columns)]
+
+
 def tangent_lift(jac, base_vector):
     """Tangent image (x, J x) of a base vector under a section whose
     Jacobian at the base point is J; at a point or a stack."""
@@ -95,53 +103,76 @@ def tangent_lift(jac, base_vector):
     return np.concatenate([base_vector, mv(jac, base_vector)], axis=-1)
 
 
-def section_tangent_residual(section, dist, ham, z, image_tol):
-    """How far the section's tangent images of D stray from the admissible
-    subspace at the section point z, which must lie within ``image_tol`` of
-    the constraint surface."""
-    basis = admissible_basis(dist, ham, z, tol=image_tol)
-    projector = basis @ basis.T
-    jac = section.jacobian(z.q)
-    worst = 0.0
-    for column in surface_frame(dist, ham, z.q).basis.T:
-        lifted = tangent_lift(jac, column)
-        worst = max(worst, max_abs(lifted - projector @ lifted))
-    return worst
-
-
-def section_hypotheses(section, dist, ham, q, tolerances=DEFAULT_TOLERANCES):
-    """The section point z = (q, gamma(q)) and its image and tangent residuals.
+def section_hypotheses(section, frame, gs, tolerances=DEFAULT_TOLERANCES):
+    """(image residuals, tangent residuals, section Jacobians) of a section
+    with values gs over the frame's base point, or each over its stack.
 
     Every statement is about sections with values on the constraint surface
     whose tangent images of D are admissible. A section that breaks either
     is a scenario defect at every level, constrained and reduced alike:
     SectionImageError above the ``constraint`` tolerance, SectionTangentError
-    above ``membership``.
+    above ``membership``, each naming the first failing sample.
     """
     image_tol = tolerances.get("constraint")
-    q = ensure_config(q, dist.n)
-    z, image = section_point(section, dist, ham, q, image_tol)
-    tangent = section_tangent_residual(section, dist, ham, z, image_tol)
-    if tangent > tolerances.get("membership"):
+    image = section_image(frame, gs, image_tol)
+    basis = admissible(frame, gs, image_tol)
+    projector = basis @ tr(basis)
+    jacs = each(section.jacobian, frame.terms.q)
+    tangent = np.zeros(image.shape)
+    for j in range(frame.basis.shape[-1]):
+        lifted = tangent_lift(jacs, frame.basis[..., :, j])
+        tangent = np.fmax(tangent, max_abs_each(lifted - mv(projector, lifted)))
+    failed = tangent > tolerances.get("membership")
+    if failed.any():
+        at = first_failing(failed)
         raise SectionTangentError(
-            f"section tangents leave the admissible subspace at q={q} "
-            f"(residual {tangent:.3e})")
-    return z, image, tangent
+            f"section tangents leave the admissible subspace at q={frame.terms.q[at]} "
+            f"(residual {tangent[at]:.3e})")
+    return image, tangent, jacs
 
 
-def type1_residual(section, ham, mag, z, level):
-    """The Type I residual |S T gamma . X^gamma - target| at a section point z.
+def twist_on_distribution(section, frame, gs, mag, tolerances):
+    """section_hypotheses, then the twist residual |d(gamma) + B| on D at
+    the frame's base point or points: (image, tangent, Jacobians, twist)."""
+    image, tangent, jacs = section_hypotheses(section, frame, gs, tolerances)
+    twist = twist_residual(jacs, mag.b_matrix(frame.terms.q), frame.basis)
+    return image, tangent, jacs, twist
 
-    X, the free field at z, and the tangent lift of its base flow X^gamma
-    are computed once; ``level(z, X)`` gives the level's selection S (None
-    for the identity) and its target field.
+
+def type1_residual(ham, mag, q, p, jac, level):
+    """The Type I residual |S T gamma . X^gamma - target| at section points
+    (q, p = gamma(q)), one or a stack, where the section's Jacobian is jac.
+
+    X, the free field at (q, p), and the tangent lift of its base flow
+    X^gamma are computed once; ``level(q, p, X)`` gives the level's
+    selection S (None for the identity) and its target field.
     """
-    free = magnetic_vector_field(ham, mag, z)
-    lifted = tangent_lift(section.jacobian(z.q), free.dq)
-    selection, target = level(z, free)
+    free = free_field(ham, mag, q, p)
+    lifted = tangent_lift(jac, free[..., :ham.n])
+    selection, target = level(q, p, free)
     if selection is not None:
-        lifted = selection @ lifted
-    return max_abs(lifted - target)
+        lifted = mv(selection, lifted)
+    return max_abs_each(lifted - target)
+
+
+def magnetic_rows(section, ham, mag, q):
+    """(hypothesis, equation) of type1_magnetic at a base point or a stack."""
+    jacs = each(section.jacobian, q)
+    hypothesis = twist_residual(jacs, mag.b_matrix(q), np.eye(ham.n))
+    return hypothesis, type1_residual(ham, mag, q, each(section.value, q), jacs,
+                                      lambda q, p, free: (None, free))
+
+
+def distributional_rows(section, dist, ham, mag, q, tolerances):
+    """(hypothesis, equation, image, tangent) of type1_constrained at a
+    base point or a stack."""
+    frame = surface_frame(dist, ham, q)
+    gs = each(section.value, q)
+    image, tangent, jacs, twist = twist_on_distribution(section, frame, gs, mag,
+                                                        tolerances)
+    equation = type1_residual(ham, mag, q, gs, jacs, lambda q, p, free: (
+        None, multiplier_correction(frame, p, free)[0]))
+    return twist, equation, image, tangent
 
 
 def _type1_report(check_name, rows, tolerances, defect):
@@ -164,15 +195,13 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
+    samples = list(samples)
     rows = run_stacked("type1_magnetic", section, ham, mag, samples)
     if rows is None:
         rows = []
         for q in samples:
             q = ensure_config(q, ham.n)
-            hyp = magnetic_match_residual(section, mag.b_field, q)
-            equation = type1_residual(section, ham, mag, PhasePoint(q, section.value(q)),
-                                      lambda z, free: (None, free.vec))
-            rows.append({"q": q.tolist(), "hypothesis": hyp, "equation": equation})
+            rows += rows_of(MAGNETIC_ROW, q, *magnetic_rows(section, ham, mag, q))
     return _type1_report("hj1-magnetic", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish")
 
@@ -184,105 +213,123 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-
-    def level(z, free):
-        return None, multiplier_field(dist, ham, z, free).vector.vec
-
+    samples = list(samples)
     rows = run_stacked("type1_constrained", section, dist, ham, mag, samples,
                        tolerances)
     if rows is None:
         rows = []
         for q in samples:
-            z, image, tangent = section_hypotheses(section, dist, ham, q, tolerances)
-            hyp = magnetic_match_residual(section, mag.b_field, z.q,
-                                          basis=surface_frame(dist, ham, z.q).basis)
-            rows.append({"q": z.q.tolist(), "hypothesis": hyp,
-                         "equation": type1_residual(section, ham, mag, z, level),
-                         "image": image, "tangent": tangent})
+            q = ensure_config(q, dist.n)
+            rows += rows_of(DISTRIBUTIONAL_ROW, q, *distributional_rows(
+                section, dist, ham, mag, q, tolerances))
     return _type1_report("hj1-distributional", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
-def _type2_residuals(section, phase_map, ham, mag, z, image, jac_eps, level):
-    """The two Type II residuals at one sample z.
+def _type2_residuals(section, ham, mag, z, w, map_jac, level):
+    """The two Type II residuals at the phase vector z, or at each of a
+    stack, with images w = eps(z) and map Jacobians J_eps(z).
 
-    ``image`` and ``jac_eps`` are eps(z) and J_eps(z) when the caller holds
-    them, else None. ``level(image, free)`` gives, at the image point, the
-    level's projector P and selection S (None for the identity) and its
-    target field (None for the free field there); ``free()`` solves for the
-    free field at the image once. X_pull, the field of H o eps, solves
+    ``level(wq, wp, free)`` gives, at the images, the level's projector P
+    and selection S (None for the identity) and its target field (None for
+    the free field there); ``free()`` solves for the free field at the
+    images once. X_pull, the field of H o eps, solves
     Omega(z)^T X_pull = J_eps^T dH(eps(z)) (pullback_hamiltonian is its
     oracle). With lambda the section's tangent image of the free flow at
     the image point, the residuals are a = |P S J_eps X_pull - S lambda|
     and b = |S lambda - target|.
     """
-    if image is None:
-        image = phase_map.value(z)
-    free = cache(lambda: magnetic_vector_field(ham, mag, image))
-    projector, selection, target = level(image, free)
-    if jac_eps is None:
-        jac_eps = phase_map.jacobian(z)
-    grad_pull = jac_eps.T @ ham.gradient(image)
+    n = ham.n
+    wq, wp = w[..., :n], w[..., n:]
+    grad = cache(lambda: ham.at(wq).gradient(wp))
+
+    @cache
+    def free():
+        image_grad = grad()
+        return structure_solve(mag.form_matrix(wq), image_grad)
+
+    projector, selection, target = level(wq, wp, free)
+    grad_pull = mv(tr(map_jac), grad())
     if not np.isfinite(grad_pull).all():
         raise NumericalDomainError("Hamiltonian gradient is non-finite")
-    x_pull = structure_solve(mag.form_matrix(z.q), grad_pull)
-    x_image = free()
-    lam_push = tangent_lift(section.jacobian(image.q), x_image.dq)
-    pushed = jac_eps @ x_pull
+    x_pull = structure_solve(mag.form_matrix(z[..., :n]), grad_pull)
+    lam_push = tangent_lift(each(section.jacobian, wq), free()[..., :n])
+    pushed = mv(map_jac, x_pull)
     if selection is not None:
-        pushed = selection @ pushed
-        lam_push = selection @ lam_push
+        pushed = mv(selection, pushed)
+        lam_push = mv(selection, lam_push)
     if projector is not None:
-        pushed = projector @ pushed
+        pushed = mv(projector, pushed)
     if target is None:
-        target = x_image.vec
-    return max_abs(pushed - lam_push), max_abs(lam_push - target)
+        target = free()
+    return max_abs_each(pushed - lam_push), max_abs_each(lam_push - target)
+
+
+def magnetic_level(q, p, free):
+    return None, None, None
+
+
+def constrained_level(frame, tolerances):
+    """The distributional Type II level over the SurfaceFrame at the images."""
+    constraint_tol = tolerances.get("constraint")
+
+    def level(q, p, free):
+        basis = admissible(frame, p, constraint_tol)
+        return basis @ tr(basis), None, multiplier_correction(frame, p, free())[0]
+
+    return level
+
+
+def first_per_sample(section, phase_map, ham, mag, samples, levels, images=None,
+                     symplectic=True):
+    """The reference for a stacked Type II run: per sample z, with its
+    level, (the map's symplectic residual, or None without ``symplectic``,
+    and the two residuals). eps(z) is read from ``images`` when a pre-pass
+    evaluated it."""
+    first = []
+    for index, z in enumerate(samples):
+        # in symplectic_residual's order: J_eps(z), then eps(z)
+        jac = phase_map.jacobian(z)
+        image = phase_map.value(z) if images is None else images[index]
+        defect = float(pullback_defect(mag, z.q, image.q, jac)) if symplectic else None
+        first.append((defect, *(float(r) for r in _type2_residuals(
+            section, ham, mag, z.vec, image.vec, jac, levels[index]))))
+    return first
 
 
 def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
-                 level, hypothesis=None, images=None, first=None):
+                 first, level_at, hypothesis=None):
     """Per-sample status agreement of the two Type II residuals at one level.
 
-    A residual inside the status band is recomputed once, with a refined
-    section and map, at 10x smaller finite-difference steps before its
-    status is read; when both have analytic Jacobians there is nothing to
-    refine and no recompute. The unreduced levels record the map's symplectic
-    residual per sample as their hypothesis (VACUOUS above the
-    ``hypothesis`` tolerance); the reduced level has run its own battery and
-    passes its worst twist residual as ``hypothesis``. ``first`` holds, per
-    sample, the symplectic residual (None on the reduced level) and the two
-    residuals before refinement when a stacked run computed them; each
-    sample's are otherwise computed here, from eps(z) in ``images`` when a
-    caller's pre-pass already evaluated it, and eps(z) and J_eps(z) are
-    then evaluated once per sample.
+    ``first`` holds, per sample, the symplectic residual (None on the
+    reduced level) and the two residuals. A residual inside the status band
+    is recomputed once, with a refined section and map, at 10x smaller
+    finite-difference steps and with the level ``level_at(q)`` at the
+    image's base point q, before its status is read; when both have analytic
+    Jacobians there is nothing to refine and no recompute. The unreduced
+    levels record the map's symplectic residual per sample as their
+    hypothesis (VACUOUS above the ``hypothesis`` tolerance); the reduced
+    level has run its own battery and passes its worst twist residual as
+    ``hypothesis``.
     """
     status_tol = tolerances.get("status")
-    refined = _refined(section), _refined(phase_map)
+    refined_section, refined_map = _refined(section), _refined(phase_map)
     # with analytic Jacobians there is no step to refine: a recompute would
     # give the same two numbers
-    refines = refined[0] is not section or refined[1] is not phase_map
+    refines = refined_section is not section or refined_map is not phase_map
     rows = []
     hyp_worst = 0.0
     agree = True
-    for index, z in enumerate(samples):
+    for z, (symplectic, a, b) in zip(samples, first):
         row = {"z": z.vec.tolist()}
-        if first is not None:
-            symplectic, a, b = first[index]
-        else:
-            image = None if images is None else images[index]
-            jac = symplectic = None
-            if hypothesis is None:
-                # in symplectic_residual's order: J_eps(z), then eps(z)
-                jac = phase_map.jacobian(z)
-                if image is None:
-                    image = phase_map.value(z)
-                symplectic = float(pullback_defect(mag, z.q, image.q, jac))
-            a, b = _type2_residuals(section, phase_map, ham, mag, z, image, jac, level)
         if symplectic is not None:
             row["symplectic"] = symplectic
             hyp_worst = max(hyp_worst, symplectic)
         if refines and (in_band(a, status_tol) or in_band(b, status_tol)):
-            a, b = _type2_residuals(*refined, ham, mag, z, None, None, level)
+            image = refined_map.value(z)
+            a, b = (float(r) for r in _type2_residuals(
+                refined_section, ham, mag, z.vec, image.vec, refined_map.jacobian(z),
+                level_at(image.q)))
         row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
                    status_b=status_of(b, status_tol))
         agree = agree and (row["status_a"] == row["status_b"])
@@ -308,10 +355,13 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
+    samples = list(samples)
+    first = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples)
+    if first is None:
+        first = first_per_sample(section, phase_map, ham, mag, samples,
+                                 [magnetic_level] * len(samples))
     return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
-                        tolerances, lambda image, free: (None, None, None),
-                        first=run_stacked("type2_magnetic", section, phase_map, ham,
-                                          mag, samples))
+                        tolerances, first, lambda q: magnetic_level)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -321,22 +371,20 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
+    samples = list(samples)
     first = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
                         samples, tolerances)
-    images = None
     if first is None:
-        images = []
+        images, levels = [], []
         for z in samples:
             images.append(phase_map.value(z))
-            section_hypotheses(section, dist, ham, images[-1].q, tolerances)
-    constraint_tol = tolerances.get("constraint")
-
-    def level(image, free):
-        basis = admissible_basis(dist, ham, image, tol=constraint_tol)
-        return basis @ basis.T, None, multiplier_field(dist, ham, image, free()).vector.vec
-
+            frame = surface_frame(dist, ham, images[-1].q)
+            section_hypotheses(section, frame, section.value(images[-1].q), tolerances)
+            levels.append(constrained_level(frame, tolerances))
+        first = first_per_sample(section, phase_map, ham, mag, samples, levels, images)
     return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
-                        tolerances, level, images=images, first=first)
+                        tolerances, first, lambda q: constrained_level(
+                            surface_frame(dist, ham, q), tolerances))
 
 
 def induced_magnetic_field(section, n):

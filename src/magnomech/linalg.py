@@ -11,8 +11,11 @@ matrix-vector product is written ``mv(a, v)``, that is ``a @ v[..., None]``;
 a norm is the square root of ``dots``, as ``np.linalg.norm`` of a vector is;
 a slice that is copied for one point is copied for a stack too; and
 ``np.einsum`` is never used, since it is not bitwise equal to any of them.
-The numerical functions of :mod:`dynamics`, :mod:`geometry` and
-:mod:`nonholonomic` follow the same rule.
+The numerical functions of :mod:`dynamics`, :mod:`geometry`,
+:mod:`nonholonomic`, :mod:`hj`, :mod:`reduction` and :mod:`sampling` follow
+the same rule, so each is defined once for a point or a stack: a residual
+is reduced per sample (max_abs_each), a guard names the first failing
+sample (first_failing), and a fold over the samples is ``worst``.
 """
 
 import numpy as np
@@ -90,6 +93,25 @@ def rank_of(matrix):
 def max_abs(array):
     array = np.asarray(array)
     return float(np.abs(array).max()) if array.size else 0.0
+
+
+def max_abs_each(array, ndim=1):
+    """max_abs of a point's array of ``ndim`` axes, or of each sample's in a
+    stack of them."""
+    return np.abs(array).max(axis=tuple(range(-ndim, 0)), initial=0.0)
+
+
+def worst(values):
+    """``max(0.0, v1, v2, ...)`` over every entry of the arrays in
+    ``values``, as the per-sample folds take it: a NaN never replaces the
+    running value."""
+    return max([0.0, *(v for value in values for v in np.ravel(value).tolist())])
+
+
+def first_failing(failed):
+    """The index of the first sample at which ``failed`` holds; () for a
+    point, so that ``array[first_failing(failed)]`` is the point's own."""
+    return tuple(np.argwhere(failed)[0])
 
 
 def solve_small(matrix, rhs):

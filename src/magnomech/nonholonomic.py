@@ -8,13 +8,16 @@ whose base part stays in D and which are tangent to the surface. The
 constrained field is computed two independent ways (restricted solve and
 Lagrange multipliers) so each can serve as the other's oracle.
 :func:`geometry_check` is the geometry battery of a system (closedness,
-compatibility and dimensions, map diagnostics, relatedness). It and the
-checks built on these per-point functions first run on all their samples
-at once (:mod:`stacked`); the functions here are the reference and the
-fallback when a stacked guard trips. ConstraintDistribution's rows and
-their gradient, SurfaceFrame and multiplier_correction take one point or
-a stack of points along leading axes, in the layout rule of :mod:`linalg`,
-and the stacked checks call them on all their samples at once.
+compatibility and dimensions, map diagnostics, relatedness).
+ConstraintDistribution's rows and their gradient, SurfaceFrame and the
+kernels on a frame (surface_residual, admissible, section_image,
+compatibility, multiplier_correction) take one point or a stack of points
+along leading axes, in the layout rule of :mod:`linalg`; each is defined
+once, and the functions of a PhasePoint (admissible_basis,
+compatibility_report, ...) wrap them. Two orchestrations call them: the
+stacked entry points (:mod:`stacked`) run first, on all samples at once,
+and the per-sample loops (geometry_check's own) are the reference and the
+rerun when a stacked run raises.
 """
 
 from dataclasses import dataclass
@@ -39,8 +42,18 @@ from .geometry import (
     magnetic_match_residual,
     two_form_closedness_residual,
 )
-from .dynamics import FD_STEP, magnetic_vector_field, read_only, symplectic_residual
-from .linalg import max_abs, mv, null_space, rank_of, run_stacked, solve_small, tr
+from .dynamics import FD_STEP, free_field, read_only, symplectic_residual
+from .linalg import (
+    first_failing,
+    max_abs,
+    max_abs_each,
+    mv,
+    null_space,
+    rank_of,
+    run_stacked,
+    solve_small,
+    tr,
+)
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
 
@@ -213,12 +226,28 @@ def project_to_constraint(dist, ham, z):
     return PhasePoint(z.q, surface_frame(dist, ham, z.q).project(z.p))
 
 
-def require_on_constraint(dist, ham, z, tol):
-    residual = max_abs(constraint_residual(dist, ham, z))
-    if residual > tol:
+def surface_residual(frame, p):
+    """|c(q, p)| at q the frame's base point, or at each of its stack;
+    zero without constraints."""
+    if frame.dist.k == 0:
+        return np.zeros(np.shape(p)[:-1])
+    require_quadratic(frame.terms.ham)
+    return max_abs_each(frame.residual(p))
+
+
+def admissible(frame, p, tol):
+    """admissible_basis at (q, p), q the frame's base point, or at each
+    point of a stack; OffConstraintError names the first failing sample's
+    residual."""
+    residual = surface_residual(frame, p)
+    failed = residual > tol
+    if failed.any():
         raise OffConstraintError(
-            f"constraint residual {residual:.3e} exceeds {tol:.1e}")
-    return residual
+            f"constraint residual {residual[first_failing(failed)]:.3e} exceeds {tol:.1e}")
+    if frame.dist.k == 0:
+        dim = 2 * frame.dist.n
+        return np.broadcast_to(np.eye(dim), residual.shape + (dim, dim))
+    return frame.admissible(p)
 
 
 def admissible_basis(dist, ham, z, tol=None):
@@ -230,12 +259,9 @@ def admissible_basis(dist, ham, z, tol=None):
     constraints this is the identity on the full 2n-dimensional tangent
     space.
     """
-    if dist.k == 0:
-        return np.eye(2 * dist.n)
     if tol is None:
         tol = DEFAULT_TOLERANCES.get("constraint")
-    require_on_constraint(dist, ham, z, tol)
-    return surface_frame(dist, ham, z.q).admissible(z.p)
+    return admissible(surface_frame(dist, ham, z.q), z.p, tol)
 
 
 @dataclass
@@ -264,25 +290,36 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
                                    bool(sigma > sigma_tol))
     frame = surface_frame(dist, ham, z.q)
     try:
-        rows = frame.rows
+        frame.rows
     except DegenerateConstraintError:
         return CompatibilityReport(-1, -1, -1, 0.0, -1, False)
-    base_condition = np.zeros((dist.k, 2 * n))
-    base_condition[:, :n] = rows
+    dim_f, dim_tm, dim_k, sigma, intersection, passed = compatibility(
+        frame, omega, z.p, sigma_tol)
+    return CompatibilityReport(int(dim_f), int(dim_tm), int(dim_k), float(sigma),
+                               int(intersection), bool(passed))
+
+
+def compatibility(frame, omega, p, sigma_tol):
+    """compatibility_report's six fields at (q, p), q the frame's base
+    point (k > 0) and omega = Omega(q), or each an array over a stack."""
+    dist = frame.dist
+    n = dist.n
+    base_condition = np.zeros(frame.rows.shape[:-2] + (dist.k, 2 * n))
+    base_condition[..., :n] = frame.rows
     f_basis = null_space(base_condition)
-    tm_basis = null_space(frame.jacobian(z.p))
-    f_perp = null_space(f_basis.T @ omega)
-    intersection = tm_basis.shape[1] + f_perp.shape[1] - rank_of(
-        np.hstack([tm_basis, f_perp]))
-    k_basis = admissible_basis(dist, ham, z)
-    restricted = k_basis.T @ omega @ k_basis
+    tm_basis = null_space(frame.jacobian(p))
+    f_perp = null_space(tr(f_basis) @ omega)
+    intersection = tm_basis.shape[-1] + f_perp.shape[-1] - rank_of(
+        np.concatenate([tm_basis, f_perp], axis=-1))
+    k_basis = admissible(frame, p, DEFAULT_TOLERANCES.get("constraint"))
+    restricted = tr(k_basis) @ omega @ k_basis
+    lead = restricted.shape[:-2]
     if restricted.size:
-        sigma = float(np.linalg.svd(restricted, compute_uv=False)[-1])
+        sigma = np.linalg.svd(restricted, compute_uv=False)[..., -1]
     else:
-        sigma = 0.0
-    passed = bool(sigma > sigma_tol and intersection == 0)
-    return CompatibilityReport(f_basis.shape[1], tm_basis.shape[1],
-                               k_basis.shape[1], sigma, int(intersection), passed)
+        sigma = np.zeros(lead)
+    dims = [np.full(lead, basis.shape[-1]) for basis in (f_basis, tm_basis, k_basis)]
+    return (*dims, sigma, intersection, (sigma > sigma_tol) & (intersection == 0))
 
 
 def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
@@ -294,6 +331,7 @@ def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerance
     (None when the system is unconstrained and has no phase map). ``draw``
     is called once, after the closedness check.
     """
+    qs = list(qs)
     stacked = run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry, qs,
                           draw, tolerances)
     if stacked is not None:
@@ -371,15 +409,8 @@ def constrained_field_multiplier(dist, ham, mag, z):
     The correction directions Z_a are the vertical lifts (0, -A_a); the
     multipliers make X tangent to the constraint surface.
     """
-    return multiplier_field(dist, ham, z, magnetic_vector_field(ham, mag, z))
-
-
-def multiplier_field(dist, ham, z, free):
-    """The multiplier route at z from the free field ``free`` at z, for
-    callers that already hold it."""
-    if dist.k == 0:
-        return ConstrainedField(free, multipliers=np.zeros(0))
-    x, lam = multiplier_correction(surface_frame(dist, ham, z.q), z.p, free.vec)
+    x, lam = multiplier_correction(surface_frame(dist, ham, z.q), z.p,
+                                   free_field(ham, mag, z.q, z.p))
     return ConstrainedField(TangentPhaseVector.from_vec(x), multipliers=lam)
 
 
@@ -387,6 +418,8 @@ def multiplier_correction(frame, p, free):
     """(X, lambda) on flat arrays: the free field ``free`` at (q, p), q the
     frame's base point, plus sum_a lambda_a Z_a; at a point or a stack."""
     dist = frame.dist
+    if dist.k == 0:
+        return free, np.zeros(free.shape[:-1] + (0,))
     jac_c = frame.jacobian(p)
     lifts = np.zeros(frame.rows.shape[:-2] + (2 * dist.n, dist.k))
     lifts[..., dist.n:, :] = -tr(frame.rows)
@@ -403,19 +436,18 @@ def constrained_field(dist, ham, mag, z):
     return constrained_field_multiplier(dist, ham, mag, z).vector
 
 
-def section_point(section, dist, ham, q, tol):
-    """The section point (q, gamma(q)) and its constraint residual.
-
-    Raises SectionImageError when the residual exceeds ``tol``: every
-    statement about a section assumes its values lie on the surface.
-    """
-    z = PhasePoint(q, section.value(q))
-    residual = max_abs(constraint_residual(dist, ham, z))
-    if residual > tol:
+def section_image(frame, gs, tol):
+    """The constraint residual of section values gs over the frame's base
+    point, or each over its stack; SectionImageError above ``tol`` names
+    the first failing sample."""
+    residual = surface_residual(frame, gs)
+    failed = residual > tol
+    if failed.any():
+        at = first_failing(failed)
         raise SectionImageError(
-            f"section image off constraint surface at q={z.q} "
-            f"(residual {residual:.3e})")
-    return z, residual
+            f"section image off constraint surface at q={frame.terms.q[at]} "
+            f"(residual {residual[at]:.3e})")
+    return residual
 
 
 def field_tangency_residual(section, dist, ham, mag, qs):
@@ -429,7 +461,9 @@ def field_tangency_residual(section, dist, ham, mag, qs):
     worst = 0.0
     for q in qs:
         q = ensure_config(q, dist.n)
-        z, _ = section_point(section, dist, ham, q, image_tol)
-        x = magnetic_vector_field(ham, mag, z)
-        worst = max(worst, max_abs(surface_frame(dist, ham, q).rows @ x.dq))
+        frame = surface_frame(dist, ham, q)
+        g = section.value(q)
+        section_image(frame, g, image_tol)
+        x = free_field(ham, mag, q, g)
+        worst = max(worst, max_abs(frame.rows @ x[: dist.n]))
     return worst

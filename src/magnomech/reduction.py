@@ -8,35 +8,42 @@ field solves the structure equation in a basis of the pushed-down subspace.
 :func:`reduced_field` builds that basis (a :class:`ReducedFrame`) itself,
 with the on-surface check of :func:`descent_basis`, and returns it with
 the field. The reduced checks call the Type I and Type II kernels of
-:mod:`hj` with a reduced ``level``. As there, each reduced check, its
-hypothesis battery included, first runs on all its samples at once
-(:mod:`stacked`), with these per-sample functions as the reference and
-the fallback when a stacked guard trips.
+:mod:`hj` with a reduced ``level``. The invariance residuals, the reduced
+frame and field and the relatedness residual are each defined once, for
+one point or a stack of points (the functions on a SurfaceFrame; the
+public ones on a PhasePoint wrap them). As in :mod:`hj`, each reduced
+check first runs its stacked entry point (:mod:`stacked`), battery
+included, and the per-sample loops here are the reference and the rerun
+when the stacked run raises.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .dynamics import symplectic_residual
+from .dynamics import free_field, symplectic_residual
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, ensure_config, magnetic_match_residual
+from .geometry import PhasePoint, each, ensure_config
 from .hj import (
     FAIL,
     PASS,
     VACUOUS,
     HJReport,
-    section_hypotheses,
+    first_per_sample,
+    rows_of,
+    twist_on_distribution,
     type1_residual,
     type2_report,
 )
-from .linalg import column_space, max_abs, null_space, run_stacked
-from .nonholonomic import admissible_basis, constrained_field, surface_frame
+from .linalg import column_space, max_abs_each, mv, null_space, run_stacked, tr, worst
+from .nonholonomic import admissible, multiplier_correction, surface_frame
 from .tolerances import DEFAULT_TOLERANCES
 
 # finite cyclic translation of the invariance checks: exact invariance gives
 # exactly zero, so a generous shift is fine and avoids differencing noise
 SHIFT = 0.37
+REDUCED_ROW = ("q", "equation")
 
 
 class TranslationSymmetry:
@@ -88,56 +95,61 @@ class TranslationSymmetry:
         return gen
 
 
-def data_invariance_residual(sym, dist, ham, mag, probes):
-    """Largest change of system data under finite cyclic translations."""
-    worst = 0.0
-    for z in probes:
-        for c in sym.cyclic:
-            moved = z.q.copy()
-            moved[c] += SHIFT
-            worst = max(worst, max_abs(mag.b_matrix(moved) - mag.b_matrix(z.q)))
-            worst = max(worst, max_abs(ham.mass_matrix(moved) - ham.mass_matrix(z.q)))
-            worst = max(worst, abs(ham.value(PhasePoint(moved, z.p)) - ham.value(z)))
-            if dist is not None and dist.k > 0:
-                worst = max(worst, max_abs(surface_frame(dist, ham, moved).rows
-                                           - surface_frame(dist, ham, z.q).rows))
-    return worst
+def _translates(sym, q):
+    """The configuration point q, or each of a stack, moved by SHIFT along
+    each cyclic coordinate in turn."""
+    for c in sym.cyclic:
+        moved = np.array(q, dtype=float)
+        moved[..., c] += SHIFT
+        yield moved
 
 
-def section_invariance_residual(sym, section, probes):
-    worst = 0.0
-    for q in probes:
-        for c in sym.cyclic:
-            moved = np.asarray(q, dtype=float).copy()
-            moved[c] += SHIFT
-            worst = max(worst, max_abs(section.value(moved) - section.value(q)))
-    return worst
+def data_invariance_residual(sym, dist, ham, mag, q, p):
+    """Largest change of system data under finite cyclic translations, at
+    the phase point (q, p) or over a stack of them."""
+    data = [(mag.b_matrix, 2), (ham.mass_matrix, 2),
+            (lambda x: ham.at(x).value(p), 0)]
+    if dist is not None and dist.k > 0:
+        data.append((dist.matrix, 2))
+    # each datum is read at q once, right after its first translate
+    at_q = [cache(lambda fn=fn: fn(q)) for fn, _ in data]
+    return worst([max_abs_each(fn(moved) - base(), ndim)
+                  for moved in _translates(sym, q)
+                  for (fn, ndim), base in zip(data, at_q)])
 
 
-def map_equivariance_residual(sym, phase_map, probes):
-    """Deviation of a phase map from commuting with the group translations."""
-    worst = 0.0
-    for z in probes:
-        base = phase_map.value(z).vec
-        for c in sym.cyclic:
-            offset = np.zeros(2 * sym.n)
-            offset[c] = SHIFT
-            moved = phase_map.value(PhasePoint.from_vec(z.vec + offset)).vec
-            worst = max(worst, max_abs(moved - base - offset))
-    return worst
+def section_invariance_residual(sym, section, q, g):
+    """Largest change of the section, whose value at q is g, under finite
+    cyclic translations; at a point or over a stack."""
+    return worst([max_abs_each(each(section.value, moved) - g)
+                  for moved in _translates(sym, q)])
+
+
+def map_equivariance_residual(sym, phase_map, z, w):
+    """Deviation of a phase map from commuting with the group translations
+    at the phase vector z, whose image is w, or over a stack of them."""
+    values = []
+    for c in sym.cyclic:
+        offset = np.zeros(2 * sym.n)
+        offset[c] = SHIFT
+        values.append(max_abs_each(phase_map.image(z + offset) - w - offset))
+    return worst(values)
 
 
 def vertical_basis(sym, dist, ham, z):
     """Orthonormal basis of the group directions inside the admissible
     subspace (possibly empty)."""
+    if dist is None:
+        return sym.generators()
+    return _vertical(sym, surface_frame(dist, ham, z.q))
+
+
+def _vertical(sym, frame):
+    """vertical_basis over the frame's base point or its stack."""
     generators = sym.generators()
-    if dist is None or dist.k == 0:
+    if frame.dist.k == 0:
         return generators
-    rows = surface_frame(dist, ham, z.q).rows
-    base_parts = generators[: sym.n]
-    conditions = rows @ base_parts
-    coeffs = null_space(conditions)
-    return generators @ coeffs
+    return generators @ null_space(frame.rows @ generators[: sym.n])
 
 
 def descent_basis(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
@@ -147,19 +159,23 @@ def descent_basis(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
     admissible direction vanishes. z must lie on the constraint surface
     within the ``constraint`` tolerance.
     """
-    basis = admissible_basis(dist, ham, z, tol=tolerances.get("constraint"))
-    vertical = vertical_basis(sym, dist, ham, z)
-    if vertical.shape[1] == 0:
+    return _descent(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
+
+
+def _descent(sym, frame, mag, p, tolerances):
+    """descent_basis at (q, p), q the frame's base point, or over a stack."""
+    basis = admissible(frame, p, tolerances.get("constraint"))
+    vertical = _vertical(sym, frame)
+    if vertical.shape[-1] == 0:
         return basis
-    omega = mag.form_matrix(z.q)
-    pairings = vertical.T @ omega @ basis
-    coeffs = null_space(pairings)
-    return basis @ coeffs
+    pairings = tr(vertical) @ mag.form_matrix(frame.terms.q) @ basis
+    return basis @ null_space(pairings)
 
 
 @dataclass
 class ReducedFrame:
-    """Reduced basis and the reduced structure matrix at one point."""
+    """Reduced basis and the reduced structure matrix at one point or over
+    a stack."""
 
     selection: np.ndarray
     basis: np.ndarray
@@ -167,25 +183,36 @@ class ReducedFrame:
 
     @property
     def dim(self):
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     def projector(self):
-        return self.basis @ self.basis.T
+        return self.basis @ tr(self.basis)
 
     def sigma_min(self):
+        """The smallest singular value of omega, at one point."""
         if self.omega.size == 0:
             return 0.0
         return float(np.linalg.svd(self.omega, compute_uv=False)[-1])
 
 
 def reduced_frame(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
-    descent = descent_basis(sym, dist, ham, mag, z, tolerances)
+    return _reduced_frame(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
+
+
+def _reduced_frame(sym, frame, mag, p, tolerances):
+    """reduced_frame at (q, p), q the frame's base point, or over a stack."""
+    descent = _descent(sym, frame, mag, p, tolerances)
     selection = sym.selection()
     pushed = selection @ descent
     basis = column_space(pushed)
-    coeffs, *_ = np.linalg.lstsq(pushed, basis, rcond=None)
-    lifts = descent @ coeffs
-    omega = lifts.T @ mag.form_matrix(z.q) @ lifts
+    # np.linalg.lstsq does not broadcast: one solve per sample
+    lead = pushed.shape[:-2]
+    count = int(np.prod(lead))
+    coeffs = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(
+        pushed.reshape((count,) + pushed.shape[-2:]),
+        basis.reshape((count,) + basis.shape[-2:]))])
+    lifts = descent @ coeffs.reshape(lead + coeffs.shape[1:])
+    omega = tr(lifts) @ mag.form_matrix(frame.terms.q) @ lifts
     return ReducedFrame(selection, basis, omega)
 
 
@@ -193,14 +220,19 @@ def reduced_field(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
     """The reduced dynamical vector at the class of z, as a reduced vector,
     and the ReducedFrame it was solved in. z must lie on the constraint
     surface within the ``constraint`` tolerance (see descent_basis)."""
-    frame = reduced_frame(sym, dist, ham, mag, z, tolerances)
-    grad_bar = frame.selection @ ham.gradient(z)
-    rhs = frame.basis.T @ grad_bar
+    return _reduced_field(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
+
+
+def _reduced_field(sym, frame, mag, p, tolerances):
+    """reduced_field at (q, p), q the frame's base point, or over a stack."""
+    reduced = _reduced_frame(sym, frame, mag, p, tolerances)
+    grad_bar = mv(reduced.selection, frame.terms.gradient(p))
+    rhs = mv(tr(reduced.basis), grad_bar)
     try:
-        xi = np.linalg.solve(frame.omega.T, rhs)
+        xi = np.linalg.solve(tr(reduced.omega), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise DegenerateFormError("reduced structure matrix is singular") from None
-    return frame.basis @ xi, frame
+    return mv(reduced.basis, xi), reduced
 
 
 def reduced_energy(sym, ham, zbar, fill=None):
@@ -208,16 +240,20 @@ def reduced_energy(sym, ham, zbar, fill=None):
     return ham.value(sym.lift_point(zbar, fill=fill))
 
 
+def relatedness(sym, frame, mag, p, tolerances):
+    """|S X - X_bar|, the pushforward of the constrained field against the
+    reduced field, at (q, p), q the frame's base point, or over a stack."""
+    reduced, _ = _reduced_field(sym, frame, mag, p, tolerances)
+    full, _ = multiplier_correction(frame, p, free_field(frame.terms.ham, mag,
+                                                          frame.terms.q, p))
+    return max_abs_each(mv(sym.selection(), full) - reduced)
+
+
 def relatedness_residual(sym, dist, ham, mag, samples,
                          tolerances=DEFAULT_TOLERANCES):
     """Pushforward of the constrained field versus the reduced field."""
-    selection = sym.selection()
-    worst = 0.0
-    for z in samples:
-        reduced, _ = reduced_field(sym, dist, ham, mag, z, tolerances)
-        full = constrained_field(dist, ham, mag, z)
-        worst = max(worst, max_abs(selection @ full.vec - reduced))
-    return worst
+    return worst([relatedness(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
+                  for z in samples])
 
 
 def relatedness_check(sym, dist, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
@@ -226,43 +262,89 @@ def relatedness_check(sym, dist, ham, mag, samples, tolerances=DEFAULT_TOLERANCE
     Broken invariance makes the comparison meaningless, so it yields
     VACUOUS rather than FAIL.
     """
-    invariance = data_invariance_residual(sym, dist, ham, mag, samples)
+    samples = list(samples)
+    invariance = worst([data_invariance_residual(sym, dist, ham, mag, z.q, z.p)
+                        for z in samples])
+    return related_verdict(invariance, lambda: relatedness_residual(
+        sym, dist, ham, mag, samples, tolerances=tolerances), tolerances)
+
+
+def related_verdict(invariance, residual, tolerances):
+    """relatedness_check's (verdict, data) from the invariance residual and
+    ``residual()``, the worst relatedness residual, read only when the
+    data are invariant."""
     if invariance > tolerances.get("invariance"):
         return VACUOUS, {"invariance_residual": invariance,
                          "defects": ["system data varies along cyclic coordinates"]}
-    residual = relatedness_residual(sym, dist, ham, mag, samples,
-                                    tolerances=tolerances)
+    residual = residual()
     verdict = PASS if residual < tolerances.get("related") else FAIL
     return verdict, {"invariance_residual": invariance,
                      "relatedness_residual": residual}
 
 
+def reduced_defects(invariance, section_invariance, twist, tolerances):
+    """The reduced-only hypothesis defects: invariance of the system data
+    and of the section, and the twist d(gamma) + B = 0 on D."""
+    defects = []
+    if invariance > tolerances.get("invariance"):
+        defects.append(f"system data varies along cyclic coordinates ({invariance:.3e})")
+    if section_invariance > tolerances.get("invariance"):
+        defects.append(
+            f"section varies along cyclic coordinates ({section_invariance:.3e})")
+    if twist > tolerances.get("hypothesis"):
+        defects.append("d(gamma) + B does not vanish on the distribution")
+    return defects
+
+
+def map_defects(symplectic, equivariance, tolerances):
+    """The reduced Type II check's defects of the phase map."""
+    defects = []
+    if symplectic > tolerances.get("hypothesis"):
+        defects.append(f"phase map is not structure preserving ({symplectic:.3e})")
+    if equivariance > tolerances.get("invariance"):
+        defects.append(f"phase map is not translation equivariant ({equivariance:.3e})")
+    return defects
+
+
 def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
-    """Hypothesis battery for the reduced checks.
+    """Hypothesis battery for the reduced checks, one point at a time.
 
     The section hypotheses raise as at the constrained level
-    (:func:`hj.section_hypotheses`). The reduced-only hypotheses, invariance
-    of the system data and of the section, and the twist d(gamma) + B = 0
-    on D give named defects instead. Returns (worst twist residual,
-    defects, the section points (q, gamma(q))); any defect makes the
-    verdict VACUOUS since the theorems assert nothing without it.
+    (:func:`hj.section_hypotheses`); the reduced-only hypotheses give named
+    defects instead (:func:`reduced_defects`), and any defect makes the
+    verdict VACUOUS since the theorems assert nothing without it. Returns
+    (worst twist residual, defects, gamma at each q, the SurfaceFrame at
+    each q).
     """
-    defects = []
-    probes = [PhasePoint(ensure_config(q, sym.n), section.value(q)) for q in qs]
-    inv = data_invariance_residual(sym, dist, ham, mag, probes)
-    if inv > tolerances.get("invariance"):
-        defects.append(f"system data varies along cyclic coordinates ({inv:.3e})")
-    ginv = section_invariance_residual(sym, section, qs)
-    if ginv > tolerances.get("invariance"):
-        defects.append(f"section varies along cyclic coordinates ({ginv:.3e})")
-    hyp_worst = 0.0
-    for q in qs:
-        section_hypotheses(section, dist, ham, q, tolerances)
-        hyp_worst = max(hyp_worst, magnetic_match_residual(
-            section, mag.b_field, q, basis=surface_frame(dist, ham, q).basis))
-    if hyp_worst > tolerances.get("hypothesis"):
-        defects.append("d(gamma) + B does not vanish on the distribution")
-    return hyp_worst, defects, probes
+    gs = [section.value(q) for q in qs]
+    frames = [surface_frame(dist, ham, q) for q in qs]
+    invariance = worst([data_invariance_residual(sym, dist, ham, mag, q, g)
+                        for q, g in zip(qs, gs)])
+    section_invariance = worst([section_invariance_residual(sym, section, q, g)
+                                for q, g in zip(qs, gs)])
+    twist = worst([twist_on_distribution(section, frame, g, mag, tolerances)[3]
+                   for frame, g in zip(frames, gs)])
+    return (twist, reduced_defects(invariance, section_invariance, twist, tolerances),
+            gs, frames)
+
+
+def reduced_equation(section, sym, frame, ham, mag, gs, tolerances):
+    """The reduced Type I residual at the section point (q, gs), q the
+    frame's base point, or over a stack."""
+    q = frame.terms.q
+    selection = sym.selection()
+    return type1_residual(ham, mag, q, gs, each(section.jacobian, q), lambda q, p, free: (
+        selection, _reduced_field(sym, frame, mag, p, tolerances)[0]))
+
+
+def reduced_level(sym, frame, mag, tolerances):
+    """The reduced Type II level over the SurfaceFrame at the images."""
+
+    def level(q, p, free):
+        reduced, rframe = _reduced_field(sym, frame, mag, p, tolerances)
+        return rframe.projector(), rframe.selection, reduced
+
+    return level
 
 
 def type1_reduced(section, sym, dist, ham, mag, samples,
@@ -272,25 +354,23 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
+    samples = list(samples)
     stacked = run_stacked("type1_reduced", section, sym, dist, ham, mag, samples,
                           tolerances)
     if stacked is not None:
         hyp_worst, defects, rows = stacked
     else:
         qs = [ensure_config(q, sym.n) for q in samples]
-        hyp_worst, defects, zs = _reduced_hypotheses(
+        hyp_worst, defects, gs, frames = _reduced_hypotheses(
             section, sym, dist, ham, mag, qs, tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
     if stacked is None:
-        selection = sym.selection()
-
-        def level(z, free):
-            return selection, reduced_field(sym, dist, ham, mag, z, tolerances)[0]
-
-        rows = [{"q": z.q.tolist(),
-                 "equation": type1_residual(section, ham, mag, z, level)} for z in zs]
+        rows = []
+        for q, g, frame in zip(qs, gs, frames):
+            rows += rows_of(REDUCED_ROW, q, reduced_equation(section, sym, frame, ham,
+                                                              mag, g, tolerances))
     eq_worst = max([0.0] + [row["equation"] for row in rows])
     verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
     return HJReport("hj1-reduced", verdict, hyp_worst, equation_residual=eq_worst,
@@ -300,34 +380,31 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
+    samples = list(samples)
     stacked = run_stacked("type2_reduced", section, phase_map, sym, dist, ham, mag,
                           samples, tolerances)
-    images = first = None
     if stacked is not None:
         hyp_worst, symp_worst, defects, first = stacked
     else:
         images = [phase_map.value(z) for z in samples]
-        hyp_worst, defects, _ = _reduced_hypotheses(
+        hyp_worst, defects, _, frames = _reduced_hypotheses(
             section, sym, dist, ham, mag, [image.q for image in images], tolerances)
-        symp_worst = 0.0
-        for z in samples:
-            symp_worst = max(symp_worst, symplectic_residual(phase_map, mag, z))
-        if symp_worst > tolerances.get("hypothesis"):
-            defects.append(f"phase map is not structure preserving ({symp_worst:.3e})")
-        equi = map_equivariance_residual(sym, phase_map, samples)
-        if equi > tolerances.get("invariance"):
-            defects.append(f"phase map is not translation equivariant ({equi:.3e})")
+        symp_worst = worst([symplectic_residual(phase_map, mag, z) for z in samples])
+        defects += map_defects(symp_worst, worst(
+            [map_equivariance_residual(sym, phase_map, z.vec, image.vec)
+             for z, image in zip(samples, images)]), tolerances)
+        if not defects:
+            first = first_per_sample(
+                section, phase_map, ham, mag, samples,
+                [reduced_level(sym, frame, mag, tolerances) for frame in frames],
+                images, symplectic=False)
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
-
-    def level(image, free):
-        reduced, frame = reduced_field(sym, dist, ham, mag, image, tolerances)
-        return frame.projector(), frame.selection, reduced
-
     return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,
-                        tolerances, level, hypothesis=hyp_worst, images=images,
-                        first=first)
+                        tolerances, first, lambda q: reduced_level(
+                            sym, surface_frame(dist, ham, q), mag, tolerances),
+                        hypothesis=hyp_worst)
 
 
 def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,

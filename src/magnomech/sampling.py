@@ -3,6 +3,10 @@
 Configuration points come from an unscrambled Sobol sequence over the
 scenario's box (seed independent); momentum components come from a seeded
 generator, uniform on [-1, 1], so --seed pins the whole sample set.
+The Newton iteration of :func:`preimage` is defined once, for one phase
+vector or a stack; the projections and preimages of a sample set first run
+on all samples at once (:mod:`stacked`), with the per-sample loops here as
+the reference and the rerun when the stacked run raises.
 """
 
 from functools import lru_cache
@@ -115,17 +119,30 @@ def newton_preimage(phase_map, target):
     Shipped phase maps are translations, for which one step is exact, but
     the iteration handles any smooth invertible map that moves points little.
     """
-    vec = target.vec.copy()
+    return PhasePoint.from_vec(preimage(phase_map, target.vec))
+
+
+def preimage(phase_map, goal):
+    """newton_preimage of the phase vector goal, or of each of a stack, as
+    an array; a sample stops once its defect is below NEWTON_TOL."""
+    vecs = np.array(goal, dtype=float)
+    width = vecs.shape[-1]
+    stack = vecs.reshape(-1, width)  # a view: the iterates are updated in place
+    goals = np.reshape(goal, (-1, width))
+    active = np.arange(len(stack))
     for _ in range(NEWTON_ITERATIONS):
-        z = PhasePoint.from_vec(vec)
-        defect = phase_map.value(z).vec - target.vec
-        if np.max(np.abs(defect)) < NEWTON_TOL:
-            return z
-        jac = phase_map.jacobian(z)
+        if not np.isfinite(stack[active]).all():
+            raise NumericalDomainError("phase point has non-finite entries")
+        defect = phase_map.image(stack[active]) - goals[active]
+        moving = ~(np.abs(defect).max(axis=-1) < NEWTON_TOL)
+        active, defect = active[moving], defect[moving]
+        if not len(active):
+            return vecs
         try:
-            vec = vec - np.linalg.solve(jac, defect)
+            step = np.linalg.solve(phase_map.jacobians(stack[active]), defect[..., None])
         except np.linalg.LinAlgError:
             raise NumericalDomainError("phase map Jacobian is singular") from None
+        stack[active] = stack[active] - step[..., 0]
     raise NumericalDomainError("preimage iteration did not converge")
 
 

@@ -21,6 +21,7 @@ from . import expressions as ex
 from .dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from .errors import ExpressionError, ScenarioError
 from .geometry import OneFormSection, PhasePoint, TwoFormField
+from .linalg import worst
 from .nonholonomic import ConstraintDistribution
 from .reduction import TranslationSymmetry, data_invariance_residual
 from .sampling import MAX_DIMENSION, sobol_points
@@ -482,8 +483,9 @@ def build_system(spec):
     symmetry = None
     if spec.symmetry is not None:
         symmetry = TranslationSymmetry([i - 1 for i in spec.symmetry], n)
-        phase_probes = [PhasePoint(q, np.linspace(0.1, 0.7, n)) for q in probes]
-        residual = data_invariance_residual(symmetry, dist, ham, mag, phase_probes)
+        p = np.linspace(0.1, 0.7, n)
+        residual = worst([data_invariance_residual(symmetry, dist, ham, mag, q, p)
+                          for q in probes])
         if residual > tolerances.get("invariance"):
             raise ScenarioError(
                 "invariance",

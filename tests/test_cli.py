@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_stacked import per_sample_only
 from magnomech.cli import main
 from magnomech.tolerances import DEFAULTS, Tolerances
 
@@ -38,41 +40,50 @@ def compare_values(left, right, path=""):
         assert left == right, path
 
 
+def check_all_payloads(scenario_dir, tmp_path, *flags):
+    """The normalized `check all` report of each orchestration: the stacked
+    run, and the per-sample reference that every check reruns on a fault.
+    Both must reproduce the goldens, which predate the stacked run."""
+    payloads = []
+    for path in (nullcontext, per_sample_only):
+        out = tmp_path / "report.json"
+        with path():
+            code = main(["check", "all", str(scenario_dir), "--report", str(out),
+                         *flags])
+        assert code == 0
+        payloads.append(normalize(json.loads(out.read_text())))
+    return payloads
+
+
+def same_bytes(produced, golden):
+    assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
 def test_check_all_exits_zero_and_matches_golden(scenario_dir, tmp_path):
-    out = tmp_path / "report.json"
-    code = main(["check", "all", str(scenario_dir), "--report", str(out),
-                 "--seed", "0"])
-    assert code == 0
-    produced = normalize(json.loads(out.read_text()))
     golden = normalize(json.loads(GOLDEN.read_text()))
+    produced, reference = check_all_payloads(scenario_dir, tmp_path, "--seed", "0")
     compare_values(produced, golden)
+    same_bytes(reference, golden)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_check_all_matches_golden_at_other_seeds(scenario_dir, tmp_path, seed):
     """The seed-1 and seed-7 reports equal their golden files exactly,
     modulo wall time, as acceptance criterion 10 compares the seed-0 one."""
-    out = tmp_path / "report.json"
-    code = main(["check", "all", str(scenario_dir), "--report", str(out),
-                 "--seed", str(seed)])
-    assert code == 0
-    produced = normalize(json.loads(out.read_text()))
     golden = normalize(json.loads(
         (GOLDEN.parent / f"check_all_seed{seed}.json").read_text()))
-    assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
+    for produced in check_all_payloads(scenario_dir, tmp_path, "--seed", str(seed)):
+        same_bytes(produced, golden)
 
 
 def test_check_all_matches_golden_at_seven_samples(scenario_dir, tmp_path):
     """Below ten samples the geometry check's short draws are the whole
     draw; the seed-3, 7-sample report equals its golden file exactly."""
-    out = tmp_path / "report.json"
-    code = main(["check", "all", str(scenario_dir), "--report", str(out),
-                 "--seed", "3", "--samples", "7"])
-    assert code == 0
-    produced = normalize(json.loads(out.read_text()))
     golden = normalize(json.loads(
         (GOLDEN.parent / "check_all_samples7.json").read_text()))
-    assert json.dumps(produced, sort_keys=True) == json.dumps(golden, sort_keys=True)
+    for produced in check_all_payloads(scenario_dir, tmp_path, "--seed", "3",
+                                       "--samples", "7"):
+        same_bytes(produced, golden)
 
 
 def test_check_all_is_deterministic(scenario_dir, tmp_path):

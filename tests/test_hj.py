@@ -22,7 +22,7 @@ from magnomech import (
     type2_constrained,
     type2_magnetic,
 )
-from magnomech import dynamics, hj, stacked
+from magnomech import dynamics, hj
 from magnomech.cli import _type2_samples, check_hj1, check_hj2
 from magnomech.dynamics import structure_solve
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
@@ -332,7 +332,7 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     counting(system.epsilon, "eval_fn", "map_value")
     counting(system.epsilon, "jacobian_fn", "jacobian")
     # right-hand sides of Omega^T x = dH solved, per sample or stacked
-    for module in (dynamics, hj, stacked):
+    for module in (dynamics, hj):
         counting(module, "structure_solve", "solves",
                  lambda omega, grad: grad.size // grad.shape[-1])
     report = check_hj1(system, 50, 0)

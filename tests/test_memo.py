@@ -7,11 +7,13 @@ on every call, and a check reads each sample's base point once per stage.
 """
 
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, free_particle_constraint
+from test_stacked import per_sample_only
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
 from magnomech.cli import check_hj2
 from magnomech.errors import (
@@ -116,17 +118,20 @@ def test_check_hj2_reads_each_base_point_once():
     base points to project them, and at the 50 image points, where the
     section hypotheses and the constrained level share it. The surface and
     section samples share their Sobol base points, so each of the 25 base
-    points is read three times."""
-    system = load_system(SCENARIO_DIR / "nh-magnetic-particle.json")
-    dist = system.dist
-    seen = Counter()
-    rows_fn = dist._rows_fn
+    points is read three times, by the stacked run and by the per-sample
+    reference alike."""
+    for path in (nullcontext, per_sample_only):
+        system = load_system(SCENARIO_DIR / "nh-magnetic-particle.json")
+        dist = system.dist
+        seen = Counter()
+        rows_fn = dist._rows_fn
 
-    def counted(q):
-        seen[np.asarray(q, dtype=float).tobytes()] += 1
-        return rows_fn(q)
+        def counted(q):
+            seen[np.asarray(q, dtype=float).tobytes()] += 1
+            return rows_fn(q)
 
-    dist._rows_fn = counted
-    report = check_hj2(system, 50, 0)
-    assert report.verdict == "PASS"
-    assert len(seen) == 25 and set(seen.values()) == {3}
+        dist._rows_fn = counted
+        with path():
+            report = check_hj2(system, 50, 0)
+        assert report.verdict == "PASS"
+        assert len(seen) == 25 and set(seen.values()) == {3}

@@ -1,11 +1,14 @@
 """One numerical layer for a point or a stack.
 
 The linear algebra, Omega, the structure solve, the residual kernels, the
-base terms of H and the surface frame take one point or a stack of points
-along a leading sample axis. For every sample of a random stack each of
-them must give the bits it gives for that sample alone: the stacked checks
-and their per-sample reference call the same functions, and the goldens
-hold only while the two agree.
+base terms of H, the surface frame, the section hypotheses, the Type I and
+Type II kernels, the phase map and its Newton preimage, and the reduced
+frame and field take one point or a stack of points along a leading sample
+axis. For every sample of a random stack each of them must give the bits
+it gives for that sample alone: the stacked checks and their per-sample
+reference call the same functions, and the goldens hold only while the two
+agree. The invariance residuals fold over the samples, so a stack must
+give the fold of the samples' values.
 """
 
 from collections import Counter
@@ -16,9 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
-from magnomech import ConstraintDistribution, HamiltonianSpec, MagneticStructure
+from magnomech import (
+    ConstraintDistribution,
+    HamiltonianSpec,
+    MagneticStructure,
+    OneFormSection,
+    PhaseMap,
+    TranslationSymmetry,
+)
 from magnomech.cli import checks_for_system
-from magnomech.dynamics import pullback_defect, structure_solve
+from magnomech.dynamics import free_field, pullback_defect, structure_solve
+from magnomech.errors import MagnomechError
 from magnomech.geometry import (
     CLOSEDNESS_STEP,
     TwoFormField,
@@ -26,15 +37,39 @@ from magnomech.geometry import (
     restricted_form_residual,
     two_form_closedness_residual,
 )
-from magnomech.hj import tangent_lift
+from magnomech.hj import (
+    _type2_residuals,
+    constrained_level,
+    section_hypotheses,
+    tangent_lift,
+    type1_residual,
+)
 from magnomech.linalg import (
     RankSplit,
     column_space,
     null_space,
     rank_of,
     solve_small,
+    worst,
 )
-from magnomech.nonholonomic import multiplier_correction, surface_frame
+from magnomech.nonholonomic import (
+    admissible,
+    compatibility,
+    multiplier_correction,
+    section_image,
+    surface_frame,
+    surface_residual,
+)
+from magnomech.reduction import (
+    _reduced_field,
+    data_invariance_residual,
+    map_equivariance_residual,
+    reduced_level,
+    relatedness,
+    section_invariance_residual,
+)
+from magnomech.sampling import preimage
+from magnomech.tolerances import Tolerances
 
 seeds = st.integers(0, 2**32 - 1)
 counts = st.integers(1, 5)
@@ -51,6 +86,23 @@ def each_sample(fn, *stacks):
     out = fn(*stacks)
     for i in range(len(stacks[0])):
         same_bits(out[i], fn(*(stack[i] for stack in stacks)))
+
+
+def each_sample_unless_raised(fn, *stacks):
+    """each_sample, unless the stack raises the typed error of a fault or
+    splits by rank: the checks then rerun their per-sample loop."""
+    try:
+        fn(*stacks)
+    except (MagnomechError, RankSplit):
+        return
+    each_sample(fn, *stacks)
+
+
+def folds_samples(fn, *stacks):
+    """A residual that folds over the samples gives, on the stack, the
+    fold (linalg.worst) of its values at each sample."""
+    assert fn(*stacks) == worst([fn(*(stack[i] for stack in stacks))
+                                 for i in range(len(stacks[0]))])
 
 
 def _deficient(rng, count, rows, cols, ranks):
@@ -122,6 +174,27 @@ def test_structure_and_residual_kernels(seed, count, n, constant, width):
     each_sample(lambda q: closedness_residual(field, q, CLOSEDNESS_STEP), qs)
     for q, value in zip(qs, closedness_residual(field, qs, CLOSEDNESS_STEP).tolist()):
         assert two_form_closedness_residual(field, q) == value
+    # the Type I and Type II kernels at their magnetic levels, on a free
+    # particle and a smooth phase map near the identity
+    ham = HamiltonianSpec.free(n)
+    ps, ws = rng.normal(size=(count, n)), rng.normal(size=(count, 2 * n))
+    section_jacs = rng.normal(size=(count, n, n))
+    each_sample(lambda q, p: free_field(ham, mag, q, p), qs, ps)
+    each_sample(lambda q, p, j: type1_residual(ham, mag, q, p, j, lambda q, p, free: (
+        None, free)), qs, ps, section_jacs)
+    shift = 0.1 * rng.normal(size=2 * n)
+    jacobian = None if constant else (lambda v: np.eye(2 * n) + np.diag(0.1 * np.cos(v)))
+    eps = PhaseMap(lambda v: v + 0.1 * np.sin(v) + shift, jacobian)
+    zs = np.concatenate([qs, ps], axis=-1)
+    each_sample(eps.image, zs)
+    each_sample(eps.jacobians, zs)
+    each_sample(lambda w: preimage(eps, w), ws)
+    section = OneFormSection(lambda q: np.sin(q) @ section_jacs[0],
+                             lambda q: np.cos(q)[:, None] * section_jacs[0])
+    for residual in range(2):
+        each_sample(lambda z, w, j: _type2_residuals(
+            section, ham, mag, z, w, j, lambda q, p, free: (None, None, None))[residual],
+            zs, ws, jacs)
 
 
 def _mass(rng, n):
@@ -222,6 +295,40 @@ def test_surface_frame(seed, count, n, data, kind, symbolic):
         each_sample(lambda q, p: getattr(frame(q), method)(p), qs, ps)
     each_sample(lambda q, p, x: multiplier_correction(frame(q), p, x)[0], qs, ps, free)
     each_sample(lambda q, p, x: multiplier_correction(frame(q), p, x)[1], qs, ps, free)
+    # the surface checks, bases and kernels at momenta on the surface, with
+    # a section that tolerates any tangent residual
+    on = frame(qs).project(ps)
+    mag = MagneticStructure(_two_form(rng, n, data.draw(st.booleans())))
+    tolerances = Tolerances({"membership": 1e300})
+    coeff = rng.normal(size=(n, n))
+    section = OneFormSection(lambda q: coeff @ np.sin(q), lambda q: coeff * np.cos(q))
+    each_sample(lambda q, p: surface_residual(frame(q), p), qs, on)
+    each_sample(lambda q, p: section_image(frame(q), p, 1e-8), qs, on)
+    each_sample(lambda q, p: admissible(frame(q), p, 1e-8), qs, on)
+    for part in range(3):
+        each_sample(lambda q, p: section_hypotheses(
+            section, frame(q), p, tolerances)[part], qs, on)
+    for field in range(6):
+        each_sample_unless_raised(lambda q, p: compatibility(
+            frame(q), mag.form_matrix(q), p, 1e-8)[field], qs, on)
+    zs = np.concatenate([qs, on], axis=-1)
+    for part in (0, 2):
+        each_sample_unless_raised(lambda z, x: constrained_level(
+            frame(z[..., :n]), tolerances)(z[..., :n], z[..., n:], lambda: x)[part],
+            zs, free)
+    # the reduced frame and field over the last coordinate, translated
+    sym = TranslationSymmetry([n - 1], n)
+    each_sample_unless_raised(lambda q, p: _reduced_field(
+        sym, frame(q), mag, p, tolerances)[0], qs, on)
+    for part in (0, 2):
+        each_sample_unless_raised(lambda q, p: reduced_level(
+            sym, frame(q), mag, tolerances)(q, p, None)[part], qs, on)
+    each_sample_unless_raised(lambda q, p: relatedness(
+        sym, frame(q), mag, p, tolerances), qs, on)
+    folds_samples(lambda q, p: data_invariance_residual(sym, dist, ham, mag, q, p), qs, on)
+    folds_samples(lambda q, g: section_invariance_residual(sym, section, q, g), qs, on)
+    eps = PhaseMap.translation(np.eye(n)[n - 1])
+    folds_samples(lambda z: map_equivariance_residual(sym, eps, z, eps.image(z)), zs)
 
 
 def test_constant_two_form_is_read_once_per_stack(systems, monkeypatch):

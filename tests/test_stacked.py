@@ -21,12 +21,17 @@ from magnomech import (
     PhaseMap,
     PhasePoint,
     TwoFormField,
+    relatedness_check,
     type1_constrained,
     type1_magnetic,
+    type1_reduced,
     type2_constrained,
+    type2_magnetic,
+    type2_reduced,
 )
 from magnomech import stacked
 from magnomech.cli import (
+    _phase_points,
     _type2_samples,
     check_geometry,
     check_hj1,
@@ -41,6 +46,7 @@ from magnomech.errors import (
     SectionImageError,
     SectionTangentError,
 )
+from magnomech.nonholonomic import geometry_check
 from magnomech.sampling import config_samples
 from magnomech.scenarios import build_system, parse_scenario, reports_to_json
 
@@ -306,3 +312,57 @@ def test_phase_map_without_jacobian_stacks_its_differences(systems):
     assert trips == []
     with per_sample_only():
         assert json.dumps(run(), sort_keys=True) == produced
+
+
+def _with_configs(run):
+    return lambda s, samples: run(s, samples(config_samples(s.sample_box, 8)))
+
+
+def _with_phases(run):
+    return lambda s, samples: run(s, samples(_type2_samples(s, 8, 0)))
+
+
+def _with_surface_points(run):
+    return lambda s, samples: run(s, samples(_phase_points(s, 8, 0)))
+
+
+ONE_PASS = {
+    "type1_magnetic": ("magnetic-hj", _with_configs(
+        lambda s, qs: type1_magnetic(s.gamma, s.ham, s.mag, qs, s.tolerances))),
+    "type1_constrained": ("nh-magnetic-reduced", _with_configs(
+        lambda s, qs: type1_constrained(s.gamma, s.dist, s.ham, s.mag, qs, s.tolerances))),
+    "type1_reduced": ("nh-magnetic-reduced", _with_configs(
+        lambda s, qs: type1_reduced(s.gamma, s.symmetry, s.dist, s.ham, s.mag, qs,
+                                    s.tolerances))),
+    "type2_magnetic": ("magnetic-hj", _with_phases(
+        lambda s, zs: type2_magnetic(s.gamma, s.epsilon, s.ham, s.mag, zs, s.tolerances))),
+    "type2_constrained": ("nh-magnetic-reduced", _with_phases(
+        lambda s, zs: type2_constrained(s.gamma, s.epsilon, s.dist, s.ham, s.mag, zs,
+                                        s.tolerances))),
+    "type2_reduced": ("nh-magnetic-reduced", _with_phases(
+        lambda s, zs: type2_reduced(s.gamma, s.epsilon, s.symmetry, s.dist, s.ham, s.mag,
+                                    zs, s.tolerances))),
+    "relatedness_check": ("nh-magnetic-reduced", _with_surface_points(
+        lambda s, zs: relatedness_check(s.symmetry, s.dist, s.ham, s.mag, zs,
+                                        s.tolerances))),
+    "geometry_check": ("nh-magnetic-reduced", _with_configs(
+        lambda s, qs: geometry_check(s.dist, s.ham, s.mag, s.gamma, s.epsilon, s.symmetry,
+                                     qs, lambda: _phase_points(s, 8, 0), s.tolerances))),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ONE_PASS))
+def test_a_one_pass_iterator_gives_the_list_report(systems, check):
+    """Each check reads its samples once, so an iterator over the samples
+    gives the report that the list gives."""
+    name, run = ONE_PASS[check]
+    system = systems[name]
+
+    def report(samples):
+        out = run(system, samples)
+        return json.dumps(out.as_dict() if hasattr(out, "as_dict") else out,
+                          sort_keys=True)
+
+    produced = report(list)
+    assert '"per_sample": []' not in produced
+    assert report(iter) == produced
