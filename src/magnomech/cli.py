@@ -123,9 +123,9 @@ def _type2_samples(system, count, seed):
     half are preimages of section points so both status branches appear.
     """
     targets = _phase_points(system, count - count // 2, seed)
-    if system.gamma is not None:
-        for q in config_samples(system.sample_box, count // 2):
-            targets.append(PhasePoint(q, system.gamma.value(q)))
+    qs = config_samples(system.sample_box, count // 2)
+    if system.gamma is not None and qs:
+        targets += [PhasePoint(q, g) for q, g in zip(qs, system.gamma.value(qs))]
     return newton_preimages(system.epsilon, targets)
 
 

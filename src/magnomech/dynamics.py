@@ -32,6 +32,7 @@ from .geometry import (
     each,
     fd_gradient,
     fd_jacobian,
+    split,
 )
 from .linalg import dots, mv, norms, tr
 
@@ -187,8 +188,7 @@ class BaseTerms:
         ham = self.ham
         n = ham.n
         if ham._general_fn is not None:
-            fn = ham._general_fn
-            return each(lambda z: fn(z[:n], z[n:]), self.phase_points(p))
+            return each(split(ham._general_fn, n), self.phase_points(p))
         value = 0.5 * dots(p, self.velocity(p)) + ham.potential(self.q)
         if not np.isfinite(value).all():
             raise NumericalDomainError("Hamiltonian is non-finite at the point")
@@ -200,12 +200,10 @@ class BaseTerms:
         n = ham.n
         if ham._general_fn is not None:
             if ham._general_grad_fn is not None:
-                fn = ham._general_grad_fn
-                grad = each(lambda z: fn(z[:n], z[n:]), self.phase_points(p))
+                grad = each(split(ham._general_grad_fn, n), self.phase_points(p))
             else:
-                fn = ham._general_fn
-                grad = each(lambda z: fd_gradient(lambda v: fn(v[:n], v[n:]), z,
-                                                  FD_STEP), self.phase_points(p))
+                value = split(ham._general_fn, n)
+                grad = each(lambda z: fd_gradient(value, z, FD_STEP), self.phase_points(p))
         else:
             grad = np.empty(p.shape[:-1] + (2 * n,))
             grad[..., n:] = self.velocity(p)

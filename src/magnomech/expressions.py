@@ -10,9 +10,11 @@ Grammar (EBNF):
 
 Names are variables ``q1..qn`` / ``p1..pn`` or one of the functions
 ``sin``, ``cos``, ``exp``. Parsing produces a small AST that supports
-compilation to a Python function (the one evaluator), symbolic
-differentiation (enough for polynomial/trig closed forms) and
-round-trippable printing.
+compilation to a Python function of one point (compile_node, the
+evaluator and the reference) and to a column function that evaluates an
+array of ASTs at a whole stack of points with the same bits per point
+(compile_columns), symbolic differentiation (enough for polynomial/trig
+closed forms) and round-trippable printing.
 """
 
 import math
@@ -20,6 +22,9 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ExpressionError, NumericalDomainError
 
@@ -329,23 +334,38 @@ def to_text(node, parent_level=0):
 
 # -- compilation ---------------------------------------------------------------
 
-def py_source(node):
-    """Python source of an AST over the names q<i>, p<i> and SOURCE_NAMES."""
+def py_source(node, columns=False):
+    """Python source of an AST over the names q<i>, p<i> and SOURCE_NAMES.
+
+    With ``columns`` the source evaluates the AST at every point of stacks
+    ``q`` and ``p`` of shape (N, n) and gives an (N,) array, and it differs
+    in three places: q<i> reads the column ``q[:, i - 1]``, and ``^`` and
+    the functions apply the point source's own scalar call to each element
+    (``_each``). Negation and + - * / are numpy operations, which round as
+    the float ones do. A subtree without variables keeps the point source
+    and gives one float.
+    """
+    if columns and not variables(node):
+        columns = False
     if isinstance(node, Num):
         return repr(float(node.value))
     if isinstance(node, Var):
+        if columns:
+            return f"{node.name[0]}[:, {int(node.name[1:]) - 1}]"
         return node.name
     if isinstance(node, Neg):
-        return f"(-{py_source(node.arg)})"
+        return f"(-{py_source(node.arg, columns)})"
     if isinstance(node, Call):
-        return f"_m.{node.fn}({py_source(node.arg)})"
-    left, right = py_source(node.left), py_source(node.right)
+        arg = py_source(node.arg, columns)
+        return f"_each(_m.{node.fn}, {arg})" if columns else f"_m.{node.fn}({arg})"
+    left, right = py_source(node.left, columns), py_source(node.right, columns)
     if node.op != "^":
         return f"({left} {node.op} {right})"
     exponent = _num_of(node.right)
-    if exponent is not None and float(exponent).is_integer():
-        return f"({left} ** {right})"
-    return f"_real_pow({left}, {right})"
+    whole = exponent is not None and float(exponent).is_integer()
+    if columns:
+        return f"_each({'_pow' if whole else '_real_pow'}, {left}, {right})"
+    return f"({left} ** {right})" if whole else f"_real_pow({left}, {right})"
 
 
 def _real_pow(base, exponent):
@@ -355,8 +375,18 @@ def _real_pow(base, exponent):
     return base ** exponent
 
 
+def _each(fn, *args):
+    """fn on each element of the column arguments, as an array; a float
+    argument stands for every element, and at least one is a column."""
+    return np.array(list(map(fn, *(arg.tolist() if isinstance(arg, np.ndarray)
+                                   else repeat(arg) for arg in args))))
+
+
 # the names py_source's output reads besides the variables
 SOURCE_NAMES = {"_m": math, "_real_pow": _real_pow}
+# and the further names of its column source
+COLUMN_NAMES = dict(SOURCE_NAMES, _each=_each, _pow=operator.pow,
+                    _raise=np.errstate(over="raise", divide="raise", invalid="raise"))
 
 
 def compile_node(node):
@@ -391,6 +421,71 @@ def _code(reads, body):
               f"        return value\n"
               f"    raise _fault(f'non-finite value {{value}}')\n")
     return compile(source, "<magnomech-expr>", "exec")
+
+
+def compile_columns(leaves, shape=()):
+    """``f(q, p=None)`` evaluating the ASTs ``leaves``, the row-major entries
+    of an array of ``shape``, at every point of stacks q and p of shape
+    (N, n), as an (N, *shape) float array.
+
+    Each point's values have the bits that compile_node's function gives at
+    that point alone (see py_source). When an entry faults or is non-finite
+    at any point the result is None, and the caller evaluates point by
+    point, which raises the first faulting point's NumericalDomainError.
+    Nothing is compiled until the first call, so building a system costs
+    what it did.
+    """
+    leaves = tuple(leaves)
+    compiled = None
+
+    def columns(q, p=None):
+        nonlocal compiled
+        if compiled is None:
+            compiled = _columns(leaves, shape)
+        return compiled(q, p)
+
+    return columns
+
+
+def _columns(leaves, shape):
+    """compile_columns' function, built on its first call. Constant entries
+    are filled from a template, so only the others are computed, and an
+    array of constants is one read-only broadcast."""
+    constant = [isinstance(node, Num) for node in leaves]
+    template = np.array([node.value if known else 0.0
+                         for node, known in zip(leaves, constant)])
+    if all(constant):
+        template = template.reshape(shape)
+        template.setflags(write=False)
+        return lambda q, p=None: np.broadcast_to(template, (len(q),) + shape)
+    namespace = dict(COLUMN_NAMES)
+    exec(_column_code("".join(f"    out[:, {k}] = {py_source(node, columns=True)}\n"
+                              for k, node in enumerate(leaves)
+                              if not isinstance(node, Num))), namespace)
+    fill = namespace["_fill"]
+    filled = any(constant)
+
+    def columns(q, p=None):
+        out = np.empty((len(q), len(leaves)))
+        if filled:
+            out[:] = template
+        try:
+            fill(q, p, out)
+        except (ArithmeticError, ValueError):
+            return None
+        if np.isfinite(out).all():
+            return out.reshape((len(q),) + shape)
+        return None
+
+    return columns
+
+
+@lru_cache(maxsize=1024)
+def _column_code(body):
+    """The compiled ``_fill`` definition for one body, which writes the
+    columns of ``out`` under raising numpy error states."""
+    return compile(f"@_raise\ndef _fill(q, p, out):\n{body}", "<magnomech-columns>",
+                   "exec")
 
 
 # public AST builders (constant folding included) for emitted scenarios

@@ -5,8 +5,10 @@ arrays, covector sections are callables with Jacobian access, and two-forms
 are antisymmetric evaluation matrices: value(x, y) = x^T M(q) y.
 ``TwoFormField.matrix`` and the residual kernels (restricted_form_residual,
 twist_residual, closedness_residual) take one point or a stack of points
-along leading axes, in the layout rule of :mod:`linalg`; :func:`each`
-evaluates a one-point callable at every point of a stack.
+along leading axes, in the layout rule of :mod:`linalg`, and so do the
+section's ``value`` and ``jacobian``; :func:`each` evaluates a one-point
+callable at every point of a stack, through its column function when it
+has one.
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +26,34 @@ CLOSEDNESS_STEP = 1e-4
 def each(fn, points):
     """``fn`` at each point of a stack whose last axis holds one point's
     coordinates, as one float array with the stack's leading axes; one point
-    gives fn(point) as an array."""
+    gives fn(point) as an array.
+
+    A stack goes to fn's column function ``fn.columns`` when fn has one
+    (compiled scenario expressions do, see expressions.compile_columns),
+    in one call with the same bits per point; when that returns None (a
+    fault at some point) or fn has none, fn runs at each point in turn, so
+    a fault raises the first faulting point's error.
+    """
     points = np.asarray(points, dtype=float)
-    values = np.array([fn(point) for point in points.reshape(-1, points.shape[-1])],
-                      dtype=float)
+    flat = points.reshape(-1, points.shape[-1])
+    values = None
+    if points.ndim > 1 and hasattr(fn, "columns"):
+        values = fn.columns(flat)
+    if values is None:
+        values = np.array([fn(point) for point in flat], dtype=float)
     return values.reshape(points.shape[:-1] + values.shape[1:])
+
+
+def split(fn, n):
+    """``fn(q, p)`` as a function of the phase vector (q, p), with the
+    column function of fn's when it has one."""
+
+    def on_vector(vec):
+        return fn(vec[:n], vec[n:])
+
+    if hasattr(fn, "columns"):
+        on_vector.columns = lambda vecs: fn.columns(vecs[:, :n], vecs[:, n:])
+    return on_vector
 
 
 def ensure_config(q, n=None):
@@ -140,17 +165,18 @@ class OneFormSection:
     step: float = DEFAULT_FD_STEP
 
     def value(self, q):
-        value = np.asarray(self.eval_fn(np.asarray(q, dtype=float)), dtype=float)
+        """gamma at a point q, or at each point of a stack."""
+        value = each(self.eval_fn, q)
         if not np.isfinite(value).all():
             raise NumericalDomainError("one-form evaluation is non-finite")
         return value
 
     def jacobian(self, q):
-        q = np.asarray(q, dtype=float)
+        """d(gamma_i)/d(q_j) at a point q, or at each point of a stack."""
         if self.jacobian_fn is not None:
-            jac = np.asarray(self.jacobian_fn(q), dtype=float)
+            jac = each(self.jacobian_fn, q)
         else:
-            jac = fd_jacobian(self.eval_fn, q, self.step)
+            jac = each(lambda x: fd_jacobian(self.eval_fn, x, self.step), q)
         if not np.isfinite(jac).all():
             raise NumericalDomainError("one-form Jacobian is non-finite")
         return jac

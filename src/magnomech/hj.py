@@ -30,7 +30,6 @@ from .dynamics import free_field, pullback_defect, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
 from .geometry import (
     TwoFormField,
-    each,
     ensure_config,
     exterior_derivative,
     twist_residual,
@@ -117,7 +116,7 @@ def section_hypotheses(section, frame, gs, tolerances=DEFAULT_TOLERANCES):
     image = section_image(frame, gs, image_tol)
     basis = admissible(frame, gs, image_tol)
     projector = basis @ tr(basis)
-    jacs = each(section.jacobian, frame.terms.q)
+    jacs = section.jacobian(frame.terms.q)
     tangent = np.zeros(image.shape)
     for j in range(frame.basis.shape[-1]):
         lifted = tangent_lift(jacs, frame.basis[..., :, j])
@@ -157,9 +156,9 @@ def type1_residual(ham, mag, q, p, jac, level):
 
 def magnetic_rows(section, ham, mag, q):
     """(hypothesis, equation) of type1_magnetic at a base point or a stack."""
-    jacs = each(section.jacobian, q)
+    jacs = section.jacobian(q)
     hypothesis = twist_residual(jacs, mag.b_matrix(q), np.eye(ham.n))
-    return hypothesis, type1_residual(ham, mag, q, each(section.value, q), jacs,
+    return hypothesis, type1_residual(ham, mag, q, section.value(q), jacs,
                                       lambda q, p, free: (None, free))
 
 
@@ -167,7 +166,7 @@ def distributional_rows(section, dist, ham, mag, q, tolerances):
     """(hypothesis, equation, image, tangent) of type1_constrained at a
     base point or a stack."""
     frame = surface_frame(dist, ham, q)
-    gs = each(section.value, q)
+    gs = section.value(q)
     image, tangent, jacs, twist = twist_on_distribution(section, frame, gs, mag,
                                                         tolerances)
     equation = type1_residual(ham, mag, q, gs, jacs, lambda q, p, free: (
@@ -253,7 +252,7 @@ def _type2_residuals(section, ham, mag, z, w, map_jac, level):
     if not np.isfinite(grad_pull).all():
         raise NumericalDomainError("Hamiltonian gradient is non-finite")
     x_pull = structure_solve(mag.form_matrix(z[..., :n]), grad_pull)
-    lam_push = tangent_lift(each(section.jacobian, wq), free()[..., :n])
+    lam_push = tangent_lift(section.jacobian(wq), free()[..., :n])
     pushed = mv(map_jac, x_pull)
     if selection is not None:
         pushed = mv(selection, pushed)

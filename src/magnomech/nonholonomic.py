@@ -125,6 +125,16 @@ class SurfaceFrame:
     def rows(self):
         return read_only(self.dist.matrix(self.terms.q))
 
+    def take(self, idx):
+        """The frame over the samples ``idx`` of the stack: this frame when
+        idx takes them all, else a new one that keeps A(q) if it was read."""
+        if len(idx) == len(self.terms.q):
+            return self
+        frame = surface_frame(self.dist, self.terms.ham, self.terms.q[idx])
+        if "rows" in self.__dict__:
+            frame.rows = read_only(self.rows[idx])
+        return frame
+
     @cached_property
     def rows_gradient(self):
         return read_only(self.dist.rows_gradient(self.terms.q))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import free_field, symplectic_residual
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, each, ensure_config
+from .geometry import PhasePoint, ensure_config
 from .hj import (
     FAIL,
     PASS,
@@ -104,15 +104,19 @@ def _translates(sym, q):
         yield moved
 
 
-def data_invariance_residual(sym, dist, ham, mag, q, p):
+def data_invariance_residual(sym, dist, ham, mag, q, p, frame=None):
     """Largest change of system data under finite cyclic translations, at
-    the phase point (q, p) or over a stack of them."""
+    the phase point (q, p) or over a stack of them; A(q) is read from
+    ``frame``, the caller's SurfaceFrame over q, when there is one."""
     data = [(mag.b_matrix, 2), (ham.mass_matrix, 2),
             (lambda x: ham.at(x).value(p), 0)]
-    if dist is not None and dist.k > 0:
+    constrained = dist is not None and dist.k > 0
+    if constrained:
         data.append((dist.matrix, 2))
     # each datum is read at q once, right after its first translate
     at_q = [cache(lambda fn=fn: fn(q)) for fn, _ in data]
+    if constrained and frame is not None:
+        at_q[-1] = lambda: frame.rows
     return worst([max_abs_each(fn(moved) - base(), ndim)
                   for moved in _translates(sym, q)
                   for (fn, ndim), base in zip(data, at_q)])
@@ -121,7 +125,7 @@ def data_invariance_residual(sym, dist, ham, mag, q, p):
 def section_invariance_residual(sym, section, q, g):
     """Largest change of the section, whose value at q is g, under finite
     cyclic translations; at a point or over a stack."""
-    return worst([max_abs_each(each(section.value, moved) - g)
+    return worst([max_abs_each(section.value(moved) - g)
                   for moved in _translates(sym, q)])
 
 
@@ -318,8 +322,8 @@ def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
     """
     gs = [section.value(q) for q in qs]
     frames = [surface_frame(dist, ham, q) for q in qs]
-    invariance = worst([data_invariance_residual(sym, dist, ham, mag, q, g)
-                        for q, g in zip(qs, gs)])
+    invariance = worst([data_invariance_residual(sym, dist, ham, mag, q, g, frame)
+                        for q, g, frame in zip(qs, gs, frames)])
     section_invariance = worst([section_invariance_residual(sym, section, q, g)
                                 for q, g in zip(qs, gs)])
     twist = worst([twist_on_distribution(section, frame, g, mag, tolerances)[3]
@@ -333,7 +337,7 @@ def reduced_equation(section, sym, frame, ham, mag, gs, tolerances):
     frame's base point, or over a stack."""
     q = frame.terms.q
     selection = sym.selection()
-    return type1_residual(ham, mag, q, gs, each(section.jacobian, q), lambda q, p, free: (
+    return type1_residual(ham, mag, q, gs, section.jacobian(q), lambda q, p, free: (
         selection, _reduced_field(sym, frame, mag, p, tolerances)[0]))
 
 

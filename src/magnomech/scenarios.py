@@ -20,7 +20,7 @@ import numpy as np
 from . import expressions as ex
 from .dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from .errors import ExpressionError, ScenarioError
-from .geometry import OneFormSection, PhasePoint, TwoFormField
+from .geometry import OneFormSection, PhasePoint, TwoFormField, split
 from .linalg import worst
 from .nonholonomic import ConstraintDistribution
 from .reduction import TranslationSymmetry, data_invariance_residual
@@ -331,27 +331,31 @@ def _compile(nodes):
     first faulting entry is the one reported. An array whose entries are
     all numbers is built once and returned read-only on every call. The
     function keeps ``nodes`` as its ``nodes`` attribute, which the
-    integrator's generated step inlines (see kernel.py).
+    integrator's generated step inlines (see kernel.py), and the column
+    function of the same array as ``columns``, which geometry.each calls on
+    a stack of points.
     """
     if not isinstance(nodes, list):
         evaluate = ex.compile_node(nodes)
+        leaves, shape = [nodes], ()
     else:
-        leaves = np.asarray(nodes, dtype=object)
-        shape = leaves.shape
-        if all(isinstance(node, ex.Num) for node in leaves.flat):
-            constant = np.array([node.value for node in leaves.flat], dtype=float)
+        array = np.asarray(nodes, dtype=object)
+        leaves, shape = list(array.flat), array.shape
+        if all(isinstance(node, ex.Num) for node in leaves):
+            constant = np.array([node.value for node in leaves], dtype=float)
             constant = constant.reshape(shape)
             constant.setflags(write=False)
 
             def evaluate(q, p=None):
                 return constant
         else:
-            fns = [ex.compile_node(node) for node in leaves.flat]
+            fns = [ex.compile_node(node) for node in leaves]
 
             def evaluate(q, p=None):
                 return np.array([f(q, p) for f in fns]).reshape(shape)
 
     evaluate.nodes = nodes
+    evaluate.columns = ex.compile_columns(leaves, shape)
     return evaluate
 
 
@@ -432,10 +436,6 @@ def build_system(spec):
     pn = ex.phase_names(n)
     probes = _probe_points(spec.sample_box)
 
-    def split(fn):
-        """``fn(q, p)`` as a function of the stacked vector (q, p)."""
-        return None if fn is None else (lambda vec: fn(vec[:n], vec[n:]))
-
     if spec.general_h is not None:
         node = model["general_h"]
         ham = HamiltonianSpec.general(n, _compile(node), _compile_partials(node, pn))
@@ -476,8 +476,9 @@ def build_system(spec):
         gamma = OneFormSection(_compile(model["gamma"]),
                                _compile_partials(model["gamma"], qn))
     if "epsilon" in model:
-        epsilon = PhaseMap(split(_compile(model["epsilon"])),
-                           split(_compile_partials(model["epsilon"], pn)))
+        partials = _compile_partials(model["epsilon"], pn)
+        epsilon = PhaseMap(split(_compile(model["epsilon"]), n),
+                           None if partials is None else split(partials, n))
 
     tolerances = Tolerances(spec.tolerances)
     symmetry = None

@@ -25,7 +25,6 @@ from .geometry import (
     CLOSEDNESS_STEP,
     PhasePoint,
     closedness_residual,
-    each,
     ensure_config,
     twist_residual,
 )
@@ -110,14 +109,16 @@ def _first(symplectic, a, b):
     return list(zip(symplectic, a.tolist(), b.tolist()))
 
 
-def _reduced_battery(section, sym, dist, ham, mag, qs, tolerances):
-    """reduction._reduced_hypotheses on the stack qs: (worst twist
-    residual, defects, gamma at each q)."""
-    gs = each(section.value, qs)
-    invariance = data_invariance_residual(sym, dist, ham, mag, qs, gs)
+def _reduced_battery(section, sym, frame, mag, tolerances):
+    """reduction._reduced_hypotheses on the stack of the SurfaceFrame's
+    base points: (worst twist residual, defects, gamma at each q)."""
+    qs = frame.terms.q
+    gs = section.value(qs)
+    invariance = data_invariance_residual(sym, frame.dist, frame.terms.ham, mag, qs, gs,
+                                          frame)
     section_invariance = section_invariance_residual(sym, section, qs, gs)
     (twist,) = by_rank(len(qs), lambda idx: twist_on_distribution(
-        section, surface_frame(dist, ham, qs[idx]), gs[idx], mag, tolerances)[3:])
+        section, frame.take(idx), gs[idx], mag, tolerances)[3:])
     twist = worst(twist)
     return twist, reduced_defects(invariance, section_invariance, twist, tolerances), gs
 
@@ -139,13 +140,12 @@ def type1_constrained(section, dist, ham, mag, samples, tolerances):
 def type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
     """(worst twist residual, defects, rows); rows is None with defects."""
     qs = configs(samples, sym.n)
-    hyp_worst, defects, gs = _reduced_battery(section, sym, dist, ham, mag, qs,
-                                              tolerances)
+    frame = surface_frame(dist, ham, qs)
+    hyp_worst, defects, gs = _reduced_battery(section, sym, frame, mag, tolerances)
     if defects:
         return hyp_worst, defects, None
     (equation,) = by_rank(len(qs), lambda idx: (reduced_equation(
-        section, sym, surface_frame(dist, ham, qs[idx]), ham, mag, gs[idx],
-        tolerances),))
+        section, sym, frame.take(idx), ham, mag, gs[idx], tolerances),))
     return hyp_worst, defects, rows_of(REDUCED_ROW, qs, equation)
 
 
@@ -166,7 +166,7 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
 
     def pipeline(idx):
         frame = surface_frame(dist, ham, ws[idx, :n])
-        section_hypotheses(section, frame, each(section.value, ws[idx, :n]), tolerances)
+        section_hypotheses(section, frame, section.value(ws[idx, :n]), tolerances)
         return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx],
                                 constrained_level(frame, tolerances))
 
@@ -180,8 +180,8 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
     zs = _points(samples)
     n = sym.n
     ws = phase_map.image(zs)
-    hyp_worst, defects, _ = _reduced_battery(section, sym, dist, ham, mag, ws[:, :n],
-                                             tolerances)
+    frame = surface_frame(dist, ham, ws[:, :n])
+    hyp_worst, defects, _ = _reduced_battery(section, sym, frame, mag, tolerances)
     map_jacs = phase_map.jacobians(zs)
     symp_worst = worst(pullback_defect(mag, zs[:, :n], ws[:, :n], map_jacs))
     defects += map_defects(symp_worst, map_equivariance_residual(sym, phase_map, zs, ws),
@@ -190,7 +190,7 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
         return hyp_worst, symp_worst, defects, None
 
     def pipeline(idx):
-        level = reduced_level(sym, surface_frame(dist, ham, ws[idx, :n]), mag, tolerances)
+        level = reduced_level(sym, frame.take(idx), mag, tolerances)
         return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx], level)
 
     a, b = by_rank(len(zs), pipeline)
@@ -222,7 +222,7 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         if not data["compatibility_passed"] or not data["dims_constant"]:
             verdict = FAIL
     if gamma is not None:
-        jacs = each(gamma.jacobian, qs)
+        jacs = gamma.jacobian(qs)
         (match,) = by_rank(len(qs), lambda idx: (twist_residual(
             jacs[idx], mag.b_matrix(qs[idx]), surface_frame(dist, ham, qs[idx]).basis),))
         data["gamma_match_residual"] = max(match.tolist())

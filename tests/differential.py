@@ -12,7 +12,8 @@ compared by running the script in each and comparing the outputs with
 
 With ``--reference`` every check runs its per-sample loop instead of its
 stacked entry point (``test_stacked.per_sample_only``). pytest does not
-collect this file.
+collect this file; ``test_stacked`` compares the two modes on the first 60
+documents.
 """
 
 import argparse
@@ -77,6 +78,12 @@ def outcomes(doc, samples, seed):
     return {"checks": [outcome(run) for run in runs]}
 
 
+def record(index, doc, samples, seed):
+    """The JSON line of one drawn document."""
+    return json.dumps({"index": index, "doc": doc, "samples": samples, "seed": seed,
+                       **outcomes(doc, samples, seed)}, sort_keys=True, default=repr)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("count", type=int, help="number of documents")
@@ -84,10 +91,8 @@ def main(argv=None):
                         help="run the per-sample loops only")
     args = parser.parse_args(argv)
     with per_sample_only() if args.reference else contextlib.nullcontext():
-        for index, (doc, samples, seed) in enumerate(draw(args.count)):
-            record = {"index": index, "doc": doc, "samples": samples, "seed": seed,
-                      **outcomes(doc, samples, seed)}
-            print(json.dumps(record, sort_keys=True, default=repr))
+        for index, drawn in enumerate(draw(args.count)):
+            print(record(index, *drawn))
 
 
 if __name__ == "__main__":

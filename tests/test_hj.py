@@ -314,7 +314,9 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     per sample, building no Hamiltonian per sample. The stacked run
     evaluates eps and J_eps through the map's functions and solves the
     structure equation for a stack of right-hand sides through the one
-    structure_solve, so each call counts its right-hand sides."""
+    structure_solve, so each call counts its right-hand sides, and evaluates
+the section on the stack in one OneFormSection.value call, which counts
+its samples."""
     system = load_system(scenario_dir / "nh-magnetic-particle.json")
     calls = Counter()
 
@@ -327,7 +329,9 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(OneFormSection, "value")
+    # section values, per sample or stacked
+    counting(OneFormSection, "value",
+             weight=lambda section, q: np.size(q) // np.shape(q)[-1])
     counting(HamiltonianSpec, "__init__")
     counting(system.epsilon, "eval_fn", "map_value")
     counting(system.epsilon, "jacobian_fn", "jacobian")

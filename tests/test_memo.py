@@ -15,7 +15,7 @@ import pytest
 from conftest import SCENARIO_DIR, free_particle_constraint
 from test_stacked import per_sample_only
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
-from magnomech.cli import check_hj2
+from magnomech.cli import check_hj1, check_hj2
 from magnomech.errors import (
     DegenerateConstraintError,
     NumericalDomainError,
@@ -113,15 +113,13 @@ def test_off_surface_point_raises_on_every_call():
         admissible_basis(dist, ham, off)
 
 
-def test_check_hj2_reads_each_base_point_once():
-    """A(q) is read once per sample and stage: at the 25 surface samples'
-    base points to project them, and at the 50 image points, where the
-    section hypotheses and the constrained level share it. The surface and
-    section samples share their Sobol base points, so each of the 25 base
-    points is read three times, by the stacked run and by the per-sample
-    reference alike."""
+def _rows_reads(scenario, run):
+    """The reads of A(q) per point while ``run(system)`` checks the scenario,
+    as a Counter of read counts, on the stacked path and on the per-sample
+    path (the two must agree)."""
+    found = []
     for path in (nullcontext, per_sample_only):
-        system = load_system(SCENARIO_DIR / "nh-magnetic-particle.json")
+        system = load_system(SCENARIO_DIR / f"{scenario}.json")
         dist = system.dist
         seen = Counter()
         rows_fn = dist._rows_fn
@@ -132,6 +130,39 @@ def test_check_hj2_reads_each_base_point_once():
 
         dist._rows_fn = counted
         with path():
-            report = check_hj2(system, 50, 0)
+            report = run(system)
         assert report.verdict == "PASS"
-        assert len(seen) == 25 and set(seen.values()) == {3}
+        found.append(Counter(seen.values()))
+    assert found[0] == found[1]
+    return found[0]
+
+
+def test_check_hj2_reads_each_base_point_once():
+    """A(q) is read once per sample and stage: at the 25 surface samples'
+    base points to project them, and at the 50 image points, where the
+    section hypotheses and the constrained level share it. The surface and
+    section samples share their Sobol base points, so each of the 25 base
+    points is read three times, by the stacked run and by the per-sample
+    reference alike."""
+    assert _rows_reads("nh-magnetic-particle", lambda system: check_hj2(
+        system, 50, 0)) == {3: 25}
+
+
+def test_reduced_checks_read_each_base_point_once_per_stage():
+    """The reduced checks read A(q) once per sample and stage as well: the
+    invariance residual, the section hypotheses and the reduced equation or
+    level share one SurfaceFrame.
+
+    - hj1-reduced reads each of its 50 samples once, and each sample's two
+      cyclic translates once: 150 points, one read each.
+    - hj2-reduced reads each of the 25 image base points once per image,
+      and two images share each; 18 of them are also the base point of a
+      surface sample, which is read once more to project it (the other 7
+      come back from the round trip through the phase map's Newton
+      preimage with other bits, and are read once). Each of the
+      50 cyclic translates of the image base points is read once per image.
+    """
+    assert _rows_reads("nh-magnetic-reduced", lambda system: check_hj1(
+        system, 50, 0, reduced=True)) == {1: 150}
+    assert _rows_reads("nh-magnetic-reduced", lambda system: check_hj2(
+        system, 50, 0, reduced=True)) == {1: 7, 2: 7 + 50, 3: 18}

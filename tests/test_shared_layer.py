@@ -15,10 +15,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import SCENARIO_DIR, random_spd
+from test_contract import expressions as expression_texts
+from magnomech import expressions
 from magnomech import (
     ConstraintDistribution,
     HamiltonianSpec,
@@ -29,12 +31,14 @@ from magnomech import (
 )
 from magnomech.cli import checks_for_system
 from magnomech.dynamics import free_field, pullback_defect, structure_solve
-from magnomech.errors import MagnomechError
+from magnomech.errors import ExpressionError, MagnomechError, NumericalDomainError
 from magnomech.geometry import (
     CLOSEDNESS_STEP,
     TwoFormField,
     closedness_residual,
+    each,
     restricted_form_residual,
+    split,
     two_form_closedness_residual,
 )
 from magnomech.hj import (
@@ -69,6 +73,7 @@ from magnomech.reduction import (
     section_invariance_residual,
 )
 from magnomech.sampling import preimage
+from magnomech.scenarios import _compile, load_system
 from magnomech.tolerances import Tolerances
 
 seeds = st.integers(0, 2**32 - 1)
@@ -346,3 +351,78 @@ def test_constant_two_form_is_read_once_per_stack(systems, monkeypatch):
     assert {report.verdict for report in reports} == {"PASS"}
     assert shapes[2] > 0
     assert set(shapes) == {2}
+
+
+def _stack(rng, count, dim, positive):
+    """Points in [-3, 3]^dim, or in [0, 3]^dim where no power of a
+    coordinate has a negative base, with a tenth of the coordinates rounded
+    to integers so that poles and zero bases come up."""
+    points = rng.uniform(0.0 if positive else -3.0, 3.0, size=(count, dim))
+    whole = rng.random(size=points.shape) < 0.1
+    points[whole] = np.round(points[whole])
+    return points
+
+
+# exponents of the power entry that each drawn array gets: integers, for
+# which numpy's power and libm's differ most, fractions and variables
+EXPONENTS = ["2", "3", "-2", "0.5", "1.5", "q2", "p1"]
+FUNCTIONS = list(expressions.FUNCTIONS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(expression_texts(expressions.phase_names(2)), min_size=1,
+                      max_size=3),
+       exponent=st.sampled_from(EXPONENTS), function=st.sampled_from(FUNCTIONS),
+       bare=st.booleans(), seed=seeds, count=st.integers(1, 40), positive=st.booleans())
+def test_stack_evaluator(texts, exponent, function, bare, seed, count, positive):
+    """An array of scenario expressions of (q, p), followed by a power of
+    the first and a function of the last, or that power alone, evaluated on
+    a random stack: its column
+    function gives each sample the bits that the per-point evaluator gives
+    it alone, ^ with integer and fractional exponents and sin, cos and exp
+    included. When any sample faults, geometry.each raises the first
+    faulting sample's per-point error, with its class and message."""
+    texts = texts + [f"({texts[0]}) ^ ({exponent})", f"{function}({texts[-1]})"]
+    try:
+        nodes = [expressions.parse(text) for text in texts]
+    except ExpressionError:
+        assume(False)
+    evaluate = split(_compile(nodes[-2] if bare else nodes), 2)
+    zs = _stack(np.random.default_rng(seed), count, 4, positive)
+    try:
+        alone = np.array([evaluate(z) for z in zs], dtype=float)
+    except NumericalDomainError as err:
+        with pytest.raises(NumericalDomainError) as raised:
+            each(evaluate, zs)
+        assert type(raised.value) is type(err) and str(raised.value) == str(err)
+        return
+    same_bits(each(evaluate, zs), alone)
+    columns = evaluate.columns(zs)
+    if columns is not None:
+        same_bits(columns, alone)
+
+
+@pytest.mark.parametrize("name", ["magnetic-hj", "nh-magnetic-reduced"])
+def test_checks_evaluate_expressions_on_stacks(name, monkeypatch):
+    """A check pass evaluates the scenario's expressions through their
+    column functions: the per-point compiled functions run fewer times than
+    one check has samples (the per-sample evaluation ran them thousands of
+    times per pass)."""
+    calls = Counter()
+    compile_node = expressions.compile_node
+
+    def counting(node):
+        fn = compile_node(node)
+
+        def counted(q, p=None):
+            calls[name] += 1
+            return fn(q, p)
+
+        return counted
+
+    monkeypatch.setattr(expressions, "compile_node", counting)
+    system = load_system(SCENARIO_DIR / f"{name}.json")
+    calls.clear()
+    reports = checks_for_system(system, 50, 0)
+    assert {report.verdict for report in reports} == {"PASS"}
+    assert calls[name] < 50
