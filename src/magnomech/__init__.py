@@ -31,6 +31,7 @@ from .errors import (
 from .geometry import (
     OneFormSection,
     PhasePoint,
+    PhaseStack,
     TangentPhaseVector,
     TwoFormField,
     exterior_derivative,

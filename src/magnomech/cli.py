@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hj, reduction
 from .errors import MagnomechError, ScenarioError
-from .geometry import PhasePoint
+from .geometry import PhaseStack
 from .integrate import integrate
 from .nonholonomic import geometry_check, project_to_constraint
 from .sampling import (
@@ -124,8 +124,9 @@ def _type2_samples(system, count, seed):
     """
     targets = _phase_points(system, count - count // 2, seed)
     qs = config_samples(system.sample_box, count // 2)
-    if system.gamma is not None and qs:
-        targets += [PhasePoint(q, g) for q, g in zip(qs, system.gamma.value(qs))]
+    if system.gamma is not None and len(qs):
+        section_points = np.concatenate([qs, system.gamma.value(qs)], axis=-1)
+        targets = PhaseStack(np.concatenate([targets.vec, section_points]))
     return newton_preimages(system.epsilon, targets)
 
 

@@ -31,7 +31,7 @@ from .geometry import (
     TwoFormField,
     each,
     fd_gradient,
-    fd_jacobian,
+    fd_jacobians,
     split,
 )
 from .linalg import dots, mv, norms, tr
@@ -330,7 +330,7 @@ class PhaseMap:
         """J_eps at a phase vector, or at each of a stack."""
         if self.jacobian_fn is not None:
             return each(self.jacobian_fn, vec)
-        return each(lambda v: fd_jacobian(self.eval_fn, v, self.step), vec)
+        return fd_jacobians(self.eval_fn, vec, self.step)
 
     @classmethod
     def identity(cls, n):

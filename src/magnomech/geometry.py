@@ -8,10 +8,13 @@ twist_residual, closedness_residual) take one point or a stack of points
 along leading axes, in the layout rule of :mod:`linalg`, and so do the
 section's ``value`` and ``jacobian``; :func:`each` evaluates a one-point
 callable at every point of a stack, through its column function when it
-has one.
+has one. A check's phase samples travel as one :class:`PhaseStack`, and
+its configuration samples as one (N, n) array; each is validated once, by
+one vectorised check, where every point used to be validated on its own.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +71,19 @@ def ensure_config(q, n=None):
     return q
 
 
+def ensure_configs(qs, n):
+    """ensure_config at each point of an (N, m) stack, as one check that
+    raises the first failing point's error."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.shape[-1] < 1:
+        raise NumericalDomainError("configuration point must have dimension >= 1")
+    if qs.shape[-1] != n:
+        raise NumericalDomainError(f"expected dimension {n}, got {qs.shape[-1]}")
+    if not np.isfinite(qs).all():
+        raise NumericalDomainError("configuration point has non-finite entries")
+    return qs
+
+
 @dataclass
 class PhasePoint:
     """A point (q, p) of the cotangent bundle in chart coordinates."""
@@ -96,6 +112,77 @@ class PhasePoint:
         v = np.asarray(v, dtype=float).reshape(-1)
         n = v.size // 2
         return cls(v[:n], v[n:])
+
+
+class PhaseStack(Sequence):
+    """N phase points held as one read-only (N, 2n) array ``vec``, with the
+    views ``q`` and ``p``.
+
+    The array is validated once, as each PhasePoint would validate its
+    point: a stack that fails raises the message the first failing point
+    raises. Indexing and iteration make PhasePoints on demand and a slice
+    gives a stack, so code written for a list of points reads a stack too.
+    """
+
+    def __init__(self, vec):
+        vec = np.array(vec, dtype=float)
+        if vec.ndim != 2:
+            raise NumericalDomainError("a phase stack needs one row per point")
+        if vec.shape[1] % 2:
+            raise NumericalDomainError("q and p must have equal dimension")
+        if not np.isfinite(vec).all():
+            raise NumericalDomainError("phase point has non-finite entries")
+        vec.setflags(write=False)
+        self.vec = vec
+
+    @classmethod
+    def of(cls, q, p):
+        """The stack of the points (q[i], p[i])."""
+        return cls(np.concatenate([q, p], axis=-1))
+
+    @classmethod
+    def of_points(cls, points):
+        """The stack of a list of PhasePoints."""
+        return cls(np.array([z.vec for z in points]) if points else np.zeros((0, 0)))
+
+    @property
+    def n(self):
+        return self.vec.shape[1] // 2
+
+    @property
+    def q(self):
+        return self.vec[:, :self.n]
+
+    @property
+    def p(self):
+        return self.vec[:, self.n:]
+
+    def __len__(self):
+        return len(self.vec)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PhaseStack(self.vec[index])
+        return PhasePoint.from_vec(self.vec[index])
+
+    def __iter__(self):
+        return map(PhasePoint.from_vec, self.vec)
+
+
+def sample_set(samples):
+    """A check's samples, read once: a PhaseStack or an array as it is, any
+    other iterable as a list."""
+    if isinstance(samples, (PhaseStack, np.ndarray)):
+        return samples
+    return list(samples)
+
+
+def phase_vectors(samples):
+    """The (N, 2n) phase vectors of a sample set: a PhaseStack's own array,
+    or the vectors of a sequence of PhasePoints stacked."""
+    if isinstance(samples, PhaseStack):
+        return samples.vec
+    return np.array([z.vec for z in samples])
 
 
 @dataclass
@@ -140,6 +227,44 @@ def fd_jacobian(fn, x, step=DEFAULT_FD_STEP):
     return jac
 
 
+def fd_jacobians(fn, x, step=DEFAULT_FD_STEP):
+    """fd_jacobian of fn at a point x, or at each point of a stack.
+
+    A stack is differenced in one pass through fn's column function, when
+    fn has one, with fd_jacobian's shifts and order of operations, so each
+    point keeps its bits. When fn has none, or it faults at some shifted
+    point, fd_jacobian runs at each point in turn, which raises the first
+    faulting point's error.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1 and hasattr(fn, "columns"):
+        flat = x.reshape(-1, x.shape[-1])
+        jac = _column_differences(fn.columns, flat, step)
+        if jac is not None:
+            return jac.reshape(x.shape[:-1] + jac.shape[1:])
+    return each(lambda point: fd_jacobian(fn, point, step), x)
+
+
+def _column_differences(columns, xs, step):
+    """fd_jacobian at each row of xs through ``columns``, or None when an
+    evaluation faults."""
+    count, width = xs.shape
+    base = columns(xs)
+    if base is None:
+        return None
+    jac = np.empty((count, int(np.prod(base.shape[1:])), width))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(width):
+            shift = np.zeros(width)
+            shift[j] = step
+            ahead, behind = columns(xs + shift), columns(xs - shift)
+            if ahead is None or behind is None:
+                return None
+            jac[:, :, j] = (ahead.reshape(count, -1)
+                            - behind.reshape(count, -1)) / (2 * step)
+    return jac
+
+
 def fd_gradient(fn, x, step=DEFAULT_FD_STEP):
     """Central-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)
@@ -176,7 +301,7 @@ class OneFormSection:
         if self.jacobian_fn is not None:
             jac = each(self.jacobian_fn, q)
         else:
-            jac = each(lambda x: fd_jacobian(self.eval_fn, x, self.step), q)
+            jac = fd_jacobians(self.eval_fn, q, self.step)
         if not np.isfinite(jac).all():
             raise NumericalDomainError("one-form Jacobian is non-finite")
         return jac

@@ -32,6 +32,8 @@ from .geometry import (
     TwoFormField,
     ensure_config,
     exterior_derivative,
+    phase_vectors,
+    sample_set,
     twist_residual,
 )
 from .linalg import first_failing, max_abs_each, mv, run_stacked, tr
@@ -194,7 +196,7 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    samples = list(samples)
+    samples = sample_set(samples)
     rows = run_stacked("type1_magnetic", section, ham, mag, samples)
     if rows is None:
         rows = []
@@ -212,7 +214,7 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-    samples = list(samples)
+    samples = sample_set(samples)
     rows = run_stacked("type1_constrained", section, dist, ham, mag, samples,
                        tolerances)
     if rows is None:
@@ -316,19 +318,21 @@ def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
     # with analytic Jacobians there is no step to refine: a recompute would
     # give the same two numbers
     refines = refined_section is not section or refined_map is not phase_map
+    vecs = phase_vectors(samples)
     rows = []
     hyp_worst = 0.0
     agree = True
-    for z, (symplectic, a, b) in zip(samples, first):
-        row = {"z": z.vec.tolist()}
+    for vec, z, (symplectic, a, b) in zip(vecs, vecs.tolist(), first):
+        row = {"z": z}
         if symplectic is not None:
             row["symplectic"] = symplectic
             hyp_worst = max(hyp_worst, symplectic)
         if refines and (in_band(a, status_tol) or in_band(b, status_tol)):
-            image = refined_map.value(z)
+            # in phase_map.value's then jacobian's order, on the phase vectors
+            image = refined_map.image(vec)
             a, b = (float(r) for r in _type2_residuals(
-                refined_section, ham, mag, z.vec, image.vec, refined_map.jacobian(z),
-                level_at(image.q)))
+                refined_section, ham, mag, vec, image, refined_map.jacobians(vec),
+                level_at(image[:ham.n])))
         row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
                    status_b=status_of(b, status_tol))
         agree = agree and (row["status_a"] == row["status_b"])
@@ -354,7 +358,7 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    samples = list(samples)
+    samples = sample_set(samples)
     first = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples)
     if first is None:
         first = first_per_sample(section, phase_map, ham, mag, samples,
@@ -370,7 +374,7 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
-    samples = list(samples)
+    samples = sample_set(samples)
     first = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
                         samples, tolerances)
     if first is None:

@@ -39,7 +39,9 @@ from .geometry import (
     each,
     ensure_config,
     fd_jacobian,
+    fd_jacobians,
     magnetic_match_residual,
+    sample_set,
     two_form_closedness_residual,
 )
 from .dynamics import FD_STEP, free_field, read_only, symplectic_residual
@@ -53,6 +55,7 @@ from .linalg import (
     run_stacked,
     solve_small,
     tr,
+    worst,
 )
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
@@ -97,9 +100,15 @@ class ConstraintDistribution:
         """Stacked partials dA/dq_c with shape (..., n, k, n)."""
         if self._rows_grad_fn is not None:
             return each(self._rows_grad_fn, q)
-        n, k = self.n, self.k
-        return each(lambda x: fd_jacobian(lambda y: self._rows_fn(y).reshape(-1), x,
-                                          FD_STEP).T.reshape(n, k, n), q)
+        rows_fn = self._rows_fn
+
+        def flat(y):
+            return rows_fn(y).reshape(-1)
+
+        if hasattr(rows_fn, "columns"):
+            flat.columns = rows_fn.columns
+        jac = fd_jacobians(flat, q, FD_STEP)
+        return tr(jac).reshape(np.shape(q)[:-1] + (self.n, self.k, self.n))
 
     def basis(self, q):
         """Orthonormal columns spanning D_q = ker A(q)."""
@@ -284,13 +293,15 @@ class CompatibilityReport:
     passed: bool
 
 
-def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
+def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"],
+                         frame=None):
     """Diagnose solvability of the constrained structure equation at z.
 
     Reports the dimensions of the velocity-admissible cone, the surface
     tangent, and their intersection, checks that the twisted-orthogonal of
     the first meets the second only at zero, and measures non-degeneracy of
-    the restricted form through its smallest singular value.
+    the restricted form through its smallest singular value. ``frame`` is
+    the caller's SurfaceFrame over z.q, when it has one.
     """
     n = dist.n
     omega = mag.form_matrix(z.q)
@@ -298,7 +309,8 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
         sigma = float(np.linalg.svd(omega, compute_uv=False)[-1])
         return CompatibilityReport(2 * n, 2 * n, 2 * n, sigma, 0,
                                    bool(sigma > sigma_tol))
-    frame = surface_frame(dist, ham, z.q)
+    if frame is None:
+        frame = surface_frame(dist, ham, z.q)
     try:
         frame.rows
     except DegenerateConstraintError:
@@ -341,12 +353,12 @@ def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerance
     (None when the system is unconstrained and has no phase map). ``draw``
     is called once, after the closedness check.
     """
-    qs = list(qs)
+    qs = sample_set(qs)
     stacked = run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry, qs,
                           draw, tolerances)
     if stacked is not None:
         return stacked
-    from .reduction import relatedness_check
+    from .reduction import data_invariance_residual, related_verdict, relatedness
 
     data = {}
     verdict = "PASS"
@@ -356,10 +368,13 @@ def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerance
         verdict = "FAIL"
     if draw is not None:
         zs = draw()
+        # one SurfaceFrame per drawn base point serves every branch
+        frames = [surface_frame(dist, ham, z.q) for z in zs]
     if dist.k > 0:
         reports = [compatibility_report(dist, ham, mag, z,
-                                        sigma_tol=tolerances.get("compat_sigma"))
-                   for z in zs]
+                                        sigma_tol=tolerances.get("compat_sigma"),
+                                        frame=frame)
+                   for z, frame in zip(zs, frames)]
         dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
         data["dims"] = [list(d) for d in dims]
         data["dims_constant"] = len(dims) == 1
@@ -368,19 +383,24 @@ def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerance
         if not data["compatibility_passed"] or not data["dims_constant"]:
             verdict = "FAIL"
     if gamma is not None:
+        twist_frames = frames if draw is not None and np.array_equal(
+            [z.q for z in zs], qs) else [surface_frame(dist, ham, q) for q in qs]
         data["gamma_match_residual"] = max(
-            magnetic_match_residual(gamma, mag.b_field, q,
-                                    basis=surface_frame(dist, ham, q).basis)
-            for q in qs)
+            magnetic_match_residual(gamma, mag.b_field, q, basis=frame.basis)
+            for q, frame in zip(qs, twist_frames))
     if epsilon is not None:
         data["symplectic_residual"] = max(
             symplectic_residual(epsilon, mag, z) for z in zs[:10])
     if symmetry is not None and dist.k > 0:
-        related_verdict, related_data = relatedness_check(
-            symmetry, dist, ham, mag, zs[:10], tolerances=tolerances)
+        head = list(zip(zs[:10], frames))
+        related, related_data = related_verdict(
+            worst([data_invariance_residual(symmetry, dist, ham, mag, z.q, z.p, frame)
+                   for z, frame in head]),
+            lambda: worst([relatedness(symmetry, frame, mag, z.p, tolerances)
+                           for z, frame in head]), tolerances)
         data.update(related_data)
-        data["relatedness_verdict"] = related_verdict
-        if related_verdict == "FAIL":
+        data["relatedness_verdict"] = related
+        if related == "FAIL":
             verdict = "FAIL"
     return verdict, data
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import free_field, symplectic_residual
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, ensure_config
+from .geometry import PhasePoint, ensure_config, sample_set
 from .hj import (
     FAIL,
     PASS,
@@ -358,7 +358,7 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
-    samples = list(samples)
+    samples = sample_set(samples)
     stacked = run_stacked("type1_reduced", section, sym, dist, ham, mag, samples,
                           tolerances)
     if stacked is not None:
@@ -384,7 +384,7 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
-    samples = list(samples)
+    samples = sample_set(samples)
     stacked = run_stacked("type2_reduced", section, phase_map, sym, dist, ham, mag,
                           samples, tolerances)
     if stacked is not None:

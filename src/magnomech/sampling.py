@@ -3,6 +3,8 @@
 Configuration points come from an unscrambled Sobol sequence over the
 scenario's box (seed independent); momentum components come from a seeded
 generator, uniform on [-1, 1], so --seed pins the whole sample set.
+A sample set is one array from the moment it is drawn: configuration
+samples an (N, n) array, phase samples a :class:`geometry.PhaseStack`.
 The Newton iteration of :func:`preimage` is defined once, for one phase
 vector or a stack; the projections and preimages of a sample set first run
 on all samples at once (:mod:`stacked`), with the per-sample loops here as
@@ -14,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalDomainError
-from .geometry import PhasePoint
+from .geometry import PhasePoint, PhaseStack
 from .linalg import run_stacked
 from .nonholonomic import project_to_constraint
 
@@ -95,21 +97,23 @@ def sobol_points(box, count):
 
 
 def config_samples(box, count):
-    return [q for q in sobol_points(box, count)]
+    """The first ``count`` Sobol points of the box, as one (count, n) array."""
+    return sobol_points(box, count)
 
 
 def phase_samples(box, count, rng):
+    """Sobol configurations with seeded momenta, as one PhaseStack."""
     qs = sobol_points(box, count)
     ps = rng.uniform(-1.0, 1.0, size=qs.shape)
-    return [PhasePoint(q, p) for q, p in zip(qs, ps)]
+    return PhaseStack.of(qs, ps)
 
 
 def surface_phase_samples(dist, ham, box, count, rng):
-    """Phase samples projected onto the constraint surface."""
+    """Phase samples projected onto the constraint surface, as one PhaseStack."""
     zs = phase_samples(box, count, rng)
     projected = run_stacked("projections", dist, ham, zs)
     if projected is None:
-        projected = [project_to_constraint(dist, ham, z) for z in zs]
+        projected = PhaseStack.of_points([project_to_constraint(dist, ham, z) for z in zs])
     return projected
 
 
@@ -147,8 +151,9 @@ def preimage(phase_map, goal):
 
 
 def newton_preimages(phase_map, targets):
-    """newton_preimage of each target, in order."""
+    """newton_preimage of each target, in order, as one PhaseStack."""
     found = run_stacked("preimages", phase_map, targets)
     if found is None:
-        found = [newton_preimage(phase_map, target) for target in targets]
+        found = PhaseStack.of_points([newton_preimage(phase_map, target)
+                                      for target in targets])
     return found

@@ -23,9 +23,11 @@ from .dynamics import pullback_defect
 from .errors import MagnomechError
 from .geometry import (
     CLOSEDNESS_STEP,
-    PhasePoint,
+    PhaseStack,
     closedness_residual,
     ensure_config,
+    ensure_configs,
+    phase_vectors,
     twist_residual,
 )
 from .hj import (
@@ -94,13 +96,17 @@ def _require_samples(samples):
 
 
 def configs(samples, n):
+    """The (N, n) array of configuration samples: an array is checked as a
+    whole, a list point by point."""
     _require_samples(samples)
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        return ensure_configs(samples, n)
     return np.array([ensure_config(q, n) for q in samples])
 
 
 def _points(samples):
     _require_samples(samples)
-    return np.array([z.vec for z in samples])
+    return phase_vectors(samples)
 
 
 def _first(symplectic, a, b):
@@ -209,11 +215,12 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         verdict = FAIL
     if draw is not None:
         zs = _points(draw())
+        # one SurfaceFrame over the drawn base points serves every branch
+        frame = surface_frame(dist, ham, zs[:, :n])
     if dist.k > 0:
         sigma_tol = tolerances.get("compat_sigma")
         dim_f, dim_tm, dim_k, sigma, _, passed = by_rank(len(zs), lambda idx: compatibility(
-            surface_frame(dist, ham, zs[idx, :n]), mag.form_matrix(zs[idx, :n]),
-            zs[idx, n:], sigma_tol))
+            frame.take(idx), mag.form_matrix(zs[idx, :n]), zs[idx, n:], sigma_tol))
         dims = sorted(set(zip(dim_f.tolist(), dim_tm.tolist(), dim_k.tolist())))
         data["dims"] = [list(d) for d in dims]
         data["dims_constant"] = len(dims) == 1
@@ -223,8 +230,10 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
             verdict = FAIL
     if gamma is not None:
         jacs = gamma.jacobian(qs)
+        twist_frame = frame if draw is not None and np.array_equal(zs[:, :n], qs) else (
+            surface_frame(dist, ham, qs))
         (match,) = by_rank(len(qs), lambda idx: (twist_residual(
-            jacs[idx], mag.b_matrix(qs[idx]), surface_frame(dist, ham, qs[idx]).basis),))
+            jacs[idx], mag.b_matrix(qs[idx]), twist_frame.take(idx).basis),))
         data["gamma_match_residual"] = max(match.tolist())
     if epsilon is not None:
         head = zs[:10]
@@ -233,15 +242,16 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
             mag, head[:, :n], images[:, :n], epsilon.jacobians(head)).tolist())
     if symmetry is not None and dist.k > 0:
         qh, ph = zs[:10, :n], zs[:10, n:]
+        head_frame = frame.take(np.arange(len(qh)))
 
         def residual():
             (values,) = by_rank(len(qh), lambda idx: (relatedness(
-                symmetry, surface_frame(dist, ham, qh[idx]), mag, ph[idx], tolerances),))
+                symmetry, head_frame.take(idx), mag, ph[idx], tolerances),))
             return worst(values)
 
         related, related_data = related_verdict(
-            data_invariance_residual(symmetry, dist, ham, mag, qh, ph), residual,
-            tolerances)
+            data_invariance_residual(symmetry, dist, ham, mag, qh, ph, head_frame),
+            residual, tolerances)
         data.update(related_data)
         data["relatedness_verdict"] = related
         if related == FAIL:
@@ -256,12 +266,10 @@ def projections(dist, ham, samples):
     if dist.k == 0:
         return samples
     zs = _points(samples)
-    n = dist.n
-    qs = zs[:, :n]
-    ps = surface_frame(dist, ham, qs).project(zs[:, n:])
-    return [PhasePoint(q, p) for q, p in zip(qs, ps)]
+    qs = zs[:, :dist.n]
+    return PhaseStack.of(qs, surface_frame(dist, ham, qs).project(zs[:, dist.n:]))
 
 
 def preimages(phase_map, targets):
     """sampling.newton_preimage of each target point."""
-    return [PhasePoint.from_vec(vec) for vec in preimage(phase_map, _points(targets))]
+    return PhaseStack(preimage(phase_map, _points(targets)))

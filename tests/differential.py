@@ -4,9 +4,11 @@ Draws N derandomized documents, each with a sample count and a seed, from
 the strategy ``test_contract.scenarios``; builds each one and runs the
 geometry check and hj1 and hj2 at every level, as ``check all`` would.
 It writes one JSON line per document: the build error, or each check's
-verdict and data or its error class and message. Two checkouts are
-compared by running the script in each and comparing the outputs with
-``cmp``:
+verdict and data or its error class and message, and the bits of every
+compiled field of the document evaluated over its sample stack. The
+checks' data show an evaluator bit only where a check reads it, and most
+do not; the bits show every one. Two checkouts are compared by running
+the script in each and comparing the outputs with ``cmp``:
 
     PYTHONPATH=src python tests/differential.py 300 > outcomes.jsonl
 
@@ -31,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_contract import scenarios  # noqa: E402
 from test_stacked import per_sample_only  # noqa: E402
 from magnomech.cli import check_geometry, check_hj1, check_hj2  # noqa: E402
+from magnomech.geometry import each, split  # noqa: E402
+from magnomech.sampling import config_samples, phase_samples  # noqa: E402
 from magnomech.scenarios import build_system, parse_scenario  # noqa: E402
 
 
@@ -62,6 +66,51 @@ def outcome(run):
     return {"check": report.check, "verdict": report.verdict, "data": report.data}
 
 
+def compiled_fields(system):
+    """{name: (callable, stack kind)} of every compiled scenario field and
+    its compiled partials; the kind is "q" for a function of the
+    configuration and "z" for one of the phase vector."""
+    spec, ham, n = system.spec, system.ham, system.n
+    fields = {}
+    if spec.general_h is not None:
+        fields["general_h"] = (split(ham._general_fn, n), "z")
+        if ham._general_grad_fn is not None:
+            fields["general_h'"] = (split(ham._general_grad_fn, n), "z")
+    else:
+        fields["potential"] = (ham._potential_fn, "q")
+        fields["potential'"] = (ham._potential_grad_fn, "q")
+        fields["mass_matrix"] = (ham._mass_fn, "q")
+        fields["mass_matrix'"] = (ham._mass_grad_fn, "q")
+    if spec.b_field is not None and system.mag.b_field._constant is None:
+        fields["b_field"] = (system.mag.b_field._upper_fn, "q")
+    if spec.constraints:
+        fields["constraints"] = (system.dist._rows_fn, "q")
+        fields["constraints'"] = (system.dist._rows_grad_fn, "q")
+    if system.gamma is not None:
+        fields["gamma"] = (system.gamma.eval_fn, "q")
+        fields["gamma'"] = (system.gamma.jacobian_fn, "q")
+    if system.epsilon is not None:
+        fields["epsilon"] = (system.epsilon.eval_fn, "z")
+        fields["epsilon'"] = (system.epsilon.jacobian_fn, "z")
+    return {name: field for name, field in fields.items() if field[0] is not None}
+
+
+def field_bits(system, samples, seed):
+    """The hex bits of each compiled field evaluated by geometry.each over the
+    document's configuration samples or phase samples, or its error."""
+    stacks = {"q": config_samples(system.sample_box, samples),
+              "z": phase_samples(system.sample_box, samples,
+                                 np.random.default_rng(seed)).vec}
+    bits = {}
+    for name, (fn, kind) in compiled_fields(system).items():
+        try:
+            with np.errstate(all="ignore"):
+                bits[name] = each(fn, stacks[kind]).tobytes().hex()
+        except Exception as err:
+            bits[name] = error(err)
+    return bits
+
+
 def outcomes(doc, samples, seed):
     try:
         with np.errstate(all="ignore"):
@@ -75,7 +124,8 @@ def outcomes(doc, samples, seed):
         if system.epsilon is not None:
             runs += [lambda: check_hj2(system, samples, seed),
                      lambda: check_hj2(system, samples, seed, reduced=True)]
-    return {"checks": [outcome(run) for run in runs]}
+    return {"checks": [outcome(run) for run in runs],
+            "bits": field_bits(system, samples, seed)}
 
 
 def record(index, doc, samples, seed):

@@ -15,7 +15,7 @@ import pytest
 from conftest import SCENARIO_DIR, free_particle_constraint
 from test_stacked import per_sample_only
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
-from magnomech.cli import check_hj1, check_hj2
+from magnomech.cli import check_geometry, check_hj1, check_hj2
 from magnomech.errors import (
     DegenerateConstraintError,
     NumericalDomainError,
@@ -166,3 +166,16 @@ def test_reduced_checks_read_each_base_point_once_per_stage():
         system, 50, 0, reduced=True)) == {1: 150}
     assert _rows_reads("nh-magnetic-reduced", lambda system: check_hj2(
         system, 50, 0, reduced=True)) == {1: 7, 2: 7 + 50, 3: 18}
+
+
+def test_check_geometry_reads_each_base_point_once_per_stage():
+    """The geometry check builds one SurfaceFrame over its drawn base points
+    (one per point on the per-sample path), and the compatibility data, the
+    twist residual at the same Sobol points, the invariance residual and the
+    relatedness residual all read A(q) from it. Each of the 50 Sobol points
+    is read twice, once to project its draw onto the surface and once for
+    the geometry battery, and each of the 20 cyclic translates of the 10
+    relatedness points once; without the shared frame, 40 points were read
+    three times and 10 five times."""
+    assert _rows_reads("nh-magnetic-reduced", lambda system: check_geometry(
+        system, 50, 0)) == {2: 50, 1: 20}

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnomech import (
     CheckReport,
@@ -16,7 +18,9 @@ from magnomech import (
     type1_magnetic,
 )
 from magnomech import expressions
-from magnomech.scenarios import reports_from_json, reports_to_json
+from magnomech import scenarios as scenarios_module
+from magnomech.cli import checks_for_system
+from magnomech.scenarios import indented_json, reports_from_json, reports_to_json
 from magnomech.sampling import MAX_DIMENSION, config_samples
 from magnomech.tolerances import DEFAULTS as TOLERANCE_DEFAULTS
 
@@ -234,3 +238,66 @@ def test_check_report_round_trip():
     ]
     again = reports_from_json(reports_to_json(reports))
     assert [r.to_dict() for r in again] == [r.to_dict() for r in reports]
+
+
+def _stdlib_text(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+FLOATS = st.one_of(
+    st.floats(),  # NaN, +-Infinity and subnormals included
+    st.sampled_from([-0.0, 5e-324, -1.5e-310, 0.1, 1e16, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+)
+STRINGS = st.one_of(st.text(max_size=6),
+                    st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/']))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+                    FLOATS, STRINGS)
+TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.lists(FLOATS, min_size=1, max_size=4),
+    st.dictionaries(STRINGS, children, max_size=4)), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=TREES)
+def test_report_writer_gives_the_json_module_bytes(tree):
+    """The report writer gives json.dumps(..., indent=2, sort_keys=True)
+    byte for byte on JSON-like trees: nested dicts, lists and tuples, floats
+    with NaN, +-Infinity, -0.0, subnormals and numpy float64s, lists of
+    floats alone, big ints, bools, None, and non-ASCII and control
+    characters in strings and keys."""
+    assert indented_json(tree) == _stdlib_text(tree)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_corpus_report_is_the_json_module_text(systems, seed, monkeypatch):
+    """reports_to_json over the corpus checks is the text json.dumps gives
+    for the same payload."""
+    reports = [report for system in systems.values()
+               for report in checks_for_system(system, 50, seed)]
+    text = reports_to_json(reports)
+    monkeypatch.setattr(scenarios_module, "indented_json", _stdlib_text)
+    assert text == reports_to_json(reports)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), {"a": [1.0, np.int64(3)]}, {"a": np.bool_(True)}, {(1,): 2.0},
+    {"a": 1, 2: 3}, {1j: 1}, [object()],
+], ids=repr)
+def test_report_writer_rejects_what_json_rejects(value):
+    """A value json.dumps cannot write (a numpy integer or bool, a tuple or
+    complex key, keys that do not sort) raises its TypeError here too."""
+    with pytest.raises(TypeError) as expected:
+        _stdlib_text(value)
+    with pytest.raises(TypeError) as raised:
+        indented_json(value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_report_writer_rejects_a_circular_reference():
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        indented_json(loop)

@@ -11,6 +11,7 @@ agree. The invariance residuals fold over the samples, so a stack must
 give the fold of the samples' values.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,7 @@ from magnomech import (
     PhaseMap,
     TranslationSymmetry,
 )
-from magnomech.cli import checks_for_system
+from magnomech.cli import check_hj1, checks_for_system
 from magnomech.dynamics import free_field, pullback_defect, structure_solve
 from magnomech.errors import ExpressionError, MagnomechError, NumericalDomainError
 from magnomech.geometry import (
@@ -37,6 +38,8 @@ from magnomech.geometry import (
     TwoFormField,
     closedness_residual,
     each,
+    fd_jacobian,
+    fd_jacobians,
     restricted_form_residual,
     split,
     two_form_closedness_residual,
@@ -72,8 +75,8 @@ from magnomech.reduction import (
     relatedness,
     section_invariance_residual,
 )
-from magnomech.sampling import preimage
-from magnomech.scenarios import _compile, load_system
+from magnomech.sampling import config_samples, phase_samples, preimage
+from magnomech.scenarios import _compile, build_system, load_system, parse_scenario
 from magnomech.tolerances import Tolerances
 
 seeds = st.integers(0, 2**32 - 1)
@@ -426,3 +429,85 @@ def test_checks_evaluate_expressions_on_stacks(name, monkeypatch):
     reports = checks_for_system(system, 50, 0)
     assert {report.verdict for report in reports} == {"PASS"}
     assert calls[name] < 50
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(expression_texts(expressions.phase_names(2)), min_size=1,
+                      max_size=3),
+       exponent=st.sampled_from(EXPONENTS), function=st.sampled_from(FUNCTIONS),
+       seed=seeds, count=st.integers(1, 20), positive=st.booleans(),
+       step=st.sampled_from([1e-5, 1e-6]))
+def test_stacked_differences(texts, exponent, function, seed, count, positive, step):
+    """Central differences of an expression array over a whole stack, through
+    its column function: each sample gets the bits of fd_jacobian at that
+    sample alone, and a fault anywhere raises the first faulting sample's
+    per-point error."""
+    texts = texts + [f"({texts[0]}) ^ ({exponent})", f"{function}({texts[-1]})"]
+    try:
+        nodes = [expressions.parse(text) for text in texts]
+    except ExpressionError:
+        assume(False)
+    evaluate = split(_compile(nodes), 2)
+    zs = _stack(np.random.default_rng(seed), count, 4, positive)
+    try:
+        alone = np.array([fd_jacobian(evaluate, z, step) for z in zs])
+    except NumericalDomainError as err:
+        with pytest.raises(NumericalDomainError) as raised:
+            fd_jacobians(evaluate, zs, step)
+        assert type(raised.value) is type(err) and str(raised.value) == str(err)
+        return
+    same_bits(fd_jacobians(evaluate, zs, step), alone)
+
+
+# a variable exponent has no symbolic partial, so every field below is
+# differentiated by central differences
+DIFFERENCED = {
+    "name": "differenced", "n": 3,
+    "constraints": [["0", "-q1 + 0.01*2^q2", "1"]],
+    "gamma": ["0.2*q2 + 0.01*2^q1", "-0.2*q1", "0.1*exp(q3)*2^q3"],
+    "epsilon": ["q1 + 0.3", "q2 + 0.01*2^q3", "q3", "p1", "p2 + 0.01*2^p1", "p3"],
+}
+
+
+def test_finite_difference_jacobians_keep_the_per_point_bits():
+    """The section's Jacobian, the phase map's Jacobians and the constraint
+    rows' gradient, each without symbolic partials, on a stack: the bits of
+    the per-point central differences at every sample."""
+    system = build_system(parse_scenario(json.dumps(DIFFERENCED)))
+    assert system.gamma.jacobian_fn is None and system.epsilon.jacobian_fn is None
+    assert system.dist._rows_grad_fn is None
+    box = system.sample_box
+    qs = config_samples(box, 20)
+    zs = phase_samples(box, 20, np.random.default_rng(0)).vec
+    each_sample(system.gamma.jacobian, qs)
+    each_sample(system.epsilon.jacobians, zs)
+    each_sample(system.dist.rows_gradient, qs)
+
+
+def test_finite_difference_jacobians_run_on_the_stack(monkeypatch):
+    """magnetic-hj with a section term that has no symbolic partial: one
+    hj1 check at 50 samples differences the section over the whole stack,
+    so the per-point compiled functions run fewer times than the check has
+    samples (per-sample differencing ran them 500 times), and the check
+    still passes."""
+    calls = Counter()
+    compile_node = expressions.compile_node
+
+    def counting(node):
+        fn = compile_node(node)
+
+        def counted(q, p=None):
+            calls["point"] += 1
+            return fn(q, p)
+
+        return counted
+
+    monkeypatch.setattr(expressions, "compile_node", counting)
+    doc = json.loads((SCENARIO_DIR / "magnetic-hj.json").read_text())
+    doc["gamma"] = ["0.35*q2 + 1e-12*2^q1", "-0.35*q1"]
+    system = build_system(parse_scenario(json.dumps(doc)))
+    assert system.gamma.jacobian_fn is None
+    calls.clear()
+    report = check_hj1(system, 50, 0)
+    assert report.verdict == "PASS"
+    assert calls["point"] < 50

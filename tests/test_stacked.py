@@ -6,7 +6,10 @@ paths must give the same report bytes, and on a fault the same error as
 the per-sample run, raised at the first failing sample.
 """
 
+import dataclasses
 import json
+import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,16 +41,23 @@ from magnomech.cli import (
     check_hj2,
     checks_for_system,
 )
+from magnomech import geometry
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure
 from magnomech.errors import (
     DegenerateFormError,
     MagnomechError,
+    NumericalDomainError,
     OffConstraintError,
     SectionImageError,
     SectionTangentError,
 )
-from magnomech.nonholonomic import geometry_check
-from magnomech.sampling import config_samples
+from magnomech.nonholonomic import ConstraintDistribution, geometry_check
+from magnomech.sampling import (
+    config_samples,
+    newton_preimages,
+    phase_samples,
+    surface_phase_samples,
+)
 from magnomech.scenarios import build_system, parse_scenario, reports_to_json
 
 BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
@@ -202,7 +212,8 @@ def _type1_fault(systems, kind):
 
 def _off_surface_fault(systems):
     system = systems["nh-magnetic-particle"]
-    zs = _type2_samples(system, 8, 0)
+    # a library caller's list of points: a PhaseStack takes no item assignment
+    zs = list(_type2_samples(system, 8, 0))
     for i in (2, 5):
         zs[i] = PhasePoint(zs[i].q, zs[i].p + [0.0, 0.0, 1.0])
     return lambda: type2_constrained(system.gamma, system.epsilon, system.dist,
@@ -248,6 +259,100 @@ def test_a_fault_raises_what_the_per_sample_run_raises(systems, fault):
         reference = _outcome(run)
     assert produced == reference
     assert produced[0] is error
+
+
+def _projection_fault(systems):
+    """Surface samples whose mass matrix at two base points is so small that
+    its inverse overflows: their projections come out NaN."""
+    bad = _bad_points(config_samples(BOX3, 8), 3, 6)
+
+    def mass(q):
+        return np.diag([1e-320, 1.0, 1.0]) if q.tobytes() in bad else np.eye(3)
+
+    ham = HamiltonianSpec.quadratic(3, mass_fn=mass)
+    dist = ConstraintDistribution.constant([[0.0, 1.0, 1.0]])
+    return lambda: surface_phase_samples(dist, ham, BOX3, 8, np.random.default_rng(0))
+
+
+def _section_target_fault(systems):
+    """nh-magnetic-particle's Type II targets, with a section that is
+    infinite at two of the section targets' base points."""
+    system = systems["nh-magnetic-particle"]
+    bad = _bad_points(config_samples(system.sample_box, 4), 1, 3)
+
+    def value(q):
+        return np.array([0.5 * q[1], 0.0, np.inf if q.tobytes() in bad else 0.0])
+
+    gamma = OneFormSection(value, system.gamma.jacobian_fn)
+    return lambda: _type2_samples(dataclasses.replace(system, gamma=gamma), 8, 0)
+
+
+def _preimage_fault(systems):
+    """Preimages under a translation whose Jacobian is subnormal at two
+    targets: the first Newton step there overflows."""
+    targets = phase_samples(BOX3, 8, np.random.default_rng(0))
+    bad = {targets[i].vec.tobytes() for i in (3, 6)}
+    shift = np.full(6, 0.3)
+
+    def jacobian(vec):
+        return np.eye(6) * (1e-320 if vec.tobytes() in bad else 1.0)
+
+    return lambda: newton_preimages(PhaseMap(lambda vec: vec + shift, jacobian), targets)
+
+
+PRODUCER_FAULTS = {
+    "projection": (_projection_fault, "phase point has non-finite entries"),
+    "section-target": (_section_target_fault, "one-form evaluation is non-finite"),
+    "preimage": (_preimage_fault, "phase point has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PRODUCER_FAULTS))
+def test_a_sample_producer_that_goes_non_finite_raises_the_per_sample_error(
+        systems, fault):
+    """A projection, a section target or a Newton preimage that is non-finite
+    at two of the samples raises NumericalDomainError with the message the
+    per-sample producers raise, on the stacked path and under
+    per_sample_only alike."""
+    make, message = PRODUCER_FAULTS[fault]
+    run = make(systems)
+    with np.errstate(all="ignore"):
+        produced = _outcome(run)
+        with per_sample_only():
+            reference = _outcome(run)
+    assert produced == reference == (NumericalDomainError, message)
+
+
+@pytest.mark.parametrize("name", ["nh-magnetic-reduced", "magnetic-hj"])
+def test_the_stacked_path_wraps_no_sample(systems, name, monkeypatch):
+    """One pass of every check over 50 samples makes no PhasePoint and
+    checks no configuration point on its own: the samples stay one array
+    from the draw to the verdict. (Per-point wrapping made 500 and 250 of
+    them on these two scenarios; neither runs an in-band Type II
+    refinement, as both have symbolic Jacobians, and a refinement wraps
+    nothing either.)"""
+    wrapped = Counter()
+    post_init = PhasePoint.__post_init__
+    ensure_config = geometry.ensure_config
+
+    def made(self):
+        wrapped["PhasePoint"] += 1
+        post_init(self)
+
+    def checked(*args):
+        wrapped["ensure_config"] += 1
+        return ensure_config(*args)
+
+    monkeypatch.setattr(PhasePoint, "__post_init__", made)
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.startswith("magnomech")
+                and getattr(module, "ensure_config", None) is ensure_config):
+            monkeypatch.setattr(module, "ensure_config", checked)
+    with recording_trips() as trips:
+        reports = checks_for_system(systems[name], 50, 0)
+    assert trips == []
+    assert {report.verdict for report in reports} == {"PASS"}
+    assert wrapped == Counter()
 
 
 def test_first_failing_sample_is_named(systems):
