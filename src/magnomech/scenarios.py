@@ -633,6 +633,37 @@ def _float_text(value):
     return _NON_FINITE.get(text, text)
 
 
+def _scalar_text(value):
+    """json's text of a str, None, bool, int or float (a subclass too), in
+    json's order of tests (a bool is not written as an int), or None for
+    anything else."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key):
+    """json's text of a dict key: a str, or a float, bool, None or int
+    written as its value's text in quotes."""
+    if isinstance(key, str):
+        return _encode_string(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return _encode_string(text)
+
+
 def _write(value, newline, out, open_ids):
     """Append the text of ``value``, at the depth whose line break and
     indent is ``newline``, to ``out``; ``open_ids`` holds the containers
@@ -640,32 +671,15 @@ def _write(value, newline, out, open_ids):
     kind = type(value)
     if kind is float:
         out.append(_float_text(value))
-    elif kind is str:
-        out.append(_encode_string(value))
-    elif kind is dict or kind is list:
-        _write_container(value, newline, out, open_ids)
-    # json's order of tests, which subclasses reach
-    elif isinstance(value, str):
-        out.append(_encode_string(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_text(value))
-    elif isinstance(value, (list, tuple, dict)):
-        _write_container(value, newline, out, open_ids)
-    else:
-        raise TypeError(
-            f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _write_container(value, newline, out, open_ids):
-    """_write of a non-empty list, tuple or dict."""
+        return
+    if kind is not dict and kind is not list:
+        text = _scalar_text(value)
+        if text is not None:
+            out.append(text)
+            return
+        if not isinstance(value, (list, tuple, dict)):
+            raise TypeError(
+                f"Object of type {value.__class__.__name__} is not JSON serializable")
     is_dict = isinstance(value, dict)
     if not value:
         out.append("{}" if is_dict else "[]")
@@ -674,56 +688,27 @@ def _write_container(value, newline, out, open_ids):
     separator = "," + inner
     if not is_dict and all(type(item) is float for item in value):
         text = separator.join(map(float.__repr__, value))
-        # no finite float's repr has an n, so this text needs no NaN or Infinity
+        # no finite float's repr has an n, so there is no NaN or Infinity to write
         if "n" not in text:
             out.append("[" + inner + text + newline + "]")
             return
     if id(value) in open_ids:
         raise ValueError("Circular reference detected")
     open_ids.add(id(value))
+    out.append("{" if is_dict else "[")
     lead = inner
-    if is_dict:
-        out.append("{")
-        for key, item in sorted(value.items()):
-            out.append(lead)
-            lead = separator
-            out.append(_key_text(key))
-            out.append(": ")
-            if type(item) is float:
-                out.append(_float_text(item))
-            else:
-                _write(item, inner, out, open_ids)
-    else:
-        out.append("[")
-        for item in value:
-            out.append(lead)
-            lead = separator
-            if type(item) is float:
-                out.append(_float_text(item))
-            else:
-                _write(item, inner, out, open_ids)
+    for item in sorted(value.items()) if is_dict else value:
+        out.append(lead)
+        lead = separator
+        if is_dict:
+            key, item = item
+            out.append(_key_text(key) + ": ")
+        if type(item) is float:
+            out.append(_float_text(item))
+        else:
+            _write(item, inner, out, open_ids)
     open_ids.discard(id(value))
     out.append(newline + ("}" if is_dict else "]"))
-
-
-def _key_text(key):
-    """json's text of a dict key: a str, float, bool, None or int key."""
-    if isinstance(key, str):
-        return _encode_string(key)
-    if isinstance(key, float):
-        text = _float_text(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return _encode_string(text)
 
 
 def reports_from_json(text):
