@@ -13,8 +13,8 @@ antisymmetry of expression matrices, declared invariance).
 
 import json
 import math
-from json.encoder import encode_basestring_ascii as _encode_string
 from dataclasses import dataclass, field as dataclass_field
+from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
 
