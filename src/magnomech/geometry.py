@@ -140,11 +140,6 @@ class PhaseStack(Sequence):
         """The stack of the points (q[i], p[i])."""
         return cls(np.concatenate([q, p], axis=-1))
 
-    @classmethod
-    def of_points(cls, points):
-        """The stack of a list of PhasePoints."""
-        return cls(np.array([z.vec for z in points]) if points else np.zeros((0, 0)))
-
     @property
     def n(self):
         return self.vec.shape[1] // 2

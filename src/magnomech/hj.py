@@ -11,13 +11,13 @@ _type2_residuals) shared by the magnetic, distributional and reduced
 levels, which differ only in their ``level`` callback. The kernels, the
 section hypotheses and the per-level row functions are each defined once,
 for one point or a stack of points in the layout rule of :mod:`linalg`.
-Two orchestrations call them: each check first runs its stacked entry
-point (:mod:`stacked`, through linalg.run_stacked) on all its samples at
-once, and the per-sample loops here are the reference, which a check
-reruns when the stacked run raises, so that a fault raises the first
-failing sample's error. The in-band Type II refinement always runs per
-sample, when the section or the map is differentiated by finite
-differences.
+One orchestration calls them: each check runs its entry point in
+:mod:`stacked` (through linalg.run_stacked) on all its samples at once,
+and a fault raises the error of the first failing sample
+(stacked.located). The checks here turn the entry point's rows or first
+evaluation into a report; the in-band Type II refinement recomputes, on
+the stack of the in-band samples, when the section or the map is
+differentiated by finite differences.
 """
 
 import dataclasses
@@ -26,17 +26,16 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import free_field, pullback_defect, structure_solve
+from .dynamics import free_field, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
 from .geometry import (
     TwoFormField,
-    ensure_config,
     exterior_derivative,
     phase_vectors,
     sample_set,
     twist_residual,
 )
-from .linalg import first_failing, max_abs_each, mv, run_stacked, tr
+from .linalg import first_failing, max_abs_each, mv, run_stacked, tr, worst
 from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
 from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
 
@@ -79,7 +78,7 @@ def status_of(value, tol):
 
 
 def in_band(value, tol):
-    return tol <= value < STATUS_BAND_FACTOR * tol
+    return (tol <= value) & (value < STATUS_BAND_FACTOR * tol)
 
 
 def _refined(obj):
@@ -196,13 +195,7 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    samples = sample_set(samples)
-    rows = run_stacked("type1_magnetic", section, ham, mag, samples)
-    if rows is None:
-        rows = []
-        for q in samples:
-            q = ensure_config(q, ham.n)
-            rows += rows_of(MAGNETIC_ROW, q, *magnetic_rows(section, ham, mag, q))
+    rows = run_stacked("type1_magnetic", section, ham, mag, sample_set(samples))
     return _type1_report("hj1-magnetic", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish")
 
@@ -214,15 +207,8 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-    samples = sample_set(samples)
-    rows = run_stacked("type1_constrained", section, dist, ham, mag, samples,
+    rows = run_stacked("type1_constrained", section, dist, ham, mag, sample_set(samples),
                        tolerances)
-    if rows is None:
-        rows = []
-        for q in samples:
-            q = ensure_config(q, dist.n)
-            rows += rows_of(DISTRIBUTIONAL_ROW, q, *distributional_rows(
-                section, dist, ham, mag, q, tolerances))
     return _type1_report("hj1-distributional", rows, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
@@ -281,71 +267,56 @@ def constrained_level(frame, tolerances):
     return level
 
 
-def first_per_sample(section, phase_map, ham, mag, samples, levels, images=None,
-                     symplectic=True):
-    """The reference for a stacked Type II run: per sample z, with its
-    level, (the map's symplectic residual, or None without ``symplectic``,
-    and the two residuals). eps(z) is read from ``images`` when a pre-pass
-    evaluated it."""
-    first = []
-    for index, z in enumerate(samples):
-        # in symplectic_residual's order: J_eps(z), then eps(z)
-        jac = phase_map.jacobian(z)
-        image = phase_map.value(z) if images is None else images[index]
-        defect = float(pullback_defect(mag, z.q, image.q, jac)) if symplectic else None
-        first.append((defect, *(float(r) for r in _type2_residuals(
-            section, ham, mag, z.vec, image.vec, jac, levels[index]))))
-    return first
-
-
 def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
                  first, level_at, hypothesis=None):
     """Per-sample status agreement of the two Type II residuals at one level.
 
-    ``first`` holds, per sample, the symplectic residual (None on the
-    reduced level) and the two residuals. A residual inside the status band
-    is recomputed once, with a refined section and map, at 10x smaller
-    finite-difference steps and with the level ``level_at(q)`` at the
-    image's base point q, before its status is read; when both have analytic
-    Jacobians there is nothing to refine and no recompute. The unreduced
-    levels record the map's symplectic residual per sample as their
-    hypothesis (VACUOUS above the ``hypothesis`` tolerance); the reduced
-    level has run its own battery and passes its worst twist residual as
-    ``hypothesis``.
+    ``first`` holds the columns (symplectic, a, b) over the samples: the
+    map's symplectic residual (None on the reduced level) and the two
+    residuals. The samples with a residual inside the status band are
+    recomputed once, with a refined section and map, at 10x smaller
+    finite-difference steps and with the level ``level_at(q)`` at their
+    images' base points q, in one stacked run (stacked.refinements), before
+    their statuses are read; when both have analytic Jacobians there is
+    nothing to refine and no recompute. The unreduced levels record the
+    map's symplectic residual per sample as their hypothesis (VACUOUS above
+    the ``hypothesis`` tolerance); the reduced level has run its own battery
+    and passes its worst twist residual as ``hypothesis``.
     """
     status_tol = tolerances.get("status")
     refined_section, refined_map = _refined(section), _refined(phase_map)
+    vecs = phase_vectors(samples)
+    symplectic, res_a, res_b = first
+    res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
+    banded = np.flatnonzero(in_band(res_a, status_tol) | in_band(res_b, status_tol))
     # with analytic Jacobians there is no step to refine: a recompute would
     # give the same two numbers
-    refines = refined_section is not section or refined_map is not phase_map
-    vecs = phase_vectors(samples)
-    rows = []
-    hyp_worst = 0.0
-    agree = True
-    for vec, z, (symplectic, a, b) in zip(vecs, vecs.tolist(), first):
-        row = {"z": z}
-        if symplectic is not None:
-            row["symplectic"] = symplectic
-            hyp_worst = max(hyp_worst, symplectic)
-        if refines and (in_band(a, status_tol) or in_band(b, status_tol)):
+    if len(banded) and (refined_section is not section or refined_map is not phase_map):
+        n = ham.n
+
+        def recompute(z):
             # in phase_map.value's then jacobian's order, on the phase vectors
-            image = refined_map.image(vec)
-            a, b = (float(r) for r in _type2_residuals(
-                refined_section, ham, mag, vec, image, refined_map.jacobians(vec),
-                level_at(image[:ham.n])))
-        row.update(residual_a=a, residual_b=b, status_a=status_of(a, status_tol),
-                   status_b=status_of(b, status_tol))
-        agree = agree and (row["status_a"] == row["status_b"])
-        rows.append(row)
-    res_a = [row["residual_a"] for row in rows]
-    res_b = [row["residual_b"] for row in rows]
+            image = refined_map.image(z)
+            return _type2_residuals(refined_section, ham, mag, z, image,
+                                    refined_map.jacobians(z), level_at(image[..., :n]))
+
+        res_a[banded], res_b[banded] = run_stacked("refinements", recompute, vecs[banded])
+    res_a, res_b = res_a.tolist(), res_b.tolist()
+    rows = [{"z": z, "residual_a": a, "residual_b": b, "status_a": status_of(a, status_tol),
+             "status_b": status_of(b, status_tol)}
+            for z, a, b in zip(vecs.tolist(), res_a, res_b)]
+    agree = all(row["status_a"] == row["status_b"] for row in rows)
     disagree = "statuses of the two residuals disagree"
     if hypothesis is not None:
         hyp_worst, disagree = hypothesis, "statuses disagree"
-    elif hyp_worst > tolerances.get("hypothesis"):
-        return HJReport(check_name, VACUOUS, hyp_worst, residual_a=res_a,
-                        residual_b=res_b, per_sample=rows,
-                        defects=["hypothesis: phase map is not structure preserving"])
+    else:
+        for row, value in zip(rows, np.asarray(symplectic, dtype=float).tolist()):
+            row["symplectic"] = value
+        hyp_worst = worst(symplectic)
+        if hyp_worst > tolerances.get("hypothesis"):
+            return HJReport(check_name, VACUOUS, hyp_worst, residual_a=res_a,
+                            residual_b=res_b, per_sample=rows,
+                            defects=["hypothesis: phase map is not structure preserving"])
     return HJReport(check_name, PASS if agree else FAIL, hyp_worst,
                     residual_a=res_a, residual_b=res_b, per_sample=rows,
                     defects=[] if agree else [disagree])
@@ -360,9 +331,6 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     """
     samples = sample_set(samples)
     first = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples)
-    if first is None:
-        first = first_per_sample(section, phase_map, ham, mag, samples,
-                                 [magnetic_level] * len(samples))
     return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
                         tolerances, first, lambda q: magnetic_level)
 
@@ -377,14 +345,6 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     samples = sample_set(samples)
     first = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
                         samples, tolerances)
-    if first is None:
-        images, levels = [], []
-        for z in samples:
-            images.append(phase_map.value(z))
-            frame = surface_frame(dist, ham, images[-1].q)
-            section_hypotheses(section, frame, section.value(images[-1].q), tolerances)
-            levels.append(constrained_level(frame, tolerances))
-        first = first_per_sample(section, phase_map, ham, mag, samples, levels, images)
     return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
                         tolerances, first, lambda q: constrained_level(
                             surface_frame(dist, ham, q), tolerances))

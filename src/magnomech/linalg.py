@@ -1,5 +1,5 @@
 """Dense linear-algebra helpers for small matrices, and the entry to the
-stacked checks (see stacked.py).
+checks' orchestration (see stacked.py).
 
 Every helper here takes one matrix (or vector) or a stack of them along
 leading sample axes, and gives each stacked matrix the bits it gives that
@@ -130,15 +130,11 @@ def solve_small(matrix, rhs):
 
 
 def run_stacked(name, *args):
-    """``stacked.<name>(*args)``, one check's work on all its samples at once,
-    or None when a guard of that stacked run trips or one of its solves
-    fails: the caller then runs its per-sample loop, which raises the first
-    failing sample's error. The stacked module is imported on first use."""
+    """``stacked.<name>(*args)``, one check's work on all its samples at
+    once. It returns the entry point's result or raises its error; a fault
+    raises the error of the first failing sample (stacked.located). The
+    stacked module is imported on first use."""
     from . import stacked
-    from .errors import MagnomechError
 
-    try:
-        with np.errstate(all="ignore"):
-            return getattr(stacked, name)(*args)
-    except (MagnomechError, np.linalg.LinAlgError):
-        return None
+    with np.errstate(all="ignore"):
+        return getattr(stacked, name)(*args)

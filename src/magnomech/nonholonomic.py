@@ -14,10 +14,8 @@ kernels on a frame (surface_residual, admissible, section_image,
 compatibility, multiplier_correction) take one point or a stack of points
 along leading axes, in the layout rule of :mod:`linalg`; each is defined
 once, and the functions of a PhasePoint (admissible_basis,
-compatibility_report, ...) wrap them. Two orchestrations call them: the
-stacked entry points (:mod:`stacked`) run first, on all samples at once,
-and the per-sample loops (geometry_check's own) are the reference and the
-rerun when a stacked run raises.
+compatibility_report, ...) wrap them. geometry_check runs its entry
+point in :mod:`stacked`, on all samples at once.
 """
 
 from dataclasses import dataclass
@@ -40,11 +38,9 @@ from .geometry import (
     ensure_config,
     fd_jacobian,
     fd_jacobians,
-    magnetic_match_residual,
     sample_set,
-    two_form_closedness_residual,
 )
-from .dynamics import FD_STEP, free_field, read_only, symplectic_residual
+from .dynamics import FD_STEP, free_field, read_only
 from .linalg import (
     first_failing,
     max_abs,
@@ -55,7 +51,6 @@ from .linalg import (
     run_stacked,
     solve_small,
     tr,
-    worst,
 )
 from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
 
@@ -92,8 +87,10 @@ class ConstraintDistribution:
         rows = each(self._rows_fn, q).reshape(q.shape[:-1] + (self.k, self.n))
         if not np.isfinite(rows).all():
             raise NumericalDomainError("constraint rows are non-finite")
-        if self.k > 0 and (rank_of(rows) < self.k).any():
-            raise DegenerateConstraintError(f"constraint rows rank deficient at q={q}")
+        deficient = self.k > 0 and rank_of(rows) < self.k
+        if np.any(deficient):
+            raise DegenerateConstraintError(
+                f"constraint rows rank deficient at q={q[first_failing(deficient)]}")
         return rows
 
     def rows_gradient(self, q):
@@ -293,15 +290,13 @@ class CompatibilityReport:
     passed: bool
 
 
-def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"],
-                         frame=None):
+def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
     """Diagnose solvability of the constrained structure equation at z.
 
     Reports the dimensions of the velocity-admissible cone, the surface
     tangent, and their intersection, checks that the twisted-orthogonal of
     the first meets the second only at zero, and measures non-degeneracy of
-    the restricted form through its smallest singular value. ``frame`` is
-    the caller's SurfaceFrame over z.q, when it has one.
+    the restricted form through its smallest singular value.
     """
     n = dist.n
     omega = mag.form_matrix(z.q)
@@ -309,23 +304,30 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"],
         sigma = float(np.linalg.svd(omega, compute_uv=False)[-1])
         return CompatibilityReport(2 * n, 2 * n, 2 * n, sigma, 0,
                                    bool(sigma > sigma_tol))
-    if frame is None:
-        frame = surface_frame(dist, ham, z.q)
-    try:
-        frame.rows
-    except DegenerateConstraintError:
-        return CompatibilityReport(-1, -1, -1, 0.0, -1, False)
     dim_f, dim_tm, dim_k, sigma, intersection, passed = compatibility(
-        frame, omega, z.p, sigma_tol)
+        surface_frame(dist, ham, z.q), omega, z.p, sigma_tol)
     return CompatibilityReport(int(dim_f), int(dim_tm), int(dim_k), float(sigma),
                                int(intersection), bool(passed))
 
 
 def compatibility(frame, omega, p, sigma_tol):
     """compatibility_report's six fields at (q, p), q the frame's base
-    point (k > 0) and omega = Omega(q), or each an array over a stack."""
+    point (k > 0) and omega = Omega(q), or each an array over a stack.
+    Where the constraint rows lose rank there is no solvability to
+    diagnose: the dimensions and the intersection are -1, sigma is 0.0 and
+    the check fails; a stack with such a sample is diagnosed sample by
+    sample."""
     dist = frame.dist
     n = dist.n
+    try:
+        frame.rows
+    except DegenerateConstraintError:
+        lead = np.shape(p)[:-1]
+        if lead in ((), (1,)):
+            return tuple(np.full(lead, value) for value in (-1, -1, -1, 0.0, -1, False))
+        return tuple(np.concatenate(column) for column in zip(*(
+            compatibility(frame.take([i]), omega[i:i + 1], p[i:i + 1], sigma_tol)
+            for i in range(len(p)))))
     base_condition = np.zeros(frame.rows.shape[:-2] + (dist.k, 2 * n))
     base_condition[..., :n] = frame.rows
     f_basis = null_space(base_condition)
@@ -351,58 +353,18 @@ def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerance
     dimensions (constrained systems), the symplectic residual of eps and
     quotient relatedness at the phase samples that ``draw()`` returns
     (None when the system is unconstrained and has no phase map). ``draw``
-    is called once, after the closedness check.
+    is called once, after the closedness check. An empty sample set raises
+    NumericalDomainError: the battery's maxima have no value on it.
     """
-    qs = sample_set(qs)
-    stacked = run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry, qs,
-                          draw, tolerances)
-    if stacked is not None:
-        return stacked
-    from .reduction import data_invariance_residual, related_verdict, relatedness
 
-    data = {}
-    verdict = "PASS"
-    closedness = max(two_form_closedness_residual(mag.b_field, q) for q in qs)
-    data["b_closedness_residual"] = closedness
-    if closedness > tolerances.get("closedness"):
-        verdict = "FAIL"
-    if draw is not None:
-        zs = draw()
-        # one SurfaceFrame per drawn base point serves every branch
-        frames = [surface_frame(dist, ham, z.q) for z in zs]
-    if dist.k > 0:
-        reports = [compatibility_report(dist, ham, mag, z,
-                                        sigma_tol=tolerances.get("compat_sigma"),
-                                        frame=frame)
-                   for z, frame in zip(zs, frames)]
-        dims = sorted({(r.dim_f, r.dim_tm, r.dim_k) for r in reports})
-        data["dims"] = [list(d) for d in dims]
-        data["dims_constant"] = len(dims) == 1
-        data["sigma_min"] = min(r.sigma_min for r in reports)
-        data["compatibility_passed"] = all(r.passed for r in reports)
-        if not data["compatibility_passed"] or not data["dims_constant"]:
-            verdict = "FAIL"
-    if gamma is not None:
-        twist_frames = frames if draw is not None and np.array_equal(
-            [z.q for z in zs], qs) else [surface_frame(dist, ham, q) for q in qs]
-        data["gamma_match_residual"] = max(
-            magnetic_match_residual(gamma, mag.b_field, q, basis=frame.basis)
-            for q, frame in zip(qs, twist_frames))
-    if epsilon is not None:
-        data["symplectic_residual"] = max(
-            symplectic_residual(epsilon, mag, z) for z in zs[:10])
-    if symmetry is not None and dist.k > 0:
-        head = list(zip(zs[:10], frames))
-        related, related_data = related_verdict(
-            worst([data_invariance_residual(symmetry, dist, ham, mag, z.q, z.p, frame)
-                   for z, frame in head]),
-            lambda: worst([relatedness(symmetry, frame, mag, z.p, tolerances)
-                           for z, frame in head]), tolerances)
-        data.update(related_data)
-        data["relatedness_verdict"] = related
-        if related == "FAIL":
-            verdict = "FAIL"
-    return verdict, data
+    def nonempty(samples):
+        if not len(samples):
+            raise NumericalDomainError("the geometry check needs at least one sample")
+        return samples
+
+    return run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry,
+                       nonempty(sample_set(qs)),
+                       None if draw is None else lambda: nonempty(draw()), tolerances)
 
 
 @dataclass

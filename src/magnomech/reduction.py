@@ -12,9 +12,8 @@ the field. The reduced checks call the Type I and Type II kernels of
 frame and field and the relatedness residual are each defined once, for
 one point or a stack of points (the functions on a SurfaceFrame; the
 public ones on a PhasePoint wrap them). As in :mod:`hj`, each reduced
-check first runs its stacked entry point (:mod:`stacked`), battery
-included, and the per-sample loops here are the reference and the rerun
-when the stacked run raises.
+check runs its entry point in :mod:`stacked`, hypothesis battery
+included, on all its samples at once.
 """
 
 from dataclasses import dataclass
@@ -22,20 +21,10 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import free_field, symplectic_residual
+from .dynamics import free_field
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, ensure_config, sample_set
-from .hj import (
-    FAIL,
-    PASS,
-    VACUOUS,
-    HJReport,
-    first_per_sample,
-    rows_of,
-    twist_on_distribution,
-    type1_residual,
-    type2_report,
-)
+from .geometry import PhasePoint, sample_set
+from .hj import FAIL, PASS, VACUOUS, HJReport, type1_residual, type2_report
 from .linalg import column_space, max_abs_each, mv, null_space, run_stacked, tr, worst
 from .nonholonomic import admissible, multiplier_correction, surface_frame
 from .tolerances import DEFAULT_TOLERANCES
@@ -310,28 +299,6 @@ def map_defects(symplectic, equivariance, tolerances):
     return defects
 
 
-def _reduced_hypotheses(section, sym, dist, ham, mag, qs, tolerances):
-    """Hypothesis battery for the reduced checks, one point at a time.
-
-    The section hypotheses raise as at the constrained level
-    (:func:`hj.section_hypotheses`); the reduced-only hypotheses give named
-    defects instead (:func:`reduced_defects`), and any defect makes the
-    verdict VACUOUS since the theorems assert nothing without it. Returns
-    (worst twist residual, defects, gamma at each q, the SurfaceFrame at
-    each q).
-    """
-    gs = [section.value(q) for q in qs]
-    frames = [surface_frame(dist, ham, q) for q in qs]
-    invariance = worst([data_invariance_residual(sym, dist, ham, mag, q, g, frame)
-                        for q, g, frame in zip(qs, gs, frames)])
-    section_invariance = worst([section_invariance_residual(sym, section, q, g)
-                                for q, g in zip(qs, gs)])
-    twist = worst([twist_on_distribution(section, frame, g, mag, tolerances)[3]
-                   for frame, g in zip(frames, gs)])
-    return (twist, reduced_defects(invariance, section_invariance, twist, tolerances),
-            gs, frames)
-
-
 def reduced_equation(section, sym, frame, ham, mag, gs, tolerances):
     """The reduced Type I residual at the section point (q, gs), q the
     frame's base point, or over a stack."""
@@ -358,23 +325,11 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
-    samples = sample_set(samples)
-    stacked = run_stacked("type1_reduced", section, sym, dist, ham, mag, samples,
-                          tolerances)
-    if stacked is not None:
-        hyp_worst, defects, rows = stacked
-    else:
-        qs = [ensure_config(q, sym.n) for q in samples]
-        hyp_worst, defects, gs, frames = _reduced_hypotheses(
-            section, sym, dist, ham, mag, qs, tolerances)
+    hyp_worst, defects, rows = run_stacked("type1_reduced", section, sym, dist, ham, mag,
+                                           sample_set(samples), tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
-    if stacked is None:
-        rows = []
-        for q, g, frame in zip(qs, gs, frames):
-            rows += rows_of(REDUCED_ROW, q, reduced_equation(section, sym, frame, ham,
-                                                              mag, g, tolerances))
     eq_worst = max([0.0] + [row["equation"] for row in rows])
     verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
     return HJReport("hj1-reduced", verdict, hyp_worst, equation_residual=eq_worst,
@@ -385,23 +340,8 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
     samples = sample_set(samples)
-    stacked = run_stacked("type2_reduced", section, phase_map, sym, dist, ham, mag,
-                          samples, tolerances)
-    if stacked is not None:
-        hyp_worst, symp_worst, defects, first = stacked
-    else:
-        images = [phase_map.value(z) for z in samples]
-        hyp_worst, defects, _, frames = _reduced_hypotheses(
-            section, sym, dist, ham, mag, [image.q for image in images], tolerances)
-        symp_worst = worst([symplectic_residual(phase_map, mag, z) for z in samples])
-        defects += map_defects(symp_worst, worst(
-            [map_equivariance_residual(sym, phase_map, z.vec, image.vec)
-             for z, image in zip(samples, images)]), tolerances)
-        if not defects:
-            first = first_per_sample(
-                section, phase_map, ham, mag, samples,
-                [reduced_level(sym, frame, mag, tolerances) for frame in frames],
-                images, symplectic=False)
+    hyp_worst, symp_worst, defects, first = run_stacked(
+        "type2_reduced", section, phase_map, sym, dist, ham, mag, samples, tolerances)
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)

@@ -6,9 +6,8 @@ generator, uniform on [-1, 1], so --seed pins the whole sample set.
 A sample set is one array from the moment it is drawn: configuration
 samples an (N, n) array, phase samples a :class:`geometry.PhaseStack`.
 The Newton iteration of :func:`preimage` is defined once, for one phase
-vector or a stack; the projections and preimages of a sample set first run
-on all samples at once (:mod:`stacked`), with the per-sample loops here as
-the reference and the rerun when the stacked run raises.
+vector or a stack; the projections and preimages of a sample set run on
+all samples at once (:mod:`stacked`).
 """
 
 from functools import lru_cache
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import NumericalDomainError
 from .geometry import PhasePoint, PhaseStack
 from .linalg import run_stacked
-from .nonholonomic import project_to_constraint
 
 # Primitive polynomials and initial direction numbers m_1..m_s of Joe & Kuo,
 # SIAM J. Sci. Comput. 30 (2008) 2635 (file new-joe-kuo-6.21201), for
@@ -110,11 +108,7 @@ def phase_samples(box, count, rng):
 
 def surface_phase_samples(dist, ham, box, count, rng):
     """Phase samples projected onto the constraint surface, as one PhaseStack."""
-    zs = phase_samples(box, count, rng)
-    projected = run_stacked("projections", dist, ham, zs)
-    if projected is None:
-        projected = PhaseStack.of_points([project_to_constraint(dist, ham, z) for z in zs])
-    return projected
+    return run_stacked("projections", dist, ham, phase_samples(box, count, rng))
 
 
 def newton_preimage(phase_map, target):
@@ -152,8 +146,4 @@ def preimage(phase_map, goal):
 
 def newton_preimages(phase_map, targets):
     """newton_preimage of each target, in order, as one PhaseStack."""
-    found = run_stacked("preimages", phase_map, targets)
-    if found is None:
-        found = PhaseStack.of_points([newton_preimage(phase_map, target)
-                                      for target in targets])
-    return found
+    return run_stacked("preimages", phase_map, targets)

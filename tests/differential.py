@@ -5,17 +5,19 @@ the strategy ``test_contract.scenarios``; builds each one and runs the
 geometry check and hj1 and hj2 at every level, as ``check all`` would.
 It writes one JSON line per document: the build error, or each check's
 verdict and data or its error class and message, and the bits of every
-compiled field of the document evaluated over its sample stack. The
-checks' data show an evaluator bit only where a check reads it, and most
-do not; the bits show every one. Two checkouts are compared by running
-the script in each and comparing the outputs with ``cmp``:
+compiled field of the document evaluated over a fixed stack of its box's
+first BITS_POINTS Sobol points (with momenta drawn from the document's
+seed). The checks' data show an evaluator bit only where a check reads
+it, and most do not; the bits show every one, at more points than a
+check's 1-9 samples. Two checkouts are compared by running the script in
+each and comparing the outputs with ``cmp``:
 
     PYTHONPATH=src python tests/differential.py 300 > outcomes.jsonl
 
-With ``--reference`` every check runs its per-sample loop instead of its
-stacked entry point (``test_stacked.per_sample_only``). pytest does not
-collect this file; ``test_stacked`` compares the two modes on the first 60
-documents.
+With ``--reference`` every check runs the per-sample loops of
+tests/reference.py instead of the package's entry points
+(``reference.per_sample_only``). pytest does not collect this file;
+``test_differential`` compares the two modes on the first 60 documents.
 """
 
 import argparse
@@ -31,11 +33,13 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from test_contract import scenarios  # noqa: E402
-from test_stacked import per_sample_only  # noqa: E402
+from reference import per_sample_only  # noqa: E402
 from magnomech.cli import check_geometry, check_hj1, check_hj2  # noqa: E402
 from magnomech.geometry import each, split  # noqa: E402
 from magnomech.sampling import config_samples, phase_samples  # noqa: E402
 from magnomech.scenarios import build_system, parse_scenario  # noqa: E402
+
+BITS_POINTS = 64
 
 
 def draw(count):
@@ -95,11 +99,12 @@ def compiled_fields(system):
     return {name: field for name, field in fields.items() if field[0] is not None}
 
 
-def field_bits(system, samples, seed):
-    """The hex bits of each compiled field evaluated by geometry.each over the
-    document's configuration samples or phase samples, or its error."""
-    stacks = {"q": config_samples(system.sample_box, samples),
-              "z": phase_samples(system.sample_box, samples,
+def field_bits(system, seed):
+    """The hex bits of each compiled field evaluated by geometry.each over
+    BITS_POINTS configuration points or phase points of the document's box,
+    or its error."""
+    stacks = {"q": config_samples(system.sample_box, BITS_POINTS),
+              "z": phase_samples(system.sample_box, BITS_POINTS,
                                  np.random.default_rng(seed)).vec}
     bits = {}
     for name, (fn, kind) in compiled_fields(system).items():
@@ -125,7 +130,7 @@ def outcomes(doc, samples, seed):
             runs += [lambda: check_hj2(system, samples, seed),
                      lambda: check_hj2(system, samples, seed, reduced=True)]
     return {"checks": [outcome(run) for run in runs],
-            "bits": field_bits(system, samples, seed)}
+            "bits": field_bits(system, seed)}
 
 
 def record(index, doc, samples, seed):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_stacked import per_sample_only
+from reference import per_sample_only
 from magnomech.cli import main
 from magnomech.tolerances import DEFAULTS, Tolerances
 
@@ -41,9 +41,10 @@ def compare_values(left, right, path=""):
 
 
 def check_all_payloads(scenario_dir, tmp_path, *flags):
-    """The normalized `check all` report of each orchestration: the stacked
-    run, and the per-sample reference that every check reruns on a fault.
-    Both must reproduce the goldens, which predate the stacked run."""
+    """The normalized `check all` report of each orchestration: the
+    package's stacked run, and the per-sample reference of
+    tests/reference.py. Both must reproduce the goldens, which predate the
+    stacked run."""
     payloads = []
     for path in (nullcontext, per_sample_only):
         out = tmp_path / "report.json"

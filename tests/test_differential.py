@@ -6,13 +6,13 @@ documents have all of these.
 """
 
 from differential import draw, record
-from test_stacked import per_sample_only
+from reference import per_sample_only
 
 
 def test_generated_documents_give_the_per_sample_outcomes():
-    """The first 60 documents of the harness: every line the stacked run
+    """The first 60 documents of the harness: every line the package
     writes (build error, or each check's verdict and data or its error)
-    equals the line of the per-sample run."""
+    equals the line of the per-sample reference."""
     drawn = list(enumerate(draw(60)))
     produced = [record(index, *args) for index, args in drawn]
     with per_sample_only():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, free_particle_constraint
-from test_stacked import per_sample_only
+from reference import per_sample_only
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
 from magnomech.cli import check_geometry, check_hj1, check_hj2
 from magnomech.errors import (

@@ -29,10 +29,11 @@ from magnomech import (
     type2_reduced,
     vertical_basis,
 )
-from magnomech import geometry, hj
+from magnomech import geometry, hj, stacked
 from magnomech.reduction import reduced_energy
 from magnomech.sampling import config_samples, newton_preimage
 from conftest import free_particle_constraint
+from reference import per_sample_only
 
 BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -329,6 +330,40 @@ def test_type2_reduced_refines_in_band_residuals(monkeypatch):
     type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
                   tolerances=Tolerances({"status": in_band / 2}))
     assert fd_section.step / 10 in steps
+
+
+def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
+    # a finite-difference section with the status tolerance at 0.1: two
+    # samples of each level have residuals inside the band [0.1, 1), and
+    # both are recomputed, at the 10x smaller step, in one stacked run
+    section, sym, dist, ham, mag = reduced_test_system()
+    fd_section = OneFormSection(section.eval_fn)
+    eps = PhaseMap.translation([0.3, 0.0, 0.0])
+    samples = _type2_samples(section, dist, ham, eps)
+    tolerances = Tolerances({"status": 0.1})
+
+    def report_bytes():
+        return [json.dumps(check.as_dict(), sort_keys=True) for check in (
+            type2_constrained(fd_section, eps, dist, ham, mag, samples,
+                              tolerances=tolerances),
+            type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
+                          tolerances=tolerances))]
+
+    stacks = []
+    refinements = stacked.refinements
+
+    def recorded(recompute, zs):
+        stacks.append(len(zs))
+        return refinements(recompute, zs)
+
+    monkeypatch.setattr(stacked, "refinements", recorded)
+    produced = report_bytes()
+    assert stacks == [2, 2]
+    with per_sample_only():
+        assert report_bytes() == produced
+    # the recompute moved the residuals: without it the bytes differ
+    monkeypatch.setattr(hj, "_refined", lambda obj: obj)
+    assert report_bytes() != produced
 
 
 def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):

@@ -1,23 +1,28 @@
-"""The stacked check path against its per-sample reference.
+"""The package's orchestration against its per-sample reference.
 
-Every check first runs on all its samples at once (magnomech.stacked) and
-falls back to its per-sample loop when a stacked guard trips. The two
-paths must give the same report bytes, and on a fault the same error as
-the per-sample run, raised at the first failing sample.
+Every check runs on all its samples at once (magnomech.stacked); a stage
+that raises is rerun sample by sample, so a fault raises the error of the
+first failing sample (stacked.located). tests/reference.py holds the
+per-sample loops, and per_sample_only() swaps them in: the two
+orchestrations must give the same report bytes, and on a fault the same
+error, raised at the first failing sample under the same fault-order rule.
 """
 
 import dataclasses
+import inspect
 import json
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as reference_loops
 from conftest import SCENARIO_DIR
+from reference import per_sample_only
 from test_contract import scenarios
 from magnomech import (
     OneFormSection,
@@ -65,46 +70,30 @@ SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
 
 @contextmanager
-def per_sample_only():
-    """Every stacked entry point trips, so each check runs its per-sample
-    loop: the reference."""
-    saved = {name: getattr(stacked, name) for name in stacked.CHECKS}
+def recording_reruns():
+    """The stages located meanwhile: for each stage that raised on all its
+    samples, the sample counts of its runs (all, then one at a time)."""
+    located = stacked.located
+    reruns = []
 
-    def trip(*args):
-        raise stacked.Tripped()
+    def spy(count, stage):
+        runs = []
 
+        def watched(idx):
+            runs.append(len(idx))
+            return stage(idx)
+
+        try:
+            return located(count, watched)
+        finally:
+            if len(runs) > 1:
+                reruns.append(runs)
+
+    stacked.located = spy
     try:
-        for name in saved:
-            setattr(stacked, name, trip)
-        yield
+        yield reruns
     finally:
-        for name, fn in saved.items():
-            setattr(stacked, name, fn)
-
-
-@contextmanager
-def recording_trips():
-    """The names of the stacked entry points that tripped meanwhile."""
-    saved = {name: getattr(stacked, name) for name in stacked.CHECKS}
-    trips = []
-
-    def watched(name, fn):
-        def run(*args):
-            try:
-                return fn(*args)
-            except (MagnomechError, np.linalg.LinAlgError):
-                trips.append(name)
-                raise
-
-        return run
-
-    try:
-        for name, fn in saved.items():
-            setattr(stacked, name, watched(name, fn))
-        yield trips
-    finally:
-        for name, fn in saved.items():
-            setattr(stacked, name, fn)
+        stacked.located = located
 
 
 def _report_bytes(reports):
@@ -125,12 +114,12 @@ def _outcome(run):
        count=st.integers(1, 60))
 def test_stacked_checks_equal_the_per_sample_reference(systems, name, seed, count):
     """Geometry, the three Type I and the three Type II levels give the
-    per-sample reports byte for byte, and no stacked guard trips on the
-    shipped scenarios."""
+    per-sample reports byte for byte, and no stage raises on the shipped
+    scenarios."""
     system = systems[name]
-    with recording_trips() as trips:
+    with recording_reruns() as reruns:
         produced = _report_bytes(checks_for_system(system, count, seed))
-    assert trips == []
+    assert reruns == []
     with per_sample_only():
         reference = _report_bytes(checks_for_system(system, count, seed))
     assert produced == reference
@@ -247,14 +236,14 @@ FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_fault_raises_what_the_per_sample_run_raises(systems, fault):
-    """The k-th of 8 samples (and a later one) trips a guard: the stacked
-    check trips, and the rerun raises the per-sample run's class and
-    message, for the first failing sample."""
+    """The k-th of 8 samples (and a later one) fails a guard: the stage
+    raises on all samples, and its rerun sample by sample raises the
+    per-sample run's class and message, for the first failing sample."""
     error, make = FAULTS[fault]
     run = make(systems)
-    with recording_trips() as trips:
+    with recording_reruns() as reruns:
         produced = _outcome(run)
-    assert trips
+    assert reruns
     with per_sample_only():
         reference = _outcome(run)
     assert produced == reference
@@ -312,7 +301,7 @@ def test_a_sample_producer_that_goes_non_finite_raises_the_per_sample_error(
         systems, fault):
     """A projection, a section target or a Newton preimage that is non-finite
     at two of the samples raises NumericalDomainError with the message the
-    per-sample producers raise, on the stacked path and under
+    per-sample producers raise, on the package's path and under
     per_sample_only alike."""
     make, message = PRODUCER_FAULTS[fault]
     run = make(systems)
@@ -348,9 +337,9 @@ def test_the_stacked_path_wraps_no_sample(systems, name, monkeypatch):
         if (module_name.startswith("magnomech")
                 and getattr(module, "ensure_config", None) is ensure_config):
             monkeypatch.setattr(module, "ensure_config", checked)
-    with recording_trips() as trips:
+    with recording_reruns() as reruns:
         reports = checks_for_system(systems[name], 50, 0)
-    assert trips == []
+    assert reruns == []
     assert {report.verdict for report in reports} == {"PASS"}
     assert wrapped == Counter()
 
@@ -359,6 +348,205 @@ def test_first_failing_sample_is_named(systems):
     qs = config_samples(BOX3, 8)
     _, message = _outcome(_type1_fault(systems, "image"))
     assert f"q={qs[3]}" in message
+
+
+def _late_and_early_type1(systems):
+    """type1_constrained where sample 2 fails late, in the free field's
+    structure solve (a |B| of about 1e16 there), and sample 5 early, at its
+    section value (infinite there): the stack meets sample 5's fault
+    first."""
+    qs = config_samples(BOX3, 8)
+    late, early = _bad_points(qs, 2), _bad_points(qs, 5)
+    huge = np.array([[0.0, -0.5, 1.0], [0.5, 0.0, 3.449e16], [-1.0, -3.449e16, 0.0]])
+    mag = MagneticStructure(TwoFormField.from_matrix_fn(
+        lambda q: huge if q.tobytes() in late else np.zeros((3, 3)), 3))
+    section = OneFormSection(
+        lambda q: np.array([0.5, 2.0, np.inf if q.tobytes() in early else 0.0]),
+        lambda q: np.zeros((3, 3)))
+    dist = ConstraintDistribution.constant([[0.0, 0.0, 1.0]])
+    return lambda: type1_constrained(section, dist, HamiltonianSpec.free(3), mag, qs)
+
+
+def _late_and_early_type2(systems):
+    """type2_constrained on nh-magnetic-particle where sample 2 fails late,
+    at the pulled-back gradient (the map's Jacobian is NaN there), and
+    samples 3 and 7, whose images share a base point, early, at the section
+    hypotheses there (the section leaves the surface there)."""
+    system = systems["nh-magnetic-particle"]
+    zs = _type2_samples(system, 8, 0)
+    images = system.epsilon.image(zs.vec)
+    section = _section_fault("image", {images[3, :3].tobytes()})
+    late = zs.vec[2].tobytes()
+
+    def jacobian(vec):
+        jac = system.epsilon.jacobian_fn(vec)
+        return jac * np.nan if vec.tobytes() == late else jac
+
+    eps = PhaseMap(system.epsilon.eval_fn, jacobian)
+    return lambda: type2_constrained(section, eps, system.dist, system.ham, system.mag, zs,
+                                     tolerances=system.tolerances)
+
+
+def _geometry_run(system, mag, gamma, draw):
+    qs = config_samples(system.sample_box, 8)
+    return lambda: geometry_check(system.dist, system.ham, mag, gamma, None, None, qs,
+                                  draw, system.tolerances)
+
+
+def _off_surface_draw(system, index):
+    zs = list(_phase_points(system, 8, 0))
+    zs[index] = PhasePoint(zs[index].q, zs[index].p + [0.0, 0.0, 1.0])
+    return lambda: zs
+
+
+def _closedness_and_drawn(systems):
+    """geometry on nh-magnetic-particle with B infinite near the sixth
+    configuration sample, so that the closedness stage fails there, and a
+    draw whose first point is off the surface, so that the compatibility
+    stage would fail too."""
+    system = systems["nh-magnetic-particle"]
+    near = config_samples(system.sample_box, 8)[5]
+
+    def b_matrix(q):
+        return np.full((3, 3), np.inf if np.abs(q - near).max() < 1e-3 else 0.0)
+
+    mag = MagneticStructure(TwoFormField.from_matrix_fn(b_matrix, 3))
+    return _geometry_run(system, mag, system.gamma, _off_surface_draw(system, 0))
+
+
+def _compatibility_and_twist(systems):
+    """geometry on nh-magnetic-particle whose drawn fourth point is off the
+    surface (the compatibility stage fails there) and whose section has a
+    NaN Jacobian at the second configuration sample (the later twist stage
+    fails there)."""
+    system = systems["nh-magnetic-particle"]
+    bad = _bad_points(config_samples(system.sample_box, 8), 1)
+
+    def jacobian(q):
+        jac = system.gamma.jacobian_fn(q)
+        return jac * np.nan if q.tobytes() in bad else jac
+
+    gamma = OneFormSection(system.gamma.eval_fn, jacobian)
+    return _geometry_run(system, system.mag, gamma, _off_surface_draw(system, 3))
+
+
+FAULT_ORDER = {
+    "type1-constrained": (_late_and_early_type1, DegenerateFormError,
+                          "structure solve residual 5.590e-01 exceeds tolerance"),
+    "type2-constrained": (_late_and_early_type2, NumericalDomainError,
+                          "Hamiltonian gradient is non-finite"),
+    "geometry-closedness-then-draw": (_closedness_and_drawn, NumericalDomainError,
+                                      "two-form evaluation is non-finite"),
+    "geometry-compatibility-then-twist": (_compatibility_and_twist, OffConstraintError,
+                                          "constraint residual 1.000e+00 exceeds 1.0e-08"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_ORDER))
+def test_two_samples_failing_at_different_stages(systems, case):
+    """The fault-order rule of stacked.located, where two samples fail at
+    different stages. Within a stage the first failing sample wins, at its
+    own first failing step, although the stack meets the later sample's
+    earlier step first: the type1 and type2 cases raise sample 2's late
+    error, not the early error of a later sample. Across stages the earlier
+    stage wins: the geometry check raises its closedness error before
+    drawing, and its compatibility error (drawn sample 3) before its twist
+    error (configuration sample 1). The reference loops raise the same."""
+    make, error, message = FAULT_ORDER[case]
+    run = make(systems)
+    with np.errstate(all="ignore"):
+        with recording_reruns() as reruns:
+            produced = _outcome(run)
+        with per_sample_only():
+            assert _outcome(run) == produced
+    assert reruns
+    assert produced == (error, message)
+
+
+def test_drawn_points_where_the_rows_lose_rank_fail_compatibility(systems):
+    """The row (q1, 0, 0) loses rank at q1 = 0, the second Sobol point: the
+    geometry check's compatibility stage diagnoses that point as
+    compatibility_report does (dimensions -1, sigma 0.0) and the check
+    FAILs, on both orchestrations, instead of raising."""
+    system = systems["nh-magnetic-particle"]
+    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]))
+    qs = config_samples(system.sample_box, 4)
+    zs = [PhasePoint(q, np.zeros(3)) for q in qs]
+
+    def run():
+        return geometry_check(dist, system.ham, system.mag, None, None, None, qs,
+                              lambda: zs, system.tolerances)
+
+    verdict, data = run()
+    assert (verdict, data["dims"], data["sigma_min"]) == ("FAIL", [[-1, -1, -1], [5, 5, 4]],
+                                                          0.0)
+    with per_sample_only():
+        assert run() == (verdict, data)
+
+
+def _empty_checks(system, empty):
+    """The seven checks of nh-magnetic-reduced on the empty sample set
+    ``empty(width)``, and the geometry check on an empty draw."""
+    s, n = system, system.n
+    qs, zs = empty(n), empty(2 * n)
+
+    def geometry(qs):
+        return geometry_check(s.dist, s.ham, s.mag, s.gamma, s.epsilon, s.symmetry, qs,
+                              lambda: zs, s.tolerances)
+
+    return {
+        "geometry": lambda: geometry(qs),
+        "geometry-draw": lambda: geometry(config_samples(s.sample_box, 3)),
+        "hj1-magnetic": lambda: type1_magnetic(s.gamma, s.ham, s.mag, qs, s.tolerances),
+        "hj1-distributional": lambda: type1_constrained(s.gamma, s.dist, s.ham, s.mag, qs,
+                                                        s.tolerances),
+        "hj1-reduced": lambda: type1_reduced(s.gamma, s.symmetry, s.dist, s.ham, s.mag, qs,
+                                             s.tolerances),
+        "hj2-magnetic": lambda: type2_magnetic(s.gamma, s.epsilon, s.ham, s.mag, zs,
+                                               s.tolerances),
+        "hj2-distributional": lambda: type2_constrained(s.gamma, s.epsilon, s.dist, s.ham,
+                                                        s.mag, zs, s.tolerances),
+        "hj2-reduced": lambda: type2_reduced(s.gamma, s.epsilon, s.symmetry, s.dist, s.ham,
+                                             s.mag, zs, s.tolerances),
+    }
+
+
+@pytest.mark.parametrize("empty", [lambda width: [], lambda width: np.zeros((0, width))],
+                         ids=["list", "array"])
+@pytest.mark.parametrize("check", ["geometry", "geometry-draw", "hj1-magnetic",
+                                   "hj1-distributional", "hj1-reduced", "hj2-magnetic",
+                                   "hj2-distributional", "hj2-reduced"])
+def test_an_empty_sample_set(systems, check, empty):
+    """On no samples each Type I and Type II check passes, with no rows and
+    worst residuals 0.0, on both orchestrations; the geometry check, whose
+    maxima have no value there, raises NumericalDomainError, on no
+    configuration samples and on an empty draw alike."""
+    run = _empty_checks(systems["nh-magnetic-reduced"], empty)[check]
+    residuals = ({"equation_residual": 0.0} if check.startswith("hj1")
+                 else {"residual_a": [], "residual_b": []})
+    for path in (nullcontext, per_sample_only):
+        with path():
+            if check.startswith("geometry"):
+                with pytest.raises(NumericalDomainError, match="at least one sample"):
+                    run()
+                continue
+            report = run()
+        assert report.check == check
+        assert report.as_dict() == {"verdict": "PASS", "hypothesis_residual": 0.0,
+                                    "defects": [], "per_sample": [], **residuals}
+
+
+def test_each_entry_point_has_exactly_one_reference():
+    """per_sample_only() swaps every entry point of stacked.CHECKS for the
+    loop of the same name in tests/reference.py; an entry point without one
+    would be compared with itself, and a loop without an entry point would
+    test nothing."""
+    loops = sorted(name for name, fn in vars(reference_loops).items()
+                   if inspect.isfunction(fn) and fn.__module__ == reference_loops.__name__
+                   and not name.startswith("_") and name != "per_sample_only")
+    assert sorted(stacked.CHECKS) == loops
+    assert reference_loops.REFERENCES == {name: getattr(reference_loops, name)
+                                          for name in loops}
 
 
 RANK_MIX = {
@@ -392,9 +580,9 @@ def test_samples_of_one_check_split_by_rank(monkeypatch):
         return result
 
     monkeypatch.setattr(stacked, "by_rank", spy)
-    with recording_trips() as trips:
+    with recording_reruns() as reruns:
         produced = _report_bytes(checks_for_system(system, 8, 0))
-    assert trips == []
+    assert reruns == []
     assert [7, 1] in [sorted(sizes, reverse=True) for sizes in groups]
     with per_sample_only():
         reference = _report_bytes(checks_for_system(system, 8, 0))
@@ -412,9 +600,9 @@ def test_phase_map_without_jacobian_stacks_its_differences(systems):
         return type2_constrained(system.gamma, eps, system.dist, system.ham,
                                  system.mag, zs, tolerances=system.tolerances).as_dict()
 
-    with recording_trips() as trips:
+    with recording_reruns() as reruns:
         produced = json.dumps(run(), sort_keys=True)
-    assert trips == []
+    assert reruns == []
     with per_sample_only():
         assert json.dumps(run(), sort_keys=True) == produced
 
