@@ -321,16 +321,17 @@ class PhaseMap:
 
     def image(self, vec):
         """eps at a phase vector, or at each of a stack, as an array."""
-        image = each(self.eval_fn, vec)
+        image = each(self.eval_fn, vec, np.shape(vec)[-1:])
         if not np.isfinite(image).all():
             raise NumericalDomainError("phase map evaluation is non-finite")
         return image
 
     def jacobians(self, vec):
         """J_eps at a phase vector, or at each of a stack."""
+        width = np.shape(vec)[-1]
         if self.jacobian_fn is not None:
-            return each(self.jacobian_fn, vec)
-        return fd_jacobians(self.eval_fn, vec, self.step)
+            return each(self.jacobian_fn, vec, (width, width))
+        return fd_jacobians(self.eval_fn, vec, self.step, width)
 
     @classmethod
     def identity(cls, n):

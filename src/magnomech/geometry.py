@@ -26,7 +26,7 @@ DEFAULT_FD_STEP = 1e-5
 CLOSEDNESS_STEP = 1e-4
 
 
-def each(fn, points):
+def each(fn, points, shape=()):
     """``fn`` at each point of a stack whose last axis holds one point's
     coordinates, as one float array with the stack's leading axes; one point
     gives fn(point) as an array.
@@ -35,7 +35,8 @@ def each(fn, points):
     (compiled scenario expressions do, see expressions.compile_columns),
     in one call with the same bits per point; when that returns None (a
     fault at some point) or fn has none, fn runs at each point in turn, so
-    a fault raises the first faulting point's error.
+    a fault raises the first faulting point's error. ``shape`` is the shape
+    of fn's value, which the result of an empty stack takes.
     """
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, points.shape[-1])
@@ -44,6 +45,8 @@ def each(fn, points):
         values = fn.columns(flat)
     if values is None:
         values = np.array([fn(point) for point in flat], dtype=float)
+        if not len(flat):
+            values = values.reshape((0, *shape))
     return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
@@ -122,9 +125,12 @@ class PhaseStack(Sequence):
     point: a stack that fails raises the message the first failing point
     raises. Indexing and iteration make PhasePoints on demand and a slice
     gives a stack, so code written for a list of points reads a stack too.
+    ``frame`` is the SurfaceFrame over the base points of a stack projected
+    onto the constraint surface (stacked.projections), for the next stage
+    to read A(q) from; None on any other stack, a slice included.
     """
 
-    def __init__(self, vec):
+    def __init__(self, vec, frame=None):
         vec = np.array(vec, dtype=float)
         if vec.ndim != 2:
             raise NumericalDomainError("a phase stack needs one row per point")
@@ -134,11 +140,12 @@ class PhaseStack(Sequence):
             raise NumericalDomainError("phase point has non-finite entries")
         vec.setflags(write=False)
         self.vec = vec
+        self.frame = frame
 
     @classmethod
-    def of(cls, q, p):
+    def of(cls, q, p, frame=None):
         """The stack of the points (q[i], p[i])."""
-        return cls(np.concatenate([q, p], axis=-1))
+        return cls(np.concatenate([q, p], axis=-1), frame)
 
     @property
     def n(self):
@@ -222,8 +229,9 @@ def fd_jacobian(fn, x, step=DEFAULT_FD_STEP):
     return jac
 
 
-def fd_jacobians(fn, x, step=DEFAULT_FD_STEP):
-    """fd_jacobian of fn at a point x, or at each point of a stack.
+def fd_jacobians(fn, x, step=DEFAULT_FD_STEP, size=0):
+    """fd_jacobian of fn at a point x, or at each point of a stack; fn's
+    value has ``size`` entries, the rows of an empty stack's Jacobians.
 
     A stack is differenced in one pass through fn's column function, when
     fn has one, with fd_jacobian's shifts and order of operations, so each
@@ -237,7 +245,7 @@ def fd_jacobians(fn, x, step=DEFAULT_FD_STEP):
         jac = _column_differences(fn.columns, flat, step)
         if jac is not None:
             return jac.reshape(x.shape[:-1] + jac.shape[1:])
-    return each(lambda point: fd_jacobian(fn, point, step), x)
+    return each(lambda point: fd_jacobian(fn, point, step), x, (size, x.shape[-1]))
 
 
 def _column_differences(columns, xs, step):
@@ -286,17 +294,18 @@ class OneFormSection:
 
     def value(self, q):
         """gamma at a point q, or at each point of a stack."""
-        value = each(self.eval_fn, q)
+        value = each(self.eval_fn, q, np.shape(q)[-1:])
         if not np.isfinite(value).all():
             raise NumericalDomainError("one-form evaluation is non-finite")
         return value
 
     def jacobian(self, q):
         """d(gamma_i)/d(q_j) at a point q, or at each point of a stack."""
+        n = np.shape(q)[-1]
         if self.jacobian_fn is not None:
-            jac = each(self.jacobian_fn, q)
+            jac = each(self.jacobian_fn, q, (n, n))
         else:
-            jac = fd_jacobians(self.eval_fn, q, self.step)
+            jac = fd_jacobians(self.eval_fn, q, self.step, n)
         if not np.isfinite(jac).all():
             raise NumericalDomainError("one-form Jacobian is non-finite")
         return jac
@@ -331,7 +340,7 @@ class TwoFormField:
         its one read-only matrix, which broadcasts over any stack."""
         if self._constant is not None:
             return self._constant
-        upper = np.triu(each(self._upper_fn, q), 1)
+        upper = np.triu(each(self._upper_fn, q, (self.n, self.n)), 1)
         if not np.isfinite(upper).all():
             raise NumericalDomainError("two-form evaluation is non-finite")
         return upper - tr(upper)

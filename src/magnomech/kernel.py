@@ -406,7 +406,8 @@ class _Generator:
         failure = ("raise _Constraint('constraint rows rank deficient at q=' + "
                    f"str(_array({_tuple(self.qs)})))")
         if k == 1:
-            # one row has rank 0 exactly when every entry is 0
+            # linalg.rank_of's single-row rule, written inline: one row has
+            # rank 0 exactly when every entry is 0
             if not any(_is_lit(a) and a != "0.0" for a in flat):
                 test = " and ".join(f"{a} == 0.0" for a in flat if not _is_lit(a))
                 self.emit(f"if {test or 'True'}:")

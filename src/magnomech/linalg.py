@@ -4,9 +4,11 @@ checks' orchestration (see stacked.py).
 Every helper here takes one matrix (or vector) or a stack of them along
 leading sample axes, and gives each stacked matrix the bits it gives that
 matrix alone. That holds because numpy's ``svd``, ``solve``, ``inv``,
-``cholesky`` and ``@`` run the same routine on every matrix of a stack,
-provided each stacked operand has the single operand's layout: a
-C-contiguous matrix or the transposed view of one (``tr``). So a
+``cholesky`` and ``@``, and the least-squares gufunc that ``np.linalg.lstsq``
+runs on one matrix (``lstsq_each`` runs it on a stack), run the same routine
+on every matrix of a stack, provided each stacked operand has the single
+operand's layout: a C-contiguous matrix or the transposed view of one
+(``tr``). So a
 matrix-vector product is written ``mv(a, v)``, that is ``a @ v[..., None]``;
 a norm is the square root of ``dots``, as ``np.linalg.norm`` of a vector is;
 a slice that is copied for one point is copied for a stack too; and
@@ -19,6 +21,7 @@ sample (first_failing), and a fold over the samples is ``worst``.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 RCOND = 1e-10
 
@@ -87,7 +90,25 @@ def column_space(matrix):
 
 
 def rank_of(matrix):
-    return _ranks(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False))
+    """The rank of a matrix, or of each of a stack, by the SVD rule of
+    _ranks; a single row by the single-row rule.
+
+    The single-row rule: a row has rank 1 exactly when some entry is
+    nonzero. On a finite row whose 2-norm is finite that is the rank the
+    SVD rule gives, since the row's one singular value is its norm; a
+    finite row whose norm overflows has the singular value inf, which the
+    SVD rule counts as rank 0 and this rule as rank 1. The generated RK4
+    step writes this rule inline for k = 1 (kernel._Generator.rows), so
+    ConstraintDistribution.matrix and the step raise at the same rows. The
+    rule sees the rows only where they are evaluated: at RK4 stage points a
+    row that passes through zero between two stages is not caught; the row
+    (0, 1 - q1) raises at --dt 0.25, where a stage lands on q1 = 1, and
+    runs on at --dt 0.3.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape[-2] == 1:
+        return np.count_nonzero(matrix[..., 0, :] != 0.0, axis=-1).clip(max=1)
+    return _ranks(np.linalg.svd(matrix, compute_uv=False))
 
 
 def max_abs(array):
@@ -127,6 +148,33 @@ def solve_small(matrix, rhs):
             raise np.linalg.LinAlgError("Singular matrix")
         return rhs / pivot
     return np.linalg.solve(matrix, rhs[..., None])[..., 0]
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq_each(a, b):
+    """``np.linalg.lstsq(a, b, rcond=None)[0]`` for a matrix a and right-hand
+    sides b, or for each pair of a stack, in one call of the gufunc that
+    np.linalg.lstsq runs on one pair (numpy >= 2), with its rcond, its
+    padding of zero right-hand sides and its zero solution when a has no
+    rows. A stack in which some solve does not converge raises
+    np.linalg.LinAlgError, as np.linalg.lstsq does at that pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape[-2:]
+    columns = b.shape[-1]
+    if columns == 0:
+        # LAPACK takes no empty right-hand side: solve for one zero column
+        b = np.zeros(b.shape[:-1] + (1,))
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(a, b, np.finfo(float).eps * max(m, n),
+                                signature="ddd->ddid")[0]
+    if m == 0:
+        x[...] = 0.0
+    return x[..., :columns]
 
 
 def run_stacked(name, *args):

@@ -25,7 +25,16 @@ from .dynamics import free_field
 from .errors import DegenerateFormError, NumericalDomainError
 from .geometry import PhasePoint, sample_set
 from .hj import FAIL, PASS, VACUOUS, HJReport, type1_residual, type2_report
-from .linalg import column_space, max_abs_each, mv, null_space, run_stacked, tr, worst
+from .linalg import (
+    column_space,
+    lstsq_each,
+    max_abs_each,
+    mv,
+    null_space,
+    run_stacked,
+    tr,
+    worst,
+)
 from .nonholonomic import admissible, multiplier_correction, surface_frame
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -198,13 +207,7 @@ def _reduced_frame(sym, frame, mag, p, tolerances):
     selection = sym.selection()
     pushed = selection @ descent
     basis = column_space(pushed)
-    # np.linalg.lstsq does not broadcast: one solve per sample
-    lead = pushed.shape[:-2]
-    count = int(np.prod(lead))
-    coeffs = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(
-        pushed.reshape((count,) + pushed.shape[-2:]),
-        basis.reshape((count,) + basis.shape[-2:]))])
-    lifts = descent @ coeffs.reshape(lead + coeffs.shape[1:])
+    lifts = descent @ lstsq_each(pushed, basis)
     omega = tr(lifts) @ mag.form_matrix(frame.terms.q) @ lifts
     return ReducedFrame(selection, basis, omega)
 

@@ -78,8 +78,19 @@ def direction_numbers(d):
 
 def sobol_points(box, count):
     """The first ``count`` points of the unscrambled Sobol sequence in Gray-code
-    order (Antonov & Saleev), scaled into the per-coordinate box."""
+    order (Antonov & Saleev), scaled into the per-coordinate box, as a
+    read-only (count, n) array.
+
+    The points are a pure function of the box's bits and the count, so each
+    (box, count) is computed once and then handed out again (a check pass
+    draws the same few sets many times)."""
     box = np.asarray(box, dtype=float)
+    return _sobol_points(box.shape, box.tobytes(), count)
+
+
+@lru_cache(maxsize=32)
+def _sobol_points(shape, data, count):
+    box = np.frombuffer(data).reshape(shape)
     v = direction_numbers(box.shape[0])
     # Point i is the XOR of v[:, k] over the set bits k of gray(i) = i ^ (i >> 1).
     # Gray codes reflect, gray(2^k + i) = 2^k | gray(2^k - 1 - i), so each
@@ -91,7 +102,9 @@ def sobol_points(box, count):
         x[filled:filled + take] = x[filled - 1::-1][:take] ^ v[:, k]
         filled += take
     raw = x / 2.0**BITS
-    return box[:, 0] + raw * (box[:, 1] - box[:, 0])
+    points = box[:, 0] + raw * (box[:, 1] - box[:, 0])
+    points.setflags(write=False)
+    return points
 
 
 def config_samples(box, count):

@@ -261,9 +261,13 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
     if closedness > tolerances.get("closedness"):
         verdict = FAIL
     if draw is not None:
-        zs = phase_vectors(draw())
-        # one SurfaceFrame over the drawn base points serves every branch
-        frame = surface_frame(dist, ham, zs[:, :n])
+        drawn = draw()
+        zs = phase_vectors(drawn)
+        # one SurfaceFrame over the drawn base points serves every branch:
+        # the one that projected the draw onto this system's surface, if any
+        frame = getattr(drawn, "frame", None)
+        if frame is None or frame.dist is not dist or frame.terms.ham is not ham:
+            frame = surface_frame(dist, ham, zs[:, :n])
     if dist.k > 0:
         sigma_tol = tolerances.get("compat_sigma")
         dim_f, dim_tm, dim_k, sigma, _, passed = by_rank(len(zs), lambda idx: compatibility(
@@ -311,13 +315,18 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
 # -- sampling --------------------------------------------------------------------
 
 def projections(dist, ham, samples):
-    """nonholonomic.project_to_constraint at each phase point."""
+    """nonholonomic.project_to_constraint at each phase point, as a stack
+    that carries the SurfaceFrame over its base points."""
     if dist.k == 0 or not len(samples):
         return samples
     n = dist.n
     zs = phase_vectors(samples)
-    return located(len(zs), lambda idx: PhaseStack.of(
-        zs[idx, :n], surface_frame(dist, ham, zs[idx, :n]).project(zs[idx, n:])))
+
+    def stage(idx):
+        frame = surface_frame(dist, ham, zs[idx, :n])
+        return PhaseStack.of(zs[idx, :n], frame.project(zs[idx, n:]), frame)
+
+    return located(len(zs), stage)
 
 
 def preimages(phase_map, targets):

@@ -25,6 +25,7 @@ import numpy as np
 from magnomech import stacked
 from magnomech.dynamics import pullback_defect, symplectic_residual
 from magnomech.geometry import (
+    PhasePoint,
     PhaseStack,
     ensure_config,
     magnetic_match_residual,
@@ -43,7 +44,7 @@ from magnomech.hj import (
     twist_on_distribution,
 )
 from magnomech.linalg import worst
-from magnomech.nonholonomic import compatibility, project_to_constraint, surface_frame
+from magnomech.nonholonomic import compatibility, surface_frame
 from magnomech.reduction import (
     REDUCED_ROW,
     data_invariance_residual,
@@ -183,8 +184,12 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         verdict = "FAIL"
     if draw is not None:
         zs = draw()
-        # one SurfaceFrame per drawn base point serves every branch
-        frames = [surface_frame(dist, ham, z.q) for z in zs]
+        # one SurfaceFrame per drawn base point serves every branch: those
+        # that projected the draw onto this system's surface, if any
+        frames = getattr(zs, "frame", None)
+        if frames is None or any(frame.dist is not dist or frame.terms.ham is not ham
+                                 for frame in frames):
+            frames = [surface_frame(dist, ham, z.q) for z in zs]
     if dist.k > 0:
         reports = [[value.item() for value in compatibility(
             frame, mag.form_matrix(z.q), z.p, tolerances.get("compat_sigma"))]
@@ -220,9 +225,17 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
 
 
 def projections(dist, ham, samples):
+    """project_to_constraint at each sample, as a stack whose ``frame`` is
+    the list of the samples' SurfaceFrames."""
     if dist.k == 0:
         return samples
-    return _stack([project_to_constraint(dist, ham, z) for z in samples])
+    frames, points = [], []
+    for z in samples:
+        frames.append(surface_frame(dist, ham, z.q))
+        points.append(PhasePoint(z.q, frames[-1].project(z.p)))
+    stack = _stack(points)
+    stack.frame = frames
+    return stack
 
 
 def preimages(phase_map, targets):

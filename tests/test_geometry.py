@@ -7,6 +7,7 @@ from magnomech import (
     ConstraintDistribution,
     NumericalDomainError,
     OneFormSection,
+    PhaseMap,
     TwoFormField,
     exterior_derivative,
     magnetic_match_residual,
@@ -201,3 +202,19 @@ def test_full_condition_dominates_every_restriction(seed):
     assert restricted_form_residual(scaled, sub) <= 1e-12
     full = restricted_form_residual(matrix, np.eye(n))
     assert full == pytest.approx(np.max(np.abs(matrix)))
+
+
+def test_empty_stacks_keep_the_value_shape():
+    """A callable without a column function gives an empty stack the shape
+    of its value: gamma (0, n), its Jacobian (0, n, n), a phase map's image
+    (0, 2n) and Jacobian (0, 2n, 2n), and a two-form (0, n, n)."""
+    empty = np.zeros((0, 3))
+    for section in (OneFormSection(lambda q: 2 * q),
+                    OneFormSection(lambda q: 2 * q, lambda q: 2 * np.eye(3))):
+        assert section.value(empty).shape == (0, 3)
+        assert section.jacobian(empty).shape == (0, 3, 3)
+    for phase_map in (PhaseMap(lambda v: v + 1.0),
+                      PhaseMap(lambda v: v + 1.0, lambda v: np.eye(6))):
+        assert phase_map.image(np.zeros((0, 6))).shape == (0, 6)
+        assert phase_map.jacobians(np.zeros((0, 6))).shape == (0, 6, 6)
+    assert TwoFormField(lambda q: np.ones((3, 3)), 3).matrix(empty).shape == (0, 3, 3)

@@ -565,3 +565,20 @@ def test_state_guards_raise_as_the_per_point_functions_do(systems):
     step = step_kernel(planar.ham, planar.mag, None)
     assert _raised(lambda: step((0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 1.0, True)) == (
         NumericalDomainError, "state is non-finite")
+
+
+def test_one_row_rank_rule_is_the_same_on_both_paths():
+    """The row (0, 1 - q1) has rank 0 at q1 = 1 by linalg.rank_of's
+    single-row rule: ConstraintDistribution.matrix and the generated step
+    raise the same error there, and both go on at q1 = 0.9."""
+    system = _system({
+        "name": "vanishing-row", "n": 2, "constraints": [["0", "1 - q1"]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    field = step_kernel(system.ham, system.mag, system.dist).field
+    with pytest.raises(DegenerateConstraintError) as direct:
+        system.dist.matrix(np.array([1.0, 0.3]))
+    with pytest.raises(DegenerateConstraintError) as generated:
+        field(1.0, 0.3, 0.2, 0.0)
+    assert str(generated.value) == str(direct.value)
+    assert system.dist.matrix(np.array([0.9, 0.3])).tolist() == [[0.0, 1.0 - 0.9]]
+    field(0.9, 0.3, 0.2, 0.0)

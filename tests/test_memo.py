@@ -15,7 +15,8 @@ import pytest
 from conftest import SCENARIO_DIR, free_particle_constraint
 from reference import per_sample_only
 from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
-from magnomech.cli import check_geometry, check_hj1, check_hj2
+from magnomech import sampling
+from magnomech.cli import check_geometry, check_hj1, check_hj2, checks_for_system
 from magnomech.errors import (
     DegenerateConstraintError,
     NumericalDomainError,
@@ -169,13 +170,47 @@ def test_reduced_checks_read_each_base_point_once_per_stage():
 
 
 def test_check_geometry_reads_each_base_point_once_per_stage():
-    """The geometry check builds one SurfaceFrame over its drawn base points
-    (one per point on the per-sample path), and the compatibility data, the
-    twist residual at the same Sobol points, the invariance residual and the
-    relatedness residual all read A(q) from it. Each of the 50 Sobol points
-    is read twice, once to project its draw onto the surface and once for
-    the geometry battery, and each of the 20 cyclic translates of the 10
-    relatedness points once; without the shared frame, 40 points were read
-    three times and 10 five times."""
+    """The geometry check reads A(q) from the SurfaceFrame that projected its
+    draw onto the surface (one per point on the per-sample path): the
+    compatibility data, the twist residual at the same Sobol points, the
+    invariance residual and the relatedness residual all read it there. So
+    each of the 50 Sobol points is read once, and each of the 20 cyclic
+    translates of the 10 relatedness points once; with a second frame for
+    the battery each Sobol point was read twice, and without a shared frame
+    40 points were read three times and 10 five times."""
     assert _rows_reads("nh-magnetic-reduced", lambda system: check_geometry(
-        system, 50, 0)) == {2: 50, 1: 20}
+        system, 50, 0)) == {1: 70}
+
+
+def test_a_check_pass_solves_and_samples_each_stack_once(systems, monkeypatch):
+    """A check pass over the shipped scenarios (50 samples, seed 0), as one
+    ``check all`` process runs it: the reduced frames solve their least
+    squares problems one stack at a time (linalg.lstsq_each), so
+    np.linalg.lstsq is never called; the rank tests of the one-row
+    distributions take no SVD (linalg.rank_of's single-row rule), though
+    their null spaces still do; and the
+    36 Sobol draws of a pass share 5 (box, count) pairs, each computed
+    once."""
+    calls = Counter()
+    lstsq, svd = np.linalg.lstsq, np.linalg.svd
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counted_svd(matrix, *args, **kwargs):
+        # a rank test takes singular values only; a basis takes vectors too
+        calls["svd"] += 1
+        calls["single-row rank svd"] += (np.shape(matrix)[-2] == 1
+                                         and not kwargs.get("compute_uv", True))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    sampling._sobol_points.cache_clear()
+    for name in sorted(systems):
+        checks_for_system(systems[name], 50, 0)
+    assert calls["svd"] > 0
+    assert calls["lstsq"] == 0
+    assert calls["single-row rank svd"] == 0
+    assert sampling._sobol_points.cache_info().misses <= 5

@@ -80,6 +80,17 @@ def test_direction_numbers_are_cached_read_only():
         direction_numbers(MAX_DIMENSION + 1)
 
 
+def test_sobol_points_are_cached_read_only():
+    """One (box, count) is computed once: the same read-only array comes
+    back for the box as a list or an array, and writing into it raises."""
+    box = [[-1.0, 0.5], [0.0, 2.0]]
+    points = sobol_points(box, 9)
+    assert points is sobol_points(np.array(box), 9)
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 1.0
+
+
 def test_largest_dimension_parses_and_builds():
     assert MAX_DIMENSION == 40
     system = build_system(parse_scenario(json.dumps({"name": "wide", "n": 40})))

@@ -52,8 +52,10 @@ from magnomech.hj import (
     type1_residual,
 )
 from magnomech.linalg import (
+    RCOND,
     RankSplit,
     column_space,
+    lstsq_each,
     null_space,
     rank_of,
     solve_small,
@@ -140,6 +142,77 @@ def test_subspaces_and_ranks(seed, count, rows, cols, mixed):
             assert split.value.ranks.tolist() == found.tolist()
         for rank in set(found.tolist()):
             each_sample(fn, stack[found == rank])
+
+
+# single-row entries: zeros, subnormals, moderate values and entries up to
+# 1e307, so that a row of at most 6 entries keeps a finite 2-norm
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2e-308, 2.2e-308),
+    st.floats(-1e3, 1e3),
+    st.floats(1e300, 1e307),
+    st.floats(-1e307, -1e300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.lists(ROW_ENTRIES, min_size=6, max_size=6), min_size=1,
+                     max_size=8),
+       width=st.integers(1, 6))
+def test_single_row_rank_rule_is_the_svd_rank(rows, width):
+    """On finite rows with a finite 2-norm, subnormal and huge entries among
+    them, rank_of's single-row rule (rank 1 exactly when an entry is
+    nonzero) gives the rank of the SVD rule, row by row and on the stack."""
+    stack = np.array(rows)[:, None, :width]
+    singular = np.linalg.svd(stack, compute_uv=False)
+    svd_ranks = np.count_nonzero(singular > RCOND * singular[..., :1], axis=-1)
+    assert rank_of(stack).tolist() == svd_ranks.tolist()
+    assert [int(rank_of(row)) for row in stack] == svd_ranks.tolist()
+    assert svd_ranks.tolist() == [int((row != 0.0).any()) for row in stack]
+
+
+def test_single_row_rank_rule_past_norm_overflow():
+    """A finite row whose 2-norm overflows has rank 1; its one singular
+    value is inf, which the SVD rule would count as rank 0."""
+    row = np.full((1, 4), 1.7e308)
+    assert np.linalg.svd(row, compute_uv=False)[0] == np.inf
+    assert rank_of(row) == 1
+
+
+def _lstsq_reference(a, b):
+    return [np.linalg.lstsq(ai, bi, rcond=None)[0] for ai, bi in zip(a, b)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, count=st.integers(1, 59), m=st.integers(0, 6), n=st.integers(0, 6),
+       columns=st.integers(0, 6), third=st.integers(0, 2))
+def test_stacked_least_squares(seed, count, m, n, columns, third):
+    """lstsq_each on a stack of m x n matrices gives at every sample the
+    bytes of np.linalg.lstsq(..., rcond=None)[0], on wide and tall
+    matrices, zero-row matrices and zero-column right-hand sides; in about
+    every third stack the matrices fall short of full rank."""
+    rng = np.random.default_rng(seed)
+    full = min(m, n)
+    ranks = rng.integers(0, full + 1, size=count) if third == 0 else np.full(count, full)
+    a = _deficient(rng, count, m, n, ranks)
+    b = rng.normal(size=(count, m, columns))
+    solved = lstsq_each(a, b)
+    assert solved.shape == (count, n, columns)
+    for x, expected in zip(solved, _lstsq_reference(a, b)):
+        same_bits(x, expected)
+    same_bits(lstsq_each(a[0], b[0]), solved[0])
+
+
+def test_stacked_least_squares_raises_where_lstsq_raises(capfd):
+    """A solve that does not converge raises LinAlgError, as np.linalg.lstsq
+    does, also where the checks ignore floating-point errors."""
+    a = np.stack([np.eye(2), np.full((2, 2), np.nan)])
+    b = np.ones((2, 2, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        _lstsq_reference(a, b)
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                  match="Linear Least Squares"):
+        lstsq_each(a, b)
+    capfd.readouterr()
 
 
 @settings(max_examples=30, deadline=None)

@@ -484,6 +484,25 @@ def test_drawn_points_where_the_rows_lose_rank_fail_compatibility(systems):
         assert run() == (verdict, data)
 
 
+def test_a_drawn_frame_serves_only_its_own_system(systems):
+    """A draw projected onto one system's constraint surface carries the
+    frame that projected it. The geometry check of another distribution
+    reads its own rows instead, on which the draw lies off the surface, on
+    both orchestrations."""
+    system = systems["nh-magnetic-particle"]
+    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]))
+    qs = config_samples(system.sample_box, 4)
+    for path in (nullcontext, per_sample_only):
+        with path():
+            drawn = _phase_points(system, 4, 0)
+            assert drawn.frame is not None
+            geometry_check(system.dist, system.ham, system.mag, None, None, None, qs,
+                           lambda: drawn, system.tolerances)
+            with pytest.raises(OffConstraintError):
+                geometry_check(dist, system.ham, system.mag, None, None, None, qs,
+                               lambda: drawn, system.tolerances)
+
+
 def _empty_checks(system, empty):
     """The seven checks of nh-magnetic-reduced on the empty sample set
     ``empty(width)``, and the geometry check on an empty draw."""
