@@ -48,6 +48,8 @@ MAX_DIMENSION = len(_JOE_KUO) + 1
 BITS = 30
 NEWTON_TOL = 1e-12
 NEWTON_ITERATIONS = 25
+# Sobol point sets kept, the least recently used dropped first
+SOBOL_SETS = 32
 
 
 def _direction_integers(poly, initial):
@@ -88,7 +90,7 @@ def sobol_points(box, count):
     return _sobol_points(box.shape, box.tobytes(), count)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=SOBOL_SETS)
 def _sobol_points(shape, data, count):
     box = np.frombuffer(data).reshape(shape)
     v = direction_numbers(box.shape[0])
@@ -120,7 +122,9 @@ def phase_samples(box, count, rng):
 
 
 def surface_phase_samples(dist, ham, box, count, rng):
-    """Phase samples projected onto the constraint surface, as one PhaseStack."""
+    """Phase samples projected onto the constraint surface, as one PhaseStack;
+    with constraints it carries the SurfaceFrame that projected it
+    (PhaseStack.frame)."""
     return run_stacked("projections", dist, ham, phase_samples(box, count, rng))
 
 

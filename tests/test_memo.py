@@ -14,8 +14,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, free_particle_constraint
 from reference import per_sample_only
-from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system
-from magnomech import sampling
+from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system, sampling
 from magnomech.cli import check_geometry, check_hj1, check_hj2, checks_for_system
 from magnomech.errors import (
     DegenerateConstraintError,
