@@ -53,7 +53,6 @@ from .nonholonomic import (
     ConstraintDistribution,
     admissible_basis,
     compatibility_report,
-    constrained_field,
     constrained_field_multiplier,
     constrained_field_restricted,
     constraint_residual,

@@ -14,13 +14,12 @@ for one point or a stack of points in the layout rule of :mod:`linalg`.
 One orchestration calls them: each check runs its entry point in
 :mod:`stacked` (through linalg.run_stacked) on all its samples at once,
 and a fault raises the error of the first failing sample
-(stacked.located). The checks here turn the entry point's rows or first
-evaluation into a report; the in-band Type II refinement recomputes, on
-the stack of the in-band samples, when the section or the map is
-differentiated by finite differences.
+(stacked.located). The entry point returns the validated samples and the
+final per-sample columns, the in-band Type II samples already recomputed
+at finer difference steps (stacked._refine); the reports here only fold
+the columns (linalg.worst) and build the rows once.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -28,16 +27,10 @@ import numpy as np
 
 from .dynamics import free_field, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
-from .geometry import (
-    TwoFormField,
-    exterior_derivative,
-    phase_vectors,
-    sample_set,
-    twist_residual,
-)
+from .geometry import TwoFormField, exterior_derivative, twist_residual
 from .linalg import first_failing, max_abs_each, mv, run_stacked, tr, worst
 from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
-from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
+from .tolerances import DEFAULT_TOLERANCES
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -77,23 +70,11 @@ def status_of(value, tol):
     return "zero" if value < tol else "nonzero"
 
 
-def in_band(value, tol):
-    return (tol <= value) & (value < STATUS_BAND_FACTOR * tol)
-
-
-def _refined(obj):
-    """Copy of a section or map with a 10x smaller finite-difference step."""
-    if getattr(obj, "jacobian_fn", None) is None and hasattr(obj, "step"):
-        return dataclasses.replace(obj, step=obj.step / 10.0)
-    return obj
-
-
-def rows_of(keys, q, *columns):
-    """Report rows {key: value} at the base point q, or one per point of a
-    stack q; the columns hold the values after "q"."""
-    columns = [np.atleast_1d(column).tolist() for column in columns]
-    return [dict(zip(keys, values))
-            for values in zip(np.atleast_2d(q).tolist(), *columns)]
+def rows_of(keys, qs, *columns):
+    """Report rows {key: value}, one per point of the stack qs; the columns
+    hold the values after "q"."""
+    columns = [np.asarray(column).tolist() for column in columns]
+    return [dict(zip(keys, values)) for values in zip(np.asarray(qs).tolist(), *columns)]
 
 
 def tangent_lift(jac, base_vector):
@@ -175,18 +156,19 @@ def distributional_rows(section, dist, ham, mag, q, tolerances):
     return twist, equation, image, tangent
 
 
-def _type1_report(check_name, rows, tolerances, defect):
+def _type1_report(check_name, keys, result, tolerances, defect):
     """VACUOUS with ``defect`` when the worst twist residual exceeds the
-    ``hypothesis`` tolerance, else PASS or FAIL on the worst equation one."""
-    hyp_worst = max([0.0] + [row["hypothesis"] for row in rows])
-    eq_worst = max([0.0] + [row["equation"] for row in rows])
+    ``hypothesis`` tolerance, else PASS or FAIL on the worst equation one;
+    ``result`` is the entry point's (samples, columns)."""
+    qs, columns = result
+    hyp_worst, eq_worst = worst(columns[0]), worst(columns[1])
     if hyp_worst > tolerances.get("hypothesis"):
         verdict, defects = VACUOUS, [defect]
     else:
         verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
         defects = []
     return HJReport(check_name, verdict, hyp_worst, equation_residual=eq_worst,
-                    per_sample=rows, defects=defects)
+                    per_sample=rows_of(keys, qs, *columns), defects=defects)
 
 
 def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
@@ -195,9 +177,9 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    rows = run_stacked("type1_magnetic", section, ham, mag, sample_set(samples))
-    return _type1_report("hj1-magnetic", rows, tolerances,
-                         "hypothesis: d(gamma) + B does not vanish")
+    return _type1_report("hj1-magnetic", MAGNETIC_ROW,
+                         run_stacked("type1_magnetic", section, ham, mag, samples),
+                         tolerances, "hypothesis: d(gamma) + B does not vanish")
 
 
 def type1_constrained(section, dist, ham, mag, samples,
@@ -207,9 +189,8 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-    rows = run_stacked("type1_constrained", section, dist, ham, mag, sample_set(samples),
-                       tolerances)
-    return _type1_report("hj1-distributional", rows, tolerances,
+    result = run_stacked("type1_constrained", section, dist, ham, mag, samples, tolerances)
+    return _type1_report("hj1-distributional", DISTRIBUTIONAL_ROW, result, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
@@ -267,44 +248,23 @@ def constrained_level(frame, tolerances):
     return level
 
 
-def type2_report(check_name, section, phase_map, ham, mag, samples, tolerances,
-                 first, level_at, hypothesis=None):
+def type2_report(check_name, zs, columns, tolerances, hypothesis=None):
     """Per-sample status agreement of the two Type II residuals at one level.
 
-    ``first`` holds the columns (symplectic, a, b) over the samples: the
+    ``columns`` holds (symplectic, a, b) over the phase vectors zs: the
     map's symplectic residual (None on the reduced level) and the two
-    residuals. The samples with a residual inside the status band are
-    recomputed once, with a refined section and map, at 10x smaller
-    finite-difference steps and with the level ``level_at(q)`` at their
-    images' base points q, in one stacked run (stacked.refinements), before
-    their statuses are read; when both have analytic Jacobians there is
-    nothing to refine and no recompute. The unreduced levels record the
-    map's symplectic residual per sample as their hypothesis (VACUOUS above
-    the ``hypothesis`` tolerance); the reduced level has run its own battery
-    and passes its worst twist residual as ``hypothesis``.
+    residuals, the in-band ones already refined by the entry point. The
+    unreduced levels record the map's symplectic residual per sample as
+    their hypothesis (VACUOUS above the ``hypothesis`` tolerance); the
+    reduced level has run its own battery and passes its worst twist
+    residual as ``hypothesis``.
     """
     status_tol = tolerances.get("status")
-    refined_section, refined_map = _refined(section), _refined(phase_map)
-    vecs = phase_vectors(samples)
-    symplectic, res_a, res_b = first
-    res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
-    banded = np.flatnonzero(in_band(res_a, status_tol) | in_band(res_b, status_tol))
-    # with analytic Jacobians there is no step to refine: a recompute would
-    # give the same two numbers
-    if len(banded) and (refined_section is not section or refined_map is not phase_map):
-        n = ham.n
-
-        def recompute(z):
-            # in phase_map.value's then jacobian's order, on the phase vectors
-            image = refined_map.image(z)
-            return _type2_residuals(refined_section, ham, mag, z, image,
-                                    refined_map.jacobians(z), level_at(image[..., :n]))
-
-        res_a[banded], res_b[banded] = run_stacked("refinements", recompute, vecs[banded])
-    res_a, res_b = res_a.tolist(), res_b.tolist()
+    symplectic, *residuals = columns
+    res_a, res_b = (np.asarray(column, dtype=float).tolist() for column in residuals)
     rows = [{"z": z, "residual_a": a, "residual_b": b, "status_a": status_of(a, status_tol),
              "status_b": status_of(b, status_tol)}
-            for z, a, b in zip(vecs.tolist(), res_a, res_b)]
+            for z, a, b in zip(np.asarray(zs).tolist(), res_a, res_b)]
     agree = all(row["status_a"] == row["status_b"] for row in rows)
     disagree = "statuses of the two residuals disagree"
     if hypothesis is not None:
@@ -329,10 +289,9 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    samples = sample_set(samples)
-    first = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples)
-    return type2_report("hj2-magnetic", section, phase_map, ham, mag, samples,
-                        tolerances, first, lambda q: magnetic_level)
+    zs, columns = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples,
+                              tolerances)
+    return type2_report("hj2-magnetic", zs, columns, tolerances)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -342,12 +301,9 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
-    samples = sample_set(samples)
-    first = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
-                        samples, tolerances)
-    return type2_report("hj2-distributional", section, phase_map, ham, mag, samples,
-                        tolerances, first, lambda q: constrained_level(
-                            surface_frame(dist, ham, q), tolerances))
+    zs, columns = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
+                              samples, tolerances)
+    return type2_report("hj2-distributional", zs, columns, tolerances)
 
 
 def induced_magnetic_field(section, n):

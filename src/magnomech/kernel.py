@@ -46,7 +46,7 @@ from .errors import (
     DegenerateFormError,
     NumericalDomainError,
 )
-from .linalg import max_abs, rank_of, solve_small
+from .linalg import max_abs, rank_of
 from .nonholonomic import SurfaceFrame, multiplier_correction
 
 # generated steps kept, the least recently used dropped first
@@ -107,10 +107,10 @@ def _lu_velocity(mass, p):
 
 
 def _solve(matrix, rhs, error, message):
-    """``linalg.solve_small`` on nested floats, raising ``error(message)``
-    for a singular matrix."""
+    """``np.linalg.solve`` of a k x k system (k >= 2) on nested floats,
+    raising ``error(message)`` for a singular matrix."""
     try:
-        return solve_small(np.array(matrix), np.array(rhs)).tolist()
+        return np.linalg.solve(np.array(matrix), np.array(rhs)[:, None])[:, 0].tolist()
     except np.linalg.LinAlgError:
         raise error(message) from None
 
@@ -438,8 +438,9 @@ class _Generator:
                 for a in range(self.k)]
 
     def small_solve(self, gram, rhs, negate, error, message):
-        """The k x k solve of solve_small, on -gram and -rhs when ``negate``:
-        one division for k = 1, where the signs cancel exactly."""
+        """The k x k solve of np.linalg.solve, on -gram and -rhs when
+        ``negate``: one division for k = 1, which is what LAPACK computes
+        there and where the signs cancel exactly."""
         if self.k == 1:
             self.emit(f"if {gram[0][0]} == 0.0:")
             self.emit(f"    raise {error}({message!r})")

@@ -17,7 +17,9 @@ The numerical functions of :mod:`dynamics`, :mod:`geometry`,
 :mod:`nonholonomic`, :mod:`hj`, :mod:`reduction` and :mod:`sampling` follow
 the same rule, so each is defined once for a point or a stack: a residual
 is reduced per sample (max_abs_each), a guard names the first failing
-sample (first_failing), and a fold over the samples is ``worst``.
+sample (first_failing), and a fold over the samples is ``worst``, one
+numpy reduction. A rank is decided on the SVD of each matrix as it is,
+except where the largest singular value overflows (_svd).
 """
 
 import numpy as np
@@ -58,6 +60,22 @@ def _ranks(s):
     return np.count_nonzero(s > RCOND * s[..., :1], axis=-1)
 
 
+def _svd(matrix, compute_uv=True):
+    """np.linalg.svd of a matrix or a stack, for a rank decision. A matrix
+    whose largest singular value overflows (rank 0 by _ranks) is decomposed
+    again scaled by the power of two of its largest entry, which is exact;
+    every other matrix keeps its bits."""
+    out = np.linalg.svd(matrix, compute_uv=compute_uv)
+    parts = out if compute_uv else [out]
+    over = np.isinf(parts[-2 if compute_uv else 0][..., :1]).any(axis=-1)
+    if over.any():
+        exponent = np.frexp(np.abs(matrix[over]).max(axis=(-2, -1)))[1][:, None, None]
+        again = np.linalg.svd(np.ldexp(matrix[over], -exponent), compute_uv=compute_uv)
+        for part, redone in zip(parts, again if compute_uv else [again]):
+            part[over] = redone
+    return out
+
+
 def _common_rank(s):
     """The one rank of all stacked matrices; RankSplit when they differ."""
     ranks = np.asarray(_ranks(s))
@@ -76,7 +94,7 @@ def null_space(matrix):
     *lead, rows, cols = matrix.shape
     if rows == 0:
         return np.zeros((*lead, cols, cols)) + np.eye(cols)
-    _, s, vh = np.linalg.svd(matrix)
+    _, s, vh = _svd(matrix)
     return tr(vh[..., _common_rank(s):, :]).copy()
 
 
@@ -85,7 +103,7 @@ def column_space(matrix):
     matrix = np.asarray(matrix, dtype=float)
     if 0 in matrix.shape[-2:]:
         return np.zeros((*matrix.shape[:-1], 0))
-    u, s, _ = np.linalg.svd(matrix)
+    u, s, _ = _svd(matrix)
     return u[..., :_common_rank(s)].copy()
 
 
@@ -94,21 +112,19 @@ def rank_of(matrix):
     _ranks; a single row by the single-row rule.
 
     The single-row rule: a row has rank 1 exactly when some entry is
-    nonzero. On a finite row whose 2-norm is finite that is the rank the
-    SVD rule gives, since the row's one singular value is its norm; a
-    finite row whose norm overflows has the singular value inf, which the
-    SVD rule counts as rank 0 and this rule as rank 1. The generated RK4
-    step writes this rule inline for k = 1 (kernel._Generator.rows), so
-    ConstraintDistribution.matrix and the step raise at the same rows. The
-    rule sees the rows only where they are evaluated: at RK4 stage points a
-    row that passes through zero between two stages is not caught; the row
-    (0, 1 - q1) raises at --dt 0.25, where a stage lands on q1 = 1, and
-    runs on at --dt 0.3.
+    nonzero. On a finite row that is the rank the SVD rule gives, since the
+    row's one singular value is its norm (scaled by _svd where it
+    overflows). The generated RK4 step writes this rule inline for k = 1
+    (kernel._Generator.rows), so ConstraintDistribution.matrix and the step
+    raise at the same rows. The rule sees the rows only where they are
+    evaluated: at RK4 stage points a row that passes through zero between
+    two stages is not caught; the row (0, 1 - q1) raises at --dt 0.25,
+    where a stage lands on q1 = 1, and runs on at --dt 0.3.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[-2] == 1:
         return np.count_nonzero(matrix[..., 0, :] != 0.0, axis=-1).clip(max=1)
-    return _ranks(np.linalg.svd(matrix, compute_uv=False))
+    return _ranks(_svd(matrix, compute_uv=False))
 
 
 def max_abs(array):
@@ -123,31 +139,19 @@ def max_abs_each(array, ndim=1):
 
 
 def worst(values):
-    """``max(0.0, v1, v2, ...)`` over every entry of the arrays in
-    ``values``, as the per-sample folds take it: a NaN never replaces the
-    running value."""
-    return max([0.0, *(v for value in values for v in np.ravel(value).tolist())])
+    """``max(0.0, v1, v2, ...)`` over every entry of ``values``, an array or
+    a sequence of arrays, as the per-sample folds take it: a NaN never
+    replaces the running value, and a maximum of -0.0 reads 0.0."""
+    if not isinstance(values, np.ndarray):
+        values = [np.ravel(value) for value in values]
+        values = np.concatenate(values) if values else np.zeros(0)
+    return float(np.fmax.reduce(values, axis=None, initial=0.0)) + 0.0
 
 
 def first_failing(failed):
     """The index of the first sample at which ``failed`` holds; () for a
     point, so that ``array[first_failing(failed)]`` is the point's own."""
     return tuple(np.argwhere(failed)[0])
-
-
-def solve_small(matrix, rhs):
-    """np.linalg.solve for the tiny k x k systems of the constraint code.
-
-    A 1 x 1 system is one division, which is what LAPACK computes for it,
-    without the generic solver's per-call overhead. An exactly singular
-    matrix raises np.linalg.LinAlgError, as np.linalg.solve does.
-    """
-    if matrix.shape[-2:] == (1, 1):
-        pivot = matrix[..., 0]
-        if (pivot == 0.0).any():
-            raise np.linalg.LinAlgError("Singular matrix")
-        return rhs / pivot
-    return np.linalg.solve(matrix, rhs[..., None])[..., 0]
 
 
 def _lstsq_failed(err, flag):

@@ -49,10 +49,9 @@ from .linalg import (
     null_space,
     rank_of,
     run_stacked,
-    solve_small,
     tr,
 )
-from .tolerances import DEFAULT_TOLERANCES, DEFAULTS
+from .tolerances import DEFAULT_TOLERANCES
 
 
 class ConstraintDistribution:
@@ -204,7 +203,8 @@ class SurfaceFrame:
     def project(self, p):
         """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
         try:
-            shift = mv(tr(self.rows), solve_small(self.gram, mv(self.rows_inverse, p)))
+            shift = mv(tr(self.rows), np.linalg.solve(
+                self.gram, mv(self.rows_inverse, p)[..., None])[..., 0])
         except np.linalg.LinAlgError:
             raise DegenerateConstraintError(
                 "projection Gram matrix is singular") from None
@@ -290,14 +290,16 @@ class CompatibilityReport:
     passed: bool
 
 
-def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
+def compatibility_report(dist, ham, mag, z, sigma_tol=None):
     """Diagnose solvability of the constrained structure equation at z.
 
     Reports the dimensions of the velocity-admissible cone, the surface
     tangent, and their intersection, checks that the twisted-orthogonal of
     the first meets the second only at zero, and measures non-degeneracy of
-    the restricted form through its smallest singular value.
+    the restricted form through its smallest singular value, against
+    ``sigma_tol`` (the scaled ``compat_sigma`` tolerance by default).
     """
+    sigma_tol = DEFAULT_TOLERANCES.get("compat_sigma") if sigma_tol is None else sigma_tol
     n = dist.n
     omega = mag.form_matrix(z.q)
     if dist.k == 0:
@@ -305,14 +307,16 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=DEFAULTS["compat_sigma"]):
         return CompatibilityReport(2 * n, 2 * n, 2 * n, sigma, 0,
                                    bool(sigma > sigma_tol))
     dim_f, dim_tm, dim_k, sigma, intersection, passed = compatibility(
-        surface_frame(dist, ham, z.q), omega, z.p, sigma_tol)
+        surface_frame(dist, ham, z.q), omega, z.p, sigma_tol,
+        DEFAULT_TOLERANCES.get("constraint"))
     return CompatibilityReport(int(dim_f), int(dim_tm), int(dim_k), float(sigma),
                                int(intersection), bool(passed))
 
 
-def compatibility(frame, omega, p, sigma_tol):
+def compatibility(frame, omega, p, sigma_tol, constraint_tol):
     """compatibility_report's six fields at (q, p), q the frame's base
-    point (k > 0) and omega = Omega(q), or each an array over a stack.
+    point (k > 0) and omega = Omega(q), or each an array over a stack, with
+    (q, p) on the surface within ``constraint_tol``.
     Where the constraint rows lose rank there is no solvability to
     diagnose: the dimensions and the intersection are -1, sigma is 0.0 and
     the check fails; a stack with such a sample is diagnosed sample by
@@ -326,7 +330,8 @@ def compatibility(frame, omega, p, sigma_tol):
         if lead in ((), (1,)):
             return tuple(np.full(lead, value) for value in (-1, -1, -1, 0.0, -1, False))
         return tuple(np.concatenate(column) for column in zip(*(
-            compatibility(frame.take([i]), omega[i:i + 1], p[i:i + 1], sigma_tol)
+            compatibility(frame.take([i]), omega[i:i + 1], p[i:i + 1], sigma_tol,
+                          constraint_tol)
             for i in range(len(p)))))
     base_condition = np.zeros(frame.rows.shape[:-2] + (dist.k, 2 * n))
     base_condition[..., :n] = frame.rows
@@ -335,7 +340,7 @@ def compatibility(frame, omega, p, sigma_tol):
     f_perp = null_space(tr(f_basis) @ omega)
     intersection = tm_basis.shape[-1] + f_perp.shape[-1] - rank_of(
         np.concatenate([tm_basis, f_perp], axis=-1))
-    k_basis = admissible(frame, p, DEFAULT_TOLERANCES.get("constraint"))
+    k_basis = admissible(frame, p, constraint_tol)
     restricted = tr(k_basis) @ omega @ k_basis
     lead = restricted.shape[:-2]
     if restricted.size:
@@ -421,11 +426,6 @@ def multiplier_correction(frame, p, free):
     except np.linalg.LinAlgError:
         raise CompatibilityError("multiplier matrix is singular") from None
     return free + mv(lifts, lam), lam
-
-
-def constrained_field(dist, ham, mag, z):
-    """Default constrained field (multiplier route; cheapest per point)."""
-    return constrained_field_multiplier(dist, ham, mag, z).vector
 
 
 def section_image(frame, gs, tol):

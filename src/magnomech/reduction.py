@@ -23,8 +23,8 @@ import numpy as np
 
 from .dynamics import free_field
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint, sample_set
-from .hj import FAIL, PASS, VACUOUS, HJReport, type1_residual, type2_report
+from .geometry import PhasePoint
+from .hj import FAIL, PASS, VACUOUS, HJReport, rows_of, type1_residual, type2_report
 from .linalg import (
     column_space,
     lstsq_each,
@@ -328,30 +328,27 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
-    hyp_worst, defects, rows = run_stacked("type1_reduced", section, sym, dist, ham, mag,
-                                           sample_set(samples), tolerances)
+    hyp_worst, defects, result = run_stacked("type1_reduced", section, sym, dist, ham,
+                                             mag, samples, tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
-    eq_worst = max([0.0] + [row["equation"] for row in rows])
+    qs, (equation,) = result
+    eq_worst = worst(equation)
     verdict = PASS if eq_worst < tolerances.get("equation") else FAIL
     return HJReport("hj1-reduced", verdict, hyp_worst, equation_residual=eq_worst,
-                    per_sample=rows)
+                    per_sample=rows_of(REDUCED_ROW, qs, equation))
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
-    samples = sample_set(samples)
-    hyp_worst, symp_worst, defects, first = run_stacked(
+    hyp_worst, symp_worst, defects, result = run_stacked(
         "type2_reduced", section, phase_map, sym, dist, ham, mag, samples, tolerances)
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)
-    return type2_report("hj2-reduced", section, phase_map, ham, mag, samples,
-                        tolerances, first, lambda q: reduced_level(
-                            sym, surface_frame(dist, ham, q), mag, tolerances),
-                        hypothesis=hyp_worst)
+    return type2_report("hj2-reduced", *result, tolerances, hypothesis=hyp_worst)
 
 
 def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,

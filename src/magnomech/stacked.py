@@ -1,17 +1,22 @@
 """The orchestration of the checks: all N samples of a check at once.
 
-Each entry point (see CHECKS) is the one orchestration of its check, or of
-a sample producer or the in-band Type II recompute. Every kernel, level
-and hypothesis battery it calls is defined once, in its home module, for
-one point or a stack of points (the layout rule is in :mod:`linalg`), so
-each sample gets the bits it gets alone. What stays here is orchestration:
-evaluation of the samples into (N, ...) arrays, the stages of a check
-(:func:`located`), :func:`by_rank`, the folds over the samples, and the
-entry points. Samples whose null spaces differ in dimension are run as
-separate groups (by_rank). A stage that raises is rerun sample by sample,
-so a fault raises the error of its first failing sample (the fault-order
-rule of :func:`located`).
+Each entry point (see CHECKS) is the one orchestration of its check or of
+a sample producer. Every kernel, level and hypothesis battery it calls is
+defined once, in its home module, for one point or a stack of points (the
+layout rule is in :mod:`linalg`), so each sample gets the bits it gets
+alone. What stays here is orchestration: evaluation of the samples into
+(N, ...) arrays, the stages of a check (:func:`located`), :func:`by_rank`,
+the in-band Type II refinement (:func:`_refine`), the folds the reduced
+checks gate on, and the entry points. A Hamilton-Jacobi entry point
+returns its validated samples and its final per-sample columns; the
+reports of :mod:`hj` and :mod:`reduction` only fold and format them.
+Samples whose null spaces differ in dimension are run as separate groups
+(by_rank). A stage that raises is rerun sample by sample, so a fault
+raises the error of its first failing sample (the fault-order rule of
+:func:`located`).
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -27,23 +32,19 @@ from .geometry import (
     twist_residual,
 )
 from .hj import (
-    DISTRIBUTIONAL_ROW,
     FAIL,
-    MAGNETIC_ROW,
     PASS,
     _type2_residuals,
     constrained_level,
     distributional_rows,
     magnetic_level,
     magnetic_rows,
-    rows_of,
     section_hypotheses,
     twist_on_distribution,
 )
 from .linalg import RankSplit, worst
 from .nonholonomic import compatibility, surface_frame
 from .reduction import (
-    REDUCED_ROW,
     data_invariance_residual,
     map_defects,
     map_equivariance_residual,
@@ -55,10 +56,11 @@ from .reduction import (
     section_invariance_residual,
 )
 from .sampling import preimage
+from .tolerances import STATUS_BAND_FACTOR
 
 CHECKS = ("type1_magnetic", "type1_constrained", "type1_reduced",
           "type2_magnetic", "type2_constrained", "type2_reduced", "geometry",
-          "projections", "preimages", "refinements")
+          "projections", "preimages")
 
 
 def located(count, stage):
@@ -112,10 +114,10 @@ def by_rank(count, pipeline):
 
 def configs(samples, n):
     """The (N, n) array of configuration samples: an array is checked as a
-    whole, a list point by point."""
+    whole, any other iterable point by point."""
     if isinstance(samples, np.ndarray) and samples.ndim == 2:
         return ensure_configs(samples, n)
-    return np.array([ensure_config(q, n) for q in samples]).reshape(len(samples), n)
+    return np.array([ensure_config(q, n) for q in samples]).reshape(-1, n)
 
 
 def _reduced_battery(section, sym, frame, mag, tolerances):
@@ -143,59 +145,101 @@ def _symplectic(phase_map, mag, zs):
     return map_jacs, ws, pullback_defect(mag, zs[:, :n], ws[:, :n], map_jacs)
 
 
+# -- the in-band Type II refinement ---------------------------------------------
+
+def in_band(value, tol):
+    return (tol <= value) & (value < STATUS_BAND_FACTOR * tol)
+
+
+def _refined(obj):
+    """Copy of a section or map with a 10x smaller finite-difference step."""
+    if getattr(obj, "jacobian_fn", None) is None and hasattr(obj, "step"):
+        return dataclasses.replace(obj, step=obj.step / 10.0)
+    return obj
+
+
+def _refine(section, phase_map, ham, mag, zs, first, level_of, tolerances):
+    """(zs, (symplectic, a, b)) from a first pass (ws, symplectic, a, b) at
+    the phase vectors zs, whose images are ws, once the samples with a
+    residual in the status band are recomputed in one more stage with the
+    _refined section and map, on the images ws (the step does not move
+    them) and with the level ``level_of(wq)`` at their base points wq. With
+    analytic Jacobians a recompute would give the same numbers: none runs."""
+    ws, symplectic, res_a, res_b = first
+    res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
+    refined_section, refined_map = _refined(section), _refined(phase_map)
+    status_tol = tolerances.get("status")
+    banded = np.flatnonzero(in_band(res_a, status_tol) | in_band(res_b, status_tol))
+    if len(banded) and (refined_section is not section or refined_map is not phase_map):
+
+        def pipeline(idx):
+            # in phase_map.jacobian's order, on the phase vectors
+            z, w = zs[banded[idx]], ws[banded[idx]]
+            return _type2_residuals(refined_section, ham, mag, z, w,
+                                    refined_map.jacobians(z), level_of(w[:, :ham.n]))
+
+        res_a[banded], res_b[banded] = by_rank(len(banded), pipeline)
+    return zs, (symplectic, res_a, res_b)
+
+
 # -- the checks ----------------------------------------------------------------
-# A check on no samples runs no stage: its entry point returns the empty
-# result (no rows, worst residuals 0.0) itself.
+# Each Hamilton-Jacobi check returns its validated samples and its columns
+# over them. A check on no samples runs no stage: its entry point returns
+# the empty result (no samples, empty columns, worst residuals 0.0) itself.
 
 def type1_magnetic(section, ham, mag, samples):
+    """(qs, (hypothesis, equation))."""
     qs = configs(samples, ham.n)
     if not len(qs):
-        return []
-    return rows_of(MAGNETIC_ROW, qs, *located(len(qs), lambda idx: magnetic_rows(
-        section, ham, mag, qs[idx])))
+        return qs, ([], [])
+    return qs, located(len(qs), lambda idx: magnetic_rows(section, ham, mag, qs[idx]))
 
 
 def type1_constrained(section, dist, ham, mag, samples, tolerances):
+    """(qs, (hypothesis, equation, image, tangent))."""
     qs = configs(samples, dist.n)
     if not len(qs):
-        return []
-    return rows_of(DISTRIBUTIONAL_ROW, qs, *by_rank(len(qs), lambda idx: (
-        distributional_rows(section, dist, ham, mag, qs[idx], tolerances))))
+        return qs, ([], [], [], [])
+    return qs, by_rank(len(qs), lambda idx: (
+        distributional_rows(section, dist, ham, mag, qs[idx], tolerances)))
 
 
 def type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
-    """(worst twist residual, defects, rows); rows is None with defects."""
+    """(worst twist residual, defects, (qs, (equation,))); the last is None
+    with defects."""
     qs = configs(samples, sym.n)
     if not len(qs):
-        return 0.0, [], []
+        return 0.0, [], (qs, ([],))
     frame = surface_frame(dist, ham, qs)
     hyp_worst, defects, gs = located(len(qs), lambda idx: _reduced_battery(
         section, sym, frame.take(idx), mag, tolerances))
     if defects:
         return hyp_worst, defects, None
-    (equation,) = by_rank(len(qs), lambda idx: (reduced_equation(
-        section, sym, frame.take(idx), ham, mag, gs[idx], tolerances),))
-    return hyp_worst, defects, rows_of(REDUCED_ROW, qs, equation)
+    return hyp_worst, defects, (qs, by_rank(len(qs), lambda idx: (reduced_equation(
+        section, sym, frame.take(idx), ham, mag, gs[idx], tolerances),)))
 
 
-def type2_magnetic(section, phase_map, ham, mag, samples):
+def type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
+    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
     zs = phase_vectors(samples)
     if not len(zs):
-        return [], [], []
+        return zs, ([], [], [])
 
     def stage(idx):
         map_jacs, ws, symplectic = _symplectic(phase_map, mag, zs[idx])
-        return symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
-                                             magnetic_level)
+        return ws, symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
+                                                 magnetic_level)
 
-    return located(len(zs), stage)
+    return _refine(section, phase_map, ham, mag, zs, located(len(zs), stage),
+                   lambda wq: magnetic_level, tolerances)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
+    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
     n = dist.n
     zs = phase_vectors(samples)
     if not len(zs):
-        return [], [], []
+        return zs, ([], [], [])
 
     def pipeline(idx):
         z = zs[idx]
@@ -203,21 +247,22 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
         frame = surface_frame(dist, ham, ws[:, :n])
         section_hypotheses(section, frame, section.value(ws[:, :n]), tolerances)
         map_jacs = phase_map.jacobians(z)
-        return (pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
+        return (ws, pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
                 *_type2_residuals(section, ham, mag, z, ws, map_jacs,
                                   constrained_level(frame, tolerances)))
 
-    return by_rank(len(zs), pipeline)
+    return _refine(section, phase_map, ham, mag, zs, by_rank(len(zs), pipeline), lambda wq: (
+        constrained_level(surface_frame(dist, ham, wq), tolerances)), tolerances)
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
-    """(worst twist residual, worst symplectic residual, defects, first
-    evaluation); the last is None with defects. A first evaluation is the
-    columns (symplectic, a, b) that hj.type2_report reads."""
+    """(worst twist residual, worst symplectic residual, defects,
+    (zs, (None, a, b))), in-band samples refined (_refine); the last is
+    None with defects."""
     n = sym.n
     zs = phase_vectors(samples)
     if not len(zs):
-        return 0.0, 0.0, [], (None, [], [])
+        return 0.0, 0.0, [], (zs, (None, [], []))
 
     def battery(idx):
         z = zs[idx]
@@ -238,13 +283,10 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
         level = reduced_level(sym, frame.take(idx), mag, tolerances)
         return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx], level)
 
-    return hyp_worst, symp_worst, defects, (None, *by_rank(len(zs), pipeline))
-
-
-def refinements(recompute, zs):
-    """hj.type2_report's in-band recompute, the two residuals
-    ``recompute(z)`` at the phase vectors zs."""
-    return by_rank(len(zs), lambda idx: recompute(zs[idx]))
+    return hyp_worst, symp_worst, defects, _refine(
+        section, phase_map, ham, mag, zs, (ws, None, *by_rank(len(zs), pipeline)),
+        lambda wq: reduced_level(sym, surface_frame(dist, ham, wq), mag, tolerances),
+        tolerances)
 
 
 def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
@@ -269,9 +311,9 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         if frame is None or frame.dist is not dist or frame.terms.ham is not ham:
             frame = surface_frame(dist, ham, zs[:, :n])
     if dist.k > 0:
-        sigma_tol = tolerances.get("compat_sigma")
+        tols = tolerances.get("compat_sigma"), tolerances.get("constraint")
         dim_f, dim_tm, dim_k, sigma, _, passed = by_rank(len(zs), lambda idx: compatibility(
-            frame.take(idx), mag.form_matrix(zs[idx, :n]), zs[idx, n:], sigma_tol))
+            frame.take(idx), mag.form_matrix(zs[idx, :n]), zs[idx, n:], *tols))
         dims = sorted(set(zip(dim_f.tolist(), dim_tm.tolist(), dim_k.tolist())))
         data["dims"] = [list(d) for d in dims]
         data["dims_constant"] = len(dims) == 1

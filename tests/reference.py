@@ -29,24 +29,21 @@ from magnomech.geometry import (
     PhaseStack,
     ensure_config,
     magnetic_match_residual,
+    phase_vectors,
     two_form_closedness_residual,
 )
 from magnomech.hj import (
-    DISTRIBUTIONAL_ROW,
-    MAGNETIC_ROW,
     _type2_residuals,
     constrained_level,
     distributional_rows,
     magnetic_level,
     magnetic_rows,
-    rows_of,
     section_hypotheses,
     twist_on_distribution,
 )
 from magnomech.linalg import worst
 from magnomech.nonholonomic import compatibility, surface_frame
 from magnomech.reduction import (
-    REDUCED_ROW,
     data_invariance_residual,
     map_defects,
     map_equivariance_residual,
@@ -76,6 +73,28 @@ def _columns(first, width):
     return tuple(map(list, zip(*first))) if first else ([],) * width
 
 
+def _configs(samples, n):
+    """The validated configuration samples, as an (N, n) array."""
+    return np.array([ensure_config(q, n) for q in samples]).reshape(-1, n)
+
+
+def _refine(section, phase_map, ham, mag, samples, images, first, level_of, tolerances):
+    """The columns ``first`` = (symplectic, a, b), after each sample with a
+    residual inside the status band is recomputed alone, with the refined
+    section and map, on its image, at the level ``level_of(image.q)``."""
+    symplectic, res_a, res_b = first
+    refined_section, refined_map = stacked._refined(section), stacked._refined(phase_map)
+    if refined_section is section and refined_map is phase_map:
+        return first
+    status_tol = tolerances.get("status")
+    for i, (z, image) in enumerate(zip(samples, images)):
+        if stacked.in_band(res_a[i], status_tol) or stacked.in_band(res_b[i], status_tol):
+            # in phase_map.jacobian's order
+            res_a[i], res_b[i] = _residuals(refined_section, ham, mag, z, image,
+                                            refined_map.jacobian(z), level_of(image.q))
+    return symplectic, res_a, res_b
+
+
 def _battery(section, sym, frame, mag, tolerances):
     """The reduced hypothesis battery at the frame's one base point:
     (gamma, data invariance, section invariance, twist)."""
@@ -97,56 +116,54 @@ def _battery_verdict(batteries, tolerances):
 
 
 def type1_magnetic(section, ham, mag, samples):
-    rows = []
-    for q in [ensure_config(q, ham.n) for q in samples]:
-        rows += rows_of(MAGNETIC_ROW, q, *magnetic_rows(section, ham, mag, q))
-    return rows
+    qs = _configs(samples, ham.n)
+    return qs, _columns([magnetic_rows(section, ham, mag, q) for q in qs], 2)
 
 
 def type1_constrained(section, dist, ham, mag, samples, tolerances):
-    rows = []
-    for q in [ensure_config(q, dist.n) for q in samples]:
-        rows += rows_of(DISTRIBUTIONAL_ROW, q, *distributional_rows(
-            section, dist, ham, mag, q, tolerances))
-    return rows
+    qs = _configs(samples, dist.n)
+    return qs, _columns([distributional_rows(section, dist, ham, mag, q, tolerances)
+                         for q in qs], 4)
 
 
 def type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
-    qs = [ensure_config(q, sym.n) for q in samples]
+    qs = _configs(samples, sym.n)
     frames = [surface_frame(dist, ham, q) for q in qs]
     twist, defects, gs = _battery_verdict(
         [_battery(section, sym, frame, mag, tolerances) for frame in frames], tolerances)
     if defects:
         return twist, defects, None
-    rows = []
-    for q, g, frame in zip(qs, gs, frames):
-        rows += rows_of(REDUCED_ROW, q, reduced_equation(section, sym, frame, ham, mag, g,
-                                                          tolerances))
-    return twist, defects, rows
+    return twist, defects, (qs, ([
+        reduced_equation(section, sym, frame, ham, mag, g, tolerances)
+        for g, frame in zip(gs, frames)],))
 
 
-def type2_magnetic(section, phase_map, ham, mag, samples):
-    first = []
+def type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
+    samples, images, first = list(samples), [], []
     for z in samples:
         # in symplectic_residual's order: J_eps(z), then eps(z)
         jac = phase_map.jacobian(z)
-        image = phase_map.value(z)
-        first.append((float(pullback_defect(mag, z.q, image.q, jac)),
-                      *_residuals(section, ham, mag, z, image, jac, magnetic_level)))
-    return _columns(first, 3)
+        images.append(phase_map.value(z))
+        first.append((float(pullback_defect(mag, z.q, images[-1].q, jac)),
+                      *_residuals(section, ham, mag, z, images[-1], jac, magnetic_level)))
+    return phase_vectors(samples), _refine(section, phase_map, ham, mag, samples, images,
+                                           _columns(first, 3), lambda q: magnetic_level,
+                                           tolerances)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
-    first = []
+    samples, images, first = list(samples), [], []
     for z in samples:
-        image = phase_map.value(z)
-        frame = surface_frame(dist, ham, image.q)
-        section_hypotheses(section, frame, section.value(image.q), tolerances)
+        images.append(phase_map.value(z))
+        frame = surface_frame(dist, ham, images[-1].q)
+        section_hypotheses(section, frame, section.value(images[-1].q), tolerances)
         jac = phase_map.jacobian(z)
-        first.append((float(pullback_defect(mag, z.q, image.q, jac)),
-                      *_residuals(section, ham, mag, z, image, jac,
+        first.append((float(pullback_defect(mag, z.q, images[-1].q, jac)),
+                      *_residuals(section, ham, mag, z, images[-1], jac,
                                   constrained_level(frame, tolerances))))
-    return _columns(first, 3)
+    return phase_vectors(samples), _refine(
+        section, phase_map, ham, mag, samples, images, _columns(first, 3),
+        lambda q: constrained_level(surface_frame(dist, ham, q), tolerances), tolerances)
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
@@ -165,14 +182,14 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
     defects += map_defects(symp_worst, worst(equivariance), tolerances)
     if defects:
         return twist, symp_worst, defects, None
-    return twist, symp_worst, defects, (None, *_columns([
+    first = (None, *_columns([
         _residuals(section, ham, mag, z, image, jac,
                    reduced_level(sym, frame, mag, tolerances))
         for z, image, jac, frame in zip(samples, images, jacs, frames)], 2))
-
-
-def refinements(recompute, zs):
-    return tuple(np.array(r) for r in zip(*(recompute(z) for z in zs)))
+    return twist, symp_worst, defects, (phase_vectors(samples), _refine(
+        section, phase_map, ham, mag, samples, images, first,
+        lambda q: reduced_level(sym, surface_frame(dist, ham, q), mag, tolerances),
+        tolerances))
 
 
 def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
@@ -192,7 +209,8 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
             frames = [surface_frame(dist, ham, z.q) for z in zs]
     if dist.k > 0:
         reports = [[value.item() for value in compatibility(
-            frame, mag.form_matrix(z.q), z.p, tolerances.get("compat_sigma"))]
+            frame, mag.form_matrix(z.q), z.p, tolerances.get("compat_sigma"),
+            tolerances.get("constraint"))]
             for z, frame in zip(zs, frames)]
         dims = sorted({tuple(report[:3]) for report in reports})
         data["dims"] = [list(d) for d in dims]
@@ -244,8 +262,7 @@ def preimages(phase_map, targets):
 
 REFERENCES = {fn.__name__: fn for fn in (
     type1_magnetic, type1_constrained, type1_reduced, type2_magnetic,
-    type2_constrained, type2_reduced, refinements, geometry, projections,
-    preimages)}
+    type2_constrained, type2_reduced, geometry, projections, preimages)}
 
 
 @contextmanager

@@ -114,6 +114,19 @@ def test_vacuous_report_names_the_failed_hypothesis(scenario_dir, tmp_path):
     assert any("hypothesis" in d for d in report["data"]["defects"])
 
 
+def test_help_exits_0_in_process_and_as_a_module(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: magnomech")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-m", "magnomech", "check", "--help"],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: magnomech check")
+    assert result.stderr == ""
+
+
 def test_missing_file_is_input_error(capsys):
     code = main(["check", "hj1", "no-such-file.json"])
     assert code == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magnomech import (
+    CompatibilityError,
     ConstraintDistribution,
     DegenerateConstraintError,
     HamiltonianSpec,
@@ -26,10 +27,12 @@ from magnomech import (
     parse_scenario,
     project_to_constraint,
 )
+from magnomech import expressions as ex
 from magnomech import kernel
 from magnomech.kernel import step_kernel
 from magnomech.linalg import max_abs
 from magnomech.sampling import phase_samples, surface_phase_samples
+from magnomech.scenarios import _compile, _compile_partials
 from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
 
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
@@ -582,3 +585,35 @@ def test_one_row_rank_rule_is_the_same_on_both_paths():
     assert str(generated.value) == str(direct.value)
     assert system.dist.matrix(np.array([0.9, 0.3])).tolist() == [[0.0, 1.0 - 0.9]]
     field(0.9, 0.3, 0.2, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_step_guards_no_scenario_reaches_raise_as_the_per_point_functions_do():
+    """A constant mass whose literal pivot is not positive (build_system's
+    probes reject it, so it is compiled directly), a k = 2 multiplier Gram
+    matrix that underflows to zero, and a projection that overflows in the
+    per-point fallback of a distribution differentiated by differences."""
+    canonical = MagneticStructure.canonical(2)
+    nodes = [[ex.Num(-1.0), ex.Num(0.0)], [ex.Num(0.0), ex.Num(1.0)]]
+    indefinite = HamiltonianSpec.quadratic(
+        2, mass_fn=_compile(nodes),
+        mass_grad_fn=_compile_partials(nodes, ["q1", "q2"], direction_first=True))
+    start = np.array([0.0, 0.0, 1.0, 0.0])
+    field = step_kernel(indefinite, canonical, None).field
+    assert _raised(lambda: field(*start)) == _raised(
+        lambda: _oracle_rhs(indefinite, canonical, None)(start)) == (
+        NumericalDomainError, "mass matrix is not positive definite")
+    tiny = _system({"name": "tiny-rows", "n": 3,
+                    "constraints": [["1e-200", "0", "0"], ["0", "1e-200", "0"]]})
+    point = np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.5])
+    assert _raised(lambda: step_kernel(tiny.ham, tiny.mag, tiny.dist).field(*point)) == (
+        _raised(lambda: _oracle_rhs(tiny.ham, tiny.mag, tiny.dist)(point))) == (
+        CompatibilityError, "multiplier matrix is singular")
+    # A G^{-1} A^T = 1e-320, so the projection's shift of p1 = 1e150 overflows
+    rows_fd = ConstraintDistribution(2, 1, lambda q: np.array([[1e-160, 0.0]]))
+    free = HamiltonianSpec.free(2)
+    step = step_kernel(free, canonical, rows_fd)
+    assert _raised(lambda: step((0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 0.0), 1e-300, True)) == (
+        _raised(lambda: project_to_constraint(rows_fd, free,
+                                              PhasePoint([0.0, 0.0], [1e150, 0.0])))) == (
+        NumericalDomainError, "phase point has non-finite entries")

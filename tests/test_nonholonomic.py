@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from magnomech import (
     DegenerateConstraintError,
     HamiltonianSpec,
     MagneticStructure,
+    OffConstraintError,
     OneFormSection,
     PhasePoint,
     SectionImageError,
@@ -21,8 +24,11 @@ from magnomech import (
     magnetic_vector_field,
     project_to_constraint,
 )
+from magnomech.cli import check_geometry, check_hj2
+from magnomech.linalg import rank_of
 from magnomech.nonholonomic import constraint_jacobian
-from conftest import free_particle_constraint, random_spd
+from magnomech.scenarios import build_system, parse_scenario
+from conftest import SCENARIO_DIR, free_particle_constraint, random_spd
 
 
 @pytest.fixture
@@ -286,3 +292,42 @@ def test_tangency_guards_off_surface_sections(free_system):
     with pytest.raises(SectionImageError):
         field_tangency_residual(section, dist, ham, mag,
                                 [np.array([0.0, 0.0, 0.0])])
+
+
+def test_geometry_check_reads_the_scenario_constraint_tolerance():
+    # the compatibility branch reads the surface at the scenario's own
+    # constraint tolerance, as hj2 does: both raise at the same residual
+    doc = json.loads((SCENARIO_DIR / "nh-magnetic-particle.json").read_text())
+    del doc["symmetry"]
+    doc["tolerances"] = {"constraint": 1e-30}
+    system = build_system(parse_scenario(json.dumps(doc)))
+    for check in (check_geometry, check_hj2):
+        with pytest.raises(OffConstraintError, match="exceeds 1.0e-30"):
+            check(system, 20, 0)
+
+
+def test_compatibility_report_reads_the_scaled_sigma_tolerance(free_system, monkeypatch):
+    # sigma_min is about 0.88 here: above the default compat_sigma, below
+    # the one MAGNOMECH_TOL_SCALE=1e8 gives (1.0)
+    dist, ham, mag = free_system
+    z = project_to_constraint(dist, ham, PhasePoint([0.1, 0.2, 0.3], [0.4, 0.5, 0.6]))
+    report = compatibility_report(dist, ham, mag, z)
+    assert report.passed and 0.5 < report.sigma_min < 1.0
+    monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "1e8")
+    assert not compatibility_report(dist, ham, mag, z).passed
+    assert compatibility_report(dist, ham, mag, z, sigma_tol=1e-8).passed
+
+
+def test_rank_of_rows_whose_largest_singular_value_overflows():
+    # np.linalg.svd gives [inf, 1e308] for the first rows and [inf, 1] for
+    # the second; scaled by 2^-1024 their singular values are (1.34, 0.56),
+    # rank 2, and (1.34, 5.6e-309), rank 1
+    full = np.array([[1.7e308, 1.7e308, 0.0, 0.0], [0.0, 0.0, 1e308, 0.0]])
+    deficient = np.array([[1.7e308, 1.7e308, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    assert np.isinf(np.linalg.svd(full, compute_uv=False)[0])
+    assert rank_of(np.stack([full, deficient, np.eye(2, 4)])).tolist() == [2, 1, 2]
+    dist = ConstraintDistribution.constant(full)
+    assert dist.matrix(np.zeros(4)).tolist() == full.tolist()
+    assert dist.basis(np.zeros(4)).shape == (4, 2)
+    with pytest.raises(DegenerateConstraintError, match="rank deficient"):
+        ConstraintDistribution.constant(deficient).matrix(np.zeros(4))

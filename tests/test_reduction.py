@@ -29,10 +29,12 @@ from magnomech import (
     type2_reduced,
     vertical_basis,
 )
-from magnomech import geometry, hj, stacked
+from magnomech import geometry, stacked
+from magnomech.cli import check_hj1, check_hj2, main
 from magnomech.reduction import reduced_energy
 from magnomech.sampling import config_samples, newton_preimage
-from conftest import free_particle_constraint
+from magnomech.scenarios import build_system, parse_scenario
+from conftest import SCENARIO_DIR, free_particle_constraint
 from reference import per_sample_only
 
 BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
@@ -350,19 +352,21 @@ def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
                           tolerances=tolerances))]
 
     stacks = []
-    refinements = stacked.refinements
+    residuals = stacked._type2_residuals
 
-    def recorded(recompute, zs):
-        stacks.append(len(zs))
-        return refinements(recompute, zs)
+    def recorded(refined, *args):
+        # the first pass runs on fd_section itself, the recompute on its copy
+        if refined is not fd_section:
+            stacks.append(len(args[2]))
+        return residuals(refined, *args)
 
-    monkeypatch.setattr(stacked, "refinements", recorded)
+    monkeypatch.setattr(stacked, "_type2_residuals", recorded)
     produced = report_bytes()
     assert stacks == [2, 2]
     with per_sample_only():
         assert report_bytes() == produced
     # the recompute moved the residuals: without it the bytes differ
-    monkeypatch.setattr(hj, "_refined", lambda obj: obj)
+    monkeypatch.setattr(stacked, "_refined", lambda obj: obj)
     assert report_bytes() != produced
 
 
@@ -376,11 +380,13 @@ def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
     first = type2_reduced(section, eps, sym, dist, ham, mag, samples)
     tolerances = Tolerances({"status": min(a for a in first.residual_a if a > 1e-3) / 2})
     runs = []
-    residuals = hj._type2_residuals
+    residuals = stacked._type2_residuals
 
-    def counted(*args):
-        runs.append(args)
-        return residuals(*args)
+    def counted(refined, *args):
+        # the first pass runs on the section itself, a recompute on a copy
+        if refined is not section:
+            runs.append(len(args[2]))
+        return residuals(refined, *args)
 
     def report_bytes():
         return [json.dumps(check.as_dict(), sort_keys=True) for check in (
@@ -389,11 +395,62 @@ def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
             type2_reduced(section, eps, sym, dist, ham, mag, samples,
                           tolerances=tolerances))]
 
-    monkeypatch.setattr(hj, "_type2_residuals", counted)
+    monkeypatch.setattr(stacked, "_type2_residuals", counted)
     skipped = report_bytes()
     assert runs == []
     # a copy is not the object itself, so the in-band sample is recomputed
-    monkeypatch.setattr(hj, "_refined", dataclasses.replace)
+    monkeypatch.setattr(stacked, "_refined", dataclasses.replace)
     assert report_bytes() == skipped
     # one sample in band at each level
-    assert len(runs) == 2
+    assert runs == [1, 1]
+
+
+def _reduced_document(epsilon):
+    """nh-magnetic-reduced with the phase map ``epsilon``."""
+    doc = json.loads((SCENARIO_DIR / "nh-magnetic-reduced.json").read_text())
+    doc["epsilon"] = epsilon
+    return doc
+
+
+NON_SYMPLECTIC = ["q1 + 0.3", "q2", "q3", "2*p1", "p2", "p3"]
+NON_EQUIVARIANT = ["q1 + 0.3 + 0.01*q3", "q2", "q3", "p1", "p2", "p3"]
+
+
+def _defects(report):
+    assert report.verdict == "VACUOUS"
+    return report.data["defects"]
+
+
+@pytest.mark.parametrize("epsilon", [NON_SYMPLECTIC, NON_EQUIVARIANT])
+def test_a_map_defect_is_vacuous_at_every_type2_level(epsilon):
+    # both maps break the structure; the second also breaks equivariance,
+    # which only the reduced level checks and names
+    system = build_system(parse_scenario(json.dumps(_reduced_document(epsilon))))
+    full = _defects(check_hj2(system, 20, 0))
+    reduced = _defects(check_hj2(system, 20, 0, reduced=True))
+    assert full == ["hypothesis: phase map is not structure preserving"]
+    assert reduced[0].startswith("phase map is not structure preserving (")
+    equivariance = [d for d in reduced if d.startswith("phase map is not translation "
+                                                       "equivariant (")]
+    assert len(equivariance) == (epsilon is NON_EQUIVARIANT)
+
+
+def test_a_map_defect_is_vacuous_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "non-symplectic.json"
+    path.write_text(json.dumps(_reduced_document(NON_SYMPLECTIC)))
+    for flags in ([], ["--reduced"]):
+        assert main(["check", "hj2", str(path), *flags]) == 0
+        assert "VACUOUS" in capsys.readouterr().out
+
+
+def test_data_varying_along_a_cyclic_coordinate_is_vacuous_at_both_reduced_checks(
+        systems):
+    # a mass (1.5 + sin q2) I keeps the section on the surface, but q2 is
+    # cyclic; the scenario loader's probes reject such a document, so the
+    # system is assembled in Python
+    ham = HamiltonianSpec.quadratic(3, mass_fn=lambda q: (1.5 + np.sin(q[1])) * np.eye(3),
+                                    potential_fn=lambda q: -0.08 * q[0] ** 2)
+    system = dataclasses.replace(systems["nh-magnetic-reduced"], ham=ham)
+    for check in (check_hj1, check_hj2):
+        (defect,) = _defects(check(system, 20, 0, reduced=True))
+        assert defect.startswith("system data varies along cyclic coordinates (")

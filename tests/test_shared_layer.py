@@ -58,7 +58,6 @@ from magnomech.linalg import (
     lstsq_each,
     null_space,
     rank_of,
-    solve_small,
     worst,
 )
 from magnomech.nonholonomic import (
@@ -216,10 +215,14 @@ def test_stacked_least_squares_raises_where_lstsq_raises():
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, count=counts, k=st.integers(1, 3))
-def test_small_solves(seed, count, k):
+def test_projection_solves(seed, count, k):
+    """SurfaceFrame.project's k x k Gram solve, for k = 1 and for k >= 2."""
     rng = np.random.default_rng(seed)
-    each_sample(solve_small, np.array([random_spd(rng, k) for _ in range(count)]),
-                rng.normal(size=(count, k)))
+    n = k + 1
+    dist = _distribution(rng, n, k, True)
+    ham = _hamiltonian(rng, n, "mass")
+    qs, ps = rng.normal(size=(2, count, n))
+    each_sample(lambda q, p: surface_frame(dist, ham, q).project(p), qs, ps)
 
 
 def _two_form(rng, n, constant):
@@ -391,7 +394,7 @@ def test_surface_frame(seed, count, n, data, kind, symbolic):
             section, frame(q), p, tolerances)[part], qs, on)
     for field in range(6):
         each_sample_unless_raised(lambda q, p: compatibility(
-            frame(q), mag.form_matrix(q), p, 1e-8)[field], qs, on)
+            frame(q), mag.form_matrix(q), p, 1e-8, 1e-8)[field], qs, on)
     zs = np.concatenate([qs, on], axis=-1)
     for part in (0, 2):
         each_sample_unless_raised(lambda z, x: constrained_level(

@@ -555,6 +555,24 @@ def test_an_empty_sample_set(systems, check, empty):
                                     "defects": [], "per_sample": [], **residuals}
 
 
+@pytest.mark.parametrize("error", [NumericalDomainError("the stack fails"),
+                                   np.linalg.LinAlgError("the stack fails")])
+def test_a_stage_that_fails_only_as_a_stack_raises_its_own_error(error):
+    """The fault-order rule's last clause: when no sample raises alone, the
+    stage's own error propagates, after one run per sample."""
+    runs = []
+
+    def stage(idx):
+        runs.append(idx.tolist())
+        if len(idx) > 1:
+            raise error
+        return idx
+
+    with pytest.raises(type(error), match="the stack fails"):
+        stacked.located(3, stage)
+    assert runs == [[0, 1, 2], [0], [1], [2]]
+
+
 def test_each_entry_point_has_exactly_one_reference():
     """per_sample_only() swaps every entry point of stacked.CHECKS for the
     loop of the same name in tests/reference.py; an entry point without one
