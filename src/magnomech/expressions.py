@@ -10,11 +10,13 @@ Grammar (EBNF):
 
 Names are variables ``q1..qn`` / ``p1..pn`` or one of the functions
 ``sin``, ``cos``, ``exp``. Parsing produces a small AST that supports
-compilation to a Python function of one point (compile_node, the
-evaluator and the reference) and to a column function that evaluates an
-array of ASTs at a whole stack of points with the same bits per point
-(compile_columns), symbolic differentiation (enough for polynomial/trig
-closed forms) and round-trippable printing.
+compilation of an AST or an array of them to a Python function of one
+point (compile_node, the evaluator and the reference), whose guarded
+statements (guarded) the integrator's generated step writes too, and to a
+column function that evaluates an array of ASTs at a whole stack of
+points with the same bits per point (compile_columns), symbolic
+differentiation (enough for polynomial/trig closed forms) and
+round-trippable printing.
 """
 
 import math
@@ -382,44 +384,74 @@ def _each(fn, *args):
                                    else repeat(arg) for arg in args))))
 
 
-# the names py_source's output reads besides the variables
-SOURCE_NAMES = {"_m": math, "_real_pow": _real_pow}
-# and the further names of its column source
+# the names besides the variables that py_source and guarded's statements read
+SOURCE_NAMES = {"_m": math, "_real_pow": _real_pow, "_Domain": NumericalDomainError}
+# and the further names of the column source
 COLUMN_NAMES = dict(SOURCE_NAMES, _each=_each, _pow=operator.pow,
                     _raise=np.errstate(over="raise", divide="raise", invalid="raise"))
 
 
-def compile_node(node):
-    """Compile an AST to a fast ``f(q, p=None) -> float`` callable.
+def leaves(nodes):
+    """The ASTs of a bare AST or of nested lists of them in row-major
+    order, and the nesting's shape (() for a bare AST)."""
+    array = np.asarray(nodes, dtype=object)
+    return list(array.flat), array.shape
 
-    Variable names must already be validated (q<i>/p<i> only). The generated
-    source reads each variable it uses from the argument sequences as a
-    Python float, so numpy arrays and lists evaluate alike. An arithmetic
-    fault while evaluating (overflow, division by zero, a math domain error
-    or a negative base to a fractional power) and a non-finite result both
-    raise NumericalDomainError naming the expression.
+
+def guarded(nodes, tag, literal):
+    """(lines, atoms): the statements that evaluate the entries of ``nodes``
+    (see leaves) in row-major order, and the atom of each entry. A number's
+    atom is ``literal(node)``. Any other entry is bound to a local, ``tag``
+    for a bare AST and ``tag<k>`` for the k-th entry, and an arithmetic
+    fault while evaluating it (overflow, division by zero, a math domain
+    error or a negative base to a fractional power) and a non-finite value
+    raise NumericalDomainError naming the expression. compile_node and the
+    integrator's generated step (kernel.py) both run these statements.
     """
-    namespace = dict(SOURCE_NAMES, _fault=lambda why: NumericalDomainError(
-        f"evaluating {to_text(node)!r}: {why}"))
-    reads = "".join(f"        {name} = float({name[0]}[{int(name[1:]) - 1}])\n"
-                    for name in sorted(variables(node)))
-    exec(_code(reads, py_source(node)), namespace)
+    entries, shape = leaves(nodes)
+    lines, atoms = [], []
+    for k, node in enumerate(entries):
+        if isinstance(node, Num):
+            atoms.append(literal(node))
+            continue
+        name = f"{tag}{k}" if shape else tag
+        head = f"evaluating {to_text(node)!r}: "
+        lines += ["try:",
+                  f"    {name} = {py_source(node)}",
+                  "except (ArithmeticError, ValueError) as err:",
+                  f"    raise _Domain({head!r} + str(err)) from None",
+                  f"if not {name} * 0.0 == 0.0:",
+                  f"    raise _Domain({head!r} + 'non-finite value ' + str({name}))"]
+        atoms.append(name)
+    return lines, atoms
+
+
+def compile_node(nodes):
+    """``f(q, p=None)`` evaluating a bare AST to a float, or nested lists of
+    them to a C-contiguous array of their shape, by guarded's statements:
+    entry by entry in row-major order, so the first faulting one is reported.
+    An array of numbers is built once and returned read-only on every call.
+    The variables (already validated) are read from q and p as Python
+    floats, so numpy arrays and lists evaluate alike.
+    """
+    entries, shape = leaves(nodes)
+    if shape and all(isinstance(node, Num) for node in entries):
+        constant = np.array([node.value for node in entries], dtype=float).reshape(shape)
+        constant.setflags(write=False)
+        return lambda q, p=None: constant
+    lines, atoms = guarded(nodes, "e", py_source)
+    reads = "".join(f"    {name} = float({name[0]}[{int(name[1:]) - 1}])\n"
+                    for name in sorted(set().union(*map(variables, entries))))
+    body = "".join(f"    {line}\n" for line in lines)
+    value = f"_array([{', '.join(atoms)}]).reshape({shape!r})" if shape else atoms[0]
+    namespace = dict(SOURCE_NAMES, _array=np.array)
+    exec(_code(f"def _expr(q, p=None):\n{reads}{body}    return {value}\n"), namespace)
     return namespace["_expr"]
 
 
 @lru_cache(maxsize=1024)
-def _code(reads, body):
-    """The compiled ``_expr`` definition for one body and its reads. Most
-    entries and derivatives of a scenario share a few bodies (0, 1), so
-    caching keeps the set-up cost of the try block down."""
-    source = (f"def _expr(q, p=None):\n"
-              f"    try:\n{reads}"
-              f"        value = {body}\n"
-              f"    except (ArithmeticError, ValueError) as err:\n"
-              f"        raise _fault(err) from None\n"
-              f"    if _m.isfinite(value):\n"
-              f"        return value\n"
-              f"    raise _fault(f'non-finite value {{value}}')\n")
+def _code(source):
+    """The compiled ``_expr`` definition of one source, kept for rebuilds."""
     return compile(source, "<magnomech-expr>", "exec")
 
 

@@ -11,24 +11,25 @@ energy. The source is written once per (ham, mag, dist) on the first
 
 Each ingredient is inlined or called: G, dG/dq, V, dV/dq (or a general H
 and its gradient), B, A and dA/dq. A callable compiled by ``scenarios``
-carries the ASTs it evaluates as ``nodes``, and ``expressions.py_source``
-inlines them, so each entry runs the same ``math`` calls and gives the same
-value; any other callable is called and its array unpacked into floats. G
-is solved by an unrolled square-root-free Cholesky factorisation
-G = L D L^T, and B is a literal when constant. An ingredient without
-partials takes them by central differences, which magnify any rounding
-difference by 1 / FD_STEP; the step then calls the per-point functions for
-the whole Hamiltonian (``BaseTerms.gradient`` and ``value``) or constraint
-data (``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
+carries the ASTs it evaluates as ``nodes``, and the step inlines the
+statements that ``expressions.guarded``, the one writer of guarded entry
+evaluations, writes for them: the statements the callable itself runs, so
+each entry gives the same value and faults with the same error. Any other
+callable is called and its array unpacked into floats. G is solved by an
+unrolled square-root-free Cholesky factorisation G = L D L^T, and B is a
+literal when constant. An ingredient without partials takes them by
+central differences, which magnify any rounding difference by 1 / FD_STEP;
+the step then calls the per-point functions for the whole Hamiltonian
+(``BaseTerms.gradient`` and ``value``) or constraint data
+(``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
 their arrays, so such systems stay bitwise equal to the per-point oracles.
 
 Every guard of the per-point functions runs at the same RK stage with the
 same exception and message, and every entry they evaluate is evaluated in
-their order, so the first fault is the same one. An inlined entry fails as
-``expressions.compile_node`` does, naming its expression. Decisions that
-rest on LAPACK stay with LAPACK: a mass matrix whose factorisation breaks
-down goes to the LU solve that tells a singular matrix from an indefinite
-one, and with k >= 2 constraint rows the rank test and the k x k solves call
+their order, so the first fault is the same one. Decisions that rest on
+LAPACK stay with LAPACK: a mass matrix whose factorisation breaks down goes
+to the LU solve that tells a singular matrix from an indefinite one, and
+with k >= 2 constraint rows the rank test and the k x k solves call
 ``linalg``. A finite check reads ``x * 0.0 == 0.0``, false exactly for inf
 and nan.
 """
@@ -115,13 +116,6 @@ def _solve(matrix, rhs, error, message):
         raise error(message) from None
 
 
-def _leaves(nodes):
-    """The ASTs of nested lists in row-major order (one bare AST alone)."""
-    if isinstance(nodes, list):
-        return [leaf for node in nodes for leaf in _leaves(node)]
-    return [nodes]
-
-
 def _lit(value):
     value = float(value)
     if value == 0.0:
@@ -185,8 +179,7 @@ class _Generator:
         self.ps = [f"p{i + 1}" for i in range(self.n)]
         self.namespace = dict(
             ex.SOURCE_NAMES, _sqrt=math.sqrt, _nan=math.nan, _array=np.array,
-            _flat=_flat, _lu_velocity=_lu_velocity, _solve=_solve,
-            _rank_of=rank_of, _Domain=NumericalDomainError,
+            _flat=_flat, _lu_velocity=_lu_velocity, _solve=_solve, _rank_of=rank_of,
             _Form=DegenerateFormError, _Constraint=DegenerateConstraintError,
             _Compat=CompatibilityError, _ham=ham, _dist=dist, _gradient=_gradient,
             _corrected=_corrected, _finished=_finished)
@@ -238,8 +231,7 @@ class _Generator:
         numpy q (and p when ``with_p``)."""
         nodes = getattr(fn, "nodes", None)
         if nodes is not None:
-            return [self.inline(f"{tag}{i}", node)
-                    for i, node in enumerate(_leaves(nodes))]
+            return self.inline(tag, nodes)
         self.namespace[f"_{tag}"] = fn
         names = [f"{tag}{i}" for i in range(size)]
         self.emit(f"{_tuple(names)} = _flat(_{tag}({self.arrays(with_p)}))")
@@ -248,7 +240,7 @@ class _Generator:
     def value(self, tag, fn, with_p=False):
         """The float ``fn`` returns at the point, inlined or called."""
         if hasattr(fn, "nodes"):
-            return self.inline(tag, fn.nodes)
+            return self.inline(tag, fn.nodes)[0]
         self.namespace[f"_{tag}"] = fn
         self.emit(f"{tag} = float(_{tag}({self.arrays(with_p)}))")
         return tag
@@ -261,19 +253,14 @@ class _Generator:
             self.emit(f"_q = _array({_tuple(self.qs)})")
         return f"_q, _array({_tuple(self.ps)})" if with_p else "_q"
 
-    def inline(self, name, node):
-        """One entry, faulting as the callable compile_node makes for it."""
-        if isinstance(node, ex.Num):
-            return _lit(node.value)
-        head = f"evaluating {ex.to_text(node)!r}: "
-        self.emit("try:")
-        self.emit(f"    {name} = {ex.py_source(node)}")
-        self.emit("except (ArithmeticError, ValueError) as err:")
-        self.emit(f"    raise _Domain({head!r} + str(err)) from None")
-        self.emit(f"if not {name} * 0.0 == 0.0:")
-        self.emit(f"    raise _Domain({head!r} + 'non-finite value ' + str({name}))")
-        self.finite.add(name)
-        return name
+    def inline(self, tag, nodes):
+        """The atoms of the entries of ``nodes``, evaluated by the statements
+        compile_node's function runs (expressions.guarded)."""
+        lines, atoms = ex.guarded(nodes, tag, lambda node: _lit(node.value))
+        for line in lines:
+            self.emit(line)
+        self.finite.update(atoms)
+        return atoms
 
     # -- the Hamiltonian -----------------------------------------------------
 

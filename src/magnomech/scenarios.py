@@ -325,38 +325,15 @@ def _map(fn, nodes):
 
 
 def _compile(nodes):
-    """``f(q, p=None)`` evaluating an array of ASTs entry by entry.
-
-    A bare AST gives its float-valued function. Nested lists give a
-    C-contiguous array of their shape, filled in row-major order, so the
-    first faulting entry is the one reported. An array whose entries are
-    all numbers is built once and returned read-only on every call. The
-    function keeps ``nodes`` as its ``nodes`` attribute, which the
-    integrator's generated step inlines (see kernel.py), and the column
+    """``ex.compile_node(nodes)``, the per-point function of a bare AST or
+    an array of them, carrying ``nodes`` as its ``nodes`` attribute, which
+    the integrator's generated step inlines (see kernel.py), and the column
     function of the same array as ``columns``, which geometry.each calls on
     a stack of points.
     """
-    if not isinstance(nodes, list):
-        evaluate = ex.compile_node(nodes)
-        leaves, shape = [nodes], ()
-    else:
-        array = np.asarray(nodes, dtype=object)
-        leaves, shape = list(array.flat), array.shape
-        if all(isinstance(node, ex.Num) for node in leaves):
-            constant = np.array([node.value for node in leaves], dtype=float)
-            constant = constant.reshape(shape)
-            constant.setflags(write=False)
-
-            def evaluate(q, p=None):
-                return constant
-        else:
-            fns = [ex.compile_node(node) for node in leaves]
-
-            def evaluate(q, p=None):
-                return np.array([f(q, p) for f in fns]).reshape(shape)
-
+    evaluate = ex.compile_node(nodes)
     evaluate.nodes = nodes
-    evaluate.columns = ex.compile_columns(leaves, shape)
+    evaluate.columns = ex.compile_columns(*ex.leaves(nodes))
     return evaluate
 
 

@@ -163,8 +163,9 @@ def _refine(section, phase_map, ham, mag, zs, first, level_of, tolerances):
     the phase vectors zs, whose images are ws, once the samples with a
     residual in the status band are recomputed in one more stage with the
     _refined section and map, on the images ws (the step does not move
-    them) and with the level ``level_of(wq)`` at their base points wq. With
-    analytic Jacobians a recompute would give the same numbers: none runs."""
+    them) and with the level ``level_of(idx)`` of the samples idx, at their
+    base points. With analytic Jacobians a recompute would give the same
+    numbers: none runs."""
     ws, symplectic, res_a, res_b = first
     res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
     refined_section, refined_map = _refined(section), _refined(phase_map)
@@ -176,7 +177,7 @@ def _refine(section, phase_map, ham, mag, zs, first, level_of, tolerances):
             # in phase_map.jacobian's order, on the phase vectors
             z, w = zs[banded[idx]], ws[banded[idx]]
             return _type2_residuals(refined_section, ham, mag, z, w,
-                                    refined_map.jacobians(z), level_of(w[:, :ham.n]))
+                                    refined_map.jacobians(z), level_of(banded[idx]))
 
         res_a[banded], res_b[banded] = by_rank(len(banded), pipeline)
     return zs, (symplectic, res_a, res_b)
@@ -231,7 +232,7 @@ def type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
                                                  magnetic_level)
 
     return _refine(section, phase_map, ham, mag, zs, located(len(zs), stage),
-                   lambda wq: magnetic_level, tolerances)
+                   lambda idx: magnetic_level, tolerances)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
@@ -251,8 +252,10 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
                 *_type2_residuals(section, ham, mag, z, ws, map_jacs,
                                   constrained_level(frame, tolerances)))
 
-    return _refine(section, phase_map, ham, mag, zs, by_rank(len(zs), pipeline), lambda wq: (
-        constrained_level(surface_frame(dist, ham, wq), tolerances)), tolerances)
+    # the first pass's frames live in its rank groups: the refinement builds its own
+    first = by_rank(len(zs), pipeline)
+    return _refine(section, phase_map, ham, mag, zs, first, lambda idx: constrained_level(
+        surface_frame(dist, ham, first[0][idx, :n]), tolerances), tolerances)
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
@@ -285,8 +288,7 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
 
     return hyp_worst, symp_worst, defects, _refine(
         section, phase_map, ham, mag, zs, (ws, None, *by_rank(len(zs), pipeline)),
-        lambda wq: reduced_level(sym, surface_frame(dist, ham, wq), mag, tolerances),
-        tolerances)
+        lambda idx: reduced_level(sym, frame.take(idx), mag, tolerances), tolerances)
 
 
 def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):

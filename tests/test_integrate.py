@@ -481,6 +481,13 @@ def _fault_systems():
                                "magnetic", 2.0, 0.01),
         "exp-overflow": (_system(dict(field_entry("exp(1000*q1)"), name="exp")),
                          "magnetic", 2.0, 0.01),
+        # a negative base to a fractional power once q1 passes 0.5
+        "fractional-power": (_system(dict(field_entry("(0.5 - q1)^1.5"), name="power")),
+                             "magnetic", 2.0, 0.01),
+        # the product overflows to inf past q1 = 0.887, where sin meets a
+        # math domain error
+        "math-domain": (_system(dict(field_entry("sin(exp(400*q1)*exp(400*q1))"),
+                                     name="sine")), "magnetic", 2.0, 0.01),
         # B H_p at 1e8 leaves a rounding defect above the structure guard
         "structure-residual": (_system({
             "name": "stiff", "n": 2, "potential": "0.5*(q1^2 + q2^2)",

@@ -337,19 +337,31 @@ def test_type2_reduced_refines_in_band_residuals(monkeypatch):
 def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
     # a finite-difference section with the status tolerance at 0.1: two
     # samples of each level have residuals inside the band [0.1, 1), and
-    # both are recomputed, at the 10x smaller step, in one stacked run
+    # both are recomputed, at the 10x smaller step, in one stacked run; the
+    # reduced recompute reads A(q) from the first pass's frame, so it reads
+    # the rows at no further point (the constrained one reads them at 2)
     section, sym, dist, ham, mag = reduced_test_system()
     fd_section = OneFormSection(section.eval_fn)
     eps = PhaseMap.translation([0.3, 0.0, 0.0])
     samples = _type2_samples(section, dist, ham, eps)
     tolerances = Tolerances({"status": 0.1})
+    reads, rows = [], dist._rows_fn
+
+    def counted_rows(q):
+        reads[-1] += 1
+        return rows(q)
+
+    monkeypatch.setattr(dist, "_rows_fn", counted_rows)
 
     def report_bytes():
-        return [json.dumps(check.as_dict(), sort_keys=True) for check in (
-            type2_constrained(fd_section, eps, dist, ham, mag, samples,
-                              tolerances=tolerances),
-            type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
-                          tolerances=tolerances))]
+        produced = []
+        for check in (lambda: type2_constrained(fd_section, eps, dist, ham, mag, samples,
+                                                tolerances=tolerances),
+                      lambda: type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
+                                            tolerances=tolerances)):
+            reads.append(0)
+            produced.append(json.dumps(check().as_dict(), sort_keys=True))
+        return produced
 
     stacks = []
     residuals = stacked._type2_residuals
@@ -363,6 +375,7 @@ def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
     monkeypatch.setattr(stacked, "_type2_residuals", recorded)
     produced = report_bytes()
     assert stacks == [2, 2]
+    assert reads == [8, 18]
     with per_sample_only():
         assert report_bytes() == produced
     # the recompute moved the residuals: without it the bytes differ

@@ -452,11 +452,16 @@ FUNCTIONS = list(expressions.FUNCTIONS)
 @given(texts=st.lists(expression_texts(expressions.phase_names(2)), min_size=1,
                       max_size=3),
        exponent=st.sampled_from(EXPONENTS), function=st.sampled_from(FUNCTIONS),
-       bare=st.booleans(), seed=seeds, count=st.integers(1, 40), positive=st.booleans())
-def test_stack_evaluator(texts, exponent, function, bare, seed, count, positive):
+       form=st.sampled_from(["bare", "list", "grid"]), seed=seeds,
+       count=st.integers(1, 40), positive=st.booleans())
+def test_stack_evaluator(texts, exponent, function, form, seed, count, positive):
     """An array of scenario expressions of (q, p), followed by a power of
-    the first and a function of the last, or that power alone, evaluated on
-    a random stack: its column
+    the first and a function of the last, as a list, as a grid of it and its
+    reverse, or that power alone, evaluated on a random stack.
+
+    At each point, compile_node's one function for the array gives the bits
+    of each entry compiled alone, in row-major order, or raises the first
+    faulting entry's error, with its class and message. The column
     function gives each sample the bits that the per-point evaluator gives
     it alone, ^ with integer and fractional exponents and sin, cos and exp
     included. When any sample faults, geometry.each raises the first
@@ -466,8 +471,24 @@ def test_stack_evaluator(texts, exponent, function, bare, seed, count, positive)
         nodes = [expressions.parse(text) for text in texts]
     except ExpressionError:
         assume(False)
-    evaluate = split(_compile(nodes[-2] if bare else nodes), 2)
+    array = {"bare": nodes[-2], "list": nodes, "grid": [nodes, nodes[::-1]]}[form]
     zs = _stack(np.random.default_rng(seed), count, 4, positive)
+    entries, shape = expressions.leaves(array)
+    whole = expressions.compile_node(array)
+    alone = [expressions.compile_node(node) for node in entries]
+    for z in zs:
+        q, p = z[:2], z[2:]
+        try:
+            values = [f(q, p) for f in alone]
+        except NumericalDomainError as err:
+            with pytest.raises(NumericalDomainError) as raised:
+                whole(q, p)
+            assert type(raised.value) is type(err) and str(raised.value) == str(err)
+            continue
+        value = whole(q, p)
+        same_bits(value, np.array(values).reshape(shape))
+        assert np.ndim(value) == 0 or value.flags.c_contiguous
+    evaluate = split(_compile(array), 2)
     try:
         alone = np.array([evaluate(z) for z in zs], dtype=float)
     except NumericalDomainError as err:
