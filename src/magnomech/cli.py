@@ -265,7 +265,7 @@ def run_simulate(args):
         z0 = project_to_constraint(system.dist, system.ham, z0)
     trajectory = integrate(system.ham, system.mag, z0, args.t_end, args.dt,
                            dist=system.dist, kind=args.field,
-                           project=not args.no_project)
+                           project=not args.no_project, tolerances=system.tolerances)
     trajectory.write_csv(args.out)
     reason = trajectory.abort_reason
     print(f"wrote {len(trajectory.times)} states to {args.out}; "

@@ -80,15 +80,16 @@ class Trajectory:
 
 
 def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
-              project=True):
+              project=True, tolerances=DEFAULT_TOLERANCES):
     """Integrate the chosen field from z0 over [0, t_end] with step dt.
 
     Distributional mode requires the start point on the constraint surface
-    (within the scaled ``constraint`` tolerance) and re-projects after every
-    step unless ``project`` is False. A non-finite or out-of-domain state
-    aborts the run: the partial trajectory is returned with ``abort_reason``
-    naming the step, time and error. The step is generated on the first
-    call for (ham, mag, dist) and reused by later ones.
+    (within the scaled ``constraint`` tolerance of ``tolerances``) and
+    re-projects after every step unless ``project`` is False. A non-finite
+    or out-of-domain state aborts the run: the partial trajectory is
+    returned with ``abort_reason`` naming the step, time and error. The
+    loop over the steps is generated on the first call for (ham, mag, dist)
+    and reused by later ones.
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
@@ -102,25 +103,23 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
     residual = 0.0
     if constrained:
         residual = max_abs(SurfaceFrame(dist, terms).residual(z0.p))
-        if residual > DEFAULT_TOLERANCES.get("constraint"):
-            raise OffConstraintError(
-                f"initial state off the constraint surface ({residual:.3e})")
+        tol = tolerances.get("constraint")
+        if residual > tol:
+            raise OffConstraintError(f"constraint residual {residual:.3e} exceeds {tol:.1e}")
     row = (*z0.vec.tolist(), terms.value(z0.p), residual, residual)
     # imported on first use: a fresh interpreter compiles every module the
     # package imports, and the step generator is not needed to build systems
     from .kernel import step_kernel  # noqa: PLC0415
-    advance = step_kernel(ham, mag, dist if constrained else None)
+    run = step_kernel(ham, mag, dist if constrained else None)
 
-    steps = int(round(t_end / dt))
     table = array("d", row)
     abort_reason = None
-    for step in range(1, steps + 1):
-        try:
-            row = advance(row, dt, project)
-        except (NumericalDomainError, OverflowError) as err:
-            abort_reason = AbortReason(step, step * dt, f"{type(err).__name__}: {err}")
-            break
-        table.extend(row)
+    try:
+        run(row, dt, project, int(round(t_end / dt)), table.extend)
+    except (NumericalDomainError, OverflowError) as err:
+        # the failing step is the first one without a row
+        step = len(table) // len(row)
+        abort_reason = AbortReason(step, step * dt, f"{type(err).__name__}: {err}")
     columns = np.frombuffer(table).reshape(-1, len(row))
     size = 2 * ham.n
     return Trajectory(np.arange(len(columns)) * dt, columns[:, :size].copy(),

@@ -1,13 +1,17 @@
-"""Generated RK4 steps: one straight-line function of Python floats per system.
+"""Generated RK4 runs: one loop of Python floats per system.
 
-``step_kernel(ham, mag, dist)`` writes, compiles and keeps the source of one
-classical RK4 step of the closed-form field X = (H_p, -H_q + B H_p), plus
-the Lagrange-multiplier correction sum_a lambda_a (0, -A_a) when a
-distribution is given, followed by the end-of-step work: the drift
-residual, the momentum projection (Hairer, Lubich and Wanner, *Geometric
-Numerical Integration*, section IV.4), the post-projection residual and the
-energy. The source is written once per (ham, mag, dist) on the first
-``integrate`` call that needs it; building a system writes nothing.
+``step_kernel(ham, mag, dist)`` writes, compiles and keeps the source of
+``run``, a loop of classical RK4 steps of the closed-form field
+X = (H_p, -H_q + B H_p), plus the Lagrange-multiplier correction
+sum_a lambda_a (0, -A_a) when a distribution is given, each followed by the
+end-of-step work: the drift residual, the momentum projection (Hairer,
+Lubich and Wanner, *Geometric Numerical Integration*, section IV.4), the
+post-projection residual and the energy. The four stages' field code and
+the end-of-step code are written straight into the loop body, so a step
+calls nothing but the fallbacks below; the state stays in local floats
+between steps, and each finished row goes to the caller's ``extend``. The
+source is written once per (ham, mag, dist) on the first ``integrate`` call
+that needs it; building a system writes nothing.
 
 Each ingredient is inlined or called: G, dG/dq, V, dV/dq (or a general H
 and its gradient), B, A and dA/dq. A callable compiled by ``scenarios``
@@ -31,7 +35,12 @@ LAPACK stay with LAPACK: a mass matrix whose factorisation breaks down goes
 to the LU solve that tells a singular matrix from an indefinite one, and
 with k >= 2 constraint rows the rank test and the k x k solves call
 ``linalg``. A finite check reads ``x * 0.0 == 0.0``, false exactly for inf
-and nan.
+and nan. Guards are tested cheap first, each exactly as before: a group of
+entries first tests ``(a + b + ...) * 0.0 == 0.0``, which holds only when
+every entry is finite, and only a failed sum (a non-finite entry, or finite
+ones that overflow) runs the test of each entry; the structure residual is
+computed only when a defect entry is nonzero or nan, since with every entry
++-0 it is 0 and below its bound.
 """
 
 import math
@@ -50,17 +59,20 @@ from .errors import (
 from .linalg import max_abs, rank_of
 from .nonholonomic import SurfaceFrame, multiplier_correction
 
-# generated steps kept, the least recently used dropped first
+# generated runs kept, the least recently used dropped first
 KERNELS = 32
 
 
 @lru_cache(maxsize=KERNELS)
 def step_kernel(ham, mag, dist):
-    """``step(row, dt, project)`` for the field of (ham, mag, dist or None).
+    """``run(row, dt, project, steps, extend)`` for the field of (ham, mag,
+    dist or None).
 
-    ``row`` is (q, p, energy, residual, drift) as 2n + 3 floats; the step
-    returns the next row, or raises the per-point functions' error.
-    ``step.field(q1, ..., pn)`` is the generated field at one point.
+    ``row`` is (q, p, energy, residual, drift) as 2n + 3 floats. The run
+    takes ``steps`` steps from it and passes each next row to ``extend``,
+    or raises the per-point functions' error at the first failing step, so
+    the rows passed before it count the steps that finished.
+    ``run.field(q1, ..., pn)`` is the generated field at one point.
     """
     return _Generator(ham, mag, dist).compile()
 
@@ -160,9 +172,9 @@ def _tuple(atoms):
 
 
 class _Generator:
-    """Writes the step's source. Each ingredient method emits its code into
-    the function being written and returns the atoms (local names or
-    literals) holding its entries."""
+    """Writes the source of ``_field`` and ``run``. Each ingredient method
+    emits its code into the function being written and returns the atoms
+    (local names or literals) holding its entries."""
 
     def __init__(self, ham, mag, dist):
         self.ham, self.mag, self.dist = ham, mag, dist
@@ -187,20 +199,31 @@ class _Generator:
 
     # -- writing -------------------------------------------------------------
 
-    def begin(self, signature, finite):
+    def begin(self, signature):
         self.lines.append(f"def {signature}:")
         self.indent = "    "
-        self.finite = set(finite)
         self.names = 0
+        self.unique = set()
+
+    def at(self, finite):
+        """Start the code at a new point: only ``finite`` is known finite,
+        and a called ingredient builds its numpy q again."""
+        self.finite = set(finite)
         self.q_array = False
 
     def emit(self, line):
         self.lines.append(self.indent + line)
 
-    def fresh(self, tag, source):
-        """A new local holding ``source``."""
+    def local(self, tag):
+        """A new name, bound once in the function being written."""
         self.names += 1
         name = f"{tag}_{self.names}"
+        self.unique.add(name)
+        return name
+
+    def fresh(self, tag, source):
+        """A new local holding ``source``."""
+        name = self.local(tag)
         self.emit(f"{name} = {source}")
         return name
 
@@ -219,11 +242,21 @@ class _Generator:
         """Raise NumericalDomainError(message) unless every atom is finite;
         atoms known to be finite are skipped."""
         unknown = [a for a in atoms if a not in self.finite and not _is_lit(a)]
-        if unknown:
-            test = " + ".join(f"{a} * 0.0" for a in unknown)
+        if not unknown:
+            return
+        test = " + ".join(f"{a} * 0.0" for a in unknown)
+        failure = f"raise _Domain({message!r})"
+        if len(unknown) == 1:
             self.emit(f"if not {test} == 0.0:")
-            self.emit(f"    raise _Domain({message!r})")
-            self.finite.update(unknown)
+            self.emit(f"    {failure}")
+        else:
+            # cheap first: a finite sum has finite terms, and only a sum that
+            # is not (a non-finite term, or finite terms that overflow) goes
+            # on to the test of each term
+            self.emit(f"if not ({' + '.join(unknown)}) * 0.0 == 0.0:")
+            self.emit(f"    if not {test} == 0.0:")
+            self.emit(f"        {failure}")
+        self.finite.update(unknown)
 
     def entries(self, tag, fn, size, with_p=False):
         """The entries of ``fn``'s array at the point in row-major order:
@@ -442,27 +475,21 @@ class _Generator:
     # -- the generated functions ---------------------------------------------
 
     def field(self):
-        """``_field(q, p)``: X at one stage point."""
+        """Write X at the point (q, p) and return its 2n atoms."""
         n, ps = self.n, self.ps
-        self.begin(f"_field({', '.join(self.qs + ps)})", self.qs + ps)
+        self.at(self.qs + ps)
         hq, hp, factors, gradient = self.gradient()
         self.check_finite(hq + hp, "Hamiltonian gradient is non-finite")
         b = self.two_form()
         push = [self.assign("push", _dot(b[i], hp)) for i in range(n)]
         dp = [self.assign("dp", _sum([_neg(hq[i]), push[i]])) for i in range(n)]
         if any(entry != "0.0" for row in b for entry in row):
-            # structure equation Omega^T X = dH in components:
-            # (B X_q - X_p, X_q) = (H_q, H_p), with X_q = H_p exactly
-            defect = [self.assign("e", _sum([push[i], _neg(dp[i]), _neg(hq[i])]))
-                      for i in range(n)]
-            self.emit(f"res = _sqrt({_dot(defect, defect)})")
-            self.emit(f"if not res <= {SOLVER_TOL!r} * (1.0 + _sqrt({_dot(hq + hp, hq + hp)})):")
-            self.emit("    raise _Form('structure solve residual ' + format(res, '.3e') "
-                      "+ ' exceeds tolerance')")
+            self.structure_guard(hq, hp, push, dp)
         if not self.written_dist:
-            self.emit(f"return _corrected(_dist, _ham, {_tuple(self.qs)}, {_tuple(ps)}, "
-                      f"{_tuple(hp + dp)})")
-            return
+            names = [self.local("f") for _ in range(2 * n)]
+            self.emit(f"{', '.join(names)} = _corrected(_dist, _ham, {_tuple(self.qs)}, "
+                      f"{_tuple(ps)}, {_tuple(hp + dp)})")
+            return names
         if self.dist is not None:
             rows = self.rows()
             weighted = [self.solve_mass(factors, row) for row in rows]
@@ -474,21 +501,39 @@ class _Generator:
             dp = [self.assign("dp", _sum(
                 [dp[j]] + [_neg(_mul(rows[a][j], lam[a])) for a in range(self.k)]))
                 for j in range(n)]
-        self.emit(f"return {', '.join(hp + dp)}")
+        return hp + dp
+
+    def structure_guard(self, hq, hp, push, dp):
+        """The structure equation Omega^T X = dH in components,
+        (B X_q - X_p, X_q) = (H_q, H_p) with X_q = H_p exactly, checked by
+        its residual only where a defect entry is nonzero or nan: with every
+        entry +-0 the residual is 0, below the bound, which is at least
+        SOLVER_TOL because dH is finite here."""
+        defect = [self.assign("e", _sum([push[i], _neg(dp[i]), _neg(hq[i])]))
+                  for i in range(self.n)]
+        tests = [f"{e} != 0.0" for e in defect if e != "0.0"]
+        if not tests:
+            return
+        self.emit(f"if {' or '.join(tests)}:")
+        self.emit(f"    res = _sqrt({_dot(defect, defect)})")
+        self.emit(f"    if not res <= {SOLVER_TOL!r} * (1.0 + _sqrt({_dot(hq + hp, hq + hp)})):")
+        self.emit("        raise _Form('structure solve residual ' + format(res, '.3e') "
+                  "+ ' exceeds tolerance')")
 
     def finish(self):
-        """``_finish(q, p, project)``: the row at the end of a step."""
+        """Write the end-of-step work on the state (q, p), which rebinds p
+        by the projection, and return the atoms of the row."""
         qs, ps = self.qs, self.ps
-        self.begin(f"_finish({', '.join(qs + ps)}, project)", [])
+        self.at([])
         self.check_finite(qs + ps, "state is non-finite")
         if not (self.written_ham and self.written_dist):
-            self.emit(f"return {', '.join(qs)}, *_finished(_ham, _dist, {_tuple(qs)}, "
+            row = ps + ["H", "residual", "drift"]
+            self.emit(f"{', '.join(row)} = _finished(_ham, _dist, {_tuple(qs)}, "
                       f"{_tuple(ps)}, project)")
-            return
+            return qs + row
         if not self.ham.is_quadratic:
             energy = self.value("H", self.ham._general_fn, with_p=True)
-            self.emit(f"return {', '.join(qs + ps)}, {energy}, 0.0, 0.0")
-            return
+            return qs + ps + [energy, "0.0", "0.0"]
         drift = residual = "0.0"
         rows = self.rows() if self.dist is not None else None
         factors = self.mass()
@@ -500,7 +545,8 @@ class _Generator:
         if rows is not None:
             drift = residual = self.max_abs(rows, v, "drift")
             self.emit("if project:")
-            self.indent = "        "
+            outer = self.indent
+            self.indent += "    "
             self.require_pd(factors)
             weighted = [self.solve_mass(factors, row) for row in rows]
             shift = self.small_solve(
@@ -517,7 +563,7 @@ class _Generator:
                 if old != new:
                     self.emit(f"{old} = {new}")
             self.max_abs(rows, v, "residual")
-            self.indent = "    "
+            self.indent = outer
             self.emit("else:")
             self.emit("    residual = drift")
             residual = "residual"
@@ -525,7 +571,7 @@ class _Generator:
         potential = "0.0" if fn is None else self.value("V", fn)
         self.emit(f"H = 0.5 * ({_dot(ps, v)}) + {potential}")
         self.check_finite(["H"], "Hamiltonian is non-finite at the point")
-        self.emit(f"return {', '.join(qs + ps)}, H, {residual}, {drift}")
+        return qs + ps + ["H", residual, drift]
 
     def max_abs(self, rows, v, name):
         values = [f"abs({_dot(row, v)})" for row in rows]
@@ -533,33 +579,52 @@ class _Generator:
                                   f"max({', '.join(values)})"))
         return name
 
-    def step(self):
-        """``step(row, dt, project)``: the four stages and ``_finish``."""
+    def keep(self, stage, atoms):
+        """The atoms of a stage's field as atoms that later stages cannot
+        rebind: a name the next stage's code binds again is copied."""
+        kept = []
+        for i, atom in enumerate(atoms):
+            if atom not in self.unique and not _is_lit(atom):
+                self.emit(f"k{stage}_{i} = {atom}")
+                atom = f"k{stage}_{i}"
+            kept.append(atom)
+        return kept
+
+    def run(self):
+        """``run(row, dt, project, steps, extend)``: ``steps`` steps from
+        ``row``, each the four stages and the end-of-step work, written
+        inline. The stage points are bound to q and p, the names the
+        inlined ingredients read, and the state to Q and P."""
         x = self.qs + self.ps
-        size = len(x)
-        self.begin("step(row, dt, project)", [])
-        self.emit(f"{', '.join(x)}, _h, _r, _d = row")
+        start = [name.upper() for name in x]
+        self.begin("run(row, dt, project, steps, extend)")
+        self.emit(f"{', '.join(x)} = row[:{len(x)}]")
         self.emit("h = 0.5 * dt")
-        stages, point = [], x
+        self.emit("w = dt / 6.0")
+        self.emit("for _ in range(steps):")
+        self.indent = "        "
+        for base, name in zip(start, x):
+            self.emit(f"{base} = {name}")
+        stages = []
         for s, scale in enumerate(("h", "h", "dt", None)):
-            stage = [f"k{s}_{i}" for i in range(size)]
-            self.emit(f"{', '.join(stage)} = _field({', '.join(point)})")
-            stages.append(stage)
+            stages.append(self.keep(s, self.field()))
             if scale is None:
                 break
-            point = [self.fresh("y", f"{x[i]} + {scale} * {stage[i]}") for i in range(size)]
-            self.check_finite(point, "phase point has non-finite entries")
-        self.emit("w = dt / 6.0")
-        ends = [f"{x[i]} + w * ({stages[0][i]} + 2.0 * {stages[1][i]} + 2.0 * "
-                f"{stages[2][i]} + {stages[3][i]})" for i in range(size)]
-        self.emit(f"return _finish({', '.join(ends)}, project)")
+            for i, name in enumerate(x):
+                self.emit(f"{name} = {start[i]} + {scale} * {stages[s][i]}")
+            self.at([])
+            self.check_finite(x, "phase point has non-finite entries")
+        for i, name in enumerate(x):
+            k0, k1, k2, k3 = (stage[i] for stage in stages)
+            self.emit(f"{name} = {start[i]} + w * ({k0} + 2.0 * {k1} + 2.0 * {k2} + {k3})")
+        self.emit(f"extend({_tuple(self.finish())})")
 
     def compile(self):
-        self.field()
-        self.finish()
-        self.step()
+        self.begin(f"_field({', '.join(self.qs + self.ps)})")
+        self.emit(f"return {', '.join(self.field())}")
+        self.run()
         source = "\n".join(self.lines) + "\n"
         exec(compile(source, "<magnomech-step>", "exec"), self.namespace)
-        step = self.namespace["step"]
-        step.field = self.namespace["_field"]
-        return step
+        run = self.namespace["run"]
+        run.field = self.namespace["_field"]
+        return run

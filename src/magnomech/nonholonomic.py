@@ -118,13 +118,14 @@ class SurfaceFrame:
     A(q) (with its rank check), dA/dq, the basis of D_q and the
     Hamiltonian's base terms at q; the residual c, its derivative Dc, the
     admissible basis and the projection at any momentum over q are
-    assembled from them. Kept arrays are read-only, and a guard that raises
-    caches nothing.
+    assembled from them, and the admissible basis is kept per momenta.
+    Kept arrays are read-only, and a guard that raises caches nothing.
     """
 
     def __init__(self, dist, terms):
         self.dist = dist
         self.terms = terms
+        self._admissible = {}
 
     @cached_property
     def rows(self):
@@ -168,12 +169,17 @@ class SurfaceFrame:
 
     def admissible(self, p):
         """Orthonormal basis of the admissible subspace at (q, p) (see
-        admissible_basis)."""
-        dist = self.dist
-        stacked = np.zeros(self.rows.shape[:-2] + (2 * dist.k, 2 * dist.n))
-        stacked[..., : dist.k, : dist.n] = self.rows
-        stacked[..., dist.k:, :] = self.jacobian(p)
-        return read_only(null_space(stacked))
+        admissible_basis), taken once per momenta: a section's hypotheses
+        and the reduced frame read it at the same gamma(q)."""
+        p = np.asarray(p)
+        key = (p.dtype.str, p.shape, p.tobytes())
+        if key not in self._admissible:
+            dist = self.dist
+            stacked = np.zeros(self.rows.shape[:-2] + (2 * dist.k, 2 * dist.n))
+            stacked[..., : dist.k, : dist.n] = self.rows
+            stacked[..., dist.k:, :] = self.jacobian(p)
+            self._admissible[key] = read_only(null_space(stacked))
+        return self._admissible[key]
 
     def residual(self, p):
         """c(q, p) = A(q) G(q)^{-1} p."""

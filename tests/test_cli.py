@@ -288,6 +288,32 @@ def test_simulate_rank_loss_is_input_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["code"] == "DegenerateConstraintError"
 
 
+def test_simulate_reads_the_scenario_constraint_tolerance(scenario_dir, tmp_path, capsys):
+    # from this start the projected start of nh-magnetic-particle is
+    # 5.551e-17 off the surface: on it at the default constraint tolerance,
+    # off it at an override of 1e-30, where simulate stops as check hj2 does
+    doc = json.loads((scenario_dir / "nh-magnetic-particle.json").read_text())
+    doc["initial_state"] = {"q": [0.3, 0.2, 0.0], "p": [0.5, 0.9, 0.1]}
+    out = tmp_path / "t.csv"
+    simulate = ["--field", "distributional", "--t-end", "0.01", "--dt", "1e-3",
+                "--out", str(out)]
+    assert main(["simulate", _write_scenario(tmp_path / "default.json", doc),
+                 *simulate]) == 0
+    assert len(out.read_text().splitlines()) == 12
+    out.unlink()
+    doc["tolerances"] = {"constraint": 1e-30}
+    scenario = _write_scenario(tmp_path / "tight.json", doc)
+    capsys.readouterr()
+    errors = []
+    for argv in (["check", "hj2", scenario], ["simulate", scenario, *simulate]):
+        assert main(argv) == 2
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0] == errors[1] == {
+        "code": "OffConstraintError",
+        "message": "constraint residual 5.551e-17 exceeds 1.0e-30"}
+    assert not out.exists()
+
+
 def test_simulate_singular_mass_aborts_without_traceback(tmp_path, capsys):
     # G_22 = 1 - q1 is exactly singular at q1 = 1, a stage point at dt = 0.25
     scenario = _write_scenario(tmp_path / "singular.json", {

@@ -10,6 +10,7 @@ from magnomech import (
     CompatibilityError,
     ConstraintDistribution,
     DegenerateConstraintError,
+    DegenerateFormError,
     HamiltonianSpec,
     MagneticStructure,
     MagnomechError,
@@ -557,24 +558,65 @@ def _raised(run):
     return type(info.value), str(info.value)
 
 
+def _step(run, row, dt, project=True):
+    """One step of a generated run from ``row``: the next row."""
+    rows = []
+    run(row, dt, project, 1, rows.extend)
+    return tuple(rows)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_state_guards_raise_as_the_per_point_functions_do(systems):
     """The guards no scenario reaches before an expression fault, met from
     states near the float range: a non-finite gradient, stage point, end
     state and energy."""
     trap = systems["magnetic-trap"]
-    step = step_kernel(trap.ham, trap.mag, None)
+    run = step_kernel(trap.ham, trap.mag, None)
     rhs = _oracle_rhs(trap.ham, trap.mag, None)
-    assert _raised(lambda: step.field(0.0, 0.5, 1e200, 0.0)) == _raised(
+    assert _raised(lambda: run.field(0.0, 0.5, 1e200, 0.0)) == _raised(
         lambda: rhs(np.array([0.0, 0.5, 1e200, 0.0])))
-    assert _raised(lambda: step((0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 10.0, True)) == _raised(
+    assert _raised(lambda: _step(run, (0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 10.0)) == _raised(
         lambda: _rk4_step(rhs, np.array([0.0, 0.0, 1e308, 0.0]), 10.0))
-    assert _raised(lambda: step((0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0), 1e-300, True)) == _raised(
+    assert _raised(lambda: _step(run, (0.0, 0.0, 1e200, 0.0, 0.0, 0.0, 0.0), 1e-300)) == _raised(
         lambda: trap.ham.value(PhasePoint([0.0, 0.0], [1e200, 0.0])))
     planar = systems["charged-particle"]
-    step = step_kernel(planar.ham, planar.mag, None)
-    assert _raised(lambda: step((0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 1.0, True)) == (
+    run = step_kernel(planar.ham, planar.mag, None)
+    assert _raised(lambda: _step(run, (0.0, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0), 1.0)) == (
         NumericalDomainError, "state is non-finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cheap_first_guards_decide_as_the_per_entry_tests():
+    """A group's non-finite test first asks whether the entries' sum is
+    finite, and the structure guard first whether a defect entry is
+    nonzero; either way the per-entry test decides the rest. Finite
+    entries whose sum overflows run on, +inf and -inf at a stage point
+    abort, and a nonzero structure defect raises, as per point."""
+    free, canonical = HamiltonianSpec.free(2), MagneticStructure.canonical(2)
+    huge = PhasePoint([1.7e308, 1.7e308], [0.0, 0.0])
+    traj = integrate(free, canonical, huge, 3.0, 1.0)
+    states, _, _, energies, message = _reference_run(free, canonical, huge, 3, 1.0)
+    assert message is None and not traj.aborted and len(traj.times) == 4
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.energies.tobytes() == energies.tobytes()
+    # the first stage point is (inf, -inf, 1e308, -1e308); its sum is nan
+    run, rows = step_kernel(free, canonical, None), []
+    opposite = (0.0, 0.0, 1e308, -1e308, 0.0, 0.0, 0.0)
+    assert _raised(lambda: run(opposite, 10.0, True, 3, rows.extend)) == _raised(
+        lambda: _rk4_step(_oracle_rhs(free, canonical, None), np.array(opposite[:4]),
+                          10.0)) == (NumericalDomainError, "phase point has non-finite entries")
+    assert rows == []
+    # B H_p at 1e8 leaves a rounding defect of 3e-9 in the structure equation
+    stiff = _system({"name": "stiff", "n": 2, "potential": "0.5*(q1^2 + q2^2)",
+                     "b_field": [[0, 1e8], [-1e8, 0]]})
+    start = np.array([0.3, 0.2, 1.0, 0.0])
+    run = step_kernel(stiff.ham, stiff.mag, None)
+    defect = (DegenerateFormError, "structure solve residual 2.980e-09 exceeds tolerance")
+    assert _raised(lambda: run.field(*start)) == _raised(
+        lambda: _oracle_rhs(stiff.ham, stiff.mag, None)(start)) == defect
+    assert _raised(lambda: _step(run, (*start, 0.0, 0.0, 0.0), 1e-3)) == defect
+    assert _raised(lambda: integrate(stiff.ham, stiff.mag, PhasePoint(start[:2], start[2:]),
+                                     1.0, 1e-3)) == defect
 
 
 def test_one_row_rank_rule_is_the_same_on_both_paths():
@@ -619,8 +661,8 @@ def test_step_guards_no_scenario_reaches_raise_as_the_per_point_functions_do():
     # A G^{-1} A^T = 1e-320, so the projection's shift of p1 = 1e150 overflows
     rows_fd = ConstraintDistribution(2, 1, lambda q: np.array([[1e-160, 0.0]]))
     free = HamiltonianSpec.free(2)
-    step = step_kernel(free, canonical, rows_fd)
-    assert _raised(lambda: step((0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 0.0), 1e-300, True)) == (
+    run = step_kernel(free, canonical, rows_fd)
+    assert _raised(lambda: _step(run, (0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 0.0), 1e-300)) == (
         _raised(lambda: project_to_constraint(rows_fd, free,
                                               PhasePoint([0.0, 0.0], [1e150, 0.0])))) == (
         NumericalDomainError, "phase point has non-finite entries")

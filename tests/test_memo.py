@@ -6,6 +6,7 @@ callers at that one point. Their arrays are read-only, their guards raise
 on every call, and a check reads each sample's base point once per stage.
 """
 
+import json
 from collections import Counter
 from contextlib import nullcontext
 
@@ -14,7 +15,14 @@ import pytest
 
 from conftest import SCENARIO_DIR, free_particle_constraint
 from reference import per_sample_only
-from magnomech import ConstraintDistribution, HamiltonianSpec, PhasePoint, load_system, sampling
+from magnomech import (
+    ConstraintDistribution,
+    HamiltonianSpec,
+    PhasePoint,
+    linalg,
+    load_system,
+    sampling,
+)
 from magnomech.cli import check_geometry, check_hj1, check_hj2, checks_for_system
 from magnomech.errors import (
     DegenerateConstraintError,
@@ -213,3 +221,28 @@ def test_a_check_pass_solves_and_samples_each_stack_once(systems, monkeypatch):
     assert calls["lstsq"] == 0
     assert calls["single-row rank svd"] == 0
     assert sampling._sobol_points.cache_info().misses <= 5
+
+
+def test_hj1_reduced_takes_the_admissible_basis_once(systems, monkeypatch):
+    """The section hypotheses and the reduced frame of an hj1-reduced check
+    read the admissible basis of one frame at the same momenta gamma(q):
+    one SVD of the (50, 2, 6) stack gives both, so the check runs four
+    SVDs, not five, and reports the per-sample bytes."""
+    system = systems["nh-magnetic-particle"]
+    shapes = []
+    svd = linalg._svd
+
+    def counted(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    def report_bytes():
+        report = check_hj1(system, 50, 0, reduced=True)
+        assert report.verdict == "PASS"
+        return json.dumps(report.data, sort_keys=True)
+
+    monkeypatch.setattr(linalg, "_svd", counted)
+    produced = report_bytes()
+    assert shapes.count((50, 2, 6)) == 1 and len(shapes) == 4
+    with per_sample_only():
+        assert report_bytes() == produced
