@@ -215,7 +215,8 @@ class _Generator:
         self.lines.append(self.indent + line)
 
     def local(self, tag):
-        """A new name, bound once in the function being written."""
+        """A new name, unique in the function being written, so that no
+        later stage binds it again."""
         self.names += 1
         name = f"{tag}_{self.names}"
         self.unique.add(name)
@@ -581,7 +582,8 @@ class _Generator:
 
     def keep(self, stage, atoms):
         """The atoms of a stage's field as atoms that later stages cannot
-        rebind: a name the next stage's code binds again is copied."""
+        rebind: a name that is not unique (a q or p, a guarded entry, a
+        called ingredient's entry) is copied to one that is."""
         kept = []
         for i, atom in enumerate(atoms):
             if atom not in self.unique and not _is_lit(atom):
