@@ -289,7 +289,7 @@ def test_simulate_rank_loss_is_input_error(tmp_path, capsys):
 
 
 def test_simulate_reads_the_scenario_constraint_tolerance(scenario_dir, tmp_path, capsys):
-    # from this start the projected start of nh-magnetic-particle is
+    # nh-magnetic-particle from this initial state projects to a start
     # 5.551e-17 off the surface: on it at the default constraint tolerance,
     # off it at an override of 1e-30, where simulate stops as check hj2 does
     doc = json.loads((scenario_dir / "nh-magnetic-particle.json").read_text())
