@@ -291,10 +291,16 @@ def structure_solve(omega, grad):
     residual = norms(mv(tr(omega), x) - grad)
     failed = ~(residual <= SOLVER_TOL * (1.0 + norms(grad)))
     if failed.any():
-        raise DegenerateFormError(
-            f"structure solve residual {np.extract(failed, residual)[0]:.3e} "
-            "exceeds tolerance")
+        raise structure_error(np.extract(failed, residual)[0])
     return x
+
+
+def structure_error(residual):
+    """The DegenerateFormError of a structure residual above its bound, in
+    the one wording of structure_solve and the generated step (kernel.py)."""
+    if not np.isfinite(residual):
+        return DegenerateFormError("structure solve residual is non-finite")
+    return DegenerateFormError(f"structure solve residual {residual:.3e} exceeds tolerance")
 
 
 def coordinate_formula_field(ham, mag, z):

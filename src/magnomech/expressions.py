@@ -398,7 +398,7 @@ def leaves(nodes):
     return list(array.flat), array.shape
 
 
-def guarded(nodes, tag, literal):
+def guarded(nodes, tag, literal, known=None):
     """(lines, atoms): the statements that evaluate the entries of ``nodes``
     (see leaves) in row-major order, and the atom of each entry. A number's
     atom is ``literal(node)``. Any other entry is bound to a local, ``tag``
@@ -407,6 +407,12 @@ def guarded(nodes, tag, literal):
     error or a negative base to a fractional power) and a non-finite value
     raise NumericalDomainError naming the expression. compile_node and the
     integrator's generated step (kernel.py) both run these statements.
+
+    ``known``, a dict from an entry's py_source to its atom at one point,
+    is read and extended. An entry found there takes that atom, and the
+    negation of an entry bound to a name there takes the name negated;
+    neither writes a statement, since the first evaluation ran the guards
+    and a finite value negates exactly.
     """
     entries, shape = leaves(nodes)
     lines, atoms = [], []
@@ -414,10 +420,20 @@ def guarded(nodes, tag, literal):
         if isinstance(node, Num):
             atoms.append(literal(node))
             continue
+        source = py_source(node)
         name = f"{tag}{k}" if shape else tag
+        if known is not None:
+            if source not in known and isinstance(node, Neg):
+                inner = known.get(py_source(node.arg), "")
+                if inner.isidentifier():
+                    known[source] = f"-{inner}"
+            if source in known:
+                atoms.append(known[source])
+                continue
+            known[source] = name
         head = f"evaluating {to_text(node)!r}: "
         lines += ["try:",
-                  f"    {name} = {py_source(node)}",
+                  f"    {name} = {source}",
                   "except (ArithmeticError, ValueError) as err:",
                   f"    raise _Domain({head!r} + str(err)) from None",
                   f"if not {name} * 0.0 == 0.0:",

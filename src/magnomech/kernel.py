@@ -18,10 +18,18 @@ and its gradient), B, A and dA/dq. A callable compiled by ``scenarios``
 carries the ASTs it evaluates as ``nodes``, and the step inlines the
 statements that ``expressions.guarded``, the one writer of guarded entry
 evaluations, writes for them: the statements the callable itself runs, so
-each entry gives the same value and faults with the same error. Any other
-callable is called and its array unpacked into floats. G is solved by an
-unrolled square-root-free Cholesky factorisation G = L D L^T, and B is a
-literal when constant. An ingredient without partials takes them by
+each entry gives the same value and faults with the same error. Each
+distinct entry is evaluated once per stage point (local value numbering;
+Alpern, Wegman and Zadeck, POPL 1988): a table from the entry's py_source
+text to its atom, emptied at each new point and cleared of the entries
+that read p when the projection rebinds p, gives a repeated entry its
+atom and the negation -X of an entry X its negated atom, with no
+statement. That is exact, since entries are pure functions of (q, p)
+written in the per-point order: the first evaluation has run the guards,
+a repeat gives the same bits and cannot fault, and a finite float negates
+exactly. Any other callable is called and its array unpacked into floats.
+G is solved by an unrolled square-root-free Cholesky factorisation
+G = L D L^T, and B is a literal when constant. An ingredient without partials takes them by
 central differences, which magnify any rounding difference by 1 / FD_STEP;
 the step then calls the per-point functions for the whole Hamiltonian
 (``BaseTerms.gradient`` and ``value``) or constraint data
@@ -29,8 +37,13 @@ the step then calls the per-point functions for the whole Hamiltonian
 their arrays, so such systems stay bitwise equal to the per-point oracles.
 
 Every guard of the per-point functions runs at the same RK stage with the
-same exception and message, and every entry they evaluate is evaluated in
-their order, so the first fault is the same one. Decisions that rest on
+same exception and message, and every entry they evaluate is evaluated (or
+is a repeat of one evaluated) in their order, so the first fault is the
+same one. A Gram matrix A G^{-1} A^T with an infinite entry raises as
+``SurfaceFrame.project`` and ``multiplier_correction`` raise, and a
+structure residual above its bound is worded by
+``dynamics.structure_error``, the one wording of both paths, which names
+a non-finite residual without its value. Decisions that rest on
 LAPACK stay with LAPACK: a mass matrix whose factorisation breaks down goes
 to the LU solve that tells a singular matrix from an indefinite one, and
 with k >= 2 constraint rows the rank test and the k x k solves call
@@ -44,16 +57,16 @@ computed only when a defect entry is nonzero or nan, since with every entry
 """
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
 
 from . import expressions as ex
-from .dynamics import SOLVER_TOL, BaseTerms
+from .dynamics import SOLVER_TOL, BaseTerms, structure_error
 from .errors import (
     CompatibilityError,
     DegenerateConstraintError,
-    DegenerateFormError,
     NumericalDomainError,
 )
 from .linalg import max_abs, rank_of
@@ -61,6 +74,8 @@ from .nonholonomic import SurfaceFrame, multiplier_correction
 
 # generated runs kept, the least recently used dropped first
 KERNELS = 32
+# an entry's py_source that reads a momentum
+_READS_P = re.compile(r"\bp\d")
 
 
 @lru_cache(maxsize=KERNELS)
@@ -119,13 +134,17 @@ def _lu_velocity(mass, p):
         raise NumericalDomainError("mass matrix is singular") from None
 
 
-def _solve(matrix, rhs, error, message):
+def _solve(matrix, rhs, error, name):
     """``np.linalg.solve`` of a k x k system (k >= 2) on nested floats,
-    raising ``error(message)`` for a singular matrix."""
+    raising ``error`` for a matrix ``name`` with an infinite entry or a
+    singular one."""
+    matrix = np.array(matrix)
+    if np.isinf(matrix).any():
+        raise error(f"{name} is non-finite")
     try:
-        return np.linalg.solve(np.array(matrix), np.array(rhs)[:, None])[:, 0].tolist()
+        return np.linalg.solve(matrix, np.array(rhs)[:, None])[:, 0].tolist()
     except np.linalg.LinAlgError:
-        raise error(message) from None
+        raise error(f"{name} is singular") from None
 
 
 def _lit(value):
@@ -192,7 +211,7 @@ class _Generator:
         self.namespace = dict(
             ex.SOURCE_NAMES, _sqrt=math.sqrt, _nan=math.nan, _array=np.array,
             _flat=_flat, _lu_velocity=_lu_velocity, _solve=_solve, _rank_of=rank_of,
-            _Form=DegenerateFormError, _Constraint=DegenerateConstraintError,
+            _structure_error=structure_error, _Constraint=DegenerateConstraintError,
             _Compat=CompatibilityError, _ham=ham, _dist=dist, _gradient=_gradient,
             _corrected=_corrected, _finished=_finished)
         self.lines = []
@@ -207,8 +226,10 @@ class _Generator:
 
     def at(self, finite):
         """Start the code at a new point: only ``finite`` is known finite,
-        and a called ingredient builds its numpy q again."""
+        no entry is evaluated yet, and a called ingredient builds its numpy
+        q again."""
         self.finite = set(finite)
+        self.known = {}
         self.q_array = False
 
     def emit(self, line):
@@ -289,8 +310,9 @@ class _Generator:
 
     def inline(self, tag, nodes):
         """The atoms of the entries of ``nodes``, evaluated by the statements
-        compile_node's function runs (expressions.guarded)."""
-        lines, atoms = ex.guarded(nodes, tag, lambda node: _lit(node.value))
+        compile_node's function runs (expressions.guarded), each distinct
+        entry once per point."""
+        lines, atoms = ex.guarded(nodes, tag, lambda node: _lit(node.value), self.known)
         for line in lines:
             self.emit(line)
         self.finite.update(atoms)
@@ -458,19 +480,26 @@ class _Generator:
         return [[self.assign("gram", _dot(weighted[a], rows[b])) for b in range(self.k)]
                 for a in range(self.k)]
 
-    def small_solve(self, gram, rhs, negate, error, message):
+    def small_solve(self, gram, rhs, negate, error, name):
         """The k x k solve of np.linalg.solve, on -gram and -rhs when
         ``negate``: one division for k = 1, which is what LAPACK computes
-        there and where the signs cancel exactly."""
+        there and where the signs cancel exactly. A Gram matrix with an
+        infinite entry raises before the solve, as the per-point functions
+        test it, and a nan one goes on to give nan. For k = 1 one test,
+        finite and nonzero, passes the division."""
         if self.k == 1:
-            self.emit(f"if {gram[0][0]} == 0.0:")
-            self.emit(f"    raise {error}({message!r})")
-            return [self.divide("lam", rhs[0], gram[0][0])]
+            entry = gram[0][0]
+            self.emit(f"if not {entry} * 0.0 == 0.0 != {entry}:")
+            self.emit(f"    if {entry} == 0.0:")
+            self.emit(f"        raise {error}({name + ' is singular'!r})")
+            self.emit(f"    if {entry} == {entry}:")
+            self.emit(f"        raise {error}({name + ' is non-finite'!r})")
+            return [self.divide("lam", rhs[0], entry)]
         sign = _neg if negate else str
         names = [f"lam{a}" for a in range(self.k)]
         matrix = _tuple(_tuple(sign(a) for a in row) for row in gram)
         self.emit(f"{_tuple(names)} = _solve({matrix}, {_tuple(sign(a) for a in rhs)}, "
-                  f"{error}, {message!r})")
+                  f"{error}, {name!r})")
         return names
 
     # -- the generated functions ---------------------------------------------
@@ -498,7 +527,7 @@ class _Generator:
             rate = [self.assign("jx", _sum([_dot(jac[a], hp), _dot(weighted[a], dp)]))
                     for a in range(self.k)]
             lam = self.small_solve(self.gram(weighted, rows), rate, True, "_Compat",
-                                   "multiplier matrix is singular")
+                                   "multiplier matrix")
             dp = [self.assign("dp", _sum(
                 [dp[j]] + [_neg(_mul(rows[a][j], lam[a])) for a in range(self.k)]))
                 for j in range(n)]
@@ -518,8 +547,7 @@ class _Generator:
         self.emit(f"if {' or '.join(tests)}:")
         self.emit(f"    res = _sqrt({_dot(defect, defect)})")
         self.emit(f"    if not res <= {SOLVER_TOL!r} * (1.0 + _sqrt({_dot(hq + hp, hq + hp)})):")
-        self.emit("        raise _Form('structure solve residual ' + format(res, '.3e') "
-                  "+ ' exceeds tolerance')")
+        self.emit("        raise _structure_error(res)")
 
     def finish(self):
         """Write the end-of-step work on the state (q, p), which rebinds p
@@ -552,13 +580,15 @@ class _Generator:
             weighted = [self.solve_mass(factors, row) for row in rows]
             shift = self.small_solve(
                 self.gram(weighted, rows), [self.assign("wp", _dot(w, ps)) for w in weighted],
-                False, "_Constraint", "projection Gram matrix is singular")
+                False, "_Constraint", "projection Gram matrix")
             for j, name in enumerate(ps):
                 moved = _sum([name] + [_neg(_mul(rows[a][j], shift[a]))
                                        for a in range(self.k)])
                 if moved != name:
                     self.emit(f"{name} = {moved}")
             self.finite.difference_update(ps)
+            self.known = {source: atom for source, atom in self.known.items()
+                          if not _READS_P.search(source)}
             self.check_finite(ps, "phase point has non-finite entries")
             for old, new in zip(v, self.solve_mass(factors, ps)):
                 if old != new:

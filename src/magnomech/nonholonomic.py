@@ -207,7 +207,12 @@ class SurfaceFrame:
         return jac
 
     def project(self, p):
-        """Minimal momentum change, in the G^{-1} metric, landing on c = 0."""
+        """Minimal momentum change, in the G^{-1} metric, landing on c = 0.
+        A Gram matrix with an infinite entry raises, as a singular one does:
+        its solve gives no shift and leaves p off the surface. A nan one
+        gives a nan p, which the callers' phase-point guards report."""
+        if np.isinf(self.gram).any():
+            raise DegenerateConstraintError("projection Gram matrix is non-finite")
         try:
             shift = mv(tr(self.rows), np.linalg.solve(
                 self.gram, mv(self.rows_inverse, p)[..., None])[..., 0])
@@ -427,6 +432,11 @@ def multiplier_correction(frame, p, free):
     lifts = np.zeros(frame.rows.shape[:-2] + (2 * dist.n, dist.k))
     lifts[..., dist.n:, :] = -tr(frame.rows)
     gram = jac_c @ lifts
+    # an infinite entry raises, as in SurfaceFrame.project; the matrix is
+    # -frame.gram, and the test reads frame.gram, as the generated step
+    # does, since an infinite dc/dq times the lifts' zero rows gives nan here
+    if np.isinf(frame.gram).any():
+        raise CompatibilityError("multiplier matrix is non-finite")
     try:
         lam = np.linalg.solve(gram, mv(-jac_c, free)[..., None])[..., 0]
     except np.linalg.LinAlgError:

@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,10 @@ from magnomech.scenarios import build_system, parse_scenario  # noqa: E402
 BITS_POINTS = 64
 
 
+@lru_cache(maxsize=4)
 def draw(count):
-    """The first ``count`` (document, samples, seed) of a derandomized run."""
+    """The first ``count`` (document, samples, seed) of a derandomized run,
+    drawn once per count in a process (the suite draws 60 in two tests)."""
     drawn = []
 
     @settings(max_examples=count, derandomize=True, database=None, deadline=None,
@@ -53,7 +56,7 @@ def draw(count):
         drawn.append((doc, samples, seed))
 
     collect()
-    return drawn
+    return tuple(drawn)
 
 
 def error(err):

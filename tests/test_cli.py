@@ -314,6 +314,25 @@ def test_simulate_reads_the_scenario_constraint_tolerance(scenario_dir, tmp_path
     assert not out.exists()
 
 
+def test_an_overflowing_projection_gram_matrix_is_one_input_error(tmp_path, capsys):
+    # with the single row (2, -1e300) A G^{-1} A^T overflows; the projection
+    # used to return p unchanged, and the surface test then blamed the start
+    scenario = _write_scenario(tmp_path / "huge-row.json", {
+        "name": "huge-row", "n": 2, "constraints": [[2, -1e300]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
+    out = tmp_path / "t.csv"
+    errors = []
+    for argv in (["check", "geometry", scenario],
+                 ["simulate", scenario, "--field", "distributional", "--t-end", "1",
+                  "--dt", "0.1", "--out", str(out)]):
+        assert main(argv) == 2
+        errors.append(json.loads(capsys.readouterr().err))
+    assert errors[0] == errors[1] == {
+        "code": "DegenerateConstraintError",
+        "message": "projection Gram matrix is non-finite"}
+    assert not out.exists()
+
+
 def test_simulate_singular_mass_aborts_without_traceback(tmp_path, capsys):
     # G_22 = 1 - q1 is exactly singular at q1 = 1, a stage point at dt = 0.25
     scenario = _write_scenario(tmp_path / "singular.json", {

@@ -463,6 +463,30 @@ def _fault_systems():
                                     ["0", f"-({entry})", "0"]],
                 "sample_box": [[-1.0, 0.5]] * 3, "initial_state": moving}
 
+    def growing_rows(*rows):
+        # the nonzero entry of each row is 1e150 at q1 = 0.75, the last stage
+        # point of the first step, and 2.2e154 at its end point q1 = 5/6,
+        # where its square overflows; the particle moves along q1, which
+        # no row reads, so every row multiplies p by 0
+        return _system({"name": "growing-row", "n": len(rows[0]), "potential": "0.5*q1^2",
+                        "constraints": [list(row) for row in rows],
+                        "initial_state": {"q": [0.0] * len(rows[0]),
+                                          "p": [1.0] + [0.0] * (len(rows[0]) - 1)}})
+
+    def huge_rows(*rows):
+        # A G^{-1} A^T = 1e400 overflows at every point, and p reads no
+        # nonzero entry, so the start lies on the surface
+        n = len(rows[0])
+        return _system({"name": "huge-row", "n": n, "constraints": [list(row) for row in rows],
+                        "initial_state": {"q": [0.3] * n, "p": [0.0, 0.1] + [0.0] * (n - 2)}})
+
+    growing = "1e150*exp(120*(q1 - 0.75))"
+    # a lower B entry that is not the negation of its mirror, compiled
+    # directly since build_system's probes reject it: it meets a negative
+    # base to a fractional power once q1 passes 0.5, and its mirror never
+    # faults
+    lower = [[ex.Num(0.0)] * 3, [ex.Num(0.0), ex.Num(0.0), ex.Num(0.5)],
+             [ex.Num(0.0), ex.parse("(0.5 - q1)^1.5"), ex.Num(0.0)]]
     softening = _softening_mass_system(2)
     singular = _softening_mass_system(2)
     # stage points at q1 = -1.5 + 0.5 j hit G_22 = 1 - q1 = 0 exactly
@@ -489,6 +513,11 @@ def _fault_systems():
         # math domain error
         "math-domain": (_system(dict(field_entry("sin(exp(400*q1)*exp(400*q1))"),
                                      name="sine")), "magnetic", 2.0, 0.01),
+        "fractional-power-lower-entry": (SimpleNamespace(
+            ham=HamiltonianSpec.free(3),
+            mag=MagneticStructure(TwoFormField(_compile(lower), 3)), dist=None,
+            initial_state=PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
+            "magnetic", 2.0, 0.01),
         # B H_p at 1e8 leaves a rounding defect above the structure guard
         "structure-residual": (_system({
             "name": "stiff", "n": 2, "potential": "0.5*(q1^2 + q2^2)",
@@ -510,6 +539,12 @@ def _fault_systems():
             "constraints": [["0", "1e-170 + 1e-100*(q1 - 0.8333333333333334)^6"]],
             "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}}),
             "distributional", 2.0, 1.0),
+        "overflowing-projection": (growing_rows(["0", growing]), "distributional", 2.0, 1.0),
+        "overflowing-projection-two-rows": (
+            growing_rows(["0", growing, "0"], ["0", "0", growing]), "distributional", 2.0, 1.0),
+        "overflowing-multiplier": (huge_rows(["1e200", "0"]), "distributional", 1.0, 0.01),
+        "overflowing-multiplier-two-rows": (
+            huge_rows(["1e200", "0", "0"], ["0", "0", "1e200"]), "distributional", 1.0, 0.01),
         # rows from a plain callable, which the step calls instead of
         # inlining, turn infinite once q1 reaches 0.5
         "non-finite-called-rows": (SimpleNamespace(
@@ -533,6 +568,7 @@ def _outcome(run):
         return type(err), str(err)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_fault_stops_the_run_where_the_per_point_run_stops(name):
     system, kind, t_end, dt = FAULTS[name]
@@ -666,3 +702,154 @@ def test_step_guards_no_scenario_reaches_raise_as_the_per_point_functions_do():
         _raised(lambda: project_to_constraint(rows_fd, free,
                                               PhasePoint([0.0, 0.0], [1e150, 0.0])))) == (
         NumericalDomainError, "phase point has non-finite entries")
+
+
+# -- value numbering: each distinct entry once per stage point -----------------
+
+
+def _unnumbered_run(ham, mag, dist, monkeypatch):
+    """The generated run as written without value numbering: every entry
+    evaluated where it comes up, its repeats included."""
+    guarded = ex.guarded
+    with monkeypatch.context() as patch:
+        patch.setattr(ex, "guarded", lambda nodes, tag, literal, known=None: guarded(
+            nodes, tag, literal))
+        return kernel._Generator(ham, mag, dist).compile()
+
+
+def _rows(run, z0, dt, steps):
+    rows = []
+    run((*z0.vec.tolist(), 0.0, 0.0, 0.0), dt, True, steps, rows.extend)
+    return np.array(rows)
+
+
+def test_value_numbering_writes_each_entry_once_per_stage_point(systems):
+    """On magnetic-trap, B's lower entry -(1 + 0.25*q1^2) negates its
+    mirror, which row-major order evaluates first, and dG/dq2 has the text
+    of dV/dq2: the run evaluates neither again at a stage point."""
+    trap = systems["magnetic-trap"]
+    generator = kernel._Generator(trap.ham, trap.mag, None)
+    generator.compile()
+    source = "\n".join(generator.lines)
+    run = source[source.index("def run("):]
+    assert "(-(1.0 + (0.25 * (q1 ** 2.0))))" not in source
+    assert "-(1 + (0.25 * (q1 ^ 2)))" not in source
+    # once at each of the four stage points, none at the end point
+    assert run.count(" = (0.5 * (2.0 * q2))") == 4
+
+
+@pytest.mark.parametrize("name", SCENARIOS + sorted(EXTRA))
+def test_value_numbering_keeps_the_rows_bits(systems, name, monkeypatch):
+    """The run gives the bits of the run written without value numbering,
+    on every shipped scenario (free, and constrained where it is) and every
+    EXTRA system, among them the inlined masses with mirrored 0.1*q1
+    entries."""
+    if name in EXTRA:
+        ham, mag, dist, z0 = EXTRA[name]
+        cases = [(dist, z0)]
+    else:
+        system = systems[name]
+        ham, mag, z0 = system.ham, system.mag, system.initial_state
+        cases = [(None, z0)]
+        if system.constrained:
+            cases.append((system.dist, project_to_constraint(system.dist, ham, z0)))
+    for dist, start in cases:
+        numbered = _rows(step_kernel(ham, mag, dist), start, 1e-2, 50)
+        plain = _rows(_unnumbered_run(ham, mag, dist, monkeypatch), start, 1e-2, 50)
+        assert numbered.tobytes() == plain.tobytes()
+
+
+# -- non-finite Gram matrices and structure residuals --------------------------
+
+# Documents 118 and 230 of tests/differential.py's draw(300), past the 60
+# that the property below draws: a B entry 1 + 1e300, whose structure
+# residual is non-finite, and the single constraint row (2, -1e300), whose
+# Gram matrix overflows.
+DOCUMENT_118 = {
+    "b_field": [[0, "-(-(q2))", "(1) + (1e300)"], ["-(-(-(q2)))", 0, "sin(cos(q2))"],
+                ["-((1) + (1e300))", "-(sin(cos(q2)))", 0]],
+    "epsilon": [-1, -1, "(-(q2)) + (sin(2))", 0, 0, 0.1],
+    "gamma": [2, "-(cos(exp(1000)*q1))", "1"],
+    "initial_state": {"p": [0, -1, 0], "q": [1, 0, 0.1]}, "n": 3, "name": "fuzz",
+    "sample_box": [[-1, 0], [0.5, 1], [-1, -0.5]]}
+DOCUMENT_230 = {
+    "b_field": [[0, 0], [0, 0]], "constraints": [[2, "-(1e300)"]],
+    "gamma": ["-(-(0.5))", "exp(0.5)"], "initial_state": {"p": [0.5, 0.5], "q": [0, 0.5]},
+    "n": 2, "name": "fuzz", "potential": 0.1}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_non_finite_structure_residual_has_one_message_on_both_paths():
+    """The generated step's residual is nan there and the dense solve's is
+    inf; both say non-finite, and a finite residual keeps its value."""
+    system = _system(DOCUMENT_118)
+    z0 = system.initial_state
+    assert _raised(lambda: integrate(system.ham, system.mag, z0, 0.2, 0.01)) == _raised(
+        lambda: _reference_run(system.ham, system.mag, z0, 20, 0.01)) == (
+        DegenerateFormError, "structure solve residual is non-finite")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_projection_gram_matrix_raises():
+    """With the row (2, -1e300) A G^{-1} A^T overflows to inf, whose solve
+    gives no shift: the projection raises instead of returning p unchanged,
+    off the surface."""
+    system = _system(DOCUMENT_230)
+    z0 = PhasePoint([0.0, 0.0], [1.0, 0.0])
+    assert _raised(lambda: project_to_constraint(system.dist, system.ham, z0)) == (
+        DegenerateConstraintError, "projection Gram matrix is non-finite")
+
+
+# -- integrate against the per-point run on generated documents ----------------
+
+
+def _generated_documents():
+    from differential import draw  # noqa: PLC0415
+
+    return [doc for doc, _, _ in draw(60)] + [DOCUMENT_118, DOCUMENT_230]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_matches_the_per_point_run_on_generated_documents():
+    """The first 60 documents of tests/differential.py and documents 118 and
+    230, from the initial state and 2 box samples (projected in
+    distributional mode), 20 steps at dt 0.01 and 0.3: integrate and the
+    per-point run raise the same error, or abort at the same step with the
+    same message, and where the step inlines every ingredient their states
+    and energies agree to 1e-9. Where it takes finite differences, the
+    dense solve's rounding is magnified by 1 / FD_STEP and only the outcome
+    is compared: on document 22 at dt 0.3 both abort at step 9 with one
+    message, with states 0.17 apart."""
+    for doc in _generated_documents():
+        try:
+            system = build_system(parse_scenario(json.dumps(doc)))
+        except MagnomechError:
+            continue
+        starts = list(phase_samples(system.sample_box, 2, np.random.default_rng(0)))
+        if system.initial_state is not None:
+            starts.insert(0, system.initial_state)
+        for dist in [None] + ([system.dist] if system.constrained else []):
+            generator = kernel._Generator(system.ham, system.mag, dist)
+            inlined = generator.written_ham and generator.written_dist
+            kind = "magnetic" if dist is None else "distributional"
+            for start in starts:
+                if dist is not None:
+                    start = _outcome(lambda: project_to_constraint(dist, system.ham, start))
+                    if isinstance(start, tuple):
+                        continue  # the raised error is both sides' outcome
+                for dt in (0.01, 0.3):
+                    traj = _outcome(lambda: integrate(system.ham, system.mag, start,
+                                                      20 * dt, dt, dist=dist, kind=kind))
+                    reference = _outcome(lambda: _reference_run(
+                        system.ham, system.mag, start, 20, dt, dist=dist))
+                    if isinstance(traj, tuple) or isinstance(reference[0], type):
+                        assert traj == reference, (doc, dt)
+                        continue
+                    states, _, _, energies, message = reference
+                    assert traj.abort_reason == (None if message is None else (
+                        len(states), len(states) * dt, message)), (doc, dt)
+                    assert len(traj.times) == len(states)
+                    if inlined:
+                        np.testing.assert_allclose(traj.states, states, rtol=1e-9, atol=1e-12)
+                        np.testing.assert_allclose(traj.energies, energies, rtol=1e-9,
+                                                   atol=1e-12)
