@@ -29,11 +29,11 @@ written in the per-point order: the first evaluation has run the guards,
 a repeat gives the same bits and cannot fault, and a finite float negates
 exactly. Any other callable is called and its array unpacked into floats.
 G is solved by an unrolled square-root-free Cholesky factorisation
-G = L D L^T, and B is a literal when constant. An ingredient without partials takes them by
-central differences, which magnify any rounding difference by 1 / FD_STEP;
-the step then calls the per-point functions for the whole Hamiltonian
-(``BaseTerms.gradient`` and ``value``) or constraint data
-(``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
+G = L D L^T, and B is a literal when constant. An ingredient without
+partials takes them by central differences, which magnify any rounding
+difference by 1 / FD_STEP; the step then calls the per-point functions for
+the whole Hamiltonian (``BaseTerms.gradient`` and ``value``) or constraint
+data (``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
 their arrays, so such systems stay bitwise equal to the per-point oracles.
 
 Every guard of the per-point functions runs at the same RK stage with the

@@ -315,8 +315,8 @@ def test_simulate_reads_the_scenario_constraint_tolerance(scenario_dir, tmp_path
 
 
 def test_an_overflowing_projection_gram_matrix_is_one_input_error(tmp_path, capsys):
-    # with the single row (2, -1e300) A G^{-1} A^T overflows; the projection
-    # used to return p unchanged, and the surface test then blamed the start
+    # with the single row (2, -1e300) A G^{-1} A^T overflows, and a solve
+    # with it gives no shift, which would leave p off the surface
     scenario = _write_scenario(tmp_path / "huge-row.json", {
         "name": "huge-row", "n": 2, "constraints": [[2, -1e300]],
         "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}})
