@@ -33,6 +33,15 @@ class AbortReason(NamedTuple):
     message: str
 
 
+def _float_texts(values):
+    """The repr of each float64 of ``values``, in order: once per distinct
+    bit pattern when fewer than half of them are distinct."""
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(keys) >= len(values):
+        return map(repr, values.tolist())
+    return map(list(map(repr, keys.view(float).tolist())).__getitem__, index.tolist())
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -61,18 +70,28 @@ class Trajectory:
 
     def to_csv(self, fileobj):
         """Header, then one row per state: every value as its float repr,
-        comma-separated, with the \\r\\n line ends of csv.writer."""
+        comma-separated, with the \\r\\n line ends of csv.writer.
+
+        The rows are formatted CSV_CHUNK at a time and, within a chunk,
+        column by column (t, each q and p, H, constraint_res, drift), each
+        read as float64. A column whose chunk holds fewer distinct bit
+        patterns than half its length has each distinct value formatted
+        once and its text reused by index. That is exact: values are keyed
+        by their bits, so 0.0 and -0.0 keep their own texts and no nan is
+        looked up as equal to another value, and repr is a function of the
+        bits alone. The chunk size does not change the output.
+        """
         n = self.n
         header = (["t"] + [f"q{i + 1}" for i in range(n)]
                   + [f"p{i + 1}" for i in range(n)]
                   + ["H", "constraint_res", "drift"])
         fileobj.write(",".join(header) + "\r\n")
-        columns = [self.times[:, None], self.states, self.energies[:, None],
-                   self.constraint_residuals[:, None], self.drifts[:, None]]
+        columns = [self.times, *self.states.T, self.energies,
+                   self.constraint_residuals, self.drifts]
         for start in range(0, len(self.times), CSV_CHUNK):
-            rows = np.hstack([np.asarray(column[start:start + CSV_CHUNK], dtype=float)
-                              for column in columns]).tolist()
-            fileobj.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+            texts = [_float_texts(np.asarray(column[start:start + CSV_CHUNK], dtype=float))
+                     for column in columns]
+            fileobj.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -87,9 +106,11 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
     (within the scaled ``constraint`` tolerance of ``tolerances``) and
     re-projects after every step unless ``project`` is False. A non-finite
     or out-of-domain state aborts the run: the partial trajectory is
-    returned with ``abort_reason`` naming the step, time and error. The
-    loop over the steps is generated on the first call for (ham, mag, dist)
-    and reused by later ones.
+    returned with ``abort_reason`` naming the step, time and error. So does
+    an energy drift: the run stops at the first row where |H - H0| exceeds
+    the scaled ``energy`` tolerance times (1 + |H0|), and keeps the rows
+    before it. The loop over the steps is generated on the first call for
+    (ham, mag, dist) and reused by later ones.
     """
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
@@ -122,6 +143,17 @@ def integrate(ham, mag, z0, t_end, dt, dist=None, kind="magnetic",
         abort_reason = AbortReason(step, step * dt, f"{type(err).__name__}: {err}")
     columns = np.frombuffer(table).reshape(-1, len(row))
     size = 2 * ham.n
+    # the energy verdict: the exact flow conserves H, so the run stops at
+    # the first row whose drift exceeds the tolerance; every row the loop
+    # recorded precedes the step it stopped at, so this stop comes first
+    energy_drifts = np.abs(columns[:, size] - row[size])
+    limit = tolerances.get("energy") * (1.0 + abs(row[size]))
+    over = np.flatnonzero(energy_drifts > limit)
+    if over.size:
+        step = int(over[0])
+        columns = columns[:step]
+        abort_reason = AbortReason(step, step * dt, (
+            f"NumericalDomainError: energy drift {energy_drifts[step]:.3e} exceeds {limit:.3e}"))
     return Trajectory(np.arange(len(columns)) * dt, columns[:, :size].copy(),
                       columns[:, size].copy(), columns[:, size + 1].copy(),
                       columns[:, size + 2].copy(), abort_reason=abort_reason)

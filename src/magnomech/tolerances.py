@@ -29,6 +29,8 @@ DEFAULTS = {
     "membership": 1e-8,
     # closedness residual of the magnetic two-form for a geometry PASS
     "closedness": 1e-6,
+    # relative energy drift |H - H0| / (1 + |H0|) above which a run stops
+    "energy": 1e-3,
 }
 
 ENV_VAR = "MAGNOMECH_TOL_SCALE"

@@ -265,6 +265,23 @@ REFERENCES = {fn.__name__: fn for fn in (
     type2_constrained, type2_reduced, geometry, projections, preimages)}
 
 
+def _per_row_csv(traj):
+    """The CSV text of a trajectory as the row-by-row writer gave it: the
+    columns stacked as float64 and every value of every row put through
+    repr, comma-joined, each row ending in \\r\\n. ``Trajectory.to_csv``
+    formats column by column and each distinct value of a chunk once; the
+    tests compare it with this. (Private, as the public names here are the
+    check loops that per_sample_only swaps in.)"""
+    n = traj.n
+    header = (["t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
+              + ["H", "constraint_res", "drift"])
+    columns = [traj.times[:, None], traj.states, traj.energies[:, None],
+               traj.constraint_residuals[:, None], traj.drifts[:, None]]
+    rows = np.hstack([np.asarray(column, dtype=float) for column in columns]).tolist()
+    return ",".join(header) + "\r\n" + "".join(",".join(map(repr, row)) + "\r\n"
+                                                for row in rows)
+
+
 @contextmanager
 def per_sample_only():
     """Every entry point of magnomech.stacked runs its reference loop

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fingerprints import FINGERPRINTS, environment, fingerprints
 from reference import per_sample_only
 from magnomech.cli import main
 from magnomech.tolerances import DEFAULTS, Tolerances
@@ -277,6 +278,47 @@ def test_simulate_prints_abort_reason_outside_the_csv(tmp_path, capsys):
     assert len(lines) == 35
 
 
+def _gyration_scenario(path, b, **extra):
+    """The charged particle at unit speed in a constant field of strength b."""
+    return _write_scenario(path, dict({
+        "name": "gyration", "n": 2, "b_field": [[0, b], [-b, 0]],
+        "initial_state": {"q": [0.0, 0.0], "p": [1.0, 0.0]}}, **extra))
+
+
+@pytest.mark.parametrize("b", [50, 60, 80])
+def test_simulate_stops_at_the_first_row_past_the_energy_tolerance(tmp_path, capsys, b):
+    # b dt = 2.5, 3 and 4 at dt 0.05: RK4 damps the gyration at 2.5 and
+    # grows it past 2.83, while the exact flow keeps H = 0.5
+    out = tmp_path / "t.csv"
+    code = main(["simulate", _gyration_scenario(tmp_path / "g.json", b), "--t-end", "10",
+                 "--dt", "0.05", "--out", str(out)])
+    assert code == 1
+    assert ("ABORTED at step 1 (t=0.05): NumericalDomainError: energy drift "
+            in capsys.readouterr().out)
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_the_energy_tolerance_follows_overrides_and_the_scale(tmp_path, monkeypatch):
+    # at b = 50 H falls from 0.5 towards 0, a drift of at most 0.5 / 1.5 of
+    # 1 + |H0|: a tolerance of 1 lets the run finish
+    flags = ["--t-end", "10", "--dt", "0.05", "--out", str(tmp_path / "t.csv")]
+    default = _gyration_scenario(tmp_path / "default.json", 50)
+    assert main(["simulate", default, *flags]) == 1
+    wide = _gyration_scenario(tmp_path / "wide.json", 50, tolerances={"energy": 1.0})
+    assert main(["simulate", wide, *flags]) == 0
+    monkeypatch.setenv("MAGNOMECH_TOL_SCALE", "1000")
+    assert main(["simulate", default, *flags]) == 0
+
+
+def test_simulate_outputs_match_the_recorded_fingerprints(tmp_path):
+    recorded = json.loads(FINGERPRINTS.read_text())
+    current = fingerprints(tmp_path)
+    changed = sorted(name for name in current.keys() | recorded["outputs"].keys()
+                     if current.get(name) != recorded["outputs"].get(name))
+    assert not changed, (f"{changed} differ from the fingerprints recorded on "
+                         f"{recorded['environment']}; this run: {environment()}")
+
+
 def test_simulate_rank_loss_is_input_error(tmp_path, capsys):
     # the single row (0, 1 - q1) vanishes at the stage point q1 = 1
     scenario = _write_scenario(tmp_path / "vanishing.json", {
@@ -386,6 +428,8 @@ def test_closedness_tolerance_follows_scale_env(tmp_path, monkeypatch, capsys):
 
 def test_check_all_reads_every_declared_tolerance(scenario_dir, monkeypatch,
                                                   tmp_path):
+    """check all reads every tolerance but the trajectory's energy
+    tolerance, which simulate reads."""
     read = set()
     original = Tolerances.get
 
@@ -396,7 +440,11 @@ def test_check_all_reads_every_declared_tolerance(scenario_dir, monkeypatch,
     monkeypatch.setattr(Tolerances, "get", recording)
     assert main(["check", "all", str(scenario_dir), "--samples", "4",
                  "--report", str(tmp_path / "r.json")]) == 0
-    assert read == set(DEFAULTS)
+    assert read == set(DEFAULTS) - {"energy"}
+    read.clear()
+    assert main(["simulate", str(scenario_dir / "charged-particle.json"), "--t-end", "0.1",
+                 "--dt", "0.01", "--out", str(tmp_path / "t.csv")]) == 0
+    assert read == {"energy"}
 
 
 def _single_json_error(captured):

@@ -30,11 +30,14 @@ from magnomech import (
 )
 from magnomech import expressions as ex
 from magnomech import kernel
+from magnomech.integrate import CSV_CHUNK, Trajectory
 from magnomech.kernel import step_kernel
 from magnomech.linalg import max_abs
 from magnomech.sampling import phase_samples, surface_phase_samples
 from magnomech.scenarios import _compile, _compile_partials
+from magnomech.tolerances import DEFAULT_TOLERANCES
 from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
+from reference import _per_row_csv
 
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
@@ -194,6 +197,60 @@ def test_csv_bytes_match_csv_writer(systems, tmp_path):
         assert path.read_bytes() == expected.encode()
 
 
+# -- the column writer against the per-row formula ------------------------------
+
+# floats by their bits: both zeros, quiet nans of either sign, a nan with a
+# payload, both infinities, the smallest and largest-magnitude subnormals,
+# the largest float and 1.0
+SPECIAL_FLOATS = np.array(
+    [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+     0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF,
+     0x3FF0000000000000], dtype=np.uint64).view(float)
+
+
+def _edge_trajectory(rows):
+    """A trajectory with n = 2 whose columns take each path of the writer:
+    t all distinct; q1 drawn from SPECIAL_FLOATS; q2 random; in each chunk,
+    p1 exactly half distinct (the threshold's edge, where every value is
+    formatted) and p2 one value fewer (each distinct value formatted once);
+    H alternating 0.0 and -0.0; constraint_res and drift from 0.0, -0.0, a
+    nan and a subnormal."""
+    rng = np.random.default_rng(rows)
+    i = np.arange(rows)
+    half = (i % CSV_CHUNK) // 2
+    p1 = half / 3.0 + 0.1
+    p2 = np.minimum(half, CSV_CHUNK // 2 - 2) / 7.0 - 0.2
+    q = np.column_stack([rng.choice(SPECIAL_FLOATS, rows), rng.standard_normal(rows)])
+    mixed = SPECIAL_FLOATS[[0, 1, 2, 7]]
+    return Trajectory(i * 0.001, np.column_stack([q, p1, p2]).reshape(rows, 4),
+                      np.where(i % 2, -0.0, 0.0), rng.choice(mixed, rows),
+                      rng.choice(mixed, rows))
+
+
+def _csv_text(traj):
+    buffer = io.StringIO()
+    traj.to_csv(buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_csv_writer_gives_the_bytes_of_the_per_row_formula(rows):
+    traj = _edge_trajectory(rows)
+    text = _csv_text(traj)
+    assert text == _per_row_csv(traj)
+    lines = text.split("\r\n")
+    assert len(lines) == rows + 2 and lines[-1] == ""
+    assert [line.split(",")[5] for line in lines[1:min(rows, 2) + 1]] == ["0.0", "-0.0"][:rows]
+
+
+def test_csv_writer_writes_integer_arrays_as_floats():
+    traj = Trajectory(np.arange(3), np.ones((3, 2), dtype=np.int64), np.array([1, 1, 1]),
+                      np.zeros(3, dtype=np.int32), np.zeros(3, dtype=np.int64))
+    text = _csv_text(traj)
+    assert text == _per_row_csv(traj)
+    assert text.split("\r\n")[2] == "1.0,1.0,1.0,1.0,0.0,0.0"
+
+
 # -- the generated kernel against the per-point oracles -----------------------
 
 
@@ -239,7 +296,9 @@ def _oracle_rhs(ham, mag, dist):
 
 def _reference_run(ham, mag, z0, steps, dt, dist=None, project=True):
     """RK4 over the oracle field with the per-point end-of-step sequence
-    (drift, projection, residual, energy), stopping where integrate aborts.
+    (drift, projection, residual, energy), stopping where integrate aborts:
+    at a fault, or at the first row whose energy departs from the start's
+    by more than the default ``energy`` tolerance times (1 + |H0|).
 
     Returns the states, drifts, residuals and energies of the recorded steps
     and the abort message as integrate words it (None without an abort).
@@ -266,6 +325,14 @@ def _reference_run(ham, mag, z0, steps, dt, dist=None, project=True):
             message = f"{type(err).__name__}: {err}"
             break
         rows.append((vec, drift, residual, energy))
+    start = rows[0][3]
+    limit = DEFAULT_TOLERANCES.get("energy") * (1.0 + abs(start))
+    for step, (_, _, _, energy) in enumerate(rows):
+        if abs(energy - start) > limit:
+            rows = rows[:step]
+            message = (f"NumericalDomainError: energy drift {abs(energy - start):.3e} "
+                       f"exceeds {limit:.3e}")
+            break
     states, drifts, residuals, energies = zip(*rows)
     return (np.array(states), np.array(drifts), np.array(residuals),
             np.array(energies), message)
@@ -793,10 +860,34 @@ def test_a_non_finite_structure_residual_has_one_message_on_both_paths():
 # -- integrate against the per-point run on generated documents ----------------
 
 
+# Systems whose generated step inlines entries that read the stage point:
+# a constrained 3-D system whose mass, potential, B and constraint row all
+# read q, and a free one whose general_h reads q and p. The drawn documents
+# inline only entries that read no variable, so without these the property
+# cannot tell a stage that reuses another stage's entries.
+INLINED_CONSTRAINED = {
+    "name": "inlined-constrained", "n": 3,
+    "mass_matrix": [["2 + sin(q2)", "0.1*q3", "0"], ["0.1*q3", "2 + cos(q1)", "0"],
+                    ["0", "0", "1.5 + 0.5*q1^2"]],
+    "potential": "0.5*(q1^2 + q2^2) + 0.1*q3^3",
+    "b_field": [[0, "0.5*q3", "sin(q1)"], ["-(0.5*q3)", 0, "0.2*q2"],
+                ["-(sin(q1))", "-(0.2*q2)", 0]],
+    "constraints": [["0", "-q1", "1 + 0.1*q2^2"]],
+    "sample_box": [[-0.5, 0.5]] * 3,
+    "initial_state": {"q": [0.2, -0.1, 0.3], "p": [0.6, 0.4, -0.2]}}
+INLINED_GENERAL = {
+    "name": "inlined-general", "n": 2,
+    "general_h": "0.5*(p1^2 + p2^2) + 0.25*q1^2*q2^2 + 0.1*q1*p2 + 0.05*sin(q2)*p1^2",
+    "b_field": [["0", "1 + 0.1*q1"], ["-(1 + 0.1*q1)", "0"]],
+    "sample_box": [[-0.5, 0.5]] * 2,
+    "initial_state": {"q": [0.3, -0.2], "p": [0.5, 0.1]}}
+
+
 def _generated_documents():
     from differential import draw  # noqa: PLC0415
 
-    return [doc for doc, _, _ in draw(60)] + [DOCUMENT_118, DOCUMENT_230]
+    return [doc for doc, _, _ in draw(60)] + [DOCUMENT_118, DOCUMENT_230,
+                                              INLINED_CONSTRAINED, INLINED_GENERAL]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
