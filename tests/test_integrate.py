@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,7 +223,7 @@ def _edge_trajectory(rows):
     p2 = np.minimum(half, CSV_CHUNK // 2 - 2) / 7.0 - 0.2
     q = np.column_stack([rng.choice(SPECIAL_FLOATS, rows), rng.standard_normal(rows)])
     mixed = SPECIAL_FLOATS[[0, 1, 2, 7]]
-    return Trajectory(i * 0.001, np.column_stack([q, p1, p2]).reshape(rows, 4),
+    return Trajectory(i * 0.001, np.column_stack([q, p1, p2]),
                       np.where(i % 2, -0.0, 0.0), rng.choice(mixed, rows),
                       rng.choice(mixed, rows))
 
@@ -240,7 +241,16 @@ def test_csv_writer_gives_the_bytes_of_the_per_row_formula(rows):
     assert text == _per_row_csv(traj)
     lines = text.split("\r\n")
     assert len(lines) == rows + 2 and lines[-1] == ""
-    assert [line.split(",")[5] for line in lines[1:min(rows, 2) + 1]] == ["0.0", "-0.0"][:rows]
+    # the H texts of the first two rows
+    assert [line.split(",")[5] for line in lines[1:-1]][:2] == ["0.0", "-0.0"][:rows]
+
+
+def test_csv_writer_output_does_not_depend_on_the_chunk_size(monkeypatch):
+    traj = _edge_trajectory(1025)
+    expected = _per_row_csv(traj)
+    for chunk in (3, 7, 4096):
+        monkeypatch.setattr(sys.modules["magnomech.integrate"], "CSV_CHUNK", chunk)
+        assert _csv_text(traj) == expected
 
 
 def test_csv_writer_writes_integer_arrays_as_floats():
@@ -892,15 +902,15 @@ def _generated_documents():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_matches_the_per_point_run_on_generated_documents():
-    """The first 60 documents of tests/differential.py and documents 118 and
-    230, from the initial state and 2 box samples (projected in
-    distributional mode), 20 steps at dt 0.01 and 0.3: integrate and the
-    per-point run raise the same error, or abort at the same step with the
-    same message, and where the step inlines every ingredient their states
-    and energies agree to 1e-9. Where it takes finite differences, the
-    dense solve's rounding is magnified by 1 / FD_STEP and only the outcome
-    is compared: on document 22 at dt 0.3 both abort at step 9 with one
-    message, with states 0.17 apart."""
+    """The first 60 documents of tests/differential.py, documents 118 and
+    230 and the two inlined systems above, from the initial state and 2 box
+    samples (projected in distributional mode), 20 steps at dt 0.01 and
+    0.3: integrate and the per-point run raise the same error, or abort at
+    the same step with the same message, and where the step inlines every
+    ingredient their states and energies agree to 1e-9. Where it takes
+    finite differences, the dense solve's rounding is magnified by
+    1 / FD_STEP and only the outcome is compared: on document 22 at dt 0.3
+    both abort at step 9 with one message, with states 0.17 apart."""
     for doc in _generated_documents():
         try:
             system = build_system(parse_scenario(json.dumps(doc)))
