@@ -14,10 +14,20 @@ each and comparing the outputs with ``cmp``:
 
     PYTHONPATH=src python tests/differential.py 300 > outcomes.jsonl
 
+The documents are fixed data: ``draw(count)`` reads them from
+tests/data/drawn_documents.json, which holds the draws of 60 and of 300
+documents (53 of the first 60 of the 300 differ from the 60). Hypothesis
+also draws literal numbers and strings that it finds in the package's
+source, so a fresh draw moves with any new or deleted literal in
+src/magnomech; the recorded documents do not. To draw them again from the
+current source and rewrite the file:
+
+    PYTHONPATH=src python tests/differential.py --redraw
+
 With ``--reference`` every check runs the per-sample loops of
 tests/reference.py instead of the package's entry points
 (``reference.per_sample_only``). pytest does not collect this file;
-``test_differential`` compares the two modes on the first 60 documents.
+``test_differential`` compares the two modes on the 60 recorded documents.
 """
 
 import argparse
@@ -41,12 +51,25 @@ from magnomech.sampling import config_samples, phase_samples  # noqa: E402
 from magnomech.scenarios import build_system, parse_scenario  # noqa: E402
 
 BITS_POINTS = 64
+DRAWN = Path(__file__).resolve().parent / "data" / "drawn_documents.json"
+RECORDED = (60, 300)
 
 
 @lru_cache(maxsize=4)
 def draw(count):
-    """The first ``count`` (document, samples, seed) of a derandomized run,
-    drawn once per count in a process (the suite draws 60 in two tests)."""
+    """The recorded (document, samples, seed) of a derandomized run of
+    ``count`` documents, read once per count in a process (the suite reads
+    60 in two tests)."""
+    recorded = json.loads(DRAWN.read_text())
+    if str(count) not in recorded:
+        raise ValueError(f"{DRAWN.name} records the draws of {sorted(map(int, recorded))} "
+                         f"documents, not of {count}")
+    return tuple(tuple(drawn) for drawn in recorded[str(count)])
+
+
+def fresh_draw(count):
+    """The first ``count`` (document, samples, seed) of a derandomized
+    Hypothesis run over the current source."""
     drawn = []
 
     @settings(max_examples=count, derandomize=True, database=None, deadline=None,
@@ -142,12 +165,29 @@ def record(index, doc, samples, seed):
                        **outcomes(doc, samples, seed)}, sort_keys=True, default=repr)
 
 
+def redraw():
+    """Rewrite DRAWN with fresh draws of the RECORDED counts, one document
+    a line."""
+    blocks = [f'"{count}": [\n' + ",\n".join(json.dumps(list(drawn))
+                                            for drawn in fresh_draw(count)) + "\n]"
+              for count in RECORDED]
+    DRAWN.write_text("{\n" + ",\n".join(blocks) + "\n}\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("count", type=int, help="number of documents")
+    parser.add_argument("count", type=int, nargs="?", help="number of documents")
     parser.add_argument("--reference", action="store_true",
                         help="run the per-sample loops only")
+    parser.add_argument("--redraw", action="store_true",
+                        help=f"draw {' and '.join(map(str, RECORDED))} documents again "
+                             f"and rewrite {DRAWN.name}")
     args = parser.parse_args(argv)
+    if args.redraw:
+        redraw()
+        return
+    if args.count is None:
+        parser.error("count is required")
     with per_sample_only() if args.reference else contextlib.nullcontext():
         for index, drawn in enumerate(draw(args.count)):
             print(record(index, *drawn))

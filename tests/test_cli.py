@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fingerprints import FINGERPRINTS, environment, fingerprints
+from fingerprints import check_all_fingerprint, differing, fingerprints
 from reference import per_sample_only
 from magnomech.cli import main
 from magnomech.tolerances import DEFAULTS, Tolerances
@@ -311,12 +311,15 @@ def test_the_energy_tolerance_follows_overrides_and_the_scale(tmp_path, monkeypa
 
 
 def test_simulate_outputs_match_the_recorded_fingerprints(tmp_path):
-    recorded = json.loads(FINGERPRINTS.read_text())
-    current = fingerprints(tmp_path)
-    changed = sorted(name for name in current.keys() | recorded["outputs"].keys()
-                     if current.get(name) != recorded["outputs"].get(name))
-    assert not changed, (f"{changed} differ from the fingerprints recorded on "
-                         f"{recorded['environment']}; this run: {environment()}")
+    changed = differing(fingerprints(tmp_path))
+    assert not changed, changed
+
+
+def test_check_all_matches_the_recorded_fingerprint(tmp_path):
+    """check all at seed 5 (the golden is seed 0): the report, wall times
+    aside, and the stdout."""
+    changed = differing(check_all_fingerprint(tmp_path))
+    assert not changed, changed
 
 
 def test_simulate_rank_loss_is_input_error(tmp_path, capsys):

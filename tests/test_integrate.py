@@ -38,6 +38,7 @@ from magnomech.sampling import phase_samples, surface_phase_samples
 from magnomech.scenarios import _compile, _compile_partials
 from magnomech.tolerances import DEFAULT_TOLERANCES
 from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
+from fingerprints import differing, fault_entry
 from reference import _per_row_csv
 
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
@@ -653,6 +654,8 @@ def test_fault_stops_the_run_where_the_per_point_run_stops(name):
     steps = int(round(t_end / dt))
     traj = _outcome(lambda: integrate(system.ham, system.mag, system.initial_state,
                                       t_end, dt, dist=dist, kind=kind))
+    changed = differing({f"fault {name}": fault_entry(traj)})
+    assert not changed, changed
     reference = _outcome(lambda: _reference_run(
         system.ham, system.mag, system.initial_state, steps, dt, dist=dist))
     if isinstance(reference[0], type):
@@ -902,7 +905,7 @@ def _generated_documents():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_matches_the_per_point_run_on_generated_documents():
-    """The first 60 documents of tests/differential.py, documents 118 and
+    """The 60 recorded documents of tests/differential.py, documents 118 and
     230 and the two inlined systems above, from the initial state and 2 box
     samples (projected in distributional mode), 20 steps at dt 0.01 and
     0.3: integrate and the per-point run raise the same error, or abort at
