@@ -256,6 +256,9 @@ def run_check(args):
 
 
 def run_simulate(args):
+    if not math.isfinite(args.t_end / args.dt):
+        raise ScenarioError("usage", f"--t-end {args.t_end:g} over --dt {args.dt:g} "
+                            "is not a finite number of steps")
     system = build_system(load_scenario(args.scenario))
     if system.initial_state is None:
         raise ScenarioError("initial_state",

@@ -481,6 +481,20 @@ def test_out_of_range_flag_is_input_error(scenario_dir, tmp_path, capsys,
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("t_end,dt", [("1e300", "1e-300"), ("1e308", "1e-10")])
+def test_a_step_count_that_is_not_finite_is_input_error(scenario_dir, tmp_path, capsys,
+                                                        t_end, dt):
+    """t_end / dt overflows to inf: the run is refused before any step, and
+    no step is blamed for it."""
+    out = tmp_path / "t.csv"
+    assert main(["simulate", str(scenario_dir / "magnetic-trap.json"), "--t-end", t_end,
+                 "--dt", dt, "--out", str(out)]) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert err["code"] == "usage"
+    assert err["message"].endswith("is not a finite number of steps")
+    assert not out.exists()
+
+
 def test_usage_error_is_one_json_object(capsys):
     assert main(["check", "hj1"]) == 2
     err = _single_json_error(capsys.readouterr())

@@ -696,3 +696,36 @@ def test_a_one_pass_iterator_gives_the_list_report(systems, check):
     produced = report(list)
     assert '"per_sample": []' not in produced
     assert report(iter) == produced
+
+
+# -- threshold edges -----------------------------------------------------------
+# A verdict flips exactly where its comparison rule says: with the override
+# set to the check's own residual r and to r (1 +- 2^-20), a threshold moved
+# by any factor, or a strict comparison turned non-strict, changes a verdict.
+
+EDGE = 2.0 ** -20
+
+
+def _geometry_with(doc, **overrides):
+    doc = dict(doc, tolerances={**doc.get("tolerances", {}), **overrides})
+    return check_geometry(build_system(parse_scenario(json.dumps(doc))), 50, 0)
+
+
+def test_the_related_threshold_passes_strictly_below_it():
+    """Relatedness PASSes iff its residual < related."""
+    doc = json.loads((SCENARIO_DIR / "nh-magnetic-particle.json").read_text())
+    r = _geometry_with(doc).data["relatedness_residual"]
+    assert r > 0
+    assert [_geometry_with(doc, related=r * f).data["relatedness_verdict"]
+            for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "FAIL", "PASS"]
+
+
+def test_the_closedness_threshold_fails_strictly_above_it():
+    """The geometry check FAILs iff the closedness residual > closedness;
+    the two-form q3 dq1 ^ dq2 is not closed, and nothing else is checked."""
+    doc = {"name": "open-form", "n": 3,
+           "b_field": [[0, "q3", 0], ["-(q3)", 0, 0], [0, 0, 0]]}
+    r = _geometry_with(doc).data["b_closedness_residual"]
+    assert r > 0
+    assert [_geometry_with(doc, closedness=r * f).verdict
+            for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "PASS", "PASS"]
