@@ -555,20 +555,3 @@ def config_names(n):
 
 def phase_names(n):
     return config_names(n) + [f"p{i + 1}" for i in range(n)]
-
-
-def evaluate_text(text, q, p=None):
-    """One-shot parse and evaluate; the public scenario-facing helper.
-
-    Evaluates through compile_node, as every scenario expression is
-    evaluated. A fault while evaluating raises ExpressionError with
-    compile_node's message, which names the expression.
-    """
-    node = parse(text)
-    q = [float(value) for value in q]
-    p = [float(value) for value in p or ()]
-    check_variables(node, config_names(len(q)) + [f"p{i + 1}" for i in range(len(p))])
-    try:
-        return compile_node(node)(q, p)
-    except NumericalDomainError as err:
-        raise ExpressionError(str(err)) from None

@@ -62,9 +62,6 @@ class Trajectory:
     def state(self, index):
         return PhasePoint.from_vec(self.states[index])
 
-    def final_state(self):
-        return self.state(len(self.times) - 1)
-
     def energy_drift(self):
         return float(np.max(np.abs(self.energies - self.energies[0])))
 

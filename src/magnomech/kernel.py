@@ -1,59 +1,113 @@
 """Generated RK4 runs: one loop of Python floats per system.
 
+This docstring is the one statement of the integration rules; README's
+Integration section describes only what a ``simulate`` run shows.
+
 ``step_kernel(ham, mag, dist)`` writes, compiles and keeps the source of
 ``run``, a loop of classical RK4 steps of the closed-form field
 X = (H_p, -H_q + B H_p), plus the Lagrange-multiplier correction
-sum_a lambda_a (0, -A_a) when a distribution is given, each followed by the
-end-of-step work: the drift residual, the momentum projection (Hairer,
-Lubich and Wanner, *Geometric Numerical Integration*, section IV.4), the
-post-projection residual and the energy. The four stages' field code and
-the end-of-step code are written straight into the loop body, so a step
-calls nothing but the fallbacks below; the state stays in local floats
-between steps, and each finished row goes to the caller's ``extend``. The
-source is written once per (ham, mag, dist) on the first ``integrate`` call
-that needs it; building a system writes nothing.
+sum_a lambda_a (0, -A_a) from one k x k solve when a distribution is given,
+each followed by the end-of-step work: the drift residual, the momentum
+projection (Hairer, Lubich and Wanner, *Geometric Numerical Integration*,
+section IV.4), the post-projection residual and the energy. The four
+stages' field code and the end-of-step code are written straight into the
+loop body, so a step calls nothing but the fallbacks below; the state
+stays in local floats between steps, with ``h = 0.5 * dt`` and
+``w = dt / 6.0`` computed once, and each finished row goes to the caller's
+``extend``. ``integrate`` passes the ``extend`` of one flat buffer, and on
+a fault takes the failing step from the rows written: the first step
+without a row. ``run.field(q1, ..., pn)`` is the same field code as a
+function of one point, for the oracle tests.
 
-Each ingredient is inlined or called: G, dG/dq, V, dV/dq (or a general H
-and its gradient), B, A and dA/dq. A callable compiled by ``scenarios``
-carries the ASTs it evaluates as ``nodes``, and the step inlines the
-statements that ``expressions.guarded``, the one writer of guarded entry
-evaluations, writes for them: the statements the callable itself runs, so
-each entry gives the same value and faults with the same error. Each
-distinct entry is evaluated once per stage point (local value numbering;
-Alpern, Wegman and Zadeck, POPL 1988): a table from the entry's py_source
-text to its atom, emptied at each new point and cleared of the entries
-that read p when the projection rebinds p, gives a repeated entry its
-atom and the negation -X of an entry X its negated atom, with no
-statement. That is exact, since entries are pure functions of (q, p)
-written in the per-point order: the first evaluation has run the guards,
-a repeat gives the same bits and cannot fault, and a finite float negates
-exactly. Any other callable is called and its array unpacked into floats.
-G is solved by an unrolled square-root-free Cholesky factorisation
-G = L D L^T, and B is a literal when constant. An ingredient without
-partials takes them by central differences, which magnify any rounding
-difference by 1 / FD_STEP; the step then calls the per-point functions for
-the whole Hamiltonian (``BaseTerms.gradient`` and ``value``) or constraint
-data (``nonholonomic.multiplier_correction``, ``SurfaceFrame``) and unpacks
-their arrays, so such systems stay bitwise equal to the per-point oracles.
+Cache. The source is written once per (ham, mag, dist) on the first
+``integrate`` call that needs it, and the KERNELS most recently used runs
+are kept, so the halving checks and repeated runs reuse it. Importing,
+parsing and building a system write nothing.
 
-Every guard of the per-point functions runs at the same RK stage with the
-same exception and message, and every entry they evaluate is evaluated (or
-is a repeat of one evaluated) in their order, so the first fault is the
-same one. A Gram matrix A G^{-1} A^T with an infinite entry raises as
-``SurfaceFrame.project`` and ``multiplier_correction`` raise, and a
-structure residual above its bound is worded by
-``dynamics.structure_error``, the one wording of both paths, which names
-a non-finite residual without its value. Decisions that rest on
-LAPACK stay with LAPACK: a mass matrix whose factorisation breaks down goes
-to the LU solve that tells a singular matrix from an indefinite one, and
-with k >= 2 constraint rows the rank test and the k x k solves call
-``linalg``. A finite check reads ``x * 0.0 == 0.0``, false exactly for inf
-and nan. Guards are tested cheap first, each exactly as before: a group of
-entries first tests ``(a + b + ...) * 0.0 == 0.0``, which holds only when
-every entry is finite, and only a failed sum (a non-finite entry, or finite
-ones that overflow) runs the test of each entry; the structure residual is
-computed only when a defect entry is nonzero or nan, since with every entry
-+-0 it is 0 and below its bound.
+Inline or call. Each ingredient is inlined or called: G, dG/dq, V, dV/dq
+(or a general H and its gradient), B, A and dA/dq. A callable compiled by
+``scenarios`` carries the ASTs it evaluates as ``nodes``, partials
+included, and the step inlines the statements that ``expressions.guarded``,
+the one writer of guarded entry evaluations, writes for them: the
+statements the callable itself runs (the evaluation, its fault and its
+non-finite test, in row-major order), so each entry gives the same value
+and faults with the same error. Any other callable is called and its array
+unpacked into floats. G is solved by an unrolled square-root-free Cholesky
+factorisation G = L D L^T, and B is a literal when constant. An ingredient
+without partials takes them by central differences, which magnify any
+rounding difference by 1 / FD_STEP; the step then calls the per-point
+functions for the whole Hamiltonian (``BaseTerms.gradient`` and ``value``)
+or constraint data (``nonholonomic.multiplier_correction``,
+``SurfaceFrame``) and unpacks their arrays, so such systems stay bitwise
+equal to the per-point oracles.
+
+Value numbering. Each distinct entry is evaluated once per stage point
+(local value numbering; Alpern, Wegman and Zadeck, POPL 1988): a table from
+the entry's ``expressions.py_source`` text to its atom, emptied at each new
+point and cleared of the entries that read p when the projection rebinds
+p, gives a repeated entry (a symmetric mass written with the same text on
+both sides of the diagonal, or dG/dq sharing the text of dV/dq) its atom,
+and the negation -X of an entry X already evaluated (the lower triangle of
+a ``b_field`` written as ``-(upper)``) its negated atom, with no statement.
+That is exact, since entries are pure functions of (q, p) written in the
+per-point order: the first evaluation has run the guards, a repeat gives
+the same bits and cannot fault, and a finite float negates exactly.
+``compile_node``'s per-point functions and the checks evaluate every entry.
+
+Guards. Every guard of the per-point functions fires at the same RK stage
+and step, with the same exception and message, and every entry they
+evaluate is evaluated (or is a repeat of one evaluated) in their order, so
+the first fault is the same one. The guards:
+
+- non-finite states;
+- an expression fault, named as ``expressions.compile_node`` names it,
+  every entry evaluated in the same order, the lower triangle of
+  ``b_field`` included, bar the repeats and negations that value numbering
+  reuses;
+- a singular or indefinite mass matrix, and a non-finite gradient or
+  Hamiltonian;
+- rank-deficient constraint rows: for k = 1 an exactly zero row, the
+  single-row rule of ``linalg.rank_of`` written inline, and for k >= 2
+  ``linalg.rank_of`` itself. A rule read at the stage points does not see
+  a row that passes through zero between two of them (``linalg.rank_of``);
+- the structure residual ``|Omega^T X - dH| <= 1e-10 (1 + |dH|)``, in its
+  structured form ``Omega^T X = (B X_q - X_p, X_q)``, worded by
+  ``dynamics.structure_error``, the one wording of both paths: a non-finite
+  residual reads "structure solve residual is non-finite", and a finite one
+  keeps its value in the message;
+- the Gram rule: a singular multiplier or projection Gram matrix
+  A G^{-1} A^T, and one with an infinite entry, which raises as
+  ``SurfaceFrame.project`` ("projection Gram matrix is non-finite") and
+  ``multiplier_correction`` ("multiplier matrix is non-finite") raise,
+  since its solve would give no shift and leave p off the surface. For
+  k = 1 one test, finite and nonzero, guards the division, and a nan entry
+  goes on to the non-finite state guard;
+- a non-quadratic Hamiltonian with constraints, and an off-surface start,
+  against the system's scaled ``constraint`` tolerance with the message of
+  the checks' surface test (both tested by ``integrate`` before the run).
+
+Decisions that rest on LAPACK stay with LAPACK: a mass matrix whose
+factorisation breaks down goes to the LU solve that tells a singular
+matrix from an indefinite one, and with k >= 2 constraint rows the rank
+test and the k x k solves call ``linalg``.
+
+Cheap first. A finite check reads ``x * 0.0 == 0.0``, false exactly for
+inf and nan. Guards are tested cheap first, each deciding exactly as the
+full test alone would: a group of entries first tests
+``(a + b + ...) * 0.0 == 0.0``, which holds only when every entry is
+finite, and only a failed sum (a non-finite entry, or finite ones whose sum
+overflows) runs the test of each entry, ``a * 0.0 + b * 0.0 + ... == 0.0``.
+The structure residual is computed only when a defect entry is nonzero or
+nan: with every entry +-0 it is 0, and the bound is at least 1e-10 because
+dH was already checked finite.
+
+Oracles. The dense solve (``dynamics.magnetic_vector_field``), the
+multiplier route (``nonholonomic.constrained_field_multiplier``),
+``project_to_constraint`` and the restricted solve
+(``nonholonomic.constrained_field_restricted``) are not on this path: they
+remain the oracles of the checks, and the tests compare the generated
+field and whole trajectories with them, including a matrix of faults met
+mid-run.
 """
 
 import math

@@ -35,7 +35,6 @@ from .geometry import (
     PhasePoint,
     TangentPhaseVector,
     each,
-    ensure_config,
     fd_jacobian,
     fd_jacobians,
     sample_set,
@@ -43,7 +42,6 @@ from .geometry import (
 from .dynamics import FD_STEP, free_field, read_only
 from .linalg import (
     first_failing,
-    max_abs,
     max_abs_each,
     mv,
     null_space,
@@ -456,22 +454,3 @@ def section_image(frame, gs, tol):
             f"section image off constraint surface at q={frame.terms.q[at]} "
             f"(residual {residual[at]:.3e})")
     return residual
-
-
-def field_tangency_residual(section, dist, ham, mag, qs):
-    """Velocities of the free field along a surface-valued section stay in D.
-
-    Raises SectionImageError when the section leaves the constraint surface
-    (the scaled ``constraint`` tolerance), since the statement asserts
-    nothing there.
-    """
-    image_tol = DEFAULT_TOLERANCES.get("constraint")
-    worst = 0.0
-    for q in qs:
-        q = ensure_config(q, dist.n)
-        frame = surface_frame(dist, ham, q)
-        g = section.value(q)
-        section_image(frame, g, image_tol)
-        x = free_field(ham, mag, q, g)
-        worst = max(worst, max_abs(frame.rows @ x[: dist.n]))
-    return worst

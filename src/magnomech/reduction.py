@@ -6,14 +6,15 @@ subspace that descends is found inside the admissible subspace by pairing
 against the vertical directions with the twisted structure; the reduced
 field solves the structure equation in a basis of the pushed-down subspace.
 :func:`reduced_field` builds that basis (a :class:`ReducedFrame`) itself,
-with the on-surface check of :func:`descent_basis`, and returns it with
-the field. The reduced checks call the Type I and Type II kernels of
-:mod:`hj` with a reduced ``level``. The invariance residuals, the reduced
-frame and field and the relatedness residual are each defined once, for
-one point or a stack of points (the functions on a SurfaceFrame; the
-public ones on a PhasePoint wrap them). As in :mod:`hj`, each reduced
-check runs its entry point in :mod:`stacked`, hypothesis battery
-included, on all its samples at once.
+after the surface check of the admissible basis, and returns it with the
+field. The reduced checks call the Type I and Type II kernels of
+:mod:`hj` with a reduced ``level``. The invariance residuals, the
+vertical and descending bases, the reduced frame and field and the
+relatedness residual are each defined once, for one point or a stack of
+points, on a SurfaceFrame (``surface_frame(dist, ham, q)``) over the base
+points; the public functions take PhasePoints and build the frame. As in
+:mod:`hj`, each reduced check runs its entry point in :mod:`stacked`,
+hypothesis battery included, on all its samples at once.
 """
 
 from dataclasses import dataclass
@@ -23,8 +24,16 @@ import numpy as np
 
 from .dynamics import free_field
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import PhasePoint
-from .hj import FAIL, PASS, VACUOUS, HJReport, rows_of, type1_residual, type2_report
+from .hj import (
+    FAIL,
+    PASS,
+    VACUOUS,
+    HJReport,
+    rows_of,
+    type1_residual,
+    type2_constrained,
+    type2_report,
+)
 from .linalg import (
     column_space,
     lstsq_each,
@@ -68,22 +77,6 @@ class TranslationSymmetry:
         for out_row, in_row in enumerate(rows):
             s[out_row, in_row] = 1.0
         return s
-
-    def project_point(self, z):
-        return np.concatenate([z.q[self.kept], z.p])
-
-    def lift_point(self, zbar, fill=None):
-        """A representative phase point over a reduced point.
-
-        ``fill`` supplies values for the cyclic coordinates (zeros by
-        default); every reduced quantity must not depend on it.
-        """
-        zbar = np.asarray(zbar, dtype=float)
-        q = np.zeros(self.n)
-        q[self.kept] = zbar[: len(self.kept)]
-        if fill is not None:
-            q[self.cyclic] = np.asarray(fill, dtype=float)
-        return PhasePoint(q, zbar[len(self.kept):])
 
     def generators(self):
         """Columns (e_c, 0) spanning the group directions in phase space."""
@@ -138,34 +131,23 @@ def map_equivariance_residual(sym, phase_map, z, w):
     return worst(values)
 
 
-def vertical_basis(sym, dist, ham, z):
-    """Orthonormal basis of the group directions inside the admissible
-    subspace (possibly empty)."""
-    if dist is None:
-        return sym.generators()
-    return _vertical(sym, surface_frame(dist, ham, z.q))
-
-
 def _vertical(sym, frame):
-    """vertical_basis over the frame's base point or its stack."""
+    """Orthonormal basis of the group directions inside the admissible
+    subspace (possibly empty), over the frame's base point or its stack."""
     generators = sym.generators()
     if frame.dist.k == 0:
         return generators
     return generators @ null_space(frame.rows @ generators[: sym.n])
 
 
-def descent_basis(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
-    """Basis of the subspace of admissible vectors that push down.
+def _descent(sym, frame, mag, p, tolerances):
+    """Basis of the subspace of admissible vectors that push down, at
+    (q, p), q the frame's base point, or over a stack.
 
     These are admissible vectors whose twisted pairing with every vertical
-    admissible direction vanishes. z must lie on the constraint surface
-    within the ``constraint`` tolerance.
+    admissible direction vanishes. (q, p) must lie on the constraint
+    surface within the ``constraint`` tolerance.
     """
-    return _descent(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
-
-
-def _descent(sym, frame, mag, p, tolerances):
-    """descent_basis at (q, p), q the frame's base point, or over a stack."""
     basis = admissible(frame, p, tolerances.get("constraint"))
     vertical = _vertical(sym, frame)
     if vertical.shape[-1] == 0:
@@ -183,26 +165,13 @@ class ReducedFrame:
     basis: np.ndarray
     omega: np.ndarray
 
-    @property
-    def dim(self):
-        return self.basis.shape[-1]
-
     def projector(self):
         return self.basis @ tr(self.basis)
 
-    def sigma_min(self):
-        """The smallest singular value of omega, at one point."""
-        if self.omega.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.omega, compute_uv=False)[-1])
-
-
-def reduced_frame(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
-    return _reduced_frame(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
-
 
 def _reduced_frame(sym, frame, mag, p, tolerances):
-    """reduced_frame at (q, p), q the frame's base point, or over a stack."""
+    """The ReducedFrame at (q, p), q the frame's base point, or over a
+    stack."""
     descent = _descent(sym, frame, mag, p, tolerances)
     selection = sym.selection()
     pushed = selection @ descent
@@ -215,7 +184,7 @@ def _reduced_frame(sym, frame, mag, p, tolerances):
 def reduced_field(sym, dist, ham, mag, z, tolerances=DEFAULT_TOLERANCES):
     """The reduced dynamical vector at the class of z, as a reduced vector,
     and the ReducedFrame it was solved in. z must lie on the constraint
-    surface within the ``constraint`` tolerance (see descent_basis)."""
+    surface within the ``constraint`` tolerance (see _descent)."""
     return _reduced_field(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
 
 
@@ -229,11 +198,6 @@ def _reduced_field(sym, frame, mag, p, tolerances):
     except np.linalg.LinAlgError:
         raise DegenerateFormError("reduced structure matrix is singular") from None
     return mv(reduced.basis, xi), reduced
-
-
-def reduced_energy(sym, ham, zbar, fill=None):
-    """The quotient Hamiltonian evaluated through an arbitrary lift."""
-    return ham.value(sym.lift_point(zbar, fill=fill))
 
 
 def relatedness(sym, frame, mag, p, tolerances):
@@ -359,8 +323,6 @@ def type2_level_agreement(section, phase_map, sym, dist, ham, mag, samples,
     The agreement of verdict data across the two levels is the content of
     the reduction equivalence for Type II solutions.
     """
-    from .hj import type2_constrained
-
     full = type2_constrained(section, phase_map, dist, ham, mag, samples,
                              tolerances=tolerances)
     reduced = type2_reduced(section, phase_map, sym, dist, ham, mag, samples,

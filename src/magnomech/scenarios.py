@@ -277,30 +277,6 @@ def parse_scenario(text):
         model=model)
 
 
-def scenario_violations(text):
-    """All schema violations in a document, each with code and field path.
-
-    Repeatedly re-validates with offending fields removed, so independent
-    problems are reported together; an empty list means the document parses.
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        return [ScenarioError("parse", f"invalid JSON: {err}")]
-    violations = []
-    for _ in range(len(_KNOWN_FIELDS) + 1):
-        try:
-            parse_scenario(json.dumps(raw))
-            break
-        except ScenarioError as err:
-            violations.append(err)
-            field = (err.field or "").split("[")[0].split(".")[0]
-            if not isinstance(raw, dict) or field not in raw:
-                break
-            del raw[field]
-    return violations
-
-
 def serialize_scenario(spec):
     return json.dumps(spec.to_dict(), indent=2, sort_keys=False) + "\n"
 
@@ -481,10 +457,6 @@ def build_system(spec):
                   initial_state=initial_state)
 
 
-def load_system(path):
-    return build_system(load_scenario(path))
-
-
 # -- induced-field construction ----------------------------------------------
 
 
@@ -565,11 +537,6 @@ class CheckReport:
             "data": self.data,
             "wall_time_s": self.wall_time_s,
         }
-
-    @classmethod
-    def from_dict(cls, raw):
-        return cls(raw["scenario"], raw["check"], raw["verdict"],
-                   raw["data"], raw.get("wall_time_s", 0.0))
 
     def table_row(self):
         return f"{self.scenario:<24} {self.check:<16} {self.verdict:<8}"
@@ -686,12 +653,3 @@ def _write(value, newline, out, open_ids):
             _write(item, inner, out, open_ids)
     open_ids.discard(id(value))
     out.append(newline + ("}" if is_dict else "]"))
-
-
-def reports_from_json(text):
-    payload = json.loads(text)
-    return [CheckReport.from_dict(raw) for raw in payload["reports"]]
-
-
-# public alias for the expression evaluator (part of the file-format surface)
-expression_eval = ex.evaluate_text

@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from magnomech import (
-    ConstraintDistribution,
-    HamiltonianSpec,
-    MagneticStructure,
-    OneFormSection,
-    TwoFormField,
-    load_system,
-)
+from magnomech import build_system, load_scenario
+from magnomech.dynamics import HamiltonianSpec, MagneticStructure
+from magnomech.geometry import OneFormSection, TwoFormField
+from magnomech.nonholonomic import ConstraintDistribution
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -32,7 +28,7 @@ def scenario_dir():
 @pytest.fixture(scope="session")
 def systems():
     """All shipped scenarios, compiled once per session."""
-    return {path.stem: load_system(path)
+    return {path.stem: build_system(load_scenario(path))
             for path in sorted(SCENARIO_DIR.glob("*.json"))}
 
 

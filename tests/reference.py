@@ -16,14 +16,19 @@ fault raises the error of the first failing sample, at its first failing
 step, and an earlier stage's fault comes first. The stages end where the
 entry points' stages end: at the reduced checks' hypothesis battery, at
 the relatedness gate and at each branch of the geometry check.
+
+The last section holds the helpers that only the tests call and that state
+nothing of the paper, so the package does not carry them.
 """
 
 from contextlib import contextmanager
 
 import numpy as np
 
+from magnomech import expressions as ex
 from magnomech import stacked
 from magnomech.dynamics import pullback_defect, symplectic_residual
+from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech.geometry import (
     PhasePoint,
     PhaseStack,
@@ -294,3 +299,43 @@ def per_sample_only():
     finally:
         for name, fn in saved.items():
             setattr(stacked, name, fn)
+
+
+# -- helpers that only the tests call --------------------------------------------
+
+def evaluate_text(text, q, p=None):
+    """One-shot parse and evaluation of an expression at (q, p), through
+    compile_node, as every scenario expression is evaluated. A fault while
+    evaluating raises ExpressionError with compile_node's message, which
+    names the expression."""
+    node = ex.parse(text)
+    q = [float(value) for value in q]
+    p = [float(value) for value in p or ()]
+    ex.check_variables(node, ex.config_names(len(q)) + [f"p{i + 1}" for i in range(len(p))])
+    try:
+        return ex.compile_node(node)(q, p)
+    except NumericalDomainError as err:
+        raise ExpressionError(str(err)) from None
+
+
+def project_point(sym, z):
+    """The reduced point (q_bar, p) of the phase point z under the quotient
+    map of the translation symmetry ``sym``."""
+    return np.concatenate([z.q[sym.kept], z.p])
+
+
+def lift_point(sym, zbar, fill=None):
+    """A representative phase point over the reduced point zbar of the
+    translation symmetry ``sym``. ``fill`` supplies values for the cyclic
+    coordinates (zeros by default); every reduced quantity must not depend
+    on it."""
+    zbar = np.asarray(zbar, dtype=float)
+    q = np.zeros(sym.n)
+    q[sym.kept] = zbar[: len(sym.kept)]
+    if fill is not None:
+        q[sym.cyclic] = np.asarray(fill, dtype=float)
+    return PhasePoint(q, zbar[len(sym.kept):])
+
+
+# not loops of an entry point (test_stacked counts the loops without them)
+HELPERS = {fn.__name__: fn for fn in (evaluate_text, project_point, lift_point)}

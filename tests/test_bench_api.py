@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from magnomech import load_system
+from magnomech.scenarios import build_system, load_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SUBJECTS = ("nh-magnetic-particle", "magnetic-trap")
@@ -43,7 +43,7 @@ def test_every_traced_target_resolves(bench):
 
 
 def _subject(layers, workloads, path, tmp_path):
-    system = load_system(path)
+    system = build_system(load_scenario(path))
     states = workloads.phase_states(system, 2, 0)
     return layers.Subject(system, path, states, "distributional", 0, 5,
                           tmp_path / f"{path.stem}.csv")

@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnomech import (
+from magnomech import NumericalDomainError, PhasePoint
+from magnomech.dynamics import (
     HamiltonianSpec,
     MagneticStructure,
-    NumericalDomainError,
-    OneFormSection,
     PhaseMap,
-    PhasePoint,
-    TwoFormField,
     coordinate_formula_field,
     energy_rate,
-    exterior_derivative,
     magnetic_vector_field,
     pullback_hamiltonian,
     symplectic_residual,
 )
+from magnomech.geometry import OneFormSection, TwoFormField, exterior_derivative
 from conftest import constant_field_system, random_antisymmetric, random_spd
 
 

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnomech import (
-    ConstraintDistribution,
-    NumericalDomainError,
+from magnomech import NumericalDomainError
+from magnomech.dynamics import PhaseMap
+from magnomech.geometry import (
     OneFormSection,
-    PhaseMap,
     TwoFormField,
     exterior_derivative,
+    fd_jacobian,
     magnetic_match_residual,
+    restricted_form_residual,
     two_form_closedness_residual,
 )
-from magnomech.geometry import fd_jacobian, restricted_form_residual
+from magnomech.nonholonomic import ConstraintDistribution
 
 
 def pairing_oracle(eval_fn, q, x, y, h=1e-6):

@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 from magnomech import (
-    HamiltonianSpec,
-    MagneticStructure,
-    OneFormSection,
-    PhaseMap,
     PhasePoint,
     SectionImageError,
     SectionTangentError,
-    Tolerances,
-    TwoFormField,
+    build_system,
+    load_scenario,
+)
+from magnomech.geometry import OneFormSection, TwoFormField
+from magnomech.hj import (
     induced_magnetic_field,
-    load_system,
-    magnetic_vector_field,
-    pullback_hamiltonian,
     type1_constrained,
     type1_magnetic,
     type2_constrained,
     type2_magnetic,
 )
+from magnomech.tolerances import Tolerances
 from magnomech import dynamics, hj
 from magnomech.cli import _type2_samples, check_hj1, check_hj2
-from magnomech.dynamics import structure_solve
+from magnomech.dynamics import (
+    HamiltonianSpec,
+    MagneticStructure,
+    PhaseMap,
+    magnetic_vector_field,
+    pullback_hamiltonian,
+    structure_solve,
+)
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
 from magnomech.sampling import config_samples, newton_preimage
 from conftest import free_particle_constraint, matched_linear_section
@@ -317,7 +321,7 @@ def test_per_sample_check_work_is_done_once(scenario_dir, monkeypatch):
     structure_solve, so each call counts its right-hand sides, and evaluates
 the section on the stack in one OneFormSection.value call, which counts
 its samples."""
-    system = load_system(scenario_dir / "nh-magnetic-particle.json")
+    system = build_system(load_scenario(scenario_dir / "nh-magnetic-particle.json"))
     calls = Counter()
 
     def counting(owner, name, key=None, weight=lambda *args: 1):

@@ -9,29 +9,28 @@ import pytest
 
 from magnomech import (
     CompatibilityError,
-    ConstraintDistribution,
     DegenerateConstraintError,
     DegenerateFormError,
-    HamiltonianSpec,
-    MagneticStructure,
     MagnomechError,
     NumericalDomainError,
     OffConstraintError,
     PhasePoint,
-    TwoFormField,
     build_system,
-    constrained_field_multiplier,
-    constraint_residual,
-    halving_ratio,
     integrate,
-    load_system,
-    magnetic_vector_field,
+    load_scenario,
     parse_scenario,
     project_to_constraint,
 )
+from magnomech.dynamics import HamiltonianSpec, MagneticStructure, magnetic_vector_field
+from magnomech.geometry import TwoFormField
+from magnomech.nonholonomic import (
+    ConstraintDistribution,
+    constrained_field_multiplier,
+    constraint_residual,
+)
 from magnomech import expressions as ex
 from magnomech import kernel
-from magnomech.integrate import CSV_CHUNK, Trajectory
+from magnomech.integrate import CSV_CHUNK, Trajectory, halving_ratio
 from magnomech.kernel import step_kernel
 from magnomech.linalg import max_abs
 from magnomech.sampling import phase_samples, surface_phase_samples
@@ -48,7 +47,7 @@ def test_free_particle_straight_line():
     ham, mag = constant_field_system(np.zeros((2, 2)))
     z0 = PhasePoint([0.2, -0.1], [0.7, 0.4])
     traj = integrate(ham, mag, z0, 1.0, 1e-3)
-    final = traj.final_state()
+    final = traj.state(-1)
     assert final.q == pytest.approx(z0.q + 1.0 * z0.p, abs=1e-12)
     assert final.p == pytest.approx(z0.p, abs=1e-12)
 
@@ -87,7 +86,7 @@ def test_inactive_constraint_is_straight_line():
     mag = MagneticStructure.canonical(3)
     z0 = PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
     traj = integrate(ham, mag, z0, 2.0, 1e-2, dist=dist, kind="distributional")
-    final = traj.final_state()
+    final = traj.state(-1)
     assert final.q == pytest.approx([2.0, 0.0, 0.0], abs=1e-12)
     assert final.p == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
@@ -276,7 +275,7 @@ def test_kernel_is_generated_on_the_first_integrate_and_reused(scenario_dir,
 
     monkeypatch.setattr(kernel._Generator, "compile", counting)
     step_kernel.cache_clear()
-    system = load_system(scenario_dir / "magnetic-trap.json")
+    system = build_system(load_scenario(scenario_dir / "magnetic-trap.json"))
     assert not generated
     for dt in (0.01, 0.005):
         integrate(system.ham, system.mag, system.initial_state, 0.1, dt)

@@ -15,21 +15,16 @@ import pytest
 
 from conftest import SCENARIO_DIR, free_particle_constraint
 from reference import per_sample_only
-from magnomech import (
-    ConstraintDistribution,
-    HamiltonianSpec,
-    PhasePoint,
-    linalg,
-    load_system,
-    sampling,
-)
+from magnomech import PhasePoint, build_system, linalg, load_scenario, sampling
 from magnomech.cli import check_geometry, check_hj1, check_hj2, checks_for_system
+from magnomech.dynamics import HamiltonianSpec
 from magnomech.errors import (
     DegenerateConstraintError,
     NumericalDomainError,
     OffConstraintError,
 )
 from magnomech.nonholonomic import (
+    ConstraintDistribution,
     admissible_basis,
     constraint_residual,
     project_to_constraint,
@@ -127,7 +122,7 @@ def _rows_reads(scenario, run):
     path (the two must agree)."""
     found = []
     for path in (nullcontext, per_sample_only):
-        system = load_system(SCENARIO_DIR / f"{scenario}.json")
+        system = build_system(load_scenario(SCENARIO_DIR / f"{scenario}.json"))
         dist = system.dist
         seen = Counter()
         rows_fn = dist._rows_fn

@@ -6,27 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnomech import (
-    ConstraintDistribution,
     DegenerateConstraintError,
-    HamiltonianSpec,
-    MagneticStructure,
     OffConstraintError,
-    OneFormSection,
     PhasePoint,
-    SectionImageError,
-    TwoFormField,
+    project_to_constraint,
+)
+from magnomech.cli import check_geometry, check_hj2
+from magnomech.dynamics import HamiltonianSpec, MagneticStructure, magnetic_vector_field
+from magnomech.geometry import TwoFormField
+from magnomech.linalg import rank_of
+from magnomech.nonholonomic import (
+    ConstraintDistribution,
     admissible_basis,
     compatibility_report,
     constrained_field_multiplier,
     constrained_field_restricted,
+    constraint_jacobian,
     constraint_residual,
-    field_tangency_residual,
-    magnetic_vector_field,
-    project_to_constraint,
 )
-from magnomech.cli import check_geometry, check_hj2
-from magnomech.linalg import rank_of
-from magnomech.nonholonomic import constraint_jacobian
 from magnomech.scenarios import build_system, parse_scenario
 from conftest import SCENARIO_DIR, free_particle_constraint, random_spd
 
@@ -262,36 +259,6 @@ def test_projection_idempotent_and_two_methods_agree(seed):
     a = constrained_field_restricted(dist, ham, mag, once).vector.vec
     b = constrained_field_multiplier(dist, ham, mag, once).vector.vec
     assert np.max(np.abs(a - b)) < 1e-9
-
-
-def test_tangency_zero_section(free_system):
-    dist, ham, mag = free_system
-    section = OneFormSection.zero(3)
-    qs = [np.array([0.2, -0.5, 0.8]), np.array([1.0, 0.3, -0.2])]
-    assert field_tangency_residual(section, dist, ham, mag, qs) == 0.0
-
-
-def test_tangency_of_projected_template_section(free_system):
-    # build a surface-valued section by projecting a template point-wise
-    dist, ham, mag = free_system
-    template = OneFormSection(lambda q: np.array([0.4, 0.7 * q[0], 0.2]))
-
-    def projected(q):
-        return project_to_constraint(dist, ham,
-                                     PhasePoint(q, template.eval_fn(q))).p
-
-    section = OneFormSection(projected)
-    rng = np.random.default_rng(14)
-    qs = [rng.normal(size=3) for _ in range(10)]
-    assert field_tangency_residual(section, dist, ham, mag, qs) < 1e-9
-
-
-def test_tangency_guards_off_surface_sections(free_system):
-    dist, ham, mag = free_system
-    section = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(SectionImageError):
-        field_tangency_residual(section, dist, ham, mag,
-                                [np.array([0.0, 0.0, 0.0])])
 
 
 def test_geometry_check_reads_the_scenario_constraint_tolerance():

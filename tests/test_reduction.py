@@ -5,37 +5,35 @@ import numpy as np
 import pytest
 
 from magnomech import (
-    ConstraintDistribution,
-    HamiltonianSpec,
-    MagneticStructure,
-    OneFormSection,
-    PhaseMap,
     PhasePoint,
     SectionImageError,
     SectionTangentError,
-    Tolerances,
-    TranslationSymmetry,
-    TwoFormField,
-    descent_basis,
     integrate,
     project_to_constraint,
+)
+from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
+from magnomech.geometry import OneFormSection, TwoFormField
+from magnomech.hj import type2_constrained
+from magnomech import geometry, stacked
+from magnomech.cli import check_hj1, check_hj2, main
+from magnomech.nonholonomic import ConstraintDistribution, surface_frame
+from magnomech.reduction import (
+    TranslationSymmetry,
+    _descent,
+    _reduced_frame,
+    _vertical,
     reduced_field,
-    reduced_frame,
     relatedness_check,
     relatedness_residual,
     type1_reduced,
-    type2_constrained,
     type2_level_agreement,
     type2_reduced,
-    vertical_basis,
 )
-from magnomech import geometry, stacked
-from magnomech.cli import check_hj1, check_hj2, main
-from magnomech.reduction import reduced_energy
 from magnomech.sampling import config_samples, newton_preimage
 from magnomech.scenarios import build_system, parse_scenario
+from magnomech.tolerances import DEFAULT_TOLERANCES, Tolerances
 from conftest import SCENARIO_DIR, free_particle_constraint
-from reference import per_sample_only
+from reference import lift_point, per_sample_only, project_point
 
 BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -70,7 +68,7 @@ def test_vertical_basis_unconstrained_single_cyclic():
     sym = TranslationSymmetry([0], 2)
     dist = ConstraintDistribution.unconstrained(2)
     ham = HamiltonianSpec.free(2)
-    basis = vertical_basis(sym, dist, ham, PhasePoint([0, 0], [1, 1]))
+    basis = _vertical(sym, surface_frame(dist, ham, np.zeros(2)))
     assert basis.shape == (4, 1)
     assert basis[:, 0] == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
@@ -78,7 +76,7 @@ def test_vertical_basis_unconstrained_single_cyclic():
 def test_vertical_basis_intersects_constraint():
     _, sym, dist, ham, _ = reduced_test_system()
     z = PhasePoint([0.7, 0.0, 0.0], [0.3, 0.2, 0.7 * 0.2])
-    basis = vertical_basis(sym, dist, ham, z)
+    basis = _vertical(sym, surface_frame(dist, ham, z.q))
     assert basis.shape[1] == 1
     direction = basis[:3, 0]
     # the admissible cyclic direction is e2 + q1 e3, normalized
@@ -91,15 +89,16 @@ def test_vertical_basis_empty_without_cyclic_coordinates():
     sym = TranslationSymmetry([], 3)
     dist = free_particle_constraint()
     ham = HamiltonianSpec.free(3)
-    basis = vertical_basis(sym, dist, ham, PhasePoint([0, 0, 0], [1, 0, 0]))
+    basis = _vertical(sym, surface_frame(dist, ham, np.zeros(3)))
     assert basis.shape == (6, 0)
 
 
 def test_descent_basis_orthogonality():
     _, sym, dist, ham, mag = reduced_test_system()
     for z in surface_points(dist, ham, 10, seed=3):
-        vertical = vertical_basis(sym, dist, ham, z)
-        descent = descent_basis(sym, dist, ham, mag, z)
+        frame = surface_frame(dist, ham, z.q)
+        vertical = _vertical(sym, frame)
+        descent = _descent(sym, frame, mag, z.p, DEFAULT_TOLERANCES)
         assert descent.shape[1] == 4 - vertical.shape[1]
         omega = mag.form_matrix(z.q)
         assert np.max(np.abs(vertical.T @ omega @ descent)) < 1e-10
@@ -111,9 +110,9 @@ def test_descent_is_whole_space_without_vertical_part():
     ham = HamiltonianSpec.free(3)
     mag = MagneticStructure.canonical(3)
     z = PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    vertical = vertical_basis(sym, dist, ham, z)
-    assert vertical.shape[1] == 0
-    assert descent_basis(sym, dist, ham, mag, z).shape[1] == 4
+    frame = surface_frame(dist, ham, z.q)
+    assert _vertical(sym, frame).shape[1] == 0
+    assert _descent(sym, frame, mag, z.p, DEFAULT_TOLERANCES).shape[1] == 4
 
 
 def test_descent_unconstrained_single_cyclic():
@@ -121,24 +120,27 @@ def test_descent_unconstrained_single_cyclic():
     dist = ConstraintDistribution.unconstrained(3)
     ham = HamiltonianSpec.free(3)
     mag = MagneticStructure.canonical(3)
-    basis = descent_basis(sym, dist, ham, mag, PhasePoint([0, 0, 0], [0.3, 0, 0]))
+    basis = _descent(sym, surface_frame(dist, ham, np.zeros(3)), mag, np.array([0.3, 0, 0]),
+                     DEFAULT_TOLERANCES)
     assert basis.shape[1] == 2 * 3 - 1
 
 
 def test_reduced_frame_dimensions_and_nondegeneracy():
     _, sym, dist, ham, mag = reduced_test_system()
     for z in surface_points(dist, ham, 5, seed=5):
-        frame = reduced_frame(sym, dist, ham, mag, z)
-        assert frame.dim == 2
-        assert frame.sigma_min() > 1e-8
+        frame = _reduced_frame(sym, surface_frame(dist, ham, z.q), mag, z.p,
+                               DEFAULT_TOLERANCES)
+        assert frame.basis.shape[-1] == 2
+        assert np.linalg.svd(frame.omega, compute_uv=False)[-1] > 1e-8
 
 
 def test_reduced_structure_pulls_back():
     # the reduced pairing of pushed vectors equals the full pairing
     _, sym, dist, ham, mag = reduced_test_system()
     z = surface_points(dist, ham, 1, seed=7)[0]
-    frame = reduced_frame(sym, dist, ham, mag, z)
-    descent = descent_basis(sym, dist, ham, mag, z)
+    base = surface_frame(dist, ham, z.q)
+    frame = _reduced_frame(sym, base, mag, z.p, DEFAULT_TOLERANCES)
+    descent = _descent(sym, base, mag, z.p, DEFAULT_TOLERANCES)
     omega = mag.form_matrix(z.q)
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -169,17 +171,17 @@ def test_lift_independence():
     _, sym, dist, ham, mag = reduced_test_system()
     rng = np.random.default_rng(21)
     for z in surface_points(dist, ham, 5, seed=9):
-        zbar = sym.project_point(z)
+        zbar = project_point(sym, z)
         fills = [rng.normal(size=2), rng.normal(size=2)]
         results = []
         energies = []
         omegas = []
         for fill in fills:
-            lift = sym.lift_point(zbar, fill=fill)
+            lift = lift_point(sym, zbar, fill=fill)
             vec, frame = reduced_field(sym, dist, ham, mag, lift)
             results.append(vec)
             omegas.append(frame.omega)
-            energies.append(reduced_energy(sym, ham, zbar, fill=fill))
+            energies.append(ham.value(lift))
         assert np.max(np.abs(results[0] - results[1])) < 1e-10
         assert np.max(np.abs(omegas[0] - omegas[1])) < 1e-10
         assert abs(energies[0] - energies[1]) < 1e-10
@@ -206,7 +208,7 @@ def test_relatedness_against_projected_trajectory():
     z = surface_points(dist, ham, 1, seed=15)[0]
     dt = 2e-4
     traj = integrate(ham, mag, z, 2 * dt, dt, dist=dist, kind="distributional")
-    projected = [sym.project_point(traj.state(i)) for i in range(3)]
+    projected = [project_point(sym, traj.state(i)) for i in range(3)]
     fd_velocity = (projected[2] - projected[0]) / (2 * dt)
     # the difference is centered on the middle state of the three
     reduced, _ = reduced_field(sym, dist, ham, mag, traj.state(1))

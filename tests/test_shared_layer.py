@@ -22,19 +22,19 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, random_spd
 from test_contract import expressions as expression_texts
 from magnomech import expressions
-from magnomech import (
-    ConstraintDistribution,
+from magnomech.cli import check_hj1, checks_for_system
+from magnomech.dynamics import (
     HamiltonianSpec,
     MagneticStructure,
-    OneFormSection,
     PhaseMap,
-    TranslationSymmetry,
+    free_field,
+    pullback_defect,
+    structure_solve,
 )
-from magnomech.cli import check_hj1, checks_for_system
-from magnomech.dynamics import free_field, pullback_defect, structure_solve
 from magnomech.errors import ExpressionError, MagnomechError, NumericalDomainError
 from magnomech.geometry import (
     CLOSEDNESS_STEP,
+    OneFormSection,
     TwoFormField,
     closedness_residual,
     each,
@@ -61,6 +61,7 @@ from magnomech.linalg import (
     worst,
 )
 from magnomech.nonholonomic import (
+    ConstraintDistribution,
     admissible,
     compatibility,
     multiplier_correction,
@@ -69,6 +70,7 @@ from magnomech.nonholonomic import (
     surface_residual,
 )
 from magnomech.reduction import (
+    TranslationSymmetry,
     _reduced_field,
     data_invariance_residual,
     map_equivariance_residual,
@@ -77,7 +79,7 @@ from magnomech.reduction import (
     section_invariance_residual,
 )
 from magnomech.sampling import config_samples, phase_samples, preimage
-from magnomech.scenarios import _compile, build_system, load_system, parse_scenario
+from magnomech.scenarios import _compile, build_system, load_scenario, parse_scenario
 from magnomech.tolerances import Tolerances
 
 seeds = st.integers(0, 2**32 - 1)
@@ -525,7 +527,7 @@ def test_checks_evaluate_expressions_on_stacks(name, monkeypatch):
         return counted
 
     monkeypatch.setattr(expressions, "compile_node", counting)
-    system = load_system(SCENARIO_DIR / f"{name}.json")
+    system = build_system(load_scenario(SCENARIO_DIR / f"{name}.json"))
     calls.clear()
     reports = checks_for_system(system, 50, 0)
     assert {report.verdict for report in reports} == {"PASS"}
