@@ -7,10 +7,10 @@ relations as quantitative residual checks.
 
 The package namespace holds what a script needs to load and run a
 scenario: parsing and building it, a phase point, the projection onto the
-constraint surface, the integrator and its trajectory, and the error
-classes, whose names are the codes of the CLI's input errors. Everything
-else is imported from its module (README, Package layout); which function
-carries which statement of the paper is in docs/statements.md.
+constraint surface, the integrator and its trajectory, and the errors the
+package raises. Everything else is imported from its module (README,
+Package layout); which function carries which statement of the paper is
+in docs/statements.md.
 """
 
 from .errors import (
