@@ -36,6 +36,7 @@ import platform
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +127,6 @@ def fault_entry(outcome):
 
 def fault_fingerprints():
     """Each FAULTS case's entry, by ``fault <name>``."""
-    import warnings  # noqa: PLC0415
-
     from test_integrate import FAULTS, _outcome  # noqa: PLC0415
     from magnomech.integrate import integrate  # noqa: PLC0415
 

@@ -12,6 +12,7 @@ import ast
 import importlib
 import json
 import re
+from functools import cache
 from pathlib import Path
 
 from magnomech.tolerances import DEFAULTS
@@ -39,6 +40,7 @@ def _rows():
 
 
 ROWS = _rows()
+REPORTS = json.loads(GOLDEN.read_text())["reports"]
 
 
 def _function(dotted):
@@ -51,6 +53,7 @@ def _function(dotted):
     return target
 
 
+@cache
 def _test_names(path):
     tree = ast.parse(path.read_text())
     return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -67,9 +70,8 @@ def _resolve(row):
         assert callable(_function(dotted)), dotted
 
     check, *keys = TICKED.findall(row["check"]) or [None]
-    reports = json.loads(GOLDEN.read_text())["reports"]
     if check is not None and check not in COMMANDS:
-        data = [report["data"] for report in reports if report["check"] == check]
+        data = [report["data"] for report in REPORTS if report["check"] == check]
         assert data, check
         assert all(any(key in each for each in data) for key in keys), keys
 
