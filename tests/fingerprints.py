@@ -67,11 +67,6 @@ def environment():
             "platform": platform.platform()}
 
 
-def recorded():
-    """The recorded entries, by name."""
-    return json.loads(FINGERPRINTS.read_text())["outputs"]
-
-
 def differing(current):
     """The names among ``current``'s whose entry differs from the recorded
     one, with where each side was taken, for an assertion message; empty
@@ -154,7 +149,7 @@ def main_script():
     entries.update(fault_fingerprints())
     entries.update(differential_fingerprint(
         [record(index, *drawn) for index, drawn in enumerate(draw(60))]))
-    old = recorded() if FINGERPRINTS.exists() else {}
+    old = json.loads(FINGERPRINTS.read_text())["outputs"] if FINGERPRINTS.exists() else {}
     for name in sorted(set(entries) | set(old)):
         if entries.get(name) != old.get(name):
             print(f"changed: {name}")
