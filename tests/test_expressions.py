@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from magnomech import ScenarioError, parse_scenario
-from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech import expressions as ex
+from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech.sampling import sobol_points
 from reference import evaluate_text
 

@@ -10,15 +10,6 @@ from magnomech import (
     build_system,
     load_scenario,
 )
-from magnomech.geometry import OneFormSection, TwoFormField
-from magnomech.hj import (
-    induced_magnetic_field,
-    type1_constrained,
-    type1_magnetic,
-    type2_constrained,
-    type2_magnetic,
-)
-from magnomech.tolerances import Tolerances
 from magnomech import dynamics, hj
 from magnomech.cli import _type2_samples, check_hj1, check_hj2
 from magnomech.dynamics import (
@@ -29,8 +20,17 @@ from magnomech.dynamics import (
     pullback_hamiltonian,
     structure_solve,
 )
+from magnomech.geometry import OneFormSection, TwoFormField
+from magnomech.hj import (
+    induced_magnetic_field,
+    type1_constrained,
+    type1_magnetic,
+    type2_constrained,
+    type2_magnetic,
+)
 from magnomech.nonholonomic import ConstraintDistribution, project_to_constraint
 from magnomech.sampling import config_samples, newton_preimage
+from magnomech.tolerances import Tolerances
 from conftest import free_particle_constraint, matched_linear_section
 
 BOX2 = np.array([[-1.0, 1.0], [-1.0, 1.0]])

@@ -21,18 +21,18 @@ from magnomech import (
     parse_scenario,
     project_to_constraint,
 )
+from magnomech import expressions as ex
+from magnomech import kernel
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, magnetic_vector_field
 from magnomech.geometry import TwoFormField
+from magnomech.integrate import CSV_CHUNK, Trajectory, halving_ratio
+from magnomech.kernel import step_kernel
+from magnomech.linalg import max_abs
 from magnomech.nonholonomic import (
     ConstraintDistribution,
     constrained_field_multiplier,
     constraint_residual,
 )
-from magnomech import expressions as ex
-from magnomech import kernel
-from magnomech.integrate import CSV_CHUNK, Trajectory, halving_ratio
-from magnomech.kernel import step_kernel
-from magnomech.linalg import max_abs
 from magnomech.sampling import phase_samples, surface_phase_samples
 from magnomech.scenarios import _compile, _compile_partials
 from magnomech.tolerances import DEFAULT_TOLERANCES

@@ -11,11 +11,11 @@ from magnomech import (
     integrate,
     project_to_constraint,
 )
+from magnomech import geometry, stacked
+from magnomech.cli import check_hj1, check_hj2, main
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from magnomech.geometry import OneFormSection, TwoFormField
 from magnomech.hj import type2_constrained
-from magnomech import geometry, stacked
-from magnomech.cli import check_hj1, check_hj2, main
 from magnomech.nonholonomic import ConstraintDistribution, surface_frame
 from magnomech.reduction import (
     TranslationSymmetry,

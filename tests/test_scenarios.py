@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnomech import ScenarioError, build_system, load_scenario, parse_scenario
-from magnomech.hj import type1_magnetic
 from magnomech import expressions
 from magnomech import scenarios as scenarios_module
 from magnomech.cli import checks_for_system
+from magnomech.hj import type1_magnetic
 from magnomech.sampling import MAX_DIMENSION, config_samples
 from magnomech.scenarios import (
     CheckReport,

@@ -25,15 +25,8 @@ from conftest import SCENARIO_DIR
 from reference import per_sample_only
 from test_contract import scenarios
 from magnomech import PhasePoint
-from magnomech.geometry import OneFormSection, TwoFormField
-from magnomech.hj import (
-    type1_constrained,
-    type1_magnetic,
-    type2_constrained,
-    type2_magnetic,
-)
-from magnomech.reduction import relatedness_check, type1_reduced, type2_reduced
 from magnomech import stacked
+from magnomech import geometry
 from magnomech.cli import (
     _phase_points,
     _type2_samples,
@@ -42,7 +35,6 @@ from magnomech.cli import (
     check_hj2,
     checks_for_system,
 )
-from magnomech import geometry
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from magnomech.errors import (
     DegenerateFormError,
@@ -52,7 +44,15 @@ from magnomech.errors import (
     SectionImageError,
     SectionTangentError,
 )
+from magnomech.geometry import OneFormSection, TwoFormField
+from magnomech.hj import (
+    type1_constrained,
+    type1_magnetic,
+    type2_constrained,
+    type2_magnetic,
+)
 from magnomech.nonholonomic import ConstraintDistribution, geometry_check
+from magnomech.reduction import relatedness_check, type1_reduced, type2_reduced
 from magnomech.sampling import (
     config_samples,
     newton_preimages,
