@@ -3,6 +3,8 @@
 Exit codes: 0 when every check is PASS or VACUOUS, 1 when any check FAILs,
 2 for input errors (reported as one JSON object on stderr), including
 malformed or out-of-range flags. Output is deterministic for a fixed --seed.
+The geometry battery (:func:`geometry_check`) lives here, beside its one
+caller, since it reads :mod:`nonholonomic` and :mod:`reduction` alike.
 """
 
 import argparse
@@ -16,10 +18,21 @@ from pathlib import Path
 import numpy as np
 
 from . import hj, reduction
-from .errors import MagnomechError, ScenarioError
-from .geometry import PhaseStack
+from .errors import MagnomechError, NumericalDomainError, ScenarioError
+from .geometry import (
+    CLOSEDNESS_STEP,
+    PhaseStack,
+    closedness_residual,
+    configs,
+    phase_vectors,
+    sample_set,
+    twist_residual,
+)
+from .hj import FAIL, PASS, _symplectic
 from .integrate import integrate
-from .nonholonomic import geometry_check, project_to_constraint
+from .linalg import by_rank, located, worst
+from .nonholonomic import compatibility, project_to_constraint, surface_frame
+from .reduction import data_invariance_residual, related_verdict, relatedness
 from .sampling import (
     config_samples,
     newton_preimages,
@@ -128,6 +141,91 @@ def _type2_samples(system, count, seed):
         section_points = np.concatenate([qs, system.gamma.value(qs)], axis=-1)
         targets = PhaseStack(np.concatenate([targets.vec, section_points]))
     return newton_preimages(system.epsilon, targets)
+
+
+def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
+    """The geometry battery of one system: (verdict, data).
+
+    Closedness of B at the configuration samples ``qs``; compatibility and
+    dimensions (constrained systems), the symplectic residual of eps and
+    quotient relatedness at the phase samples that ``draw()`` returns
+    (None when the system is unconstrained and has no phase map). ``draw``
+    is called once, after the closedness check. An empty sample set raises
+    NumericalDomainError: the battery's maxima have no value on it.
+    """
+
+    def nonempty(samples):
+        if not len(samples):
+            raise NumericalDomainError("the geometry check needs at least one sample")
+        return samples
+
+    return _geometry(dist, ham, mag, gamma, epsilon, symmetry, nonempty(sample_set(qs)),
+                     None if draw is None else lambda: nonempty(draw()), tolerances)
+
+
+def _geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
+    """geometry_check on nonempty samples. Each branch is a stage over its
+    own samples: the configuration samples ``qs``, the drawn phase samples,
+    or the first 10 of them."""
+    data = {}
+    verdict = PASS
+    n = mag.n
+    qs = configs(qs, n)
+    closedness = max(located(len(qs), lambda idx: closedness_residual(
+        mag.b_field, qs[idx], CLOSEDNESS_STEP)).tolist())
+    data["b_closedness_residual"] = closedness
+    if closedness > tolerances.get("closedness"):
+        verdict = FAIL
+    if draw is not None:
+        drawn = draw()
+        zs = phase_vectors(drawn)
+        # one SurfaceFrame over the drawn base points serves every branch:
+        # the one that projected the draw onto this system's surface, if any
+        frame = getattr(drawn, "frame", None)
+        if frame is None or frame.dist is not dist or frame.terms.ham is not ham:
+            frame = surface_frame(dist, ham, zs[:, :n])
+    if dist.k > 0:
+        tols = tolerances.get("compat_sigma"), tolerances.get("constraint")
+        dim_f, dim_tm, dim_k, sigma, _, passed = by_rank(len(zs), lambda idx: compatibility(
+            frame.take(idx), mag.form_matrix(zs[idx, :n]), zs[idx, n:], *tols))
+        dims = sorted(set(zip(dim_f.tolist(), dim_tm.tolist(), dim_k.tolist())))
+        data["dims"] = [list(d) for d in dims]
+        data["dims_constant"] = len(dims) == 1
+        data["sigma_min"] = min(sigma.tolist())
+        data["compatibility_passed"] = bool(passed.all())
+        if not data["compatibility_passed"] or not data["dims_constant"]:
+            verdict = FAIL
+    if gamma is not None:
+        twist_frame = frame if draw is not None and np.array_equal(zs[:, :n], qs) else (
+            surface_frame(dist, ham, qs))
+
+        def twist(idx):
+            # in magnetic_match_residual's order: the basis, J, then B
+            basis = twist_frame.take(idx).basis
+            return (twist_residual(gamma.jacobian(qs[idx]), mag.b_matrix(qs[idx]), basis),)
+
+        (match,) = by_rank(len(qs), twist)
+        data["gamma_match_residual"] = max(match.tolist())
+    if epsilon is not None:
+        head = zs[:10]
+        data["symplectic_residual"] = max(located(len(head), lambda idx: _symplectic(
+            epsilon, mag, head[idx])[2]).tolist())
+    if symmetry is not None and dist.k > 0:
+        qh, ph = zs[:10, :n], zs[:10, n:]
+        invariance = located(len(qh), lambda idx: data_invariance_residual(
+            symmetry, dist, ham, mag, qh[idx], ph[idx], frame.take(idx)))
+
+        def residual():
+            (values,) = by_rank(len(qh), lambda idx: (relatedness(
+                symmetry, frame.take(idx), mag, ph[idx], tolerances),))
+            return worst(values)
+
+        related, related_data = related_verdict(invariance, residual, tolerances)
+        data.update(related_data)
+        data["relatedness_verdict"] = related
+        if related == FAIL:
+            verdict = FAIL
+    return verdict, data
 
 
 def check_geometry(system, count, seed):

@@ -10,7 +10,7 @@ section's ``value`` and ``jacobian``; :func:`each` evaluates a one-point
 callable at every point of a stack, through its column function when it
 has one. A check's phase samples travel as one :class:`PhaseStack`, and
 its configuration samples as one (N, n) array; each is validated once, by
-one vectorised check, where every point used to be validated on its own.
+one vectorised check.
 """
 
 from collections.abc import Sequence
@@ -87,6 +87,14 @@ def ensure_configs(qs, n):
     return qs
 
 
+def configs(samples, n):
+    """The (N, n) array of configuration samples: an array is checked as a
+    whole, any other iterable point by point."""
+    if isinstance(samples, np.ndarray) and samples.ndim == 2:
+        return ensure_configs(samples, n)
+    return np.array([ensure_config(q, n) for q in samples]).reshape(-1, n)
+
+
 @dataclass
 class PhasePoint:
     """A point (q, p) of the cotangent bundle in chart coordinates."""
@@ -103,10 +111,6 @@ class PhasePoint:
             raise NumericalDomainError("phase point has non-finite entries")
 
     @property
-    def n(self):
-        return self.q.size
-
-    @property
     def vec(self):
         return np.concatenate([self.q, self.p])
 
@@ -118,16 +122,15 @@ class PhasePoint:
 
 
 class PhaseStack(Sequence):
-    """N phase points held as one read-only (N, 2n) array ``vec``, with the
-    views ``q`` and ``p``.
+    """N phase points held as one read-only (N, 2n) array ``vec``.
 
     The array is validated once, as each PhasePoint would validate its
     point: a stack that fails raises the message the first failing point
     raises. Indexing and iteration make PhasePoints on demand and a slice
     gives a stack, so code written for a list of points reads a stack too.
     ``frame`` is the SurfaceFrame over the base points of a stack projected
-    onto the constraint surface (stacked.projections), for the next stage
-    to read A(q) from; None on any other stack, a slice included.
+    onto the constraint surface (sampling.surface_phase_samples), for the
+    next stage to read A(q) from; None on any other stack, a slice included.
     """
 
     def __init__(self, vec, frame=None):
@@ -146,18 +149,6 @@ class PhaseStack(Sequence):
     def of(cls, q, p, frame=None):
         """The stack of the points (q[i], p[i])."""
         return cls(np.concatenate([q, p], axis=-1), frame)
-
-    @property
-    def n(self):
-        return self.vec.shape[1] // 2
-
-    @property
-    def q(self):
-        return self.vec[:, :self.n]
-
-    @property
-    def p(self):
-        return self.vec[:, self.n:]
 
     def __len__(self):
         return len(self.vec)

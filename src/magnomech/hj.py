@@ -11,26 +11,32 @@ _type2_residuals) shared by the magnetic, distributional and reduced
 levels, which differ only in their ``level`` callback. The kernels, the
 section hypotheses and the per-level row functions are each defined once,
 for one point or a stack of points in the layout rule of :mod:`linalg`.
-One orchestration calls them: each check runs its entry point in
-:mod:`stacked` (through linalg.run_stacked) on all its samples at once,
-and a fault raises the error of the first failing sample
-(stacked.located). The entry point returns the validated samples and the
+Each check calls them in its stages (_type1_magnetic, ...), which run on
+all its samples at once, so a fault raises the error of the first failing
+sample (linalg.located). The stages return the validated samples and the
 final per-sample columns, the in-band Type II samples already recomputed
-at finer difference steps (stacked._refine); the reports here only fold
-the columns (linalg.worst) and build the rows once.
+at finer difference steps (_refine); a check on no samples runs no stage
+and returns the empty columns (worst residuals 0.0). The reports here only
+fold the columns (linalg.worst) and build the rows once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
 
-from .dynamics import free_field, structure_solve
+from .dynamics import free_field, pullback_defect, structure_solve
 from .errors import NumericalDomainError, SectionTangentError
-from .geometry import TwoFormField, exterior_derivative, twist_residual
-from .linalg import first_failing, max_abs_each, mv, run_stacked, tr, worst
+from .geometry import (
+    TwoFormField,
+    configs,
+    exterior_derivative,
+    phase_vectors,
+    twist_residual,
+)
+from .linalg import by_rank, first_failing, located, max_abs_each, mv, tr, worst
 from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -159,7 +165,7 @@ def distributional_rows(section, dist, ham, mag, q, tolerances):
 def _type1_report(check_name, keys, result, tolerances, defect):
     """VACUOUS with ``defect`` when the worst twist residual exceeds the
     ``hypothesis`` tolerance, else PASS or FAIL on the worst equation one;
-    ``result`` is the entry point's (samples, columns)."""
+    ``result`` is the check's stages' (samples, columns)."""
     qs, columns = result
     hyp_worst, eq_worst = worst(columns[0]), worst(columns[1])
     if hyp_worst > tolerances.get("hypothesis"):
@@ -171,6 +177,14 @@ def _type1_report(check_name, keys, result, tolerances, defect):
                     per_sample=rows_of(keys, qs, *columns), defects=defects)
 
 
+def _type1_magnetic(section, ham, mag, samples):
+    """(qs, (hypothesis, equation))."""
+    qs = configs(samples, ham.n)
+    if not len(qs):
+        return qs, ([], [])
+    return qs, located(len(qs), lambda idx: magnetic_rows(section, ham, mag, qs[idx]))
+
+
 def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     """Type I check for the unconstrained magnetic system.
 
@@ -178,8 +192,17 @@ def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     own base flow onto the dynamical field.
     """
     return _type1_report("hj1-magnetic", MAGNETIC_ROW,
-                         run_stacked("type1_magnetic", section, ham, mag, samples),
+                         _type1_magnetic(section, ham, mag, samples),
                          tolerances, "hypothesis: d(gamma) + B does not vanish")
+
+
+def _type1_constrained(section, dist, ham, mag, samples, tolerances):
+    """(qs, (hypothesis, equation, image, tangent))."""
+    qs = configs(samples, dist.n)
+    if not len(qs):
+        return qs, ([], [], [], [])
+    return qs, by_rank(len(qs), lambda idx: (
+        distributional_rows(section, dist, ham, mag, qs[idx], tolerances)))
 
 
 def type1_constrained(section, dist, ham, mag, samples,
@@ -189,7 +212,7 @@ def type1_constrained(section, dist, ham, mag, samples,
     The section hypotheses of :func:`section_hypotheses` raise; only the
     twist hypothesis d(gamma) + B = 0 on D can make the verdict VACUOUS.
     """
-    result = run_stacked("type1_constrained", section, dist, ham, mag, samples, tolerances)
+    result = _type1_constrained(section, dist, ham, mag, samples, tolerances)
     return _type1_report("hj1-distributional", DISTRIBUTIONAL_ROW, result, tolerances,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
@@ -253,7 +276,7 @@ def type2_report(check_name, zs, columns, tolerances, hypothesis=None):
 
     ``columns`` holds (symplectic, a, b) over the phase vectors zs: the
     map's symplectic residual (None on the reduced level) and the two
-    residuals, the in-band ones already refined by the entry point. The
+    residuals, the in-band ones already refined by the stages. The
     unreduced levels record the map's symplectic residual per sample as
     their hypothesis (VACUOUS above the ``hypothesis`` tolerance); the
     reduced level has run its own battery and passes its worst twist
@@ -282,6 +305,68 @@ def type2_report(check_name, zs, columns, tolerances, hypothesis=None):
                     defects=[] if agree else [disagree])
 
 
+def _symplectic(phase_map, mag, zs):
+    """(J_eps, eps, the pullback defect) at the phase vectors zs, in
+    symplectic_residual's order: J_eps(z), then eps(z)."""
+    n = zs.shape[-1] // 2
+    map_jacs = phase_map.jacobians(zs)
+    ws = phase_map.image(zs)
+    return map_jacs, ws, pullback_defect(mag, zs[:, :n], ws[:, :n], map_jacs)
+
+
+# -- the in-band Type II refinement ---------------------------------------------
+
+def in_band(value, tol):
+    return (tol <= value) & (value < STATUS_BAND_FACTOR * tol)
+
+
+def _refined(obj):
+    """Copy of a section or map with a 10x smaller finite-difference step."""
+    if getattr(obj, "jacobian_fn", None) is None and hasattr(obj, "step"):
+        return replace(obj, step=obj.step / 10.0)
+    return obj
+
+
+def _refine(section, phase_map, ham, mag, zs, first, level_of, tolerances):
+    """(zs, (symplectic, a, b)) from a first pass (ws, symplectic, a, b) at
+    the phase vectors zs, whose images are ws, once the samples with a
+    residual in the status band are recomputed in one more stage with the
+    _refined section and map, on the images ws (the step does not move
+    them) and with the level ``level_of(idx)`` of the samples idx, at their
+    base points. With analytic Jacobians a recompute would give the same
+    numbers: none runs."""
+    ws, symplectic, res_a, res_b = first
+    res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
+    refined_section, refined_map = _refined(section), _refined(phase_map)
+    status_tol = tolerances.get("status")
+    banded = np.flatnonzero(in_band(res_a, status_tol) | in_band(res_b, status_tol))
+    if len(banded) and (refined_section is not section or refined_map is not phase_map):
+
+        def pipeline(idx):
+            # in phase_map.jacobian's order, on the phase vectors
+            z, w = zs[banded[idx]], ws[banded[idx]]
+            return _type2_residuals(refined_section, ham, mag, z, w,
+                                    refined_map.jacobians(z), level_of(banded[idx]))
+
+        res_a[banded], res_b[banded] = by_rank(len(banded), pipeline)
+    return zs, (symplectic, res_a, res_b)
+
+
+def _type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
+    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
+    zs = phase_vectors(samples)
+    if not len(zs):
+        return zs, ([], [], [])
+
+    def stage(idx):
+        map_jacs, ws, symplectic = _symplectic(phase_map, mag, zs[idx])
+        return ws, symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
+                                                 magnetic_level)
+
+    return _refine(section, phase_map, ham, mag, zs, located(len(zs), stage),
+                   lambda idx: magnetic_level, tolerances)
+
+
 def type2_magnetic(section, phase_map, ham, mag, samples,
                    tolerances=DEFAULT_TOLERANCES):
     """Type II check for the unconstrained magnetic system.
@@ -289,9 +374,31 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    zs, columns = run_stacked("type2_magnetic", section, phase_map, ham, mag, samples,
-                              tolerances)
+    zs, columns = _type2_magnetic(section, phase_map, ham, mag, samples, tolerances)
     return type2_report("hj2-magnetic", zs, columns, tolerances)
+
+
+def _type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
+    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
+    n = dist.n
+    zs = phase_vectors(samples)
+    if not len(zs):
+        return zs, ([], [], [])
+
+    def pipeline(idx):
+        z = zs[idx]
+        ws = phase_map.image(z)
+        frame = surface_frame(dist, ham, ws[:, :n])
+        section_hypotheses(section, frame, section.value(ws[:, :n]), tolerances)
+        map_jacs = phase_map.jacobians(z)
+        return (ws, pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
+                *_type2_residuals(section, ham, mag, z, ws, map_jacs,
+                                  constrained_level(frame, tolerances)))
+
+    # the first pass's frames live in its rank groups: the refinement builds its own
+    first = by_rank(len(zs), pipeline)
+    return _refine(section, phase_map, ham, mag, zs, first, lambda idx: constrained_level(
+        surface_frame(dist, ham, first[0][idx, :n]), tolerances), tolerances)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -301,8 +408,8 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
     Samples must be chosen so the phase map lands on the constraint
     surface; the section hypotheses are checked at every image point first.
     """
-    zs, columns = run_stacked("type2_constrained", section, phase_map, dist, ham, mag,
-                              samples, tolerances)
+    zs, columns = _type2_constrained(section, phase_map, dist, ham, mag, samples,
+                                     tolerances)
     return type2_report("hj2-distributional", zs, columns, tolerances)
 
 

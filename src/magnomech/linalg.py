@@ -1,5 +1,5 @@
-"""Dense linear-algebra helpers for small matrices, and the entry to the
-checks' orchestration (see stacked.py).
+"""Dense linear-algebra helpers for small matrices, and the stages that
+run a check on all its samples at once (:func:`located`, :func:`by_rank`).
 
 Every helper here takes one matrix (or vector) or a stack of them along
 leading sample axes, and gives each stacked matrix the bits it gives that
@@ -25,16 +25,66 @@ except where the largest singular value overflows (_svd).
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .errors import MagnomechError
+
 RCOND = 1e-10
 
 
 class RankSplit(Exception):
     """The stacked matrices of one step differ in rank; ``ranks`` holds each
-    matrix's rank (see stacked.by_rank)."""
+    matrix's rank (see by_rank)."""
 
     def __init__(self, ranks):
         super().__init__()
         self.ranks = ranks
+
+
+def located(count, stage):
+    """``stage(idx)``, one stage of a check on the samples ``idx``, run on
+    all ``count`` samples at once, with numpy's floating-point warnings off.
+
+    The fault-order rule: when the stage raises (a MagnomechError, or the
+    LinAlgError of a stacked solve), it reruns on each sample alone, in
+    sample order, and the first error raised is the check's: the error of
+    the first failing sample, in sample order, at its first failing step.
+    When no sample raises alone, the stage's own error propagates. A check
+    validates its samples first and then runs its stages in order, so an
+    earlier stage's fault comes first; a stage ends where a fold over the
+    samples decides what runs next (the reduced checks' hypothesis battery,
+    the relatedness gate), and where the sample set changes (each branch of
+    the geometry check).
+    """
+    with np.errstate(all="ignore"):
+        try:
+            return stage(np.arange(count))
+        except (MagnomechError, np.linalg.LinAlgError):
+            for i in range(count):
+                stage(np.array([i]))
+            raise
+
+
+def by_rank(count, pipeline):
+    """``pipeline(idx)``, a tuple of arrays over the samples ``idx``, for
+    each group of the ``count`` samples whose null spaces agree in
+    dimension at every step, put back together in sample order; one
+    located stage."""
+
+    def grouped(idx):
+        parts, pending = [], [idx]
+        while pending:
+            group = pending.pop()
+            try:
+                parts.append((group, pipeline(group)))
+            except RankSplit as split:
+                pending.extend(group[split.ranks == rank]
+                               for rank in np.unique(split.ranks))
+        if len(parts) == 1:
+            return parts[0][1]
+        order = np.argsort(np.concatenate([group for group, _ in parts]))
+        return tuple(np.concatenate(arrays)[order]
+                     for arrays in zip(*(out for _, out in parts)))
+
+    return located(count, grouped)
 
 
 def tr(a):
@@ -180,13 +230,3 @@ def lstsq_each(a, b):
         x[...] = 0.0
     return x[..., :columns]
 
-
-def run_stacked(name, *args):
-    """``stacked.<name>(*args)``, one check's work on all its samples at
-    once. It returns the entry point's result or raises its error; a fault
-    raises the error of the first failing sample (stacked.located). The
-    stacked module is imported on first use."""
-    from . import stacked
-
-    with np.errstate(all="ignore"):
-        return getattr(stacked, name)(*args)

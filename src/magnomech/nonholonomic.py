@@ -7,15 +7,12 @@ admissible subspace at a point of that surface collects tangent vectors
 whose base part stays in D and which are tangent to the surface. The
 constrained field is computed two independent ways (restricted solve and
 Lagrange multipliers) so each can serve as the other's oracle.
-:func:`geometry_check` is the geometry battery of a system (closedness,
-compatibility and dimensions, map diagnostics, relatedness).
 ConstraintDistribution's rows and their gradient, SurfaceFrame and the
 kernels on a frame (surface_residual, admissible, section_image,
 compatibility, multiplier_correction) take one point or a stack of points
 along leading axes, in the layout rule of :mod:`linalg`; each is defined
 once, and the functions of a PhasePoint (admissible_basis,
-compatibility_report, ...) wrap them. geometry_check runs its entry
-point in :mod:`stacked`, on all samples at once.
+compatibility_report, ...) wrap them.
 """
 
 from dataclasses import dataclass
@@ -37,7 +34,6 @@ from .geometry import (
     each,
     fd_jacobian,
     fd_jacobians,
-    sample_set,
 )
 from .dynamics import FD_STEP, free_field, read_only
 from .linalg import (
@@ -46,7 +42,6 @@ from .linalg import (
     mv,
     null_space,
     rank_of,
-    run_stacked,
     tr,
 )
 from .tolerances import DEFAULT_TOLERANCES
@@ -358,27 +353,6 @@ def compatibility(frame, omega, p, sigma_tol, constraint_tol):
         sigma = np.zeros(lead)
     dims = [np.full(lead, basis.shape[-1]) for basis in (f_basis, tm_basis, k_basis)]
     return (*dims, sigma, intersection, (sigma > sigma_tol) & (intersection == 0))
-
-
-def geometry_check(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
-    """The geometry battery of one system: (verdict, data).
-
-    Closedness of B at the configuration samples ``qs``; compatibility and
-    dimensions (constrained systems), the symplectic residual of eps and
-    quotient relatedness at the phase samples that ``draw()`` returns
-    (None when the system is unconstrained and has no phase map). ``draw``
-    is called once, after the closedness check. An empty sample set raises
-    NumericalDomainError: the battery's maxima have no value on it.
-    """
-
-    def nonempty(samples):
-        if not len(samples):
-            raise NumericalDomainError("the geometry check needs at least one sample")
-        return samples
-
-    return run_stacked("geometry", dist, ham, mag, gamma, epsilon, symmetry,
-                       nonempty(sample_set(qs)),
-                       None if draw is None else lambda: nonempty(draw()), tolerances)
 
 
 @dataclass

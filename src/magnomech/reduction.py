@@ -13,8 +13,8 @@ vertical and descending bases, the reduced frame and field and the
 relatedness residual are each defined once, for one point or a stack of
 points, on a SurfaceFrame (``surface_frame(dist, ham, q)``) over the base
 points; the public functions take PhasePoints and build the frame. As in
-:mod:`hj`, each reduced check runs its entry point in :mod:`stacked`,
-hypothesis battery included, on all its samples at once.
+:mod:`hj`, each reduced check runs its stages (_type1_reduced,
+_type2_reduced), hypothesis battery included, on all its samples at once.
 """
 
 from dataclasses import dataclass
@@ -22,25 +22,30 @@ from functools import cache
 
 import numpy as np
 
-from .dynamics import free_field
+from .dynamics import free_field, pullback_defect
 from .errors import DegenerateFormError, NumericalDomainError
+from .geometry import configs, phase_vectors
 from .hj import (
     FAIL,
     PASS,
     VACUOUS,
     HJReport,
+    _refine,
+    _type2_residuals,
     rows_of,
+    twist_on_distribution,
     type1_residual,
     type2_constrained,
     type2_report,
 )
 from .linalg import (
+    by_rank,
     column_space,
+    located,
     lstsq_each,
     max_abs_each,
     mv,
     null_space,
-    run_stacked,
     tr,
     worst,
 )
@@ -285,6 +290,37 @@ def reduced_level(sym, frame, mag, tolerances):
     return level
 
 
+def _reduced_battery(section, sym, frame, mag, tolerances):
+    """The reduced checks' hypothesis battery over the SurfaceFrame's base
+    points: (worst twist residual, defects, gamma at each q). The section
+    hypotheses raise; the reduced-only ones give the named defects of
+    reduced_defects, each of which makes the verdict VACUOUS."""
+    qs = frame.terms.q
+    gs = section.value(qs)
+    invariance = data_invariance_residual(sym, frame.dist, frame.terms.ham, mag, qs, gs,
+                                          frame)
+    section_invariance = section_invariance_residual(sym, section, qs, gs)
+    (twist,) = by_rank(len(qs), lambda idx: twist_on_distribution(
+        section, frame.take(idx), gs[idx], mag, tolerances)[3:])
+    twist = worst(twist)
+    return twist, reduced_defects(invariance, section_invariance, twist, tolerances), gs
+
+
+def _type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
+    """(worst twist residual, defects, (qs, (equation,))); the last is None
+    with defects."""
+    qs = configs(samples, sym.n)
+    if not len(qs):
+        return 0.0, [], (qs, ([],))
+    frame = surface_frame(dist, ham, qs)
+    hyp_worst, defects, gs = located(len(qs), lambda idx: _reduced_battery(
+        section, sym, frame.take(idx), mag, tolerances))
+    if defects:
+        return hyp_worst, defects, None
+    return hyp_worst, defects, (qs, by_rank(len(qs), lambda idx: (reduced_equation(
+        section, sym, frame.take(idx), ham, mag, gs[idx], tolerances),)))
+
+
 def type1_reduced(section, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type I check for the reduced system.
@@ -292,8 +328,8 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
     Every reduced-only hypothesis failure produces a VACUOUS verdict with a
     named defect, so scenario authors can tell which assumption broke.
     """
-    hyp_worst, defects, result = run_stacked("type1_reduced", section, sym, dist, ham,
-                                             mag, samples, tolerances)
+    hyp_worst, defects, result = _type1_reduced(section, sym, dist, ham, mag, samples,
+                                                tolerances)
     if defects:
         return HJReport("hj1-reduced", VACUOUS, hyp_worst, equation_residual=None,
                         defects=defects)
@@ -304,11 +340,44 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
                     per_sample=rows_of(REDUCED_ROW, qs, equation))
 
 
+def _type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
+    """(worst twist residual, worst symplectic residual, defects,
+    (zs, (None, a, b))), in-band samples refined (_refine); the last is
+    None with defects."""
+    n = sym.n
+    zs = phase_vectors(samples)
+    if not len(zs):
+        return 0.0, 0.0, [], (zs, (None, [], []))
+
+    def battery(idx):
+        z = zs[idx]
+        ws = phase_map.image(z)
+        frame = surface_frame(dist, ham, ws[:, :n])
+        hyp_worst, defects, _ = _reduced_battery(section, sym, frame, mag, tolerances)
+        map_jacs = phase_map.jacobians(z)
+        symp_worst = worst(pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs))
+        defects += map_defects(symp_worst, map_equivariance_residual(sym, phase_map, z, ws),
+                               tolerances)
+        return ws, map_jacs, frame, hyp_worst, symp_worst, defects
+
+    ws, map_jacs, frame, hyp_worst, symp_worst, defects = located(len(zs), battery)
+    if defects:
+        return hyp_worst, symp_worst, defects, None
+
+    def pipeline(idx):
+        level = reduced_level(sym, frame.take(idx), mag, tolerances)
+        return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx], level)
+
+    return hyp_worst, symp_worst, defects, _refine(
+        section, phase_map, ham, mag, zs, (ws, None, *by_rank(len(zs), pipeline)),
+        lambda idx: reduced_level(sym, frame.take(idx), mag, tolerances), tolerances)
+
+
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,
                   tolerances=DEFAULT_TOLERANCES):
     """Type II check for the reduced system (status agreement per sample)."""
-    hyp_worst, symp_worst, defects, result = run_stacked(
-        "type2_reduced", section, phase_map, sym, dist, ham, mag, samples, tolerances)
+    hyp_worst, symp_worst, defects, result = _type2_reduced(
+        section, phase_map, sym, dist, ham, mag, samples, tolerances)
     if defects:
         return HJReport("hj2-reduced", VACUOUS, max(hyp_worst, symp_worst),
                         defects=defects)

@@ -7,7 +7,7 @@ A sample set is one array from the moment it is drawn: configuration
 samples an (N, n) array, phase samples a :class:`geometry.PhaseStack`.
 The Newton iteration of :func:`preimage` is defined once, for one phase
 vector or a stack; the projections and preimages of a sample set run on
-all samples at once (:mod:`stacked`).
+all samples at once (linalg.located).
 """
 
 from functools import lru_cache
@@ -15,8 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalDomainError
-from .geometry import PhasePoint, PhaseStack
-from .linalg import run_stacked
+from .geometry import PhasePoint, PhaseStack, phase_vectors
+from .linalg import located
+from .nonholonomic import surface_frame
 
 # Primitive polynomials and initial direction numbers m_1..m_s of Joe & Kuo,
 # SIAM J. Sci. Comput. 30 (2008) 2635 (file new-joe-kuo-6.21201), for
@@ -125,7 +126,22 @@ def surface_phase_samples(dist, ham, box, count, rng):
     """Phase samples projected onto the constraint surface, as one PhaseStack;
     with constraints it carries the SurfaceFrame that projected it
     (PhaseStack.frame)."""
-    return run_stacked("projections", dist, ham, phase_samples(box, count, rng))
+    return _projections(dist, ham, phase_samples(box, count, rng))
+
+
+def _projections(dist, ham, samples):
+    """nonholonomic.project_to_constraint at each phase point, as a stack
+    that carries the SurfaceFrame over its base points."""
+    if dist.k == 0 or not len(samples):
+        return samples
+    n = dist.n
+    zs = phase_vectors(samples)
+
+    def stage(idx):
+        frame = surface_frame(dist, ham, zs[idx, :n])
+        return PhaseStack.of(zs[idx, :n], frame.project(zs[idx, n:]), frame)
+
+    return located(len(zs), stage)
 
 
 def newton_preimage(phase_map, target):
@@ -163,4 +179,11 @@ def preimage(phase_map, goal):
 
 def newton_preimages(phase_map, targets):
     """newton_preimage of each target, in order, as one PhaseStack."""
-    return run_stacked("preimages", phase_map, targets)
+    return _preimages(phase_map, targets)
+
+
+def _preimages(phase_map, targets):
+    if not len(targets):
+        return PhaseStack(np.zeros((0, 0)))
+    goals = phase_vectors(targets)
+    return located(len(goals), lambda idx: PhaseStack(preimage(phase_map, goals[idx])))

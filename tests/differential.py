@@ -25,7 +25,7 @@ current source and rewrite the file:
     PYTHONPATH=src python tests/differential.py --redraw
 
 With ``--reference`` every check runs the per-sample loops of
-tests/reference.py instead of the package's entry points
+tests/reference.py instead of the package's staged entries
 (``reference.per_sample_only``). pytest does not collect this file;
 ``test_differential`` compares the two modes on the 60 recorded documents.
 """

@@ -2,10 +2,11 @@
 
 The file records, by name:
 
-- ``simulate ...``: three 2000-step (``--t-end 2 --dt 1e-3``) runs of
-  ``magnomech simulate`` on shipped scenarios, each as its exit code and
-  the SHA-256 of the CSV bytes and of the stdout text, with the CSV path
-  written as ``run.csv``;
+- ``simulate ...``: the 2000-step (``--t-end 2 --dt 1e-3``) runs of
+  ``magnomech simulate``, each as its exit code and the SHA-256 of the CSV
+  bytes and of the stdout text, with the CSV path written as ``run.csv``:
+  every shipped scenario with the magnetic field, and each constrained one
+  also with the distributional field, with and without ``--no-project``;
 - ``check all scenarios --seed 5``: the exit code and the SHA-256 of the
   report, with every ``wall_time_s`` written as 0.0, and of the stdout;
 - ``fault <name>``: the abort step and message of ``integrate`` on each
@@ -46,13 +47,13 @@ from magnomech.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 FINGERPRINTS = ROOT / "tests" / "data" / "fingerprints.json"
 STEPS = ["--t-end", "2", "--dt", "1e-3"]
-RUNS = {
-    "simulate nh-magnetic-particle --field distributional": [
-        "nh-magnetic-particle.json", "--field", "distributional"],
-    "simulate nh-magnetic-particle --field distributional --no-project": [
-        "nh-magnetic-particle.json", "--field", "distributional", "--no-project"],
-    "simulate magnetic-trap": ["magnetic-trap.json"],
-}
+CONSTRAINED = ("nh-free-particle", "nh-magnetic-particle", "nh-magnetic-reduced")
+RUNS = {f"simulate {path.stem}": [path.name]
+        for path in sorted((ROOT / "scenarios").glob("*.json"))}
+RUNS.update({" ".join(["simulate", name, *flags]): [f"{name}.json", *flags]
+             for name in CONSTRAINED
+             for flags in (["--field", "distributional"],
+                           ["--field", "distributional", "--no-project"])})
 CHECK_ALL = "check all scenarios --seed 5"
 DIFFERENTIAL = "differential draw(60)"
 WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]+')

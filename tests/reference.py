@@ -1,32 +1,34 @@
 """The per-sample reference orchestration of every check.
 
-Each function here computes what the entry point of the same name in
-``magnomech.stacked`` computes, one sample at a time, through the same
-kernels called on single points. It is the test oracle of the package's
-one orchestration, kept beside the code under test as differential
-testing keeps an independent reference (McKeeman, "Differential Testing
-for Software", DTJ 10(1), 1998): ``per_sample_only()`` swaps these loops
-in for the entry points, and the goldens, the read counts and the
-differential tests compare the two.
+Each loop here computes what one staged entry of the package computes
+(STAGED pairs them: ``type1_magnetic`` with ``hj._type1_magnetic``, and
+so on), one sample at a time, through the same kernels called on single
+points. It is the test oracle of the package's one orchestration, kept
+beside the code under test as differential testing keeps an independent
+reference (McKeeman, "Differential Testing for Software", DTJ 10(1),
+1998): ``per_sample_only()`` swaps these loops in for the staged entries,
+and the goldens, the read counts and the differential tests compare the
+two.
 
-The loops follow the package's fault-order rule (``stacked.located``):
+The loops follow the package's fault-order rule (``linalg.located``):
 the samples are validated first; then each stage runs sample by sample,
-every sample taking the stage's steps in the entry point's order, so a
+every sample taking the stage's steps in the staged entry's order, so a
 fault raises the error of the first failing sample, at its first failing
 step, and an earlier stage's fault comes first. The stages end where the
-entry points' stages end: at the reduced checks' hypothesis battery, at
+package's stages end: at the reduced checks' hypothesis battery, at
 the relatedness gate and at each branch of the geometry check.
 
 The last section holds the helpers that only the tests call and that state
 nothing of the paper, so the package does not carry them.
 """
 
-from contextlib import contextmanager
+import sys
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
+from magnomech import cli, hj, reduction, sampling
 from magnomech import expressions as ex
-from magnomech import stacked
 from magnomech.dynamics import pullback_defect, symplectic_residual
 from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech.geometry import (
@@ -88,12 +90,12 @@ def _refine(section, phase_map, ham, mag, samples, images, first, level_of, tole
     residual inside the status band is recomputed alone, with the refined
     section and map, on its image, at the level ``level_of(image.q)``."""
     symplectic, res_a, res_b = first
-    refined_section, refined_map = stacked._refined(section), stacked._refined(phase_map)
+    refined_section, refined_map = hj._refined(section), hj._refined(phase_map)
     if refined_section is section and refined_map is phase_map:
         return first
     status_tol = tolerances.get("status")
     for i, (z, image) in enumerate(zip(samples, images)):
-        if stacked.in_band(res_a[i], status_tol) or stacked.in_band(res_b[i], status_tol):
+        if hj.in_band(res_a[i], status_tol) or hj.in_band(res_b[i], status_tol):
             # in phase_map.jacobian's order
             res_a[i], res_b[i] = _residuals(refined_section, ham, mag, z, image,
                                             refined_map.jacobian(z), level_of(image.q))
@@ -265,9 +267,17 @@ def preimages(phase_map, targets):
     return _stack([newton_preimage(phase_map, target) for target in targets])
 
 
-REFERENCES = {fn.__name__: fn for fn in (
-    type1_magnetic, type1_constrained, type1_reduced, type2_magnetic,
-    type2_constrained, type2_reduced, geometry, projections, preimages)}
+STAGED = {
+    hj._type1_magnetic: type1_magnetic,
+    hj._type1_constrained: type1_constrained,
+    reduction._type1_reduced: type1_reduced,
+    hj._type2_magnetic: type2_magnetic,
+    hj._type2_constrained: type2_constrained,
+    reduction._type2_reduced: type2_reduced,
+    cli._geometry: geometry,
+    sampling._projections: projections,
+    sampling._preimages: preimages,
+}
 
 
 def _per_row_csv(traj):
@@ -288,17 +298,30 @@ def _per_row_csv(traj):
 
 
 @contextmanager
-def per_sample_only():
-    """Every entry point of magnomech.stacked runs its reference loop
-    instead: the per-sample orchestration."""
-    saved = {name: getattr(stacked, name) for name in stacked.CHECKS}
+def swapped(fn, replacement):
+    """``replacement`` in place of ``fn`` at every attribute of a loaded
+    magnomech module that holds fn, the originals put back afterwards (as
+    bench/tracing.py installs its wrappers)."""
+    held = [(module, name) for module_name, module in list(sys.modules.items())
+            if module_name == "magnomech" or module_name.startswith("magnomech.")
+            for name, value in list(vars(module).items()) if value is fn]
     try:
-        for name in saved:
-            setattr(stacked, name, REFERENCES[name])
+        for module, name in held:
+            setattr(module, name, replacement)
         yield
     finally:
-        for name, fn in saved.items():
-            setattr(stacked, name, fn)
+        for module, name in held:
+            setattr(module, name, fn)
+
+
+@contextmanager
+def per_sample_only():
+    """Every staged entry of the package runs its reference loop instead:
+    the per-sample orchestration."""
+    with ExitStack() as stack:
+        for fn, loop in STAGED.items():
+            stack.enter_context(swapped(fn, loop))
+        yield
 
 
 # -- helpers that only the tests call --------------------------------------------
@@ -337,5 +360,5 @@ def lift_point(sym, zbar, fill=None):
     return PhasePoint(q, zbar[len(sym.kept):])
 
 
-# not loops of an entry point (test_stacked counts the loops without them)
+# not loops of a staged entry (test_stacked counts the loops without them)
 HELPERS = {fn.__name__: fn for fn in (evaluate_text, project_point, lift_point)}

@@ -266,7 +266,7 @@ def test_criterion_8_reduction(systems):
                 vec, frame = reduced_field(sym, system.dist, system.ham,
                                            system.mag, lift)
                 values.append((vec, frame.omega))
-                energies.append(system.ham.value(lift_point(sym, zbar)))
+                energies.append(system.ham.value(lift))
             lift_worst = max(
                 lift_worst,
                 float(np.max(np.abs(values[0][0] - values[1][0]))),

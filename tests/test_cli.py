@@ -10,6 +10,7 @@ import pytest
 
 from fingerprints import check_all_fingerprint, differing, fingerprints
 from reference import per_sample_only
+from magnomech import PhasePoint, build_system, load_scenario
 from magnomech.cli import main
 from magnomech.tolerances import DEFAULTS, Tolerances
 
@@ -229,6 +230,29 @@ def test_construct_b_without_gamma_is_input_error(scenario_dir, capsys):
                  "--out", "/tmp/unused.json"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["code"] == "missing_field"
+
+
+@pytest.mark.parametrize("source", [
+    # a constant numeric mass: the potential is matched through G^-1
+    {"mass_matrix": [[2, 0.5], [0.5, 1]], "gamma": ["0.3*q2", "-0.2*q1"]},
+    # a section that reads its declared cyclic coordinate: the matched
+    # potential -0.5 q2^2 breaks the invariance, so the symmetry is dropped
+    {"gamma": ["q2", "0"], "symmetry": [2]},
+], ids=["numeric-mass", "cyclic-section"])
+def test_construct_b_writes_a_scenario_that_passes_hj1(tmp_path, capsys, source):
+    """H is zero along the section of the written scenario, which builds
+    without the symmetry that its potential breaks, and hj1 PASSes."""
+    path = _write_scenario(tmp_path / "source.json", {"name": "source", "n": 2, **source})
+    out = tmp_path / "induced.json"
+    assert main(["construct-b", path, "--out", str(out)]) == 0
+    system = build_system(load_scenario(out))
+    assert "symmetry" not in json.loads(out.read_text())
+    for q in ([0.3, -0.7], [-0.9, 0.4]):
+        section_point = PhasePoint(q, system.gamma.value(np.array(q)))
+        assert system.ham.value(section_point) == pytest.approx(0.0, abs=1e-15)
+    capsys.readouterr()
+    assert main(["check", "hj1", str(out)]) == 0
+    assert "hj1-magnetic     PASS" in capsys.readouterr().out
 
 
 def test_tolerance_scale_env_widens_thresholds(scenario_dir, monkeypatch,
@@ -493,6 +517,46 @@ def test_a_step_count_that_is_not_finite_is_input_error(scenario_dir, tmp_path, 
     assert err["code"] == "usage"
     assert err["message"].endswith("is not a finite number of steps")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("potential,message", [
+    ("q1 $ 2", "unexpected character '$' (at position 3)"),
+    ("sin(q1", "expected ')' (at position 6)"),
+    ("q1 q2", "unexpected token 'q2' (at position 3)"),
+])
+def test_a_malformed_expression_is_one_positioned_error(tmp_path, capsys, potential,
+                                                        message):
+    scenario = _write_scenario(tmp_path / "syntax.json", {
+        "name": "syntax", "n": 1, "potential": potential})
+    assert main(["check", "geometry", scenario]) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert (err["code"], err["field"]) == ("expression", "potential")
+    assert err["message"].endswith(f"potential: {message}")
+
+
+@pytest.mark.parametrize("argv,code,field,message", [
+    (["check", "hj1", "magnetic-trap.json"], "missing_field", "gamma", "needs gamma"),
+    (["check", "all", "magnetic-trap.json"], "parse", None, "is not a directory"),
+    (["check", "all", "empty"], "parse", None, "no scenario files"),
+    (["simulate", "no-state.json", "--t-end", "1", "--dt", "0.1", "--out", "t.csv"],
+     "initial_state", None, "no initial_state"),
+], ids=["hj1-without-gamma", "all-on-a-file", "all-on-no-files",
+        "simulate-without-initial-state"])
+def test_a_run_the_scenario_cannot_serve_is_one_input_error(
+        scenario_dir, tmp_path, capsys, argv, code, field, message):
+    """check hj1 needs gamma, check all a directory with scenario files,
+    and simulate an initial state; a refused simulate writes no CSV."""
+    (tmp_path / "empty").mkdir()
+    _write_scenario(tmp_path / "no-state.json", {"name": "no-state", "n": 1,
+                                                 "potential": "q1^2"})
+    argv = [str(scenario_dir / a) if a == "magnetic-trap.json"
+            else str(tmp_path / a) if a in ("empty", "no-state.json", "t.csv") else a
+            for a in argv]
+    assert main(argv) == 2
+    err = _single_json_error(capsys.readouterr())
+    assert (err["code"], err.get("field")) == (code, field)
+    assert message in err["message"]
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_usage_error_is_one_json_object(capsys):

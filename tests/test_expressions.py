@@ -119,6 +119,7 @@ def test_nonconstant_exponent_has_no_symbolic_derivative():
     "-(q1 - q2)^3 / 2 + exp(q1/4)",
     "1.5e-3 * q1 - 0.25",
     "2^3^2 - q1*(q2 - 3)",
+    "q1 ",                 # trailing whitespace
 ])
 def test_printer_round_trips(text):
     node = ex.parse(text)

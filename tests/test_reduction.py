@@ -11,7 +11,7 @@ from magnomech import (
     integrate,
     project_to_constraint,
 )
-from magnomech import geometry, stacked
+from magnomech import geometry, hj
 from magnomech.cli import check_hj1, check_hj2, main
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from magnomech.geometry import OneFormSection, TwoFormField
@@ -366,7 +366,7 @@ def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
         return produced
 
     stacks = []
-    residuals = stacked._type2_residuals
+    residuals = hj._type2_residuals
 
     def recorded(refined, *args):
         # the first pass runs on fd_section itself, the recompute on its copy
@@ -374,14 +374,14 @@ def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
             stacks.append(len(args[2]))
         return residuals(refined, *args)
 
-    monkeypatch.setattr(stacked, "_type2_residuals", recorded)
+    monkeypatch.setattr(hj, "_type2_residuals", recorded)
     produced = report_bytes()
     assert stacks == [2, 2]
     assert reads == [8, 18]
     with per_sample_only():
         assert report_bytes() == produced
     # the recompute moved the residuals: without it the bytes differ
-    monkeypatch.setattr(stacked, "_refined", lambda obj: obj)
+    monkeypatch.setattr(hj, "_refined", lambda obj: obj)
     assert report_bytes() != produced
 
 
@@ -395,7 +395,7 @@ def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
     first = type2_reduced(section, eps, sym, dist, ham, mag, samples)
     tolerances = Tolerances({"status": min(a for a in first.residual_a if a > 1e-3) / 2})
     runs = []
-    residuals = stacked._type2_residuals
+    residuals = hj._type2_residuals
 
     def counted(refined, *args):
         # the first pass runs on the section itself, a recompute on a copy
@@ -410,11 +410,11 @@ def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
             type2_reduced(section, eps, sym, dist, ham, mag, samples,
                           tolerances=tolerances))]
 
-    monkeypatch.setattr(stacked, "_type2_residuals", counted)
+    monkeypatch.setattr(hj, "_type2_residuals", counted)
     skipped = report_bytes()
     assert runs == []
     # a copy is not the object itself, so the in-band sample is recomputed
-    monkeypatch.setattr(stacked, "_refined", dataclasses.replace)
+    monkeypatch.setattr(hj, "_refined", dataclasses.replace)
     assert report_bytes() == skipped
     # one sample in band at each level
     assert runs == [1, 1]

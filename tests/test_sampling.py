@@ -119,13 +119,13 @@ def test_dimension_above_the_table_exits_two(tmp_path, capsys):
 
 def test_import_and_build_do_not_load_scipy(scenario_dir):
     """Importing magnomech and building every shipped scenario loads
-    neither scipy nor the step generator (kernel) and the check
-    orchestration (stacked). Those load on first use: importing them
-    eagerly made a fresh interpreter's set-up slower."""
+    neither scipy nor the step generator (kernel). The generator loads on
+    first use: importing it eagerly made a fresh interpreter's set-up
+    slower."""
     script = (
         "import sys, magnomech\n"
         "from pathlib import Path\n"
-        "lazy = ('scipy', 'magnomech.kernel', 'magnomech.stacked')\n"
+        "lazy = ('scipy', 'magnomech.kernel')\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m in lazy or m.startswith('scipy.')]\n"
         "found = loaded()\n"

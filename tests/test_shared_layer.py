@@ -102,7 +102,7 @@ def each_sample(fn, *stacks):
 def each_sample_unless_raised(fn, *stacks):
     """each_sample, unless the stack raises the typed error of a fault or
     splits by rank: the checks then rerun the stage sample by sample, or by
-    rank group (stacked.located, stacked.by_rank)."""
+    rank group (linalg.located, linalg.by_rank)."""
     try:
         fn(*stacks)
     except (MagnomechError, RankSplit):

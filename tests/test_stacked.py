@@ -1,8 +1,8 @@
 """The package's orchestration against its per-sample reference.
 
-Every check runs on all its samples at once (magnomech.stacked); a stage
-that raises is rerun sample by sample, so a fault raises the error of the
-first failing sample (stacked.located). tests/reference.py holds the
+Every check runs its stages on all its samples at once; a stage that
+raises is rerun sample by sample, so a fault raises the error of the
+first failing sample (linalg.located). tests/reference.py holds the
 per-sample loops, and per_sample_only() swaps them in: the two
 orchestrations must give the same report bytes, and on a fault the same
 error, raised at the first failing sample under the same fault-order rule.
@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 import reference as reference_loops
 from conftest import SCENARIO_DIR
-from reference import per_sample_only
+from reference import per_sample_only, swapped
 from test_contract import scenarios
 from magnomech import PhasePoint
-from magnomech import stacked
-from magnomech import geometry
+from magnomech import geometry, linalg
 from magnomech.cli import (
     _phase_points,
     _type2_samples,
@@ -34,6 +33,7 @@ from magnomech.cli import (
     check_hj1,
     check_hj2,
     checks_for_system,
+    geometry_check,
 )
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from magnomech.errors import (
@@ -51,7 +51,7 @@ from magnomech.hj import (
     type2_constrained,
     type2_magnetic,
 )
-from magnomech.nonholonomic import ConstraintDistribution, geometry_check
+from magnomech.nonholonomic import ConstraintDistribution
 from magnomech.reduction import relatedness_check, type1_reduced, type2_reduced
 from magnomech.sampling import (
     config_samples,
@@ -69,7 +69,7 @@ SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 def recording_reruns():
     """The stages located meanwhile: for each stage that raised on all its
     samples, the sample counts of its runs (all, then one at a time)."""
-    located = stacked.located
+    located = linalg.located
     reruns = []
 
     def spy(count, stage):
@@ -85,11 +85,8 @@ def recording_reruns():
             if len(runs) > 1:
                 reruns.append(runs)
 
-    stacked.located = spy
-    try:
+    with swapped(located, spy):
         yield reruns
-    finally:
-        stacked.located = located
 
 
 def _report_bytes(reports):
@@ -440,7 +437,7 @@ FAULT_ORDER = {
 
 @pytest.mark.parametrize("case", sorted(FAULT_ORDER))
 def test_two_samples_failing_at_different_stages(systems, case):
-    """The fault-order rule of stacked.located, where two samples fail at
+    """The fault-order rule of linalg.located, where two samples fail at
     different stages. Within a stage the first failing sample wins, at its
     own first failing step, although the stack meets the later sample's
     earlier step first: the type1 and type2 cases raise sample 2's late
@@ -565,22 +562,32 @@ def test_a_stage_that_fails_only_as_a_stack_raises_its_own_error(error):
         return idx
 
     with pytest.raises(type(error), match="the stack fails"):
-        stacked.located(3, stage)
+        linalg.located(3, stage)
     assert runs == [[0, 1, 2], [0], [1], [2]]
 
 
 def test_each_entry_point_has_exactly_one_reference():
-    """per_sample_only() swaps every entry point of stacked.CHECKS for the
-    loop of the same name in tests/reference.py; an entry point without one
-    would be compared with itself, and a loop without an entry point would
-    test nothing. The helpers that only the tests call are no loops."""
+    """per_sample_only() swaps each staged entry of reference.STAGED, the
+    private ``_<loop>`` of its module, for its loop in tests/reference.py;
+    an entry without a loop would be compared with itself, and a loop
+    without an entry would test nothing. The helpers that only the tests
+    call are no loops."""
     loops = sorted(name for name, fn in vars(reference_loops).items()
                    if inspect.isfunction(fn) and fn.__module__ == reference_loops.__name__
-                   and not name.startswith("_") and name != "per_sample_only"
+                   and not name.startswith("_")
+                   and name not in ("per_sample_only", "swapped")
                    and name not in reference_loops.HELPERS)
-    assert sorted(stacked.CHECKS) == loops
-    assert reference_loops.REFERENCES == {name: getattr(reference_loops, name)
-                                          for name in loops}
+    staged = reference_loops.STAGED
+    assert sorted(loop.__name__ for loop in staged.values()) == loops
+    assert [fn.__name__ for fn in staged] == [f"_{loop.__name__}" for loop in staged.values()]
+
+    def bound():
+        return [getattr(sys.modules[fn.__module__], fn.__name__) for fn in staged]
+
+    assert bound() == list(staged)
+    with per_sample_only():
+        assert bound() == list(staged.values())
+    assert bound() == list(staged)
 
 
 RANK_MIX = {
@@ -598,14 +605,14 @@ RANK_MIX = {
 }
 
 
-def test_samples_of_one_check_split_by_rank(monkeypatch):
+def test_samples_of_one_check_split_by_rank():
     """The second Sobol point has q1 = 0, where the vertical and descent
     subspaces are one dimension larger than at the other samples; the
     stacked reduced checks run the two groups apart and give the
     per-sample reports byte for byte."""
     system = build_system(parse_scenario(json.dumps(RANK_MIX)))
     groups = []
-    by_rank = stacked.by_rank
+    by_rank = linalg.by_rank
 
     def spy(count, pipeline):
         sizes = []
@@ -613,8 +620,7 @@ def test_samples_of_one_check_split_by_rank(monkeypatch):
         groups.append(sorted(sizes))
         return result
 
-    monkeypatch.setattr(stacked, "by_rank", spy)
-    with recording_reruns() as reruns:
+    with swapped(by_rank, spy), recording_reruns() as reruns:
         produced = _report_bytes(checks_for_system(system, 8, 0))
     assert reruns == []
     assert [7, 1] in [sorted(sizes, reverse=True) for sizes in groups]

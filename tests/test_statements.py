@@ -5,7 +5,8 @@ functions that compute it, the tolerances it reads, its acceptance
 criterion and its tier-1 tests; the first test resolves every one of them,
 so the map cannot name what no longer exists. The second keeps the
 package to what runs: every public function or method of src/magnomech
-has a caller in the package, in bench/ or in the map.
+has a caller in the package, in bench/ or in the map. The third keeps the
+package's imports free of cycles.
 """
 
 import ast
@@ -129,10 +130,9 @@ def _public_functions():
 
 
 def _references(tree, dotted_strings=False):
-    """(line, name) of every name read in the tree: names, attributes, the
-    entry point named by ``linalg.run_stacked``'s first argument (it calls
-    ``stacked.<name>``) and, with ``dotted_strings``, each part of a string
-    that is a dotted name (bench/tracing.py names its targets so).
+    """(line, name) of every name read in the tree: names, attributes and,
+    with ``dotted_strings``, each part of a string that is a dotted name
+    (bench/tracing.py names its targets so).
     Docstrings and imports read no name."""
     found = []
     for node in ast.walk(tree):
@@ -140,9 +140,6 @@ def _references(tree, dotted_strings=False):
             found.append((node.lineno, node.id))
         elif isinstance(node, ast.Attribute):
             found.append((node.lineno, node.attr))
-        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_stacked"
-              and node.args and isinstance(node.args[0], ast.Constant)):
-            found.append((node.lineno, node.args[0].value))
         elif (dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
               and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
             found += [(node.lineno, part) for part in node.value.split(".")]
@@ -167,3 +164,38 @@ def test_every_public_function_has_a_caller():
                 and not any(ref == name and not (where == module and first <= line <= last)
                             for where, refs in package.items() for line, ref in refs)]
     assert not uncalled, uncalled
+
+
+# -- the import graph ----------------------------------------------------------
+
+def _imports():
+    """{module: the package modules it imports} from every ``from .x import``
+    and ``from . import x`` of src/magnomech, at module level and inside
+    functions."""
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem] |= ({node.module} if node.module
+                                     else {alias.name for alias in node.names})
+    return graph
+
+
+def test_the_package_imports_form_no_cycle():
+    """No module of the package imports itself through others. An import
+    inside a function can hide such a cycle, and then which module loads
+    first decides whether an import fails."""
+    graph, done, path = _imports(), set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join(path[path.index(module):] + [module])
+        if module not in done:
+            path.append(module)
+            for imported in sorted(graph[module]):
+                visit(imported)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
