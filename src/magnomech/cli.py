@@ -20,7 +20,6 @@ import numpy as np
 from . import hj, reduction
 from .errors import MagnomechError, NumericalDomainError, ScenarioError
 from .geometry import (
-    CLOSEDNESS_STEP,
     PhaseStack,
     closedness_residual,
     configs,
@@ -172,7 +171,7 @@ def _geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
     n = mag.n
     qs = configs(qs, n)
     closedness = max(located(len(qs), lambda idx: closedness_residual(
-        mag.b_field, qs[idx], CLOSEDNESS_STEP)).tolist())
+        mag.b_field, qs[idx])).tolist())
     data["b_closedness_residual"] = closedness
     if closedness > tolerances.get("closedness"):
         verdict = FAIL
@@ -274,8 +273,9 @@ def check_hj1(system, count, seed, reduced=False):
 
 
 def check_hj2(system, count, seed, reduced=False):
-    if system.gamma is None or system.epsilon is None:
-        raise ScenarioError("missing_field", "check hj2 needs gamma and epsilon")
+    for name in ("gamma", "epsilon"):
+        if getattr(system, name) is None:
+            raise ScenarioError("missing_field", "check hj2 needs gamma and epsilon", name)
     start = time.perf_counter()
     zs = _type2_samples(system, count, seed)
     if reduced:

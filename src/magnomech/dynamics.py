@@ -10,8 +10,9 @@ The dynamical field solves Omega^T X = grad H, which in components is
 X = (H_p, -H_q + B H_p); the closed-form path below carries exactly that
 convention and a unit test pins it. The integrator's generated step
 (kernel.py) writes the same closed form out per system, and the per-point
-functions here (BaseTerms, magnetic_vector_field) stay its oracles and the
-path it calls for Hamiltonians differentiated by central differences.
+functions here (BaseTerms, magnetic_vector_field) stay its oracles. Every
+Hamiltonian and phase map carries its partials (a scenario's are exact and
+symbolic): building one without them raises TypeError.
 BaseTerms, MagneticStructure.form_matrix, free_field, structure_solve,
 pullback_defect and PhaseMap.image and jacobians take one point or a stack
 of points along leading axes, in the layout rule of :mod:`linalg`; the
@@ -24,22 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import (
-    DEFAULT_FD_STEP,
-    PhasePoint,
-    TangentPhaseVector,
-    TwoFormField,
-    each,
-    fd_gradient,
-    fd_jacobians,
-    split,
-)
+from .geometry import PhasePoint, TangentPhaseVector, TwoFormField, each, split
 from .linalg import dots, mv, norms, tr
 
 SOLVER_TOL = 1e-10
-# central-difference step for a Hamiltonian or constraint rows that have no
-# symbolic derivative (sections and phase maps use geometry.DEFAULT_FD_STEP)
-FD_STEP = 1e-6
 
 
 def read_only(array):
@@ -54,13 +43,19 @@ class HamiltonianSpec:
     """Hamiltonian data: either kinetic-plus-potential or a general function.
 
     The quadratic flavour stores a mass matrix G(q) and potential V(q) with
-    H = p^T G(q)^{-1} p / 2 + V(q); analytic derivative callbacks are used
-    when available, central differences otherwise. The general flavour wraps
-    an arbitrary scalar on phase space.
+    H = p^T G(q)^{-1} p / 2 + V(q), each with its partials (a missing mass
+    is the identity, a missing potential zero). The general flavour wraps
+    an arbitrary scalar on phase space and its gradient. A function given
+    without its partials raises TypeError here.
     """
 
     def __init__(self, n, mass_fn=None, potential_fn=None, mass_grad_fn=None,
                  potential_grad_fn=None, general_fn=None, general_grad_fn=None):
+        for name, fn, grad in (("mass_fn", mass_fn, mass_grad_fn),
+                               ("potential_fn", potential_fn, potential_grad_fn),
+                               ("general_fn", general_fn, general_grad_fn)):
+            if fn is not None and grad is None:
+                raise TypeError(f"{name} needs its partials")
         self.n = n
         self._mass_fn = mass_fn
         self._potential_fn = potential_fn
@@ -81,7 +76,7 @@ class HamiltonianSpec:
         return cls(n)
 
     @classmethod
-    def general(cls, n, value_fn, grad_fn=None):
+    def general(cls, n, value_fn, grad_fn):
         return cls(n, general_fn=value_fn, general_grad_fn=grad_fn)
 
     @property
@@ -154,23 +149,16 @@ class BaseTerms:
 
     @cached_property
     def mass_gradient(self):
-        """Stacked partials dG/dq_c, shape (..., n, n, n); None when G is
-        constant or has no symbolic derivative."""
-        fn = self.ham._mass_grad_fn
-        if self.mass is None or fn is None:
+        """Stacked partials dG/dq_c, shape (..., n, n, n); None for unit
+        masses."""
+        if self.mass is None:
             return None
-        return read_only(each(fn, self.q))
+        return read_only(each(self.ham._mass_grad_fn, self.q))
 
     @cached_property
     def potential_gradient(self):
-        ham = self.ham
-        if ham._potential_grad_fn is not None:
-            grad = each(ham._potential_grad_fn, self.q)
-        elif ham._potential_fn is not None:
-            grad = each(lambda q: fd_gradient(ham._potential_fn, q, FD_STEP), self.q)
-        else:
-            grad = np.zeros(np.shape(self.q))
-        return read_only(grad)
+        fn = self.ham._potential_grad_fn
+        return read_only(np.zeros(np.shape(self.q)) if fn is None else each(fn, self.q))
 
     def velocity(self, p):
         if self.mass is None:
@@ -199,11 +187,7 @@ class BaseTerms:
         ham = self.ham
         n = ham.n
         if ham._general_fn is not None:
-            if ham._general_grad_fn is not None:
-                grad = each(split(ham._general_grad_fn, n), self.phase_points(p))
-            else:
-                value = split(ham._general_fn, n)
-                grad = each(lambda z: fd_gradient(value, z, FD_STEP), self.phase_points(p))
+            grad = each(split(ham._general_grad_fn, n), self.phase_points(p))
         else:
             grad = np.empty(p.shape[:-1] + (2 * n,))
             grad[..., n:] = self.velocity(p)
@@ -217,21 +201,10 @@ class BaseTerms:
         if self.mass is None:
             return potential_part
         velocity = mv(self.inverse, p)
+        # -v^T (dG/dq_c) v / 2 for each direction c
+        scaled = (-0.5 * velocity)[..., None, None, :]
         stacked = self.mass_gradient
-        if stacked is not None:
-            # -v^T (dG/dq_c) v / 2 for each direction c
-            scaled = (-0.5 * velocity)[..., None, None, :]
-            kinetic_part = (scaled @ stacked @ velocity[..., None, :, None])[..., 0, 0]
-        else:
-            mass_fn = self.ham._mass_fn
-            n = self.ham.n
-
-            def kinetic(z):
-                q, p = z[:n], z[n:]
-                return fd_gradient(lambda qq: 0.5 * p @ np.linalg.solve(
-                    np.asarray(mass_fn(qq), float), p), q, FD_STEP)
-
-            kinetic_part = each(kinetic, self.phase_points(p))
+        kinetic_part = (scaled @ stacked @ velocity[..., None, :, None])[..., 0, 0]
         return kinetic_part + potential_part
 
 
@@ -313,11 +286,10 @@ def coordinate_formula_field(ham, mag, z):
 
 @dataclass
 class PhaseMap:
-    """A smooth map of the cotangent bundle with Jacobian access."""
+    """A smooth map of the cotangent bundle with its Jacobian ``jacobian_fn``."""
 
     eval_fn: object
-    jacobian_fn: object = None
-    step: float = DEFAULT_FD_STEP
+    jacobian_fn: object
 
     def value(self, z):
         return PhasePoint.from_vec(self.image(z.vec))
@@ -335,9 +307,7 @@ class PhaseMap:
     def jacobians(self, vec):
         """J_eps at a phase vector, or at each of a stack."""
         width = np.shape(vec)[-1]
-        if self.jacobian_fn is not None:
-            return each(self.jacobian_fn, vec, (width, width))
-        return fd_jacobians(self.eval_fn, vec, self.step, width)
+        return each(self.jacobian_fn, vec, (width, width))
 
     @classmethod
     def identity(cls, n):

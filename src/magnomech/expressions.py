@@ -9,14 +9,14 @@ Grammar (EBNF):
     atom   = NUMBER | NAME | NAME "(" expr ")" | "(" expr ")"
 
 Names are variables ``q1..qn`` / ``p1..pn`` or one of the functions
-``sin``, ``cos``, ``exp``. Parsing produces a small AST that supports
-compilation of an AST or an array of them to a Python function of one
-point (compile_node, the evaluator and the reference), whose guarded
+``sin``, ``cos``, ``exp``, ``log``. Parsing produces a small AST that
+supports compilation of an AST or an array of them to a Python function of
+one point (compile_node, the evaluator and the reference), whose guarded
 statements (guarded) the integrator's generated step writes too, and to a
 column function that evaluates an array of ASTs at a whole stack of
-points with the same bits per point (compile_columns), symbolic
-differentiation (enough for polynomial/trig closed forms) and
-round-trippable printing.
+points with the same bits per point (compile_columns), exact symbolic
+differentiation of every expression (derivative) and round-trippable
+printing.
 """
 
 import math
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ExpressionError, NumericalDomainError
 
-FUNCTIONS = ("sin", "cos", "exp")
+FUNCTIONS = ("sin", "cos", "exp", "log")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -192,15 +192,20 @@ def _num_of(node):
 
 
 def _fold(op, lv, rv, position):
-    """The constant lv op rv, which must be a finite real number."""
+    """The constant lv op rv. In the parser (``position`` given) it must be
+    a finite real number. A node built by derivative or the builders below
+    keeps a constant without one as the node lv op rv, so building never
+    fails and evaluating the node raises NumericalDomainError."""
     try:
         value = _OPS[op](lv, rv)
     except ArithmeticError:  # division by zero, overflow
         value = None
-    if not (isinstance(value, float) and math.isfinite(value)):
-        raise ExpressionError(
-            f"constant {lv!r} {op} {rv!r} has no finite real value", position)
-    return Num(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return Num(value)
+    if position is None:
+        return Bin(op, Num(lv), Num(rv))
+    raise ExpressionError(
+        f"constant {lv!r} {op} {rv!r} has no finite real value", position)
 
 
 def _bin(op, left, right, position=None):
@@ -263,11 +268,14 @@ def check_variables(node, allowed):
 
 
 def derivative(node, var):
-    """Symbolic partial derivative with respect to variable name ``var``.
+    """Exact symbolic partial derivative with respect to variable name ``var``.
 
-    Exponents must be constants; that covers the polynomial/trig closed
-    forms scenarios use. Everything else falls back to finite differences
-    at a higher level.
+    Every expression of the language has one, and building it never fails.
+    A power a^b whose exponent does not depend on ``var`` takes the power
+    rule b a^(b-1) a'; one whose exponent does takes
+    a^b (b' log(a) + b a'/a), without the last term when a' is zero, so its
+    value needs a > 0, and 0^b takes 0. Where a partial has no finite value
+    its evaluation raises NumericalDomainError, as any expression's does.
     """
     if isinstance(node, Num):
         return Num(0.0)
@@ -277,6 +285,8 @@ def derivative(node, var):
         return _neg(derivative(node.arg, var))
     if isinstance(node, Call):
         inner = derivative(node.arg, var)
+        if node.fn == "log":
+            return Num(0.0) if _num_of(inner) == 0 else _bin("/", inner, node.arg)
         if node.fn == "sin":
             outer = Call("cos", node.arg)
         elif node.fn == "cos":
@@ -298,11 +308,16 @@ def derivative(node, var):
             # an identically zero partial, not 0 / right^2 with its poles
             return Num(0.0)
         return _bin("/", top, _bin("^", node.right, Num(2.0)))
-    exponent = _num_of(node.right)
-    if exponent is None:
-        raise ExpressionError("cannot differentiate a non-constant exponent")
-    scaled = _bin("*", Num(exponent), _bin("^", node.left, Num(exponent - 1.0)))
-    return _bin("*", scaled, dl)
+    base, exponent = node.left, node.right
+    if _num_of(dr) == 0:
+        lowered = _bin("^", base, _bin("-", exponent, Num(1.0)))
+        return _bin("*", _bin("*", exponent, lowered), dl)
+    if _num_of(base) == 0:
+        return Num(0.0)  # 0^b is 0 wherever b > 0, and log(0) has no value
+    rate = _bin("*", dr, Call("log", base))
+    if _num_of(dl) != 0:
+        rate = _bin("+", rate, _bin("*", exponent, _bin("/", dl, base)))
+    return _bin("*", node, rate)
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}

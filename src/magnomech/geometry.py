@@ -21,10 +21,6 @@ import numpy as np
 from .errors import NumericalDomainError
 from .linalg import max_abs, tr
 
-DEFAULT_FD_STEP = 1e-5
-# central-difference step of the closedness residual
-CLOSEDNESS_STEP = 1e-4
-
 
 def each(fn, points, shape=()):
     """``fn`` at each point of a stack whose last axis holds one point's
@@ -202,86 +198,15 @@ class TangentPhaseVector:
         return cls(v[:n], v[n:])
 
 
-def fd_jacobian(fn, x, step=DEFAULT_FD_STEP):
-    """Central-difference Jacobian of a vector-valued function.
-
-    Non-finite input values propagate silently into the result; callers
-    validate finiteness where it matters.
-    """
-    x = np.asarray(x, dtype=float)
-    base = np.asarray(fn(x), dtype=float)
-    jac = np.empty((base.size, x.size))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(x.size):
-            shift = np.zeros_like(x)
-            shift[j] = step
-            jac[:, j] = (np.asarray(fn(x + shift))
-                         - np.asarray(fn(x - shift))) / (2 * step)
-    return jac
-
-
-def fd_jacobians(fn, x, step=DEFAULT_FD_STEP, size=0):
-    """fd_jacobian of fn at a point x, or at each point of a stack; fn's
-    value has ``size`` entries, the rows of an empty stack's Jacobians.
-
-    A stack is differenced in one pass through fn's column function, when
-    fn has one, with fd_jacobian's shifts and order of operations, so each
-    point keeps its bits. When fn has none, or it faults at some shifted
-    point, fd_jacobian runs at each point in turn, which raises the first
-    faulting point's error.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1 and hasattr(fn, "columns"):
-        flat = x.reshape(-1, x.shape[-1])
-        jac = _column_differences(fn.columns, flat, step)
-        if jac is not None:
-            return jac.reshape(x.shape[:-1] + jac.shape[1:])
-    return each(lambda point: fd_jacobian(fn, point, step), x, (size, x.shape[-1]))
-
-
-def _column_differences(columns, xs, step):
-    """fd_jacobian at each row of xs through ``columns``, or None when an
-    evaluation faults."""
-    count, width = xs.shape
-    base = columns(xs)
-    if base is None:
-        return None
-    jac = np.empty((count, int(np.prod(base.shape[1:])), width))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(width):
-            shift = np.zeros(width)
-            shift[j] = step
-            ahead, behind = columns(xs + shift), columns(xs - shift)
-            if ahead is None or behind is None:
-                return None
-            jac[:, :, j] = (ahead.reshape(count, -1)
-                            - behind.reshape(count, -1)) / (2 * step)
-    return jac
-
-
-def fd_gradient(fn, x, step=DEFAULT_FD_STEP):
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty(x.size)
-    for j in range(x.size):
-        shift = np.zeros_like(x)
-        shift[j] = step
-        grad[j] = (fn(x + shift) - fn(x - shift)) / (2 * step)
-    return grad
-
-
 @dataclass
 class OneFormSection:
     """A smooth covector section q -> (q, gamma(q)) with Jacobian access.
 
-    ``jacobian_fn`` is the analytic Jacobian d(gamma_i)/d(q_j) when the
-    section comes in closed form; otherwise central differences with
-    ``step`` are used.
+    ``jacobian_fn`` gives the Jacobian d(gamma_i)/d(q_j).
     """
 
     eval_fn: object
-    jacobian_fn: object = None
-    step: float = DEFAULT_FD_STEP
+    jacobian_fn: object
 
     def value(self, q):
         """gamma at a point q, or at each point of a stack."""
@@ -293,10 +218,7 @@ class OneFormSection:
     def jacobian(self, q):
         """d(gamma_i)/d(q_j) at a point q, or at each point of a stack."""
         n = np.shape(q)[-1]
-        if self.jacobian_fn is not None:
-            jac = each(self.jacobian_fn, q, (n, n))
-        else:
-            jac = fd_jacobians(self.eval_fn, q, self.step, n)
+        jac = each(self.jacobian_fn, q, (n, n))
         if not np.isfinite(jac).all():
             raise NumericalDomainError("one-form Jacobian is non-finite")
         return jac
@@ -318,12 +240,18 @@ class TwoFormField:
     With U(q) the strict upper triangle of ``upper_fn(q)``, the evaluation
     matrix M(q) = U(q) - U(q)^T is exactly antisymmetric by construction,
     whatever the supplied entries do; the entries on and below the diagonal
-    are evaluated and ignored.
+    are evaluated and ignored. ``partials_fn(q)`` gives the partials of
+    ``upper_fn`` stacked direction first, shape (n, n, n), which the
+    closedness residual reads: a two-form that varies on n >= 3 dimensions
+    needs them, and no other reads them.
     """
 
-    def __init__(self, upper_fn, n, constant=None):
+    def __init__(self, upper_fn, n, partials_fn=None, constant=None):
+        if partials_fn is None and constant is None and n >= 3:
+            raise TypeError("a varying two-form on n >= 3 dimensions needs partials_fn")
         self._upper_fn = upper_fn
         self.n = n
+        self._partials_fn = partials_fn
         self._constant = constant
 
     def matrix(self, q):
@@ -349,19 +277,20 @@ class TwoFormField:
         upper = np.triu(matrix, 1)
         value = upper - upper.T
         value.setflags(write=False)
+        n = matrix.shape[0]
         # a non-finite matrix keeps the per-call path, which raises on use
-        return cls(lambda q: matrix, matrix.shape[0],
+        return cls(lambda q: matrix, n, lambda q: np.zeros((n, n, n)),
                    constant=value if np.isfinite(value).all() else None)
 
     @classmethod
-    def from_matrix_fn(cls, fn, n, check=True):
+    def from_matrix_fn(cls, fn, n, partials_fn=None, check=True):
         def upper(q):
             matrix = np.asarray(fn(q), dtype=float)
             if check and max_abs(matrix + matrix.T) > 1e-9 * (1.0 + max_abs(matrix)):
                 raise NumericalDomainError("two-form evaluation is not antisymmetric")
             return matrix
 
-        return cls(upper, n)
+        return cls(upper, n, partials_fn)
 
 
 def exterior_derivative(section, q):
@@ -375,27 +304,26 @@ def exterior_derivative(section, q):
     return jac.T - jac
 
 
-def two_form_closedness_residual(field, q, step=CLOSEDNESS_STEP):
+def two_form_closedness_residual(field, q):
     """Max cyclic-sum residual of the exterior derivative of a two-form.
 
-    Checks d_i M_jk + d_j M_ki + d_k M_ij over all index triples with
-    central differences; exactly zero input derivatives give zero.
+    Checks d_i M_jk + d_j M_ki + d_k M_ij over all index triples, from the
+    field's partials; a constant field, and any field on n < 3 dimensions,
+    gives zero.
     """
-    return float(closedness_residual(field, ensure_config(q), step))
+    return float(closedness_residual(field, ensure_config(q)))
 
 
-def closedness_residual(field, q, step):
+def closedness_residual(field, q):
     """two_form_closedness_residual at a point or at each point of a stack."""
     n = q.shape[-1]
     lead = q.shape[:-1]
-    if n < 3:
+    if n < 3 or field._constant is not None:
         return np.zeros(lead)
-    partials = np.empty(lead + (n, n, n))
-    for k in range(n):
-        shift = np.zeros(n)
-        shift[k] = step
-        partials[..., k, :, :] = (field.matrix(q + shift)
-                                  - field.matrix(q - shift)) / (2 * step)
+    upper = np.triu(each(field._partials_fn, q, (n, n, n)), 1)
+    if not np.isfinite(upper).all():
+        raise NumericalDomainError("two-form partials are non-finite")
+    partials = upper - tr(upper)
     worst = np.zeros(lead)
     for i in range(n):
         for j in range(i + 1, n):

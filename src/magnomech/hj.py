@@ -14,13 +14,12 @@ for one point or a stack of points in the layout rule of :mod:`linalg`.
 Each check calls them in its stages (_type1_magnetic, ...), which run on
 all its samples at once, so a fault raises the error of the first failing
 sample (linalg.located). The stages return the validated samples and the
-final per-sample columns, the in-band Type II samples already recomputed
-at finer difference steps (_refine); a check on no samples runs no stage
-and returns the empty columns (worst residuals 0.0). The reports here only
-fold the columns (linalg.worst) and build the rows once.
+per-sample columns of their one pass; a check on no samples runs no stage
+and returns the empty columns (worst residuals 0.0). The reports here only fold the columns (linalg.worst) and
+build the rows once.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -36,7 +35,7 @@ from .geometry import (
 )
 from .linalg import by_rank, first_failing, located, max_abs_each, mv, tr, worst
 from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
-from .tolerances import DEFAULT_TOLERANCES, STATUS_BAND_FACTOR
+from .tolerances import DEFAULT_TOLERANCES
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -276,11 +275,10 @@ def type2_report(check_name, zs, columns, tolerances, hypothesis=None):
 
     ``columns`` holds (symplectic, a, b) over the phase vectors zs: the
     map's symplectic residual (None on the reduced level) and the two
-    residuals, the in-band ones already refined by the stages. The
-    unreduced levels record the map's symplectic residual per sample as
-    their hypothesis (VACUOUS above the ``hypothesis`` tolerance); the
-    reduced level has run its own battery and passes its worst twist
-    residual as ``hypothesis``.
+    residuals. The unreduced levels record the map's symplectic residual
+    per sample as their hypothesis (VACUOUS above the ``hypothesis``
+    tolerance); the reduced level has run its own battery and passes its
+    worst twist residual as ``hypothesis``.
     """
     status_tol = tolerances.get("status")
     symplectic, *residuals = columns
@@ -314,57 +312,18 @@ def _symplectic(phase_map, mag, zs):
     return map_jacs, ws, pullback_defect(mag, zs[:, :n], ws[:, :n], map_jacs)
 
 
-# -- the in-band Type II refinement ---------------------------------------------
-
-def in_band(value, tol):
-    return (tol <= value) & (value < STATUS_BAND_FACTOR * tol)
-
-
-def _refined(obj):
-    """Copy of a section or map with a 10x smaller finite-difference step."""
-    if getattr(obj, "jacobian_fn", None) is None and hasattr(obj, "step"):
-        return replace(obj, step=obj.step / 10.0)
-    return obj
-
-
-def _refine(section, phase_map, ham, mag, zs, first, level_of, tolerances):
-    """(zs, (symplectic, a, b)) from a first pass (ws, symplectic, a, b) at
-    the phase vectors zs, whose images are ws, once the samples with a
-    residual in the status band are recomputed in one more stage with the
-    _refined section and map, on the images ws (the step does not move
-    them) and with the level ``level_of(idx)`` of the samples idx, at their
-    base points. With analytic Jacobians a recompute would give the same
-    numbers: none runs."""
-    ws, symplectic, res_a, res_b = first
-    res_a, res_b = np.array(res_a, dtype=float), np.array(res_b, dtype=float)
-    refined_section, refined_map = _refined(section), _refined(phase_map)
-    status_tol = tolerances.get("status")
-    banded = np.flatnonzero(in_band(res_a, status_tol) | in_band(res_b, status_tol))
-    if len(banded) and (refined_section is not section or refined_map is not phase_map):
-
-        def pipeline(idx):
-            # in phase_map.jacobian's order, on the phase vectors
-            z, w = zs[banded[idx]], ws[banded[idx]]
-            return _type2_residuals(refined_section, ham, mag, z, w,
-                                    refined_map.jacobians(z), level_of(banded[idx]))
-
-        res_a[banded], res_b[banded] = by_rank(len(banded), pipeline)
-    return zs, (symplectic, res_a, res_b)
-
-
-def _type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
-    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
+def _type2_magnetic(section, phase_map, ham, mag, samples):
+    """(zs, (symplectic, a, b))."""
     zs = phase_vectors(samples)
     if not len(zs):
         return zs, ([], [], [])
 
     def stage(idx):
         map_jacs, ws, symplectic = _symplectic(phase_map, mag, zs[idx])
-        return ws, symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
-                                                 magnetic_level)
+        return symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
+                                             magnetic_level)
 
-    return _refine(section, phase_map, ham, mag, zs, located(len(zs), stage),
-                   lambda idx: magnetic_level, tolerances)
+    return zs, located(len(zs), stage)
 
 
 def type2_magnetic(section, phase_map, ham, mag, samples,
@@ -374,12 +333,12 @@ def type2_magnetic(section, phase_map, ham, mag, samples,
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    zs, columns = _type2_magnetic(section, phase_map, ham, mag, samples, tolerances)
+    zs, columns = _type2_magnetic(section, phase_map, ham, mag, samples)
     return type2_report("hj2-magnetic", zs, columns, tolerances)
 
 
 def _type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
-    """(zs, (symplectic, a, b)), in-band samples refined (_refine)."""
+    """(zs, (symplectic, a, b))."""
     n = dist.n
     zs = phase_vectors(samples)
     if not len(zs):
@@ -391,14 +350,11 @@ def _type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
         frame = surface_frame(dist, ham, ws[:, :n])
         section_hypotheses(section, frame, section.value(ws[:, :n]), tolerances)
         map_jacs = phase_map.jacobians(z)
-        return (ws, pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
+        return (pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
                 *_type2_residuals(section, ham, mag, z, ws, map_jacs,
                                   constrained_level(frame, tolerances)))
 
-    # the first pass's frames live in its rank groups: the refinement builds its own
-    first = by_rank(len(zs), pipeline)
-    return _refine(section, phase_map, ham, mag, zs, first, lambda idx: constrained_level(
-        surface_frame(dist, ham, first[0][idx, :n]), tolerances), tolerances)
+    return zs, by_rank(len(zs), pipeline)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples,
@@ -415,6 +371,8 @@ def type2_constrained(section, phase_map, dist, ham, mag, samples,
 
 def induced_magnetic_field(section, n):
     """The two-form -d(gamma); pairing it with gamma satisfies the Type I
-    hypothesis identically (the constructive direction)."""
+    hypothesis identically (the constructive direction). Only for n <= 2:
+    on more dimensions the two-form needs its partials, which are second
+    derivatives of gamma; ``construct-b`` writes them as scenario text."""
     return TwoFormField.from_matrix_fn(
         lambda q: -exterior_derivative(section, q), n, check=False)

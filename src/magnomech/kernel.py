@@ -11,12 +11,12 @@ each followed by the end-of-step work: the drift residual, the momentum
 projection (Hairer, Lubich and Wanner, *Geometric Numerical Integration*,
 section IV.4), the post-projection residual and the energy. The four
 stages' field code and the end-of-step code are written straight into the
-loop body, so a step calls nothing but the fallbacks below; the state
-stays in local floats between steps, with ``h = 0.5 * dt`` and
-``w = dt / 6.0`` computed once, and each finished row goes to the caller's
-``extend``. ``integrate`` passes the ``extend`` of one flat buffer, and on
-a fault takes the failing step from the rows written: the first step
-without a row. ``run.field(q1, ..., pn)`` is the same field code as a
+loop body, so a step calls nothing but the called ingredients and the
+LAPACK paths below; the state stays in local floats between steps, with
+``h = 0.5 * dt`` and ``w = dt / 6.0`` computed once, and each finished row
+goes to the caller's ``extend``. ``integrate`` passes the ``extend`` of one
+flat buffer, and on a fault takes the failing step from the rows written:
+the first step without a row. ``run.field(q1, ..., pn)`` is the same field code as a
 function of one point, for the oracle tests.
 
 Cache. The source is written once per (ham, mag, dist) on the first
@@ -25,21 +25,17 @@ are kept, so the halving checks and repeated runs reuse it. Importing,
 parsing and building a system write nothing.
 
 Inline or call. Each ingredient is inlined or called: G, dG/dq, V, dV/dq
-(or a general H and its gradient), B, A and dA/dq. A callable compiled by
-``scenarios`` carries the ASTs it evaluates as ``nodes``, partials
-included, and the step inlines the statements that ``expressions.guarded``,
-the one writer of guarded entry evaluations, writes for them: the
-statements the callable itself runs (the evaluation, its fault and its
-non-finite test, in row-major order), so each entry gives the same value
-and faults with the same error. Any other callable is called and its array
-unpacked into floats. G is solved by an unrolled square-root-free Cholesky
-factorisation G = L D L^T, and B is a literal when constant. An ingredient
-without partials takes them by central differences, which magnify any
-rounding difference by 1 / FD_STEP; the step then calls the per-point
-functions for the whole Hamiltonian (``BaseTerms.gradient`` and ``value``)
-or constraint data (``nonholonomic.multiplier_correction``,
-``SurfaceFrame``) and unpacks their arrays, so such systems stay bitwise
-equal to the per-point oracles.
+(or a general H and its gradient), B, A and dA/dq. Every Hamiltonian and
+distribution carries its partials (dynamics, nonholonomic), so the whole
+field is always written out. A callable compiled by ``scenarios``
+carries the ASTs it evaluates as ``nodes``, partials included, and the
+step inlines the statements that ``expressions.guarded``, the one writer
+of guarded entry evaluations, writes for them: the statements the callable
+itself runs (the evaluation, its fault and its non-finite test, in
+row-major order), so each entry gives the same value and faults with the
+same error. Any other callable is called and its array unpacked into
+floats. G is solved by an unrolled square-root-free Cholesky factorisation
+G = L D L^T, and B is a literal when constant.
 
 Value numbering. Each distinct entry is evaluated once per stage point
 (local value numbering; Alpern, Wegman and Zadeck, POPL 1988): a table from
@@ -117,14 +113,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import expressions as ex
-from .dynamics import SOLVER_TOL, BaseTerms, structure_error
+from .dynamics import SOLVER_TOL, structure_error
 from .errors import (
     CompatibilityError,
     DegenerateConstraintError,
     NumericalDomainError,
 )
-from .linalg import max_abs, rank_of
-from .nonholonomic import SurfaceFrame, multiplier_correction
+from .linalg import rank_of
 
 # generated runs kept, the least recently used dropped first
 KERNELS = 32
@@ -148,35 +143,6 @@ def step_kernel(ham, mag, dist):
 
 def _flat(array):
     return np.asarray(array, dtype=float).ravel().tolist()
-
-
-def _gradient(ham, q, p):
-    """(H_q, H_p) by BaseTerms, with its guards."""
-    return BaseTerms(ham, np.array(q)).gradient(np.array(p)).tolist()
-
-
-def _corrected(dist, ham, q, p, free):
-    """The constrained field from the free one, as constrained_field_multiplier
-    computes it."""
-    frame = SurfaceFrame(dist, BaseTerms(ham, np.array(q)))
-    return multiplier_correction(frame, np.array(p), np.array(free))[0].tolist()
-
-
-def _finished(ham, dist, q, p, project):
-    """(p, energy, residual, drift) at the end of a step, as the per-point
-    constraint_residual, project_to_constraint and value compute them."""
-    terms = BaseTerms(ham, np.array(q))
-    p = np.array(p)
-    drift = residual = 0.0
-    if dist is not None:
-        frame = SurfaceFrame(dist, terms)
-        drift = residual = max_abs(frame.residual(p))
-        if project:
-            p = frame.project(p)
-            if not np.isfinite(p).all():
-                raise NumericalDomainError("phase point has non-finite entries")
-            residual = max_abs(frame.residual(p))
-    return (*p.tolist(), terms.value(p), residual, drift)
 
 
 def _lu_velocity(mass, p):
@@ -253,21 +219,13 @@ class _Generator:
         self.ham, self.mag, self.dist = ham, mag, dist
         self.n = ham.n
         self.k = 0 if dist is None else dist.k
-        # finite differences anywhere send that part to the per-point functions
-        self.written_ham = (
-            (ham._mass_fn is None or ham._mass_grad_fn is not None)
-            and (ham._potential_fn is None or ham._potential_grad_fn is not None)
-            if ham.is_quadratic else ham._general_grad_fn is not None)
-        self.written_dist = dist is None or (
-            self.written_ham and dist._rows_grad_fn is not None)
         self.qs = [f"q{i + 1}" for i in range(self.n)]
         self.ps = [f"p{i + 1}" for i in range(self.n)]
         self.namespace = dict(
             ex.SOURCE_NAMES, _sqrt=math.sqrt, _nan=math.nan, _array=np.array,
             _flat=_flat, _lu_velocity=_lu_velocity, _solve=_solve, _rank_of=rank_of,
             _structure_error=structure_error, _Constraint=DegenerateConstraintError,
-            _Compat=CompatibilityError, _ham=ham, _dist=dist, _gradient=_gradient,
-            _corrected=_corrected, _finished=_finished)
+            _Compat=CompatibilityError)
         self.lines = []
 
     # -- writing -------------------------------------------------------------
@@ -462,14 +420,8 @@ class _Generator:
         return hq, v, factors, gradient
 
     def gradient(self):
-        """(H_q, H_p, factors of G, dG/dq), inlined or by BaseTerms."""
+        """(H_q, H_p, factors of G, dG/dq)."""
         n = self.n
-        if not self.written_ham:
-            names = [f"g{i}" for i in range(2 * n)]
-            self.emit(f"{_tuple(names)} = _gradient(_ham, {_tuple(self.qs)}, "
-                      f"{_tuple(self.ps)})")
-            self.finite.update(names)  # BaseTerms.gradient checked them
-            return names[:n], names[n:], None, None
         if self.ham.is_quadratic:
             return self.quadratic_gradient()
         grad = self.entries("g", self.ham._general_grad_fn, 2 * n, with_p=True)
@@ -569,11 +521,6 @@ class _Generator:
         dp = [self.assign("dp", _sum([_neg(hq[i]), push[i]])) for i in range(n)]
         if any(entry != "0.0" for row in b for entry in row):
             self.structure_guard(hq, hp, push, dp)
-        if not self.written_dist:
-            names = [self.local("f") for _ in range(2 * n)]
-            self.emit(f"{', '.join(names)} = _corrected(_dist, _ham, {_tuple(self.qs)}, "
-                      f"{_tuple(ps)}, {_tuple(hp + dp)})")
-            return names
         if self.dist is not None:
             rows = self.rows()
             weighted = [self.solve_mass(factors, row) for row in rows]
@@ -609,11 +556,6 @@ class _Generator:
         qs, ps = self.qs, self.ps
         self.at([])
         self.check_finite(qs + ps, "state is non-finite")
-        if not (self.written_ham and self.written_dist):
-            row = ps + ["H", "residual", "drift"]
-            self.emit(f"{', '.join(row)} = _finished(_ham, _dist, {_tuple(qs)}, "
-                      f"{_tuple(ps)}, project)")
-            return qs + row
         if not self.ham.is_quadratic:
             energy = self.value("H", self.ham._general_fn, with_p=True)
             return qs + ps + [energy, "0.0", "0.0"]

@@ -28,14 +28,8 @@ from .errors import (
     OffConstraintError,
     SectionImageError,
 )
-from .geometry import (
-    PhasePoint,
-    TangentPhaseVector,
-    each,
-    fd_jacobian,
-    fd_jacobians,
-)
-from .dynamics import FD_STEP, free_field, read_only
+from .geometry import PhasePoint, TangentPhaseVector, each
+from .dynamics import free_field, read_only
 from .linalg import (
     first_failing,
     max_abs_each,
@@ -48,14 +42,14 @@ from .tolerances import DEFAULT_TOLERANCES
 
 
 class ConstraintDistribution:
-    """k constraint one-forms on R^n, with optional analytic row Jacobians.
+    """k constraint one-forms on R^n, with their partials.
 
     ``rows_fn(q)`` returns the (k, n) coefficient matrix A(q);
     ``rows_grad_fn(q)`` returns the stacked (n, k, n) partials, indexed by
     the differentiation direction first.
     """
 
-    def __init__(self, n, k, rows_fn, rows_grad_fn=None):
+    def __init__(self, n, k, rows_fn, rows_grad_fn):
         self.n = n
         self.k = k
         self._rows_fn = rows_fn
@@ -65,7 +59,7 @@ class ConstraintDistribution:
 
     @classmethod
     def unconstrained(cls, n):
-        return cls(n, 0, lambda q: np.zeros((0, n)))
+        return cls(n, 0, lambda q: np.zeros((0, n)), lambda q: np.zeros((n, 0, n)))
 
     @classmethod
     def constant(cls, rows):
@@ -87,17 +81,7 @@ class ConstraintDistribution:
 
     def rows_gradient(self, q):
         """Stacked partials dA/dq_c with shape (..., n, k, n)."""
-        if self._rows_grad_fn is not None:
-            return each(self._rows_grad_fn, q)
-        rows_fn = self._rows_fn
-
-        def flat(y):
-            return rows_fn(y).reshape(-1)
-
-        if hasattr(rows_fn, "columns"):
-            flat.columns = rows_fn.columns
-        jac = fd_jacobians(flat, q, FD_STEP)
-        return tr(jac).reshape(np.shape(q)[:-1] + (self.n, self.k, self.n))
+        return each(self._rows_grad_fn, q)
 
     def basis(self, q):
         """Orthonormal columns spanning D_q = ker A(q)."""
@@ -184,16 +168,6 @@ class SurfaceFrame:
         n = dist.n
         jac = np.zeros(self.rows.shape[:-2] + (dist.k, 2 * n))
         jac[..., n:] = self.rows_inverse
-        if terms.mass is not None and terms.mass_gradient is None:
-            ham = terms.ham
-
-            def c_of_q(z):
-                q, p = z[:n], z[n:]
-                return fd_jacobian(lambda qq: dist.matrix(qq) @ np.linalg.solve(
-                    ham.mass_matrix(qq), p), q, FD_STEP)
-
-            jac[..., :n] = each(c_of_q, terms.phase_points(p))
-            return jac
         jac[..., :n] = tr(mv(self.rows_gradient, mv(terms.inverse, p)[..., None, :]))
         if terms.mass is not None:
             jac[..., :n] += tr(mv(self.rows_mass_gradient, p[..., None, :]))

@@ -30,7 +30,6 @@ from .hj import (
     PASS,
     VACUOUS,
     HJReport,
-    _refine,
     _type2_residuals,
     rows_of,
     twist_on_distribution,
@@ -342,8 +341,7 @@ def type1_reduced(section, sym, dist, ham, mag, samples,
 
 def _type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
     """(worst twist residual, worst symplectic residual, defects,
-    (zs, (None, a, b))), in-band samples refined (_refine); the last is
-    None with defects."""
+    (zs, (None, a, b))); the last is None with defects."""
     n = sym.n
     zs = phase_vectors(samples)
     if not len(zs):
@@ -368,9 +366,7 @@ def _type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances)
         level = reduced_level(sym, frame.take(idx), mag, tolerances)
         return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx], level)
 
-    return hyp_worst, symp_worst, defects, _refine(
-        section, phase_map, ham, mag, zs, (ws, None, *by_rank(len(zs), pipeline)),
-        lambda idx: reduced_level(sym, frame.take(idx), mag, tolerances), tolerances)
+    return hyp_worst, symp_worst, defects, (zs, (None, *by_rank(len(zs), pipeline)))
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples,

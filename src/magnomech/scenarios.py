@@ -6,9 +6,9 @@ section, phase map and cyclic coordinates. Entries may be numbers or
 expression strings in the small language of :mod:`magnomech.expressions`.
 Structural problems raise ScenarioError with a stable code and the field
 path. Parsing keeps each expression's AST in the spec's ``model``, so every
-string is parsed once; building compiles the model, with symbolic partials
-where they exist, and runs the semantic probes (positive definiteness,
-antisymmetry of expression matrices, declared invariance).
+string is parsed once; building compiles the model with its exact symbolic
+partials and runs the semantic probes (positive definiteness, antisymmetry
+of expression matrices, declared invariance).
 """
 
 import json
@@ -314,22 +314,18 @@ def _compile(nodes):
 
 
 def _compile_partials(nodes, names, direction_first=False):
-    """Compiled symbolic partials of an array of ASTs by each of ``names``,
-    or None when an entry has none (callers then take finite differences).
+    """Compiled symbolic partials of an array of ASTs by each of ``names``.
 
     The layout is the one the caller uses: (names, *shape) direction first,
-    as for the stacked dG/dq and dA/dq; (*shape, names) otherwise, as for
-    gradients and Jacobians.
+    as for the stacked dG/dq, dA/dq and dB/dq; (*shape, names) otherwise,
+    as for gradients and Jacobians.
     """
-    try:
-        if direction_first:
-            partials = [_map(lambda node: ex.derivative(node, name), nodes)
-                        for name in names]
-        else:
-            partials = _map(lambda node: [ex.derivative(node, name)
-                                          for name in names], nodes)
-    except ExpressionError:
-        return None
+    if direction_first:
+        partials = [_map(lambda node: ex.derivative(node, name), nodes)
+                    for name in names]
+    else:
+        partials = _map(lambda node: [ex.derivative(node, name)
+                                      for name in names], nodes)
     return _compile(partials)
 
 
@@ -414,7 +410,10 @@ def build_system(spec):
         matrix_fn = _compile(model["b_field"])
         for q in probes:
             _require_antisymmetric(matrix_fn(q), 1e-9, f" at q={q}")
-        b_field = TwoFormField(matrix_fn, n)
+        # only the closedness residual reads the partials, and only for n >= 3
+        partials = (_compile_partials(model["b_field"], qn, direction_first=True)
+                    if n >= 3 else None)
+        b_field = TwoFormField(matrix_fn, n, partials)
     mag = MagneticStructure(b_field)
 
     rows = model["constraints"]
@@ -430,9 +429,8 @@ def build_system(spec):
         gamma = OneFormSection(_compile(model["gamma"]),
                                _compile_partials(model["gamma"], qn))
     if "epsilon" in model:
-        partials = _compile_partials(model["epsilon"], pn)
         epsilon = PhaseMap(split(_compile(model["epsilon"]), n),
-                           None if partials is None else split(partials, n))
+                           split(_compile_partials(model["epsilon"], pn), n))
 
     tolerances = Tolerances(spec.tolerances)
     symmetry = None

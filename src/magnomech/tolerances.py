@@ -15,7 +15,7 @@ DEFAULTS = {
     "hypothesis": 1e-8,
     # Type I equation residual for a PASS verdict
     "equation": 1e-7,
-    # Type II residuals below this count as zero; band extends to 10x
+    # Type II residuals below this count as zero
     "status": 1e-7,
     # smallest singular value of the restricted form for compatibility
     "compat_sigma": 1e-8,
@@ -34,7 +34,6 @@ DEFAULTS = {
 }
 
 ENV_VAR = "MAGNOMECH_TOL_SCALE"
-STATUS_BAND_FACTOR = 10.0
 
 
 def env_scale():

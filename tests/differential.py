@@ -104,8 +104,7 @@ def compiled_fields(system):
     fields = {}
     if spec.general_h is not None:
         fields["general_h"] = (split(ham._general_fn, n), "z")
-        if ham._general_grad_fn is not None:
-            fields["general_h'"] = (split(ham._general_grad_fn, n), "z")
+        fields["general_h'"] = (split(ham._general_grad_fn, n), "z")
     else:
         fields["potential"] = (ham._potential_fn, "q")
         fields["potential'"] = (ham._potential_grad_fn, "q")

@@ -14,7 +14,10 @@ The file records, by name:
   message of the error it raised;
 - ``differential draw(60)``: the SHA-256 of the records that
   ``tests/differential.py`` writes for its 60 recorded documents, one line
-  each.
+  each;
+- ``differential draw(300) #<index>``: the SHA-256 of the record of each
+  of its 300 recorded documents, one entry per line, so a change names the
+  documents it moves.
 
 It also records the numpy version, the Python version and the platform the
 fingerprints were taken on. Tier-1 tests recompute each group where it is
@@ -26,8 +29,14 @@ changed:
 
     PYTHONPATH=src python tests/fingerprints.py
 
+With ``--compare`` it names the entries that differ from the recorded ones
+and leaves the file as it is; it exits 1 when any differs. The per-document
+entries of the 300 documents are compared by this mode only.
+
 pytest does not collect this file.
 """
+
+import argparse
 
 import contextlib
 import hashlib
@@ -142,18 +151,34 @@ def differential_fingerprint(records):
     return {DIFFERENTIAL: _sha256("".join(line + "\n" for line in records).encode())}
 
 
-def main_script():
+def document_fingerprints(records):
+    """{``differential draw(300) #<index>``: the SHA-256 of that record's line}."""
+    return {f"differential draw(300) #{index:03d}": _sha256(line.encode())
+            for index, line in enumerate(records)}
+
+
+def main_script(argv=None):
     from differential import draw, record  # noqa: PLC0415
 
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", action="store_true",
+                        help=f"name the entries that differ from {FINGERPRINTS.name} "
+                             "without rewriting it")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
         entries = {**fingerprints(directory), **check_all_fingerprint(directory)}
     entries.update(fault_fingerprints())
     entries.update(differential_fingerprint(
         [record(index, *drawn) for index, drawn in enumerate(draw(60))]))
+    entries.update(document_fingerprints(
+        [record(index, *drawn) for index, drawn in enumerate(draw(300))]))
     old = json.loads(FINGERPRINTS.read_text())["outputs"] if FINGERPRINTS.exists() else {}
-    for name in sorted(set(entries) | set(old)):
-        if entries.get(name) != old.get(name):
-            print(f"changed: {name}")
+    changed = [name for name in sorted(set(entries) | set(old))
+               if entries.get(name) != old.get(name)]
+    for name in changed:
+        print(f"changed: {name}")
+    if args.compare:
+        return 1 if changed else 0
     FINGERPRINTS.write_text(json.dumps({"environment": environment(), "outputs": entries},
                                        indent=2, sort_keys=True) + "\n")
     return 0

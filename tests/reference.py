@@ -19,7 +19,9 @@ package's stages end: at the reduced checks' hypothesis battery, at
 the relatedness gate and at each branch of the geometry check.
 
 The last section holds the helpers that only the tests call and that state
-nothing of the paper, so the package does not carry them.
+nothing of the paper, so the package does not carry them, among them the
+central differences (fd_jacobian, fd_gradient) that stay the oracle of the
+package's exact symbolic partials.
 """
 
 import sys
@@ -85,23 +87,6 @@ def _configs(samples, n):
     return np.array([ensure_config(q, n) for q in samples]).reshape(-1, n)
 
 
-def _refine(section, phase_map, ham, mag, samples, images, first, level_of, tolerances):
-    """The columns ``first`` = (symplectic, a, b), after each sample with a
-    residual inside the status band is recomputed alone, with the refined
-    section and map, on its image, at the level ``level_of(image.q)``."""
-    symplectic, res_a, res_b = first
-    refined_section, refined_map = hj._refined(section), hj._refined(phase_map)
-    if refined_section is section and refined_map is phase_map:
-        return first
-    status_tol = tolerances.get("status")
-    for i, (z, image) in enumerate(zip(samples, images)):
-        if hj.in_band(res_a[i], status_tol) or hj.in_band(res_b[i], status_tol):
-            # in phase_map.jacobian's order
-            res_a[i], res_b[i] = _residuals(refined_section, ham, mag, z, image,
-                                            refined_map.jacobian(z), level_of(image.q))
-    return symplectic, res_a, res_b
-
-
 def _battery(section, sym, frame, mag, tolerances):
     """The reduced hypothesis battery at the frame's one base point:
     (gamma, data invariance, section invariance, twist)."""
@@ -145,32 +130,28 @@ def type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
         for g, frame in zip(gs, frames)],))
 
 
-def type2_magnetic(section, phase_map, ham, mag, samples, tolerances):
-    samples, images, first = list(samples), [], []
+def type2_magnetic(section, phase_map, ham, mag, samples):
+    samples, rows = list(samples), []
     for z in samples:
         # in symplectic_residual's order: J_eps(z), then eps(z)
         jac = phase_map.jacobian(z)
-        images.append(phase_map.value(z))
-        first.append((float(pullback_defect(mag, z.q, images[-1].q, jac)),
-                      *_residuals(section, ham, mag, z, images[-1], jac, magnetic_level)))
-    return phase_vectors(samples), _refine(section, phase_map, ham, mag, samples, images,
-                                           _columns(first, 3), lambda q: magnetic_level,
-                                           tolerances)
+        image = phase_map.value(z)
+        rows.append((float(pullback_defect(mag, z.q, image.q, jac)),
+                     *_residuals(section, ham, mag, z, image, jac, magnetic_level)))
+    return phase_vectors(samples), _columns(rows, 3)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
-    samples, images, first = list(samples), [], []
+    samples, rows = list(samples), []
     for z in samples:
-        images.append(phase_map.value(z))
-        frame = surface_frame(dist, ham, images[-1].q)
-        section_hypotheses(section, frame, section.value(images[-1].q), tolerances)
+        image = phase_map.value(z)
+        frame = surface_frame(dist, ham, image.q)
+        section_hypotheses(section, frame, section.value(image.q), tolerances)
         jac = phase_map.jacobian(z)
-        first.append((float(pullback_defect(mag, z.q, images[-1].q, jac)),
-                      *_residuals(section, ham, mag, z, images[-1], jac,
-                                  constrained_level(frame, tolerances))))
-    return phase_vectors(samples), _refine(
-        section, phase_map, ham, mag, samples, images, _columns(first, 3),
-        lambda q: constrained_level(surface_frame(dist, ham, q), tolerances), tolerances)
+        rows.append((float(pullback_defect(mag, z.q, image.q, jac)),
+                     *_residuals(section, ham, mag, z, image, jac,
+                                 constrained_level(frame, tolerances))))
+    return phase_vectors(samples), _columns(rows, 3)
 
 
 def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
@@ -189,14 +170,10 @@ def type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances):
     defects += map_defects(symp_worst, worst(equivariance), tolerances)
     if defects:
         return twist, symp_worst, defects, None
-    first = (None, *_columns([
+    return twist, symp_worst, defects, (phase_vectors(samples), (None, *_columns([
         _residuals(section, ham, mag, z, image, jac,
                    reduced_level(sym, frame, mag, tolerances))
-        for z, image, jac, frame in zip(samples, images, jacs, frames)], 2))
-    return twist, symp_worst, defects, (phase_vectors(samples), _refine(
-        section, phase_map, ham, mag, samples, images, first,
-        lambda q: reduced_level(sym, surface_frame(dist, ham, q), mag, tolerances),
-        tolerances))
+        for z, image, jac, frame in zip(samples, images, jacs, frames)], 2)))
 
 
 def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
@@ -326,6 +303,26 @@ def per_sample_only():
 
 # -- helpers that only the tests call --------------------------------------------
 
+def fd_jacobian(fn, x, step=1e-5):
+    """Central-difference Jacobian of a vector-valued function: the oracle
+    of the exact partials. Non-finite values propagate into the result."""
+    x = np.asarray(x, dtype=float)
+    base = np.asarray(fn(x), dtype=float)
+    jac = np.empty((base.size, x.size))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(x.size):
+            shift = np.zeros_like(x)
+            shift[j] = step
+            jac[:, j] = (np.asarray(fn(x + shift))
+                         - np.asarray(fn(x - shift))) / (2 * step)
+    return jac
+
+
+def fd_gradient(fn, x, step=1e-5):
+    """Central-difference gradient of a scalar function."""
+    return fd_jacobian(lambda y: [fn(y)], x, step)[0]
+
+
 def evaluate_text(text, q, p=None):
     """One-shot parse and evaluation of an expression at (q, p), through
     compile_node, as every scenario expression is evaluated. A fault while
@@ -361,4 +358,5 @@ def lift_point(sym, zbar, fill=None):
 
 
 # not loops of a staged entry (test_stacked counts the loops without them)
-HELPERS = {fn.__name__: fn for fn in (evaluate_text, project_point, lift_point)}
+HELPERS = {fn.__name__: fn for fn in (fd_jacobian, fd_gradient, evaluate_text,
+                                      project_point, lift_point)}

@@ -238,7 +238,9 @@ def test_construct_b_without_gamma_is_input_error(scenario_dir, capsys):
     # a section that reads its declared cyclic coordinate: the matched
     # potential -0.5 q2^2 breaks the invariance, so the symmetry is dropped
     {"gamma": ["q2", "0"], "symmetry": [2]},
-], ids=["numeric-mass", "cyclic-section"])
+    # a section with a variable exponent, whose exact partials hold log(2)
+    {"gamma": ["0.35*q2", "-0.35*q1 + 2^q1"]},
+], ids=["numeric-mass", "cyclic-section", "variable-exponent"])
 def test_construct_b_writes_a_scenario_that_passes_hj1(tmp_path, capsys, source):
     """H is zero along the section of the written scenario, which builds
     without the symmetry that its potential breaks, and hj1 PASSes."""
@@ -536,21 +538,29 @@ def test_a_malformed_expression_is_one_positioned_error(tmp_path, capsys, potent
 
 @pytest.mark.parametrize("argv,code,field,message", [
     (["check", "hj1", "magnetic-trap.json"], "missing_field", "gamma", "needs gamma"),
+    (["check", "hj2", "magnetic-trap.json"], "missing_field", "gamma",
+     "needs gamma and epsilon"),
+    (["check", "hj2", "no-epsilon.json"], "missing_field", "epsilon",
+     "needs gamma and epsilon"),
     (["check", "all", "magnetic-trap.json"], "parse", None, "is not a directory"),
     (["check", "all", "empty"], "parse", None, "no scenario files"),
     (["simulate", "no-state.json", "--t-end", "1", "--dt", "0.1", "--out", "t.csv"],
      "initial_state", None, "no initial_state"),
-], ids=["hj1-without-gamma", "all-on-a-file", "all-on-no-files",
-        "simulate-without-initial-state"])
+], ids=["hj1-without-gamma", "hj2-without-gamma", "hj2-without-epsilon", "all-on-a-file",
+        "all-on-no-files", "simulate-without-initial-state"])
 def test_a_run_the_scenario_cannot_serve_is_one_input_error(
         scenario_dir, tmp_path, capsys, argv, code, field, message):
-    """check hj1 needs gamma, check all a directory with scenario files,
-    and simulate an initial state; a refused simulate writes no CSV."""
+    """check hj1 needs gamma, check hj2 gamma and then epsilon, check all a
+    directory with scenario files, and simulate an initial state; the error
+    names the first missing field, and a refused simulate writes no CSV."""
     (tmp_path / "empty").mkdir()
     _write_scenario(tmp_path / "no-state.json", {"name": "no-state", "n": 1,
                                                  "potential": "q1^2"})
+    _write_scenario(tmp_path / "no-epsilon.json", {"name": "no-epsilon", "n": 1,
+                                                   "gamma": ["q1"]})
+    written = ("empty", "no-state.json", "no-epsilon.json", "t.csv")
     argv = [str(scenario_dir / a) if a == "magnetic-trap.json"
-            else str(tmp_path / a) if a in ("empty", "no-state.json", "t.csv") else a
+            else str(tmp_path / a) if a in written else a
             for a in argv]
     assert main(argv) == 2
     err = _single_json_error(capsys.readouterr())

@@ -55,7 +55,7 @@ def expressions(names):
     return st.recursive(atoms, lambda inner: st.one_of(
         st.tuples(inner, st.sampled_from("+-*/^"), inner).map(
             lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
-        st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log"]), inner).map(
             lambda t: f"{t[0]}({t[1]})"),
         inner.map(lambda t: f"-({t})")), max_leaves=4)
 

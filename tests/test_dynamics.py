@@ -15,7 +15,9 @@ from magnomech.dynamics import (
     symplectic_residual,
 )
 from magnomech.geometry import OneFormSection, TwoFormField, exterior_derivative
+from magnomech.scenarios import build_system, parse_scenario
 from conftest import constant_field_system, random_antisymmetric, random_spd
+from reference import fd_jacobian
 
 
 def test_canonical_free_particle():
@@ -70,6 +72,7 @@ def test_formula_agrees_with_solve_on_random_systems(seed):
         return (coeffs + coeffs.T) @ q
 
     ham = HamiltonianSpec.quadratic(n, mass_fn=lambda q: mass,
+                                    mass_grad_fn=lambda q: np.zeros((n, n, n)),
                                     potential_fn=potential,
                                     potential_grad_fn=potential_grad)
     mag = MagneticStructure(TwoFormField.constant(random_antisymmetric(rng, n)))
@@ -117,12 +120,16 @@ def test_momentum_scaling_is_not_symplectic():
 
 
 def test_phase_map_fd_jacobian_consistent():
-    eps = PhaseMap(lambda v: np.array([v[0] + v[3] ** 2, v[1], v[2], v[3]]))
+    # a phase map from scenario text: its symbolic Jacobian is the exact one
+    # and agrees with central differences of the map
+    eps = build_system(parse_scenario("""{"name": "shear", "n": 2,
+        "epsilon": ["q1 + p2^2", "q2", "p1", "p2"]}""")).epsilon
     z = PhasePoint([0.2, -0.1], [0.4, 0.9])
     jac = eps.jacobian(z)
     expected = np.eye(4)
     expected[0, 3] = 2 * 0.9
-    assert jac == pytest.approx(expected, abs=1e-8)
+    assert jac.tolist() == expected.tolist()
+    assert jac == pytest.approx(fd_jacobian(eps.eval_fn, z.vec), abs=1e-8)
 
 
 def test_pullback_hamiltonian_chain_rule():
@@ -179,15 +186,19 @@ def test_pairing_identities_for_sections(field_scale):
 
 
 def test_non_spd_mass_rejected():
-    ham = HamiltonianSpec.quadratic(2, mass_fn=lambda q: -np.eye(2))
+    ham = HamiltonianSpec.quadratic(2, mass_fn=lambda q: -np.eye(2),
+                                    mass_grad_fn=lambda q: np.zeros((2, 2, 2)))
     mag = MagneticStructure.canonical(2)
     with pytest.raises(Exception):
         magnetic_vector_field(ham, mag, PhasePoint([0, 0], [1, 0]))
 
 
 def test_singular_mass_is_a_domain_error():
+    grads = np.zeros((2, 2, 2))
+    grads[0, 1, 1] = -1.0
     ham = HamiltonianSpec.quadratic(
-        2, mass_fn=lambda q: np.array([[1.0, 0.0], [0.0, 1.0 - q[0]]]))
+        2, mass_fn=lambda q: np.array([[1.0, 0.0], [0.0, 1.0 - q[0]]]),
+        mass_grad_fn=lambda q: grads)
     z = PhasePoint([1.0, 0.0], [1.0, 0.0])
     for evaluate in (ham.value, ham.gradient):
         with pytest.raises(NumericalDomainError, match="mass matrix is singular"):

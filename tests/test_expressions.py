@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from magnomech import ScenarioError, parse_scenario
 from magnomech import expressions as ex
 from magnomech.errors import ExpressionError, NumericalDomainError
 from magnomech.sampling import sobol_points
-from reference import evaluate_text
+from reference import evaluate_text, fd_gradient
+from test_contract import expressions as expression_texts
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -82,19 +84,73 @@ def test_precedence_and_associativity(text, expected):
     assert evaluate_text(text, [0.0]) == pytest.approx(expected)
 
 
+def _scale(node, q):
+    """The largest size of a subexpression of ``node`` at q, or None where
+    one faults or, unless it is 0, lies outside 1e-150..1e150: there some
+    operation may overflow or underflow, and two exact formulas of one
+    derivative can then round to different numbers."""
+    largest, pending = 0.0, [node]
+    while pending:
+        sub = pending.pop()
+        try:
+            size = abs(float(ex.compile_node(sub)(q)))
+        except NumericalDomainError:
+            return None
+        if size and not 1e-150 < size < 1e150:
+            return None
+        largest = max(largest, size)
+        pending += [getattr(sub, part) for part in ("arg", "left", "right")
+                    if hasattr(sub, part)]
+    return largest
+
+
+def _agrees_with_differences(text):
+    """Each partial of ``text`` by q1 and q2 is built without raising. At
+    each point where it and the function are well scaled (_scale), and the
+    central differences of tests/reference.py are finite and have
+    converged (steps 1e-4 and 1e-5 agree), it agrees with them to their
+    truncation and rounding error."""
+    node = ex.parse(text)
+    fn = ex.compile_node(node)
+    partials = [ex.derivative(node, name) for name in ("q1", "q2")]
+    for q in ([0.3, -0.8], [1.1, 0.4], [0.7, 1.3]):
+        scale = _scale(node, q)
+        if scale is None:
+            continue
+        try:
+            coarse, fine = (fd_gradient(fn, q, h) for h in (1e-4, 1e-5))
+        except NumericalDomainError:
+            continue
+        for j, partial in enumerate(partials):
+            partial_scale = _scale(partial, q)
+            if partial_scale is None or not np.isfinite([coarse[j], fine[j]]).all():
+                continue
+            if abs(coarse[j] - fine[j]) > 1e-3 * (1.0 + abs(fine[j])):
+                continue  # the differences have not converged
+            exact = ex.compile_node(partial)(q)
+            tol = (2.0 * abs(coarse[j] - fine[j]) + 1e-7 * (1.0 + abs(exact))
+                   + 1e-10 * (scale / 1e-5 + partial_scale))
+            assert abs(exact - fine[j]) <= tol, (text, q, j, exact, fine[j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=expression_texts(["q1", "q2"]))
 @pytest.mark.parametrize("text", [
     "q1^3 - 2*q2*q1 + sin(q1*q2)",
     "exp(-(q1^2)) * cos(q2)",
     "(q1 + q2)^4 / (1 + q1^2)",
 ])
-def test_symbolic_derivative_matches_finite_differences(text):
-    node = ex.parse(text)
-    fn = ex.compile_node(node)
-    d1 = ex.compile_node(ex.derivative(node, "q1"))
-    h = 1e-6
-    for q in ([0.3, -0.8], [1.1, 0.4]):
-        fd = (fn([q[0] + h, q[1]]) - fn([q[0] - h, q[1]])) / (2 * h)
-        assert d1(q) == pytest.approx(fd, rel=1e-7, abs=1e-7)
+def test_symbolic_derivative_matches_finite_differences(text, drawn):
+    """The fixed text, and an expression drawn from test_contract's grammar
+    (variable exponents and log included), with a power to a variable
+    exponent and a log of it."""
+    _agrees_with_differences(text)
+    try:
+        ex.parse(drawn)
+    except ExpressionError:
+        return
+    for variant in (drawn, f"({drawn}) ^ (q2)", f"log({drawn})"):
+        _agrees_with_differences(variant)
 
 
 def test_identically_zero_quotient_partial_folds_to_zero():
@@ -109,9 +165,29 @@ def test_identically_zero_quotient_partial_folds_to_zero():
         ex.compile_node(ex.parse("0/q1"))([0.0])
 
 
-def test_nonconstant_exponent_has_no_symbolic_derivative():
-    with pytest.raises(ExpressionError, match="exponent"):
-        ex.derivative(ex.parse("q1^q2"), "q1")
+def test_variable_exponent_and_log_have_exact_derivatives():
+    # d(a^b) = a^b (b' log(a) + b a'/a), without a'/a where a' is 0, the
+    # power rule where b' is 0, and 0 for the base 0; d log(u) = u'/u
+    cases = {("q1^q1", "q1"): "q1 ^ q1 * (log(q1) + (q1 * (1 / q1)))",
+             ("(q1*q2)^q2", "q2"):
+                 "(q1 * q2) ^ q2 * (log(q1 * q2) + (q2 * (q1 / (q1 * q2))))",
+             ("q1^q2", "q2"): "q1 ^ q2 * log(q1)",
+             ("2^q1", "q1"): "2 ^ q1 * log(2)",
+             ("q1^q2", "q1"): "q2 * (q1 ^ (q2 - 1))",
+             ("q1^3", "q1"): "3 * (q1 ^ 2)",
+             ("2^q1", "q2"): "0",
+             ("0^q1", "q1"): "0",
+             ("log(q1*q2)", "q1"): "q2 / (q1 * q2)",
+             ("log(q2)", "q1"): "0"}
+    for (text, name), expected in cases.items():
+        partial = ex.derivative(ex.parse(text), name)
+        assert ex.to_text(partial) == expected
+        assert ex.parse(ex.to_text(partial)) == partial
+    # the partials of log and of a variable exponent fault where the base is
+    # not positive, as log itself does
+    for text, q in (("log(q1)", [0.0]), ("q2^q1", [0.5, 0.0]), ("q1^q1", [-0.5])):
+        with pytest.raises(NumericalDomainError, match="evaluating"):
+            ex.compile_node(ex.derivative(ex.parse(text), "q1"))(q)
 
 
 @pytest.mark.parametrize("text", [

@@ -4,17 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnomech import NumericalDomainError
-from magnomech.dynamics import PhaseMap
+from magnomech.dynamics import HamiltonianSpec, PhaseMap
 from magnomech.geometry import (
     OneFormSection,
     TwoFormField,
     exterior_derivative,
-    fd_jacobian,
     magnetic_match_residual,
     restricted_form_residual,
     two_form_closedness_residual,
 )
 from magnomech.nonholonomic import ConstraintDistribution
+from magnomech.scenarios import construct_induced_scenario, parse_scenario
+from reference import fd_jacobian
 
 
 def pairing_oracle(eval_fn, q, x, y, h=1e-6):
@@ -30,7 +31,8 @@ def pairing_oracle(eval_fn, q, x, y, h=1e-6):
 
 def test_orientation_frozen_by_pairing_oracle():
     # gamma = (0, q1): the (1,2) coefficient of the derivative is +1
-    section = OneFormSection(lambda q: np.array([0.0, q[0]]))
+    section = OneFormSection(lambda q: np.array([0.0, q[0]]),
+                             lambda q: np.array([[0.0, 0.0], [1.0, 0.0]]))
     q = np.array([0.4, -0.9])
     matrix = exterior_derivative(section, q)
     assert matrix == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -47,7 +49,8 @@ def test_exact_sections_have_zero_derivative():
 
 
 def test_rotational_section_entry():
-    section = OneFormSection(lambda q: np.array([-q[1], q[0]]))
+    section = OneFormSection(lambda q: np.array([-q[1], q[0]]),
+                             lambda q: np.array([[0.0, -1.0], [1.0, 0.0]]))
     q = np.array([0.8, 0.1])
     matrix = exterior_derivative(section, q)
     e1, e2 = np.eye(2)
@@ -63,8 +66,11 @@ def test_derivative_matches_oracle_on_random_cubics():
     def eval_fn(q):
         return np.array([q @ coeffs[i] @ q for i in range(3)])
 
+    def jac_fn(q):
+        return np.array([(coeffs[i] + coeffs[i].T) @ q for i in range(3)])
+
     q = rng.normal(size=3)
-    matrix = exterior_derivative(OneFormSection(eval_fn), q)
+    matrix = exterior_derivative(OneFormSection(eval_fn, jac_fn), q)
     assert np.max(np.abs(matrix + matrix.T)) == 0.0
     for _ in range(5):
         x = rng.normal(size=3)
@@ -74,7 +80,8 @@ def test_derivative_matches_oracle_on_random_cubics():
 
 
 def test_non_finite_section_raises():
-    section = OneFormSection(lambda q: np.array([np.inf, 0.0]))
+    section = OneFormSection(lambda q: np.array([np.inf, 0.0]),
+                             lambda q: np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalDomainError):
         exterior_derivative(section, np.array([0.0, 0.0]))
 
@@ -109,32 +116,25 @@ def test_closedness_flags_non_closed_field():
         matrix[0, 1] = q[2]
         return matrix
 
-    field = TwoFormField(upper, 3)
-    residual = two_form_closedness_residual(field, np.array([0.1, 0.2, 0.3]))
-    assert residual == pytest.approx(1.0, abs=1e-8)
+    def partials(q):
+        stacked = np.zeros((3, 3, 3))
+        stacked[2, 0, 1] = 1.0
+        return stacked
+
+    field = TwoFormField(upper, 3, partials)
+    assert two_form_closedness_residual(field, np.array([0.1, 0.2, 0.3])) == 1.0
 
 
 def test_closedness_of_induced_fields():
-    # second derivative of any section is closed
-    rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=(3, 3, 3))
-
-    def eval_fn(q):
-        return np.array([q @ coeffs[i] @ q * q[i] for i in range(3)])
-
-    def jac_fn(q):
-        jac = np.empty((3, 3))
-        for i in range(3):
-            jac[i] = (coeffs[i] + coeffs[i].T) @ q * q[i]
-            jac[i, i] += q @ coeffs[i] @ q
-        return jac
-
-    section = OneFormSection(eval_fn, jac_fn)
-    field = TwoFormField.from_matrix_fn(
-        lambda q: exterior_derivative(section, q), 3, check=False)
-    residual = two_form_closedness_residual(field, np.array([0.4, -0.2, 0.9]),
-                                            step=1e-4)
-    assert residual <= 1e-8
+    # d(d gamma) = 0: the two-form that construct-b writes for a cubic
+    # section, differentiated twice symbolically, has a cyclic sum of
+    # partials at rounding level
+    spec = parse_scenario("""{"name": "cubic", "n": 3, "gamma": [
+        "0.3*q1*q2*q3 - q2^3", "sin(q1)*q3^2 + 0.7*q1^2*q2", "exp(0.5*q2)*q1 - q3^3"]}""")
+    _, system = construct_induced_scenario(spec)
+    assert system.mag.b_field._partials_fn is not None
+    for q in ([0.4, -0.2, 0.9], [-0.7, 0.3, 0.1]):
+        assert two_form_closedness_residual(system.mag.b_field, q) <= 1e-12
 
 
 def test_two_form_storage_is_exactly_antisymmetric():
@@ -148,6 +148,21 @@ def test_from_matrix_fn_rejects_asymmetric_input():
     field = TwoFormField.from_matrix_fn(lambda q: np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
     with pytest.raises(NumericalDomainError):
         field.matrix(np.zeros(2))
+
+
+def test_derivatives_are_required_where_an_object_is_built():
+    """A section, phase map, Hamiltonian, distribution or varying two-form
+    on n >= 3 built without its partials raises there, not at first use."""
+    one = lambda q: np.ones(3)  # noqa: E731
+    for build in (lambda: OneFormSection(one),
+                  lambda: PhaseMap(lambda v: v),
+                  lambda: HamiltonianSpec.general(3, lambda q, p: 0.0),
+                  lambda: HamiltonianSpec.quadratic(3, potential_fn=lambda q: 0.0),
+                  lambda: HamiltonianSpec.quadratic(3, mass_fn=lambda q: np.eye(3)),
+                  lambda: ConstraintDistribution(3, 1, lambda q: np.ones((1, 3))),
+                  lambda: TwoFormField(lambda q: np.ones((3, 3)), 3)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_match_residual_zero_when_curl_cancels_field():
@@ -172,8 +187,10 @@ def test_match_residual_on_distribution_matches_brute_force():
                              lambda q: np.array([[0.0, 0.0, 0.0],
                                                  [c, 0.0, 0.0],
                                                  [0.0, 0.0, 0.0]]))
+    grads = np.zeros((3, 1, 3))
+    grads[0, 0, 1] = -1.0
     dist = ConstraintDistribution(
-        3, 1, lambda q: np.array([[0.0, -q[0], 1.0]]))
+        3, 1, lambda q: np.array([[0.0, -q[0], 1.0]]), lambda q: grads)
     field = TwoFormField.zero(3)
     q = np.array([0.6, -0.2, 0.9])
     basis = dist.basis(q)
@@ -210,12 +227,11 @@ def test_empty_stacks_keep_the_value_shape():
     of its value: gamma (0, n), its Jacobian (0, n, n), a phase map's image
     (0, 2n) and Jacobian (0, 2n, 2n), and a two-form (0, n, n)."""
     empty = np.zeros((0, 3))
-    for section in (OneFormSection(lambda q: 2 * q),
-                    OneFormSection(lambda q: 2 * q, lambda q: 2 * np.eye(3))):
-        assert section.value(empty).shape == (0, 3)
-        assert section.jacobian(empty).shape == (0, 3, 3)
-    for phase_map in (PhaseMap(lambda v: v + 1.0),
-                      PhaseMap(lambda v: v + 1.0, lambda v: np.eye(6))):
-        assert phase_map.image(np.zeros((0, 6))).shape == (0, 6)
-        assert phase_map.jacobians(np.zeros((0, 6))).shape == (0, 6, 6)
-    assert TwoFormField(lambda q: np.ones((3, 3)), 3).matrix(empty).shape == (0, 3, 3)
+    section = OneFormSection(lambda q: 2 * q, lambda q: 2 * np.eye(3))
+    assert section.value(empty).shape == (0, 3)
+    assert section.jacobian(empty).shape == (0, 3, 3)
+    phase_map = PhaseMap(lambda v: v + 1.0, lambda v: np.eye(6))
+    assert phase_map.image(np.zeros((0, 6))).shape == (0, 6)
+    assert phase_map.jacobians(np.zeros((0, 6))).shape == (0, 6, 6)
+    field = TwoFormField(lambda q: np.ones((3, 3)), 3, lambda q: np.zeros((3, 3, 3)))
+    assert field.matrix(empty).shape == (0, 3, 3)

@@ -181,7 +181,7 @@ def test_type1_constrained_equals_magnetic_without_constraints():
 
 def test_type1_constrained_guards_image(nh_magnetic):
     _, dist, ham, mag = nh_magnetic
-    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]))
+    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]), lambda q: np.zeros((3, 3)))
     with pytest.raises(SectionImageError):
         type1_constrained(off, dist, ham, mag, [np.zeros(3)])
 
@@ -226,7 +226,7 @@ def test_tangent_guard_follows_scale_env(nh_magnetic, monkeypatch):
 
 def test_type2_constrained_guards_the_section_at_image_points(nh_magnetic):
     _, dist, ham, mag = nh_magnetic
-    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]))
+    off = OneFormSection(lambda q: np.array([0.0, 0.0, 1.0]), lambda q: np.zeros((3, 3)))
     samples = [PhasePoint(np.zeros(3), np.zeros(3))]
     with pytest.raises(SectionImageError):
         type2_constrained(off, PhaseMap.identity(3), dist, ham, mag, samples)

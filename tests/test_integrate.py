@@ -38,7 +38,7 @@ from magnomech.scenarios import _compile, _compile_partials
 from magnomech.tolerances import DEFAULT_TOLERANCES
 from conftest import SCENARIO_DIR, constant_field_system, free_particle_constraint
 from fingerprints import differing, fault_entry
-from reference import _per_row_csv
+from reference import _per_row_csv, fd_jacobian
 
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
 
@@ -367,6 +367,15 @@ def _general_value(q, p):
             + 0.1 * q[0] * p[1])
 
 
+def _differenced(fn, shape):
+    """Partials of ``fn`` by central differences (step 1e-6), stacked
+    direction first to ``shape``: a caller's partials that are not exact."""
+    def partials(x):
+        return fd_jacobian(lambda y: np.ravel(fn(y)), x, 1e-6).T.reshape(shape)
+
+    return partials
+
+
 def _extra_systems():
     """Paths no shipped scenario takes, as (ham, mag, dist or None, z0)."""
     twisted = MagneticStructure(TwoFormField.from_matrix_fn(
@@ -378,7 +387,11 @@ def _extra_systems():
         "initial_state": {"q": [0.3, -0.2], "p": [0.5, 0.1]}})
     potential = lambda q: 0.5 * float(q @ q)  # noqa: E731
     rows = free_particle_constraint()
-    rows_fd = ConstraintDistribution(3, 1, lambda q: np.array([[0.0, -q[0], 1.0]]))
+
+    def row(q):
+        return np.array([[0.0, -q[0], 1.0]])
+
+    rows_fd = ConstraintDistribution(3, 1, row, _differenced(row, (3, 1, 3)))
     z3 = PhasePoint([0.2, -0.1, 0.3], [0.6, 0.4, -0.2])
 
     def on_surface(dist, ham):
@@ -392,15 +405,22 @@ def _extra_systems():
     one_row = _system(dict(inlined, name="one-row", constraints=[["0", "-q1", "1"]]))
     two_rows = _system(dict(inlined, name="two-rows",
                             constraints=[["0", "-q1", "1"], ["1", "0", "0.5*q2"]]))
+    potential_fd = _differenced(potential, (3,))
     mass_symbolic = HamiltonianSpec.quadratic(3, mass_fn=_mass, mass_grad_fn=_mass_grad,
-                                              potential_fn=potential)
-    mass_fd = HamiltonianSpec.quadratic(3, mass_fn=_mass, potential_fn=potential)
+                                              potential_fn=potential,
+                                              potential_grad_fn=lambda q: np.array(q))
+    mass_fd = HamiltonianSpec.quadratic(3, mass_fn=_mass,
+                                        mass_grad_fn=_differenced(_mass, (3, 3, 3)),
+                                        potential_fn=potential,
+                                        potential_grad_fn=potential_fd)
+    gradient_fd = _differenced(lambda z: _general_value(z[:2], z[2:]), (4,))
+    general_fd = HamiltonianSpec.general(
+        2, _general_value, lambda q, p: gradient_fd(np.concatenate([q, p])))
     unit = HamiltonianSpec.free(3)
     canonical = MagneticStructure.canonical(3)
     return {
         "general-symbolic": (general.ham, general.mag, None, general.initial_state),
-        "general-fd": (HamiltonianSpec.general(2, _general_value), twisted, None,
-                       PhasePoint([0.3, -0.2], [0.5, 0.1])),
+        "general-fd": (general_fd, twisted, None, PhasePoint([0.3, -0.2], [0.5, 0.1])),
         "mass-fd": (mass_fd, canonical, None, z3),
         "constrained-mass-symbolic": (mass_symbolic, canonical, rows,
                                       on_surface(rows, mass_symbolic)),
@@ -471,11 +491,11 @@ def test_trajectory_matches_reference_on_scenarios(systems, name):
 @pytest.mark.parametrize("name", sorted(EXTRA))
 def test_trajectory_matches_reference_off_the_corpus(name):
     ham, mag, dist, z0 = EXTRA[name]
-    # A central-difference gradient in all 2n variables (step 1e-6) turns
-    # the ~1e-16 gap between the closed-form field and the dense solve into
-    # noise of order 1e-16 / 1e-6 per evaluation; over 200 steps that sits
-    # near 1e-12, so that path is held to the difference noise floor.
-    tol = 1e-10 if name == "general-fd" else 1e-12
+    # A central-difference gradient (step 1e-6) turns the ~1e-16 gap
+    # between the closed-form field and the dense solve into noise of order
+    # 1e-16 / 1e-6 per evaluation; over 200 steps that sits near 1e-12, so
+    # those systems are held to the difference noise floor.
+    tol = 1e-10 if name.endswith("-fd") else 1e-12
     _assert_matches_reference(ham, mag, z0, 1e-2, dist, tol=tol)
 
 
@@ -592,7 +612,9 @@ def _fault_systems():
                                      name="sine")), "magnetic", 2.0, 0.01),
         "fractional-power-lower-entry": (SimpleNamespace(
             ham=HamiltonianSpec.free(3),
-            mag=MagneticStructure(TwoFormField(_compile(lower), 3)), dist=None,
+            mag=MagneticStructure(TwoFormField(
+                _compile(lower), 3, _compile_partials(lower, ["q1", "q2", "q3"],
+                                                      direction_first=True))), dist=None,
             initial_state=PhasePoint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
             "magnetic", 2.0, 0.01),
         # B H_p at 1e8 leaves a rounding defect above the structure guard
@@ -755,8 +777,8 @@ def test_one_row_rank_rule_is_the_same_on_both_paths():
 def test_step_guards_no_scenario_reaches_raise_as_the_per_point_functions_do():
     """A constant mass whose literal pivot is not positive (build_system's
     probes reject it, so it is compiled directly), a k = 2 multiplier Gram
-    matrix that underflows to zero, and a projection that overflows in the
-    per-point fallback of a distribution differentiated by differences."""
+    matrix that underflows to zero, and a projection of called rows that
+    overflows."""
     canonical = MagneticStructure.canonical(2)
     nodes = [[ex.Num(-1.0), ex.Num(0.0)], [ex.Num(0.0), ex.Num(1.0)]]
     indefinite = HamiltonianSpec.quadratic(
@@ -774,11 +796,12 @@ def test_step_guards_no_scenario_reaches_raise_as_the_per_point_functions_do():
         _raised(lambda: _oracle_rhs(tiny.ham, tiny.mag, tiny.dist)(point))) == (
         CompatibilityError, "multiplier matrix is singular")
     # A G^{-1} A^T = 1e-320, so the projection's shift of p1 = 1e150 overflows
-    rows_fd = ConstraintDistribution(2, 1, lambda q: np.array([[1e-160, 0.0]]))
+    tiny_row = ConstraintDistribution(2, 1, lambda q: np.array([[1e-160, 0.0]]),
+                                      lambda q: np.zeros((2, 1, 2)))
     free = HamiltonianSpec.free(2)
-    run = step_kernel(free, canonical, rows_fd)
+    run = step_kernel(free, canonical, tiny_row)
     assert _raised(lambda: _step(run, (0.0, 0.0, 1e150, 0.0, 0.0, 0.0, 0.0), 1e-300)) == (
-        _raised(lambda: project_to_constraint(rows_fd, free,
+        _raised(lambda: project_to_constraint(tiny_row, free,
                                               PhasePoint([0.0, 0.0], [1e150, 0.0])))) == (
         NumericalDomainError, "phase point has non-finite entries")
 
@@ -908,11 +931,9 @@ def test_integrate_matches_the_per_point_run_on_generated_documents():
     230 and the two inlined systems above, from the initial state and 2 box
     samples (projected in distributional mode), 20 steps at dt 0.01 and
     0.3: integrate and the per-point run raise the same error, or abort at
-    the same step with the same message, and where the step inlines every
-    ingredient their states and energies agree to 1e-9. Where it takes
-    finite differences, the dense solve's rounding is magnified by
-    1 / FD_STEP and only the outcome is compared: on document 22 at dt 0.3
-    both abort at step 9 with one message, with states 0.17 apart."""
+    the same step with the same message, and their states and energies
+    agree to 1e-9. Every ingredient has exact partials, so this holds on
+    document 22 too, whose exponents read q."""
     for doc in _generated_documents():
         try:
             system = build_system(parse_scenario(json.dumps(doc)))
@@ -922,8 +943,6 @@ def test_integrate_matches_the_per_point_run_on_generated_documents():
         if system.initial_state is not None:
             starts.insert(0, system.initial_state)
         for dist in [None] + ([system.dist] if system.constrained else []):
-            generator = kernel._Generator(system.ham, system.mag, dist)
-            inlined = generator.written_ham and generator.written_dist
             kind = "magnetic" if dist is None else "distributional"
             for start in starts:
                 if dist is not None:
@@ -942,7 +961,6 @@ def test_integrate_matches_the_per_point_run_on_generated_documents():
                     assert traj.abort_reason == (None if message is None else (
                         len(states), len(states) * dt, message)), (doc, dt)
                     assert len(traj.times) == len(states)
-                    if inlined:
-                        np.testing.assert_allclose(traj.states, states, rtol=1e-9, atol=1e-12)
-                        np.testing.assert_allclose(traj.energies, energies, rtol=1e-9,
-                                                   atol=1e-12)
+                    np.testing.assert_allclose(traj.states, states, rtol=1e-9, atol=1e-12)
+                    np.testing.assert_allclose(traj.energies, energies, rtol=1e-9,
+                                               atol=1e-12)

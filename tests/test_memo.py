@@ -81,7 +81,10 @@ def test_read_only_values_leave_the_callers_arrays_writable():
 
 def test_rank_deficient_point_raises_on_every_call():
     # rows (q1, 0, 0) vanish at q1 = 0
-    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]))
+    grads = np.zeros((3, 1, 3))
+    grads[0, 0, 0] = 1.0
+    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]),
+                                  lambda q: grads)
     ham = HamiltonianSpec.free(3)
     z = PhasePoint([0.0, 0.5, 0.5], [0.0, 1.0, 0.0])
     for _ in range(2):
@@ -93,7 +96,8 @@ def test_rank_deficient_point_raises_on_every_call():
 
 
 def test_non_spd_mass_raises_on_every_call():
-    ham = HamiltonianSpec.quadratic(2, mass_fn=lambda q: -np.eye(2))
+    ham = HamiltonianSpec.quadratic(2, mass_fn=lambda q: -np.eye(2),
+                                    mass_grad_fn=lambda q: np.zeros((2, 2, 2)))
     q = np.array([0.3, 0.4])
     for _ in range(2):
         with pytest.raises(NumericalDomainError, match="positive definite"):

@@ -49,7 +49,10 @@ def test_projection_is_identity_on_surface(free_system):
 
 def test_projection_hand_example():
     # row (-q2, 0, 1) at q = (0, 1, 0): momentum (0, 0, 1) splits evenly
-    dist = ConstraintDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]))
+    grads = np.zeros((3, 1, 3))
+    grads[1, 0, 0] = -1.0
+    dist = ConstraintDistribution(3, 1, lambda q: np.array([[-q[1], 0.0, 1.0]]),
+                                  lambda q: grads)
     ham = HamiltonianSpec.free(3)
     kept = project_to_constraint(dist, ham, PhasePoint([0, 1, 0], [1, 0, 1]))
     assert kept.p == pytest.approx([1.0, 0.0, 1.0])
@@ -63,7 +66,8 @@ def test_projection_against_least_squares_oracle():
     rng = np.random.default_rng(4)
     dist = free_particle_constraint()
     mass = random_spd(rng, 3)
-    ham = HamiltonianSpec.quadratic(3, mass_fn=lambda q: mass)
+    ham = HamiltonianSpec.quadratic(3, mass_fn=lambda q: mass,
+                                    mass_grad_fn=lambda q: np.zeros((3, 3, 3)))
     for _ in range(10):
         z = PhasePoint(rng.normal(size=3), rng.normal(size=3))
         basis = dist.basis(z.q)
@@ -144,9 +148,16 @@ def test_compatibility_free_particle(free_system):
     assert report.passed
 
 
+def _doubled_row():
+    """The row (0, -q1, 1) twice: rank 1 where two rows are declared."""
+    grads = np.zeros((3, 2, 3))
+    grads[0, :, 1] = -1.0
+    return ConstraintDistribution(
+        3, 2, lambda q: np.array([[0.0, -q[0], 1.0], [0.0, -q[0], 1.0]]), lambda q: grads)
+
+
 def test_doubled_constraint_row_fails_compatibility():
-    dist = ConstraintDistribution(
-        3, 2, lambda q: np.array([[0.0, -q[0], 1.0], [0.0, -q[0], 1.0]]))
+    dist = _doubled_row()
     ham = HamiltonianSpec.free(3)
     mag = MagneticStructure.canonical(3)
     report = compatibility_report(dist, ham, mag,
@@ -155,8 +166,7 @@ def test_doubled_constraint_row_fails_compatibility():
 
 
 def test_rank_deficiency_raises_on_direct_use():
-    dist = ConstraintDistribution(
-        3, 2, lambda q: np.array([[0.0, -q[0], 1.0], [0.0, -q[0], 1.0]]))
+    dist = _doubled_row()
     with pytest.raises(DegenerateConstraintError):
         dist.matrix(np.array([0.0, 0.0, 0.0]))
 
@@ -249,7 +259,8 @@ def test_projection_idempotent_and_two_methods_agree(seed):
     rows = rng.normal(size=(k, n))
     dist = ConstraintDistribution.constant(rows)
     mass = random_spd(rng, n)
-    ham = HamiltonianSpec.quadratic(n, mass_fn=lambda q: mass)
+    ham = HamiltonianSpec.quadratic(n, mass_fn=lambda q: mass,
+                                    mass_grad_fn=lambda q: np.zeros((n, n, n)))
     raw = rng.normal(size=(n, n))
     mag = MagneticStructure(TwoFormField.constant(raw - raw.T))
     z = PhasePoint(rng.normal(size=n), rng.normal(size=n))

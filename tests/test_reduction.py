@@ -11,11 +11,9 @@ from magnomech import (
     integrate,
     project_to_constraint,
 )
-from magnomech import geometry, hj
 from magnomech.cli import check_hj1, check_hj2, main
 from magnomech.dynamics import HamiltonianSpec, MagneticStructure, PhaseMap
 from magnomech.geometry import OneFormSection, TwoFormField
-from magnomech.hj import type2_constrained
 from magnomech.nonholonomic import ConstraintDistribution, surface_frame
 from magnomech.reduction import (
     TranslationSymmetry,
@@ -31,9 +29,9 @@ from magnomech.reduction import (
 )
 from magnomech.sampling import config_samples, newton_preimage
 from magnomech.scenarios import build_system, parse_scenario
-from magnomech.tolerances import DEFAULT_TOLERANCES, Tolerances
+from magnomech.tolerances import DEFAULT_TOLERANCES
 from conftest import SCENARIO_DIR, free_particle_constraint
-from reference import lift_point, per_sample_only, project_point
+from reference import lift_point, project_point
 
 BOX3 = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
 
@@ -257,7 +255,9 @@ def test_type1_reduced_classical_cyclic_case():
 def test_type1_reduced_vacuous_for_varying_section():
     _, sym, dist, ham, mag = reduced_test_system()
     varying = OneFormSection(
-        lambda q: np.array([0.0, -0.4 + 0.1 * q[1], (-0.4 + 0.1 * q[1]) * q[0]]))
+        lambda q: np.array([0.0, -0.4 + 0.1 * q[1], (-0.4 + 0.1 * q[1]) * q[0]]),
+        lambda q: np.array([[0.0, 0.0, 0.0], [0.0, 0.1, 0.0],
+                            [-0.4 + 0.1 * q[1], 0.1 * q[0], 0.0]]))
     report = type1_reduced(varying, sym, dist, ham, mag,
                            config_samples(BOX3, 10))
     assert report.verdict == "VACUOUS"
@@ -312,114 +312,6 @@ def test_reduced_checks_raise_on_non_admissible_tangents():
         type1_reduced(wiggly, sym, dist, ham, mag, [np.zeros(3)])
 
 
-def test_type2_reduced_refines_in_band_residuals(monkeypatch):
-    # a finite-difference section (step 1e-5): with the status tolerance set
-    # so one residual falls inside the band [tol, 10 tol), that sample is
-    # recomputed with the 10x smaller step
-    section, sym, dist, ham, mag = reduced_test_system()
-    fd_section = OneFormSection(section.eval_fn)
-    eps = PhaseMap.translation([0.3, 0.0, 0.0])
-    samples = _type2_samples(section, dist, ham, eps)
-    first = type2_reduced(fd_section, eps, sym, dist, ham, mag, samples)
-    assert first.verdict == "PASS"
-    in_band = min(a for a in first.residual_a if a > 0)
-    steps = []
-    original = geometry.fd_jacobian
-
-    def recording(fn, x, step=geometry.DEFAULT_FD_STEP):
-        steps.append(step)
-        return original(fn, x, step)
-
-    monkeypatch.setattr(geometry, "fd_jacobian", recording)
-    type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
-                  tolerances=Tolerances({"status": in_band / 2}))
-    assert fd_section.step / 10 in steps
-
-
-def test_in_band_samples_are_recomputed_in_one_stack(monkeypatch):
-    # a finite-difference section with the status tolerance at 0.1: two
-    # samples of each level have residuals inside the band [0.1, 1), and
-    # both are recomputed, at the 10x smaller step, in one stacked run; the
-    # reduced recompute reads A(q) from the first pass's frame, so it reads
-    # the rows at no further point (the constrained one reads them at 2)
-    section, sym, dist, ham, mag = reduced_test_system()
-    fd_section = OneFormSection(section.eval_fn)
-    eps = PhaseMap.translation([0.3, 0.0, 0.0])
-    samples = _type2_samples(section, dist, ham, eps)
-    tolerances = Tolerances({"status": 0.1})
-    reads, rows = [], dist._rows_fn
-
-    def counted_rows(q):
-        reads[-1] += 1
-        return rows(q)
-
-    monkeypatch.setattr(dist, "_rows_fn", counted_rows)
-
-    def report_bytes():
-        produced = []
-        for check in (lambda: type2_constrained(fd_section, eps, dist, ham, mag, samples,
-                                                tolerances=tolerances),
-                      lambda: type2_reduced(fd_section, eps, sym, dist, ham, mag, samples,
-                                            tolerances=tolerances)):
-            reads.append(0)
-            produced.append(json.dumps(check().as_dict(), sort_keys=True))
-        return produced
-
-    stacks = []
-    residuals = hj._type2_residuals
-
-    def recorded(refined, *args):
-        # the first pass runs on fd_section itself, the recompute on its copy
-        if refined is not fd_section:
-            stacks.append(len(args[2]))
-        return residuals(refined, *args)
-
-    monkeypatch.setattr(hj, "_type2_residuals", recorded)
-    produced = report_bytes()
-    assert stacks == [2, 2]
-    assert reads == [8, 18]
-    with per_sample_only():
-        assert report_bytes() == produced
-    # the recompute moved the residuals: without it the bytes differ
-    monkeypatch.setattr(hj, "_refined", lambda obj: obj)
-    assert report_bytes() != produced
-
-
-def test_type2_in_band_with_analytic_jacobians_is_not_recomputed(monkeypatch):
-    # the analytic section and the translation have no step to refine, so a
-    # residual inside the band is read as first computed: the report is the
-    # one a recompute gives, without the recompute
-    section, sym, dist, ham, mag = reduced_test_system()
-    eps = PhaseMap.translation([0.3, 0.0, 0.0])
-    samples = _type2_samples(section, dist, ham, eps)
-    first = type2_reduced(section, eps, sym, dist, ham, mag, samples)
-    tolerances = Tolerances({"status": min(a for a in first.residual_a if a > 1e-3) / 2})
-    runs = []
-    residuals = hj._type2_residuals
-
-    def counted(refined, *args):
-        # the first pass runs on the section itself, a recompute on a copy
-        if refined is not section:
-            runs.append(len(args[2]))
-        return residuals(refined, *args)
-
-    def report_bytes():
-        return [json.dumps(check.as_dict(), sort_keys=True) for check in (
-            type2_constrained(section, eps, dist, ham, mag, samples,
-                              tolerances=tolerances),
-            type2_reduced(section, eps, sym, dist, ham, mag, samples,
-                          tolerances=tolerances))]
-
-    monkeypatch.setattr(hj, "_type2_residuals", counted)
-    skipped = report_bytes()
-    assert runs == []
-    # a copy is not the object itself, so the in-band sample is recomputed
-    monkeypatch.setattr(hj, "_refined", dataclasses.replace)
-    assert report_bytes() == skipped
-    # one sample in band at each level
-    assert runs == [1, 1]
-
-
 def _reduced_document(epsilon):
     """nh-magnetic-reduced with the phase map ``epsilon``."""
     doc = json.loads((SCENARIO_DIR / "nh-magnetic-reduced.json").read_text())
@@ -463,8 +355,16 @@ def test_data_varying_along_a_cyclic_coordinate_is_vacuous_at_both_reduced_check
     # a mass (1.5 + sin q2) I keeps the section on the surface, but q2 is
     # cyclic; the scenario loader's probes reject such a document, so the
     # system is assembled in Python
+    def mass_grad(q):
+        grads = np.zeros((3, 3, 3))
+        grads[1] = np.cos(q[1]) * np.eye(3)
+        return grads
+
     ham = HamiltonianSpec.quadratic(3, mass_fn=lambda q: (1.5 + np.sin(q[1])) * np.eye(3),
-                                    potential_fn=lambda q: -0.08 * q[0] ** 2)
+                                    mass_grad_fn=mass_grad,
+                                    potential_fn=lambda q: -0.08 * q[0] ** 2,
+                                    potential_grad_fn=lambda q: np.array(
+                                        [-0.16 * q[0], 0.0, 0.0]))
     system = dataclasses.replace(systems["nh-magnetic-reduced"], ham=ham)
     for check in (check_hj1, check_hj2):
         (defect,) = _defects(check(system, 20, 0, reduced=True))

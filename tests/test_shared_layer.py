@@ -11,7 +11,6 @@ agree. The invariance residuals fold over the samples, so a stack must
 give the fold of the samples' values.
 """
 
-import json
 from collections import Counter
 
 import numpy as np
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIO_DIR, random_spd
 from test_contract import expressions as expression_texts
 from magnomech import expressions
-from magnomech.cli import check_hj1, checks_for_system
+from magnomech.cli import checks_for_system
 from magnomech.dynamics import (
     HamiltonianSpec,
     MagneticStructure,
@@ -33,13 +32,10 @@ from magnomech.dynamics import (
 )
 from magnomech.errors import ExpressionError, MagnomechError, NumericalDomainError
 from magnomech.geometry import (
-    CLOSEDNESS_STEP,
     OneFormSection,
     TwoFormField,
     closedness_residual,
     each,
-    fd_jacobian,
-    fd_jacobians,
     restricted_form_residual,
     split,
     two_form_closedness_residual,
@@ -78,8 +74,8 @@ from magnomech.reduction import (
     relatedness,
     section_invariance_residual,
 )
-from magnomech.sampling import config_samples, phase_samples, preimage
-from magnomech.scenarios import _compile, build_system, load_scenario, parse_scenario
+from magnomech.sampling import preimage
+from magnomech.scenarios import _compile, build_system, load_scenario
 from magnomech.tolerances import Tolerances
 
 seeds = st.integers(0, 2**32 - 1)
@@ -221,19 +217,25 @@ def test_projection_solves(seed, count, k):
     """SurfaceFrame.project's k x k Gram solve, for k = 1 and for k >= 2."""
     rng = np.random.default_rng(seed)
     n = k + 1
-    dist = _distribution(rng, n, k, True)
+    dist = _distribution(rng, n, k)
     ham = _hamiltonian(rng, n, "mass")
     qs, ps = rng.normal(size=(2, count, n))
     each_sample(lambda q, p: surface_frame(dist, ham, q).project(p), qs, ps)
 
 
 def _two_form(rng, n, constant):
-    """A two-form that varies with q, or a constant one."""
+    """A two-form that varies with q, with its partials, or a constant one."""
     if constant:
         raw = rng.normal(size=(n, n))
         return TwoFormField.constant(raw - raw.T)
     coeff = rng.normal(size=(n, n))
-    return TwoFormField(lambda q: coeff * np.sin(np.add.outer(q, 2.0 * q)), n)
+    # entry (i, j) is c_ij sin(q_i + 2 q_j)
+    rates = np.eye(n)[:, :, None] + 2.0 * np.eye(n)[:, None, :]
+
+    def partials(q):
+        return rates * (coeff * np.cos(np.add.outer(q, 2.0 * q)))
+
+    return TwoFormField(lambda q: coeff * np.sin(np.add.outer(q, 2.0 * q)), n, partials)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,8 +259,8 @@ def test_structure_and_residual_kernels(seed, count, n, constant, width):
     bases = rng.normal(size=(count, n, min(width, n)))
     each_sample(restricted_form_residual, field.matrix(qs) + np.zeros((count, n, n)),
                 bases)
-    each_sample(lambda q: closedness_residual(field, q, CLOSEDNESS_STEP), qs)
-    for q, value in zip(qs, closedness_residual(field, qs, CLOSEDNESS_STEP).tolist()):
+    each_sample(lambda q: closedness_residual(field, q), qs)
+    for q, value in zip(qs, closedness_residual(field, qs).tolist()):
         assert two_form_closedness_residual(field, q) == value
     # the Type I and Type II kernels at their magnetic levels, on a free
     # particle and a smooth phase map near the identity
@@ -269,8 +271,8 @@ def test_structure_and_residual_kernels(seed, count, n, constant, width):
     each_sample(lambda q, p, j: type1_residual(ham, mag, q, p, j, lambda q, p, free: (
         None, free)), qs, ps, section_jacs)
     shift = 0.1 * rng.normal(size=2 * n)
-    jacobian = None if constant else (lambda v: np.eye(2 * n) + np.diag(0.1 * np.cos(v)))
-    eps = PhaseMap(lambda v: v + 0.1 * np.sin(v) + shift, jacobian)
+    eps = PhaseMap(lambda v: v + 0.1 * np.sin(v) + shift,
+                   lambda v: np.eye(2 * n) + np.diag(0.1 * np.cos(v)))
     zs = np.concatenate([qs, ps], axis=-1)
     each_sample(eps.image, zs)
     each_sample(eps.jacobians, zs)
@@ -313,30 +315,23 @@ def _hamiltonian(rng, n, kind):
             n, lambda q, p: potential(q) + float(p @ p) * (1.0 + float(q @ q)),
             lambda q, p: np.concatenate([potential_grad(q) + 2.0 * float(p @ p) * q,
                                          2.0 * p * (1.0 + float(q @ q))]))
-    if kind == "general-fd":
-        return HamiltonianSpec.general(
-            n, lambda q, p: potential(q) + float(p @ p) * (1.0 + float(q @ q)))
     if kind == "unit":
         return HamiltonianSpec.quadratic(n, potential_fn=potential,
                                          potential_grad_fn=potential_grad)
-    if kind == "unit-fd":
-        return HamiltonianSpec.quadratic(n, potential_fn=potential)
     mass, mass_grad = _mass(rng, n)
-    if kind == "mass":
-        return HamiltonianSpec.quadratic(n, mass_fn=mass, mass_grad_fn=mass_grad,
-                                         potential_fn=potential,
-                                         potential_grad_fn=potential_grad)
-    return HamiltonianSpec.quadratic(n, mass_fn=mass, potential_fn=potential)
+    return HamiltonianSpec.quadratic(n, mass_fn=mass, mass_grad_fn=mass_grad,
+                                     potential_fn=potential,
+                                     potential_grad_fn=potential_grad)
 
 
-KINDS = ("unit", "unit-fd", "mass", "mass-fd", "general", "general-fd")
+KINDS = ("unit", "mass", "general")
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, count=counts, n=st.integers(1, 4), kind=st.sampled_from(KINDS))
 def test_base_terms(seed, count, n, kind):
-    """BaseTerms.value and gradient at unit mass, a symbolic mass, a mass
-    differentiated by central differences, and a general H."""
+    """BaseTerms.value and gradient at unit mass, a symbolic mass and a
+    general H."""
     rng = np.random.default_rng(seed)
     ham = _hamiltonian(rng, n, kind)
     qs, ps = rng.normal(size=(2, count, n))
@@ -344,7 +339,7 @@ def test_base_terms(seed, count, n, kind):
     each_sample(lambda q, p: ham.at(q).gradient(p), qs, ps)
 
 
-def _distribution(rng, n, k, symbolic):
+def _distribution(rng, n, k):
     """A(q) = [I_k | C(q)]: rank k at every q."""
     coeff = rng.normal(size=(k, n - k))
 
@@ -357,17 +352,17 @@ def _distribution(rng, n, k, symbolic):
             grads[c, :, c] = -coeff[:, c - k] * np.sin(q[c])
         return grads
 
-    return ConstraintDistribution(n, k, rows, rows_grad if symbolic else None)
+    return ConstraintDistribution(n, k, rows, rows_grad)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, count=counts, n=st.integers(2, 4), data=st.data(),
-       kind=st.sampled_from(("unit", "mass", "mass-fd")), symbolic=st.booleans())
-def test_surface_frame(seed, count, n, data, kind, symbolic):
+       kind=st.sampled_from(("unit", "mass")))
+def test_surface_frame(seed, count, n, data, kind):
     """SurfaceFrame.residual, jacobian, admissible and project, and
     multiplier_correction."""
     rng = np.random.default_rng(seed)
-    dist = _distribution(rng, n, data.draw(st.integers(1, n - 1)), symbolic)
+    dist = _distribution(rng, n, data.draw(st.integers(1, n - 1)))
     ham = _hamiltonian(rng, n, kind)
     qs, ps = rng.normal(size=(2, count, n))
     free = rng.normal(size=(count, 2 * n))
@@ -532,85 +527,3 @@ def test_checks_evaluate_expressions_on_stacks(name, monkeypatch):
     reports = checks_for_system(system, 50, 0)
     assert {report.verdict for report in reports} == {"PASS"}
     assert calls[name] < 50
-
-
-@settings(max_examples=100, deadline=None)
-@given(texts=st.lists(expression_texts(expressions.phase_names(2)), min_size=1,
-                      max_size=3),
-       exponent=st.sampled_from(EXPONENTS), function=st.sampled_from(FUNCTIONS),
-       seed=seeds, count=st.integers(1, 20), positive=st.booleans(),
-       step=st.sampled_from([1e-5, 1e-6]))
-def test_stacked_differences(texts, exponent, function, seed, count, positive, step):
-    """Central differences of an expression array over a whole stack, through
-    its column function: each sample gets the bits of fd_jacobian at that
-    sample alone, and a fault anywhere raises the first faulting sample's
-    per-point error."""
-    texts = texts + [f"({texts[0]}) ^ ({exponent})", f"{function}({texts[-1]})"]
-    try:
-        nodes = [expressions.parse(text) for text in texts]
-    except ExpressionError:
-        assume(False)
-    evaluate = split(_compile(nodes), 2)
-    zs = _stack(np.random.default_rng(seed), count, 4, positive)
-    try:
-        alone = np.array([fd_jacobian(evaluate, z, step) for z in zs])
-    except NumericalDomainError as err:
-        with pytest.raises(NumericalDomainError) as raised:
-            fd_jacobians(evaluate, zs, step)
-        assert type(raised.value) is type(err) and str(raised.value) == str(err)
-        return
-    same_bits(fd_jacobians(evaluate, zs, step), alone)
-
-
-# a variable exponent has no symbolic partial, so every field below is
-# differentiated by central differences
-DIFFERENCED = {
-    "name": "differenced", "n": 3,
-    "constraints": [["0", "-q1 + 0.01*2^q2", "1"]],
-    "gamma": ["0.2*q2 + 0.01*2^q1", "-0.2*q1", "0.1*exp(q3)*2^q3"],
-    "epsilon": ["q1 + 0.3", "q2 + 0.01*2^q3", "q3", "p1", "p2 + 0.01*2^p1", "p3"],
-}
-
-
-def test_finite_difference_jacobians_keep_the_per_point_bits():
-    """The section's Jacobian, the phase map's Jacobians and the constraint
-    rows' gradient, each without symbolic partials, on a stack: the bits of
-    the per-point central differences at every sample."""
-    system = build_system(parse_scenario(json.dumps(DIFFERENCED)))
-    assert system.gamma.jacobian_fn is None and system.epsilon.jacobian_fn is None
-    assert system.dist._rows_grad_fn is None
-    box = system.sample_box
-    qs = config_samples(box, 20)
-    zs = phase_samples(box, 20, np.random.default_rng(0)).vec
-    each_sample(system.gamma.jacobian, qs)
-    each_sample(system.epsilon.jacobians, zs)
-    each_sample(system.dist.rows_gradient, qs)
-
-
-def test_finite_difference_jacobians_run_on_the_stack(monkeypatch):
-    """magnetic-hj with a section term that has no symbolic partial: one
-    hj1 check at 50 samples differences the section over the whole stack,
-    so the per-point compiled functions run fewer times than the check has
-    samples (per-sample differencing ran them 500 times), and the check
-    still passes."""
-    calls = Counter()
-    compile_node = expressions.compile_node
-
-    def counting(node):
-        fn = compile_node(node)
-
-        def counted(q, p=None):
-            calls["point"] += 1
-            return fn(q, p)
-
-        return counted
-
-    monkeypatch.setattr(expressions, "compile_node", counting)
-    doc = json.loads((SCENARIO_DIR / "magnetic-hj.json").read_text())
-    doc["gamma"] = ["0.35*q2 + 1e-12*2^q1", "-0.35*q1"]
-    system = build_system(parse_scenario(json.dumps(doc)))
-    assert system.gamma.jacobian_fn is None
-    calls.clear()
-    report = check_hj1(system, 50, 0)
-    assert report.verdict == "PASS"
-    assert calls["point"] < 50

@@ -213,7 +213,8 @@ def _structure_fault(systems):
     def b_matrix(q):
         return huge if q.tobytes() in bad else np.zeros((3, 3))
 
-    mag = MagneticStructure(TwoFormField.from_matrix_fn(b_matrix, 3))
+    mag = MagneticStructure(TwoFormField.from_matrix_fn(
+        b_matrix, 3, lambda q: np.zeros((3, 3, 3))))
     section = OneFormSection(lambda q: np.array([0.5, 2.0, 1.0]),
                              lambda q: np.zeros((3, 3)))
     return lambda: type1_magnetic(section, HamiltonianSpec.free(3), mag, qs)
@@ -251,7 +252,8 @@ def _projection_fault(systems):
     def mass(q):
         return np.diag([1e-320, 1.0, 1.0]) if q.tobytes() in bad else np.eye(3)
 
-    ham = HamiltonianSpec.quadratic(3, mass_fn=mass)
+    ham = HamiltonianSpec.quadratic(3, mass_fn=mass,
+                                    mass_grad_fn=lambda q: np.zeros((3, 3, 3)))
     dist = ConstraintDistribution.constant([[0.0, 1.0, 1.0]])
     return lambda: surface_phase_samples(dist, ham, BOX3, 8, np.random.default_rng(0))
 
@@ -352,7 +354,8 @@ def _late_and_early_type1(systems):
     late, early = _bad_points(qs, 2), _bad_points(qs, 5)
     huge = np.array([[0.0, -0.5, 1.0], [0.5, 0.0, 3.449e16], [-1.0, -3.449e16, 0.0]])
     mag = MagneticStructure(TwoFormField.from_matrix_fn(
-        lambda q: huge if q.tobytes() in late else np.zeros((3, 3)), 3))
+        lambda q: huge if q.tobytes() in late else np.zeros((3, 3)), 3,
+        lambda q: np.zeros((3, 3, 3))))
     section = OneFormSection(
         lambda q: np.array([0.5, 2.0, np.inf if q.tobytes() in early else 0.0]),
         lambda q: np.zeros((3, 3)))
@@ -393,17 +396,18 @@ def _off_surface_draw(system, index):
 
 
 def _closedness_and_drawn(systems):
-    """geometry on nh-magnetic-particle with B infinite near the sixth
-    configuration sample, so that the closedness stage fails there, and a
-    draw whose first point is off the surface, so that the compatibility
-    stage would fail too."""
+    """geometry on nh-magnetic-particle with B and its partials infinite
+    near the sixth configuration sample, so that the closedness stage fails
+    there, and a draw whose first point is off the surface, so that the
+    compatibility stage would fail too."""
     system = systems["nh-magnetic-particle"]
     near = config_samples(system.sample_box, 8)[5]
 
-    def b_matrix(q):
-        return np.full((3, 3), np.inf if np.abs(q - near).max() < 1e-3 else 0.0)
+    def infinite_near(shape):
+        return lambda q: np.full(shape, np.inf if np.abs(q - near).max() < 1e-3 else 0.0)
 
-    mag = MagneticStructure(TwoFormField.from_matrix_fn(b_matrix, 3))
+    mag = MagneticStructure(TwoFormField.from_matrix_fn(
+        infinite_near((3, 3)), 3, infinite_near((3, 3, 3))))
     return _geometry_run(system, mag, system.gamma, _off_surface_draw(system, 0))
 
 
@@ -429,7 +433,7 @@ FAULT_ORDER = {
     "type2-constrained": (_late_and_early_type2, NumericalDomainError,
                           "Hamiltonian gradient is non-finite"),
     "geometry-closedness-then-draw": (_closedness_and_drawn, NumericalDomainError,
-                                      "two-form evaluation is non-finite"),
+                                      "two-form partials are non-finite"),
     "geometry-compatibility-then-twist": (_compatibility_and_twist, OffConstraintError,
                                           "constraint residual 1.000e+00 exceeds 1.0e-08"),
 }
@@ -456,13 +460,21 @@ def test_two_samples_failing_at_different_stages(systems, case):
     assert produced == (error, message)
 
 
+def _vanishing_row():
+    """The row (q1, 0, 0), which vanishes at q1 = 0."""
+    grads = np.zeros((3, 1, 3))
+    grads[0, 0, 0] = 1.0
+    return ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]),
+                                  lambda q: grads)
+
+
 def test_drawn_points_where_the_rows_lose_rank_fail_compatibility(systems):
     """The row (q1, 0, 0) loses rank at q1 = 0, the second Sobol point: the
     geometry check's compatibility stage diagnoses that point as
     compatibility_report does (dimensions -1, sigma 0.0) and the check
     FAILs, on both orchestrations, instead of raising."""
     system = systems["nh-magnetic-particle"]
-    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]))
+    dist = _vanishing_row()
     qs = config_samples(system.sample_box, 4)
     zs = [PhasePoint(q, np.zeros(3)) for q in qs]
 
@@ -483,7 +495,7 @@ def test_a_drawn_frame_serves_only_its_own_system(systems):
     reads its own rows instead, on which the draw lies off the surface, on
     both orchestrations."""
     system = systems["nh-magnetic-particle"]
-    dist = ConstraintDistribution(3, 1, lambda q: np.array([[q[0], 0.0, 0.0]]))
+    dist = _vanishing_row()
     qs = config_samples(system.sample_box, 4)
     for path in (nullcontext, per_sample_only):
         with path():
@@ -629,24 +641,6 @@ def test_samples_of_one_check_split_by_rank():
     assert produced == reference
 
 
-def test_phase_map_without_jacobian_stacks_its_differences(systems):
-    """A phase map given without its Jacobian is differentiated per sample
-    by central differences in both paths."""
-    system = systems["nh-magnetic-particle"]
-    eps = PhaseMap(system.epsilon.eval_fn)
-    zs = _type2_samples(system, 6, 1)
-
-    def run():
-        return type2_constrained(system.gamma, eps, system.dist, system.ham,
-                                 system.mag, zs, tolerances=system.tolerances).as_dict()
-
-    with recording_reruns() as reruns:
-        produced = json.dumps(run(), sort_keys=True)
-    assert reruns == []
-    with per_sample_only():
-        assert json.dumps(run(), sort_keys=True) == produced
-
-
 def _with_configs(run):
     return lambda s, samples: run(s, samples(config_samples(s.sample_box, 8)))
 
@@ -709,9 +703,13 @@ def test_a_one_pass_iterator_gives_the_list_report(systems, check):
 EDGE = 2.0 ** -20
 
 
-def _geometry_with(doc, **overrides):
+def _system_with(doc, **overrides):
     doc = dict(doc, tolerances={**doc.get("tolerances", {}), **overrides})
-    return check_geometry(build_system(parse_scenario(json.dumps(doc))), 50, 0)
+    return build_system(parse_scenario(json.dumps(doc)))
+
+
+def _geometry_with(doc, **overrides):
+    return check_geometry(_system_with(doc, **overrides), 50, 0)
 
 
 def test_the_related_threshold_passes_strictly_below_it():
@@ -732,3 +730,32 @@ def test_the_closedness_threshold_fails_strictly_above_it():
     assert r > 0
     assert [_geometry_with(doc, closedness=r * f).verdict
             for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "PASS", "PASS"]
+
+
+def test_the_equation_threshold_passes_strictly_below_it():
+    """hj1-magnetic PASSes iff its worst equation residual < equation; the
+    section of magnetic-hj with a potential term it does not match leaves
+    the hypothesis exact and the equation residual 0.1."""
+    doc = json.loads((SCENARIO_DIR / "magnetic-hj.json").read_text())
+    doc["potential"] += " + 0.05*q1^2"
+    report = check_hj1(_system_with(doc), 50, 0)
+    r = report.data["equation_residual"]
+    assert r > 0 and report.data["hypothesis_residual"] == 0.0
+    assert [check_hj1(_system_with(doc, equation=r * f), 50, 0).verdict
+            for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "FAIL", "PASS"]
+
+
+@pytest.mark.parametrize("name,reduced", [("nh-magnetic-particle", False),
+                                          ("nh-magnetic-reduced", True)])
+def test_the_status_threshold_is_zero_strictly_below_it(name, reduced):
+    """A Type II residual has the zero status iff it is < status. The worst
+    residual r of these 8 samples is a residual b whose residual a is
+    smaller, every other residual lies below r (1 - 2^-20), and the
+    statuses of the other samples agree on either side of r: the check
+    PASSes iff status is above r."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    rows = check_hj2(_system_with(doc), 8, 0, reduced=reduced).data["per_sample"]
+    r = max(max(row["residual_a"], row["residual_b"]) for row in rows)
+    assert r > 0 and any(row["residual_b"] == r > row["residual_a"] for row in rows)
+    assert [check_hj2(_system_with(doc, status=r * f), 8, 0, reduced=reduced).verdict
+            for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "FAIL", "PASS"]
