@@ -29,9 +29,9 @@ from .geometry import (
 )
 from .hj import FAIL, PASS, _symplectic
 from .integrate import integrate
-from .linalg import by_rank, located, worst
+from .linalg import by_rank, located
 from .nonholonomic import compatibility, project_to_constraint, surface_frame
-from .reduction import data_invariance_residual, related_verdict, relatedness
+from .reduction import _related
 from .sampling import (
     config_samples,
     newton_preimages,
@@ -210,16 +210,9 @@ def _geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         data["symplectic_residual"] = max(located(len(head), lambda idx: _symplectic(
             epsilon, mag, head[idx])[2]).tolist())
     if symmetry is not None and dist.k > 0:
-        qh, ph = zs[:10, :n], zs[:10, n:]
-        invariance = located(len(qh), lambda idx: data_invariance_residual(
-            symmetry, dist, ham, mag, qh[idx], ph[idx], frame.take(idx)))
-
-        def residual():
-            (values,) = by_rank(len(qh), lambda idx: (relatedness(
-                symmetry, frame.take(idx), mag, ph[idx], tolerances),))
-            return worst(values)
-
-        related, related_data = related_verdict(invariance, residual, tolerances)
+        head = np.arange(min(len(zs), 10))
+        related, related_data = _related(symmetry, frame.take(head), mag, zs[head, n:],
+                                         tolerances)
         data.update(related_data)
         data["relatedness_verdict"] = related
         if related == FAIL:

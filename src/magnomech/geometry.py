@@ -283,10 +283,10 @@ class TwoFormField:
                    constant=value if np.isfinite(value).all() else None)
 
     @classmethod
-    def from_matrix_fn(cls, fn, n, partials_fn=None, check=True):
+    def from_matrix_fn(cls, fn, n, partials_fn=None):
         def upper(q):
             matrix = np.asarray(fn(q), dtype=float)
-            if check and max_abs(matrix + matrix.T) > 1e-9 * (1.0 + max_abs(matrix)):
+            if max_abs(matrix + matrix.T) > 1e-9 * (1.0 + max_abs(matrix)):
                 raise NumericalDomainError("two-form evaluation is not antisymmetric")
             return matrix
 

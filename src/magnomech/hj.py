@@ -7,15 +7,20 @@ a hypothesis residual and equation residual(s) per sample: when the
 hypothesis fails the verdict is VACUOUS and the equation numbers are
 informational only.
 Each equation type has one residual kernel (type1_residual,
-_type2_residuals) shared by the magnetic, distributional and reduced
-levels, which differ only in their ``level`` callback. The kernels, the
-section hypotheses and the per-level row functions are each defined once,
-for one point or a stack of points in the layout rule of :mod:`linalg`.
-Each check calls them in its stages (_type1_magnetic, ...), which run on
-all its samples at once, so a fault raises the error of the first failing
-sample (linalg.located). The stages return the validated samples and the
-per-sample columns of their one pass; a check on no samples runs no stage
-and returns the empty columns (worst residuals 0.0). The reports here only fold the columns (linalg.worst) and
+_type2_residuals) shared by the distributional and reduced levels, which
+differ only in their ``level`` callback. The magnetic level is the
+distributional one with D = TQ, as in the paper: type1_magnetic and
+type2_magnetic run the distributional stages over
+ConstraintDistribution.unconstrained(n), whose rows are the empty array
+and whose bases are the identity, and report the columns their statements
+read. The kernels, the section hypotheses and the Type I rows are each
+defined once, for one point or a stack of points in the layout rule of
+:mod:`linalg`. Each check calls them in its stages (_type1_constrained,
+_type2_constrained), which run on all its samples at once, so a fault
+raises the error of the first failing sample (linalg.located). The stages
+return the validated samples and the per-sample columns of their one pass;
+a check on no samples runs no stage and returns the empty columns (worst
+residuals 0.0). The reports here only fold the columns (linalg.worst) and
 build the rows once.
 """
 
@@ -33,8 +38,14 @@ from .geometry import (
     phase_vectors,
     twist_residual,
 )
-from .linalg import by_rank, first_failing, located, max_abs_each, mv, tr, worst
-from .nonholonomic import admissible, multiplier_correction, section_image, surface_frame
+from .linalg import by_rank, first_failing, max_abs_each, mv, tr, worst
+from .nonholonomic import (
+    ConstraintDistribution,
+    admissible,
+    multiplier_correction,
+    section_image,
+    surface_frame,
+)
 from .tolerances import DEFAULT_TOLERANCES
 
 PASS = "PASS"
@@ -101,6 +112,9 @@ def section_hypotheses(section, frame, gs, tolerances=DEFAULT_TOLERANCES):
     """
     image_tol = tolerances.get("constraint")
     image = section_image(frame, gs, image_tol)
+    if frame.dist.k == 0:
+        # D = TQ: the projector is the identity, so every tangent is admissible
+        return image, np.zeros(image.shape), section.jacobian(frame.terms.q)
     basis = admissible(frame, gs, image_tol)
     projector = basis @ tr(basis)
     jacs = section.jacobian(frame.terms.q)
@@ -141,14 +155,6 @@ def type1_residual(ham, mag, q, p, jac, level):
     return max_abs_each(lifted - target)
 
 
-def magnetic_rows(section, ham, mag, q):
-    """(hypothesis, equation) of type1_magnetic at a base point or a stack."""
-    jacs = section.jacobian(q)
-    hypothesis = twist_residual(jacs, mag.b_matrix(q), np.eye(ham.n))
-    return hypothesis, type1_residual(ham, mag, q, section.value(q), jacs,
-                                      lambda q, p, free: (None, free))
-
-
 def distributional_rows(section, dist, ham, mag, q, tolerances):
     """(hypothesis, equation, image, tangent) of type1_constrained at a
     base point or a stack."""
@@ -176,23 +182,18 @@ def _type1_report(check_name, keys, result, tolerances, defect):
                     per_sample=rows_of(keys, qs, *columns), defects=defects)
 
 
-def _type1_magnetic(section, ham, mag, samples):
-    """(qs, (hypothesis, equation))."""
-    qs = configs(samples, ham.n)
-    if not len(qs):
-        return qs, ([], [])
-    return qs, located(len(qs), lambda idx: magnetic_rows(section, ham, mag, qs[idx]))
-
-
 def type1_magnetic(section, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
-    """Type I check for the unconstrained magnetic system.
+    """Type I check for the unconstrained magnetic system: the
+    distributional check with D = TQ, reported by its hypothesis and
+    equation columns.
 
     Hypothesis: d(gamma) = -B on all of TQ. Equation: the section maps its
     own base flow onto the dynamical field.
     """
-    return _type1_report("hj1-magnetic", MAGNETIC_ROW,
-                         _type1_magnetic(section, ham, mag, samples),
-                         tolerances, "hypothesis: d(gamma) + B does not vanish")
+    qs, columns = _type1_constrained(section, ConstraintDistribution.unconstrained(ham.n),
+                                     ham, mag, samples, tolerances)
+    return _type1_report("hj1-magnetic", MAGNETIC_ROW, (qs, columns[:2]), tolerances,
+                         "hypothesis: d(gamma) + B does not vanish")
 
 
 def _type1_constrained(section, dist, ham, mag, samples, tolerances):
@@ -216,9 +217,10 @@ def type1_constrained(section, dist, ham, mag, samples,
                          "hypothesis: d(gamma) + B does not vanish on the distribution")
 
 
-def _type2_residuals(section, ham, mag, z, w, map_jac, level):
+def _type2_residuals(ham, mag, z, w, map_jac, section_jac, level):
     """The two Type II residuals at the phase vector z, or at each of a
-    stack, with images w = eps(z) and map Jacobians J_eps(z).
+    stack, with images w = eps(z), map Jacobians J_eps(z) and the section's
+    Jacobians at the images' base points.
 
     ``level(wq, wp, free)`` gives, at the images, the level's projector P
     and selection S (None for the identity) and its target field (None for
@@ -243,7 +245,7 @@ def _type2_residuals(section, ham, mag, z, w, map_jac, level):
     if not np.isfinite(grad_pull).all():
         raise NumericalDomainError("Hamiltonian gradient is non-finite")
     x_pull = structure_solve(mag.form_matrix(z[..., :n]), grad_pull)
-    lam_push = tangent_lift(section.jacobian(wq), free()[..., :n])
+    lam_push = tangent_lift(section_jac, free()[..., :n])
     pushed = mv(map_jac, x_pull)
     if selection is not None:
         pushed = mv(selection, pushed)
@@ -255,12 +257,12 @@ def _type2_residuals(section, ham, mag, z, w, map_jac, level):
     return max_abs_each(pushed - lam_push), max_abs_each(lam_push - target)
 
 
-def magnetic_level(q, p, free):
-    return None, None, None
-
-
 def constrained_level(frame, tolerances):
-    """The distributional Type II level over the SurfaceFrame at the images."""
+    """The distributional Type II level over the SurfaceFrame at the images.
+    With no rows (D = TQ) it is the identity with the free field as target,
+    given as None."""
+    if frame.dist.k == 0:
+        return lambda q, p, free: (None, None, None)
     constraint_tol = tolerances.get("constraint")
 
     def level(q, p, free):
@@ -312,28 +314,17 @@ def _symplectic(phase_map, mag, zs):
     return map_jacs, ws, pullback_defect(mag, zs[:, :n], ws[:, :n], map_jacs)
 
 
-def _type2_magnetic(section, phase_map, ham, mag, samples):
-    """(zs, (symplectic, a, b))."""
-    zs = phase_vectors(samples)
-    if not len(zs):
-        return zs, ([], [], [])
-
-    def stage(idx):
-        map_jacs, ws, symplectic = _symplectic(phase_map, mag, zs[idx])
-        return symplectic, *_type2_residuals(section, ham, mag, zs[idx], ws, map_jacs,
-                                             magnetic_level)
-
-    return zs, located(len(zs), stage)
-
-
 def type2_magnetic(section, phase_map, ham, mag, samples,
                    tolerances=DEFAULT_TOLERANCES):
-    """Type II check for the unconstrained magnetic system.
+    """Type II check for the unconstrained magnetic system: the
+    distributional check with D = TQ.
 
     The claim is an equivalence, so the verdict compares the zero/nonzero
     status of the two residuals at every sample instead of their values.
     """
-    zs, columns = _type2_magnetic(section, phase_map, ham, mag, samples)
+    zs, columns = _type2_constrained(section, phase_map,
+                                     ConstraintDistribution.unconstrained(ham.n), ham, mag,
+                                     samples, tolerances)
     return type2_report("hj2-magnetic", zs, columns, tolerances)
 
 
@@ -348,10 +339,11 @@ def _type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
         z = zs[idx]
         ws = phase_map.image(z)
         frame = surface_frame(dist, ham, ws[:, :n])
-        section_hypotheses(section, frame, section.value(ws[:, :n]), tolerances)
+        *_, section_jacs = section_hypotheses(section, frame, section.value(ws[:, :n]),
+                                              tolerances)
         map_jacs = phase_map.jacobians(z)
         return (pullback_defect(mag, z[:, :n], ws[:, :n], map_jacs),
-                *_type2_residuals(section, ham, mag, z, ws, map_jacs,
+                *_type2_residuals(ham, mag, z, ws, map_jacs, section_jacs,
                                   constrained_level(frame, tolerances)))
 
     return zs, by_rank(len(zs), pipeline)
@@ -374,5 +366,4 @@ def induced_magnetic_field(section, n):
     hypothesis identically (the constructive direction). Only for n <= 2:
     on more dimensions the two-form needs its partials, which are second
     derivatives of gamma; ``construct-b`` writes them as scenario text."""
-    return TwoFormField.from_matrix_fn(
-        lambda q: -exterior_derivative(section, q), n, check=False)
+    return TwoFormField.from_matrix_fn(lambda q: -exterior_derivative(section, q), n)

@@ -12,7 +12,13 @@ kernels on a frame (surface_residual, admissible, section_image,
 compatibility, multiplier_correction) take one point or a stack of points
 along leading axes, in the layout rule of :mod:`linalg`; each is defined
 once, and the functions of a PhasePoint (admissible_basis,
-compatibility_report, ...) wrap them.
+compatibility_report, ...) wrap them. With no rows (D = TQ,
+ConstraintDistribution.unconstrained) the same code runs: A(q) and dA/dq
+are empty arrays, made without a call of the rows callables, and every
+basis is the identity. Only the functions of the constraint surface (its
+residual, the projection onto it, the admissible basis and the multiplier
+correction) skip it there, since a Hamiltonian that is not kinetic plus
+potential has no such surface.
 """
 
 from dataclasses import dataclass
@@ -68,12 +74,15 @@ class ConstraintDistribution:
         return cls(n, k, lambda q: rows, lambda q: np.zeros((n, k, n)))
 
     def matrix(self, q):
-        """A(q), shape (..., k, n), at a point or a stack of points."""
+        """A(q), shape (..., k, n), at a point or a stack of points; with no
+        rows (D = TQ) the empty array, without a call of the rows callable."""
         q = np.asarray(q, dtype=float)
+        if self.k == 0:
+            return np.zeros(q.shape[:-1] + (0, self.n))
         rows = each(self._rows_fn, q).reshape(q.shape[:-1] + (self.k, self.n))
         if not np.isfinite(rows).all():
             raise NumericalDomainError("constraint rows are non-finite")
-        deficient = self.k > 0 and rank_of(rows) < self.k
+        deficient = rank_of(rows) < self.k
         if np.any(deficient):
             raise DegenerateConstraintError(
                 f"constraint rows rank deficient at q={q[first_failing(deficient)]}")
@@ -81,6 +90,8 @@ class ConstraintDistribution:
 
     def rows_gradient(self, q):
         """Stacked partials dA/dq_c with shape (..., n, k, n)."""
+        if self.k == 0:
+            return np.zeros(np.shape(q)[:-1] + (self.n, 0, self.n))
         return each(self._rows_grad_fn, q)
 
     def basis(self, q):
@@ -278,14 +289,8 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=None):
     ``sigma_tol`` (the scaled ``compat_sigma`` tolerance by default).
     """
     sigma_tol = DEFAULT_TOLERANCES.get("compat_sigma") if sigma_tol is None else sigma_tol
-    n = dist.n
-    omega = mag.form_matrix(z.q)
-    if dist.k == 0:
-        sigma = float(np.linalg.svd(omega, compute_uv=False)[-1])
-        return CompatibilityReport(2 * n, 2 * n, 2 * n, sigma, 0,
-                                   bool(sigma > sigma_tol))
     dim_f, dim_tm, dim_k, sigma, intersection, passed = compatibility(
-        surface_frame(dist, ham, z.q), omega, z.p, sigma_tol,
+        surface_frame(dist, ham, z.q), mag.form_matrix(z.q), z.p, sigma_tol,
         DEFAULT_TOLERANCES.get("constraint"))
     return CompatibilityReport(int(dim_f), int(dim_tm), int(dim_k), float(sigma),
                                int(intersection), bool(passed))
@@ -293,8 +298,10 @@ def compatibility_report(dist, ham, mag, z, sigma_tol=None):
 
 def compatibility(frame, omega, p, sigma_tol, constraint_tol):
     """compatibility_report's six fields at (q, p), q the frame's base
-    point (k > 0) and omega = Omega(q), or each an array over a stack, with
-    (q, p) on the surface within ``constraint_tol``.
+    point and omega = Omega(q), or each an array over a stack, with (q, p)
+    on the surface within ``constraint_tol``. With no rows every basis is
+    the identity on the 2n-dimensional tangent space, the intersection is
+    0 and sigma is the smallest singular value of Omega itself.
     Where the constraint rows lose rank there is no solvability to
     diagnose: the dimensions and the intersection are -1, sigma is 0.0 and
     the check fails; a stack with such a sample is diagnosed sample by

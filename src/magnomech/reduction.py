@@ -12,9 +12,11 @@ field. The reduced checks call the Type I and Type II kernels of
 vertical and descending bases, the reduced frame and field and the
 relatedness residual are each defined once, for one point or a stack of
 points, on a SurfaceFrame (``surface_frame(dist, ham, q)``) over the base
-points; the public functions take PhasePoints and build the frame. As in
-:mod:`hj`, each reduced check runs its stages (_type1_reduced,
-_type2_reduced), hypothesis battery included, on all its samples at once.
+points, with or without constraint rows; the public functions take
+PhasePoints and build the frame. As in :mod:`hj`, each reduced check runs
+its stages (_type1_reduced, _type2_reduced), hypothesis battery included,
+on all its samples at once, and relatedness has one stage (_related),
+which relatedness_check and the geometry battery both call.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 
 from .dynamics import free_field, pullback_defect
 from .errors import DegenerateFormError, NumericalDomainError
-from .geometry import configs, phase_vectors
+from .geometry import configs, phase_vectors, sample_set
 from .hj import (
     FAIL,
     PASS,
@@ -104,13 +106,10 @@ def data_invariance_residual(sym, dist, ham, mag, q, p, frame=None):
     the phase point (q, p) or over a stack of them; A(q) is read from
     ``frame``, the caller's SurfaceFrame over q, when there is one."""
     data = [(mag.b_matrix, 2), (ham.mass_matrix, 2),
-            (lambda x: ham.at(x).value(p), 0)]
-    constrained = dist is not None and dist.k > 0
-    if constrained:
-        data.append((dist.matrix, 2))
+            (lambda x: ham.at(x).value(p), 0), (dist.matrix, 2)]
     # each datum is read at q once, right after its first translate
     at_q = [cache(lambda fn=fn: fn(q)) for fn, _ in data]
-    if constrained and frame is not None:
+    if frame is not None:
         at_q[-1] = lambda: frame.rows
     return worst([max_abs_each(fn(moved) - base(), ndim)
                   for moved in _translates(sym, q)
@@ -139,8 +138,6 @@ def _vertical(sym, frame):
     """Orthonormal basis of the group directions inside the admissible
     subspace (possibly empty), over the frame's base point or its stack."""
     generators = sym.generators()
-    if frame.dist.k == 0:
-        return generators
     return generators @ null_space(frame.rows @ generators[: sym.n])
 
 
@@ -213,24 +210,33 @@ def relatedness(sym, frame, mag, p, tolerances):
     return max_abs_each(mv(sym.selection(), full) - reduced)
 
 
-def relatedness_residual(sym, dist, ham, mag, samples,
-                         tolerances=DEFAULT_TOLERANCES):
-    """Pushforward of the constrained field versus the reduced field."""
-    return worst([relatedness(sym, surface_frame(dist, ham, z.q), mag, z.p, tolerances)
-                  for z in samples])
-
-
 def relatedness_check(sym, dist, ham, mag, samples, tolerances=DEFAULT_TOLERANCES):
     """Verdict-style wrapper around the relatedness residual.
 
     Broken invariance makes the comparison meaningless, so it yields
-    VACUOUS rather than FAIL.
+    VACUOUS rather than FAIL. No samples give PASS with residuals 0.0.
     """
-    samples = list(samples)
-    invariance = worst([data_invariance_residual(sym, dist, ham, mag, z.q, z.p)
-                        for z in samples])
-    return related_verdict(invariance, lambda: relatedness_residual(
-        sym, dist, ham, mag, samples, tolerances=tolerances), tolerances)
+    zs = phase_vectors(sample_set(samples))
+    if not len(zs):
+        return related_verdict(0.0, lambda: 0.0, tolerances)
+    n = sym.n
+    return _related(sym, surface_frame(dist, ham, zs[:, :n]), mag, zs[:, n:], tolerances)
+
+
+def _related(sym, frame, mag, p, tolerances):
+    """relatedness_check's (verdict, data) at the momenta p over the
+    SurfaceFrame's base points: the data invariance in one stage, then,
+    when the data are invariant, the worst relatedness residual in another."""
+    q = frame.terms.q
+    invariance = located(len(q), lambda idx: data_invariance_residual(
+        sym, frame.dist, frame.terms.ham, mag, q[idx], p[idx], frame.take(idx)))
+
+    def residual():
+        (values,) = by_rank(len(q), lambda idx: (relatedness(
+            sym, frame.take(idx), mag, p[idx], tolerances),))
+        return worst(values)
+
+    return related_verdict(invariance, residual, tolerances)
 
 
 def related_verdict(invariance, residual, tolerances):
@@ -364,7 +370,8 @@ def _type2_reduced(section, phase_map, sym, dist, ham, mag, samples, tolerances)
 
     def pipeline(idx):
         level = reduced_level(sym, frame.take(idx), mag, tolerances)
-        return _type2_residuals(section, ham, mag, zs[idx], ws[idx], map_jacs[idx], level)
+        return _type2_residuals(ham, mag, zs[idx], ws[idx], map_jacs[idx],
+                                section.jacobian(ws[idx, :n]), level)
 
     return hyp_worst, symp_worst, defects, (zs, (None, *by_rank(len(zs), pipeline)))
 

@@ -112,6 +112,7 @@ def compiled_fields(system):
         fields["mass_matrix'"] = (ham._mass_grad_fn, "q")
     if spec.b_field is not None and system.mag.b_field._constant is None:
         fields["b_field"] = (system.mag.b_field._upper_fn, "q")
+        fields["b_field'"] = (system.mag.b_field._partials_fn, "q")
     if spec.constraints:
         fields["constraints"] = (system.dist._rows_fn, "q")
         fields["constraints'"] = (system.dist._rows_grad_fn, "q")

@@ -7,6 +7,8 @@ The file records, by name:
   bytes and of the stdout text, with the CSV path written as ``run.csv``:
   every shipped scenario with the magnetic field, and each constrained one
   also with the distributional field, with and without ``--no-project``;
+  and the same of the two 10 000-step runs the benchmark's simulate
+  workloads make (``... --t-end 10 --dt 1e-3``);
 - ``check all scenarios --seed 5``: the exit code and the SHA-256 of the
   report, with every ``wall_time_s`` written as 0.0, and of the stdout;
 - ``fault <name>``: the abort step and message of ``integrate`` on each
@@ -17,7 +19,11 @@ The file records, by name:
   each;
 - ``differential draw(300) #<index>``: the SHA-256 of the record of each
   of its 300 recorded documents, one entry per line, so a change names the
-  documents it moves.
+  documents it moves;
+- ``differential draw(300) --reference``: the indices of the documents
+  whose record under ``--reference`` (the per-sample loops of
+  ``tests/reference.py``) differs from the plain one; empty when the two
+  orchestrations agree.
 
 It also records the numpy version, the Python version and the platform the
 fingerprints were taken on. Tier-1 tests recompute each group where it is
@@ -30,8 +36,9 @@ changed:
     PYTHONPATH=src python tests/fingerprints.py
 
 With ``--compare`` it names the entries that differ from the recorded ones
-and leaves the file as it is; it exits 1 when any differs. The per-document
-entries of the 300 documents are compared by this mode only.
+and leaves the file as it is; it exits 1 when any differs. The 10 000-step
+runs, the per-document entries of the 300 documents and the reference
+entry are compared by this mode only.
 
 pytest does not collect this file.
 """
@@ -63,6 +70,10 @@ RUNS.update({" ".join(["simulate", name, *flags]): [f"{name}.json", *flags]
              for name in CONSTRAINED
              for flags in (["--field", "distributional"],
                            ["--field", "distributional", "--no-project"])})
+LONG_STEPS = ["--t-end", "10", "--dt", "1e-3"]
+LONG_RUNS = {" ".join(["simulate", name, *flags, *LONG_STEPS]): [f"{name}.json", *flags]
+             for name, flags in (("nh-magnetic-particle", ["--field", "distributional"]),
+                                 ("magnetic-trap", []))}
 CHECK_ALL = "check all scenarios --seed 5"
 DIFFERENTIAL = "differential draw(60)"
 WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]+')
@@ -99,14 +110,14 @@ def _run(argv, path):
     return code, _sha256(stdout.getvalue().replace(str(path), path.name).encode())
 
 
-def fingerprints(directory):
+def fingerprints(directory, runs=RUNS, steps=STEPS):
     """Each simulate run's exit code and the SHA-256 of its CSV and stdout,
-    by name."""
+    by name: the 2000-step runs, or ``runs`` with ``steps``."""
     path = Path(directory) / "run.csv"
     entries = {}
-    for name, (scenario, *flags) in RUNS.items():
+    for name, (scenario, *flags) in runs.items():
         code, stdout = _run(["simulate", str(ROOT / "scenarios" / scenario), *flags,
-                             *STEPS, "--out", str(path)], path)
+                             *steps, "--out", str(path)], path)
         entries[name] = {"exit": code, "csv": _sha256(path.read_bytes()), "stdout": stdout}
     return entries
 
@@ -157,6 +168,19 @@ def document_fingerprints(records):
             for index, line in enumerate(records)}
 
 
+def reference_fingerprint(records):
+    """{``differential draw(300) --reference``: the indices of the documents
+    whose record under the per-sample loops differs from ``records``}."""
+    from differential import draw, record  # noqa: PLC0415
+    from reference import per_sample_only  # noqa: PLC0415
+
+    with per_sample_only():
+        reference = [record(index, *drawn) for index, drawn in enumerate(draw(300))]
+    return {"differential draw(300) --reference": [
+        index for index, (line, again) in enumerate(zip(records, reference))
+        if line != again]}
+
+
 def main_script(argv=None):
     from differential import draw, record  # noqa: PLC0415
 
@@ -166,12 +190,14 @@ def main_script(argv=None):
                              "without rewriting it")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
-        entries = {**fingerprints(directory), **check_all_fingerprint(directory)}
+        entries = {**fingerprints(directory), **fingerprints(directory, LONG_RUNS, LONG_STEPS),
+                   **check_all_fingerprint(directory)}
     entries.update(fault_fingerprints())
     entries.update(differential_fingerprint(
         [record(index, *drawn) for index, drawn in enumerate(draw(60))]))
-    entries.update(document_fingerprints(
-        [record(index, *drawn) for index, drawn in enumerate(draw(300))]))
+    records = [record(index, *drawn) for index, drawn in enumerate(draw(300))]
+    entries.update(document_fingerprints(records))
+    entries.update(reference_fingerprint(records))
     old = json.loads(FINGERPRINTS.read_text())["outputs"] if FINGERPRINTS.exists() else {}
     changed = [name for name in sorted(set(entries) | set(old))
                if entries.get(name) != old.get(name)]

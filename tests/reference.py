@@ -1,8 +1,8 @@
 """The per-sample reference orchestration of every check.
 
 Each loop here computes what one staged entry of the package computes
-(STAGED pairs them: ``type1_magnetic`` with ``hj._type1_magnetic``, and
-so on), one sample at a time, through the same kernels called on single
+(STAGED pairs them: ``type1_constrained`` with ``hj._type1_constrained``,
+and so on), one sample at a time, through the same kernels called on single
 points. It is the test oracle of the package's one orchestration, kept
 beside the code under test as differential testing keeps an independent
 reference (McKeeman, "Differential Testing for Software", DTJ 10(1),
@@ -16,7 +16,10 @@ every sample taking the stage's steps in the staged entry's order, so a
 fault raises the error of the first failing sample, at its first failing
 step, and an earlier stage's fault comes first. The stages end where the
 package's stages end: at the reduced checks' hypothesis battery, at
-the relatedness gate and at each branch of the geometry check.
+the relatedness gate and at each branch of the geometry check. The
+magnetic checks have no loops of their own: they run the distributional
+stages with D = TQ, so per_sample_only() swaps the distributional loops in
+for them too.
 
 The last section holds the helpers that only the tests call and that state
 nothing of the paper, so the package does not carry them, among them the
@@ -45,8 +48,6 @@ from magnomech.hj import (
     _type2_residuals,
     constrained_level,
     distributional_rows,
-    magnetic_level,
-    magnetic_rows,
     section_hypotheses,
     twist_on_distribution,
 )
@@ -73,8 +74,8 @@ def _stack(points):
 
 def _residuals(section, ham, mag, z, image, jac, level):
     """The two Type II residuals at one sample, as floats."""
-    return tuple(float(r) for r in _type2_residuals(section, ham, mag, z.vec, image.vec,
-                                                    jac, level))
+    return tuple(float(r) for r in _type2_residuals(ham, mag, z.vec, image.vec, jac,
+                                                    section.jacobian(image.q), level))
 
 
 def _columns(first, width):
@@ -107,11 +108,6 @@ def _battery_verdict(batteries, tolerances):
             [battery[0] for battery in batteries])
 
 
-def type1_magnetic(section, ham, mag, samples):
-    qs = _configs(samples, ham.n)
-    return qs, _columns([magnetic_rows(section, ham, mag, q) for q in qs], 2)
-
-
 def type1_constrained(section, dist, ham, mag, samples, tolerances):
     qs = _configs(samples, dist.n)
     return qs, _columns([distributional_rows(section, dist, ham, mag, q, tolerances)
@@ -128,17 +124,6 @@ def type1_reduced(section, sym, dist, ham, mag, samples, tolerances):
     return twist, defects, (qs, ([
         reduced_equation(section, sym, frame, ham, mag, g, tolerances)
         for g, frame in zip(gs, frames)],))
-
-
-def type2_magnetic(section, phase_map, ham, mag, samples):
-    samples, rows = list(samples), []
-    for z in samples:
-        # in symplectic_residual's order: J_eps(z), then eps(z)
-        jac = phase_map.jacobian(z)
-        image = phase_map.value(z)
-        rows.append((float(pullback_defect(mag, z.q, image.q, jac)),
-                     *_residuals(section, ham, mag, z, image, jac, magnetic_level)))
-    return phase_vectors(samples), _columns(rows, 3)
 
 
 def type2_constrained(section, phase_map, dist, ham, mag, samples, tolerances):
@@ -213,17 +198,29 @@ def geometry(dist, ham, mag, gamma, epsilon, symmetry, qs, draw, tolerances):
         data["symplectic_residual"] = max(
             symplectic_residual(epsilon, mag, z) for z in zs[:10])
     if symmetry is not None and dist.k > 0:
-        head = list(zip(zs[:10], frames))
-        related, related_data = related_verdict(
-            worst([data_invariance_residual(symmetry, dist, ham, mag, z.q, z.p, frame)
-                   for z, frame in head]),
-            lambda: worst([relatedness(symmetry, frame, mag, z.p, tolerances)
-                           for z, frame in head]), tolerances)
+        related, related_data = _related_points(symmetry, frames[:10], mag,
+                                                [z.p for z in zs[:10]], tolerances)
         data.update(related_data)
         data["relatedness_verdict"] = related
         if related == "FAIL":
             verdict = "FAIL"
     return verdict, data
+
+
+def _related_points(sym, frames, mag, ps, tolerances):
+    """The relatedness verdict and data at the momenta ps over one
+    SurfaceFrame per base point."""
+    points = list(zip(frames, ps))
+    return related_verdict(
+        worst([data_invariance_residual(sym, frame.dist, frame.terms.ham, mag,
+                                        frame.terms.q, p, frame) for frame, p in points]),
+        lambda: worst([relatedness(sym, frame, mag, p, tolerances) for frame, p in points]),
+        tolerances)
+
+
+def related(sym, frame, mag, p, tolerances):
+    return _related_points(sym, [surface_frame(frame.dist, frame.terms.ham, q)
+                                 for q in frame.terms.q], mag, p, tolerances)
 
 
 def projections(dist, ham, samples):
@@ -245,12 +242,11 @@ def preimages(phase_map, targets):
 
 
 STAGED = {
-    hj._type1_magnetic: type1_magnetic,
     hj._type1_constrained: type1_constrained,
     reduction._type1_reduced: type1_reduced,
-    hj._type2_magnetic: type2_magnetic,
     hj._type2_constrained: type2_constrained,
     reduction._type2_reduced: type2_reduced,
+    reduction._related: related,
     cli._geometry: geometry,
     sampling._projections: projections,
     sampling._preimages: preimages,

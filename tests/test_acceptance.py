@@ -28,7 +28,7 @@ from magnomech.nonholonomic import (
 )
 from magnomech.reduction import (
     reduced_field,
-    relatedness_residual,
+    relatedness_check,
     type1_reduced,
     type2_level_agreement,
 )
@@ -272,9 +272,8 @@ def test_criterion_8_reduction(systems):
                 float(np.max(np.abs(values[0][0] - values[1][0]))),
                 float(np.max(np.abs(values[0][1] - values[1][1]))),
                 abs(energies[0] - energies[1]))
-        related = relatedness_residual(sym, system.dist, system.ham,
-                                       system.mag, points,
-                                       tolerances=system.tolerances)
+        related = relatedness_check(sym, system.dist, system.ham, system.mag, points,
+                                    tolerances=system.tolerances)[1]["relatedness_residual"]
         one = type1_reduced(system.gamma, sym, system.dist, system.ham,
                             system.mag, config_samples(system.sample_box, 30),
                             tolerances=system.tolerances)

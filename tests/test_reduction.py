@@ -22,7 +22,6 @@ from magnomech.reduction import (
     _vertical,
     reduced_field,
     relatedness_check,
-    relatedness_residual,
     type1_reduced,
     type2_level_agreement,
     type2_reduced,
@@ -196,7 +195,8 @@ def test_reduced_field_conserves_reduced_energy():
 def test_relatedness_residual_small():
     _, sym, dist, ham, mag = reduced_test_system()
     samples = surface_points(dist, ham, 20, seed=13)
-    assert relatedness_residual(sym, dist, ham, mag, samples) < 1e-8
+    _, data = relatedness_check(sym, dist, ham, mag, samples)
+    assert data["relatedness_residual"] < 1e-8
 
 
 def test_relatedness_against_projected_trajectory():

@@ -281,8 +281,8 @@ def test_structure_and_residual_kernels(seed, count, n, constant, width):
                              lambda q: np.cos(q)[:, None] * section_jacs[0])
     for residual in range(2):
         each_sample(lambda z, w, j: _type2_residuals(
-            section, ham, mag, z, w, j, lambda q, p, free: (None, None, None))[residual],
-            zs, ws, jacs)
+            ham, mag, z, w, j, section.jacobian(w[..., :n]),
+            lambda q, p, free: (None, None, None))[residual], zs, ws, jacs)
 
 
 def _mass(rng, n):

@@ -52,7 +52,12 @@ from magnomech.hj import (
     type2_magnetic,
 )
 from magnomech.nonholonomic import ConstraintDistribution
-from magnomech.reduction import relatedness_check, type1_reduced, type2_reduced
+from magnomech.reduction import (
+    map_equivariance_residual,
+    relatedness_check,
+    type1_reduced,
+    type2_reduced,
+)
 from magnomech.sampling import (
     config_samples,
     newton_preimages,
@@ -307,14 +312,9 @@ def test_a_sample_producer_that_goes_non_finite_raises_the_per_sample_error(
     assert produced == reference == (NumericalDomainError, message)
 
 
-@pytest.mark.parametrize("name", ["nh-magnetic-reduced", "magnetic-hj"])
-def test_the_stacked_path_wraps_no_sample(systems, name, monkeypatch):
-    """One pass of every check over 50 samples makes no PhasePoint and
-    checks no configuration point on its own: the samples stay one array
-    from the draw to the verdict. (Per-point wrapping made 500 and 250 of
-    them on these two scenarios; neither runs an in-band Type II
-    refinement, as both have symbolic Jacobians, and a refinement wraps
-    nothing either.)"""
+def _counting_wraps(monkeypatch):
+    """A Counter of the PhasePoints made and the configuration points
+    checked one by one from now on."""
     wrapped = Counter()
     post_init = PhasePoint.__post_init__
     ensure_config = geometry.ensure_config
@@ -332,11 +332,69 @@ def test_the_stacked_path_wraps_no_sample(systems, name, monkeypatch):
         if (module_name.startswith("magnomech")
                 and getattr(module, "ensure_config", None) is ensure_config):
             monkeypatch.setattr(module, "ensure_config", checked)
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["nh-magnetic-reduced", "magnetic-hj"])
+def test_the_stacked_path_wraps_no_sample(systems, name, monkeypatch):
+    """One pass of every check over 50 samples makes no PhasePoint and
+    checks no configuration point on its own: the samples stay one array
+    from the draw to the verdict. (Per-point wrapping made 500 and 250 of
+    them on these two scenarios; neither runs an in-band Type II
+    refinement, as both have symbolic Jacobians, and a refinement wraps
+    nothing either.)"""
+    wrapped = _counting_wraps(monkeypatch)
     with recording_reruns() as reruns:
         reports = checks_for_system(systems[name], 50, 0)
     assert reruns == []
     assert {report.verdict for report in reports} == {"PASS"}
     assert wrapped == Counter()
+
+
+@pytest.mark.parametrize("check", [check_hj1, check_hj2], ids=["hj1", "hj2"])
+def test_the_magnetic_level_calls_no_rows_callable(systems, check, monkeypatch):
+    """A magnetic check runs the distributional stages over D = TQ: a pass
+    over 50 samples builds the one unconstrained distribution and never
+    calls its rows or their partials, whose arrays at k = 0 are empty."""
+    built, calls = [], Counter()
+    init = ConstraintDistribution.__init__
+
+    def counted(name, fn):
+        def call(q):
+            calls[name] += 1
+            return fn(q)
+
+        return call
+
+    def spy(self, n, k, rows_fn, rows_grad_fn):
+        built.append(k)
+        init(self, n, k, counted("rows", rows_fn), counted("rows_gradient", rows_grad_fn))
+
+    monkeypatch.setattr(ConstraintDistribution, "__init__", spy)
+    report = check(systems["magnetic-hj"], 50, 0)
+    assert (report.check[4:], report.verdict) == ("magnetic", "PASS")
+    assert built == [0]
+    assert calls == Counter()
+
+
+def test_relatedness_check_wraps_no_sample(systems, monkeypatch):
+    """relatedness_check on a 10-point PhaseStack makes no PhasePoint, and
+    its one stage gives the per-sample reference's verdict and data bit for
+    bit."""
+    system = systems["nh-magnetic-reduced"]
+    zs = _phase_points(system, 10, 0)
+    wrapped = _counting_wraps(monkeypatch)
+
+    def run():
+        verdict, data = relatedness_check(system.symmetry, system.dist, system.ham,
+                                          system.mag, zs, system.tolerances)
+        return verdict, json.dumps(data, sort_keys=True)
+
+    produced = run()
+    assert wrapped == Counter()
+    assert produced[0] == "PASS"
+    with per_sample_only():
+        assert run() == produced
 
 
 def test_first_failing_sample_is_named(systems):
@@ -759,3 +817,45 @@ def test_the_status_threshold_is_zero_strictly_below_it(name, reduced):
     assert r > 0 and any(row["residual_b"] == r > row["residual_a"] for row in rows)
     assert [check_hj2(_system_with(doc, status=r * f), 8, 0, reduced=reduced).verdict
             for f in (1 - EDGE, 1, 1 + EDGE)] == ["FAIL", "FAIL", "PASS"]
+
+
+def test_the_hypothesis_threshold_is_vacuous_strictly_above_it():
+    """hj1 is VACUOUS iff its worst twist residual > hypothesis, at the rule
+    that the magnetic and distributional levels share: broken-gamma's
+    section misses the two-form by a residual of 0.49999999999999994, and
+    above the threshold its equation residual FAILs."""
+    doc = json.loads((SCENARIO_DIR / "broken-gamma.json").read_text())
+    r = check_hj1(_system_with(doc), 50, 0).data["hypothesis_residual"]
+    assert r > 0
+    assert [check_hj1(_system_with(doc, hypothesis=r * f), 50, 0).verdict
+            for f in (1 - EDGE, 1, 1 + EDGE)] == ["VACUOUS", "FAIL", "FAIL"]
+
+
+def test_the_compat_sigma_threshold_passes_strictly_above_it():
+    """Compatibility passes iff the smallest singular value of the
+    restricted form > compat_sigma, and the geometry check FAILs where it
+    does not."""
+    doc = json.loads((SCENARIO_DIR / "nh-magnetic-particle.json").read_text())
+    r = _geometry_with(doc).data["sigma_min"]
+    assert r > 0
+    outcomes = [_geometry_with(doc, compat_sigma=r * f) for f in (1 - EDGE, 1, 1 + EDGE)]
+    assert [(g.verdict, g.data["compatibility_passed"]) for g in outcomes] == [
+        ("PASS", True), ("FAIL", False), ("FAIL", False)]
+
+
+def test_the_equivariance_threshold_is_vacuous_strictly_above_it():
+    """hj2-reduced names the map's equivariance defect iff its residual >
+    invariance. The map adds 0.01 q3 to p3: it keeps the structure, but a
+    translation of the cyclic q3 moves its image by 0.01 * SHIFT in p3."""
+    doc = json.loads((SCENARIO_DIR / "nh-magnetic-reduced.json").read_text())
+    doc["epsilon"] = ["q1 + 0.3", "q2", "q3", "p1", "p2", "p3 + 0.01*q3"]
+    system = _system_with(doc)
+    zs = _type2_samples(system, 8, 0).vec
+    r = map_equivariance_residual(system.symmetry, system.epsilon, zs,
+                                  system.epsilon.image(zs))
+    assert r > 0
+    defect = f"phase map is not translation equivariant ({r:.3e})"
+    outcomes = [check_hj2(_system_with(doc, invariance=r * f), 8, 0, reduced=True)
+                for f in (1 - EDGE, 1, 1 + EDGE)]
+    assert [(report.verdict, report.data["defects"]) for report in outcomes] == [
+        ("VACUOUS", [defect]), ("PASS", []), ("PASS", [])]
